@@ -126,7 +126,9 @@ class VirtualChannel:
 
     def credits(self, cycle: int) -> int:
         """Slots upstream may launch into as of ``cycle``."""
-        self._refresh(cycle)
+        releases = self._releases
+        if releases and releases[0] <= cycle:
+            self._refresh(cycle)
         return self._available
 
     def reserve_slot(self, cycle: int) -> None:
@@ -218,6 +220,56 @@ class VirtualChannel:
 
     def assign_route(self, direction: Direction) -> None:
         self.out_dir = direction
+
+    # -- out-of-band queue edits ---------------------------------------------
+    #
+    # ``push``/``pop`` are the pipeline's way in and out.  Everything else
+    # that changes what the queue holds goes through the methods below, so
+    # occupancy has exactly one owner: routers skip a VC on a bare
+    # ``vc.queue`` probe and must never be surprised by an edit made
+    # behind this class's back.  The deque object itself is never
+    # replaced — hot loops hold a reference to it across calls.
+
+    def purge(self, pid: int, cycle: int) -> int:
+        """Remove every buffered flit of dropped packet ``pid``.
+
+        Each removed flit frees its slot after the credit round-trip,
+        exactly as if it had been forwarded; the draining-worm state is
+        cleared when it belonged to the packet (also on an empty VC: the
+        head may have moved on while body flits are still upstream).
+        Returns the number of flits removed.
+        """
+        queue = self.queue
+        removed = 0
+        if queue:
+            kept = [f for f in queue if f.packet.pid != pid]
+            removed = len(queue) - len(kept)
+            if removed:
+                queue.clear()
+                queue.extend(kept)
+                for _ in range(removed):
+                    self.schedule_release(cycle)
+        if self.active_pid == pid:
+            self.out_dir = None
+            self.out_vc = None
+            self.active_pid = None
+        return removed
+
+    def discard_front(self) -> Flit:
+        """Drop the front flit with no credit or worm bookkeeping.
+
+        For the end-of-run sweep only: the flit's packet is already
+        accounted as lost and nothing will ever query this VC again.
+        """
+        return self.queue.popleft()
+
+    def restore(self, flits) -> None:
+        """Reinstate buffered flits from a state snapshot, in order.
+
+        The snapshot carries its own credit ledger, so — unlike
+        :meth:`push` — nothing here touches credits or checks depth.
+        """
+        self.queue.extend(flits)
 
     def reset(self) -> None:
         """Drop all contents and worm state (used when discarding packets)."""

@@ -331,6 +331,7 @@ class Simulator:
         and drops up to and including ``cycle``.
         """
         config = self.config
+        total_packets = config.total_packets  # a derived property
         stats = self.network.stats
         if self.audit is not None:
             self.audit.attach()
@@ -340,7 +341,7 @@ class Simulator:
         for cycle in range(config.max_cycles):
             if self._pending_events or self._expiries:
                 self._process_fault_events(cycle)
-            if self._generated < config.total_packets:
+            if self._generated < total_packets:
                 self._generate(cycle)
             for source in self._source_list:
                 # Inlined idle filter: inject() on a source with nothing
@@ -358,7 +359,7 @@ class Simulator:
             if signature != last_signature:
                 last_signature = signature
                 last_progress_cycle = cycle
-            if self._generated >= config.total_packets and self._outstanding == 0:
+            if self._generated >= total_packets and self._outstanding == 0:
                 break
             if cycle - last_progress_cycle > config.drain_timeout:
                 if self.network.has_faults:
@@ -457,14 +458,14 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _generate(self, cycle: int) -> None:
-        config = self.config
+        total = self.config.total_packets  # derived: read once, not per node
         arrivals = self.traffic.arrivals
         for node, source in self._gen_sources:
-            if self._generated >= config.total_packets:
+            if self._generated >= total:
                 return
             for _ in range(arrivals(node, cycle)):
                 source.queue.append(self._create_packet(node, cycle))
-                if self._generated >= config.total_packets:
+                if self._generated >= total:
                     return
 
     def _create_packet(self, src: NodeId, cycle: int) -> Packet:
@@ -542,7 +543,7 @@ class Simulator:
                             flit.packet, cycle, reason_for(node, flit.packet)
                         )
                     else:
-                        vc.queue.popleft()
+                        vc.discard_front()
         self._outstanding = 0
 
     # ------------------------------------------------------------------

@@ -36,8 +36,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # Lazy: the engine/state modules import numpy-adjacent machinery and
-    # the full router stack; plain error/layout consumers skip that cost.
+    # Lazy: the engine/state modules import the full router stack;
+    # plain error/layout consumers skip that cost.
     if name in ("SoASimulator", "run_soa_simulation"):
         from repro.core.soa import engine
 

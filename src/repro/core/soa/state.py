@@ -517,8 +517,7 @@ def decode_state(state: SoAState, config) -> Simulator:
     for vc, (queue, out_dir, out_vc, apid, owner, expected_n, avail, future) in zip(
         vcs, state.vcs
     ):
-        for fid in queue:
-            vc.queue.append(flit_of[fid])
+        vc.restore(flit_of[fid] for fid in queue)
         vc.out_dir = dir_of(out_dir)
         vc.out_vc = target_of(out_vc)
         vc.active_pid = None if apid == NONE_CODE else apid

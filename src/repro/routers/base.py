@@ -197,23 +197,6 @@ class BaseRouter(abc.ABC):
                 return False
         return True
 
-    def idle_this_cycle(self) -> bool:
-        """Whether this router's allocate phase has no flit to work on.
-
-        Activity-scheduled routers use this to skip the allocation walk
-        while they are awake only for an arrival still on the wire.  The
-        ``full_sweep`` reference path deliberately never takes the
-        shortcut: it re-runs the original unconditional loops so the
-        differential tests compare the optimised scheduler against the
-        unmodified seed semantics rather than against itself.
-        """
-        if self.network.full_sweep:
-            return False
-        for vc in self._vc_cache:
-            if vc.queue:
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # Pipeline phases (called by the network each cycle)
     # ------------------------------------------------------------------
@@ -347,9 +330,12 @@ class BaseRouter(abc.ABC):
         )
         if not candidates:
             return None
-        staged = {id(req[3]) for req in requests}
+        # Targets already requested this cycle (identity: VCs define no
+        # ``__eq__``); usually none, so no container is built.
+        staged = [req[3] for req in requests] if requests else ()
+        cycle = self.network.cycle
         best: tuple[object, Direction | None] | None = None
-        best_key = (-1, -1)
+        best_key = None
         for target, route in candidates:
             if target is EJECT:
                 best = (target, route)
@@ -360,8 +346,8 @@ class BaseRouter(abc.ABC):
             # congestion signal of adaptive selection); spreading over
             # equally-good VCs is what rotating input-stage arbiters do
             # in hardware.
-            key = (0 if id(target) in staged else 1, target.credits(self.network.cycle))
-            if key > best_key:
+            key = (target not in staged, target.credits(cycle))
+            if best is None or key > best_key:
                 best, best_key = (target, route), key
         if best is None:
             return False
@@ -418,12 +404,13 @@ class BaseRouter(abc.ABC):
 
     def _vc_ready_for_switch(self, vc: VirtualChannel, cycle: int) -> bool:
         """Whether ``vc``'s front flit can compete for the crossbar now."""
-        if vc.empty or not vc.allocated or vc.hold_until > cycle:
-            return False
         target = vc.out_vc
-        if target is EJECT and vc.out_dir is Direction.LOCAL:
+        if target is None or not vc.queue or vc.hold_until > cycle:
+            return False
+        out_dir = vc.out_dir
+        if target is EJECT and out_dir is Direction.LOCAL:
             return True
-        port = self.outputs.get(vc.out_dir)
+        port = self.outputs.get(out_dir)
         if port is None or port.dead:
             return False
         if target is EJECT:
@@ -438,7 +425,7 @@ class BaseRouter(abc.ABC):
         self._sa_winners.append((vc, vc.out_dir, vc.out_vc))
         self.clear_stall(vc)
 
-    def _tally_contention(self, ready_vcs=None) -> None:
+    def _tally_contention(self, vcs) -> None:
         """Figure-3 bookkeeping, shared across architectures.
 
         Every buffered worm with a committed output direction is a
@@ -446,26 +433,34 @@ class BaseRouter(abc.ABC):
         when at least one other worm wants the same output this cycle.
         Requests are classified by the output's dimension (row =
         East/West); local ejection is not a crossbar contention point.
+
+        ``vcs`` must cover every occupied VC of the router (empty ones
+        are skipped here, so a superset is fine).
         """
-        counts = [0, 0, 0, 0]
-        for vc in self._vc_cache or self.all_vcs():
-            if not vc.queue:
-                continue
+        north = east = south = west = 0
+        for vc in vcs:
             out_dir = vc.out_dir
-            if out_dir is not None and out_dir is not Direction.LOCAL:
-                counts[out_dir] += 1
-        contention = self.network.stats.contention
-        for out_dir in CARDINALS:
-            n = counts[out_dir]
-            if not n:
+            if out_dir is None or not vc.queue:
                 continue
-            contended = n if n > 1 else 0
-            if out_dir.is_row:
-                contention.row_requests += n
-                contention.row_contended += contended
-            else:
-                contention.column_requests += n
-                contention.column_contended += contended
+            if out_dir is Direction.EAST:
+                east += 1
+            elif out_dir is Direction.WEST:
+                west += 1
+            elif out_dir is Direction.NORTH:
+                north += 1
+            elif out_dir is Direction.SOUTH:
+                south += 1
+        if not (north or east or south or west):
+            return
+        contention = self.network.stats.contention
+        contention.row_requests += east + west
+        contention.row_contended += (east if east > 1 else 0) + (
+            west if west > 1 else 0
+        )
+        contention.column_requests += north + south
+        contention.column_contended += (north if north > 1 else 0) + (
+            south if south > 1 else 0
+        )
 
     # ------------------------------------------------------------------
     # Switch traversal helpers
@@ -531,24 +526,16 @@ class BaseRouter(abc.ABC):
             self._stall_since.pop(id(vc), None)
 
     def purge_packet(self, pid: int, cycle: int) -> None:
-        """Remove every flit of a dropped packet held in this router."""
+        """Remove every flit of a dropped packet held in this router.
+
+        Runs on every router for every drop, and nearly every VC it
+        meets is empty and unrelated: those cost two attribute probes.
+        """
         for vc in self.all_vcs():
             if vc.owner_pid == pid:
                 vc.release_owner()
-            if vc.active_pid != pid and not any(
-                f.packet.pid == pid for f in vc.queue
-            ):
-                continue
-            kept = [f for f in vc.queue if f.packet.pid != pid]
-            removed = len(vc.queue) - len(kept)
-            vc.queue.clear()
-            vc.queue.extend(kept)
-            for _ in range(removed):
-                vc.schedule_release(cycle)
-            if vc.active_pid == pid:
-                vc.out_dir = None
-                vc.out_vc = None
-                vc.active_pid = None
+            if vc.queue or vc.active_pid == pid:
+                vc.purge(pid, cycle)
 
     def reroute_after_fault(self, vc: VirtualChannel) -> None:
         """Recompute a committed look-ahead route invalidated by a fault.
@@ -571,7 +558,8 @@ class BaseRouter(abc.ABC):
 
     def _discard_dropped_front(self, vc: VirtualChannel, cycle: int) -> None:
         """Flush flits whose packet was dropped while queued here."""
-        while vc.front is not None and vc.front.packet.dropped_cycle is not None:
+        queue = vc.queue
+        while queue and queue[0].packet.dropped_cycle is not None:
             vc.pop(cycle)
 
     def _output_alive(self, d: Direction) -> bool:

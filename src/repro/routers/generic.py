@@ -12,6 +12,9 @@ a worm occupying VC 0 routes dimension-ordered (XY) from that node.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import attrgetter
+
 from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.buffer import VirtualChannel
 from repro.core.types import Direction, NodeId, Packet, RoutingMode
@@ -25,6 +28,10 @@ GENERIC_PORTS = (
     Direction.WEST,
     Direction.LOCAL,
 )
+
+
+#: Groups a port-ordered VC list by input port (SA stage 1).
+_INPUT_DIR = attrgetter("input_dir")
 
 
 class GenericRouter(BaseRouter):
@@ -128,38 +135,53 @@ class GenericRouter(BaseRouter):
     def allocate(self, cycle: int) -> None:
         if self.dead:
             return
-        if self.idle_this_cycle():
-            # Awake only for an in-flight arrival (or freshly woken):
-            # with no buffered flit there is nothing to route, allocate
-            # or arbitrate, and none of the loops below would observe
-            # anything — skip them wholesale.
+        # Occupancy first: a router step finds one to three of its 15 VCs
+        # holding a flit, and an empty VC has nothing to route, allocate,
+        # arbitrate or tally.  Every sub-phase below walks ``occupied``
+        # (port order, like ``_vcs``) and re-probes ``vc.queue``, because
+        # a fault drop during VA may purge a worm mid-walk; allocation
+        # never *adds* a flit.  An empty list means the router is awake
+        # only for an arrival still on the wire.
+        occupied = [vc for vc in self._vcs if vc.queue]
+        if not occupied:
             return
-        stats = self.network.stats
         # RC + VA (in parallel with SA in stage 1; speculation is modelled
         # by letting a worm that allocates this cycle also compete for the
         # switch this cycle).  Requests for the same downstream VC are
         # resolved by the output-side arbiters, one winner per cycle.
+        has_faults = self.network.has_faults
         va_requests: list = []
-        newly_allocated: set[int] = set()
-        for d in GENERIC_PORTS:
-            for vc in self.ports[d]:
-                if self.network.has_faults:
-                    self._discard_dropped_front(vc, cycle)
-                front = vc.front
-                if front is None or not front.is_head:
+        newly_allocated: list[VirtualChannel] = []
+        for vc in occupied:
+            if has_faults:
+                self._discard_dropped_front(vc, cycle)
+            queue = vc.queue
+            if not queue:
+                continue
+            front = queue[0]
+            if not front.is_head:
+                continue
+            if vc.active_pid is None:
+                vc.active_pid = front.packet.pid
+            if vc.out_vc is None:
+                if front.arrival >= cycle:
+                    # Without look-ahead routing the head spends this
+                    # cycle in Routing Computation (Section 3.1: RoCo
+                    # and Path-Sensitive pre-compute the route one
+                    # step ahead and skip this stage).
                     continue
-                if vc.active_pid is None:
-                    vc.active_pid = front.packet.pid
-                if not vc.allocated:
-                    if front.arrival >= cycle:
-                        # Without look-ahead routing the head spends this
-                        # cycle in Routing Computation (Section 3.1: RoCo
-                        # and Path-Sensitive pre-compute the route one
-                        # step ahead and skip this stage).
-                        continue
-                    self._route_and_request(vc, va_requests, cycle)
-                    newly_allocated.add(id(vc))
-        self._resolve_vc_allocations(va_requests, cycle)
+                self._route_and_request(vc, va_requests, cycle)
+                newly_allocated.append(vc)
+        if va_requests:
+            self._resolve_vc_allocations(va_requests, cycle)
+
+        # Switch readiness is decided once per occupied VC and shared by
+        # the contention tally and both SA stages.
+        ready = [vc for vc in occupied if self._vc_ready_for_switch(vc, cycle)]
+        self._tally_contention(occupied)
+        if not ready:
+            return
+        self.network.stats.activity.sa_requests += len(ready)
 
         # SA stage 1: each input port nominates one ready VC.  Worms
         # whose VA succeeded only this cycle are *speculative* SA
@@ -168,41 +190,37 @@ class GenericRouter(BaseRouter):
         # within a port and at the output arbiters.  This speculation
         # failure under load is the pipeline-stall contention cost the
         # paper charges the generic design with.
+        vcs_per_port = self.config.vcs_per_port
         nominees: dict[Direction, VirtualChannel] = {}
-        speculative: dict[Direction, bool] = {}
-        ready_vcs: list[VirtualChannel] = []
-        for d in GENERIC_PORTS:
-            vcs = self.ports[d]
-            ready = [self._vc_ready_for_switch(vc, cycle) for vc in vcs]
-            ready_vcs.extend(vc for vc, r in zip(vcs, ready) if r)
-            requests = sum(ready)
-            if not requests:
-                continue
-            stats.activity.sa_requests += requests
-            non_spec = [
-                r and id(vc) not in newly_allocated for r, vc in zip(ready, vcs)
-            ]
-            if any(non_spec):
-                winner = self._sa_stage1[d].grant(non_spec)
-                speculative[d] = False
-            else:
-                winner = self._sa_stage1[d].grant(ready)
-                speculative[d] = True
-            nominees[d] = vcs[winner]
+        speculative: list[Direction] = []
+        for d, group in groupby(ready, _INPUT_DIR):
+            group = list(group)
+            pool = [vc for vc in group if vc not in newly_allocated]
+            if not pool:
+                pool = group
+                speculative.append(d)
+            lines = [False] * vcs_per_port
+            for vc in pool:
+                lines[vc.index] = True
+            nominees[d] = self.ports[d][self._sa_stage1[d].grant(lines)]
 
         # SA stage 2: each output port arbitrates among nominating inputs,
-        # non-speculative requests first.
-        self._tally_contention(ready_vcs)
-        requests_per_output: dict[Direction, list[Direction]] = {}
-        for d, vc in nominees.items():
-            requests_per_output.setdefault(vc.out_dir, []).append(d)
-        for out_dir, requesters in requests_per_output.items():
-            non_spec_req = [r for r in requesters if not speculative[r]]
-            pool = non_spec_req if non_spec_req else requesters
-            lines = [p in pool for p in GENERIC_PORTS]
+        # non-speculative requests first.  Outputs are served in the order
+        # their first nominee appears (port order): grant order is the
+        # next cycle's launch order.
+        served: list[Direction] = []
+        for vc in nominees.values():
+            out_dir = vc.out_dir
+            if out_dir in served:
+                continue
+            served.append(out_dir)
+            requesters = [d for d, n in nominees.items() if n.out_dir is out_dir]
+            pool = [d for d in requesters if d not in speculative] or requesters
+            lines = [False] * len(GENERIC_PORTS)
+            for d in pool:
+                lines[d] = True
             winner = self._sa_stage2[out_dir].grant(lines)
-            if winner is not None:
-                self._commit_switch_grant(nominees[GENERIC_PORTS[winner]], cycle)
+            self._commit_switch_grant(nominees[GENERIC_PORTS[winner]], cycle)
 
     def _route_and_request(
         self, vc: VirtualChannel, va_requests: list, cycle: int

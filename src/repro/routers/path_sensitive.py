@@ -44,6 +44,25 @@ QUADRANT_ARRIVALS = {
 OUTPUT_ORDER = (Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST)
 
 
+#: (path-set index, output) -> which of the set's two local arbiters
+#: serves that crosspoint; pairs absent here have no crosspoint.
+_CROSSPOINT_SLOT = {
+    (q_index, out_dir): slot
+    for q_index, quadrant in enumerate(QUADRANTS)
+    for slot, out_dir in enumerate(QUADRANT_OUTPUTS[quadrant])
+}
+
+#: Output -> indices of the two path sets that can feed it, in
+#: QUADRANTS order (the line order of that output's 2:1 arbiter).
+_FEEDERS = {
+    out_dir: tuple(
+        q_index
+        for q_index, quadrant in enumerate(QUADRANTS)
+        if out_dir in QUADRANT_OUTPUTS[quadrant]
+    )
+    for out_dir in OUTPUT_ORDER
+}
+
 #: Quadrant pairs able to serve an axis-aligned destination.
 _AXIS_QUADRANTS = {
     "N": ("NE", "NW"),
@@ -169,28 +188,45 @@ class PathSensitiveRouter(BaseRouter):
     def allocate(self, cycle: int) -> None:
         if self.dead:
             return
-        if self.idle_this_cycle():
-            # Woken for an arrival still on the wire: no buffered flit
-            # means no VA/SA work and no contention to tally — skip.
+        # Occupancy first: a router step finds one to three of its 12 VCs
+        # holding a flit, and an empty VC has nothing to allocate,
+        # arbitrate or tally.  Every sub-phase walks ``occupied``
+        # (path-set order, like ``_vcs``) and re-probes ``vc.queue``,
+        # because a fault drop during VA may purge a worm mid-walk;
+        # allocation never *adds* a flit.  An empty list means the router
+        # is awake only for an arrival still on the wire.
+        occupied = [vc for vc in self._vcs if vc.queue]
+        if not occupied:
             return
-        stats = self.network.stats
+        has_faults = self.network.has_faults
+        lookahead = self.config.lookahead_routing
         va_requests: list = []
-        newly_allocated: set[int] = set()
-        for quadrant in QUADRANTS:
-            for vc in self.path_sets[quadrant]:
-                if self.network.has_faults:
-                    self._discard_dropped_front(vc, cycle)
-                front = vc.front
-                if front is None or not front.is_head:
-                    continue
-                if vc.active_pid is None:
-                    vc.active_pid = front.packet.pid
-                if not vc.allocated:
-                    if not self.config.lookahead_routing and front.arrival >= cycle:
-                        continue  # ablation: RC charged post-arrival
-                    self._request_worm_allocation(vc, cycle, va_requests)
-                    newly_allocated.add(id(vc))
-        self._resolve_vc_allocations(va_requests, cycle)
+        newly_allocated: list[VirtualChannel] = []
+        for vc in occupied:
+            if has_faults:
+                self._discard_dropped_front(vc, cycle)
+            queue = vc.queue
+            if not queue:
+                continue
+            front = queue[0]
+            if not front.is_head:
+                continue
+            if vc.active_pid is None:
+                vc.active_pid = front.packet.pid
+            if vc.out_vc is None:
+                if not lookahead and front.arrival >= cycle:
+                    continue  # ablation: RC charged post-arrival
+                self._request_worm_allocation(vc, cycle, va_requests)
+                newly_allocated.append(vc)
+        if va_requests:
+            self._resolve_vc_allocations(va_requests, cycle)
+
+        # Switch readiness is decided once per occupied VC and shared by
+        # the contention tally and the local SA stage.
+        ready = [vc for vc in occupied if self._vc_ready_for_switch(vc, cycle)]
+        self._tally_contention(occupied)
+        if not ready:
+            return
 
         # Local stage: each path set elects one ready VC per reachable
         # output (two v:1 arbiters per set).  The global stage then walks
@@ -198,40 +234,30 @@ class PathSensitiveRouter(BaseRouter):
         # matched to an earlier output cannot serve a later one, the
         # structural reason only 2 of its 24 match cases are non-blocking
         # (Table 2).
-        local: dict[tuple[str, Direction], VirtualChannel] = {}
-        ready_vcs = [
-            vc
-            for quadrant in QUADRANTS
-            for vc in self.path_sets[quadrant]
-            if self._vc_ready_for_switch(vc, cycle)
-        ]
-        self._tally_contention(ready_vcs)
-        for quadrant in QUADRANTS:
-            vcs = self.path_sets[quadrant]
-            for slot, out_dir in enumerate(QUADRANT_OUTPUTS[quadrant]):
-                ready = [
-                    self._vc_ready_for_switch(vc, cycle) and vc.out_dir is out_dir
-                    for vc in vcs
-                ]
-                requests = sum(ready)
-                if not requests:
-                    continue
-                stats.activity.sa_requests += requests
-                # Separable-SA speculation rule (as in the generic
-                # router): worms allocated only this cycle yield to
-                # non-speculative requests.  RoCo's mirror allocator has
-                # no such cross-port priority conflict.
-                non_spec = [
-                    r and id(vc) not in newly_allocated
-                    for r, vc in zip(ready, vcs)
-                ]
-                pool = non_spec if any(non_spec) else ready
-                winner = self._set_arbiters[quadrant][slot].grant(pool)
-                local[(quadrant, out_dir)] = vcs[winner]
+        contenders: dict[tuple[int, Direction], list[VirtualChannel]] = {}
+        for vc in ready:
+            contenders.setdefault((vc.port, vc.out_dir), []).append(vc)
+        local: dict[tuple[int, Direction], VirtualChannel] = {}
+        for key, group in contenders.items():
+            slot = _CROSSPOINT_SLOT.get(key)
+            if slot is None:
+                continue  # the decomposed crossbar has no such crosspoint
+            self.network.stats.activity.sa_requests += len(group)
+            # Separable-SA speculation rule (as in the generic router):
+            # worms allocated only this cycle yield to non-speculative
+            # requests.  RoCo's mirror allocator has no such cross-port
+            # priority conflict.
+            pool = [vc for vc in group if vc not in newly_allocated] or group
+            lines = [False, False, False]
+            for vc in pool:
+                lines[vc.index] = True
+            quadrant = QUADRANTS[key[0]]
+            winner = self._set_arbiters[quadrant][slot].grant(lines)
+            local[key] = self.path_sets[quadrant][winner]
 
-        granted_sets: set[str] = set()
+        granted_sets: list[int] = []
         for out_dir in OUTPUT_ORDER:
-            feeders = [q for q in QUADRANTS if out_dir in QUADRANT_OUTPUTS[q]]
+            feeders = _FEEDERS[out_dir]
             requesting = [q for q in feeders if (q, out_dir) in local]
             if not requesting:
                 continue
@@ -239,13 +265,11 @@ class PathSensitiveRouter(BaseRouter):
             # only pick up a *second* output opportunistically, when no
             # unmatched set wants it — the global arbitration signal has
             # already been consumed by its first grant.
-            fresh = [q for q in requesting if q not in granted_sets]
-            pool = fresh if fresh else requesting
+            pool = [q for q in requesting if q not in granted_sets] or requesting
             lines = [q in pool for q in feeders]
-            winner = self._output_arbiters[out_dir].grant(lines)
-            quadrant = feeders[winner]
+            quadrant = feeders[self._output_arbiters[out_dir].grant(lines)]
             self._commit_switch_grant(local[(quadrant, out_dir)], cycle)
-            granted_sets.add(quadrant)
+            granted_sets.append(quadrant)
 
     def _request_worm_allocation(
         self, vc: VirtualChannel, cycle: int, va_requests: list

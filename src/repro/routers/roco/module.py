@@ -35,6 +35,11 @@ class RoCoModule:
         self.ports: list[list[VirtualChannel]] = [[], []]
         #: Flat VC view in port order, rebuilt on add; read-hot.
         self._flat: list[VirtualChannel] = []
+        #: Switch-allocation request matrix ``[port][slot][vc]``, rebuilt
+        #: on add.  Scratch owned by the router's allocate phase, which
+        #: sets the ready bits, runs the allocator and clears them again:
+        #: all-False between uses.
+        self.sa_requests: list[list[list[bool]]] = []
         #: The Mirroring Effect allocator, or (ablation) a plain
         #: separable allocator without the maximal-matching guarantee.
         if mirror:
@@ -51,6 +56,8 @@ class RoCoModule:
     def add_vc(self, port: int, vc: VirtualChannel) -> None:
         self.ports[port].append(vc)
         self._flat = self.ports[0] + self.ports[1]
+        width = len(self.ports[0])
+        self.sa_requests = [[[False] * width, [False] * width] for _ in range(2)]
 
     def slot_of(self, direction: Direction) -> int:
         """Crossbar slot index for an output direction of this module."""
@@ -61,13 +68,6 @@ class RoCoModule:
 
     def all_vcs(self) -> list[VirtualChannel]:
         return self._flat
-
-    def occupied(self) -> bool:
-        """Whether any VC buffers a flit (the module-activity check)."""
-        for vc in self._flat:
-            if vc.queue:
-                return True
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "dead" if self.dead else "alive"

@@ -54,6 +54,70 @@ class TestQueueBehaviour:
         assert vc.empty and not vc.routed
 
 
+class TestOutOfBandEdits:
+    """The queue edits that bypass ``push``/``pop`` (drops, snapshots)."""
+
+    def test_purge_removes_only_the_packet_and_frees_its_slots(self):
+        vc = VirtualChannel(0, 0, depth=5)
+        tail_of_old = worm(2, pid=1)[1:]
+        head_of_new = worm(3, pid=2)[:2]
+        for f in tail_of_old + head_of_new:
+            vc.reserve_slot(0)
+            vc.push(f)
+        queue = vc.queue
+        vc.active_pid = 1
+        vc.assign_route(Direction.EAST)
+        vc.out_vc = object()
+        assert vc.purge(2, cycle=10) == 2
+        assert list(vc.queue) == tail_of_old
+        assert vc.queue is queue  # hot loops keep a reference to the deque
+        # The surviving worm keeps draining; the freed slots return only
+        # after the credit round-trip.
+        assert vc.active_pid == 1 and vc.routed and vc.allocated
+        assert vc.credits(10 + CREDIT_LATENCY - 1) == 2
+        assert vc.credits(10 + CREDIT_LATENCY) == 4
+
+    def test_purge_clears_worm_state_even_when_empty(self):
+        # Head already forwarded, body still upstream: no flit to remove,
+        # but the VC must stop draining towards the dropped worm's output.
+        vc = VirtualChannel(0, 0, depth=5)
+        vc.active_pid = 7
+        vc.assign_route(Direction.NORTH)
+        vc.out_vc = object()
+        assert vc.purge(7, cycle=3) == 0
+        assert vc.active_pid is None and not vc.routed and not vc.allocated
+        assert vc.credits(100) == 5
+
+    def test_purge_of_unrelated_packet_is_a_noop(self):
+        vc = VirtualChannel(0, 0, depth=5)
+        flits = worm(2, pid=1)
+        for f in flits:
+            vc.push(f)
+        vc.active_pid = 1
+        assert vc.purge(9, cycle=0) == 0
+        assert list(vc.queue) == flits and vc.active_pid == 1
+        assert not vc._releases
+
+    def test_discard_front_skips_all_bookkeeping(self):
+        vc = VirtualChannel(0, 0, depth=5)
+        flits = worm(1)
+        vc.reserve_slot(0)
+        vc.push(flits[0])
+        vc.active_pid = 0
+        assert vc.discard_front() is flits[0]
+        assert vc.empty
+        # Unlike pop(): no credit release, worm state untouched.
+        assert vc.credits(100) == 4 and vc.active_pid == 0
+
+    def test_restore_reinstates_in_order_without_touching_credits(self):
+        vc = VirtualChannel(0, 0, depth=2)
+        flits = worm(3)
+        vc._available = 0  # the snapshot's own ledger
+        vc.restore(iter(flits))  # no depth check either: trusted state
+        assert list(vc.queue) == flits
+        assert vc.credits(0) == 0
+
+
 class TestCredits:
     def test_initial_credits_equal_depth(self):
         vc = VirtualChannel(0, 0, depth=5)
