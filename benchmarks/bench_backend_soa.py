@@ -9,17 +9,20 @@ uniform traffic at 0.05 flits/node/cycle with the full-sweep scheduler.
 
 Full-sweep at low load is where the array engine's structural wins —
 no per-flit objects, occupancy masks instead of attribute-chasing
-sweeps — show up purest (~6.3x; ``RoCoRouter.allocate`` keeps the
+sweeps — show up purest (~6.9x; ``RoCoRouter.allocate`` keeps the
 original every-VC walk in its ``full_sweep`` branch, so the object side
 of this cell still is that attribute-chasing sweep).  The other cells
-are informational and only floored at 1.2x, because there the object
-model consults occupancy too: the generic router's allocate phase is
-occupancy-first under both schedulers (~1.5x; it was ~4.7x while the
-object side walked all 15 VCs per step), and on the loaded
-active-scheduler point both backends skip dormant routers and empty VCs
-(~2.2x).  Those ratios fell because their denominator got faster, not
-because the array engine got slower: ``soa c/s`` is the column to watch
-for that.
+are informational and floored at 1.5x, because there the object model
+consults occupancy too: the generic router's allocate phase is
+occupancy-first under both schedulers (``generic-sweep`` ~2.8x), and on
+the loaded active-scheduler points both backends skip dormant routers
+and empty VCs (``roco-active`` ~2.3x, ``generic-active`` ~1.9x).  The
+two generic cells read ~1.5x and ~1.3x while the array engine's generic
+SA built lists and dicts per call; it now runs on packed request masks
+like the RoCo block (docs/vectorized-core.md).  Ten runs at that commit
+bottomed at 2.36x, 2.23x and 1.78x, which is what the 1.5x floor
+leaves a margin under.  ``soa c/s`` is the column to watch when a ratio
+moves: it tells a faster denominator from a slower array engine.
 
 Methodology matches ``bench_activity_core``: CPU time via
 ``process_time``, min over repeated interleaved pairs — external load
@@ -46,6 +49,10 @@ from repro.harness.export import result_record
 #: Required SoA/object cycles-per-second ratio on the featured cell.
 SPEEDUP_FLOOR = 5.0
 
+#: Floor of the other cells (min of ten runs at the commit that set it:
+#: generic-sweep 2.36x, roco-active 2.23x, generic-active 1.78x).
+INFORMATIONAL_FLOOR = 1.5
+
 #: Repeated pairs on the featured cell; min-of-N absorbs machine noise.
 REPEATS = 5
 
@@ -54,6 +61,7 @@ CELLS = (
     ("roco-sweep", 0.05, True, "roco"),
     ("generic-sweep", 0.05, True, "generic"),
     ("roco-active", 0.20, False, "roco"),
+    ("generic-active", 0.20, False, "generic"),
 )
 
 
@@ -138,6 +146,25 @@ def render_rows(rows) -> str:
     return "\n".join(lines)
 
 
+def check_speedups(rows) -> None:
+    """The featured cell's 5x floor and the other cells' informational one.
+
+    The other cells must still be clear wins, just not 5x ones: the
+    object model's generic allocate phase is occupancy-first under both
+    schedulers, and the active scheduler already skips dormant routers
+    for the object model.  Each threshold carries the measured table
+    into its failure message.
+    """
+    table = render_rows(rows)
+    Threshold("soa_speedup_roco_sweep", floor=SPEEDUP_FLOOR).check(
+        rows[0]["speedup"], context=table
+    )
+    for row in rows[1:]:
+        Threshold(f"soa_speedup_{row['cell']}", floor=INFORMATIONAL_FLOOR).check(
+            row["speedup"], context=table
+        )
+
+
 @benchmark(
     "backend_soa",
     headline="conformant_cells",
@@ -157,9 +184,7 @@ def bench(ctx):
     )
     # The perf contract lives here rather than in the headline: the
     # featured cell must clear 5x on every tier, quick included.
-    Threshold("soa_speedup_roco_sweep", floor=SPEEDUP_FLOOR).check(
-        rows[0]["speedup"], context=table
-    )
+    check_speedups(rows)
     return Outcome(
         sum(row["match"] for row in rows) / len(rows),
         details={
@@ -176,19 +201,5 @@ def test_backend_soa_speedup(benchmark):
     print(render_rows(rows))
 
     assert all(row["match"] for row in rows), "backends diverged on a timed cell"
-    featured = rows[0]
-    assert featured["cell"] == "roco-sweep"
-    # Headline criterion: the array engine must simulate >= 5x the
-    # cycles/sec of the object model on the featured cell.  The benchbed
-    # threshold carries the measured table into the failure message.
-    Threshold("soa_speedup_roco_sweep", floor=SPEEDUP_FLOOR).check(
-        featured["speedup"], context=render_rows(rows)
-    )
-    # The informational cells must still be wins, just not 5x ones: the
-    # object model's generic allocate phase is occupancy-first under
-    # both schedulers, and the active scheduler already skips dormant
-    # routers for the object model.
-    for row in rows[1:]:
-        Threshold(f"soa_speedup_{row['cell']}", floor=1.2).check(
-            row["speedup"], context=render_rows(rows)
-        )
+    assert rows[0]["cell"] == "roco-sweep"
+    check_speedups(rows)

@@ -69,41 +69,6 @@ def _rr(state: list[int], idx: int, requests) -> int | None:
     return None
 
 
-def _mirror_allocate(state: list[int], requests) -> list[tuple[int, int, int]]:
-    """MirrorAllocator.allocate on an int-state vector.
-
-    ``state`` is ``[l00, l01, l10, l11, global]`` — the four local v:1
-    arbiters (port x direction-slot) and the single global 2:1 arbiter.
-    Returns ``(port, direction_slot, vc_index)`` grants.
-    """
-    p1_req, p2_req = requests
-    l00 = _rr(state, 0, p1_req[0]) if True in p1_req[0] else None
-    l01 = _rr(state, 1, p1_req[1]) if True in p1_req[1] else None
-    l10 = _rr(state, 2, p2_req[0]) if True in p2_req[0] else None
-    l11 = _rr(state, 3, p2_req[1]) if True in p2_req[1] else None
-    p2_has = (l10 is not None, l11 is not None)
-    if l00 is not None or l01 is not None:
-        score0 = (2 if p2_has[1] else 1) if l00 is not None else -1
-        score1 = (2 if p2_has[0] else 1) if l01 is not None else -1
-        if score0 == score1:
-            slot1 = _rr(state, 4, (True, True))
-        else:
-            slot1 = 0 if score0 > score1 else 1
-            # Keep the global arbiter's state consistent with the choice.
-            _rr(state, 4, (slot1 == 0, slot1 == 1))
-        grants = [(0, slot1, l00 if slot1 == 0 else l01)]
-        if slot1 == 0:
-            if l11 is not None:
-                grants.append((1, 1, l11))
-        elif l10 is not None:
-            grants.append((1, 0, l10))
-        return grants
-    if p2_has[0] or p2_has[1]:
-        slot2 = _rr(state, 4, p2_has)
-        return [(1, slot2, l10 if slot2 == 0 else l11)]
-    return []
-
-
 def _sequential_allocate(state: list[int], requests) -> list[tuple[int, int, int]]:
     """SequentialAllocator.allocate (mirror-ablation) on int state.
 
@@ -239,6 +204,7 @@ class SoASimulator:
             self._mod_bits = 2 * self.V
             self._mod_mask = (1 << self._mod_bits) - 1
         self._va_iterations = 2 if lay.arch == "roco" else 1
+        self._generic = lay.arch == "generic"
 
         # -- link / wake state (shared: the wake bucket IS the link) ------
         #: cycle -> [(receiver_node, input_dir, fid), ...] in launch order.
@@ -679,25 +645,27 @@ class SoASimulator:
         if m < 0:
             return None
         din = (od + 2) % 4
-        if lay.arch == "generic":
+        if self._generic:
             candidates = self._gen_adm[m][din]
         else:
             pid = fid // self.F
             candidates = lay.roco_admission(m, din, self.p_dest[pid], self.p_yx[pid])
         if not candidates:
             return None
-        staged = {req[3] for req in requests}
+        # Targets already requested this cycle; usually none.
+        staged = {req[3] for req in requests} if requests else ()
         owner = self.owner
         best_t = None
         best_route = NONE_CODE
-        best_key = (-1, -1)
+        best_key = -1
         for t, route in candidates:
             if t == EJECT_CODE:
                 best_t, best_route = t, route
                 break
             if owner[t] != NONE_CODE:
                 continue
-            key = (0 if t in staged else 1, self._credits(t, cycle))
+            # (un-contested, credits) as one int: credits are 0..depth.
+            key = self._credits(t, cycle) + (0 if t in staged else 1 << 16)
             if key > best_key:
                 best_t, best_route, best_key = t, route, key
         if best_t is None:
@@ -712,6 +680,14 @@ class SoASimulator:
 
     def _resolve_vc_allocations(self, n: int, requests: list, cycle: int) -> None:
         F = self.F
+        if len(requests) == 1:
+            # A lone request wins its group and leaves no loser.
+            s, od, fid, t, route = requests[0]
+            self.owner[t] = fid // F  # claim()
+            self.out_vc[s] = t
+            self.out_dir[s] = od
+            self.f_look[fid] = route
+            return
         for _ in range(self._va_iterations):
             if not requests:
                 return
@@ -763,7 +739,7 @@ class SoASimulator:
         f_arrival = self.f_arrival
         bit_slot = self.bit_slot[n]
         va_requests: list = []
-        newly: set[int] = set()
+        newly = 0  # VCs whose VA ran this cycle: speculative SA requesters
         m = mask
         while m:
             b = m & -m
@@ -778,88 +754,112 @@ class SoASimulator:
                 if f_arrival[fid] >= cycle:
                     continue  # post-arrival RC cycle
                 self._gen_route_and_request(n, s, fid, va_requests, cycle)
-                newly.add(s)
+                newly |= b
         if va_requests:
             self._resolve_vc_allocations(n, va_requests, cycle)
 
-        # SA stage 1: one nominee per input port; Peh-Dally speculation.
-        V = self.V
+        # One walk for the contention tally (every buffered worm with a
+        # committed cardinal output is a standing request on it, Figure
+        # 3; out_dir is set and cleared with out_vc) and for switch
+        # readiness.  ``tally`` packs a byte-wide count per direction
+        # (LOCAL lands in byte 4, never read); ``ready``, like ``newly``,
+        # is a mask over the occ_mask bit positions.
         out_dir = self.out_dir
         avail = self.avail
         rel = self.rel
+        tally = ready = 0
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            s = bit_slot[b.bit_length() - 1]
+            t = out_vc[s]
+            if t == NONE_CODE:
+                continue
+            tally += 1 << (out_dir[s] << 3)
+            if t >= 0:
+                # Inlined credits(cycle) > 0 with lazy release refresh.
+                r = rel[t]
+                if r and r[0] <= cycle:
+                    a = avail[t]
+                    while r and r[0] <= cycle:
+                        del r[0]
+                        a += 1
+                    avail[t] = a
+                if avail[t] <= 0:
+                    continue
+            ready |= b
+        ce = tally >> 8 & 255
+        cw = tally >> 24 & 255
+        if ce or cw:
+            self.row_req += ce + cw
+            self.row_cont += (ce if ce > 1 else 0) + (cw if cw > 1 else 0)
+        cn = tally & 255
+        cs = tally >> 16 & 255
+        if cn or cs:
+            self.col_req += cn + cs
+            self.col_cont += (cn if cn > 1 else 0) + (cs if cs > 1 else 0)
+        if not ready:
+            return
+        self.sa += ready.bit_count()
+
+        # SA stage 1: each input port nominates one ready VC by a
+        # round-robin scan (shift to the stored pointer, lowest set bit)
+        # over its non-speculative requesters — worms whose VA did not
+        # run this cycle, the Peh-Dally rule — else over all of them.
+        V = self.V
         arb = self.arb[n]
+        if not ready & (ready - 1):
+            # A lone requester wins both stages; each arbiter moves past it.
+            i = ready.bit_length() - 1
+            d = i // V
+            arb[d] = (i + 1) % V
+            s = bit_slot[i]
+            arb[5 + out_dir[s]] = (d + 1) % 5
+            self._commit(n, s, cycle)
+            return
         pmask = (1 << V) - 1
-        nominees: dict[int, int] = {}
-        speculative: dict[int, bool] = {}
+        settled = ready & ~newly
+        nominees = 0  # one bit per nominating port, occ_mask positions
+        non_spec = 0  # ports whose nominee is non-speculative
+        lines = 0  # byte ``od``: the ports nominating output ``od``
         for d in range(5):
             base = d * V
-            sub = (mask >> base) & pmask
-            if not sub:
-                continue
-            ready = [False] * V
-            num_requests = 0
-            mm = sub
-            while mm:
-                b = mm & -mm
-                mm ^= b
-                i = b.bit_length() - 1
-                t = out_vc[bit_slot[base + i]]
-                if t == NONE_CODE:
-                    continue
-                if t >= 0:
-                    # Inlined credits(cycle) > 0 with lazy release refresh.
-                    r = rel[t]
-                    if r and r[0] <= cycle:
-                        a = avail[t]
-                        while r and r[0] <= cycle:
-                            del r[0]
-                            a += 1
-                        avail[t] = a
-                    if avail[t] <= 0:
-                        continue
-                ready[i] = True
-                num_requests += 1
-            if not num_requests:
-                continue
-            self.sa += num_requests
-            non_spec = [
-                r and bit_slot[base + i] not in newly for i, r in enumerate(ready)
-            ]
-            if any(non_spec):
-                winner = _rr(arb, d, non_spec)
-                speculative[d] = False
+            pool = settled >> base & pmask
+            if pool:
+                non_spec |= 1 << d
             else:
-                winner = _rr(arb, d, ready)
-                speculative[d] = True
-            nominees[d] = bit_slot[base + winner]
+                pool = ready >> base & pmask
+                if not pool:
+                    continue
+            p = arb[d]
+            high = pool >> p
+            i = p + (high & -high).bit_length() if high else (pool & -pool).bit_length()
+            arb[d] = i if i < V else 0
+            nominees |= 1 << (base + i - 1)
+            lines |= 1 << ((out_dir[bit_slot[base + i - 1]] << 3) + d)
 
-        # SA stage 2: one grant per output, non-speculative first.  The
-        # contention tally runs first, as in the reference: every
-        # buffered worm with a committed cardinal output is a standing
-        # request on that crossbar output (Figure 3).
-        c = [0, 0, 0, 0]
-        mm = mask
-        while mm:
-            b = mm & -mm
-            mm ^= b
+        # SA stage 2: each requested output arbitrates among its ports
+        # the same way, non-speculative first.  Walking the nominees in
+        # port order serves outputs as their first nominee appears.
+        rest = nominees
+        while rest:
+            b = rest & -rest
+            rest ^= b
             od = out_dir[bit_slot[b.bit_length() - 1]]
-            if od >= 0 and od != LOCAL:
-                c[od] += 1
-        cn, ce, cs, cw = c
-        self.row_req += ce + cw
-        self.row_cont += (ce if ce > 1 else 0) + (cw if cw > 1 else 0)
-        self.col_req += cn + cs
-        self.col_cont += (cn if cn > 1 else 0) + (cs if cs > 1 else 0)
-        requests_per_output: dict[int, list[int]] = {}
-        for d, s in nominees.items():
-            requests_per_output.setdefault(out_dir[s], []).append(d)
-        for od, requesters in requests_per_output.items():
-            non_spec_req = [d for d in requesters if not speculative[d]]
-            pool = non_spec_req if non_spec_req else requesters
-            lines = [p in pool for p in range(5)]
-            winner = _rr(arb, 5 + od, lines)
-            if winner is not None:
-                self._commit(n, nominees[winner], cycle)
+            pool = lines >> (od << 3) & 31
+            if not pool:
+                continue  # served on an earlier nominee
+            lines ^= pool << (od << 3)
+            pool = pool & non_spec or pool
+            p = arb[5 + od]
+            high = pool >> p
+            i = p + (high & -high).bit_length() if high else (pool & -pool).bit_length()
+            arb[5 + od] = i if i < 5 else 0
+            base = (i - 1) * V
+            self._commit(
+                n, bit_slot[base + (nominees >> base & pmask).bit_length() - 1], cycle
+            )
 
     def _gen_route_and_request(
         self, n: int, s: int, fid: int, va_requests: list, cycle: int
@@ -1049,8 +1049,8 @@ class SoASimulator:
                     l11 = -1
                 # Global 2:1 arbiter + mirrored partner grants.  The
                 # pointer is always 0/1, so each grant leaves it at
-                # 1 - winner (see _mirror_allocate for the spelled-out
-                # reference transliteration this compresses).
+                # 1 - winner (tests/test_soa_arbitration.py spells out
+                # the reference transliteration this compresses).
                 if l00 >= 0 or l01 >= 0:
                     score0 = (2 if l11 >= 0 else 1) if l00 >= 0 else -1
                     score1 = (2 if l10 >= 0 else 1) if l01 >= 0 else -1
