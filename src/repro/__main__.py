@@ -55,6 +55,7 @@ docs/serving.md)::
 from __future__ import annotations
 
 import argparse
+import importlib
 import random
 import sys
 
@@ -75,10 +76,48 @@ from repro.routers import ROUTER_CLASSES
 from repro.traffic import TRAFFIC_CLASSES
 
 
+#: ``python -m repro NAME ...``: name -> (lazy ``module:function``,
+#: summary).  Each subcommand has an argument surface separate from the
+#: simulation flags below and is imported only when it is chosen.
+SUBCOMMANDS = {
+    "audit": (
+        "repro.audit.cli:audit_main",
+        "invariant-audited runs, shrinking, reproducer replay (docs/auditing.md)",
+    ),
+    "bench": (
+        "repro.harness.benchbed:bench_main",
+        "benchbed registry runner and regression gate (docs/benchmarking.md)",
+    ),
+    "shards": (
+        "repro.harness.sharded:sharded_main",
+        "tile-process runs and the equivalence grid (docs/sharded-scaling.md)",
+    ),
+    "serve": (
+        "repro.serve.cli:serve_main",
+        "job server: request dedupe, supervised execution (docs/serving.md)",
+    ),
+    "chaos": (
+        "repro.harness.chaos:chaos_main",
+        "fault-injection grid for the job engine (docs/resilient-execution.md)",
+    ),
+}
+
+
+def load_subcommand(name: str):
+    """Import and return the ``main(argv) -> int`` of one subcommand."""
+    module, _, function = SUBCOMMANDS[name][0].partition(":")
+    return getattr(importlib.import_module(module), function)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Cycle-accurate NoC simulation of the RoCo router and baselines",
+        epilog="subcommands (python -m repro NAME --help):\n"
+        + "\n".join(
+            f"  {name:<8}{summary}" for name, (_, summary) in SUBCOMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "--router", choices=sorted(ROUTER_CLASSES), default="roco"
@@ -438,36 +477,8 @@ def _run_sweep(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["audit"]:
-        # Invariant-audited runs, shrinking and reproducer replay; its
-        # argument surface is separate from the simulation flags above.
-        from repro.audit.cli import audit_main
-
-        return audit_main(argv[1:])
-    if argv[:1] == ["bench"]:
-        # Benchbed subcommand: registry runner + regression gate.  Its
-        # argument surface is separate from the simulation flags above.
-        from repro.harness.benchbed import bench_main
-
-        return bench_main(argv[1:])
-    if argv[:1] == ["shards"]:
-        # Sharded execution subcommand: tile-process runs and the
-        # sharded-vs-reference equivalence grid (docs/sharded-scaling.md).
-        from repro.harness.sharded import sharded_main
-
-        return sharded_main(argv[1:])
-    if argv[:1] == ["serve"]:
-        # Job-server subcommand: simulation-as-a-service with request
-        # dedupe and supervised execution (docs/serving.md).
-        from repro.serve.cli import serve_main
-
-        return serve_main(argv[1:])
-    if argv[:1] == ["chaos"]:
-        # Chaos subcommand: differential fault-injection grid for the
-        # resilient execution layer (docs/resilient-execution.md).
-        from repro.harness.chaos import chaos_main
-
-        return chaos_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        return load_subcommand(argv[0])(argv[1:])
     args = build_parser().parse_args(argv)
     if args.num_seeds < 1:
         print("error: --num-seeds must be >= 1", file=sys.stderr)

@@ -277,7 +277,3 @@ def audit_main(argv: list[str] | None = None) -> int:
     if args.replay is not None:
         return _run_replay(args)
     return _run_single(args)
-
-
-if __name__ == "__main__":  # pragma: no cover - module entry convenience
-    sys.exit(audit_main())

@@ -29,13 +29,16 @@ Fault kinds:
   record, exercising result validation.
 
 ``python -m repro chaos --grid`` runs the full kind x mode grid and
-enforces convergence (CI's ``chaos-smoke`` job); wall times are
+enforces convergence, plus an ``unsupervised`` row (``policy=None``:
+the injected fault must surface as its typed error, with no worker
+left alive); it is CI's ``chaos-smoke`` job.  Wall times are
 report-only.
 """
 
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 import time
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 from repro.harness.parallel import SimJob, execute_job
 from repro.harness.resilient import (
     JobTimeoutError,
+    ManagedWorkerSet,
     TransientJobError,
     WorkerCrashError,
 )
@@ -114,12 +118,13 @@ def chaos_execute(
 ) -> dict:
     """Run one job with the matching injection (if any) applied.
 
-    ``in_worker`` selects real process-level faults (exit, sleep); the
-    serial path substitutes typed exceptions so the supervisor's retry
-    machinery sees the same failure taxonomy without killing or
-    blocking the driving process.  ``job_fn`` overrides how a job is
-    actually executed (default :func:`execute_job`); injections wrap
-    whatever executor the embedder supplied.
+    ``chaos=None`` is a plain call.  ``in_worker`` selects real
+    process-level faults (exit, sleep); an in-process attempt gets typed
+    exceptions instead so the worker set's retry machinery sees the
+    same failure taxonomy without killing or blocking the driving
+    process.  ``job_fn`` overrides how a job is actually executed
+    (default :func:`execute_job`); injections wrap whatever executor the
+    embedder supplied.
     """
     if job_fn is None:
         job_fn = execute_job
@@ -139,7 +144,7 @@ def chaos_execute(
                 _heartbeat_suppressed = True
             time.sleep(rule.seconds)
             # If nobody killed us, fall through and return the real
-            # record — a late (straggler) result the supervisor may
+            # record — a late (straggler) result the worker set may
             # already have replaced; determinism keeps that safe.
             return job_fn(job)
         raise JobTimeoutError(
@@ -199,6 +204,17 @@ def _poison_chaos() -> ChaosConfig:
     return ChaosConfig(rules=(ChaosRule(kind="crash", indices=(1,), attempts=None),))
 
 
+def _run_unsupervised(jobs: list[SimJob], workers: int, chaos) -> list[dict]:
+    """The jobs through a policy-less worker set; a failure is raised."""
+    records: dict[int, dict] = {}
+    with ManagedWorkerSet(None, workers=workers, chaos=chaos) as pool:
+        for job in jobs:
+            pool.submit(job)
+        while pool.outstanding():
+            records.update(pool.pump())
+    return [records[index] for index in range(len(jobs))]
+
+
 def run_chaos_grid(
     workers: int = 2, quick: bool = False, stream=None
 ) -> int:
@@ -207,7 +223,10 @@ def run_chaos_grid(
     Every cell re-runs the same small sweep under injected faults and
     asserts the surviving records are bit-identical to the fault-free
     serial baseline; the poison cells additionally assert that exactly
-    the poisoned job is quarantined.  Wall times are report-only.
+    the poisoned job is quarantined.  The unsupervised cells run without
+    a policy, where an injected fault must come out as its typed error,
+    in bounded time and with every worker reaped, and a fault-free run
+    must equal the baseline.  Wall times are report-only.
     """
     from repro.harness.parallel import ParallelExecutor, is_failure_record
     from repro.harness.resilient import RetryPolicy, split_failures
@@ -281,6 +300,31 @@ def run_chaos_grid(
             wall,
             f"quarantined={[f.index for f in failed]}",
         )
+    for kind, chaos, expected in (
+        ("crash", _grid_chaos("crash"), WorkerCrashError),
+        ("transient", _grid_chaos("transient"), ChaosTransientError),
+        ("clean", None, None),
+    ):
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        try:
+            records = _run_unsupervised(jobs, workers, chaos)
+            raised = None
+        except TransientJobError as exc:
+            raised = type(exc)
+        wall = time.monotonic() - started
+        orphans = len(set(multiprocessing.active_children()) - before)
+        ok = raised is expected and orphans == 0
+        if expected is None:
+            ok = ok and records == baseline
+        if not ok:
+            failures += 1
+        report(
+            f"unsupervised/{kind}",
+            ok,
+            wall,
+            f"raised={raised.__name__ if raised else None} orphans={orphans}",
+        )
     verdict = "converged" if failures == 0 else f"{failures} cell(s) diverged"
     print(f"chaos grid: {verdict}", file=stream, flush=True)
     return 0 if failures == 0 else 1
@@ -297,7 +341,10 @@ def chaos_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--grid",
         action="store_true",
-        help="run the crash/hang/transient/corrupt x serial/pooled grid",
+        help=(
+            "run the crash/hang/transient/corrupt x serial/pooled grid "
+            "and the unsupervised row"
+        ),
     )
     parser.add_argument(
         "--workers",
@@ -316,6 +363,3 @@ def chaos_main(argv: list[str] | None = None) -> int:
         parser.error("nothing to do: pass --grid")
     return run_chaos_grid(workers=args.workers, quick=args.quick)
 
-
-if __name__ == "__main__":
-    sys.exit(chaos_main())

@@ -10,9 +10,11 @@ flat records".  This module makes that list embarrassingly parallel:
   result cache (and to detect that two jobs are the same experiment);
 * :class:`ResultCache` — a directory of ``<key>.json`` records so a
   repeated sweep performs zero new simulations;
-* :class:`ParallelExecutor` — fans jobs out over a ``multiprocessing``
-  pool (``spawn`` start method, safe on every platform) and returns
-  records in submission order.
+* :class:`ParallelExecutor` — serves jobs from the cache and a resumed
+  journal, hands the rest to a
+  :class:`~repro.harness.resilient.ManagedWorkerSet` (``spawn`` worker
+  processes, or in-process where no pool can exist) and returns records
+  in submission order.
 
 Determinism: a simulation is a pure function of its job — the simulator
 seeds its only RNG from ``config.seed`` and touches no global state —
@@ -33,7 +35,7 @@ import threading
 import time
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.core.config import SimulationConfig
@@ -291,16 +293,11 @@ def execute_job(job: SimJob) -> dict:
     return result_record(result)
 
 
-def _execute_indexed(indexed: tuple[int, SimJob]) -> tuple[int, dict]:
-    index, job = indexed
-    return index, execute_job(job)
-
-
 class NestedPoolFallbackWarning(RuntimeWarning):
     """A worker-pool request was demoted to inline execution.
 
-    Raised as a *warning* (not an error) because the inline driver
-    produces identical records — but silently losing parallelism inside
+    Raised as a *warning* (not an error) because in-process attempts
+    produce identical records — but silently losing parallelism inside
     a server or a nested sweep is worth surfacing.
     """
 
@@ -315,9 +312,9 @@ def pool_fallback_reason(workers: int) -> str | None:
 
     Daemonic workers (sweep-pool children, managed worker-set
     processes) may not have children of their own; a REPL/stdin parent
-    cannot be re-imported by ``spawn``.  Callers fall back to the
-    inline driver — bit-identical, just serial — and emit a
-    :class:`NestedPoolFallbackWarning` naming the reason.
+    cannot be re-imported by ``spawn``.  The worker set then runs
+    attempts in-process — bit-identical, just serial — and the executor
+    emits a :class:`NestedPoolFallbackWarning` naming the reason.
     """
     if workers <= 1:
         return None
@@ -374,13 +371,12 @@ def resolve_workers(workers: int | None) -> int:
 class ExecutionStats:
     """What one :meth:`ParallelExecutor.run_jobs` call actually did.
 
-    The resilience counters (``retries`` onward) stay at zero on the
-    classic unsupervised path; under a
-    :class:`~repro.harness.resilient.RetryPolicy` they record every
-    recovery action so benchbed and the progress printer can report
-    them.  ``failures_detail`` holds the
-    :class:`~repro.harness.resilient.JobFailure` objects behind the
-    ``failures`` count.
+    The resilience counters (``retries`` onward) record every recovery
+    action taken under a :class:`~repro.harness.resilient.RetryPolicy`,
+    so benchbed and the progress printer can report them; without a
+    policy the first failure is raised instead.  ``failures_detail``
+    holds the :class:`~repro.harness.resilient.JobFailure` objects
+    behind the ``failures`` count.
     """
 
     total: int = 0
@@ -436,11 +432,11 @@ class ExecutionStats:
 class ParallelExecutor:
     """Runs simulation jobs over a worker pool with optional caching.
 
-    ``workers``: ``None`` or ``1`` runs inline in this process (exactly
-    the classic serial path), ``0`` uses every core, ``N`` uses ``N``
-    processes.  ``cache`` is a :class:`ResultCache` (or ``None`` to
-    always simulate).  ``progress`` is called as ``(done, total,
-    record)`` after each completed job, cache hits included.
+    ``workers``: ``None`` or ``1`` runs in this process, ``0`` uses
+    every core, ``N`` uses ``N`` processes.  ``cache`` is a
+    :class:`ResultCache` (or ``None`` to always simulate).  ``progress``
+    is called as ``(done, total, record)`` after each completed job,
+    cache hits included.
 
     ``policy`` (a :class:`~repro.harness.resilient.RetryPolicy`) makes
     execution fault-tolerant: deadlines, retries with backoff, worker
@@ -452,17 +448,15 @@ class ParallelExecutor:
     zero duplicate simulations.  ``chaos`` (a
     :class:`~repro.harness.chaos.ChaosConfig`) deterministically
     injects worker faults for differential testing; it implies a
-    default policy when none is given.  With all three unset the
-    executor is byte-for-byte the classic unsupervised path.
+    default policy when none is given.  Without a policy the first
+    failed job raises its own exception type out of :meth:`run_jobs`
+    (a dead worker raises
+    :class:`~repro.harness.resilient.WorkerCrashError`).
 
     ``simulations_run`` accumulates the number of actual simulator
     invocations across the executor's lifetime; with a warm cache it
     stays at zero.
     """
-
-    #: Start method used for worker pools.  ``spawn`` is the only method
-    #: available everywhere and immune to fork-unsafe parent state.
-    start_method = "spawn"
 
     def __init__(
         self,
@@ -495,13 +489,12 @@ class ParallelExecutor:
 
         Cached jobs are served without simulating; jobs settled by a
         resumed journal (completed or quarantined in a prior run) are
-        not re-executed; the rest go to the pool (or run inline when
-        ``workers`` is 1).  Under a policy, a job the supervisor gave up
-        on contributes a failure record (``FAILURE_MARKER`` set) in its
-        slot instead of raising.  On interruption (KeyboardInterrupt)
-        the cache and journal are left consistent: every record already
-        completed is stored and journaled before the exception leaves
-        this frame.
+        not re-executed; the rest go to the worker set.  Under a
+        policy, a job the worker set gave up on contributes a failure
+        record (``FAILURE_MARKER`` set) in its slot instead of raising.
+        On interruption (KeyboardInterrupt) the cache and journal are
+        left consistent: every record already completed is stored and
+        journaled before the exception leaves this frame.
         """
         jobs = list(jobs)
         started = time.monotonic()
@@ -531,7 +524,7 @@ class ParallelExecutor:
                 )
                 if (
                     journal is not None
-                    and key in journal.failed_keys
+                    and key in journal.failures
                     and not retry_failed
                 ):
                     # Replay the quarantine verdict from the interrupted
@@ -570,8 +563,6 @@ class ParallelExecutor:
                     report = outcome
                 else:  # JobFailure from the resilient layer
                     if keys[index] is not None and outcome.key is None:
-                        from dataclasses import replace
-
                         outcome = replace(outcome, key=keys[index])
                     records[index] = outcome.record()
                     stats.failures += 1
@@ -595,54 +586,32 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
 
     def _execute(
-        self,
-        pending: list[tuple[int, SimJob]],
-        policy=None,
-        stats: ExecutionStats | None = None,
+        self, pending: list[tuple[int, SimJob]], policy, stats: ExecutionStats
     ) -> Iterable[tuple[int, object]]:
         if not pending:
-            return
+            return  # a warm pass builds no worker set and imports nothing
         fallback = pool_fallback_reason(self.workers)
         if fallback is not None:
             # The pool cannot be spawned here (daemonic worker context
             # or no re-importable entry point); say so instead of
             # silently serialising — results are identical either way.
             _warn_pool_fallback(fallback)
-        if policy is None and self.chaos is None:
-            # Classic unsupervised path, byte-for-byte the original.
-            if (
-                self.workers <= 1
-                or len(pending) == 1
-                or fallback is not None
-            ):
-                for index, job in pending:
-                    yield index, execute_job(job)
-                return
-            context = multiprocessing.get_context(self.start_method)
-            processes = min(self.workers, len(pending))
-            with context.Pool(processes=processes) as pool:
-                yield from pool.imap_unordered(_execute_indexed, pending)
-            return
+        from repro.harness.resilient import ManagedWorkerSet
 
-        from repro.harness import resilient
-
-        if stats is None:
-            stats = ExecutionStats(total=len(pending))
-        on_retry = getattr(self.progress, "note_retry", None)
-        if self.workers <= 1 or fallback is not None:
-            yield from resilient.run_serial(
-                pending, policy, self.chaos, stats, on_retry=on_retry
-            )
-            return
-        yield from resilient.run_pooled(
-            pending,
+        # The set is sized to the batch, so a lone pending job asks for
+        # one worker and the set runs it in-process: no spawn for one
+        # simulation, with or without a policy.
+        with ManagedWorkerSet(
             policy,
-            self.chaos,
-            stats,
             workers=min(self.workers, len(pending)),
-            start_method=self.start_method,
-            on_retry=on_retry,
-        )
+            chaos=self.chaos,
+            stats=stats,
+            on_retry=getattr(self.progress, "note_retry", None),
+        ) as workers:
+            for index, job in pending:
+                workers.submit(job, index)
+            while workers.outstanding():
+                yield from workers.pump()
 
     def _report(self, done: int, total: int, record: dict) -> None:
         if self.progress is not None:

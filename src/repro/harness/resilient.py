@@ -7,20 +7,22 @@ worker segfault, a hung cell, or one job raising
 :class:`~repro.core.simulator.DrainTimeoutError`, and still produce the
 records every other job would have produced.
 
-Pieces (consumed by :class:`~repro.harness.parallel.ParallelExecutor`
-when a :class:`RetryPolicy` is supplied):
+Pieces:
 
+* :class:`ManagedWorkerSet` — the one engine that executes a job, for
+  :class:`~repro.harness.parallel.ParallelExecutor` and the job server
+  alike: one pipe per worker process, heartbeat threads, liveness
+  checks, kill-and-replenish on crash, deadline or heartbeat loss — or
+  the same attempt, classification and retry code run in-process where
+  no pool can exist;
 * :class:`RetryPolicy` — per-job wall-clock deadlines, bounded retry
   with exponential backoff and a global retry budget, speculative
-  re-execution of stragglers;
+  re-execution of stragglers (``None`` is the unsupervised value: the
+  first failure is raised);
 * :class:`JobFailure` — a structured quarantine record for a job that
   could not be completed; it travels through ``run_jobs`` results (as a
   marker dict, see ``FAILURE_MARKER``) instead of an exception that
   kills the sweep;
-* :func:`run_serial` / :func:`run_pooled` — the two execution engines.
-  The pooled engine replaces the opaque ``multiprocessing.Pool`` with a
-  managed worker set: one pipe per worker, heartbeat threads, liveness
-  checks, kill-and-replenish on crash, deadline or heartbeat loss;
 * :class:`SweepJournal` — an append-only JSONL journal of completed
   ``job_key``s and failures, enabling ``--resume`` of interrupted
   sweeps with zero duplicate simulations;
@@ -50,7 +52,9 @@ import heapq
 import itertools
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import threading
 import time
 from collections import deque
@@ -65,11 +69,30 @@ from repro.harness.parallel import (
     ExecutionStats,
     SimJob,
     execute_job,
+    pool_fallback_reason,
 )
 
 #: Exception types for which a retry is provably pointless: the
 #: simulator is deterministic, so the same job raises the same error.
 FATAL_EXCEPTIONS = (DeadlockError, BackendUnsupportedError)
+
+#: Growth of the delay between successive retries of one job.
+BACKOFF_FACTOR = 2.0
+
+#: A running job is a straggler once it has run this many times the
+#: median of recent completions, and at least this many seconds.
+STRAGGLER_FACTOR = 4.0
+STRAGGLER_MIN_SECONDS = 2.0
+
+#: Recent completion times kept for that median.
+DURATION_WINDOW = 64
+
+#: Longest one :meth:`ManagedWorkerSet.pump` waits for worker messages.
+POLL_INTERVAL = 0.02
+
+#: Minimum grace before a worker that has not yet spoken (still booting
+#: the interpreter / importing the simulator) can be declared wedged.
+_BOOT_GRACE = 60.0
 
 
 class TransientJobError(RuntimeError):
@@ -97,8 +120,8 @@ class CorruptResultError(TransientJobError):
 class RetryPolicy:
     """Supervision knobs for one sweep (all durations in seconds).
 
-    ``job_timeout`` is enforced only by the pooled engine — an inline
-    (serial) execution cannot be preempted.  ``max_retries`` bounds the
+    ``job_timeout`` is enforced only on worker processes — an
+    in-process attempt cannot be preempted.  ``max_retries`` bounds the
     re-executions of a single job; ``retry_budget`` bounds retries
     across the whole call (``None`` = unbounded).  ``speculative``
     launches a duplicate of a straggling job on an otherwise idle
@@ -108,27 +131,28 @@ class RetryPolicy:
     job_timeout: float | None = None
     max_retries: int = 2
     backoff_base: float = 0.05
-    backoff_factor: float = 2.0
     retry_budget: int | None = None
     speculative: bool = False
-    straggler_factor: float = 4.0
-    straggler_min_seconds: float = 2.0
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 30.0
     validate: bool = True
     retry_failed_on_resume: bool = False
-    poll_interval: float = 0.02
 
     def backoff(self, attempt: int) -> float:
         """Delay before launching ``attempt`` (the first retry is 1)."""
         if self.backoff_base <= 0:
             return 0.0
-        return self.backoff_base * self.backoff_factor ** max(attempt - 1, 0)
+        return self.backoff_base * BACKOFF_FACTOR ** max(attempt - 1, 0)
+
+
+#: What ``policy=None`` means to the engine: one attempt, records taken
+#: as returned; the worker set raises the failure instead of recording it.
+_UNSUPERVISED = RetryPolicy(max_retries=0, validate=False)
 
 
 @dataclass(frozen=True)
 class JobFailure:
-    """A job the supervisor gave up on, as data instead of an exception.
+    """A job the worker set gave up on, as data instead of an exception.
 
     ``kind`` is one of ``"fatal"`` (deterministic simulation error),
     ``"retries-exhausted"`` (crash loop / persistent transient),
@@ -260,10 +284,6 @@ class SweepJournal:
                 if key not in self.completed_keys:
                     self.failures[key] = entry.get("failure", {})
 
-    @property
-    def failed_keys(self) -> set[str]:
-        return set(self.failures)
-
     def failure_for(self, key: str, index: int) -> JobFailure:
         """Replay a journaled failure at the current run's job index."""
         return replace(
@@ -301,48 +321,6 @@ class SweepJournal:
         return len(self.completed_keys) + len(self.failures)
 
 
-# ----------------------------------------------------------------------
-# Shared retry bookkeeping
-# ----------------------------------------------------------------------
-
-
-class _RetryLedger:
-    """Per-call retry accounting shared by both engines."""
-
-    def __init__(self, policy: RetryPolicy, stats: ExecutionStats, on_retry):
-        self.policy = policy
-        self.stats = stats
-        self.on_retry = on_retry
-        self.budget = policy.retry_budget
-        self.launches: dict[int, int] = {}
-
-    def launched(self, index: int) -> int:
-        """Count one launch of ``index``; returns the attempt number."""
-        attempt = self.launches.get(index, 0)
-        self.launches[index] = attempt + 1
-        return attempt
-
-    def attempts(self, index: int) -> int:
-        return self.launches.get(index, 0)
-
-    def disposition(self, index: int, fatal: bool) -> str | None:
-        """``None`` to retry, else the :class:`JobFailure` kind."""
-        if fatal:
-            return "fatal"
-        if self.attempts(index) > self.policy.max_retries:
-            return "retries-exhausted"
-        if self.budget is not None and self.budget <= 0:
-            return "retry-budget"
-        return None
-
-    def consume_retry(self, index: int, attempt: int, reason: str) -> None:
-        if self.budget is not None:
-            self.budget -= 1
-        self.stats.retries += 1
-        if self.on_retry is not None:
-            self.on_retry(index, attempt, reason)
-
-
 def _classify(exc: Exception) -> tuple[str, bool]:
     """Map an exception to (stats counter name, fatal?)."""
     if isinstance(exc, WorkerCrashError):
@@ -354,89 +332,41 @@ def _classify(exc: Exception) -> tuple[str, bool]:
     return "errors", isinstance(exc, FATAL_EXCEPTIONS)
 
 
-def _bump(stats: ExecutionStats, counter: str) -> None:
-    if counter != "errors":
-        setattr(stats, counter, getattr(stats, counter) + 1)
-
-
 # ----------------------------------------------------------------------
-# Serial engine
+# The two attempt sites: a worker process, or the owner's own process
 # ----------------------------------------------------------------------
 
 
-def run_serial(
-    pending: list[tuple[int, SimJob]],
-    policy: RetryPolicy,
-    chaos,
-    stats: ExecutionStats,
-    on_retry=None,
-    job_fn=None,
-):
-    """Inline execution with retry/quarantine semantics.
+def _attempt(job: SimJob, index: int, attempt: int, chaos, job_fn, in_worker: bool):
+    """Execute one attempt of one job; the only call into job code.
 
-    Deadlines are not enforceable in-process (the chaos harness maps a
-    hang to :class:`JobTimeoutError` instead so the retry path is still
-    exercised serially); everything else matches the pooled engine.
+    ``execute_job`` is looked up when the attempt runs, not when the set
+    was built, so a caller that rebinds the module attribute (perfbench's
+    tracer) sees in-process attempts.
     """
-    if job_fn is None:
-        job_fn = execute_job
-    ledger = _RetryLedger(policy, stats, on_retry)
-    for index, job in pending:
-        while True:
-            attempt = ledger.launched(index)
-            try:
-                if chaos is not None:
-                    from repro.harness.chaos import chaos_execute
+    from repro.harness.chaos import chaos_execute  # chaos imports this module
 
-                    record = chaos_execute(
-                        job, index, attempt, chaos, job_fn=job_fn
-                    )
-                else:
-                    record = job_fn(job)
-                if policy.validate:
-                    validate_record(record)
-            except Exception as exc:
-                counter, fatal = _classify(exc)
-                _bump(stats, counter)
-                kind = ledger.disposition(index, fatal)
-                if kind is not None:
-                    yield (
-                        index,
-                        JobFailure(
-                            index=index,
-                            kind=kind,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            attempts=ledger.attempts(index),
-                        ),
-                    )
-                    break
-                ledger.consume_retry(index, attempt, type(exc).__name__)
-                delay = policy.backoff(ledger.attempts(index))
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            yield index, record
-            break
+    return chaos_execute(
+        job,
+        index,
+        attempt,
+        chaos,
+        in_worker=in_worker,
+        job_fn=job_fn if job_fn is not None else execute_job,
+    )
 
 
-# ----------------------------------------------------------------------
-# Pooled engine: managed worker set
-# ----------------------------------------------------------------------
-
-
-def _worker_main(worker_id, conn, chaos, heartbeat_interval, job_fn=None):
+def _worker_main(worker_id, conn, chaos, heartbeat_interval, job_fn):
     """Worker loop: recv task, execute, send result; heartbeat thread.
 
+    Runs until the owner kills the process or closes the pipe.
     Top-level so ``spawn`` children can import it.  All sends share one
     lock because the heartbeat thread and the main loop write to the
-    same pipe.  ``job_fn`` (a picklable top-level callable, default
-    :func:`~repro.harness.parallel.execute_job`) lets embedders like the
-    job server capture extra per-job telemetry without forking the
+    same pipe.  ``job_fn`` (a picklable top-level callable, or ``None``
+    for :func:`~repro.harness.parallel.execute_job`) lets embedders like
+    the job server capture extra per-job telemetry without forking the
     worker protocol.
     """
-    if job_fn is None:
-        job_fn = execute_job
     send_lock = threading.Lock()
     stop = threading.Event()
 
@@ -459,34 +389,20 @@ def _worker_main(worker_id, conn, chaos, heartbeat_interval, job_fn=None):
     try:
         _send(("ready", worker_id))
         while True:
-            task = conn.recv()
-            if task is None:
-                break
-            index, attempt, job = task
+            index, attempt, job = conn.recv()
             try:
-                if chaos is not None:
-                    from repro.harness.chaos import chaos_execute
-
-                    record = chaos_execute(
-                        job, index, attempt, chaos,
-                        in_worker=True, job_fn=job_fn,
-                    )
-                else:
-                    record = job_fn(job)
+                record = _attempt(job, index, attempt, chaos, job_fn, in_worker=True)
                 _send(("done", worker_id, index, attempt, record))
             except Exception as exc:
-                _, fatal = _classify(exc)
-                _send(
-                    (
-                        "error",
-                        worker_id,
-                        index,
-                        attempt,
-                        type(exc).__name__,
-                        str(exc),
-                        fatal,
-                    )
-                )
+                # The exception crosses the pipe as (class, args, state)
+                # and is rebuilt without calling __init__, because an
+                # __init__ with its own signature (DrainTimeoutError's
+                # census) does not survive a plain pickle round trip.
+                header = ("error", worker_id, index, attempt)
+                try:
+                    _send(header + (type(exc), exc.args, vars(exc)))
+                except (pickle.PicklingError, TypeError, AttributeError):
+                    _send(header + (RuntimeError, (repr(exc),), {}))
     except (EOFError, KeyboardInterrupt, OSError):
         pass
     finally:
@@ -501,11 +417,6 @@ class _Running:
     speculative: bool = False
 
 
-#: Minimum grace before a worker that has not yet spoken (still booting
-#: the interpreter / importing the simulator) can be declared wedged.
-_BOOT_GRACE = 60.0
-
-
 class _WorkerHandle:
     def __init__(self, worker_id: int, process, conn) -> None:
         self.worker_id = worker_id
@@ -518,372 +429,133 @@ class _WorkerHandle:
         self.ready = False
 
 
-class _PoolSupervisor:
-    """Managed worker set replacing the opaque ``multiprocessing.Pool``.
+# ----------------------------------------------------------------------
+# The job engine
+# ----------------------------------------------------------------------
 
-    Each worker is a ``spawn`` process on its own duplex pipe with a
-    heartbeat thread.  The supervisor loop assigns tasks to idle
-    workers, drains messages, enforces per-attempt deadlines and
-    heartbeat liveness, kills and replenishes crashed or wedged
-    workers, schedules backoff retries, and speculatively re-executes
-    stragglers on idle workers.  Results are yielded as ``(index,
-    record | JobFailure)`` in completion order.
+
+class ManagedWorkerSet:
+    """The one engine that executes a :class:`SimJob`.
+
+    :meth:`submit` enqueues a job at any point in the set's lifetime,
+    :meth:`pump` runs one supervision pass and returns the newly settled
+    ``(index, record | JobFailure)`` pairs, :meth:`close` reaps every
+    worker.  A batch caller (:class:`ParallelExecutor`) submits all and
+    pumps until :meth:`outstanding` is zero; a daemon (the job server's
+    broker) keeps one warm set and feeds it for as long as it lives.
+
+    Where attempts run is the set's own choice, made from what it can
+    observe.  With ``workers > 1`` and a spawnable parent each worker is
+    a ``spawn`` process on its own duplex pipe with a heartbeat thread;
+    a pass assigns ready jobs to idle workers, drains messages, enforces
+    per-attempt deadlines and heartbeat liveness, kills and replenishes
+    crashed or wedged workers and speculatively re-executes stragglers.
+    With ``workers <= 1``, or where
+    :func:`~repro.harness.parallel.pool_fallback_reason` says no pool
+    can exist, a pass runs one ready job in this process instead.  A
+    finished attempt goes through the same validation, classification
+    and retry-or-quarantine code either way; only deadlines and
+    heartbeats need a process to kill.
+
+    ``policy=None`` is the unsupervised value of the same engine: no
+    retries, no validation, and the first failed attempt is re-raised
+    from :meth:`pump` with its original type once every worker has been
+    reaped, so a dead worker surfaces as :class:`WorkerCrashError`
+    instead of a hang.
+
+    Not thread-safe: one owner thread submits and pumps.  ``job_fn``
+    must be a picklable top-level callable when workers are processes
+    (default :func:`~repro.harness.parallel.execute_job`).  ``stats``
+    accumulates recovery counters across every job ever submitted.
     """
 
     def __init__(
         self,
-        pending: list[tuple[int, SimJob]],
-        policy: RetryPolicy,
-        chaos,
-        workers: int,
-        stats: ExecutionStats,
-        context,
+        policy: RetryPolicy | None = None,
+        workers: int = 1,
+        chaos=None,
+        stats: ExecutionStats | None = None,
         on_retry=None,
         job_fn=None,
-        elastic: bool = False,
     ) -> None:
-        self.jobs = dict(pending)
-        self.policy = policy
+        self.unsupervised = policy is None
+        self.policy = _UNSUPERVISED if policy is None else policy
+        self.stats = stats if stats is not None else ExecutionStats()
         self.chaos = chaos
-        # An elastic supervisor (the long-lived worker set behind the
-        # job server) sizes its pool for future submissions, not the
-        # (possibly empty) initial batch.
-        if elastic:
-            self.pool_size = max(1, workers)
-        else:
-            self.pool_size = max(1, min(workers, len(pending)))
-        self.stats = stats
-        self.context = context
         self.job_fn = job_fn
-        self.ledger = _RetryLedger(policy, stats, on_retry)
-        self.ready: deque[int] = deque(index for index, _ in pending)
+        self.on_retry = on_retry
+        self.retry_budget = self.policy.retry_budget
+        # Per-job state lives only while the job is unsettled, so a
+        # long-lived set stays as small as its backlog.
+        self.jobs: dict[int, SimJob] = {}
+        self.launches: dict[int, int] = {}  # index -> attempts started
+        self.inflight: dict[int, set[int]] = {}  # index -> worker ids
+        self.ready: deque[int] = deque()
         self.delayed: list[tuple[float, int, int]] = []  # (when, seq, index)
+        self.durations: deque[float] = deque(maxlen=DURATION_WINDOW)
+        self.out: list[tuple[int, object]] = []
+        self.workers: dict[int, _WorkerHandle] = {}
         self._seq = itertools.count()
         self._worker_ids = itertools.count()
-        self.workers: dict[int, _WorkerHandle] = {}
-        self.inflight: dict[int, set[int]] = {}  # index -> worker ids
-        self.resolved: set[int] = set()
-        self.durations: list[float] = []
-        self.out: deque[tuple[int, object]] = deque()
+        self._next_index = itertools.count()
+        self._closed = False
+        inline = workers <= 1 or pool_fallback_reason(workers) is not None
+        #: Worker processes kept alive; 0 means attempts run in-process.
+        self.pool_size = 0 if inline else workers
+        # ``spawn`` is the only start method available on every platform
+        # and the only one immune to fork-unsafe parent state (threads).
+        self.context = multiprocessing.get_context("spawn")
+        while len(self.workers) < self.pool_size:
+            self._spawn_worker()
 
-    # -- lifecycle -----------------------------------------------------
+    # -- public interface ----------------------------------------------
 
-    def _spawn_worker(self) -> None:
-        worker_id = next(self._worker_ids)
-        parent_conn, child_conn = self.context.Pipe(duplex=True)
-        process = self.context.Process(
-            target=_worker_main,
-            args=(
-                worker_id,
-                child_conn,
-                self.chaos,
-                self.policy.heartbeat_interval,
-                self.job_fn,
-            ),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self.workers[worker_id] = _WorkerHandle(worker_id, process, parent_conn)
+    def submit(self, job: SimJob, index: int | None = None) -> int:
+        """Enqueue a job; returns the index its outcome will carry.
 
-    def _discard_worker(self, handle: _WorkerHandle, kill: bool) -> None:
-        self.workers.pop(handle.worker_id, None)
-        if handle.running is not None:
-            self.inflight.get(handle.running.index, set()).discard(
-                handle.worker_id
-            )
-            handle.running = None
-        if kill and handle.process.is_alive():
-            handle.process.kill()
-        handle.process.join(timeout=1.0)
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-
-    def _shutdown(self) -> None:
-        for handle in list(self.workers.values()):
-            if handle.running is None and handle.process.is_alive():
-                try:
-                    handle.conn.send(None)
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
-            else:
-                handle.process.kill()
-        deadline = time.monotonic() + 2.0
-        for handle in list(self.workers.values()):
-            handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=1.0)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-        self.workers.clear()
-
-    # -- scheduling ----------------------------------------------------
-
-    def _outstanding(self) -> int:
-        return len(self.jobs) - len(self.resolved)
-
-    def _promote_delayed(self) -> None:
-        now = time.monotonic()
-        while self.delayed and self.delayed[0][0] <= now:
-            _, _, index = heapq.heappop(self.delayed)
-            if index not in self.resolved:
-                self.ready.append(index)
-
-    def _idle_workers(self) -> list[_WorkerHandle]:
-        return [h for h in self.workers.values() if h.running is None]
-
-    def _assign_ready(self) -> None:
-        while self.ready:
-            # Replenish the pool if workers died while work remains.
-            idle = self._idle_workers()
-            if not idle:
-                if len(self.workers) < self.pool_size:
-                    self._spawn_worker()
-                return
-            index = self.ready.popleft()
-            if index in self.resolved:
-                continue
-            self._launch(idle[0], index, speculative=False)
-
-    def _launch(
-        self, handle: _WorkerHandle, index: int, speculative: bool
-    ) -> None:
-        attempt = self.ledger.launched(index)
-        try:
-            handle.conn.send((index, attempt, self.jobs[index]))
-        except (OSError, ValueError, BrokenPipeError):
-            # Worker died between liveness check and send; put the job
-            # back and let the liveness pass replace the worker.
-            self.ledger.launches[index] -= 1
-            self.ready.appendleft(index)
-            return
-        handle.running = _Running(
-            index=index,
-            attempt=attempt,
-            started=time.monotonic(),
-            speculative=speculative,
-        )
-        self.inflight.setdefault(index, set()).add(handle.worker_id)
-        if speculative:
-            self.stats.speculative += 1
-
-    def _maybe_speculate(self) -> None:
-        if not self.policy.speculative or self.ready or self.delayed:
-            return
-        idle = self._idle_workers()
-        if not idle:
-            return
-        threshold = self.policy.straggler_min_seconds
-        if self.durations:
-            median = sorted(self.durations)[len(self.durations) // 2]
-            threshold = max(threshold, self.policy.straggler_factor * median)
-        now = time.monotonic()
-        for handle in list(self.workers.values()):
-            if not idle:
-                return
-            running = handle.running
-            if running is None or running.index in self.resolved:
-                continue
-            if len(self.inflight.get(running.index, ())) > 1:
-                continue  # already duplicated
-            if now - running.started < threshold:
-                continue
-            self._launch(idle.pop(), running.index, speculative=True)
-
-    # -- failure handling ----------------------------------------------
-
-    def _job_finished(self, handle: _WorkerHandle) -> _Running | None:
-        running = handle.running
-        handle.running = None
-        if running is not None:
-            self.inflight.get(running.index, set()).discard(handle.worker_id)
-        return running
-
-    def _complete(self, running: _Running, record: dict) -> None:
-        if running.index in self.resolved:
-            return  # speculative loser or post-timeout late arrival
-        self.resolved.add(running.index)
-        self.durations.append(time.monotonic() - running.started)
-        if running.speculative:
-            self.stats.speculative_wins += 1
-        self.out.append((running.index, record))
-
-    def _failed_attempt(
-        self, index: int, attempt: int, error_type: str, message: str,
-        counter: str, fatal: bool,
-    ) -> None:
-        if index in self.resolved:
-            return
-        _bump(self.stats, counter)
-        if self.inflight.get(index):
-            # A duplicate of this job is still running; let it decide.
-            return
-        kind = self.ledger.disposition(index, fatal)
-        if kind is not None:
-            self.resolved.add(index)
-            self.out.append(
-                (
-                    index,
-                    JobFailure(
-                        index=index,
-                        kind=kind,
-                        error_type=error_type,
-                        message=message,
-                        attempts=self.ledger.attempts(index),
-                    ),
-                )
-            )
-            return
-        self.ledger.consume_retry(index, attempt, error_type)
-        when = time.monotonic() + self.policy.backoff(
-            self.ledger.attempts(index)
-        )
-        heapq.heappush(self.delayed, (when, next(self._seq), index))
-
-    # -- message / liveness passes -------------------------------------
-
-    def _handle_message(self, handle: _WorkerHandle, message) -> None:
-        kind = message[0]
-        handle.ready = True
-        if kind in ("hb", "ready"):
-            handle.last_heartbeat = time.monotonic()
-            return
-        if kind == "done":
-            _, _, index, attempt, record = message
-            running = self._job_finished(handle)
-            handle.last_heartbeat = time.monotonic()
-            if running is None or index in self.resolved:
-                return
-            if self.policy.validate:
-                try:
-                    validate_record(record)
-                except CorruptResultError as exc:
-                    self._failed_attempt(
-                        index, attempt, type(exc).__name__, str(exc),
-                        "corrupt_results", False,
-                    )
-                    return
-            self._complete(running, record)
-            return
-        if kind == "error":
-            _, _, index, attempt, error_type, text, fatal = message
-            self._job_finished(handle)
-            handle.last_heartbeat = time.monotonic()
-            counter = "errors"
-            if error_type == "JobTimeoutError":
-                counter = "timeouts"
-            elif error_type == "WorkerCrashError":
-                counter = "worker_crashes"
-            elif error_type == "CorruptResultError":
-                counter = "corrupt_results"
-            self._failed_attempt(index, attempt, error_type, text, counter, fatal)
-
-    def _drain_messages(self) -> None:
-        conns = {h.conn: h for h in self.workers.values()}
-        if not conns:
-            time.sleep(self.policy.poll_interval)
-            return
-        try:
-            ready = _connection_wait(
-                list(conns), timeout=self.policy.poll_interval
-            )
-        except OSError:
-            return
-        for conn in ready:
-            handle = conns[conn]
-            while True:
-                try:
-                    if not conn.poll():
-                        break
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    break  # dead worker; the liveness pass reaps it
-                self._handle_message(handle, message)
-
-    def _check_liveness(self) -> None:
-        now = time.monotonic()
-        policy = self.policy
-        for handle in list(self.workers.values()):
-            running = handle.running
-            if not handle.process.is_alive():
-                self._discard_worker(handle, kill=False)
-                if running is not None:
-                    self._failed_attempt(
-                        running.index,
-                        running.attempt,
-                        "WorkerCrashError",
-                        f"worker {handle.worker_id} died "
-                        f"(exitcode {handle.process.exitcode})",
-                        "worker_crashes",
-                        False,
-                    )
-                continue
-            if (
-                running is not None
-                and policy.job_timeout is not None
-                and now - running.started > policy.job_timeout
-            ):
-                self._discard_worker(handle, kill=True)
-                self._failed_attempt(
-                    running.index,
-                    running.attempt,
-                    "JobTimeoutError",
-                    f"attempt exceeded {policy.job_timeout:.1f}s deadline",
-                    "timeouts",
-                    False,
-                )
-                continue
-            hb_timeout = policy.heartbeat_timeout
-            if hb_timeout is not None and not handle.ready:
-                hb_timeout = max(hb_timeout, _BOOT_GRACE)
-            if (
-                hb_timeout is not None
-                and now - handle.last_heartbeat > hb_timeout
-            ):
-                self._discard_worker(handle, kill=True)
-                if running is not None:
-                    self._failed_attempt(
-                        running.index,
-                        running.attempt,
-                        "WorkerCrashError",
-                        f"worker {handle.worker_id} stopped heartbeating",
-                        "worker_crashes",
-                        False,
-                    )
-
-    # -- incremental interface (long-lived worker sets) ----------------
-
-    def submit(self, index: int, job: SimJob) -> None:
-        """Enqueue one more job; legal at any point in the lifetime."""
+        ``index`` defaults to a counter; a caller with its own numbering
+        (the executor's job positions, which chaos rules match) passes
+        it.
+        """
+        if self._closed:
+            raise RuntimeError("worker set is closed")
+        if index is None:
+            index = next(self._next_index)
         if index in self.jobs:
             raise ValueError(f"job index {index} already submitted")
         self.jobs[index] = job
         self.ready.append(index)
-
-    def start(self) -> None:
-        """Spawn the initial worker complement."""
-        while len(self.workers) < self.pool_size:
-            self._spawn_worker()
-
-    def _tick(self) -> None:
-        """One supervision pass: schedule, drain, enforce liveness."""
-        self._promote_delayed()
-        self._assign_ready()
-        self._maybe_speculate()
-        self._drain_messages()
-        self._check_liveness()
+        return index
 
     def pump(self) -> list[tuple[int, object]]:
-        """One pass; returns newly completed ``(index, outcome)`` pairs."""
-        self._tick()
-        completed = list(self.out)
-        self.out.clear()
-        return completed
+        """One supervision pass; newly settled ``(index, outcome)``\\ s.
+
+        Blocks at most ``POLL_INTERVAL`` when there is nothing to do
+        (and for one whole attempt when attempts run in-process), so a
+        driving loop can call it back-to-back without spinning.
+        """
+        if self._closed:
+            return []
+        now = time.monotonic()
+        while self.delayed and self.delayed[0][0] <= now:
+            _, _, index = heapq.heappop(self.delayed)
+            if index in self.jobs:
+                self.ready.append(index)
+        if self.pool_size:
+            self._assign_ready()
+            self._maybe_speculate()
+            self._drain_messages()
+            self._check_liveness()
+        elif self.ready:
+            self._attempt_inline(self.ready.popleft())
+        else:
+            time.sleep(POLL_INTERVAL)
+        settled, self.out = self.out, []
+        return settled
+
+    def outstanding(self) -> int:
+        """Jobs submitted but not yet settled."""
+        return len(self.jobs)
 
     def worker_liveness(self) -> list[dict]:
         """Status snapshot of every live worker (for ``/status``)."""
@@ -910,134 +582,306 @@ class _PoolSupervisor:
             )
         return report
 
-    # -- main loop -----------------------------------------------------
+    def close(self) -> None:
+        """Kill every worker and wait for it.
 
-    def events(self):
-        try:
-            self.start()
-            while len(self.resolved) < len(self.jobs):
-                self._tick()
-                while self.out:
-                    yield self.out.popleft()
-            while self.out:
-                yield self.out.popleft()
-        finally:
-            self._shutdown()
-
-
-def run_pooled(
-    pending: list[tuple[int, SimJob]],
-    policy: RetryPolicy,
-    chaos,
-    stats: ExecutionStats,
-    workers: int,
-    start_method: str = "spawn",
-    on_retry=None,
-):
-    """Supervised pool execution; yields ``(index, record | JobFailure)``."""
-    import multiprocessing
-
-    context = multiprocessing.get_context(start_method)
-    supervisor = _PoolSupervisor(
-        pending, policy, chaos, workers, stats, context, on_retry=on_retry
-    )
-    yield from supervisor.events()
-
-
-# ----------------------------------------------------------------------
-# Long-lived managed worker set (serve layer)
-# ----------------------------------------------------------------------
-
-
-class ManagedWorkerSet:
-    """A :class:`_PoolSupervisor` reusable outside one ``run_jobs`` call.
-
-    ``run_pooled`` builds a supervisor around a fixed batch and tears it
-    down when the batch resolves; a long-lived daemon instead wants one
-    warm pool that accepts jobs *incrementally* for its whole lifetime.
-    This wrapper owns exactly that: :meth:`submit` enqueues a job and
-    returns its index, :meth:`pump` runs one supervision pass (assign /
-    drain / deadlines / heartbeat liveness / crash replenishment) and
-    returns newly settled ``(index, record | JobFailure)`` pairs, and
-    :meth:`close` shuts the pool down.  All the
-    :class:`RetryPolicy` machinery — retries with backoff, deadline
-    kills, crash detection, speculative stragglers — behaves exactly as
-    it does under ``run_jobs``; the shared :class:`ExecutionStats`
-    accumulates across every job ever submitted.
-
-    Not thread-safe: one owner thread submits and pumps (the job
-    server's broker thread).  ``job_fn`` must be a picklable top-level
-    callable (default :func:`~repro.harness.parallel.execute_job`).
-    """
-
-    def __init__(
-        self,
-        policy: RetryPolicy | None = None,
-        workers: int = 1,
-        chaos=None,
-        stats: ExecutionStats | None = None,
-        start_method: str = "spawn",
-        on_retry=None,
-        job_fn=None,
-    ) -> None:
-        import multiprocessing
-
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.stats = stats if stats is not None else ExecutionStats()
-        context = multiprocessing.get_context(start_method)
-        self._supervisor = _PoolSupervisor(
-            [],
-            self.policy,
-            chaos,
-            workers,
-            self.stats,
-            context,
-            on_retry=on_retry,
-            job_fn=job_fn,
-            elastic=True,
-        )
-        self._next_index = itertools.count()
-        self._closed = False
-        self._supervisor.start()
-
-    @property
-    def pool_size(self) -> int:
-        return self._supervisor.pool_size
-
-    def submit(self, job: SimJob) -> int:
-        """Enqueue a job; returns the index its outcome will carry."""
-        if self._closed:
-            raise RuntimeError("worker set is closed")
-        index = next(self._next_index)
-        self._supervisor.submit(index, job)
-        self.stats.total += 1
-        return index
-
-    def pump(self) -> list[tuple[int, object]]:
-        """One supervision pass; newly settled ``(index, outcome)``\\ s.
-
-        Blocks at most ``policy.poll_interval`` waiting for worker
-        messages, so a driving loop can call it back-to-back without
-        spinning.
+        Idle or busy, a worker holds nothing worth a graceful exit, and
+        interpreter teardown would cost a batch caller ~30 ms per call.
         """
         if self._closed:
-            return []
-        return self._supervisor.pump()
-
-    def outstanding(self) -> int:
-        """Jobs submitted but not yet settled."""
-        return self._supervisor._outstanding()
-
-    def worker_liveness(self) -> list[dict]:
-        return self._supervisor.worker_liveness()
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._supervisor._shutdown()
+            return
+        self._closed = True
+        for handle in self.workers.values():
+            handle.process.kill()
+        for handle in self.workers.values():
+            handle.process.join(timeout=1.0)
+            try:
+                handle.conn.close()
+            except OSError:
+                pass
+        self.workers.clear()
 
     def __enter__(self) -> "ManagedWorkerSet":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # -- worker lifecycle ----------------------------------------------
+
+    def _spawn_worker(self) -> None:
+        worker_id = next(self._worker_ids)
+        parent_conn, child_conn = self.context.Pipe(duplex=True)
+        process = self.context.Process(
+            target=_worker_main,
+            args=(
+                worker_id,
+                child_conn,
+                self.chaos,
+                self.policy.heartbeat_interval,
+                self.job_fn,
+            ),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        self.workers[worker_id] = _WorkerHandle(worker_id, process, parent_conn)
+
+    def _discard_worker(self, handle: _WorkerHandle, kill: bool) -> None:
+        self.workers.pop(handle.worker_id, None)
+        self._job_finished(handle)
+        if kill and handle.process.is_alive():
+            handle.process.kill()
+        handle.process.join(timeout=1.0)
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
+
+    # -- scheduling ----------------------------------------------------
+
+    def _idle_workers(self) -> list[_WorkerHandle]:
+        return [h for h in self.workers.values() if h.running is None]
+
+    def _assign_ready(self) -> None:
+        while self.ready:
+            # Replenish the pool if workers died while work remains.
+            idle = self._idle_workers()
+            if not idle:
+                if len(self.workers) < self.pool_size:
+                    self._spawn_worker()
+                return
+            index = self.ready.popleft()
+            if index in self.jobs:
+                self._launch(idle[0], index, speculative=False)
+
+    def _count_launch(self, index: int) -> int:
+        """Count one launch of ``index``; returns the attempt number."""
+        attempt = self.launches.get(index, 0)
+        self.launches[index] = attempt + 1
+        return attempt
+
+    def _launch(
+        self, handle: _WorkerHandle, index: int, speculative: bool
+    ) -> None:
+        attempt = self._count_launch(index)
+        try:
+            handle.conn.send((index, attempt, self.jobs[index]))
+        except (OSError, ValueError, BrokenPipeError):
+            # Worker died between liveness check and send; put the job
+            # back and let the liveness pass replace the worker.
+            self.launches[index] -= 1
+            self.ready.appendleft(index)
+            return
+        handle.running = _Running(
+            index=index,
+            attempt=attempt,
+            started=time.monotonic(),
+            speculative=speculative,
+        )
+        self.inflight.setdefault(index, set()).add(handle.worker_id)
+        if speculative:
+            self.stats.speculative += 1
+
+    def _maybe_speculate(self) -> None:
+        if not self.policy.speculative or self.ready or self.delayed:
+            return
+        idle = self._idle_workers()
+        if not idle:
+            return
+        threshold = STRAGGLER_MIN_SECONDS
+        if self.durations:
+            median = sorted(self.durations)[len(self.durations) // 2]
+            threshold = max(threshold, STRAGGLER_FACTOR * median)
+        now = time.monotonic()
+        for handle in list(self.workers.values()):
+            if not idle:
+                return
+            running = handle.running
+            if running is None or running.index not in self.jobs:
+                continue
+            if len(self.inflight.get(running.index, ())) > 1:
+                continue  # already duplicated
+            if now - running.started < threshold:
+                continue
+            self._launch(idle.pop(), running.index, speculative=True)
+
+    def _attempt_inline(self, index: int) -> None:
+        """Run one attempt in this process.
+
+        Nothing can preempt it, so deadlines do not apply here (the
+        chaos harness raises :class:`JobTimeoutError` for a hang instead,
+        which still exercises the retry path).  An interrupt is not an
+        ``Exception`` and leaves through :meth:`pump`.
+        """
+        attempt = self._count_launch(index)
+        started = time.monotonic()
+        try:
+            record = _attempt(
+                self.jobs[index], index, attempt, self.chaos, self.job_fn, False
+            )
+        except Exception as exc:
+            self._failed_attempt(index, attempt, exc)
+        else:
+            self._finished_attempt(index, attempt, record, started, False)
+
+    # -- attempt outcomes (shared by both attempt sites) ---------------
+
+    def _job_finished(self, handle: _WorkerHandle) -> _Running | None:
+        running = handle.running
+        handle.running = None
+        if running is not None:
+            self.inflight.get(running.index, set()).discard(handle.worker_id)
+        return running
+
+    def _settle(self, index: int, outcome) -> None:
+        """Hand out a job's outcome and forget the job.
+
+        A late result or a speculative loser is recognised afterwards
+        by ``index not in self.jobs``.
+        """
+        del self.jobs[index]
+        self.launches.pop(index, None)
+        self.inflight.pop(index, None)
+        self.out.append((index, outcome))
+
+    def _finished_attempt(
+        self, index: int, attempt: int, record, started: float, speculative: bool
+    ) -> None:
+        if self.policy.validate:
+            try:
+                validate_record(record)
+            except CorruptResultError as exc:
+                self._failed_attempt(index, attempt, exc)
+                return
+        self.durations.append(time.monotonic() - started)
+        if speculative:
+            self.stats.speculative_wins += 1
+        self._settle(index, record)
+
+    def _failed_attempt(self, index: int, attempt: int, exc: Exception) -> None:
+        if index not in self.jobs:
+            return
+        counter, fatal = _classify(exc)
+        if counter != "errors":
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        if self.inflight.get(index):
+            # A duplicate of this job is still running; let it decide.
+            return
+        if fatal:
+            kind = "fatal"
+        elif self.launches[index] > self.policy.max_retries:
+            kind = "retries-exhausted"
+        elif self.retry_budget is not None and self.retry_budget <= 0:
+            kind = "retry-budget"
+        else:  # retry, after the backoff delay
+            if self.retry_budget is not None:
+                self.retry_budget -= 1
+            self.stats.retries += 1
+            if self.on_retry is not None:
+                self.on_retry(index, attempt, type(exc).__name__)
+            when = time.monotonic() + self.policy.backoff(self.launches[index])
+            heapq.heappush(self.delayed, (when, next(self._seq), index))
+            return
+        if self.unsupervised:
+            # Reap first, so that no child outlives the exception.
+            self.close()
+            raise exc
+        failure = JobFailure(
+            index=index,
+            kind=kind,
+            error_type=type(exc).__name__,
+            message=str(exc),
+            attempts=self.launches[index],
+        )
+        self._settle(index, failure)
+
+    # -- message / liveness passes -------------------------------------
+
+    def _handle_message(self, handle: _WorkerHandle, message) -> None:
+        kind = message[0]
+        handle.ready = True
+        handle.last_heartbeat = time.monotonic()
+        if kind in ("hb", "ready"):
+            return
+        index, attempt = message[2:4]
+        running = self._job_finished(handle)
+        if running is None or index not in self.jobs:
+            return  # speculative loser or post-timeout late arrival
+        if kind == "done":
+            self._finished_attempt(
+                index, attempt, message[4], running.started, running.speculative
+            )
+        else:
+            cls, args, state = message[4:]
+            exc = cls.__new__(cls, *args)
+            vars(exc).update(state)
+            self._failed_attempt(index, attempt, exc)
+
+    def _drain_messages(self) -> None:
+        conns = {h.conn: h for h in self.workers.values()}
+        if not conns:
+            time.sleep(POLL_INTERVAL)
+            return
+        try:
+            ready = _connection_wait(list(conns), timeout=POLL_INTERVAL)
+        except OSError:
+            return
+        for conn in ready:
+            handle = conns[conn]
+            while True:
+                try:
+                    if not conn.poll():
+                        break
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    break  # dead worker; the liveness pass reaps it
+                self._handle_message(handle, message)
+
+    def _check_liveness(self) -> None:
+        now = time.monotonic()
+        policy = self.policy
+        for handle in list(self.workers.values()):
+            running = handle.running
+            if not handle.process.is_alive():
+                self._discard_worker(handle, kill=False)
+                if running is not None:
+                    self._failed_attempt(
+                        running.index,
+                        running.attempt,
+                        WorkerCrashError(
+                            f"worker {handle.worker_id} died "
+                            f"(exitcode {handle.process.exitcode})"
+                        ),
+                    )
+                continue
+            if (
+                running is not None
+                and policy.job_timeout is not None
+                and now - running.started > policy.job_timeout
+            ):
+                self._discard_worker(handle, kill=True)
+                self._failed_attempt(
+                    running.index,
+                    running.attempt,
+                    JobTimeoutError(
+                        f"attempt exceeded {policy.job_timeout:.1f}s deadline"
+                    ),
+                )
+                continue
+            hb_timeout = policy.heartbeat_timeout
+            if hb_timeout is not None and not handle.ready:
+                hb_timeout = max(hb_timeout, _BOOT_GRACE)
+            if (
+                hb_timeout is not None
+                and now - handle.last_heartbeat > hb_timeout
+            ):
+                self._discard_worker(handle, kill=True)
+                if running is not None:
+                    self._failed_attempt(
+                        running.index,
+                        running.attempt,
+                        WorkerCrashError(
+                            f"worker {handle.worker_id} stopped heartbeating"
+                        ),
+                    )

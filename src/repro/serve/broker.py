@@ -17,8 +17,8 @@ tests all talk to the same object:
   server's :class:`~repro.harness.resilient.RetryPolicy` (crash
   recovery, deadlines, straggler speculation — the same machinery the
   chaos grid certifies for batch sweeps).  Where a pool cannot exist
-  (``workers<=1``, daemonic context, no spawn entry point) the broker
-  falls back to the supervised inline engine.
+  (``workers<=1``, daemonic context, no spawn entry point) the set runs
+  attempts on the broker's pump thread, under the same policy.
 * **Admission control** — at most ``max_inflight`` distinct jobs may
   be queued or running; beyond that :meth:`submit` raises
   :class:`SaturatedError`, which the HTTP layer maps to a 503
@@ -56,7 +56,6 @@ from repro.harness.resilient import (
     JobFailure,
     ManagedWorkerSet,
     RetryPolicy,
-    run_serial,
 )
 
 #: Record field carrying per-job SchedulerCounters telemetry out of the
@@ -172,7 +171,6 @@ class JobBroker:
         self.shed = 0
         self.simulations_run = 0
         self._seq = itertools.count()
-        self._inline_index = itertools.count()
         self._lock = threading.Lock()
         self._entries: dict[str, _Entry] = {}  # every known key
         self._inflight: dict[str, _Entry] = {}  # queued or running
@@ -189,7 +187,10 @@ class JobBroker:
 
     @property
     def mode(self) -> str:
-        """``"pooled"`` (managed worker set) or ``"inline"``."""
+        """``"pooled"`` (worker processes) or ``"inline"`` (pump thread).
+
+        Known before :meth:`start`; it is the worker set's own rule.
+        """
         if self.workers > 1 and self._pool_fallback is None:
             return "pooled"
         return "inline"
@@ -197,15 +198,14 @@ class JobBroker:
     def start(self) -> "JobBroker":
         if self._thread is not None:
             raise RuntimeError("broker already started")
-        if self.mode == "pooled":
-            self._pool = ManagedWorkerSet(
-                policy=self.policy,
-                workers=self.workers,
-                chaos=self.chaos,
-                stats=self.stats,
-                on_retry=self._on_retry,
-                job_fn=self.job_fn,
-            )
+        self._pool = ManagedWorkerSet(
+            policy=self.policy,
+            workers=self.workers,
+            chaos=self.chaos,
+            stats=self.stats,
+            on_retry=self._on_retry,
+            job_fn=self.job_fn,
+        )
         self._thread = threading.Thread(
             target=self._pump_loop, name="serve-broker", daemon=True
         )
@@ -505,11 +505,7 @@ class JobBroker:
         if not live:
             return
         cache = self.cache.counters() if self.cache is not None else None
-        liveness = (
-            sum(1 for w in self._pool.worker_liveness() if w["alive"])
-            if self._pool is not None
-            else None
-        )
+        liveness = sum(1 for w in self._pool.worker_liveness() if w["alive"])
         for entry in live:
             self._publish(
                 entry,
@@ -521,64 +517,31 @@ class JobBroker:
                 },
             )
 
-    def _run_inline(self, entry: _Entry) -> None:
-        """Supervised in-process execution (the pool-less fallback)."""
-        with self._lock:
-            index = next(self._inline_index)
-            entry.index = index
-            self._by_index[index] = entry
-        self.stats.total += 1
-        entry.state = "running"
-        self._publish(entry, {"event": "running", "mode": "inline"})
-        outcomes = list(
-            run_serial(
-                [(index, entry.job)],
-                self.policy,
-                self.chaos,
-                self.stats,
-                on_retry=self._on_retry,
-                job_fn=self.job_fn,
-            )
-        )
-        ((_, outcome),) = outcomes
-        self._resolve_entry(entry, outcome)
-
     def _pump_loop(self) -> None:
-        poll = self.policy.poll_interval
         while True:
             closing = False
-            # Admit queued entries to the execution engine.
-            while True:
+            # Admit queued entries to the worker set.
+            while not closing:
                 try:
-                    item = self._queue.get(
-                        timeout=poll if self._pool is None else 0.0
-                    )
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _CLOSE:
                     closing = True
-                    break
-                if item.future.done():
-                    continue  # settled while queued (shutdown path)
-                if self._pool is not None:
+                elif not item.future.done():  # else settled while queued
                     index = self._pool.submit(item.job)
                     with self._lock:
                         item.index = index
                         item.state = "running"
                         self._by_index[index] = item
-                    self._publish(
-                        item, {"event": "running", "mode": "pooled"}
-                    )
-                else:
-                    self._run_inline(item)
-            if self._pool is not None:
-                # pump() blocks <= poll_interval, so this loop does not
-                # spin while idle.
-                for index, outcome in self._pool.pump():
-                    with self._lock:
-                        entry = self._by_index.get(index)
-                    if entry is not None:
-                        self._resolve_entry(entry, outcome)
+                    self._publish(item, {"event": "running", "mode": self.mode})
+            # pump() blocks <= POLL_INTERVAL when idle, so this loop does
+            # not spin; in inline mode it runs one attempt to its end.
+            for index, outcome in self._pool.pump():
+                with self._lock:
+                    entry = self._by_index.get(index)
+                if entry is not None:
+                    self._resolve_entry(entry, outcome)
             self._maybe_telemetry()
             if closing:
                 return

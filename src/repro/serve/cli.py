@@ -283,7 +283,3 @@ def serve_main(argv: list[str] | None = None) -> int:
     if args.smoke:
         return _smoke()
     return _serve(args)
-
-
-if __name__ == "__main__":
-    sys.exit(serve_main())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import SUBCOMMANDS, build_parser, load_subcommand, main
 
 
 class TestParser:
@@ -67,3 +67,24 @@ class TestMain:
                 )
                 == 0
             )
+
+
+class TestSubcommands:
+    def test_table_names_the_known_subcommands(self):
+        assert set(SUBCOMMANDS) == {"audit", "bench", "shards", "serve", "chaos"}
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    def test_every_entry_imports_and_answers_help(self, name, capsys):
+        assert callable(load_subcommand(name))
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "--help"])
+        assert excinfo.value.code == 0
+        assert f"repro {name}" in capsys.readouterr().out
+
+    def test_top_level_help_lists_the_table(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for name, (_, summary) in SUBCOMMANDS.items():
+            assert f"  {name:<8}{summary}" in out

@@ -24,6 +24,7 @@ from repro.core.simulator import run_simulation
 from repro.core.types import NodeId
 from repro.faults.injector import random_faults
 from repro.harness.export import result_record
+from repro.harness import parallel as parallel_module
 from repro.harness.parallel import (
     CACHE_VERSION,
     ExecutionStats,
@@ -38,6 +39,7 @@ from repro.harness.parallel import (
     pool_fallback_reason,
     resolve_workers,
 )
+from repro.harness.resilient import RetryPolicy
 from repro.harness.sweeps import Sweep
 
 BASE = {
@@ -51,6 +53,13 @@ BASE = {
 SWEEP_AXES = {"router": ["generic", "roco"], "seed": [1, 2]}
 
 
+#: Every execution test runs on both values of the policy axis: one
+#: engine serves both, and "no policy" must stay a value of it.
+POLICIES = pytest.mark.parametrize(
+    "policy", [None, RetryPolicy(backoff_base=0.0)], ids=["unsupervised", "policy"]
+)
+
+
 def small_config(**overrides) -> SimulationConfig:
     params = dict(BASE)
     params.update(overrides)
@@ -58,16 +67,30 @@ def small_config(**overrides) -> SimulationConfig:
 
 
 class TestSerialParallelEquivalence:
-    def test_sweep_records_identical_serial_vs_two_workers(self):
-        """The tentpole proof: workers=2 is bit-identical to serial."""
-        serial = Sweep(axes=SWEEP_AXES, base=BASE).run()
-        parallel = Sweep(axes=SWEEP_AXES, base=BASE).run(workers=2)
-        assert parallel == serial
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """Direct simulation, no executor involved."""
+        sweep = Sweep(axes=SWEEP_AXES, base=BASE)
+        return [result_record(run_simulation(c)) for c in sweep.configurations()]
 
-    def test_executor_preserves_job_order(self):
+    @POLICIES
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_records_identical_to_direct_runs(
+        self, reference, workers, policy
+    ):
+        """The tentpole proof: in-process and two worker processes, with
+        and without a policy, are bit-identical to direct simulation."""
+        executor = ParallelExecutor(workers=workers, policy=policy)
+        assert Sweep(axes=SWEEP_AXES, base=BASE).run(executor=executor) == reference
+        assert executor.last_stats.simulated == len(reference)
+        assert executor.last_stats.retries == 0
+
+    @POLICIES
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_executor_preserves_job_order(self, workers, policy):
         configs = [small_config(seed=s) for s in (5, 3, 9)]
-        records = ParallelExecutor(workers=2).run_configs(configs)
-        assert [r["seed"] for r in records] == [5, 3, 9]
+        executor = ParallelExecutor(workers=workers, policy=policy)
+        assert [r["seed"] for r in executor.run_configs(configs)] == [5, 3, 9]
 
     def test_execute_job_matches_direct_simulation(self):
         config = small_config(seed=4)
@@ -273,70 +296,67 @@ class TestProgressAndWorkers:
         monkeypatch.setitem(sys.modules, "__main__", fake_main)
         assert _spawn_supported() is False
 
-    def test_unspawnable_parent_falls_back_to_serial(self, monkeypatch):
+    @POLICIES
+    def test_unspawnable_parent_falls_back_to_serial(self, monkeypatch, policy):
         """Satellite: workers=2 from a REPL-like parent runs serial with
         an explicit warning and still produces identical records."""
-        serial = ParallelExecutor().run_configs([small_config(seed=1)])
+        configs = [small_config(seed=s) for s in (1, 2)]
+        serial = ParallelExecutor().run_configs(configs)
         fake_main = types.ModuleType("__main__")
         fake_main.__spec__ = None
         monkeypatch.setitem(sys.modules, "__main__", fake_main)
-        executor = ParallelExecutor(workers=2)
+        executor = ParallelExecutor(workers=2, policy=policy)
         with pytest.warns(NestedPoolFallbackWarning, match="spawn entry point"):
-            records = executor.run_configs([small_config(seed=1)])
+            records = executor.run_configs(configs)
         assert records == serial
-        assert executor.simulations_run == 1
+        assert executor.simulations_run == 2
+        assert executor.last_stats.simulated == 2
 
-    def test_unspawnable_parent_serial_fallback_with_policy(self, monkeypatch):
-        from repro.harness.resilient import RetryPolicy
-
-        serial = ParallelExecutor().run_configs([small_config(seed=1)])
-        fake_main = types.ModuleType("__main__")
-        fake_main.__spec__ = None
-        monkeypatch.setitem(sys.modules, "__main__", fake_main)
-        executor = ParallelExecutor(
-            workers=2, policy=RetryPolicy(backoff_base=0.0)
-        )
-        with pytest.warns(NestedPoolFallbackWarning, match="spawn entry point"):
-            records = executor.run_configs([small_config(seed=1)])
-        assert records == serial
-        assert executor.last_stats.simulated == 1
-
-    def test_daemonic_context_falls_back_to_inline(self, monkeypatch):
+    @POLICIES
+    def test_daemonic_context_falls_back_to_inline(self, monkeypatch, policy):
         """Satellite: a pool requested from inside a daemonic worker
         (where children are forbidden) degrades to inline execution with
         a structured warning instead of crashing, and the records stay
         identical to serial ones."""
-        from repro.harness import parallel as parallel_module
-
-        serial = ParallelExecutor().run_configs([small_config(seed=1)])
+        configs = [small_config(seed=s) for s in (1, 2)]
+        serial = ParallelExecutor().run_configs(configs)
         monkeypatch.setattr(
             parallel_module, "_in_daemonic_process", lambda: True
         )
-        executor = ParallelExecutor(workers=2)
+        executor = ParallelExecutor(workers=2, policy=policy)
         with pytest.warns(
             NestedPoolFallbackWarning, match="daemonic worker context"
         ):
-            records = executor.run_configs([small_config(seed=1)])
+            records = executor.run_configs(configs)
         assert records == serial
-        assert executor.simulations_run == 1
+        assert executor.simulations_run == 2
+        assert executor.last_stats.simulated == 2
 
-    def test_daemonic_fallback_with_policy(self, monkeypatch):
-        from repro.harness import parallel as parallel_module
-        from repro.harness.resilient import RetryPolicy
+    @POLICIES
+    def test_lone_pending_job_spawns_nothing(self, monkeypatch, tmp_path, policy):
+        """One rule for a lone pending job: it runs in this process, so a
+        rebound ``execute_job`` sees it; a fully warm pass builds no set."""
+        seen = []
+        real = parallel_module.execute_job
 
-        serial = ParallelExecutor().run_configs([small_config(seed=1)])
+        def spy(job):
+            seen.append(job.config.seed)
+            return real(job)
+
+        from repro.harness import resilient
+
+        monkeypatch.setattr(resilient, "execute_job", spy)
+        cache = ResultCache(tmp_path)
+        configs = [small_config(seed=s) for s in (1, 2)]
+        ParallelExecutor(cache=cache).run_configs(configs[:1])
+        executor = ParallelExecutor(workers=2, cache=cache, policy=policy)
+        executor.run_configs(configs)
+        assert seen == [1, 2]  # seed 2 was the lone pending job
         monkeypatch.setattr(
-            parallel_module, "_in_daemonic_process", lambda: True
-        )
-        executor = ParallelExecutor(
-            workers=2, policy=RetryPolicy(backoff_base=0.0)
-        )
-        with pytest.warns(
-            NestedPoolFallbackWarning, match="daemonic worker context"
-        ):
-            records = executor.run_configs([small_config(seed=1)])
-        assert records == serial
-        assert executor.last_stats.simulated == 1
+            resilient, "ManagedWorkerSet", None
+        )  # a warm pass must not reach for it
+        assert len(executor.run_configs(configs)) == 2
+        assert executor.last_stats.cache_hits == 2
 
     def test_no_fallback_warning_in_normal_runs(self, recwarn):
         ParallelExecutor(workers=1).run_configs([small_config(seed=1)])

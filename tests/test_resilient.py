@@ -16,6 +16,7 @@ The contract under test (docs/resilient-execution.md):
 """
 
 import json
+import time
 
 import pytest
 
@@ -34,8 +35,10 @@ from repro.harness.parallel import (
 from repro.harness.resilient import (
     CorruptResultError,
     JobFailure,
+    ManagedWorkerSet,
     RetryPolicy,
     SweepJournal,
+    WorkerCrashError,
     split_failures,
     validate_record,
 )
@@ -121,11 +124,16 @@ class TestFailureIsolation:
         assert "DrainTimeoutError" in summary
         assert "2 completed" in summary and "1 failed" in summary
 
-    def test_without_policy_drain_timeout_still_raises(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_without_policy_drain_timeout_still_raises(self, workers):
+        """In-process or from a worker process, the parent sees the
+        original type (and its census, which a plain pickle would lose)."""
         from repro.core.simulator import DrainTimeoutError
 
-        with pytest.raises(DrainTimeoutError):
-            ParallelExecutor().run_jobs([SimJob.of(drain_timeout_config())])
+        jobs = [SimJob.of(drain_timeout_config(seed=s)) for s in (1, 2)]
+        with pytest.raises(DrainTimeoutError) as excinfo:
+            ParallelExecutor(workers=workers).run_jobs(jobs)
+        assert excinfo.value.census.describe() in str(excinfo.value)
 
 
 class TestRetries:
@@ -178,7 +186,7 @@ class TestRetries:
         assert executor.last_stats.corrupt_results == 2
 
     def test_backoff_schedule_is_exponential(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0)
+        policy = RetryPolicy(backoff_base=0.1)
         assert policy.backoff(1) == pytest.approx(0.1)
         assert policy.backoff(2) == pytest.approx(0.2)
         assert policy.backoff(3) == pytest.approx(0.4)
@@ -231,7 +239,7 @@ class TestSweepJournal:
         journal.close()
         resumed = SweepJournal(path, resume=True)
         assert resumed.completed_keys == {"aaa"}
-        assert resumed.failed_keys == {"bbb"}
+        assert set(resumed.failures) == {"bbb"}
         failure = resumed.failure_for("bbb", index=7)
         assert failure.index == 7  # replayed at the current run's slot
         assert failure.error_type == "DrainTimeoutError"
@@ -251,7 +259,7 @@ class TestSweepJournal:
         journal.close()
         resumed = SweepJournal(path, resume=True)
         assert resumed.completed_keys == {"k"}
-        assert resumed.failed_keys == set()
+        assert resumed.failures == {}
 
     def test_truncated_tail_tolerated(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -463,3 +471,68 @@ class TestPooledSupervision:
         assert ParallelExecutor(workers=2).run_jobs(
             jobs
         ) == ParallelExecutor().run_jobs(jobs)
+
+
+def echo_seed(job: SimJob) -> dict:
+    """Trivial top-level job function (picklable for spawn workers)."""
+    return {"seed": job.config.seed}
+
+
+def drain(pool: ManagedWorkerSet, deadline: float = 60.0) -> dict[int, object]:
+    """Pump until nothing is outstanding; bounded, so a hang fails."""
+    settled: dict[int, object] = {}
+    give_up = time.monotonic() + deadline
+    while pool.outstanding():
+        assert time.monotonic() < give_up, "worker set did not settle in time"
+        settled.update(pool.pump())
+    return settled
+
+
+class TestWorkerSet:
+    """The engine itself, below the executor and the broker."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_settled_jobs_are_forgotten(self, workers):
+        """A long-lived set keeps nothing per settled job (server leak)."""
+        policy = RetryPolicy(validate=False, speculative=True)
+        n = 30
+        with ManagedWorkerSet(policy, workers=workers, job_fn=echo_seed) as pool:
+            assert len(pool.worker_liveness()) == (workers if workers > 1 else 0)
+            indices = [pool.submit(small_jobs(seeds=(s,))[0]) for s in range(n)]
+            settled = drain(pool)
+            assert settled == {i: {"seed": s} for s, i in enumerate(indices)}
+            assert pool.outstanding() == 0
+            assert pool.jobs == {} and pool.inflight == {}
+            assert pool.launches == {}
+            assert not pool.ready and not pool.delayed and not pool.out
+            assert len(pool.durations) <= min(n, pool.durations.maxlen)
+            # Indices stay unique after the early ones were forgotten.
+            assert pool.submit(small_jobs(seeds=(99,))[0]) == n
+
+    def test_unsupervised_dead_worker_raises_and_reaps(self):
+        """policy=None: a killed worker is WorkerCrashError in bounded
+        time with no child left alive (a spawn Pool hangs here)."""
+        chaos = ChaosConfig((ChaosRule("crash", indices=(1,)),))
+        pool = ManagedWorkerSet(policy=None, workers=2, chaos=chaos)
+        processes = [h.process for h in pool.workers.values()]
+        assert len(processes) == 2
+        for job in small_jobs():
+            pool.submit(job)
+        with pytest.raises(WorkerCrashError, match="exitcode 87"):
+            drain(pool)
+        assert not any(p.is_alive() for p in processes)
+        assert pool.workers == {} and pool.pump() == []
+
+    def test_unpicklable_error_arrives_as_repr(self):
+        with ManagedWorkerSet(None, workers=2, job_fn=raise_unpicklable) as pool:
+            for job in small_jobs(seeds=(1, 2)):
+                pool.submit(job)
+            with pytest.raises(RuntimeError, match=r"LocalError\('seed [12]'\)"):
+                drain(pool)
+
+
+def raise_unpicklable(job: SimJob) -> dict:
+    class LocalError(Exception):  # a local class cannot cross a pipe
+        pass
+
+    raise LocalError(f"seed {job.config.seed}")
