@@ -52,6 +52,8 @@ class Network:
         self.routers: dict[NodeId, "BaseRouter"] = {}
         self._build_routers(make_router)
         self._router_list = list(self.routers.values())
+        #: Routers frozen by this cycle's front half for its alloc half.
+        self._stepped: list["BaseRouter"] = []
         #: Timed wakes: cycle -> routers that must rejoin the active set
         #: at that cycle (a flit launched towards them lands then).
         self._wake_queue: dict[int, list["BaseRouter"]] = {}
@@ -154,6 +156,17 @@ class Network:
     def step(self, cycle: int) -> None:
         """Run one cycle's phases for every *active* router.
 
+        Two halves, cut where cross-router effects change kind: what
+        :meth:`step_front` launches lands ``LINK_DELAY`` cycles later,
+        what :meth:`step_alloc` claims downstream is seen this cycle.
+        Sharded tiles (repro.core.shard) call the halves themselves.
+        """
+        self.step_front(cycle)
+        self.step_alloc(cycle)
+
+    def step_front(self, cycle: int) -> None:
+        """Wake processing, link delivery and switch traversal.
+
         Timed wakes due this cycle are applied first, then the active
         list is frozen in router-creation (row-major) order — the same
         relative order the full sweep uses, which keeps cross-router
@@ -195,11 +208,17 @@ class Network:
                     router.deliver_due(cycle)
         for router in stepped:
             router.traverse(cycle)
+        self._stepped = stepped
+
+    def step_alloc(self, cycle: int) -> None:
+        """Allocation, quiescence sleep and end-of-cycle bookkeeping."""
+        stepped = self._stepped
         for router in stepped:
             router.allocate(cycle)
         if not self.full_sweep:
             # Ground-truth drain check after all phases: anything a
             # purge or refund changed mid-cycle is re-inspected here.
+            scheduler = self.stats.scheduler
             for router in stepped:
                 if router.quiescent():
                     router.active = False

@@ -19,12 +19,12 @@ coordinator once per phase:
   next allocate phase, reproducing the reference's same-cycle
   visibility order exactly (see the wave ordering in the harness).
 
-The cycle is split at the same point :meth:`Network.step` is phased:
+A tile calls the two halves of :meth:`Network.step` itself:
 ``step_front`` runs delivery + switch traversal (whose cross-tile
 effects have the 2-cycle lookahead), ``step_alloc`` runs allocation
 (whose cross-tile effects are ordered by the coordinator's tile DAG).
-Both halves together are line-for-line the reference ``step``, so a
-1x1-tiled run *is* the reference run.
+They are the reference's own methods, inherited, so a 1x1-tiled run
+*is* the reference run.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from repro.core.buffer import CREDIT_LATENCY
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
+from repro.core.runloop import live_packets
 from repro.core.simulator import Source
 from repro.core.types import CARDINALS, Direction, Flit, FlitType, NodeId, Packet
 from repro.routers.base import EJECT
@@ -102,9 +103,6 @@ class TileNetwork(Network):
         self.rect = rect
         self.ghosts: dict[NodeId, object] = {}
         super().__init__(config, full_sweep=full_sweep)
-        #: Routers stepped by the current cycle's front half, consumed
-        #: by the alloc half (the reference freezes this list once).
-        self._stepped: list = []
         #: Cumulative flits consumed at this tile's PEs (either phase),
         #: reported to the coordinator's conservation ledger.
         self.ejected_flits = 0
@@ -146,58 +144,6 @@ class TileNetwork(Network):
         self.ejected_flits += 1
         super().eject(flit, node, cycle, early)
 
-    # ------------------------------------------------------------------
-    # The reference step(), split at the traversal/allocation seam
-    # ------------------------------------------------------------------
-
-    def step_front(self, cycle: int) -> None:
-        """Wake processing, link delivery and switch traversal."""
-        self.cycle = cycle
-        if self.full_sweep:
-            stepped = self._router_list
-        else:
-            due = self._wake_queue.pop(cycle, None)
-            if due is not None:
-                for router, input_dir in due:
-                    if router._deliver_due != cycle:
-                        router._deliver_due = cycle
-                        router._due_dirs = [input_dir]
-                    else:
-                        router._due_dirs.append(input_dir)
-                    router.wake()
-            stepped = [r for r in self._router_list if r.active]
-        scheduler = self.stats.scheduler
-        scheduler.cycles += 1
-        scheduler.router_steps += len(stepped)
-        scheduler.router_slots += len(self._router_list)
-        if self.full_sweep:
-            for router in stepped:
-                router.steps_taken += 1
-                router.deliver_incoming(cycle)
-        else:
-            for router in stepped:
-                router.steps_taken += 1
-                if router._deliver_due == cycle:
-                    router.deliver_due(cycle)
-        for router in stepped:
-            router.traverse(cycle)
-        self._stepped = stepped
-
-    def step_alloc(self, cycle: int) -> None:
-        """Allocation, quiescence sleep and end-of-cycle bookkeeping."""
-        stepped = self._stepped
-        for router in stepped:
-            router.allocate(cycle)
-        if not self.full_sweep:
-            scheduler = self.stats.scheduler
-            for router in stepped:
-                if router.quiescent():
-                    router.active = False
-                    scheduler.sleeps += 1
-        if self.on_cycle_stepped is not None:
-            self.on_cycle_stepped(cycle, stepped)
-        self.stats.tick()
-
 
 class _MirrorBinding:
     """One cut-adjacent VC and its synchronization bookkeeping."""
@@ -218,7 +164,8 @@ class _MirrorBinding:
         self._release_sent = 0
 
 
-def _box(out: dict, peer: int) -> dict:
+def delta_box(out: dict, peer: int) -> dict:
+    """The message box for tile ``peer`` within delta ``out``."""
     inbox = out.get(peer)
     if inbox is None:
         inbox = {"flits": [], "owner": [], "reserve": [], "release": []}
@@ -423,10 +370,10 @@ class TileSimulator:
                     f"{cycle} (fault-only transition)"
                 )
             if reserved:
-                _box(out, binding.peer)["reserve"].append((binding.addr, reserved))
+                delta_box(out, binding.peer)["reserve"].append((binding.addr, reserved))
             owner = vc.owner_pid
             if owner != binding._owner_snap:
-                _box(out, binding.peer)["owner"].append((binding.addr, owner))
+                delta_box(out, binding.peer)["owner"].append((binding.addr, owner))
             if binding.authoritative:
                 self._harvest_releases(binding, cycle, out)
 
@@ -447,7 +394,7 @@ class TileSimulator:
         fresh = total - binding._release_sent
         if fresh:
             binding._release_sent = total
-            _box(out, binding.peer)["release"].append(
+            delta_box(out, binding.peer)["release"].append(
                 (binding.addr, maturity, fresh)
             )
 
@@ -463,7 +410,7 @@ class TileSimulator:
                 else:
                     encoded_hint = self._addr_of[id(hint)]
                 lookahead = flit.lookahead_route
-                _box(out, peer)["flits"].append((
+                delta_box(out, peer)["flits"].append((
                     packet.pid,
                     flit.seq,
                     int(flit.ftype),
@@ -602,79 +549,17 @@ class TileSimulator:
         }
 
     def survivors(self, end_cycle: int) -> list[tuple]:
-        """(pid, measured, created_cycle, node) for every live packet.
+        """``(pid, measured, created_cycle, x, y)`` per live packet.
 
-        Scans the same places the reference's ``_drop_survivors`` does
-        (source queues, then router VC queues in row-major order); the
-        coordinator dedupes across tiles by pid.
+        This tile's stretch of the reference walk (:func:`live_packets`).
+        A worm can straddle a cut and be met on both sides: the
+        coordinator dedupes by pid where it counts drops.
         """
-        found: list[tuple] = []
-        seen: set[int] = set()
-        for node, source in self.sources.items():
-            for packet in source.queue:
-                if packet.pid not in seen:
-                    seen.add(packet.pid)
-                    found.append((packet.pid, packet.measured,
-                                  packet.created_cycle, node.x, node.y))
-            if source.current:
-                packet = source.current[0].packet
-                if packet.pid not in seen:
-                    seen.add(packet.pid)
-                    found.append((packet.pid, packet.measured,
-                                  packet.created_cycle, node.x, node.y))
-        for node, router in self.network.routers.items():
-            for vc in router.all_vcs():
-                for flit in vc.queue:
-                    packet = flit.packet
-                    if packet.pid not in seen:
-                        seen.add(packet.pid)
-                        found.append((packet.pid, packet.measured,
-                                      packet.created_cycle, node.x, node.y))
-        return found
+        return [
+            (packet.pid, packet.measured, packet.created_cycle, node.x, node.y)
+            for node, packet in live_packets(self.sources, self.network.routers)
+        ]
 
     def finish(self, end_cycle: int) -> dict:
-        """Final per-tile payload: stats fields + survivor census."""
-        stats = self.network.stats
-        activity = stats.activity
-        contention = stats.contention
-        scheduler = stats.scheduler
-        return {
-            "tile": self.tile_index,
-            "survivors": self.survivors(end_cycle),
-            "latencies": list(stats.latencies),
-            "hops": list(stats.hops),
-            "injected": stats.injected_packets,
-            "delivered": stats.delivered_packets,
-            "dropped": stats.dropped_packets,
-            "delivered_flits": stats.delivered_flits,
-            "total_delivered": stats.total_delivered,
-            "total_dropped": stats.total_dropped,
-            "drops_by_reason": {
-                reason.value: count
-                for reason, count in stats.drops_by_reason.items()
-            },
-            "measured_cycles": stats.measured_cycles,
-            "activity": {
-                "buffer_reads": activity.buffer_reads,
-                "buffer_writes": activity.buffer_writes,
-                "crossbar_traversals": activity.crossbar_traversals,
-                "sa_requests": activity.sa_requests,
-                "link_flits": activity.link_flits,
-                "va_requests": activity.va_requests,
-                "early_ejections": activity.early_ejections,
-            },
-            "contention": {
-                "row_requests": contention.row_requests,
-                "row_contended": contention.row_contended,
-                "column_requests": contention.column_requests,
-                "column_contended": contention.column_contended,
-            },
-            "scheduler": {
-                "cycles": scheduler.cycles,
-                "router_steps": scheduler.router_steps,
-                "router_slots": scheduler.router_slots,
-                "wakeups": scheduler.wakeups,
-                "sleeps": scheduler.sleeps,
-                "full_sweep": scheduler.full_sweep,
-            },
-        }
+        """Final per-tile payload: the stats collector + survivor walk."""
+        return {"survivors": self.survivors(end_cycle), "stats": self.network.stats}

@@ -16,13 +16,20 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
+from repro.core.runloop import (  # noqa: F401  (errors re-exported)
+    DeadlockError,
+    DrainTimeoutError,
+    StrandedCensus,
+    drive,
+    live_packets,
+    packet_draws,
+)
 from repro.core.statistics import SchedulerCounters, StatsCollector
 from repro.core.types import (
     DropReason,
     Flit,
     NodeId,
     Packet,
-    RoutingMode,
     make_packet_flits,
 )
 from repro.energy.model import EnergyModel, EnergyReport
@@ -31,54 +38,7 @@ from repro.faults.runtime import RuntimeFaultEngine
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.latency import LatencySummary
 from repro.metrics.pef import pef
-from repro.routing.xyyx import choose_variant
 from repro.traffic import TrafficPattern, make_traffic
-
-
-class DeadlockError(RuntimeError):
-    """Raised when a fault-free network stops making progress entirely."""
-
-
-@dataclass
-class StrandedCensus:
-    """Snapshot of outstanding traffic when a run fails to drain.
-
-    ``per_node`` counts outstanding packets by the node holding them
-    (source queue or buffered flits); ``dead_modules`` maps faulted nodes
-    to their dead granularity (module names, or ``("node",)`` for a
-    whole-router kill); ``unreachable`` counts stranded packets whose
-    destination the reachability pass says cannot be reached any more.
-    """
-
-    outstanding: int
-    per_node: dict[NodeId, int]
-    oldest_age: int
-    dead_modules: dict[NodeId, tuple[str, ...]]
-    unreachable: int
-
-    def describe(self) -> str:
-        hottest = sorted(self.per_node.items(), key=lambda kv: -kv[1])[:5]
-        spots = ", ".join(f"{node}:{count}" for node, count in hottest)
-        dead = ", ".join(
-            f"{node}[{'+'.join(parts)}]"
-            for node, parts in sorted(
-                self.dead_modules.items(), key=lambda kv: (kv[0].y, kv[0].x)
-            )
-        )
-        return (
-            f"{self.outstanding} packets outstanding "
-            f"(oldest {self.oldest_age} cycles, {self.unreachable} unreachable); "
-            f"hottest nodes: {spots or 'none'}; "
-            f"dead: {dead or 'none'}"
-        )
-
-
-class DrainTimeoutError(DeadlockError):
-    """No-progress drain timeout, with a census of the stranded traffic."""
-
-    def __init__(self, message: str, census: StrandedCensus) -> None:
-        super().__init__(f"{message}: {census.describe()}")
-        self.census = census
 
 
 class Source:
@@ -196,6 +156,51 @@ class SimulationResult:
     #: runs; like ``scheduler``, excluded from the exported record.
     tile_scheduler: list = field(default_factory=list)
 
+    @staticmethod
+    def from_stats(
+        config: SimulationConfig,
+        stats: StatsCollector,
+        *,
+        cycles: int,
+        generated: int,
+        faults: list[ComponentFault] = (),
+        tile_scheduler: list = (),
+    ) -> "SimulationResult":
+        """The result of a finished run: every engine's last call, so
+        energy, percentiles and the drop table are derived one way."""
+        model = EnergyModel(config.router, config.num_nodes)
+        energy = model.report(
+            stats.activity, stats.measured_cycles, stats.delivered_packets
+        )
+        return SimulationResult(
+            config=config,
+            average_latency=stats.average_latency,
+            latency=LatencySummary.from_samples(stats.latencies),
+            average_hops=stats.average_hops,
+            injected_packets=stats.injected_packets,
+            delivered_packets=stats.delivered_packets,
+            dropped_packets=stats.dropped_packets,
+            completion_probability=stats.completion_probability,
+            throughput=stats.throughput_flits_per_node_cycle,
+            cycles=cycles,
+            energy=energy,
+            contention_row=stats.contention.row_probability,
+            contention_column=stats.contention.column_probability,
+            contention_overall=stats.contention.overall_probability,
+            faults=list(faults),
+            scheduler=stats.scheduler,
+            generated_packets=generated,
+            total_delivered=stats.total_delivered,
+            total_dropped=stats.total_dropped,
+            drops_by_reason={
+                reason.value: count
+                for reason, count in sorted(
+                    stats.drops_by_reason.items(), key=lambda kv: kv[0].value
+                )
+            },
+            tile_scheduler=list(tile_scheduler),
+        )
+
     @property
     def conserved(self) -> bool:
         """Delivered + dropped(reason) == generated (nothing leaked)."""
@@ -273,11 +278,16 @@ class Simulator:
         else:
             self._packet_registry = None
             self._fault_engine = None
-        self._refresh_gen_sources()
+        #: Nodes able to inject, in node order; read by the draw
+        #: generator every cycle, so refreshed in place.
+        self._gen_nodes: list[NodeId] = []
+        self._refresh_gen_nodes()
+        self._draws = packet_draws(
+            config, self.traffic, self.rng, self._gen_nodes, self._variant_health
+        )
         self._source_list = list(self.sources.values())
         self._generated = 0
         self._outstanding = 0
-        self._next_pid = 0
         #: External observers (instrumentation probes) notified on
         #: packet completion events; see repro.instrumentation.
         self.delivery_listeners: list = []
@@ -305,7 +315,17 @@ class Simulator:
         """Packets created but not yet delivered or dropped."""
         return self._outstanding
 
-    def _refresh_gen_sources(self) -> None:
+    @property
+    def moves(self) -> int:
+        """Flit movements so far (the no-progress watchdog's signal)."""
+        activity = self.network.stats.activity
+        return activity.crossbar_traversals + activity.buffer_writes
+
+    @property
+    def has_faults(self) -> bool:
+        return self.network.has_faults
+
+    def _refresh_gen_nodes(self) -> None:
         """(Re)compute the nodes able to inject, in node order.
 
         Without a runtime schedule fault state is permanent once applied,
@@ -313,13 +333,34 @@ class Simulator:
         it again after every event batch, keeping the rng-draw sequence
         identical to filtering inline each cycle.
         """
-        self._gen_sources = [
-            (node, source)
+        self._gen_nodes[:] = [
+            node
             for node, source in self.sources.items()
             if source.router.accepting_any_injection()
         ]
 
+    def _variant_health(self):
+        """Node-health predicate for XY-YX variant choice, if faulty."""
+        return self.network.node_blocked if self.network.has_faults else None
+
     # ------------------------------------------------------------------
+
+    def step(self, cycle: int) -> None:
+        """One whole cycle: fault events, generation, injection, network.
+
+        Step cycles consecutively from 0: generation follows the draw
+        generator's own clock (:meth:`_generate` checks).
+        """
+        if self._pending_events or self._expiries:
+            self._process_fault_events(cycle)
+        if self._generated < self.config.total_packets:
+            self._generate(cycle)
+        for source in self._source_list:
+            # Inlined idle filter: inject() on a source with nothing
+            # queued and no worm in flight is a no-op.
+            if source.queue or source.current:
+                source.inject(self.network, cycle)
+        self.network.step(cycle)
 
     def run(self, progress=None, progress_every: int = 5000) -> SimulationResult:
         """Simulate to completion and return the result record.
@@ -330,49 +371,19 @@ class Simulator:
         *post-step* values: they reflect generation, injection, delivery
         and drops up to and including ``cycle``.
         """
-        config = self.config
-        total_packets = config.total_packets  # a derived property
-        stats = self.network.stats
         if self.audit is not None:
             self.audit.attach()
-        last_progress_cycle = 0
-        last_signature = (-1, -1)
-        cycle = 0
-        for cycle in range(config.max_cycles):
-            if self._pending_events or self._expiries:
-                self._process_fault_events(cycle)
-            if self._generated < total_packets:
-                self._generate(cycle)
-            for source in self._source_list:
-                # Inlined idle filter: inject() on a source with nothing
-                # queued and no worm in flight is a no-op.
-                if source.queue or source.current:
-                    source.inject(self.network, cycle)
-            self.network.step(cycle)
-            if progress is not None and cycle and cycle % progress_every == 0:
-                progress(cycle, self._generated, self._outstanding)
-
-            signature = (
-                stats.activity.crossbar_traversals + stats.activity.buffer_writes,
-                self._outstanding,
-            )
-            if signature != last_signature:
-                last_signature = signature
-                last_progress_cycle = cycle
-            if self._generated >= total_packets and self._outstanding == 0:
-                break
-            if cycle - last_progress_cycle > config.drain_timeout:
-                if self.network.has_faults:
-                    break  # The paper's inactivity termination rule.
-                raise DrainTimeoutError(
-                    f"no progress for {config.drain_timeout} cycles at cycle "
-                    f"{cycle}",
-                    self.stranded_census(cycle),
-                )
+        cycle = drive(self, progress, progress_every)
         self._drop_survivors(cycle)
         if self.audit is not None:
             self.audit.final_check(cycle)
-        return self._build_result(cycle + 1)
+        return SimulationResult.from_stats(
+            self.config,
+            self.network.stats,
+            cycles=cycle + 1,
+            generated=self._generated,
+            faults=self.faults,
+        )
 
     # ------------------------------------------------------------------
     # Runtime fault campaign
@@ -403,40 +414,19 @@ class Simulator:
                 )
             touched = True
         if touched:
-            self._refresh_gen_sources()
+            self._refresh_gen_nodes()
+
+    def _stranded(self, node: NodeId, packet: Packet) -> bool:
+        """Whether no live routing path from ``node`` to the packet's
+        destination remains (always False on a healthy mesh)."""
+        network = self.network
+        return network.has_faults and not network.reachability.reachable(
+            node, packet.dest, packet.yx_first
+        )
 
     def stranded_census(self, cycle: int) -> StrandedCensus:
         """Census of outstanding traffic (drain-timeout diagnostics)."""
-        per_node: dict[NodeId, int] = {}
-        oldest: int | None = None
-        unreachable = 0
-        reach = self.network.reachability if self.network.has_faults else None
-
-        def tally(node: NodeId, packet: Packet) -> None:
-            nonlocal oldest, unreachable
-            per_node[node] = per_node.get(node, 0) + 1
-            age = cycle - packet.created_cycle
-            if oldest is None or age > oldest:
-                oldest = age
-            if reach is not None and not reach.reachable(
-                node, packet.dest, packet.yx_first
-            ):
-                unreachable += 1
-
-        for node, source in self.sources.items():
-            for packet in source.queue:
-                tally(node, packet)
-            if source.current:
-                tally(node, source.current[0].packet)
-        counted: set[int] = set()
-        for node, router in self.network.routers.items():
-            for vc in router.all_vcs():
-                for flit in vc.queue:
-                    packet = flit.packet
-                    if packet.pid in counted or packet.dropped_cycle is not None:
-                        continue
-                    counted.add(packet.pid)
-                    tally(node, packet)
+        held = list(live_packets(self.sources, self.network.routers))
         dead_modules: dict[NodeId, tuple[str, ...]] = {}
         for node, router in self.network.routers.items():
             if router.dead:
@@ -447,48 +437,34 @@ class Simulator:
                 dead = tuple(name for name, m in modules.items() if m.dead)
                 if dead:
                     dead_modules[node] = dead
-        return StrandedCensus(
-            outstanding=self._outstanding,
-            per_node=per_node,
-            oldest_age=oldest if oldest is not None else 0,
-            dead_modules=dead_modules,
-            unreachable=unreachable,
+        return StrandedCensus.of(
+            self._outstanding,
+            cycle,
+            [(node, packet.created_cycle) for node, packet in held],
+            dead_modules,
+            sum(self._stranded(node, packet) for node, packet in held),
         )
 
     # ------------------------------------------------------------------
 
     def _generate(self, cycle: int) -> None:
-        total = self.config.total_packets  # derived: read once, not per node
-        arrivals = self.traffic.arrivals
-        for node, source in self._gen_sources:
-            if self._generated >= total:
-                return
-            for _ in range(arrivals(node, cycle)):
-                source.queue.append(self._create_packet(node, cycle))
-                if self._generated >= total:
-                    return
-
-    def _create_packet(self, src: NodeId, cycle: int) -> Packet:
-        dest = self.traffic.destination(src)
-        if self._generated == self.config.warmup_packets:
-            self.network.stats.start_measurement(cycle)
-        packet = Packet(
-            pid=self._next_pid,
-            src=src,
-            dest=dest,
-            size=self.config.flits_per_packet,
-            created_cycle=cycle,
-        )
-        self._next_pid += 1
-        self._generated += 1
-        self._outstanding += 1
-        if self._packet_registry is not None:
-            self._packet_registry[packet.pid] = packet
-        packet.measured = self.network.stats.packet_created(packet)
-        if self.config.routing is RoutingMode.XY_YX:
-            blocked = self.network.node_blocked if self.network.has_faults else None
-            packet.yx_first = choose_variant(src, dest, self.rng, blocked)
-        return packet
+        """Queue this cycle's drawn packets at their sources."""
+        drawn_cycle, packets = next(self._draws, (None, ()))
+        if drawn_cycle != cycle:
+            raise ValueError(
+                f"step({cycle}) out of order: traffic generation is at cycle "
+                f"{drawn_cycle} (cycles must be stepped consecutively from 0)"
+            )
+        stats = self.network.stats
+        for packet in packets:
+            if packet.measured and not stats.measuring:
+                stats.start_measurement(cycle)
+            packet.measured = stats.packet_created(packet)
+            if self._packet_registry is not None:
+                self._packet_registry[packet.pid] = packet
+            self.sources[packet.src].queue.append(packet)
+        self._generated += len(packets)
+        self._outstanding += len(packets)
 
     def _on_packet_done(self, packet: Packet) -> None:
         self._outstanding -= 1
@@ -515,72 +491,24 @@ class Simulator:
         """
         if self._outstanding == 0:
             return
-        reach = self.network.reachability if self.network.has_faults else None
-
-        def reason_for(node: NodeId, packet: Packet) -> DropReason:
-            if reach is not None and not reach.reachable(
-                node, packet.dest, packet.yx_first
-            ):
-                return DropReason.UNREACHABLE
-            return DropReason.UNDELIVERED
-
-        for node, source in self.sources.items():
-            for packet in list(source.queue):
-                self.network.drop_packet(packet, cycle, reason_for(node, packet))
+        routers = self.network.routers
+        for node, packet in live_packets(self.sources, routers):
+            stranded = self._stranded(node, packet)
+            self.network.drop_packet(
+                packet,
+                cycle,
+                DropReason.UNREACHABLE if stranded else DropReason.UNDELIVERED,
+            )
+        for source in self._source_list:
             source.queue.clear()
-            if source.current:
-                packet = source.current[0].packet
-                self.network.drop_packet(packet, cycle, reason_for(node, packet))
-                source.current = None
-                source.vc = None
-        # Anything still threaded through the network.
-        for node, router in self.network.routers.items():
+            source.current = None
+            source.vc = None
+        # Late flits of packets dropped mid-run can still sit in a queue.
+        for router in routers.values():
             for vc in router.all_vcs():
                 while vc.queue:
-                    flit = vc.queue[0]
-                    if flit.packet.dropped_cycle is None:
-                        self.network.drop_packet(
-                            flit.packet, cycle, reason_for(node, flit.packet)
-                        )
-                    else:
-                        vc.discard_front()
+                    vc.discard_front()
         self._outstanding = 0
-
-    # ------------------------------------------------------------------
-
-    def _build_result(self, cycles: int) -> SimulationResult:
-        stats = self.network.stats
-        model = EnergyModel(self.config.router, self.config.num_nodes)
-        energy = model.report(
-            stats.activity, stats.measured_cycles, stats.delivered_packets
-        )
-        return SimulationResult(
-            config=self.config,
-            average_latency=stats.average_latency,
-            latency=LatencySummary.from_samples(stats.latencies),
-            average_hops=stats.average_hops,
-            injected_packets=stats.injected_packets,
-            delivered_packets=stats.delivered_packets,
-            dropped_packets=stats.dropped_packets,
-            completion_probability=stats.completion_probability,
-            throughput=stats.throughput_flits_per_node_cycle,
-            cycles=cycles,
-            energy=energy,
-            contention_row=stats.contention.row_probability,
-            contention_column=stats.contention.column_probability,
-            contention_overall=stats.contention.overall_probability,
-            faults=self.faults,
-            scheduler=stats.scheduler,
-            generated_packets=self._generated,
-            total_delivered=stats.total_delivered,
-            total_dropped=stats.total_dropped,
-            drops_by_reason={
-                reason.value: count
-                for reason, count in sorted(
-                    stats.drops_by_reason.items(), key=lambda kv: kv[0].value
-                )
-            },
-        )
 
 
 def run_simulation(

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 
 from repro.core.config import SimulationConfig
+from repro.core.runloop import drive
 from repro.core.soa.errors import ensure_supported
 from repro.core.soa.layout import EJECT_CODE, LOCAL, NONE_CODE, build_layout
 from repro.core.statistics import (
@@ -37,8 +38,6 @@ from repro.core.statistics import (
     StatsCollector,
 )
 from repro.core.types import DropReason, RoutingMode
-from repro.energy.model import EnergyModel
-from repro.metrics.latency import LatencySummary
 from repro.routing.xyyx import choose_variant
 from repro.traffic import TrafficPattern, make_traffic
 
@@ -1126,113 +1125,87 @@ class SoASimulator:
         self._request_vc_alloc(n, s, od, fid, va_requests, cycle)
 
     # ------------------------------------------------------------------
-    # Run loop (Simulator.run)
+    # Cycle body and run (Simulator.step / Simulator.run)
     # ------------------------------------------------------------------
 
+    #: The SoA envelope is fault-free, so a drain timeout is always the
+    #: hard failure path (never the paper's inactivity rule).
+    has_faults = False
+
+    @property
+    def moves(self) -> int:
+        return self.xb + self.bw
+
+    def step(self, cycle: int) -> None:
+        if self.generated < self.config.total_packets:
+            self._generate(cycle)
+        if self.src_busy:
+            # Idle sources are strict no-ops in ``Source.inject``;
+            # busy ones must run in node order.
+            for n in sorted(self.src_busy):
+                self._inject(n, cycle)
+        self._net_step(cycle)
+
     def run(self, progress=None, progress_every: int = 5000) -> SimulationResult:
-        config = self.config
-        total = config.total_packets
-        drain_timeout = config.drain_timeout
-        last_signature = (-1, -1)
-        last_progress_cycle = 0
-        cycle = 0
-        src_busy = self.src_busy
-        for cycle in range(config.max_cycles):
-            if self.generated < total:
-                self._generate(cycle)
-            if src_busy:
-                # Idle sources are strict no-ops in ``Source.inject``;
-                # busy ones must run in node order.
-                for n in sorted(src_busy):
-                    self._inject(n, cycle)
-            self._net_step(cycle)
-            if progress is not None and cycle and cycle % progress_every == 0:
-                progress(cycle, self.generated, self.outstanding)
-            signature = (self.xb + self.bw, self.outstanding)
-            if signature != last_signature:
-                last_signature = signature
-                last_progress_cycle = cycle
-            if self.generated >= total and self.outstanding == 0:
-                break
-            if cycle - last_progress_cycle > drain_timeout:
-                # The SoA envelope is fault-free, so this is always the
-                # hard failure path (never the paper's inactivity rule).
-                raise DrainTimeoutError(
-                    f"no progress for {drain_timeout} cycles at cycle {cycle}",
-                    self.stranded_census(cycle),
-                )
+        cycle = drive(self, progress, progress_every)
         self._drop_survivors(cycle)
-        return self._build_result(cycle + 1)
+        return SimulationResult.from_stats(
+            self.config,
+            self._stats(),
+            cycles=cycle + 1,
+            generated=self.generated,
+            faults=self.faults,
+        )
 
-    def stranded_census(self, cycle: int) -> StrandedCensus:
-        """``Simulator.stranded_census`` on array state (fault-free)."""
-        nodes = self.layout.nodes
-        per_node: dict = {}
-        oldest: int | None = None
-
-        def tally(n: int, pid: int) -> None:
-            nonlocal oldest
-            node = nodes[n]
-            per_node[node] = per_node.get(node, 0) + 1
-            age = cycle - self.p_created[pid]
-            if oldest is None or age > oldest:
-                oldest = age
-
+    def _held(self):
+        """``runloop.live_packets`` on array state: ``(n, pid)`` pairs."""
+        F = self.F
         for n in range(self.N):
             for pid in self.s_queue[n]:
-                tally(n, pid)
+                yield n, pid
             if self.s_cur[n] != NONE_CODE:
-                tally(n, self.s_cur[n] // self.F)
+                yield n, self.s_cur[n] // F
         counted: set[int] = set()
         for n in range(self.N):
             for s in self.layout.router_slots[n]:
                 for fid in self.q[s]:
-                    pid = fid // self.F
-                    if pid in counted or self.p_dropped[pid] != NONE_CODE:
-                        continue
-                    counted.add(pid)
-                    tally(n, pid)
-        return StrandedCensus(
-            outstanding=self.outstanding,
-            per_node=per_node,
-            oldest_age=oldest if oldest is not None else 0,
-            dead_modules={},
-            unreachable=0,
+                    pid = fid // F
+                    if pid not in counted and self.p_dropped[pid] == NONE_CODE:
+                        counted.add(pid)
+                        yield n, pid
+
+    def stranded_census(self, cycle: int) -> StrandedCensus:
+        """``Simulator.stranded_census`` on array state (fault-free)."""
+        nodes = self.layout.nodes
+        return StrandedCensus.of(
+            self.outstanding,
+            cycle,
+            [(nodes[n], self.p_created[pid]) for n, pid in self._held()],
         )
 
     def _drop_survivors(self, cycle: int) -> None:
         """``Simulator._drop_survivors`` (fault-free: all UNDELIVERED)."""
         if self.outstanding == 0:
             return
-
-        def drop(pid: int) -> None:
+        reason = DropReason.UNDELIVERED
+        for _n, pid in self._held():
             if self.p_dropped[pid] != NONE_CODE or self.p_delivered[pid] != NONE_CODE:
-                return
+                continue
             self.p_dropped[pid] = cycle
             self.total_dropped += 1
-            reason = DropReason.UNDELIVERED
             self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
             if self.p_meas[pid]:
                 self.dropped_packets += 1
-
-        for n in range(self.N):
-            for pid in self.s_queue[n]:
-                drop(pid)
-            self.s_queue[n] = []
-            if self.s_cur[n] != NONE_CODE:
-                drop(self.s_cur[n] // self.F)
-                self.s_cur[n] = NONE_CODE
-                self.s_vc[n] = NONE_CODE
-        for s in range(self.S):
-            for fid in self.q[s]:
-                drop(fid // self.F)
-            self.q[s] = []
+        self.s_queue = [[] for _ in range(self.N)]
+        self.s_cur = [NONE_CODE] * self.N
+        self.s_vc = [NONE_CODE] * self.N
+        self.q = [[] for _ in range(self.S)]
         self.occ_mask = [0] * self.N
         self.src_busy.clear()
         self.outstanding = 0
 
     # ------------------------------------------------------------------
-    # Result assembly (Simulator._build_result)
+    # Result assembly (the input of SimulationResult.from_stats)
     # ------------------------------------------------------------------
 
     def _stats(self) -> StatsCollector:
@@ -1274,40 +1247,6 @@ class SoASimulator:
             full_sweep=self.full_sweep,
         )
         return stats
-
-    def _build_result(self, cycles: int) -> SimulationResult:
-        stats = self._stats()
-        model = EnergyModel(self.config.router, self.config.num_nodes)
-        energy = model.report(
-            stats.activity, stats.measured_cycles, stats.delivered_packets
-        )
-        return SimulationResult(
-            config=self.config,
-            average_latency=stats.average_latency,
-            latency=LatencySummary.from_samples(stats.latencies),
-            average_hops=stats.average_hops,
-            injected_packets=stats.injected_packets,
-            delivered_packets=stats.delivered_packets,
-            dropped_packets=stats.dropped_packets,
-            completion_probability=stats.completion_probability,
-            throughput=stats.throughput_flits_per_node_cycle,
-            cycles=cycles,
-            energy=energy,
-            contention_row=stats.contention.row_probability,
-            contention_column=stats.contention.column_probability,
-            contention_overall=stats.contention.overall_probability,
-            faults=self.faults,
-            scheduler=stats.scheduler,
-            generated_packets=self.generated,
-            total_delivered=stats.total_delivered,
-            total_dropped=stats.total_dropped,
-            drops_by_reason={
-                reason.value: count
-                for reason, count in sorted(
-                    stats.drops_by_reason.items(), key=lambda kv: kv[0].value
-                )
-            },
-        )
 
 
 def run_soa_simulation(

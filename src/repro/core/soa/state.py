@@ -40,10 +40,11 @@ Canonicalisation rules (what "the same state" means):
   the order is total because inter-router links are single-lane (at
   most one flit per link per arrival cycle).
 * **RNG** — deliberately *not* captured.  A decoded simulator carries a
-  fresh ``random.Random(config.seed)``; stepping it through phases that
-  draw (generation, XY-YX variant choice) diverges from the donor run.
-  Network stepping (:meth:`Network.step` / ``_net_step``) draws
-  nothing, which is exactly the scope of the commute guarantee.
+  fresh ``random.Random(config.seed)`` and a draw generator still at
+  cycle 0, so it cannot replay the donor's generation (``sim.step``
+  refuses to generate out of order).  Network stepping
+  (:meth:`Network.step` / ``_net_step``) draws nothing, which is
+  exactly the scope of the commute guarantee.
 """
 
 from __future__ import annotations
@@ -581,7 +582,6 @@ def decode_state(state: SoAState, config) -> Simulator:
     # Scalars.
     network.cycle = state.cycle
     sim._generated = state.generated
-    sim._next_pid = state.generated
     sim._outstanding = state.outstanding
     network.stats.total_delivered = state.total_delivered
     network.stats.total_dropped = state.total_dropped
@@ -630,31 +630,14 @@ def state_diff(a: SoAState, b: SoAState) -> list[str]:
 
 
 def run_cycles(sim, cycles: int, start: int = 0) -> int:
-    """Advance either backend's run-loop body for ``cycles`` cycles.
+    """Advance either backend by ``cycles`` whole cycles.
 
-    Replays exactly what ``run()`` does per cycle — generation,
-    injection, one network step — without the termination/progress
-    machinery, so tests can stop a run mid-flight and hand the state to
-    :func:`encode_state`.  Returns the next cycle index (pass it back
-    as ``start`` to continue).
+    Calls the engine's own ``step`` — what ``run()`` does per cycle —
+    without the termination/progress machinery, so tests can stop a run
+    mid-flight and hand the state to :func:`encode_state`.  Returns the
+    next cycle index (pass it back as ``start`` to continue).
     """
     end = start + cycles
-    if isinstance(sim, SoASimulator):
-        total = sim.config.total_packets
-        for cycle in range(start, end):
-            if sim.generated < total:
-                sim._generate(cycle)
-            if sim.src_busy:
-                for n in sorted(sim.src_busy):
-                    sim._inject(n, cycle)
-            sim._net_step(cycle)
-    else:
-        total = sim.config.total_packets
-        for cycle in range(start, end):
-            if sim._generated < total:
-                sim._generate(cycle)
-            for source in sim._source_list:
-                if source.queue or source.current:
-                    source.inject(sim.network, cycle)
-            sim.network.step(cycle)
+    for cycle in range(start, end):
+        sim.step(cycle)
     return end

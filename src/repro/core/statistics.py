@@ -8,7 +8,7 @@ the energy model run over the measurement window of cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 from repro.core.types import DropReason, Packet
 
@@ -32,15 +32,9 @@ class ActivityCounters:
     early_ejections: int = 0
 
     def merged(self, other: "ActivityCounters") -> "ActivityCounters":
-        return ActivityCounters(
-            buffer_writes=self.buffer_writes + other.buffer_writes,
-            buffer_reads=self.buffer_reads + other.buffer_reads,
-            crossbar_traversals=self.crossbar_traversals + other.crossbar_traversals,
-            va_requests=self.va_requests + other.va_requests,
-            sa_requests=self.sa_requests + other.sa_requests,
-            link_flits=self.link_flits + other.link_flits,
-            early_ejections=self.early_ejections + other.early_ejections,
-        )
+        total = replace(self)
+        _add_fields(total, other)
+        return total
 
 
 @dataclass
@@ -110,6 +104,23 @@ class ContentionCounters:
         return (self.row_contended + self.column_contended) / total
 
 
+def _add_fields(into, other) -> None:
+    """Add every field of counter dataclass ``other`` onto ``into``."""
+    for f in fields(into):
+        setattr(into, f.name, getattr(into, f.name) + getattr(other, f.name))
+
+
+#: StatsCollector's plain event counters (summed by ``merge``).
+_EVENT_COUNTERS = (
+    "injected_packets",
+    "delivered_packets",
+    "dropped_packets",
+    "delivered_flits",
+    "total_delivered",
+    "total_dropped",
+)
+
+
 class StatsCollector:
     """Aggregates everything a run reports.
 
@@ -138,6 +149,37 @@ class StatsCollector:
         self.contention = ContentionCounters()
         self.scheduler = SchedulerCounters()
         self.measured_cycles = 0
+
+    @classmethod
+    def merge(cls, parts: "list[StatsCollector]") -> "StatsCollector":
+        """One collector for a run whose events were split over ``parts``.
+
+        Each part (a tile of a sharded run) saw every cycle but only its
+        own share of the events: event counters are summed and samples
+        concatenated in part order; what every part counted for itself
+        (``measured_cycles``, scheduler ``cycles``) is taken as a max.
+        """
+        merged = cls(num_nodes=parts[0].num_nodes)
+        merged.measuring = any(part.measuring for part in parts)
+        merged.measure_start_cycle = min(
+            (p.measure_start_cycle for p in parts if p.measuring), default=None
+        )
+        merged.measured_cycles = max(part.measured_cycles for part in parts)
+        for part in parts:
+            merged.latencies.extend(part.latencies)
+            merged.hops.extend(part.hops)
+            for name in _EVENT_COUNTERS:
+                setattr(merged, name, getattr(merged, name) + getattr(part, name))
+            for reason, count in part.drops_by_reason.items():
+                merged.drops_by_reason[reason] = (
+                    merged.drops_by_reason.get(reason, 0) + count
+                )
+            merged.activity = merged.activity.merged(part.activity)
+            _add_fields(merged.contention, part.contention)
+            _add_fields(merged.scheduler, part.scheduler)
+        merged.scheduler.cycles = max(part.scheduler.cycles for part in parts)
+        merged.scheduler.full_sweep = parts[0].scheduler.full_sweep
+        return merged
 
     # -- phase control ----------------------------------------------------
 

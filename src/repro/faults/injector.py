@@ -21,6 +21,7 @@ from repro.core.config import RouterConfig
 from repro.core.network import Network
 from repro.core.types import NodeId
 from repro.faults.model import (
+    CLASSIFICATION,
     CRITICAL_FAULT_COMPONENTS,
     NONCRITICAL_FAULT_COMPONENTS,
     Component,
@@ -86,6 +87,28 @@ def random_faults(
     ]
 
 
+def fault_effect(router, fault: ComponentFault) -> tuple:
+    """Table 3, read once: what ``fault`` does to ``router``, as a key.
+
+    ``("node", node)`` — generic / Path-Sensitive operate unified, so
+    any component fault takes the node off-line.  For RoCo,
+    ``("module", node, module)`` when :data:`CLASSIFICATION` says the
+    component blocks its module; otherwise the component hardware
+    recycling absorbs: ``("rc" | "sa", node, module)`` or
+    ``("buffer", node, module, vc_position)``.  The key also names the
+    effect for the runtime engine's overlap reference counts.
+    """
+    modules = getattr(router, "modules", None)
+    if modules is None:
+        return ("node", fault.node)
+    if CLASSIFICATION[fault.component].blocks_roco_module:
+        return ("module", fault.node, fault.module)
+    key = (fault.component.value, fault.node, fault.module)
+    if fault.component is Component.BUFFER:
+        return (*key, fault.vc_position % len(modules[fault.module].all_vcs()))
+    return key
+
+
 def apply_faults(network: Network, faults: list[ComponentFault]) -> None:
     """Imprint ``faults`` onto the network's routers.
 
@@ -106,26 +129,22 @@ def apply_faults(network: Network, faults: list[ComponentFault]) -> None:
     network.has_faults = True
     for fault in faults:
         router = network.routers[fault.node]
-        modules = getattr(router, "modules", None)
-        if modules is None:
-            # Generic / Path-Sensitive: unified operation, node off-line.
+        effect = fault_effect(router, fault)
+        if effect[0] == "node":
             router.dead = True
             for vc in router.all_vcs():
                 vc.dead = True
             continue
-        module = modules[fault.module]
-        if fault.component in (Component.VA, Component.CROSSBAR, Component.MUX_DEMUX):
+        module = router.modules[fault.module]
+        if effect[0] == "module":
             module.dead = True
             for vc in module.all_vcs():
                 vc.dead = True
-        elif fault.component is Component.RC:
+        elif effect[0] == "rc":
             module.rc_faulty = True
-        elif fault.component is Component.SA:
+        elif effect[0] == "sa":
             module.sa_degraded = True
-        elif fault.component is Component.BUFFER:
-            vcs = module.all_vcs()
-            vc = vcs[fault.vc_position % len(vcs)]
+        else:  # buffer
+            vc = module.all_vcs()[effect[3]]
             vc.faulty = True
             vc.shrink_for_fault()
-        else:  # pragma: no cover - exhaustive over Component
-            raise ValueError(f"unhandled component {fault.component}")

@@ -35,8 +35,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.buffer import VirtualChannel
 from repro.core.types import Direction, DropReason, Packet
-from repro.faults.injector import ComponentFault
-from repro.faults.model import CRITICAL_FAULT_COMPONENTS, Component
+from repro.faults.injector import ComponentFault, fault_effect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.network import Network
@@ -65,73 +64,56 @@ class RuntimeFaultEngine:
         network = self.network
         network.has_faults = True
         router = network.routers[fault.node]
-        modules = getattr(router, "modules", None)
-        if modules is None:
-            # Generic / Path-Sensitive: any component kills the node.
-            if self._acquire(("node", fault.node)):
+        effect = fault_effect(router, fault)
+        first = self._acquire(effect)
+        if effect[0] == "node":
+            if first:
                 router.dead = True
                 self._kill_vcs(router.all_vcs(), cycle)
                 self._after_topology_change(fault.node, cycle)
-                return True
-            return False
-        module = modules[fault.module]
-        if fault.component in CRITICAL_FAULT_COMPONENTS:
-            if self._acquire(("module", fault.node, fault.module)):
+            return first
+        module = router.modules[fault.module]
+        if effect[0] == "module":
+            if first:
                 module.dead = True
                 self._kill_vcs(module.all_vcs(), cycle)
                 self._after_topology_change(fault.node, cycle)
-                return True
-            return False
-        if fault.component is Component.RC:
-            self._acquire(("rc", fault.node, fault.module))
+            return first
+        if effect[0] == "rc":
             module.rc_faulty = True
-        elif fault.component is Component.SA:
-            self._acquire(("sa", fault.node, fault.module))
+        elif effect[0] == "sa":
             module.sa_degraded = True
-        elif fault.component is Component.BUFFER:
-            vcs = module.all_vcs()
-            position = fault.vc_position % len(vcs)
-            if self._acquire(("buffer", fault.node, fault.module, position)):
-                self._shrink_vc(router, vcs[position], cycle)
-        else:  # pragma: no cover - exhaustive over Component
-            raise ValueError(f"unhandled component {fault.component}")
+        elif first:  # buffer
+            self._shrink_vc(router, module.all_vcs()[effect[3]], cycle)
         return False
 
     def clear(self, fault: ComponentFault, cycle: int) -> bool:
         """Heal a transient ``fault``; returns True when topology changed."""
-        network = self.network
-        router = network.routers[fault.node]
-        modules = getattr(router, "modules", None)
-        if modules is None:
-            if self._release(("node", fault.node)):
-                router.dead = False
-                for vc in router.all_vcs():
-                    vc.dead = False
-                self._after_topology_change(fault.node, cycle)
-                return True
-            return False
-        module = modules[fault.module]
-        if fault.component in CRITICAL_FAULT_COMPONENTS:
-            if self._release(("module", fault.node, fault.module)):
-                module.dead = False
-                for vc in module.all_vcs():
-                    vc.dead = False
-                self._after_topology_change(fault.node, cycle)
-                return True
-            return False
-        if fault.component is Component.RC:
-            if self._release(("rc", fault.node, fault.module)):
-                module.rc_faulty = False
-        elif fault.component is Component.SA:
-            if self._release(("sa", fault.node, fault.module)):
-                module.sa_degraded = False
-        elif fault.component is Component.BUFFER:
-            vcs = module.all_vcs()
-            position = fault.vc_position % len(vcs)
-            if self._release(("buffer", fault.node, fault.module, position)):
-                vc = vcs[position]
-                vc.faulty = False
-                vc.rebase_credits()
+        router = self.network.routers[fault.node]
+        effect = fault_effect(router, fault)
+        if not self._release(effect):
+            return False  # an overlapping fault still holds the effect
+        if effect[0] == "node":
+            router.dead = False
+            for vc in router.all_vcs():
+                vc.dead = False
+            self._after_topology_change(fault.node, cycle)
+            return True
+        module = router.modules[fault.module]
+        if effect[0] == "module":
+            module.dead = False
+            for vc in module.all_vcs():
+                vc.dead = False
+            self._after_topology_change(fault.node, cycle)
+            return True
+        if effect[0] == "rc":
+            module.rc_faulty = False
+        elif effect[0] == "sa":
+            module.sa_degraded = False
+        else:  # buffer
+            vc = module.all_vcs()[effect[3]]
+            vc.faulty = False
+            vc.rebase_credits()
         return False
 
     # ------------------------------------------------------------------

@@ -51,23 +51,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.core.config import SimulationConfig, parse_shards
-from repro.core.shard import TileRect, TileSimulator
-from repro.core.simulator import (
-    DrainTimeoutError,
-    SimulationResult,
-    Simulator,
-    StrandedCensus,
-)
+from repro.core.runloop import StrandedCensus, drive, packet_draws
+from repro.core.shard import TileRect, TileSimulator, delta_box
+from repro.core.simulator import SimulationResult, Simulator
 from repro.core.soa.errors import BackendUnsupportedError
-from repro.core.statistics import (
-    ActivityCounters,
-    SchedulerCounters,
-    StatsCollector,
-)
-from repro.core.types import DropReason, NodeId, RoutingMode
-from repro.energy.model import EnergyModel
-from repro.metrics.latency import LatencySummary
-from repro.routing.xyyx import choose_variant
+from repro.core.statistics import StatsCollector
+from repro.core.types import DropReason, NodeId
 from repro.traffic import make_traffic
 
 #: Router architectures the tile engine supports (the same pair the
@@ -225,15 +214,14 @@ class ShardPlan:
 
 
 def build_generation_schedule(config: SimulationConfig):
-    """Replay the reference generator's rng-draw order centrally.
+    """Run the reference generator's rng-draw order centrally.
 
     Returns ``(entries, measure_start_cycle)`` where each entry is
     ``(cycle, src_x, src_y, pid, dest_x, dest_y, yx_first, measured)``
-    in global creation (pid) order.  The draw order per packet —
-    arrivals, destination, then the XY-YX variant coin — and the
-    measurement flip (the ``warmup_packets``-th creation, itself
-    measured) are byte-for-byte the reference's
-    ``Simulator._generate`` / ``_create_packet`` path.
+    in global creation (pid) order.  The draws come from
+    :func:`~repro.core.runloop.packet_draws`, the generator the
+    reference ``Simulator`` consumes cycle by cycle, run here to
+    exhaustion over every node of the (fault-free) mesh.
     """
     rng = random.Random(config.seed)
     nodes = [
@@ -243,38 +231,16 @@ def build_generation_schedule(config: SimulationConfig):
     ]
     traffic = make_traffic(config.traffic)
     traffic.bind(config, rng, nodes)
-    arrivals = traffic.arrivals
-    destination = traffic.destination
-    use_yx = config.routing is RoutingMode.XY_YX
-    total = config.total_packets
-    warmup = config.warmup_packets
     entries: list[tuple] = []
     measure_start: int | None = None
-
-    def generate(cycle: int) -> None:
-        nonlocal measure_start
-        for node in nodes:
-            if len(entries) >= total:
-                return
-            for _ in range(arrivals(node, cycle)):
-                dest = destination(node)
-                if len(entries) == warmup:
-                    measure_start = cycle
-                measured = measure_start is not None
-                yx_first = (
-                    choose_variant(node, dest, rng, None) if use_yx else False
-                )
-                entries.append(
-                    (cycle, node.x, node.y, len(entries), dest.x, dest.y,
-                     yx_first, measured)
-                )
-                if len(entries) >= total:
-                    return
-
-    for cycle in range(config.max_cycles):
-        if len(entries) >= total:
-            break
-        generate(cycle)
+    for cycle, packets in packet_draws(config, traffic, rng, nodes):
+        for p in packets:
+            if p.measured and measure_start is None:
+                measure_start = cycle
+            entries.append(
+                (cycle, p.src.x, p.src.y, p.pid, p.dest.x, p.dest.y,
+                 p.yx_first, p.measured)
+            )
     return entries, measure_start
 
 
@@ -421,7 +387,9 @@ class _ProcessTile:
                 )
         try:
             message = self.conn.recv()
-        except EOFError:
+        except (EOFError, OSError):
+            # EOF: the worker closed its end.  OSError (connection
+            # reset): it died with our last message still unread.
             raise self._fail(
                 "ShardWorkerCrash",
                 f"tile {self.index} worker closed its pipe mid-protocol "
@@ -561,202 +529,119 @@ def run_sharded_simulation(
                 drivers.append(_InlineTile(index, payload))
             else:
                 drivers.append(_ProcessTile(index, payload, tile_timeout))
-        return _coordinate(
-            config, plan, drivers, entries, entry_cycles, measure_start,
-            ledger, chaos, progress, progress_every,
+        coordinator = _Coordinator(
+            config, plan, drivers, entry_cycles, ledger, chaos.drop_flit
         )
+        end_cycle = drive(coordinator, progress, progress_every)
+        finals = [driver.finish(end_cycle) for driver in drivers]
+        if ledger is not None:
+            ledger.final_check(
+                end_cycle,
+                coordinator.generated,
+                coordinator.audits,
+                drained=coordinator.outstanding == 0
+                and coordinator.generated >= config.total_packets,
+            )
+        return _merge_result(config, finals, coordinator.generated, end_cycle + 1)
     finally:
         for driver in drivers:
             driver.shutdown()
 
 
-def _route_delta(delta, pending, ledger, chaos, state) -> None:
-    """Merge one tile's outgoing delta into the per-tile inboxes."""
-    if not delta:
-        return
-    for peer, box in delta.items():
-        inbox = pending[peer]
-        if inbox is None:
-            inbox = pending[peer] = {
-                "flits": [], "owner": [], "reserve": [], "release": [],
-            }
-        for key in ("owner", "reserve", "release"):
-            inbox[key].extend(box[key])
-        for message in box["flits"]:
-            state["flit_messages"] += 1
-            if (
-                chaos.drop_flit is not None
-                and state["flit_messages"] == chaos.drop_flit
-            ):
-                continue  # chaos: the ledger must notice the loss
-            if ledger is not None:
-                ledger.note_sent(peer, 1)
-            inbox["flits"].append(message)
+class _Coordinator:
+    """The sharded engine :func:`~repro.core.runloop.drive` steps.
 
+    One ``step`` takes every tile through both halves of the cycle and
+    routes the cross-tile deltas between them; the run loop's counts
+    come from the generation oracle and the tiles' commits.
+    """
 
-def _coordinate(
-    config, plan, drivers, entries, entry_cycles, measure_start,
-    ledger, chaos, progress, progress_every,
-) -> SimulationResult:
-    num_tiles = plan.num_tiles
-    pending: list[dict | None] = [None] * num_tiles
-    commits: list[dict | None] = [None] * num_tiles
-    audits: list[dict | None] = [None] * num_tiles
-    state = {"flit_messages": 0}
-    last_signature = (-1, -1)
-    last_progress_cycle = 0
-    end_cycle = 0
-    finished = False
-    for cycle in range(config.max_cycles):
-        end_cycle = cycle
+    #: Sharded execution is fault-free (ensure_sharded_supported).
+    has_faults = False
+
+    def __init__(self, config, plan, drivers, entry_cycles, ledger, drop_flit):
+        self.config = config
+        self.plan = plan
+        self.drivers = drivers
+        self.entry_cycles = entry_cycles
+        self.ledger = ledger
+        #: Chaos: ordinal of the one boundary flit message to lose.
+        self.drop_flit = drop_flit
+        self.flit_messages = 0
+        #: tile -> deltas routed to it since its last alloc grant.
+        self.pending: dict[int, dict] = {}
+        self.commits: list[dict | None] = [None] * plan.num_tiles
+        self.audits: list[dict | None] = [None] * plan.num_tiles
+        self.generated = 0
+        self.outstanding = 0
+        self.moves = 0
+
+    def step(self, cycle: int) -> None:
+        drivers = self.drivers
         for driver in drivers:
             driver.send_front(cycle)
         for driver in drivers:
-            delta = driver.recv_front(cycle)
-            _route_delta(delta, pending, ledger, chaos, state)
-        for wave in plan.waves:
+            self._route(driver.recv_front(cycle))
+        for wave in self.plan.waves:
             for index in wave:
-                inbox = pending[index]
-                pending[index] = None
-                drivers[index].send_alloc(cycle, inbox)
+                drivers[index].send_alloc(cycle, self.pending.pop(index, None))
             for index in wave:
                 delta, commit, audit_payload = drivers[index].recv_alloc(cycle)
-                commits[index] = commit
-                audits[index] = audit_payload
-                _route_delta(delta, pending, ledger, chaos, state)
-        generated = bisect_right(entry_cycles, cycle)
-        delivered = sum(commit["delivered"] for commit in commits)
-        dropped = sum(commit["dropped"] for commit in commits)
-        outstanding = generated - delivered - dropped
-        moves = sum(commit["moves"] for commit in commits)
-        if ledger is not None:
-            ledger.check(cycle, generated, audits)
-        if progress is not None and cycle and cycle % progress_every == 0:
-            progress(cycle, generated, outstanding)
-        signature = (moves, outstanding)
-        if signature != last_signature:
-            last_signature = signature
-            last_progress_cycle = cycle
-        if generated >= config.total_packets and outstanding == 0:
-            finished = True
-            break
-        if cycle - last_progress_cycle > config.drain_timeout:
-            census = _merged_census(drivers, cycle, outstanding)
-            raise DrainTimeoutError(
-                f"no progress for {config.drain_timeout} cycles at cycle "
-                f"{cycle}",
-                census,
-            )
-    finals = [driver.finish(end_cycle) for driver in drivers]
-    if ledger is not None:
-        ledger.final_check(end_cycle, len(entries), audits,
-                           drained=finished)
-    return _merge_result(
-        config, plan, finals, entries, measure_start, end_cycle + 1
-    )
+                self.commits[index] = commit
+                self.audits[index] = audit_payload
+                self._route(delta)
+        commits = self.commits
+        self.generated = bisect_right(self.entry_cycles, cycle)
+        self.outstanding = self.generated - sum(
+            commit["delivered"] + commit["dropped"] for commit in commits
+        )
+        self.moves = sum(commit["moves"] for commit in commits)
+        if self.ledger is not None:
+            self.ledger.check(cycle, self.generated, self.audits)
+
+    def _route(self, delta) -> None:
+        """Merge one tile's outgoing delta into the per-tile inboxes."""
+        if not delta:
+            return
+        for peer, box in delta.items():
+            inbox = delta_box(self.pending, peer)
+            for key in ("owner", "reserve", "release"):
+                inbox[key].extend(box[key])
+            for message in box["flits"]:
+                self.flit_messages += 1
+                if self.flit_messages == self.drop_flit:
+                    continue  # chaos: the ledger must notice the loss
+                if self.ledger is not None:
+                    self.ledger.note_sent(peer, 1)
+                inbox["flits"].append(message)
+
+    def stranded_census(self, cycle: int) -> StrandedCensus:
+        return StrandedCensus.of(
+            self.outstanding,
+            cycle,
+            [
+                (NodeId(x, y), created)
+                for driver in self.drivers
+                for _pid, _measured, created, x, y in driver.census(cycle)
+            ],
+        )
 
 
-def _merged_census(drivers, cycle: int, outstanding: int) -> StrandedCensus:
-    per_node: dict[NodeId, int] = {}
-    oldest = 0
-    for driver in drivers:
-        for pid, _measured, created, x, y in driver.census(cycle):
-            node = NodeId(x, y)
-            per_node[node] = per_node.get(node, 0) + 1
-            oldest = max(oldest, cycle - created)
-    return StrandedCensus(
-        outstanding=outstanding,
-        per_node=per_node,
-        oldest_age=oldest,
-        dead_modules={},
-        unreachable=0,
-    )
-
-
-def _merge_result(
-    config, plan, finals, entries, measure_start, cycles
-) -> SimulationResult:
-    stats = StatsCollector(num_nodes=config.num_nodes)
-    stats.measuring = measure_start is not None
-    stats.measure_start_cycle = measure_start
-    activity = ActivityCounters()
-    tile_scheduler: list[SchedulerCounters] = []
-    for final in finals:
-        stats.latencies.extend(final["latencies"])
-        stats.hops.extend(final["hops"])
-        stats.injected_packets += final["injected"]
-        stats.delivered_packets += final["delivered"]
-        stats.dropped_packets += final["dropped"]
-        stats.delivered_flits += final["delivered_flits"]
-        stats.total_delivered += final["total_delivered"]
-        stats.total_dropped += final["total_dropped"]
-        for reason_value, count in final["drops_by_reason"].items():
-            reason = DropReason(reason_value)
-            stats.drops_by_reason[reason] = (
-                stats.drops_by_reason.get(reason, 0) + count
-            )
-        activity = activity.merged(ActivityCounters(**final["activity"]))
-        contention = final["contention"]
-        stats.contention.row_requests += contention["row_requests"]
-        stats.contention.row_contended += contention["row_contended"]
-        stats.contention.column_requests += contention["column_requests"]
-        stats.contention.column_contended += contention["column_contended"]
-        counters = SchedulerCounters(**final["scheduler"])
-        tile_scheduler.append(counters)
-        stats.scheduler.router_steps += counters.router_steps
-        stats.scheduler.router_slots += counters.router_slots
-        stats.scheduler.wakeups += counters.wakeups
-        stats.scheduler.sleeps += counters.sleeps
-    stats.activity = activity
-    stats.scheduler.cycles = finals[0]["scheduler"]["cycles"]
-    stats.scheduler.full_sweep = finals[0]["scheduler"]["full_sweep"]
-    stats.measured_cycles = max(final["measured_cycles"] for final in finals)
+def _merge_result(config, finals, generated: int, cycles: int) -> SimulationResult:
+    stats = StatsCollector.merge([final["stats"] for final in finals])
     # Survivors: the reference drops everything still queued or buffered
-    # at termination; tiles report, the coordinator dedupes (a worm can
-    # straddle a cut and be seen by both sides).
-    seen: set[int] = set()
-    for final in finals:
-        for pid, measured, _created, _x, _y in final["survivors"]:
-            if pid in seen:
-                continue
-            seen.add(pid)
-            stats.total_dropped += 1
-            stats.drops_by_reason[DropReason.UNDELIVERED] = (
-                stats.drops_by_reason.get(DropReason.UNDELIVERED, 0) + 1
-            )
-            if measured:
-                stats.dropped_packets += 1
-    model = EnergyModel(config.router, config.num_nodes)
-    energy = model.report(
-        stats.activity, stats.measured_cycles, stats.delivered_packets
-    )
-    return SimulationResult(
-        config=config,
-        average_latency=stats.average_latency,
-        latency=LatencySummary.from_samples(stats.latencies),
-        average_hops=stats.average_hops,
-        injected_packets=stats.injected_packets,
-        delivered_packets=stats.delivered_packets,
-        dropped_packets=stats.dropped_packets,
-        completion_probability=stats.completion_probability,
-        throughput=stats.throughput_flits_per_node_cycle,
+    # at termination, each packet once however often the walk met it.
+    survivors = {
+        entry[0]: entry[1] for final in finals for entry in final["survivors"]
+    }
+    for measured in survivors.values():
+        stats.packet_dropped(None, measured, DropReason.UNDELIVERED)
+    return SimulationResult.from_stats(
+        config,
+        stats,
         cycles=cycles,
-        energy=energy,
-        contention_row=stats.contention.row_probability,
-        contention_column=stats.contention.column_probability,
-        contention_overall=stats.contention.overall_probability,
-        faults=[],
-        scheduler=stats.scheduler,
-        generated_packets=len(entries),
-        total_delivered=stats.total_delivered,
-        total_dropped=stats.total_dropped,
-        drops_by_reason={
-            reason.value: count
-            for reason, count in sorted(
-                stats.drops_by_reason.items(), key=lambda kv: kv[0].value
-            )
-        },
-        tile_scheduler=tile_scheduler,
+        generated=generated,
+        tile_scheduler=[final["stats"].scheduler for final in finals],
     )
 
 

@@ -1,0 +1,316 @@
+"""One run contract, every engine.
+
+The object reference, the SoA fast path and the sharded coordinator
+share ``repro.core.runloop.drive`` (termination), one survivor walk and
+one rng draw order.  These tests pin what that sharing promises from
+the outside: the same raise cycle and census on a drain timeout, the
+same truncated record at a ``max_cycles`` ceiling, the same ``progress``
+sequence — plus the two data-level halves of the contract,
+``StatsCollector.merge`` and ``packet_draws``.
+
+The drain-timeout cells were picked by sweeping 4x4 roco/generic cells
+(seeds 1-39, ``drain_timeout`` 0 and 1) for runs that stall with
+packets outstanding.  A healthy mesh only ever stalls on flits crossing
+a wire or waiting out the generic router's RC stage, so single-flit
+packets on the generic router are the cells whose census is not empty.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import SimulationConfig
+from repro.core.runloop import packet_draws
+from repro.core.simulator import DrainTimeoutError, Simulator
+from repro.core.soa.engine import SoASimulator
+from repro.core.soa.state import run_cycles
+from repro.core.statistics import StatsCollector
+from repro.core.types import DropReason, NodeId, Packet
+from repro.faults.injector import ComponentFault
+from repro.faults.model import Component
+from repro.faults.schedule import FaultSchedule
+from repro.harness.export import result_record
+from repro.harness.sharded import run_sharded_simulation
+from repro.traffic import make_traffic
+
+ENGINES = ("object", "soa", "sharded-inline")
+
+BASE = SimulationConfig(
+    width=4,
+    height=4,
+    injection_rate=0.04,
+    warmup_packets=10,
+    measure_packets=60,
+)
+
+
+def run_engine(engine: str, config: SimulationConfig, **kwargs):
+    if engine == "object":
+        return Simulator(config).run(**kwargs)
+    if engine == "soa":
+        return SoASimulator(config).run(**kwargs)
+    return run_sharded_simulation(
+        config, (2, 2), inline=engine == "sharded-inline", **kwargs
+    )
+
+
+# ----------------------------------------------------------------------
+# Drain timeout: same raise cycle, same census
+# ----------------------------------------------------------------------
+
+#: config overrides -> (raise cycle, outstanding, per_node, oldest_age)
+DRAIN_CELLS = {
+    "generic-1flit-s21": (
+        dict(router="generic", flits_per_packet=1, injection_rate=0.1, seed=21),
+        (51, 3, {NodeId(0, 1): 1, NodeId(1, 0): 1}, 17),
+    ),
+    "generic-1flit-s19": (
+        dict(router="generic", flits_per_packet=1, injection_rate=0.1, seed=19),
+        (59, 3, {NodeId(0, 2): 1, NodeId(1, 1): 1}, 13),
+    ),
+    "generic-1flit-s13": (
+        dict(router="generic", flits_per_packet=1, injection_rate=0.1, seed=13),
+        (2, 2, {NodeId(0, 0): 1, NodeId(2, 0): 1}, 1),
+    ),
+    # The lone outstanding packet is a tail flit on a wire: no node
+    # holds it, so the census is empty while ``outstanding`` is not.
+    "roco-tail-on-wire-s9": (dict(router="roco", seed=9), (30, 1, {}, 0)),
+}
+
+
+def drain_outcome(engine: str, overrides: dict):
+    config = replace(BASE, drain_timeout=0, **overrides)
+    with pytest.raises(DrainTimeoutError) as excinfo:
+        run_engine(engine, config)
+    census = excinfo.value.census
+    raised_at = int(str(excinfo.value).split(" at cycle ")[1].split(":")[0])
+    return raised_at, census.outstanding, census.per_node, census.oldest_age
+
+
+@pytest.mark.parametrize("cell", DRAIN_CELLS)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_drain_timeout_same_cycle_and_census(engine, cell):
+    overrides, expected = DRAIN_CELLS[cell]
+    assert drain_outcome(engine, overrides) == expected
+
+
+def test_drain_timeout_sharded_process():
+    """The process driver's census crosses real pipes (CI: scaling-smoke)."""
+    overrides, expected = DRAIN_CELLS["generic-1flit-s21"]
+    assert drain_outcome("sharded-process", overrides) == expected
+
+
+# ----------------------------------------------------------------------
+# max_cycles ceiling and progress cadence
+# ----------------------------------------------------------------------
+
+TRUNCATED = replace(BASE, router="roco", injection_rate=0.2, seed=3)
+
+
+def truncated_outcome(engine: str, max_cycles: int):
+    result = run_engine(engine, replace(TRUNCATED, max_cycles=max_cycles))
+    return result_record(result), result.conserved, result.drops_by_reason
+
+
+@pytest.mark.parametrize("max_cycles", (1, 40, 90))
+@pytest.mark.parametrize("engine", ENGINES[1:])
+def test_max_cycles_truncates_to_the_reference_record(engine, max_cycles):
+    # ``conserved`` is compared, not required: a packet whose remaining
+    # flits are all on wires at the cutoff is met by no engine's
+    # survivor walk (cycles 40 and 90 here), so all three leave it
+    # unbooked alike.
+    record, conserved, drops = truncated_outcome("object", max_cycles)
+    assert record["cycles"] == max_cycles
+    assert drops.get(DropReason.UNDELIVERED.value, 0) > 0
+    assert truncated_outcome(engine, max_cycles) == (record, conserved, drops)
+
+
+def progress_sequence(engine: str) -> list[tuple]:
+    seen: list[tuple] = []
+    run_engine(
+        engine,
+        replace(TRUNCATED, max_cycles=90),
+        progress=lambda *counts: seen.append(counts),
+        progress_every=7,
+    )
+    return seen
+
+
+@pytest.mark.parametrize("engine", ENGINES[1:])
+def test_progress_sequence_matches_the_reference(engine):
+    reference = progress_sequence("object")
+    assert [cycle for cycle, _, _ in reference] == list(range(7, 90, 7))
+    assert any(outstanding for _, _, outstanding in reference)
+    assert progress_sequence(engine) == reference
+
+
+# ----------------------------------------------------------------------
+# StatsCollector.merge over a split run
+# ----------------------------------------------------------------------
+
+_events = st.one_of(
+    st.tuples(st.just("tick")),
+    st.tuples(st.just("measure")),
+    st.tuples(st.just("deliver"), st.integers(1, 90), st.integers(0, 9), st.booleans()),
+    st.tuples(st.just("drop"), st.sampled_from(list(DropReason)), st.booleans()),
+    st.tuples(st.just("flit"), st.booleans()),
+    st.tuples(st.just("create")),
+    st.tuples(
+        st.just("count"),
+        st.sampled_from(
+            [
+                ("activity", "buffer_writes"),
+                ("activity", "link_flits"),
+                ("activity", "sa_requests"),
+                ("contention", "row_requests"),
+                ("contention", "column_contended"),
+                ("scheduler", "router_steps"),
+                ("scheduler", "sleeps"),
+            ]
+        ),
+        st.integers(1, 5),
+    ),
+)
+
+
+def _apply(stats: StatsCollector, event: tuple) -> None:
+    kind = event[0]
+    if kind == "deliver":
+        packet = Packet(0, NodeId(0, 0), NodeId(1, 1), 1, 0)
+        packet.delivered_cycle = event[1]
+        stats.packet_delivered(packet, event[3], hops=event[2])
+    elif kind == "drop":
+        stats.packet_dropped(None, event[2], event[1])
+    elif kind == "flit":
+        stats.flit_delivered(event[1])
+    elif kind == "create":
+        stats.packet_created(None)
+    elif kind == "count":
+        (group, name), amount = event[1], event[2]
+        counters = getattr(stats, group)
+        setattr(counters, name, getattr(counters, name) + amount)
+
+
+def _flat(stats: StatsCollector) -> dict:
+    flat = dict(vars(stats))
+    # Samples concatenate in part order, which interleaves differently
+    # from the unsplit run; every consumer sorts or sums them.
+    flat["latencies"] = sorted(stats.latencies)
+    flat["hops"] = sorted(stats.hops)
+    return flat
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(_events, st.integers(0, 2)), max_size=60),
+    st.integers(1, 3),
+)
+def test_merge_of_a_split_run_equals_the_unsplit_collector(events, num_parts):
+    """Every part sees every cycle (tick, measurement start, scheduler
+    cycle) but only its own share of the events, as shard tiles do."""
+    whole = StatsCollector(num_nodes=16)
+    parts = [StatsCollector(num_nodes=16) for _ in range(num_parts)]
+    for cycle, (event, owner) in enumerate(events):
+        for stats in [whole, *parts]:
+            if event[0] == "tick":
+                stats.tick()
+                stats.scheduler.cycles += 1
+            elif event[0] == "measure" and not stats.measuring:
+                stats.start_measurement(cycle)
+        _apply(whole, event)
+        _apply(parts[owner % num_parts], event)
+    assert _flat(StatsCollector.merge(parts)) == _flat(whole)
+
+
+# ----------------------------------------------------------------------
+# The shared draw order
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("routing", ("xy", "xy-yx"))
+@pytest.mark.parametrize("traffic", ("uniform", "self_similar"))
+def test_draws_run_to_exhaustion_equal_what_a_simulator_created(routing, traffic):
+    config = replace(
+        BASE, router="generic", routing=routing, traffic=traffic,
+        injection_rate=0.15, seed=5,
+    )
+    sim = Simulator(config)
+    created: list[Packet] = []
+    sim.delivery_listeners.append(created.append)
+    sim.drop_listeners.append(created.append)
+    result = sim.run()
+    assert result.generated_packets == config.total_packets
+    created.sort(key=lambda packet: packet.pid)
+
+    rng = random.Random(config.seed)
+    nodes = [NodeId(x, y) for y in range(config.height) for x in range(config.width)]
+    pattern = make_traffic(config.traffic)
+    pattern.bind(config, rng, nodes)
+    drawn = [
+        packet
+        for _, packets in packet_draws(config, pattern, rng, nodes)
+        for packet in packets
+    ]
+
+    def identity(packet: Packet) -> tuple:
+        return (packet.pid, packet.src, packet.dest, packet.created_cycle,
+                packet.yx_first, packet.measured)
+
+    assert [identity(p) for p in drawn] == [identity(p) for p in created]
+    assert [p.measured for p in drawn] == (
+        [False] * config.warmup_packets + [True] * config.measure_packets
+    )
+    assert result.injected_packets == config.measure_packets
+
+
+def test_step_refuses_to_generate_out_of_order():
+    sim = Simulator(replace(BASE, injection_rate=0.2))
+    with pytest.raises(ValueError, match="consecutively from 0"):
+        sim.step(5)
+
+
+# ----------------------------------------------------------------------
+# run_cycles is the engine's own step (fault events included)
+# ----------------------------------------------------------------------
+
+
+def test_run_cycles_applies_due_fault_events():
+    config = replace(
+        BASE, router="roco", injection_rate=0.2, seed=1, max_cycles=30
+    )
+    fault = ComponentFault(NodeId(2, 1), Component.CROSSBAR, module="column")
+
+    def build() -> Simulator:
+        return Simulator(config, schedule=FaultSchedule.at_cycle(5, [fault]))
+
+    stepped = build()
+    assert run_cycles(stepped, 30) == 30
+    network = stepped.network
+    assert network.has_faults
+    assert network.routers[fault.node].modules[fault.module].dead
+    assert stepped.faults == [fault]
+
+    reference = build()
+    reference.run()
+    assert reference.network.cycle == 29
+    stats, expected = network.stats, reference.network.stats
+    assert stats.activity == expected.activity
+    assert stats.total_delivered == expected.total_delivered
+    assert stats.latencies == expected.latencies
+
+    def mid_run_drops(collector: StatsCollector) -> dict:
+        sweep = (DropReason.UNDELIVERED, DropReason.UNREACHABLE)
+        return {
+            reason: count
+            for reason, count in collector.drops_by_reason.items()
+            if reason not in sweep
+        }
+
+    assert mid_run_drops(stats) == mid_run_drops(expected)
+    assert set(mid_run_drops(stats)) == {
+        DropReason.BUFFERED_IN_DEAD,
+        DropReason.INJECTION_BLOCKED,
+    }

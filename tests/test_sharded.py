@@ -29,6 +29,7 @@ from repro.harness.sharded import (
     ShardUnsupportedError,
     ShardedExecutionError,
     _ChaosHooks,
+    _ProcessTile,
     _split_extent,
     build_generation_schedule,
     compare_records,
@@ -316,6 +317,34 @@ def test_worker_crash_surfaces_structured_failure():
     assert failure.index == 2
     assert failure.kind == "fatal"
     assert failure.error_type == "ShardWorkerCrash"
+
+
+def test_reset_pipe_surfaces_structured_failure():
+    """A worker that dies with the coordinator's message still unread
+    resets the pipe: ``recv`` raises ConnectionResetError, not EOFError.
+    The caller must still get the typed crash, not a raw socket error."""
+
+    class ResetConnection:
+        def poll(self, timeout):
+            return True
+
+        def recv(self):
+            raise ConnectionResetError(104, "Connection reset by peer")
+
+    class DeadProcess:
+        exitcode = 1
+
+        def is_alive(self):
+            return False
+
+    tile = _ProcessTile.__new__(_ProcessTile)
+    tile.index, tile.timeout = 3, 1.0
+    tile.conn, tile.process = ResetConnection(), DeadProcess()
+    with pytest.raises(ShardedExecutionError) as excinfo:
+        tile.recv_front(7)
+    failure = excinfo.value.failure
+    assert (failure.index, failure.error_type) == (3, "ShardWorkerCrash")
+    assert "exit code 1" in failure.message and "cycle 7" in failure.message
 
 
 def test_worker_exception_surfaces_structured_failure():
