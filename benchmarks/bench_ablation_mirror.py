@@ -6,23 +6,14 @@ This ablation replaces it with a blind two-stage separable allocator
 and measures what the guarantee is worth under load.
 """
 
-from conftest import once
-
 from repro.core.config import RouterConfig, SimulationConfig
-from repro.core.simulator import run_simulation
 from repro.harness import report
 from repro.harness.benchbed import Outcome, benchmark
 
 RATES = (0.20, 0.30, 0.38)
 
 
-def run(
-    mirror: bool,
-    rate: float,
-    sim=run_simulation,
-    warmup: int = 150,
-    measure: int = 900,
-):
+def run(mirror: bool, rate: float, sim, warmup: int, measure: int):
     router_config = RouterConfig.for_architecture("roco", mirror_allocation=mirror)
     config = SimulationConfig(
         width=8,
@@ -57,35 +48,20 @@ def bench(ctx):
         ]
         for label, flag in (("mirror", True), ("sequential", False))
     }
-    high = rates[-1]
-    ratio = dict(curves["sequential"])[high] / dict(curves["mirror"])[high]
-    return Outcome(ratio, details={"curves": curves})
-
-
-def test_ablation_mirror_allocator(benchmark):
-    def sweep():
-        return {
-            label: [(rate, run(mirror, rate).average_latency) for rate in RATES]
-            for label, mirror in (("mirror", True), ("sequential", False))
-        }
-
-    data = once(benchmark, sweep)
-    print()
     print(
         report.render_curves(
-            data,
+            curves,
             x_label="inj rate",
             title="== Ablation: RoCo switch allocation (latency, cycles) ==",
         )
     )
 
-    by_rate = {
-        rate: (dict(data["mirror"])[rate], dict(data["sequential"])[rate])
-        for rate in RATES
-    }
+    mirror, sequential = dict(curves["mirror"]), dict(curves["sequential"])
     # The Mirroring Effect must never lose, and must win visibly once
     # contention appears (the matching guarantee is a high-load feature).
-    for rate, (mirror, sequential) in by_rate.items():
-        assert mirror <= sequential * 1.02, rate
-    high_mirror, high_sequential = by_rate[RATES[-1]]
-    assert high_mirror < high_sequential
+    for rate in rates:
+        assert mirror[rate] <= sequential[rate] * 1.02, rate
+    high = rates[-1]
+    assert mirror[high] < sequential[high]
+
+    return Outcome(sequential[high] / mirror[high], details={"curves": curves})

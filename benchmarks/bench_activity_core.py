@@ -25,15 +25,16 @@ measured ratio.
 
 The registered benchmark's *headline* is the deterministic low-load duty
 cycle (the quantity that bounds the achievable speedup), not the noisy
-wall-clock ratio — the measured speedup rides along in the artifact's
-details, where the wall-time gate of ``repro bench compare`` covers it.
+wall-clock ratio.  The measured speedup is printed, never written to
+the artifact (which holds nothing machine-dependent), and floored at
+1.5x by a ``Threshold.check`` inside the registered function at the
+full tier only: one quick-tier pair on a shared CI runner is too noisy
+to gate on, and no comparison ever reads a timing.
 """
 
 from __future__ import annotations
 
 import time
-
-from conftest import once
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import run_simulation
@@ -50,9 +51,7 @@ REPEATS = 9
 SPEEDUP_FLOOR = 1.5
 
 
-def scheduling_config(
-    rate: float, warmup: int = 150, measure: int = 900
-) -> SimulationConfig:
+def scheduling_config(rate: float, warmup: int, measure: int) -> SimulationConfig:
     return SimulationConfig(
         width=8,
         height=8,
@@ -67,7 +66,7 @@ def scheduling_config(
     )
 
 
-def timed_pair(rate: float, warmup: int = 150, measure_pkts: int = 900):
+def timed_pair(rate: float, warmup: int, measure_pkts: int):
     """One interleaved active/full-sweep pair: (records?, times)."""
     config = scheduling_config(rate, warmup, measure_pkts)
     t0 = time.process_time()
@@ -80,13 +79,7 @@ def timed_pair(rate: float, warmup: int = 150, measure_pkts: int = 900):
     return active, sweep, t1 - t0, t2 - t1
 
 
-def measure(
-    rates=RATES,
-    repeats: int = REPEATS,
-    warmup: int = 150,
-    measure_pkts: int = 900,
-    absorb=None,
-):
+def measure(rates, repeats: int, warmup: int, measure_pkts: int, absorb):
     rows = []
     for rate in rates:
         pair_count = repeats if rate == rates[0] else 2
@@ -97,9 +90,8 @@ def measure(
             assert result_record(active) == result_record(sweep), (
                 f"schedulers diverged at rate {rate}"
             )
-            if absorb is not None:
-                absorb(active)
-                absorb(sweep)
+            absorb(active)
+            absorb(sweep)
             active_times.append(ta)
             sweep_times.append(ts)
             duty = active.scheduler.duty_cycle
@@ -140,36 +132,31 @@ def bench(ctx):
     rates = ctx.pick(quick=(0.1,), full=RATES)
     repeats = ctx.pick(quick=1, full=REPEATS)
     warmup, measure_pkts = ctx.pick(quick=(60, 250), full=(150, 900))
-    rows = measure(rates, repeats, warmup, measure_pkts, absorb=ctx.absorb)
-    low = rows[0]
-    return Outcome(
-        low["duty"],
-        details={"rows": rows, "speedup_low_load": low["speedup"]},
-        ceiling=ctx.pick(quick=0.75, full=None),
-    )
-
-
-def test_activity_core_speedup(benchmark):
-    rows = once(benchmark, measure)
-    print()
-    print(render_rows(rows))
+    rows = measure(rates, repeats, warmup, measure_pkts, ctx.absorb)
+    table = render_rows(rows)
+    print(table)
 
     low = rows[0]
     assert low["rate"] == 0.1
     # Headline criterion: >= 1.5x single-run speedup at 0.1 flits/node/
-    # cycle uniform traffic on the 8x8 mesh.  The benchbed threshold
-    # carries the measured table into the failure message, so a noisy
-    # runner produces a diagnosable report, not a bare AssertionError.
-    Threshold("activity_speedup_low_load", floor=SPEEDUP_FLOOR).check(
-        low["speedup"], context=render_rows(rows)
-    )
-    # The saving must come from skipped router-cycles, not anything else:
-    # the duty cycle bounds the achievable speedup from below.
-    Threshold("duty_cycle_low_load", ceiling=0.7).check(
-        low["duty"], context=render_rows(rows)
-    )
-
+    # cycle uniform traffic on the 8x8 mesh.  The threshold carries the
+    # measured table into the failure message, so a noisy runner
+    # produces a diagnosable report, not a bare AssertionError.
+    Threshold(
+        "activity_speedup_low_load",
+        floor=ctx.pick(quick=None, full=SPEEDUP_FLOOR),
+    ).check(low["speedup"], context=table)
     # Higher loads: equivalence held (asserted in measure()); the duty
     # cycle rises towards 1 and the advantage legitimately shrinks.
     for row in rows[1:]:
         assert row["duty"] > low["duty"]
+
+    # The saving must come from skipped router-cycles, not anything else:
+    # the duty cycle bounds the achievable speedup from below, so its
+    # ceiling (0.7 registered above, 0.75 at the quick scale) is the
+    # deterministic half of the contract.
+    return Outcome(
+        low["duty"],
+        details={"duty_by_rate": [(row["rate"], row["duty"]) for row in rows]},
+        ceiling=ctx.pick(quick=0.75, full=None),
+    )

@@ -28,18 +28,18 @@ Methodology matches ``bench_activity_core``: CPU time via
 ``process_time``, min over repeated interleaved pairs — external load
 only ever adds time, so the minimum is the most reproducible estimator.
 The registered *headline* is the deterministic conformant-cell fraction
-(the regression gate's drift check needs a noise-free metric); the
-measured speedup rides in the artifact's details and is floored at 5x
-inside the benchmark itself, so a quick-tier benchbed run fails loudly
-if the array engine loses its edge.
+(the gate's drift check needs a noise-free metric), floored at 1.0 on
+every tier.  The measured speedups are printed, never written to the
+artifact (which holds nothing machine-dependent); the 5x and 1.5x
+floors are ``Threshold.check``s inside the registered function at the
+full tier only — two quick-tier pairs on a shared CI runner are too
+noisy to gate on, and no comparison ever reads a timing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
-
-from conftest import once
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import run_simulation
@@ -66,7 +66,7 @@ CELLS = (
 
 
 def cell_config(
-    rate: float, router: str, warmup: int = 150, measure: int = 900
+    rate: float, router: str, warmup: int, measure: int
 ) -> SimulationConfig:
     return SimulationConfig(
         width=8,
@@ -92,13 +92,7 @@ def timed_pair(config: SimulationConfig, full_sweep: bool):
     return reference, fast, t1 - t0, t2 - t1
 
 
-def measure(
-    cells=CELLS,
-    repeats: int = REPEATS,
-    warmup: int = 150,
-    measure_pkts: int = 900,
-    absorb=None,
-):
+def measure(cells, repeats: int, warmup: int, measure_pkts: int, absorb):
     rows = []
     for index, (label, rate, full_sweep, router) in enumerate(cells):
         pair_count = repeats if index == 0 else 2
@@ -109,9 +103,8 @@ def measure(
             config = cell_config(rate, router, warmup, measure_pkts)
             reference, fast, t_obj, t_soa = timed_pair(config, full_sweep)
             match = match and result_record(fast) == result_record(reference)
-            if absorb is not None:
-                absorb(reference)
-                absorb(fast)
+            absorb(reference)
+            absorb(fast)
             object_times.append(t_obj)
             soa_times.append(t_soa)
             cycles = reference.cycles
@@ -146,25 +139,6 @@ def render_rows(rows) -> str:
     return "\n".join(lines)
 
 
-def check_speedups(rows) -> None:
-    """The featured cell's 5x floor and the other cells' informational one.
-
-    The other cells must still be clear wins, just not 5x ones: the
-    object model's generic allocate phase is occupancy-first under both
-    schedulers, and the active scheduler already skips dormant routers
-    for the object model.  Each threshold carries the measured table
-    into its failure message.
-    """
-    table = render_rows(rows)
-    Threshold("soa_speedup_roco_sweep", floor=SPEEDUP_FLOOR).check(
-        rows[0]["speedup"], context=table
-    )
-    for row in rows[1:]:
-        Threshold(f"soa_speedup_{row['cell']}", floor=INFORMATIONAL_FLOOR).check(
-            row["speedup"], context=table
-        )
-
-
 @benchmark(
     "backend_soa",
     headline="conformant_cells",
@@ -177,29 +151,33 @@ def bench(ctx):
     cells = ctx.pick(quick=CELLS[:1], full=CELLS)
     repeats = ctx.pick(quick=2, full=REPEATS)
     warmup, measure_pkts = ctx.pick(quick=(60, 250), full=(150, 900))
-    rows = measure(cells, repeats, warmup, measure_pkts, absorb=ctx.absorb)
+    rows = measure(cells, repeats, warmup, measure_pkts, ctx.absorb)
     table = render_rows(rows)
-    Threshold("soa_conformant_cells", floor=1.0).check(
-        sum(row["match"] for row in rows) / len(rows), context=table
+    print(table)
+
+    assert rows[0]["cell"] == "roco-sweep"
+    assert all(row["match"] for row in rows), "backends diverged on a timed cell"
+    # The featured cell's 5x floor and the other cells' informational
+    # one.  The other cells must still be clear wins, just not 5x ones:
+    # the object model's generic allocate phase is occupancy-first under
+    # both schedulers, and the active scheduler already skips dormant
+    # routers for the object model.
+    featured_floor, other_floor = ctx.pick(
+        quick=(None, None), full=(SPEEDUP_FLOOR, INFORMATIONAL_FLOOR)
     )
-    # The perf contract lives here rather than in the headline: the
-    # featured cell must clear 5x on every tier, quick included.
-    check_speedups(rows)
+    Threshold("soa_speedup_roco_sweep", floor=featured_floor).check(
+        rows[0]["speedup"], context=table
+    )
+    for row in rows[1:]:
+        Threshold(f"soa_speedup_{row['cell']}", floor=other_floor).check(
+            row["speedup"], context=table
+        )
     return Outcome(
         sum(row["match"] for row in rows) / len(rows),
         details={
-            "rows": rows,
-            "speedup_featured": rows[0]["speedup"],
-            "soa_cps_featured": rows[0]["soa_cps"],
+            "cells": [
+                {key: row[key] for key in ("cell", "match", "cycles")}
+                for row in rows
+            ]
         },
     )
-
-
-def test_backend_soa_speedup(benchmark):
-    rows = once(benchmark, measure)
-    print()
-    print(render_rows(rows))
-
-    assert all(row["match"] for row in rows), "backends diverged on a timed cell"
-    assert rows[0]["cell"] == "roco-sweep"
-    check_speedups(rows)

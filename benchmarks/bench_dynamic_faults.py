@@ -9,8 +9,6 @@ of one staggered critical-fault sequence (k = 0, 1, 2, 4 kills), so
 each curve point adds faults without moving the earlier ones.
 """
 
-from conftest import EXECUTOR, once
-
 from repro.core.config import SimulationConfig
 from repro.core.types import NodeId
 from repro.faults import Component, ComponentFault, FaultEvent, FaultSchedule
@@ -31,9 +29,7 @@ KILL_SEQUENCE = (
 )
 
 
-def config_for(
-    router: str, warmup: int = 100, measure: int = 500
-) -> SimulationConfig:
+def config_for(router: str, warmup: int, measure: int) -> SimulationConfig:
     return SimulationConfig(
         width=8,
         height=8,
@@ -48,9 +44,7 @@ def config_for(
     )
 
 
-def run_curves(
-    executor=EXECUTOR, warmup: int = 100, measure: int = 500
-) -> dict[str, dict[int, float]]:
+def run_curves(executor, warmup: int, measure: int) -> dict[str, dict[int, float]]:
     """completion probability per (architecture, cumulative fault count)."""
     jobs = []
     for router in ARCHITECTURES:
@@ -80,27 +74,6 @@ def bench(ctx):
     """RoCo's completion with 4 staggered mid-run kills on the mesh."""
     warmup, measure = ctx.pick(quick=(60, 250), full=(100, 500))
     curves = run_curves(ctx.executor, warmup, measure)
-    campaign = run_campaign(
-        config_for("roco", warmup, measure), FaultSchedule(list(KILL_SEQUENCE))
-    )
-    ctx.absorb(campaign.result)
-    staircase = [
-        {
-            "fault_count": point.fault_count,
-            "delivered_fraction": point.delivered_fraction,
-        }
-        for point in campaign.probe.delivered_by_fault_count()
-    ]
-    return Outcome(
-        curves["roco"][4],
-        details={"curves": curves, "roco_staircase": staircase},
-    )
-
-
-def test_dynamic_fault_degradation(benchmark):
-    curves = once(benchmark, run_curves)
-
-    print()
     print("Dynamic fault campaign (8x8, XY, staggered kills mid-run)")
     header = "  ".join(f"k={count}" for count in FAULT_COUNTS)
     print(f"{'router':>16s}  {header}")
@@ -128,11 +101,11 @@ def test_dynamic_fault_degradation(benchmark):
     # The resilience staircase from one instrumented RoCo campaign:
     # service measured against faults accumulated at injection time.
     campaign = run_campaign(
-        config_for("roco"), FaultSchedule(list(KILL_SEQUENCE))
+        config_for("roco", warmup, measure), FaultSchedule(list(KILL_SEQUENCE))
     )
+    ctx.absorb(campaign.result)
     assert campaign.conserved
     staircase = campaign.probe.delivered_by_fault_count()
-    print()
     for point in staircase:
         print(
             f"  {point.fault_count} faults at injection -> "
@@ -140,3 +113,17 @@ def test_dynamic_fault_degradation(benchmark):
             f"({point.delivered}/{point.generated})"
         )
     assert staircase[0].delivered_fraction >= staircase[-1].delivered_fraction
+
+    return Outcome(
+        curves["roco"][4],
+        details={
+            "curves": curves,
+            "roco_staircase": [
+                {
+                    "fault_count": point.fault_count,
+                    "delivered_fraction": point.delivered_fraction,
+                }
+                for point in staircase
+            ],
+        },
+    )

@@ -6,10 +6,7 @@ by ~1 cycle per extra flit, and long worms hold VCs longer, dragging
 saturation in earlier.
 """
 
-from conftest import once
-
 from repro.core.config import SimulationConfig
-from repro.core.simulator import run_simulation
 from repro.harness import report
 from repro.harness.benchbed import Outcome, benchmark
 
@@ -17,13 +14,7 @@ SIZES = (1, 2, 4, 8)
 LOW_RATE, HIGH_RATE = 0.05, 0.30
 
 
-def latency(
-    flits: int,
-    rate: float,
-    sim=run_simulation,
-    warmup: int = 120,
-    measure: int = 700,
-) -> float:
+def latency(flits: int, rate: float, sim, warmup: int, measure: int) -> float:
     config = SimulationConfig(
         width=8,
         height=8,
@@ -57,31 +48,23 @@ def bench(ctx):
         ]
         for rate in rates
     }
-    low = dict(curves[f"rate {LOW_RATE}"])
-    return Outcome(low[4] - low[1], details={"curves": curves})
-
-
-def test_extension_packet_size(benchmark):
-    def sweep():
-        return {
-            f"rate {rate}": [(s, latency(s, rate)) for s in SIZES]
-            for rate in (LOW_RATE, HIGH_RATE)
-        }
-
-    data = once(benchmark, sweep)
-    print()
     print(
         report.render_curves(
-            data,
+            curves,
             x_label="flits/pkt",
             title="== Extension: packet-size sensitivity (RoCo, latency) ==",
         )
     )
 
-    low = dict(data[f"rate {LOW_RATE}"])
-    high = dict(data[f"rate {HIGH_RATE}"])
+    def span(curve):
+        return curve[sizes[-1]] - curve[sizes[0]]
+
+    low = dict(curves[f"rate {LOW_RATE}"])
     # Unloaded: each extra flit adds ~1 serialization cycle.
     assert 2.0 <= low[4] - low[1] <= 6.0
-    assert low[8] > low[4] > low[1]
+    assert all(low[a] < low[b] for a, b in zip(sizes, sizes[1:]))
     # Loaded: longer worms hold VCs longer; the penalty grows superlinearly.
-    assert (high[8] - high[1]) > (low[8] - low[1])
+    for rate in rates[1:]:
+        assert span(dict(curves[f"rate {rate}"])) > span(low)
+
+    return Outcome(low[4] - low[1], details={"curves": curves})

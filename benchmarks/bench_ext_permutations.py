@@ -7,10 +7,7 @@ beyond the paper's workloads.  Checks that the architectural ordering
 for, and that bit-complement is the hardest pattern for everyone.
 """
 
-from conftest import once
-
 from repro.core.config import SimulationConfig
-from repro.core.simulator import run_simulation
 from repro.harness import report
 from repro.harness.benchbed import Outcome, benchmark
 
@@ -19,13 +16,7 @@ ROUTERS = ("generic", "path_sensitive", "roco")
 RATE = 0.12
 
 
-def latency(
-    router: str,
-    traffic: str,
-    sim=run_simulation,
-    warmup: int = 120,
-    measure: int = 700,
-) -> float:
+def latency(router: str, traffic: str, sim, warmup: int, measure: int) -> float:
     config = SimulationConfig(
         width=8,
         height=8,
@@ -59,40 +50,34 @@ def bench(ctx):
         }
         for traffic in patterns
     }
-    hardest = table["bit_complement"]
-    return Outcome(
-        hardest["roco"] / hardest["generic"], details={"latency": table}
-    )
-
-
-def test_extension_permutation_traffic(benchmark):
-    def sweep():
-        return {
-            traffic: {router: latency(router, traffic) for router in ROUTERS}
-            for traffic in PATTERNS
-        }
-
-    data = once(benchmark, sweep)
-    rows = [
-        [traffic] + [f"{data[traffic][r]:.1f}" for r in ROUTERS]
-        for traffic in PATTERNS
-    ]
-    print()
     print(
         report.render_table(
-            ["traffic"] + list(ROUTERS),
-            rows,
+            ["traffic"] + list(routers),
+            [
+                [traffic] + [f"{table[traffic][r]:.1f}" for r in routers]
+                for traffic in patterns
+            ],
             title=f"== Extension: permutation workloads at {RATE} flits/node/cycle ==",
         )
     )
 
-    for traffic in PATTERNS:
-        assert data[traffic]["roco"] < data[traffic]["generic"], traffic
-        assert data[traffic]["path_sensitive"] < data[traffic]["generic"], traffic
+    # The architectural ordering survives traffic nobody tuned for.
+    for traffic in patterns:
+        for router in routers:
+            if router != "generic":
+                assert table[traffic][router] < table[traffic]["generic"], (
+                    traffic,
+                    router,
+                )
 
     # Bit-complement maximises path length, so it must cost the most
     # latency of the patterns for every router at this (low) rate.
-    for router in ROUTERS:
-        assert data["bit_complement"][router] == max(
-            data[t][router] for t in PATTERNS
+    for router in routers:
+        assert table["bit_complement"][router] == max(
+            table[t][router] for t in patterns
         ), router
+
+    hardest = table["bit_complement"]
+    return Outcome(
+        hardest["roco"] / hardest["generic"], details={"latency": table}
+    )

@@ -11,10 +11,7 @@ so the curve is one continuous experiment; the artifact additionally
 records per-tile activity-scheduler counters for the sharded cells.
 """
 
-from conftest import once
-
 from repro.core.config import SimulationConfig
-from repro.core.simulator import run_simulation
 from repro.harness import report
 from repro.harness.benchbed import Outcome, benchmark
 
@@ -25,14 +22,7 @@ TILINGS = {16: (2, 2), 32: (4, 4), 64: (4, 4)}
 RATE = 0.15
 
 
-def scaling_point(
-    router: str,
-    k: int,
-    sim=run_simulation,
-    warmup: int = 120,
-    measure: int = 700,
-    shards=None,
-):
+def scaling_point(router: str, k: int, sim, warmup: int, measure: int, shards=None):
     config = SimulationConfig(
         width=k,
         height=k,
@@ -49,16 +39,6 @@ def scaling_point(
     return sim(config)
 
 
-def latency(
-    router: str,
-    k: int,
-    sim=run_simulation,
-    warmup: int = 120,
-    measure: int = 700,
-) -> float:
-    return scaling_point(router, k, sim, warmup, measure).average_latency
-
-
 @benchmark(
     "ext_scaling",
     headline="roco_over_generic_latency_8x8",
@@ -70,17 +50,37 @@ def bench(ctx):
     sizes = ctx.pick(quick=(4, 8), full=SIZES)
     warmup, measure = ctx.pick(quick=(60, 250), full=(120, 700))
     curves = {
-        router: [(k, latency(router, k, ctx.run, warmup, measure)) for k in sizes]
+        router: [
+            (k, scaling_point(router, k, ctx.run, warmup, measure).average_latency)
+            for k in sizes
+        ]
         for router in ("generic", "roco")
     }
-    ratio = dict(curves["roco"])[8] / dict(curves["generic"])[8]
+    print(
+        report.render_curves(
+            curves,
+            x_label="mesh k",
+            title=f"== Extension: k x k scaling at {RATE} flits/node/cycle ==",
+        )
+    )
+
+    generic, roco = dict(curves["generic"]), dict(curves["roco"])
+    for k in sizes:
+        assert roco[k] < generic[k], k
+    # The absolute saving grows with network diameter (per-hop savings
+    # compound over longer average paths).
+    small, large = sizes[0], sizes[-1]
+    assert generic[large] - roco[large] > generic[small] - roco[small]
+
+    ratio = roco[8] / generic[8]
     # Sharded extension of the curve: each large-mesh point runs across
     # tile worker processes; results are bit-identical to the reference
     # engine, so these extend the same curves.
     sharded_sizes = ctx.pick(quick=(16, 32), full=SHARDED_SIZES)
-    sharded_budget = ctx.pick(quick={16: (60, 250), 32: (40, 160)},
-                              full={16: (120, 700), 32: (120, 700),
-                                    64: (120, 700)})
+    sharded_budget = ctx.pick(
+        quick={16: (60, 250), 32: (40, 160)},
+        full={16: (120, 700), 32: (120, 700), 64: (120, 700)},
+    )
     sharded_curves: dict[str, list] = {"generic": [], "roco": []}
     tile_scheduler: dict[str, dict] = {}
     for k in sharded_sizes:
@@ -106,38 +106,7 @@ def bench(ctx):
         details={
             "curves": curves,
             "sharded_curves": sharded_curves,
-            "tilings": {
-                f"{k}x{k}": list(TILINGS[k]) for k in sharded_sizes
-            },
+            "tilings": {f"{k}x{k}": list(TILINGS[k]) for k in sharded_sizes},
             "tile_scheduler": tile_scheduler,
         },
     )
-
-
-def test_extension_mesh_scaling(benchmark):
-    def sweep():
-        return {
-            router: [(k, latency(router, k)) for k in SIZES]
-            for router in ("generic", "roco")
-        }
-
-    data = once(benchmark, sweep)
-    print()
-    print(
-        report.render_curves(
-            data,
-            x_label="mesh k",
-            title=f"== Extension: k x k scaling at {RATE} flits/node/cycle ==",
-        )
-    )
-
-    for k in SIZES:
-        generic = dict(data["generic"])[k]
-        roco = dict(data["roco"])[k]
-        assert roco < generic, k
-
-    # The absolute saving grows with network diameter (per-hop savings
-    # compound over longer average paths).
-    saving_small = dict(data["generic"])[SIZES[0]] - dict(data["roco"])[SIZES[0]]
-    saving_large = dict(data["generic"])[SIZES[-1]] - dict(data["roco"])[SIZES[-1]]
-    assert saving_large > saving_small

@@ -7,23 +7,14 @@ ring: k/4 per dimension) and roughly doubles bisection bandwidth, at
 the cost of the dateline VC discipline that breaks the ring cycles.
 """
 
-from conftest import once
-
 from repro.core.config import SimulationConfig
-from repro.core.simulator import run_simulation
 from repro.harness import report
 from repro.harness.benchbed import Outcome, benchmark
 
 RATES = (0.10, 0.25, 0.40)
 
 
-def run(
-    topology: str,
-    rate: float,
-    sim=run_simulation,
-    warmup: int = 150,
-    measure: int = 900,
-):
+def run(topology: str, rate: float, sim, warmup: int, measure: int):
     config = SimulationConfig(
         width=8,
         height=8,
@@ -50,34 +41,16 @@ def bench(ctx):
     """Latency the torus wraparound buys back at low load."""
     rates = ctx.pick(quick=(RATES[0],), full=RATES)
     warmup, measure = ctx.pick(quick=(60, 250), full=(150, 900))
-    curves = {
-        topology: [
-            (
-                rate,
-                run(topology, rate, ctx.run, warmup, measure).average_latency,
-            )
-            for rate in rates
-        ]
+    results = {
+        topology: {
+            rate: run(topology, rate, ctx.run, warmup, measure) for rate in rates
+        }
         for topology in ("mesh", "torus")
     }
-    low = rates[0]
-    ratio = dict(curves["torus"])[low] / dict(curves["mesh"])[low]
-    return Outcome(ratio, details={"curves": curves})
-
-
-def test_extension_torus(benchmark):
-    def sweep():
-        out = {}
-        for topology in ("mesh", "torus"):
-            out[topology] = [(rate, run(topology, rate)) for rate in RATES]
-        return out
-
-    data = once(benchmark, sweep)
     curves = {
-        topology: [(rate, result.average_latency) for rate, result in points]
-        for topology, points in data.items()
+        topology: [(rate, result.average_latency) for rate, result in points.items()]
+        for topology, points in results.items()
     }
-    print()
     print(
         report.render_curves(
             curves,
@@ -86,16 +59,16 @@ def test_extension_torus(benchmark):
         )
     )
 
-    mesh = dict(curves["mesh"])
-    torus = dict(curves["torus"])
-    for rate in RATES:
+    mesh, torus = results["mesh"], results["torus"]
+    for rate in rates:
         # Wraparound shortens paths: the torus wins at every load.
-        assert torus[rate] < mesh[rate], rate
+        assert torus[rate].average_latency < mesh[rate].average_latency, rate
         # And everything still completes (the dateline discipline holds).
-        for _, result in data["torus"]:
-            assert result.completion_probability == 1.0
+        assert torus[rate].completion_probability == 1.0, rate
 
     # Average hop count drops from 16/3 to ~4 (k/4 per dimension x 2).
-    torus_hops = data["torus"][0][1].average_hops
-    mesh_hops = data["mesh"][0][1].average_hops
-    assert torus_hops < 0.85 * mesh_hops
+    low = rates[0]
+    assert torus[low].average_hops < 0.85 * mesh[low].average_hops
+
+    ratio = torus[low].average_latency / mesh[low].average_latency
+    return Outcome(ratio, details={"curves": curves})

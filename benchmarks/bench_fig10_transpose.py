@@ -1,6 +1,6 @@
 """Reproduces Figure 10 — latency vs injection rate, transpose traffic."""
 
-from conftest import EXECUTOR, curve_value, once
+from conftest import curve_value
 
 from repro.harness import ExperimentScale, figure10, report
 from repro.harness.benchbed import Outcome, benchmark
@@ -29,16 +29,6 @@ def bench(ctx):
     """RoCo's low-load advantage under the transpose permutation."""
     scale = ctx.scale(TRANSPOSE_SCALE)
     data = figure10(scale, executor=ctx.executor)
-    low = scale.rates[0]
-    gap = 1 - curve_value(data, "xy", "roco", low) / curve_value(
-        data, "xy", "generic", low
-    )
-    return Outcome(gap, details={"curves": data})
-
-
-def test_figure10_transpose_latency(benchmark):
-    data = once(benchmark, lambda: figure10(TRANSPOSE_SCALE, executor=EXECUTOR))
-    print()
     print(report.render_latency_figure(data, "Figure 10", "transpose"))
 
     def lat(routing, router, rate):
@@ -46,14 +36,17 @@ def test_figure10_transpose_latency(benchmark):
 
     # RoCo below generic at every sub-saturation point; transpose
     # saturates abruptly, so the top rate gets a tolerance band.
+    high = scale.rates[-1]
     for routing in ("xy", "xy-yx", "adaptive"):
-        for rate in TRANSPOSE_SCALE.rates[:-1]:
+        for rate in scale.rates[:-1]:
             assert lat(routing, "roco", rate) < lat(routing, "generic", rate)
-        high = TRANSPOSE_SCALE.rates[-1]
         assert lat(routing, "roco", high) < 1.55 * lat(routing, "generic", high)
 
     # Alternate paths help transpose: XY-YX spreads the permutation's
     # row/column flows and clearly beats deterministic XY at high load.
-    high = TRANSPOSE_SCALE.rates[-1]
     assert lat("xy-yx", "roco", high) < lat("xy", "roco", high)
     assert lat("adaptive", "roco", high) < lat("xy", "roco", high)
+
+    low = scale.rates[0]
+    gap = 1 - lat("xy", "roco", low) / lat("xy", "generic", low)
+    return Outcome(gap, details={"curves": data})

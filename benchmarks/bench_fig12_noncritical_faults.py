@@ -1,6 +1,6 @@
 """Reproduces Figure 12 — completion probability, message-centric faults."""
 
-from conftest import BENCH_FAULTS, EXECUTOR, once
+from conftest import BENCH_FAULTS
 
 from repro.harness import fault_figure, report
 from repro.harness.benchbed import Outcome, benchmark
@@ -16,18 +16,6 @@ def bench(ctx):
     """RoCo's worst completion under message-centric faults (recycling)."""
     scale = ctx.scale(BENCH_FAULTS)
     data = fault_figure(critical=False, scale=scale, executor=ctx.executor)
-    worst = min(data["xy"]["roco"].values())
-    return Outcome(worst, details={"completion": data})
-
-
-def test_figure12_noncritical_fault_completion(benchmark):
-    data = once(
-        benchmark,
-        lambda: fault_figure(
-            critical=False, scale=BENCH_FAULTS, executor=EXECUTOR
-        ),
-    )
-    print()
     print(report.render_fault_figure(data, "Figure 12 (message-centric faults)"))
 
     for routing in ("xy", "xy-yx", "adaptive"):
@@ -47,3 +35,6 @@ def test_figure12_noncritical_fault_completion(benchmark):
             abs(data["xy"]["roco"][count] - data["adaptive"]["roco"][count])
             < 0.05
         )
+
+    worst = min(data["xy"]["roco"].values())
+    return Outcome(worst, details={"completion": data})

@@ -1,6 +1,6 @@
 """Reproduces Figure 13 — energy per packet at 30% injection."""
 
-from conftest import BENCH, EXECUTOR, once
+from conftest import BENCH
 
 from repro.harness import figure13, report
 from repro.harness.benchbed import Outcome, benchmark
@@ -16,20 +16,9 @@ def bench(ctx):
     """RoCo's energy-per-packet saving vs generic, averaged over traffic."""
     scale = ctx.scale(BENCH)
     data = figure13(scale, executor=ctx.executor)
-    savings = [
-        1 - per_router["roco"] / per_router["generic"]
-        for per_router in data.values()
-    ]
-    return Outcome(
-        sum(savings) / len(savings), details={"energy_per_packet_nj": data}
-    )
-
-
-def test_figure13_energy_per_packet(benchmark):
-    data = once(benchmark, lambda: figure13(BENCH, executor=EXECUTOR))
-    print()
     print(report.render_figure13(data))
 
+    savings = []
     for traffic, per_router in data.items():
         # Ordering: RoCo < Path-Sensitive < generic (Section 5.4).
         assert per_router["roco"] < per_router["path_sensitive"], traffic
@@ -41,7 +30,12 @@ def test_figure13_energy_per_packet(benchmark):
         vs_ps = 1 - per_router["roco"] / per_router["path_sensitive"]
         assert 0.10 <= vs_generic <= 0.40, (traffic, vs_generic)
         assert 0.02 <= vs_ps <= 0.20, (traffic, vs_ps)
+        savings.append(vs_generic)
 
         # Absolute scale lands in the paper's sub-nJ-per-packet regime.
         for router, energy in per_router.items():
             assert 0.2 <= energy <= 2.0, (traffic, router, energy)
+
+    return Outcome(
+        sum(savings) / len(savings), details={"energy_per_packet_nj": data}
+    )

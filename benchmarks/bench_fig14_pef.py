@@ -1,9 +1,18 @@
 """Reproduces Figure 14 — the combined PEF metric under faults."""
 
-from conftest import BENCH_FAULTS, EXECUTOR, once
+from conftest import BENCH_FAULTS
 
 from repro.harness import figure14, report
 from repro.harness.benchbed import Outcome, benchmark
+
+
+def mean_improvement(per_router) -> float:
+    """RoCo's PEF gain over generic, averaged over the fault counts."""
+    improvements = [
+        1 - per_router["roco"][c]["pef"] / per_router["generic"][c]["pef"]
+        for c in (1, 2, 4)
+    ]
+    return sum(improvements) / len(improvements)
 
 
 @benchmark(
@@ -16,40 +25,24 @@ def bench(ctx):
     """RoCo's PEF advantage vs generic under critical faults (paper ~39%)."""
     scale = ctx.scale(BENCH_FAULTS)
     data = figure14(scale, executor=ctx.executor)
-    per_router = data["critical"]
-    improvements = [
-        1 - per_router["roco"][c]["pef"] / per_router["generic"][c]["pef"]
-        for c in (1, 2, 4)
-    ]
-    return Outcome(
-        sum(improvements) / len(improvements), details={"pef": data}
-    )
-
-
-def test_figure14_pef(benchmark):
-    data = once(benchmark, lambda: figure14(BENCH_FAULTS, executor=EXECUTOR))
-    print()
     print(report.render_figure14(data))
 
     for label in ("critical", "non_critical"):
         per_router = data[label]
         for count in (1, 2, 4):
             roco = per_router["roco"][count]["pef"]
-            generic = per_router["generic"][count]["pef"]
-            ps = per_router["path_sensitive"][count]["pef"]
             # Headline: RoCo wins the combined metric against both
             # baselines at every fault count (paper: ~50% better than
             # generic, ~35% better than Path-Sensitive).
-            assert roco < generic, (label, count)
-            assert roco < ps, (label, count)
+            assert roco < per_router["generic"][count]["pef"], (label, count)
+            assert roco < per_router["path_sensitive"][count]["pef"], (
+                label,
+                count,
+            )
 
         # The paper's magnitude claim, averaged over the fault counts
         # (single-seed per-count values are noisy near the drop horizon).
-        improvements = [
-            1 - per_router["roco"][c]["pef"] / per_router["generic"][c]["pef"]
-            for c in (1, 2, 4)
-        ]
-        assert sum(improvements) / len(improvements) > 0.25, label
+        assert mean_improvement(per_router) > 0.25, label
 
     # Non-critical faults barely hurt RoCo (recycling), so its PEF there
     # stays below its own critical-fault PEF.
@@ -58,3 +51,5 @@ def test_figure14_pef(benchmark):
             data["non_critical"]["roco"][count]["pef"]
             <= data["critical"]["roco"][count]["pef"] * 1.05
         )
+
+    return Outcome(mean_improvement(data["critical"]), details={"pef": data})

@@ -1,7 +1,5 @@
 """Reproduces Figure 2 — VA arbiter inventory comparison."""
 
-from conftest import once
-
 from repro.harness import figure2, report
 from repro.harness.benchbed import Outcome, benchmark
 
@@ -19,6 +17,34 @@ def bench(ctx):
     """Analytic arbiter inventory: how much wiring RoCo saves (R=>v)."""
     ctx.stamp(analytic=True, v=V)
     data = figure2(V)
+    rows = [
+        [
+            name,
+            f"{inv.first_stage_count} x {inv.first_stage_width}:1",
+            f"{inv.second_stage_count} x {inv.second_stage_width}:1",
+            inv.total_request_lines,
+        ]
+        for name, inv in data.items()
+    ]
+    print(
+        report.render_table(
+            ["allocator", "stage 1", "stage 2", "request lines"],
+            rows,
+            title=f"== Figure 2: VA arbiter inventory (v = {V}) ==",
+        )
+    )
+
+    # "SMALLER (2v:1 vs 5v:1) and FEWER (4v vs 5v) arbiters".
+    assert data["generic R=>v"].second_stage_count == 5 * V
+    assert data["roco R=>v"].second_stage_count == 4 * V
+    assert data["generic R=>v"].second_stage_width == 5 * V
+    assert data["roco R=>v"].second_stage_width == 2 * V
+    for variant in ("R=>v", "R=>P"):
+        assert (
+            data[f"roco {variant}"].total_request_lines
+            < data[f"generic {variant}"].total_request_lines
+        )
+
     generic = data["generic R=>v"].total_request_lines
     roco = data["roco R=>v"].total_request_lines
     return Outcome(
@@ -29,36 +55,3 @@ def bench(ctx):
             }
         },
     )
-
-
-def test_figure2_arbiter_inventory(benchmark):
-    v = V
-    data = once(benchmark, lambda: figure2(v))
-    rows = [
-        [
-            name,
-            f"{inv.first_stage_count} x {inv.first_stage_width}:1",
-            f"{inv.second_stage_count} x {inv.second_stage_width}:1",
-            inv.total_request_lines,
-        ]
-        for name, inv in data.items()
-    ]
-    print()
-    print(
-        report.render_table(
-            ["allocator", "stage 1", "stage 2", "request lines"],
-            rows,
-            title="== Figure 2: VA arbiter inventory (v = 3) ==",
-        )
-    )
-
-    # "SMALLER (2v:1 vs 5v:1) and FEWER (4v vs 5v) arbiters".
-    assert data["generic R=>v"].second_stage_count == 5 * v
-    assert data["roco R=>v"].second_stage_count == 4 * v
-    assert data["generic R=>v"].second_stage_width == 5 * v
-    assert data["roco R=>v"].second_stage_width == 2 * v
-    for variant in ("R=>v", "R=>P"):
-        assert (
-            data[f"roco {variant}"].total_request_lines
-            < data[f"generic {variant}"].total_request_lines
-        )

@@ -1,6 +1,6 @@
 """Reproduces Figure 3 — contention probabilities vs offered load."""
 
-from conftest import BENCH, EXECUTOR, curve_value, once
+from conftest import BENCH, curve_value
 
 from repro.harness import figure3, report
 from repro.harness.benchbed import Outcome, benchmark
@@ -16,15 +16,6 @@ def bench(ctx):
     """How much more row-input contention the generic router suffers."""
     scale = ctx.scale(BENCH)
     data = figure3(scale, executor=ctx.executor)
-    high = scale.contention_rates[-1]
-    generic = curve_value(data, "row_xy", "generic", high)
-    roco = curve_value(data, "row_xy", "roco", high)
-    return Outcome(generic / max(roco, 1e-9), details={"panels": data})
-
-
-def test_figure3_contention_probabilities(benchmark):
-    data = once(benchmark, lambda: figure3(BENCH, executor=EXECUTOR))
-    print()
     for panel, title in (
         ("row_xy", "(a) row input, XY routing"),
         ("column_xy", "(b) column input, XY routing"),
@@ -39,7 +30,7 @@ def test_figure3_contention_probabilities(benchmark):
         )
         print()
 
-    high = BENCH.contention_rates[-1]
+    low, high = scale.contention_rates[0], scale.contention_rates[-1]
 
     def at(panel, router, rate):
         return curve_value(data, panel, router, rate)
@@ -50,10 +41,13 @@ def test_figure3_contention_probabilities(benchmark):
         assert at(panel, "generic", high) > at(panel, "roco", high)
 
     # Contention grows with offered load for every router.
-    low = BENCH.contention_rates[0]
     for router in ("generic", "path_sensitive", "roco"):
         assert at("row_xy", router, high) >= at("row_xy", router, low)
 
     # Under XY, row inputs contend more than column inputs for the
     # generic router ("X first, Y next" asymmetry, Section 3.2).
     assert at("row_xy", "generic", high) > at("column_xy", "generic", high)
+
+    generic = at("row_xy", "generic", high)
+    roco = at("row_xy", "roco", high)
+    return Outcome(generic / max(roco, 1e-9), details={"panels": data})

@@ -1,41 +1,22 @@
-"""Shared configuration for the reproduction benchmarks.
+"""Shared scales and helpers for the reproduction benchmarks.
 
 Each benchmark regenerates one table or figure of the paper at the
 ``BENCH`` scale (sized so the whole suite runs in minutes on a laptop),
-prints the paper-style rows, and asserts the figure's *shape targets* —
-who wins and by roughly what factor.  Swap ``BENCH`` for
-``repro.harness.PAPER`` to run the paper's full dimensions.
+asserts the figure's *shape targets* — who wins and by roughly what
+factor — prints the paper-style rows and returns its headline.  Swap
+``BENCH`` for ``repro.harness.PAPER`` to run the paper's full
+dimensions.
 
-The simulation grids behind the figures run through a shared
-:class:`~repro.harness.parallel.ParallelExecutor`.  Environment knobs:
-
-* ``REPRO_BENCH_WORKERS`` — worker processes (``0`` = all cores;
-  default all cores, so the paper reproduction saturates the machine);
-* ``REPRO_BENCH_CACHE`` — directory for the on-disk result cache, so a
-  re-run of the suite replays cached records instead of simulating.
-
-Parallel and cached runs produce records identical to serial ones (the
-simulator is a pure function of its seeded config), so the benches'
-shape assertions are unaffected by either knob.
+The one runner is the benchbed (``python -m repro bench``,
+docs/benchmarking.md): it hands every benchmark a ``BenchContext``
+whose executor carries ``--workers``.  Parallel and cached runs produce
+records identical to serial ones (the simulator is a pure function of
+its seeded config), so the shape assertions hold under either.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.harness import ExperimentScale
-from repro.harness.parallel import ParallelExecutor, ResultCache
-
-
-def _bench_executor() -> ParallelExecutor:
-    workers = int(os.environ.get("REPRO_BENCH_WORKERS", "0"))
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    cache = ResultCache(cache_dir) if cache_dir else None
-    return ParallelExecutor(workers=workers, cache=cache)
-
-
-#: Shared executor for every figure benchmark in this directory.
-EXECUTOR = _bench_executor()
 
 #: Benchmark scale: the paper's 8x8 mesh with reduced packet counts.
 BENCH = ExperimentScale(
@@ -61,11 +42,6 @@ BENCH_FAULTS = ExperimentScale(
     rates=(0.30,),
     max_cycles=30_000,
 )
-
-
-def once(benchmark, func):
-    """Run a reproduction exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, rounds=1, iterations=1)
 
 
 def curve_value(data, routing: str, router: str, rate: float) -> float:

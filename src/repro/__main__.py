@@ -20,7 +20,7 @@ Benchmark mode — run the registered benchmark suite through the
 benchbed (see docs/benchmarking.md), or compare two artifact sets::
 
     python -m repro bench --quick --filter "fig8*" --out bench-results
-    python -m repro bench --quick --baseline benchmarks/baseline --no-wall
+    python -m repro bench --quick --baseline benchmarks/baseline
     python -m repro bench compare benchmarks/baseline bench-results
 
 Audit mode — run with per-cycle invariant checking, shrink failures to

@@ -1,33 +1,31 @@
-"""Benchbed: unified benchmark registry, runner and regression gate.
+"""Benchbed: benchmark registry, runner and fidelity gate.
 
 Every ``benchmarks/bench_*.py`` script registers one entry point with
 the global :data:`REGISTRY` via the :func:`benchmark` decorator.  A
 registered benchmark is a function of one :class:`BenchContext` that
-produces a scalar *headline metric* (saturation rate, completion ratio,
+computes one table or figure of the paper, asserts its *shape targets*
+(who wins, by roughly what factor), prints the paper-style rows and
+returns a scalar *headline metric* (saturation rate, completion ratio,
 PEF improvement, energy per flit, ...) plus free-form details.  The bed
 then provides, uniformly for all of them:
 
 * **fidelity tiers** — ``quick`` (CI smoke: shrunk packet counts and
-  rate grids, single seed) and ``full`` (the paper-shape ``BENCH``
-  scale the pytest benchmarks assert on);
-* **a runner** with warm-up runs and ``N`` timed repeats that records
-  wall time, simulated cycles/second and scheduler counters;
+  rate grids, single seed) and ``full`` (the benchmarks' own ``BENCH``
+  scale);
+* **a runner** that calls the benchmark once and records its headline,
+  config stamp, simulated cycles and scheduler counters;
 * **canonical artifacts** — one schema-versioned, seed- and
-  config-stamped ``BENCH_<name>.json`` per benchmark, with no
-  timestamps in the comparison payload so artifacts are diffable;
+  config-stamped ``BENCH_<name>.json`` per benchmark holding nothing
+  machine- or time-dependent, so a re-run rewrites it byte for byte;
 * **a baseline-comparison engine** (``python -m repro bench compare
-  old new``) computing per-benchmark deltas with simple bootstrap
-  confidence intervals, exiting non-zero on regression beyond a
-  configurable threshold (default 10% wall time, 2% headline drift);
-* **an opt-in profiling hook** (``--profile``) that captures a cProfile
-  hotspot table per benchmark into the artifact.
+  old new``) that exits non-zero on headline drift beyond a threshold
+  (default 2%), a violated floor/ceiling, a tier mismatch or a missing
+  benchmark.
 
-Determinism contract: headline metrics must be pure functions of the
-benchmark's seeded configuration — never of wall time — so the same
-tier and seed produce byte-identical comparison payloads on any
-machine.  Wall-time samples live alongside but are only gated when the
-baseline was produced on comparable hardware (CI passes ``--no-wall``
-against the committed cross-machine baseline).
+Determinism contract: everything in an artifact is a pure function of
+the benchmark's seeded configuration — never of wall time — so the same
+tier and seed produce identical artifacts on any machine.  Timing is
+``perfbench/``'s job, not the bed's.
 """
 
 from __future__ import annotations
@@ -37,11 +35,8 @@ import fnmatch
 import importlib.util
 import json
 import os
-import platform
-import random
-import statistics
 import sys
-import time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -51,11 +46,10 @@ from repro.core.simulator import SimulationResult, run_simulation
 from repro.harness.experiment import ExperimentScale
 from repro.harness.parallel import ParallelExecutor
 from repro.harness.report import render_table
-from repro.instrumentation.profiling import profile_call
 
 #: Bump on any backwards-incompatible artifact change; compare refuses
 #: to diff artifacts written under a different schema version.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Artifact file name prefix: ``BENCH_<benchmark name>.json``.
 ARTIFACT_PREFIX = "BENCH_"
@@ -63,11 +57,7 @@ ARTIFACT_PREFIX = "BENCH_"
 #: Known fidelity tiers.
 TIERS = ("quick", "full")
 
-#: ``tier -> (warmup runs, timed repeats)`` defaults.
-TIER_DEFAULTS = {"quick": (0, 1), "full": (1, 3)}
-
-#: Default regression thresholds (fractions).
-DEFAULT_WALL_THRESHOLD = 0.10
+#: Default headline-drift threshold (fraction).
 DEFAULT_HEADLINE_THRESHOLD = 0.02
 
 #: Packet counts the quick tier clamps an experiment scale down to.
@@ -285,7 +275,7 @@ class BenchContext:
     record, and a :meth:`run` wrapper around
     :func:`~repro.core.simulator.run_simulation` that additionally
     absorbs scheduler counters.  Benchmarks route all simulation through
-    one of the two so the artifact's cycles/second and config stamp come
+    one of the two so the artifact's cycle count and config stamp come
     for free.
     """
 
@@ -409,10 +399,10 @@ def default_bench_dir() -> Path:
 def discover(directory: str | Path | None = None) -> BenchmarkRegistry:
     """Import every ``bench_*.py`` so its registrations land in REGISTRY.
 
-    The directory's ``conftest.py`` is pre-seeded into ``sys.modules``
-    under the name the scripts import (``conftest``), keeping them
-    runnable both standalone under pytest and through the bed.  Imports
-    are idempotent: already-imported modules are not re-executed.
+    The directory's ``conftest.py`` (shared scales and helpers) is
+    pre-seeded into ``sys.modules`` under the name the scripts import
+    (``conftest``).  Imports are idempotent: already-imported modules
+    are not re-executed.
     """
     bench_dir = Path(directory) if directory is not None else default_bench_dir()
     if not bench_dir.is_dir():
@@ -444,59 +434,24 @@ def _import_file(module_name: str, path: Path) -> None:
 # Runner and artifacts
 
 
-def run_benchmark(
-    spec: BenchSpec,
-    tier: str = "full",
-    *,
-    warmup: int | None = None,
-    repeats: int | None = None,
-    workers: int | None = None,
-    profile: bool = False,
-) -> dict[str, Any]:
-    """Run one benchmark and return its artifact payload.
+def run_benchmark(spec: BenchSpec, context: BenchContext) -> dict[str, Any]:
+    """Run one benchmark once and return its artifact payload.
 
-    ``warmup`` uncounted runs precede ``repeats`` timed ones (tier
-    defaults when ``None``).  The headline and config stamp are taken
-    from the final timed repeat; all repeats' headline values are kept
-    so divergence (a non-deterministic benchmark) is visible in the
-    artifact rather than silently averaged away.
+    A shape target the benchmark asserts on propagates as the
+    :class:`AssertionError` it raised, as does a headline outside its
+    registered floor/ceiling; no artifact exists for a benchmark whose
+    figure has the wrong shape.
     """
-    if tier not in TIERS:
-        raise BenchbedError(f"unknown tier {tier!r}; expected one of {TIERS}")
-    tier_warmup, tier_repeats = TIER_DEFAULTS[tier]
-    warmup = tier_warmup if warmup is None else warmup
-    repeats = tier_repeats if repeats is None else repeats
-    if repeats < 1:
-        raise BenchbedError("repeats must be >= 1")
-
-    for _ in range(warmup):
-        spec.func(BenchContext(tier, workers=workers))
-
-    samples: list[float] = []
-    headline_values: list[float] = []
-    context = BenchContext(tier, workers=workers)
-    outcome = Outcome(headline=0.0)
-    for _ in range(repeats):
-        context = BenchContext(tier, workers=workers)
-        started = time.perf_counter()
-        outcome = Outcome.of(spec.func(context))
-        samples.append(time.perf_counter() - started)
-        headline_values.append(outcome.headline)
-
-    profile_rows = None
-    if profile:
-        _, profile_rows = profile_call(
-            spec.func, BenchContext(tier, workers=workers)
-        )
-
+    outcome = Outcome.of(spec.func(context))
     floor = outcome.floor if outcome.floor is not None else spec.floor
     ceiling = outcome.ceiling if outcome.ceiling is not None else spec.ceiling
-    seeds = context.config_stamp()["seeds"]
-    best = min(samples)
+    Threshold(spec.headline, floor, ceiling).check(outcome.headline)
+    stamp = context.config_stamp()
+    seeds = stamp["seeds"]
     return {
         "schema_version": SCHEMA_VERSION,
         "name": spec.name,
-        "tier": tier,
+        "tier": context.tier,
         "headline": {
             "metric": spec.headline,
             "unit": spec.unit,
@@ -506,28 +461,10 @@ def run_benchmark(
             "ceiling": ceiling,
         },
         "seed": seeds[0] if len(seeds) == 1 else None,
-        "config": context.config_stamp(),
-        "details": outcome.details,
+        "config": stamp,
         "cycles": context.cycles,
-        "deterministic": len(set(headline_values)) <= 1,
-        "headline_values": headline_values,
-        "wall_time_s": {
-            "warmup": warmup,
-            "repeats": repeats,
-            "samples": [round(s, 6) for s in samples],
-            "min": round(best, 6),
-            "mean": round(statistics.fmean(samples), 6),
-            "median": round(statistics.median(samples), 6),
-        },
-        "cycles_per_second": round(context.cycles / best, 1) if best else None,
+        "details": outcome.details,
         "scheduler": context.scheduler_counters,
-        "environment": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "platform": sys.platform,
-            "machine": platform.machine(),
-        },
-        "profile": profile_rows,
     }
 
 
@@ -554,8 +491,6 @@ _ARTIFACT_KEYS: dict[str, type | tuple[type, ...]] = {
     "config": dict,
     "details": dict,
     "cycles": int,
-    "wall_time_s": dict,
-    "environment": dict,
 }
 
 
@@ -583,23 +518,17 @@ def validate_artifact(payload: Any) -> dict[str, Any]:
         raise ValueError(f"bad headline direction {headline['direction']!r}")
     if not isinstance(headline["value"], (int, float)):
         raise ValueError("headline value must be a number")
-    wall = payload["wall_time_s"]
-    samples = wall.get("samples")
-    if not isinstance(samples, list) or not samples:
-        raise ValueError("wall_time_s.samples must be a non-empty list")
-    if not all(isinstance(s, (int, float)) for s in samples):
-        raise ValueError("wall_time_s.samples must be numbers")
     return payload
 
 
 def comparison_payload(artifact: dict[str, Any]) -> dict[str, Any]:
-    """The machine-comparable subset of an artifact.
+    """The subset of an artifact the gate and the fidelity pin compare.
 
-    Everything here is a deterministic function of (tier, seed, code):
-    no wall times, no environment, no profile, no timestamps.  Two runs
-    of the same benchmark at the same tier must produce equal payloads.
-    ``details`` stays out — benchmarks may record measured timings there
-    (e.g. the activity-core speedup), which are machine-dependent.
+    A deterministic function of (tier, seed, code): two runs of the
+    same benchmark at the same tier must produce equal payloads.
+    ``details`` and ``scheduler`` stay out — they are context for a
+    reader (full curves, per-tile counters), and ``scheduler`` counts
+    only the simulations that ran in this process.
     """
     return {
         "schema_version": artifact["schema_version"],
@@ -646,8 +575,6 @@ class BenchDelta:
     #: ``incomparable`` | ``new``
     status: str
     notes: list[str] = field(default_factory=list)
-    wall_delta: float | None = None
-    wall_ci: tuple[float, float] | None = None
     headline_delta: float | None = None
 
     @property
@@ -660,9 +587,7 @@ class CompareReport:
     """All deltas of one old-vs-new comparison."""
 
     deltas: list[BenchDelta]
-    wall_threshold: float
     headline_threshold: float
-    check_wall: bool = True
 
     @property
     def failures(self) -> list[BenchDelta]:
@@ -675,82 +600,28 @@ class CompareReport:
     def render(self) -> str:
         rows = []
         for delta in self.deltas:
-            wall = (
-                f"{delta.wall_delta:+.1%}" if delta.wall_delta is not None else "-"
-            )
-            ci = (
-                f"[{delta.wall_ci[0]:+.1%}, {delta.wall_ci[1]:+.1%}]"
-                if delta.wall_ci is not None
-                else "-"
-            )
             headline = (
                 f"{delta.headline_delta:+.2%}"
                 if delta.headline_delta is not None
                 else "-"
             )
             rows.append(
-                [
-                    delta.name,
-                    wall,
-                    ci,
-                    headline,
-                    delta.status,
-                    "; ".join(delta.notes),
-                ]
+                [delta.name, headline, delta.status, "; ".join(delta.notes)]
             )
-        wall_gate = (
-            f"wall >{self.wall_threshold:.0%}, " if self.check_wall else ""
-        )
         title = (
             "== benchbed comparison "
-            f"(gate: {wall_gate}"
-            f"headline drift >{self.headline_threshold:.0%}) =="
+            f"(gate: headline drift >{self.headline_threshold:.0%}) =="
         )
         return render_table(
-            ["benchmark", "wall", "wall 95% CI", "headline", "status", "notes"],
-            rows,
-            title=title,
+            ["benchmark", "headline", "status", "notes"], rows, title=title
         )
-
-
-def bootstrap_ci(
-    old_samples: Sequence[float],
-    new_samples: Sequence[float],
-    resamples: int = 2000,
-    confidence: float = 0.95,
-    seed: int = 0,
-) -> tuple[float, float] | None:
-    """Bootstrap CI of the relative wall-time delta ``new/old - 1``.
-
-    Returns ``None`` when either side has fewer than two samples (a
-    single observation carries no resampling information).  Seeded, so
-    reports are reproducible.
-    """
-    if len(old_samples) < 2 or len(new_samples) < 2:
-        return None
-    rng = random.Random(seed)
-    deltas = []
-    for _ in range(resamples):
-        old_mean = statistics.fmean(rng.choices(old_samples, k=len(old_samples)))
-        new_mean = statistics.fmean(rng.choices(new_samples, k=len(new_samples)))
-        if old_mean > 0:
-            deltas.append(new_mean / old_mean - 1.0)
-    if not deltas:
-        return None
-    deltas.sort()
-    tail = (1.0 - confidence) / 2.0
-    lo = deltas[int(tail * (len(deltas) - 1))]
-    hi = deltas[int((1.0 - tail) * (len(deltas) - 1))]
-    return (lo, hi)
 
 
 def compare_pair(
     old: dict[str, Any],
     new: dict[str, Any],
     *,
-    wall_threshold: float = DEFAULT_WALL_THRESHOLD,
     headline_threshold: float = DEFAULT_HEADLINE_THRESHOLD,
-    check_wall: bool = True,
 ) -> BenchDelta:
     """Diff two artifacts of the same benchmark."""
     name = old["name"]
@@ -771,23 +642,6 @@ def compare_pair(
         return delta
 
     regressions, improvements = [], []
-
-    # Wall time: gate on the min-of-repeats point estimate; the bootstrap
-    # CI (when repeats allow one) is reported for noise context.
-    old_min = min(old["wall_time_s"]["samples"])
-    new_min = min(new["wall_time_s"]["samples"])
-    if old_min > 0:
-        delta.wall_delta = new_min / old_min - 1.0
-        delta.wall_ci = bootstrap_ci(
-            old["wall_time_s"]["samples"], new["wall_time_s"]["samples"]
-        )
-        if check_wall and delta.wall_delta > wall_threshold:
-            regressions.append(
-                f"wall time {old_min:.3f}s -> {new_min:.3f}s "
-                f"({delta.wall_delta:+.1%} > {wall_threshold:.0%})"
-            )
-        elif check_wall and delta.wall_delta < -wall_threshold:
-            improvements.append(f"wall time {delta.wall_delta:+.1%}")
 
     # Headline drift, signed so that positive = worse.
     direction = new_head["direction"]
@@ -829,9 +683,7 @@ def compare_artifacts(
     old: Mapping[str, dict[str, Any]],
     new: Mapping[str, dict[str, Any]],
     *,
-    wall_threshold: float = DEFAULT_WALL_THRESHOLD,
     headline_threshold: float = DEFAULT_HEADLINE_THRESHOLD,
-    check_wall: bool = True,
 ) -> CompareReport:
     """Compare two artifact sets keyed by benchmark name.
 
@@ -852,23 +704,14 @@ def compare_artifacts(
             continue
         deltas.append(
             compare_pair(
-                old[name],
-                new[name],
-                wall_threshold=wall_threshold,
-                headline_threshold=headline_threshold,
-                check_wall=check_wall,
+                old[name], new[name], headline_threshold=headline_threshold
             )
         )
     for name in sorted(set(new) - set(old)):
         deltas.append(
             BenchDelta(name=name, status="new", notes=["not in baseline"])
         )
-    return CompareReport(
-        deltas=deltas,
-        wall_threshold=wall_threshold,
-        headline_threshold=headline_threshold,
-        check_wall=check_wall,
-    )
+    return CompareReport(deltas=deltas, headline_threshold=headline_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -879,8 +722,9 @@ def _run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description=(
-            "Run the registered benchmark suite and emit BENCH_<name>.json "
-            "artifacts (see docs/benchmarking.md)."
+            "Run the registered benchmark suite: assert each figure's shape "
+            "targets, print its table and emit BENCH_<name>.json artifacts "
+            "(see docs/benchmarking.md)."
         ),
     )
     parser.add_argument(
@@ -907,25 +751,6 @@ def _run_parser() -> argparse.ArgumentParser:
         help="compare fresh artifacts against this baseline file/directory",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="capture a cProfile hotspot table into each artifact",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        metavar="N",
-        help="timed repeats per benchmark (default: 1 quick, 3 full)",
-    )
-    parser.add_argument(
-        "--warmup",
-        type=int,
-        default=None,
-        metavar="N",
-        help="uncounted warm-up runs per benchmark (default: 0 quick, 1 full)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=None,
@@ -950,13 +775,6 @@ def _run_parser() -> argparse.ArgumentParser:
 def _add_gate_arguments(parser: argparse.ArgumentParser) -> None:
     gate = parser.add_argument_group("regression gate")
     gate.add_argument(
-        "--wall-threshold",
-        type=float,
-        default=DEFAULT_WALL_THRESHOLD,
-        metavar="FRAC",
-        help="fail on wall-time growth beyond this fraction (default 0.10)",
-    )
-    gate.add_argument(
         "--headline-threshold",
         type=float,
         default=DEFAULT_HEADLINE_THRESHOLD,
@@ -964,14 +782,9 @@ def _add_gate_arguments(parser: argparse.ArgumentParser) -> None:
         help="fail on headline drift beyond this fraction (default 0.02)",
     )
     gate.add_argument(
-        "--no-wall",
-        action="store_true",
-        help="skip wall-time gating (cross-machine baselines)",
-    )
-    gate.add_argument(
         "--report-only",
         action="store_true",
-        help="print the comparison report but always exit 0",
+        help="print the comparison report but never fail on it",
     )
 
 
@@ -998,11 +811,7 @@ def _compare_main(argv: Sequence[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = compare_artifacts(
-        old,
-        new,
-        wall_threshold=args.wall_threshold,
-        headline_threshold=args.headline_threshold,
-        check_wall=not args.no_wall,
+        old, new, headline_threshold=args.headline_threshold
     )
     print(report.render())
     if report.failures:
@@ -1049,36 +858,40 @@ def bench_main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     out_dir = Path(args.out)
-    suite_started = time.perf_counter()
     produced: dict[str, dict[str, Any]] = {}
+    broken: list[str] = []
     for index, spec in enumerate(specs, start=1):
-        artifact = run_benchmark(
-            spec,
-            tier,
-            warmup=args.warmup,
-            repeats=args.repeats,
-            workers=args.workers,
-            profile=args.profile,
-        )
+        label = f"[bench {index}/{len(specs)}] {spec.name}"
+        try:
+            artifact = run_benchmark(
+                spec, BenchContext(tier, workers=args.workers)
+            )
+        except AssertionError:
+            broken.append(spec.name)
+            print(f"{label}: shape target FAILED", file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+            continue
         path = write_artifact(artifact, out_dir)
         produced[spec.name] = artifact
         headline = artifact["headline"]
         print(
-            f"[bench {index}/{len(specs)}] {spec.name}: "
-            f"{headline['metric']} = {headline['value']:.4g}"
-            f"{' ' + headline['unit'] if headline['unit'] else ''}, "
-            f"wall {artifact['wall_time_s']['min']:.2f}s -> {path}",
+            f"{label}: {headline['metric']} = {headline['value']:.4g}"
+            f"{' ' + headline['unit'] if headline['unit'] else ''} -> {path}",
             file=sys.stderr,
         )
     print(
-        f"[bench] {len(specs)} benchmark(s), tier {tier}, "
-        f"{time.perf_counter() - suite_started:.1f}s total, "
-        f"artifacts in {out_dir}",
+        f"[bench] {len(produced)} of {len(specs)} benchmark(s) passed their "
+        f"shape targets, tier {tier}, artifacts in {out_dir}",
         file=sys.stderr,
     )
+    # A wrong shape fails the run whatever the baseline diff says:
+    # --report-only softens the comparison below, never this.
+    status = 1 if broken else 0
+    if broken:
+        print(f"error: shape targets failed in: {', '.join(broken)}", file=sys.stderr)
 
     if args.baseline is None:
-        return 0
+        return status
     try:
         baseline = load_artifacts(args.baseline)
     except BenchbedError as exc:
@@ -1089,13 +902,9 @@ def bench_main(argv: Sequence[str] | None = None) -> int:
         # rest of the baseline is out of scope, not "missing".
         baseline = {name: baseline[name] for name in baseline if name in produced}
     report = compare_artifacts(
-        baseline,
-        produced,
-        wall_threshold=args.wall_threshold,
-        headline_threshold=args.headline_threshold,
-        check_wall=not args.no_wall,
+        baseline, produced, headline_threshold=args.headline_threshold
     )
     print(report.render())
     if args.report_only:
-        return 0
-    return report.exit_code
+        return status
+    return status or report.exit_code

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import SimulationResult, run_simulation
@@ -97,10 +97,7 @@ def replicate(
         raise ValueError("replication needs at least one seed")
     if executor is None:
         executor = ParallelExecutor()
-    configs = [
-        SimulationConfig(**{**_config_kwargs(config), "seed": seed})
-        for seed in seeds
-    ]
+    configs = [replace(config, seed=seed) for seed in seeds]
     records = executor.run_configs(configs)
     # Under a resilient executor a quarantined seed arrives as a failure
     # record; summarise the surviving seeds rather than KeyError-ing.
@@ -113,24 +110,6 @@ def replicate(
     return {
         metric: MetricSummary(metric, tuple(float(r[metric]) for r in records))
         for metric in REPLICATED_METRICS
-    }
-
-
-def _config_kwargs(config: SimulationConfig) -> dict:
-    return {
-        "width": config.width,
-        "height": config.height,
-        "router": config.router,
-        "routing": config.routing,
-        "traffic": config.traffic,
-        "injection_rate": config.injection_rate,
-        "flits_per_packet": config.flits_per_packet,
-        "router_config": config.router_config,
-        "warmup_packets": config.warmup_packets,
-        "measure_packets": config.measure_packets,
-        "max_cycles": config.max_cycles,
-        "fault_drop_timeout": config.fault_drop_timeout,
-        "drain_timeout": config.drain_timeout,
     }
 
 

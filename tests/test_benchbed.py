@@ -2,14 +2,19 @@
 
 The contract under test (docs/benchmarking.md):
 
-* discovery imports every ``benchmarks/bench_*.py`` and finds exactly
-  the 21 registered benchmarks, idempotently;
+* discovery imports every ``benchmarks/bench_*.py`` and finds the
+  registered benchmarks, idempotently;
 * a quick-tier run of the same benchmark twice yields byte-identical
-  comparison payloads (wall time and details excluded);
+  artifacts;
 * artifacts round-trip through the schema validator, and the baseline
-  comparison exits non-zero on regressions (wall slowdown, headline
-  drift against the better-direction, missing benchmarks) while staying
-  green on identical or improved runs.
+  comparison exits non-zero on regressions (headline drift against the
+  better direction, a violated floor/ceiling, missing benchmarks, a
+  tier mismatch) while staying green on identical or improved runs;
+* a benchmark whose in-function shape assertion fails makes ``bench``
+  exit non-zero and name it.
+
+``tests/test_fidelity.py`` pins the registered suite itself to the
+committed baseline.
 """
 
 import copy
@@ -17,6 +22,7 @@ import json
 
 import pytest
 
+from repro.harness import benchbed
 from repro.harness.benchbed import (
     REGISTRY,
     BenchbedError,
@@ -28,7 +34,6 @@ from repro.harness.benchbed import (
     Threshold,
     bench_main,
     benchmark,
-    bootstrap_ci,
     compare_artifacts,
     comparison_payload,
     discover,
@@ -191,14 +196,12 @@ def test_discovery_is_idempotent():
 def test_quick_run_is_deterministic_and_schema_valid(tmp_path):
     registry = make_registry()
     (spec,) = registry.select("tiny_sim")
-    first = run_benchmark(spec, "quick")
-    second = run_benchmark(spec, "quick")
-    assert comparison_payload(first) == comparison_payload(second)
-    assert first["deterministic"] is True
+    first = run_benchmark(spec, BenchContext("quick"))
+    second = run_benchmark(spec, BenchContext("quick"))
+    assert first == second
     assert first["tier"] == "quick"
     assert first["seed"] == 11
     assert first["cycles"] > 0
-    assert first["cycles_per_second"] is not None
     assert first["scheduler"] is not None
     assert "duty_cycle" in first["scheduler"]
     validate_artifact(first)
@@ -209,35 +212,29 @@ def test_quick_run_is_deterministic_and_schema_valid(tmp_path):
     assert comparison_payload(loaded["tiny_sim"]) == comparison_payload(first)
 
 
-def test_full_tier_records_all_repeats():
-    registry = make_registry()
-    (spec,) = registry.select("tiny_sim")
-    artifact = run_benchmark(spec, "full", warmup=0, repeats=2)
-    assert len(artifact["wall_time_s"]["samples"]) == 2
-    assert len(artifact["headline_values"]) == 2
-    assert artifact["deterministic"] is True
-
-
-def test_profile_capture():
-    registry = make_registry()
-    (spec,) = registry.select("tiny_sim")
-    artifact = run_benchmark(spec, "quick", profile=True)
-    assert artifact["profile"], "expected cProfile hotspot rows"
-    row = artifact["profile"][0]
-    assert {"function", "calls", "cumulative_time_s"} <= set(row)
-
-
 def test_unknown_tier_rejected():
-    registry = make_registry()
-    (spec,) = registry.select("tiny_sim")
     with pytest.raises(BenchbedError, match="tier"):
-        run_benchmark(spec, "medium")
+        BenchContext("medium")
+
+
+def test_run_enforces_registered_bounds():
+    registry = BenchmarkRegistry()
+
+    @benchmark("bounded", headline="x", floor=1.0, registry=registry)
+    def bounded(ctx):
+        return Outcome(0.5, ceiling=ctx.pick(quick=0.4, full=None))
+
+    (spec,) = registry.select("bounded")
+    with pytest.raises(BenchThresholdError, match="ceiling"):
+        run_benchmark(spec, BenchContext("quick"))
+    with pytest.raises(BenchThresholdError, match="floor"):
+        run_benchmark(spec, BenchContext("full"))
 
 
 def test_validate_artifact_rejects_damage():
     registry = make_registry()
     (spec,) = registry.select("tiny_sim")
-    artifact = run_benchmark(spec, "quick")
+    artifact = run_benchmark(spec, BenchContext("quick"))
 
     missing = {k: v for k, v in artifact.items() if k != "headline"}
     with pytest.raises(ValueError, match="headline"):
@@ -253,10 +250,12 @@ def test_validate_artifact_rejects_damage():
     with pytest.raises(ValueError, match="direction"):
         validate_artifact(bad_direction)
 
-    no_samples = copy.deepcopy(artifact)
-    no_samples["wall_time_s"]["samples"] = []
-    with pytest.raises(ValueError, match="samples"):
-        validate_artifact(no_samples)
+    # A version-1 artifact (the one that carried timings) is refused
+    # whole rather than half-read.
+    v1 = copy.deepcopy(artifact)
+    v1["schema_version"] = 1
+    with pytest.raises(ValueError, match="schema version 1"):
+        validate_artifact(v1)
 
 
 def test_quick_scale_preserves_mesh_and_trims_grids():
@@ -293,14 +292,13 @@ def test_context_pick_and_scale():
 def synthetic_artifact(
     name="synth",
     value=10.0,
-    wall=1.0,
     direction="lower",
     tier="quick",
     floor=None,
     ceiling=None,
 ):
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "name": name,
         "tier": tier,
         "headline": {
@@ -313,22 +311,9 @@ def synthetic_artifact(
         },
         "seed": 7,
         "config": {"simulations": 1},
-        "details": {},
         "cycles": 1000,
-        "deterministic": True,
-        "headline_values": [value],
-        "wall_time_s": {
-            "warmup": 0,
-            "repeats": 1,
-            "samples": [wall],
-            "min": wall,
-            "mean": wall,
-            "median": wall,
-        },
-        "cycles_per_second": 1000.0,
+        "details": {},
         "scheduler": None,
-        "environment": {},
-        "profile": None,
     }
 
 
@@ -337,25 +322,6 @@ def test_compare_identical_artifacts_passes():
     report = compare_artifacts(old, copy.deepcopy(old))
     assert report.exit_code == 0
     assert report.deltas[0].status == "ok"
-
-
-def test_compare_flags_2x_wall_slowdown():
-    old = {"synth": synthetic_artifact(wall=1.0)}
-    new = {"synth": synthetic_artifact(wall=2.0)}
-    report = compare_artifacts(old, new)
-    assert report.exit_code == 1
-    (delta,) = report.deltas
-    assert delta.status == "regression"
-    assert delta.wall_delta == pytest.approx(1.0)
-    assert any("wall time" in note for note in delta.notes)
-
-
-def test_compare_ignores_wall_when_disabled():
-    old = {"synth": synthetic_artifact(wall=1.0)}
-    new = {"synth": synthetic_artifact(wall=2.0)}
-    report = compare_artifacts(old, new, check_wall=False)
-    assert report.exit_code == 0
-    assert "wall" not in report.render().splitlines()[0]
 
 
 def test_compare_headline_drift_is_direction_aware():
@@ -414,16 +380,6 @@ def test_compare_absolute_floor_beats_relative_threshold():
     assert any("floor" in note for note in delta.notes)
 
 
-def test_bootstrap_ci_brackets_a_real_shift():
-    old = [1.0, 1.02, 0.98, 1.01, 0.99]
-    new = [2.0, 2.04, 1.96, 2.02, 1.98]
-    ci = bootstrap_ci(old, new)
-    assert ci is not None
-    lo, hi = ci
-    assert lo <= 1.0 <= hi or (lo > 0.8 and hi < 1.2)
-    assert bootstrap_ci([1.0], [2.0]) is None
-
-
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -433,14 +389,11 @@ def test_cli_compare_exit_codes(tmp_path):
     new_dir = tmp_path / "new"
     old_dir.mkdir()
     new_dir.mkdir()
-    write_artifact(synthetic_artifact(wall=1.0), old_dir)
-    write_artifact(synthetic_artifact(wall=2.0), new_dir)
+    write_artifact(synthetic_artifact(value=10.0), old_dir)
+    write_artifact(synthetic_artifact(value=11.0), new_dir)
 
     assert bench_main(["compare", str(old_dir), str(old_dir)]) == 0
     assert bench_main(["compare", str(old_dir), str(new_dir)]) == 1
-    assert (
-        bench_main(["compare", str(old_dir), str(new_dir), "--no-wall"]) == 0
-    )
     assert (
         bench_main(
             ["compare", str(old_dir), str(new_dir), "--report-only"]
@@ -476,10 +429,42 @@ def test_cli_run_quick_filter_and_baseline(tmp_path):
             str(tmp_path / "again"),
             "--baseline",
             str(out),
-            "--no-wall",
         ]
     )
     assert code == 0
+
+
+def test_cli_broken_shape_fails_the_run_and_names_the_bench(
+    tmp_path, capsys, monkeypatch
+):
+    # discover() registers into the module-global registry; give this
+    # test its own so the two throwaway benches never reach the real one.
+    monkeypatch.setattr(benchbed, "REGISTRY", BenchmarkRegistry())
+    bench_dir = tmp_path / "benches"
+    bench_dir.mkdir()
+    (bench_dir / "bench_shapes.py").write_text(
+        "from repro.harness.benchbed import benchmark\n"
+        "\n"
+        "@benchmark('shape_ok', headline='x')\n"
+        "def ok(ctx):\n"
+        "    return 1.0\n"
+        "\n"
+        "@benchmark('shape_broken', headline='x')\n"
+        "def broken(ctx):\n"
+        "    assert 1.0 < 0.5, 'roco must beat generic'\n"
+        "    return 1.0\n"
+    )
+    out = tmp_path / "out"
+    argv = ["--quick", "--filter", "shape_*", "--out", str(out)]
+    argv += ["--bench-dir", str(bench_dir)]
+    assert bench_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "shape_broken" in err
+    assert "roco must beat generic" in err
+    # The healthy bench still ran; the broken one left no artifact.
+    assert [p.name for p in out.glob("BENCH_*.json")] == ["BENCH_shape_ok.json"]
+    # --report-only softens the baseline diff, not a wrong shape.
+    assert bench_main(argv + ["--baseline", str(out), "--report-only"]) == 1
 
 
 def test_cli_run_rejects_unmatched_filter(tmp_path):

@@ -1,7 +1,12 @@
 """Tests for the replication statistics and saturation search."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.simulator import run_simulation
+from repro.harness.export import result_record
+from repro.harness.parallel import ParallelExecutor
 from repro.harness.replication import (
     MetricSummary,
     find_saturation_rate,
@@ -57,6 +62,27 @@ class TestReplicate:
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
             replicate(small_config(), seeds=())
+
+    def test_every_config_field_survives_reseeding(self):
+        # Only the seed may change: a torus must not be replicated as
+        # the default mesh, nor an SoA run on the object engine.
+        torus = small_config(
+            topology="torus", router="generic", injection_rate=0.2
+        )
+        record = result_record(run_simulation(replace(torus, seed=3)))
+        summaries = replicate(torus, seeds=(3,))
+        for metric, summary in summaries.items():
+            assert summary.samples == (float(record[metric]),), metric
+
+        class Recording(ParallelExecutor):
+            def run_configs(self, configs):
+                self.configs = list(configs)
+                return super().run_configs(self.configs)
+
+        executor = Recording()
+        soa = small_config(backend="soa")
+        replicate(soa, seeds=(1, 2), executor=executor)
+        assert executor.configs == [replace(soa, seed=1), replace(soa, seed=2)]
 
 
 class TestSaturationSearch:
