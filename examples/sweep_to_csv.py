@@ -1,9 +1,9 @@
 """Custom study workflow: sweep a parameter grid, export, pivot.
 
 Shows the generic-study API that the fixed per-figure runners do not
-cover: build a :class:`~repro.harness.sweeps.Sweep`, run it with a
-progress callback, save the raw records to CSV/JSON, and pivot a metric
-into a table.
+cover: build a :class:`~repro.harness.sweeps.Sweep`, run it on an
+executor with a progress callback, save the raw records to CSV/JSON, and
+pivot a metric into a table.
 
 Run with::
 
@@ -18,6 +18,7 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import run_simulation
 from repro.harness import report
 from repro.harness.export import write_csv, write_json
+from repro.harness.parallel import ParallelExecutor
 from repro.harness.sweeps import Sweep, pivot
 
 
@@ -41,7 +42,7 @@ def main() -> None:
         },
     )
     print(f"Running {sweep.size} configurations on 2 workers ...")
-    records = sweep.run(
+    executor = ParallelExecutor(
         workers=2,
         progress=lambda done, total, record: print(
             f"  [{done:2d}/{total}] {record['router']:>14s} "
@@ -49,6 +50,7 @@ def main() -> None:
             f"lat={record['average_latency']:7.2f} cyc"
         ),
     )
+    records = sweep.run(executor)
 
     # Re-run each configuration object through the exporters as full
     # SimulationResult records (the sweep already returns flat dicts; we

@@ -56,24 +56,25 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import random
 import sys
+from dataclasses import replace
 
-from repro.core.config import SimulationConfig
 from repro.core.simulator import run_simulation
-from repro.core.types import NodeId
-from repro.faults.injector import random_faults
-from repro.faults.schedule import FaultSchedule
 from repro.harness.campaign import run_campaign
 from repro.harness.parallel import (
     ParallelExecutor,
     ProgressPrinter,
     ResultCache,
+    SimJob,
     is_failure_record,
 )
-from repro.harness.sweeps import Sweep
-from repro.routers import ROUTER_CLASSES
-from repro.traffic import TRAFFIC_CLASSES
+from repro.harness.scenario import (
+    CAMPAIGN_FLAGS,
+    CONFIG_FLAGS,
+    FAULT_FLAGS,
+    add_flags,
+    job_from_args,
+)
 
 
 #: ``python -m repro NAME ...``: name -> (lazy ``module:function``,
@@ -119,75 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "--router", choices=sorted(ROUTER_CLASSES), default="roco"
-    )
-    parser.add_argument(
-        "--routing", choices=["xy", "xy-yx", "adaptive"], default="xy"
-    )
-    parser.add_argument(
-        "--traffic", choices=sorted(TRAFFIC_CLASSES), default="uniform"
-    )
-    parser.add_argument(
-        "--rate", type=float, default=0.2, help="injection rate (flits/node/cycle)"
-    )
-    parser.add_argument("--size", type=int, default=8, help="mesh is size x size")
-    parser.add_argument(
-        "--topology",
-        choices=["mesh", "torus"],
-        default="mesh",
-        help="torus requires --router generic with XY routing",
-    )
-    parser.add_argument("--packets", type=int, default=2000, help="measured packets")
-    parser.add_argument("--warmup", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--shards",
-        default=None,
-        metavar="WxH",
-        help=(
-            "partition the mesh into WxH tile worker processes "
-            "(bit-identical; see docs/sharded-scaling.md)"
+    add_flags(parser, CONFIG_FLAGS)
+    add_flags(parser, FAULT_FLAGS)
+    add_flags(
+        parser.add_argument_group(
+            "fault campaign", "inject faults mid-run instead of before wiring"
         ),
-    )
-    parser.add_argument(
-        "--faults", type=int, default=0, help="number of random permanent faults"
-    )
-    parser.add_argument(
-        "--fault-class",
-        choices=["critical", "non-critical"],
-        default="critical",
-        help="Figure-11 (router-centric) vs Figure-12 (message-centric) population",
-    )
-    campaign = parser.add_argument_group(
-        "fault campaign", "inject faults mid-run instead of before wiring"
-    )
-    campaign.add_argument(
-        "--fault-schedule",
-        default=None,
-        metavar="FILE",
-        help="JSON fault-schedule file (see docs/fault-model.md) to run mid-simulation",
-    )
-    campaign.add_argument(
-        "--mtbf",
-        type=float,
-        default=None,
-        metavar="CYCLES",
-        help="sample --faults arrivals with this mean time between failures",
-    )
-    campaign.add_argument(
-        "--weibull-shape",
-        type=float,
-        default=None,
-        metavar="K",
-        help="Weibull shape for --mtbf arrivals (default: exponential)",
-    )
-    campaign.add_argument(
-        "--transient",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="make scheduled faults transient, healing after this many cycles",
+        CAMPAIGN_FLAGS,
     )
     sweep = parser.add_argument_group(
         "sweep mode", "run a grid of points instead of a single simulation"
@@ -278,26 +217,6 @@ def _rate_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad rate list {text!r}") from exc
 
 
-def _build_schedule(args) -> FaultSchedule | None:
-    """Resolve the campaign flags into a schedule (or None)."""
-    if args.fault_schedule is not None:
-        return FaultSchedule.from_json(args.fault_schedule)
-    if args.mtbf is not None:
-        nodes = [
-            NodeId(x, y) for y in range(args.size) for x in range(args.size)
-        ]
-        return FaultSchedule.sampled(
-            nodes,
-            count=args.faults,
-            seed=args.seed,
-            mtbf=args.mtbf,
-            critical=args.fault_class == "critical",
-            weibull_shape=args.weibull_shape,
-            duration=args.transient,
-        )
-    return None
-
-
 def _campaign_args_valid(args) -> str | None:
     """Return an error message when the campaign flags are inconsistent."""
     if args.fault_schedule is not None and args.mtbf is not None:
@@ -318,23 +237,10 @@ def _campaign_args_valid(args) -> str | None:
 
 
 def _run_single(args) -> int:
-    schedule = _build_schedule(args)
-    config = SimulationConfig(
-        width=args.size,
-        height=args.size,
-        topology=args.topology,
-        router=args.router,
-        routing=args.routing,
-        traffic=args.traffic,
-        injection_rate=args.rate,
-        warmup_packets=args.warmup,
-        measure_packets=args.packets,
-        seed=args.seed,
-        shards=args.shards,
-    )
+    job = job_from_args(args)
     campaign = None
-    if schedule is not None:
-        for event in schedule:
+    if job.schedule is not None:
+        for event in job.schedule:
             healing = (
                 f", heals at {event.clear_cycle}" if event.transient else ""
             )
@@ -342,26 +248,15 @@ def _run_single(args) -> int:
                 f"fault @ cycle {event.cycle}: {event.fault.component.value} "
                 f"at {event.fault.node} ({event.fault.module} module){healing}"
             )
-        campaign = run_campaign(config, schedule)
+        campaign = run_campaign(job.config, job.schedule)
         result = campaign.result
     else:
-        faults = []
-        if args.faults:
-            nodes = [
-                NodeId(x, y) for y in range(args.size) for x in range(args.size)
-            ]
-            faults = random_faults(
-                nodes,
-                args.faults,
-                random.Random(args.seed),
-                critical=args.fault_class == "critical",
+        for fault in job.faults:
+            print(
+                f"fault: {fault.component.value} at {fault.node} "
+                f"({fault.module} module)"
             )
-            for fault in faults:
-                print(
-                    f"fault: {fault.component.value} at {fault.node} "
-                    f"({fault.module} module)"
-                )
-        result = run_simulation(config, faults=faults)
+        result = run_simulation(job.config, faults=list(job.faults))
     print(result.summary_line())
     print(
         f"  latency p50/p95/p99: {result.latency.p50:.1f} / "
@@ -404,31 +299,25 @@ def _build_resilience(args, cache) -> tuple[object, object] | tuple[None, None]:
 
 
 def _run_sweep(args) -> int:
-    schedule = _build_schedule(args)
-    if args.faults and schedule is None:
+    if args.faults and args.mtbf is None and args.fault_schedule is None:
         print(
             "error: static --faults is not supported in sweep mode "
             "(use --mtbf or --fault-schedule for campaigns)",
             file=sys.stderr,
         )
         return 2
+    base = job_from_args(args)
     rates = args.rates if args.rates else [args.rate]
     seeds = list(range(args.seed, args.seed + args.num_seeds))
-    sweep = Sweep(
-        axes={"injection_rate": rates, "seed": seeds},
-        base={
-            "width": args.size,
-            "height": args.size,
-            "topology": args.topology,
-            "router": args.router,
-            "routing": args.routing,
-            "traffic": args.traffic,
-            "warmup_packets": args.warmup,
-            "measure_packets": args.packets,
-            **({"shards": args.shards} if args.shards else {}),
-        },
-        schedule=schedule,
-    )
+    # One campaign, sampled at --seed, strikes every point of the grid.
+    jobs = [
+        SimJob.of(
+            replace(base.config, injection_rate=rate, seed=seed),
+            schedule=base.schedule,
+        )
+        for rate in rates
+        for seed in seeds
+    ]
     cache = None
     if args.cache_dir and not args.no_cache:
         cache = ResultCache(args.cache_dir)
@@ -442,13 +331,13 @@ def _run_sweep(args) -> int:
     )
     supervised = ", supervised" if policy is not None else ""
     print(
-        f"sweep: {sweep.size} points ({len(rates)} rates x {len(seeds)} seeds), "
+        f"sweep: {len(jobs)} points ({len(rates)} rates x {len(seeds)} seeds), "
         f"{executor.workers} worker(s){supervised}"
         + (f", cache at {cache.directory}" if cache else "")
         + (f", journal at {journal.path}" if journal is not None else ""),
         file=sys.stderr,
     )
-    records = sweep.run(executor=executor)
+    records = executor.run_jobs(jobs)
     for record in records:
         if is_failure_record(record):
             print(

@@ -22,10 +22,15 @@ from repro.audit.invariants import InvariantViolation
 from repro.audit.shrink import load_reproducer, save_reproducer, shrink
 from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.simulator import DeadlockError, Simulator, run_simulation
-from repro.core.types import NodeId
+from repro.core.types import grid_nodes
 from repro.faults.schedule import FaultSchedule
-from repro.routers import ROUTER_CLASSES
-from repro.traffic import TRAFFIC_CLASSES
+from repro.harness.scenario import (
+    CAMPAIGN_FLAGS,
+    CONFIG_FLAGS,
+    FAULT_FLAGS,
+    add_flags,
+    job_from_args,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,19 +38,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro audit",
         description="Run simulations with per-cycle invariant auditing",
     )
-    parser.add_argument("--router", choices=sorted(ROUTER_CLASSES), default="roco")
-    parser.add_argument(
-        "--routing", choices=["xy", "xy-yx", "adaptive"], default="xy"
+    add_flags(
+        parser,
+        CONFIG_FLAGS,
+        omit=("--shards",),
+        packets=dict(default=500),
+        warmup=dict(default=100),
     )
-    parser.add_argument(
-        "--traffic", choices=sorted(TRAFFIC_CLASSES), default="uniform"
-    )
-    parser.add_argument("--rate", type=float, default=0.2)
-    parser.add_argument("--size", type=int, default=8, help="mesh is size x size")
-    parser.add_argument("--topology", choices=["mesh", "torus"], default="mesh")
-    parser.add_argument("--packets", type=int, default=500, help="measured packets")
-    parser.add_argument("--warmup", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--full-sweep",
         action="store_true",
@@ -59,27 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="audit every Nth cycle (location continuity needs 1)",
     )
     faults = parser.add_argument_group("faults")
-    faults.add_argument(
-        "--faults", type=int, default=0, help="runtime faults to sample"
-    )
-    faults.add_argument(
-        "--fault-class", choices=["critical", "non-critical"], default="critical"
-    )
-    faults.add_argument(
-        "--fault-schedule", default=None, metavar="FILE", help="JSON fault schedule"
-    )
-    faults.add_argument(
-        "--mtbf",
-        type=float,
-        default=None,
-        metavar="CYCLES",
-        help="mean time between sampled fault arrivals (default 500)",
-    )
-    faults.add_argument(
-        "--weibull-shape", type=float, default=None, metavar="K"
-    )
-    faults.add_argument(
-        "--transient", type=int, default=None, metavar="CYCLES"
+    add_flags(faults, FAULT_FLAGS, faults=dict(help="runtime faults to sample"))
+    add_flags(
+        faults,
+        CAMPAIGN_FLAGS,
+        mtbf=dict(
+            help="mean time between sampled fault arrivals (default 500)"
+        ),
     )
     modes = parser.add_argument_group("modes")
     modes.add_argument(
@@ -100,38 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the CI smoke grid (rate x router x fault, both schedulers)",
     )
     return parser
-
-
-def _build_scenario(args) -> tuple[SimulationConfig, FaultSchedule | None]:
-    config = SimulationConfig(
-        width=args.size,
-        height=args.size,
-        topology=args.topology,
-        router=args.router,
-        routing=args.routing,
-        traffic=args.traffic,
-        injection_rate=args.rate,
-        warmup_packets=args.warmup,
-        measure_packets=args.packets,
-        seed=args.seed,
-        audit=True,
-    )
-    if args.fault_schedule is not None:
-        return config, FaultSchedule.from_json(args.fault_schedule)
-    if args.faults:
-        nodes = [NodeId(x, y) for y in range(args.size) for x in range(args.size)]
-        schedule = FaultSchedule.sampled(
-            nodes,
-            count=args.faults,
-            seed=args.seed,
-            mtbf=args.mtbf if args.mtbf is not None else 500.0,
-            critical=args.fault_class == "critical",
-            weibull_shape=args.weibull_shape,
-            duration=args.transient,
-            router_config=RouterConfig.for_architecture(args.router),
-        )
-        return config, schedule
-    return config, None
 
 
 def _describe(violation: InvariantViolation) -> None:
@@ -159,7 +112,10 @@ def _run_audited(
 
 
 def _run_single(args) -> int:
-    config, schedule = _build_scenario(args)
+    # ``--faults N`` alone samples a runtime campaign: an audited run
+    # wants faults striking live state, not a pre-wired mesh.
+    job = job_from_args(args, default_mtbf=500.0, audit=True)
+    config, schedule = job.config, job.schedule
     violation = _run_audited(
         config, schedule, full_sweep=args.full_sweep, interval=args.interval
     )
@@ -222,11 +178,8 @@ def _run_grid(args) -> int:
                     )
                     schedule = None
                     if fault_count:
-                        nodes = [
-                            NodeId(x, y) for y in range(4) for x in range(4)
-                        ]
                         schedule = FaultSchedule.sampled(
-                            nodes,
+                            grid_nodes(config.width, config.height),
                             count=fault_count,
                             seed=args.seed,
                             mtbf=150.0,

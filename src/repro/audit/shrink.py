@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.audit.invariants import InvariantViolation
-from repro.core.config import RouterConfig, SimulationConfig
+from repro.core.config import SimulationConfig
 from repro.faults.schedule import FaultSchedule
 
 #: Reproducer file format tag.
@@ -178,25 +178,14 @@ def _ddmin_events(events: list, best: list, adopt) -> list:
 # ----------------------------------------------------------------------
 
 
-def config_from_payload(payload: dict) -> SimulationConfig:
-    """Inverse of :func:`repro.harness.parallel.config_payload`."""
-    data = dict(payload)
-    router_config = data.pop("router_config", None)
-    if router_config is not None:
-        router_config = RouterConfig(**router_config)
-    return SimulationConfig(router_config=router_config, **data)
-
-
 def reproducer_payload(
     config: SimulationConfig,
     schedule: FaultSchedule | None,
     violation: InvariantViolation,
 ) -> dict:
-    from repro.harness.parallel import config_payload
-
     return {
         "schema": SCHEMA,
-        "config": config_payload(config),
+        "config": config.to_payload(),
         "schedule": schedule.to_payload() if schedule else None,
         "violation": {
             "invariant": violation.invariant,
@@ -229,7 +218,9 @@ def load_reproducer(
         raise ValueError(
             f"not an audit reproducer (schema {payload.get('schema')!r})"
         )
-    config = replace(config_from_payload(payload["config"]), audit=True)
+    config = replace(
+        SimulationConfig.from_payload(payload["config"]), audit=True
+    )
     schedule = (
         FaultSchedule.from_payload(payload["schedule"])
         if payload.get("schedule")

@@ -5,13 +5,55 @@ simulator is "fully parameterizable" over (Section 5.1): network size,
 routing algorithm, VCs per port, buffer depth, injection rate and traffic
 type, flit size and flits per packet, plus the warm-up / measurement
 phases.
+
+Both dataclasses are their own codec: :meth:`to_payload` is the
+plain-JSON form every other module serialises a configuration through
+(the cache key, audit reproducers, server requests) and
+:meth:`from_payload` its inverse.  One rule decides what a payload
+holds, so a field added later needs no line anywhere else: the fields of
+cache-key format 1 appear whatever their value, every field declared
+after them appears only when it differs from its default — which keeps
+every key already on disk valid — and an unknown key is rejected by
+name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from repro.core.types import RoutingMode
+
+
+def _codec_fields(cls, last: str) -> tuple[frozenset, tuple, tuple]:
+    """Split a dataclass's fields after ``last``, the final field of
+    cache-key format 1: ``(known, always, sparse)`` — every name, the
+    names emitted always, and the ``(name, default)`` pairs emitted
+    off-default.  New fields are declared below ``last``.
+
+    Computed once per class at import: ``to_payload`` sits on the
+    ``job_key`` path of every cached job and only walks these tuples.
+    """
+    names = [f.name for f in fields(cls)]
+    cut = names.index(last) + 1
+    sparse = tuple((f.name, f.default) for f in fields(cls)[cut:])
+    return frozenset(names), tuple(names[:cut]), sparse
+
+
+def _emit(obj, always: tuple, sparse: tuple) -> dict:
+    payload = {name: getattr(obj, name) for name in always}
+    for name, default in sparse:
+        value = getattr(obj, name)
+        if value != default:
+            payload[name] = value
+    return payload
+
+
+def reject_unknown(kind: str, payload: dict, known) -> None:
+    """Raise ``ValueError`` naming the first key of ``payload`` outside
+    ``known`` (the ``from_payload`` half of the codec rule)."""
+    for name in payload:
+        if name not in known:
+            raise ValueError(f"unknown {kind} field {name!r}")
 
 
 def parse_shards(value) -> tuple[int, int]:
@@ -63,6 +105,7 @@ class RouterConfig:
     #: RoCo and Path-Sensitive head flits the same post-arrival RC cycle
     #: the generic router pays.
     lookahead_routing: bool = True
+    # End of cache-key format 1 (see SimulationConfig.seed).
 
     @classmethod
     def for_architecture(cls, architecture: str, **overrides) -> "RouterConfig":
@@ -77,6 +120,19 @@ class RouterConfig:
         params = {"buffer_depth": depths[architecture]}
         params.update(overrides)
         return cls(**params)
+
+    def to_payload(self) -> dict:
+        return _emit(self, _ROUTER_ALWAYS, _ROUTER_SPARSE)
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "RouterConfig":
+        reject_unknown("router_config", payload, _ROUTER_KNOWN)
+        return cls(**payload)
+
+
+_ROUTER_KNOWN, _ROUTER_ALWAYS, _ROUTER_SPARSE = _codec_fields(
+    RouterConfig, last="lookahead_routing"
+)
 
 
 @dataclass
@@ -113,6 +169,8 @@ class SimulationConfig:
     #: the run early (drain detection).
     drain_timeout: int = 2_000
     seed: int = 1
+    # End of cache-key format 1.  The fields below (and any new field,
+    # which is declared below) enter a payload only when off-default.
     #: Opt-in runtime invariant auditing (repro.audit): per-cycle checks
     #: of flit conservation, credit accounting, wormhole ordering,
     #: allocation legality and flit location continuity.  Off by default —
@@ -175,3 +233,35 @@ class SimulationConfig:
     def packet_injection_rate(self) -> float:
         """Per-node packet generation probability per cycle."""
         return self.injection_rate / self.flits_per_packet
+
+    def to_payload(self) -> dict:
+        """Canonical plain-JSON description; what ``job_key`` hashes.
+
+        ``backend`` and ``shards`` are bit-identical to the default run
+        and ``audit`` only observes it, so sharing its cache entry would
+        be sound — but a conformance regression must not hide behind a
+        cache hit on the reference record, and an audited job must be
+        audited.  Emitted off-default, each gets its own key while every
+        default-run key stays what it always was.
+        """
+        payload = _emit(self, _SIM_ALWAYS, _SIM_SPARSE)
+        payload["routing"] = self.routing.value
+        payload["router_config"] = self.router_config.to_payload()
+        if self.shards is not None:
+            payload["shards"] = list(self.shards)
+        return payload
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "SimulationConfig":
+        """Inverse of :meth:`to_payload`; absent fields take their
+        defaults, an unknown one raises ``ValueError`` naming it."""
+        reject_unknown("config", payload, _SIM_KNOWN)
+        params = dict(payload)
+        if params.get("router_config") is not None:
+            params["router_config"] = RouterConfig.from_payload(
+                params["router_config"]
+            )
+        return cls(**params)
+
+
+_SIM_KNOWN, _SIM_ALWAYS, _SIM_SPARSE = _codec_fields(SimulationConfig, last="seed")

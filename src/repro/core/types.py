@@ -130,6 +130,16 @@ class NodeId:
         return f"({self.x},{self.y})"
 
 
+def grid_nodes(width: int, height: int) -> list[NodeId]:
+    """Every node of a ``width x height`` grid, row-major.
+
+    Row-major is the order the network builds and steps its routers in,
+    so it is also the order traffic binding and fault sampling draw
+    over: a seeded draw names the same nodes wherever the list is made.
+    """
+    return [NodeId(x, y) for y in range(height) for x in range(width)]
+
+
 @dataclass
 class Packet:
     """The unit of routing: a worm of ``size`` flits sharing one path.

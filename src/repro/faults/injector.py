@@ -15,9 +15,9 @@ comparison; only the reaction differs:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from repro.core.config import RouterConfig
+from repro.core.config import RouterConfig, reject_unknown
 from repro.core.network import Network
 from repro.core.types import NodeId
 from repro.faults.model import (
@@ -42,6 +42,31 @@ class ComponentFault:
     component: Component
     module: str = ROW
     vc_position: int = 0
+
+    def to_payload(self) -> dict:
+        """Plain-JSON form (cache keys, schedule files, reproducers)."""
+        return {
+            "node": [self.node.x, self.node.y],
+            "component": self.component.value,
+            "module": self.module,
+            "vc_position": self.vc_position,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "ComponentFault":
+        """Inverse of :meth:`to_payload`; ``module`` and ``vc_position``
+        may be absent, an unknown key raises ``ValueError`` naming it."""
+        reject_unknown("fault", payload, _FAULT_FIELDS)
+        x, y = payload["node"]
+        return cls(
+            node=NodeId(int(x), int(y)),
+            component=Component(payload["component"]),
+            module=payload.get("module", ROW),
+            vc_position=int(payload.get("vc_position", 0)),
+        )
+
+
+_FAULT_FIELDS = frozenset(f.name for f in fields(ComponentFault))
 
 
 def module_vc_count(router_config: RouterConfig | None = None) -> int:

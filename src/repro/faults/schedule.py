@@ -32,7 +32,6 @@ from pathlib import Path
 from repro.core.config import RouterConfig
 from repro.core.types import NodeId
 from repro.faults.injector import ComponentFault, random_faults
-from repro.faults.model import Component
 
 
 @dataclass(frozen=True)
@@ -188,10 +187,7 @@ class FaultSchedule:
         return [
             {
                 "cycle": event.cycle,
-                "node": [event.fault.node.x, event.fault.node.y],
-                "component": event.fault.component.value,
-                "module": event.fault.module,
-                "vc_position": event.fault.vc_position,
+                **event.fault.to_payload(),
                 "duration": event.duration,
             }
             for event in self.events
@@ -202,22 +198,17 @@ class FaultSchedule:
         events = []
         for entry in payload:
             try:
-                node = entry["node"]
-                fault = ComponentFault(
-                    node=NodeId(int(node[0]), int(node[1])),
-                    component=Component(entry["component"]),
-                    module=entry.get("module", "row"),
-                    vc_position=int(entry.get("vc_position", 0)),
-                )
-                duration = entry.get("duration")
+                fault = dict(entry)
+                cycle = int(fault.pop("cycle"))
+                duration = fault.pop("duration", None)
                 events.append(
                     FaultEvent(
-                        cycle=int(entry["cycle"]),
-                        fault=fault,
+                        cycle=cycle,
+                        fault=ComponentFault.from_payload(fault),
                         duration=None if duration is None else int(duration),
                     )
                 )
-            except (KeyError, IndexError, TypeError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise ValueError(f"malformed fault-event entry {entry!r}") from exc
         return cls(events)
 

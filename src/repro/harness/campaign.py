@@ -7,25 +7,23 @@ ledger, service timelines and the delivered-fraction-vs-fault-count
 staircase.  :func:`run_campaign` wires all of that together so callers
 (the CLI, the dynamic-fault benchmark, tests) get one object back.
 
-For fan-out over many schedules/configs, :func:`run_campaigns` submits
-the whole batch through a fault-tolerant
-:class:`~repro.harness.parallel.ParallelExecutor`: one job raising
+To fan out over many schedules or configs, run
+``SimJob.of(config, schedule=s)`` jobs through a
+:class:`~repro.harness.parallel.ParallelExecutor` with a
+:class:`~repro.harness.resilient.RetryPolicy`: one job raising
 ``DrainTimeoutError`` (or crashing its worker) is quarantined as a
-structured failure in the :class:`CampaignSweepReport` while every
-other job completes — the sweep itself degrades gracefully.  The result
-cache keys on the schedule payload, so repeated campaigns cost zero new
-simulations.
+failure record while every other job completes, and the result cache
+keys on the schedule payload, so repeated campaigns cost zero new
+simulations (docs/resilient-execution.md).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import SimulationResult, Simulator
 from repro.faults.schedule import FaultSchedule
-from repro.harness.parallel import ExecutionStats, ParallelExecutor, SimJob
 from repro.metrics.resilience import PacketAccounting, ResilienceProbe
 
 
@@ -84,85 +82,4 @@ def run_campaign(
         accounting=PacketAccounting.from_result(result),
         probe=probe,
         schedule=schedule,
-    )
-
-
-@dataclass
-class CampaignSweepReport:
-    """A batch of campaign jobs: records, quarantined failures, stats.
-
-    ``records`` is one entry per job in submission order — either a
-    flat result record or a failure-marker record (see
-    ``repro.harness.parallel.FAILURE_MARKER``); ``failures`` holds the
-    corresponding :class:`~repro.harness.resilient.JobFailure` objects.
-    """
-
-    records: list[dict]
-    failures: list = field(default_factory=list)
-    stats: ExecutionStats = field(default_factory=ExecutionStats)
-
-    @property
-    def ok_records(self) -> list[dict]:
-        from repro.harness.parallel import is_failure_record
-
-        return [r for r in self.records if not is_failure_record(r)]
-
-    def summary_lines(self) -> list[str]:
-        """Human-readable batch report (CLI output)."""
-        lines = [
-            f"campaign jobs: {self.stats.total} "
-            f"({len(self.ok_records)} completed, "
-            f"{self.stats.failures} failed)",
-            f"execution: {self.stats.describe()}",
-        ]
-        for failure in self.failures:
-            lines.append(f"failed: {failure.describe()}")
-        return lines
-
-
-def campaign_jobs(
-    config: SimulationConfig, schedules: Sequence[FaultSchedule]
-) -> list[SimJob]:
-    """One :class:`SimJob` per schedule, all sharing ``config``."""
-    return [SimJob.of(config, schedule=schedule) for schedule in schedules]
-
-
-def run_campaigns(
-    jobs: Sequence[SimJob],
-    *,
-    workers: int | None = None,
-    cache=None,
-    policy=None,
-    journal=None,
-    progress=None,
-    executor: ParallelExecutor | None = None,
-) -> CampaignSweepReport:
-    """Run many campaign jobs with failure isolation.
-
-    Jobs are supervised by ``policy`` (default: a stock
-    :class:`~repro.harness.resilient.RetryPolicy`), so an unrecoverable
-    job — e.g. one raising
-    :class:`~repro.core.simulator.DrainTimeoutError` — becomes a
-    structured failure in the report instead of aborting the batch;
-    remaining jobs complete normally.  Build ``jobs`` by hand or via
-    :func:`campaign_jobs`.
-    """
-    if executor is None:
-        if policy is None:
-            from repro.harness.resilient import RetryPolicy
-
-            policy = RetryPolicy()
-        executor = ParallelExecutor(
-            workers=workers,
-            cache=cache,
-            progress=progress,
-            policy=policy,
-            journal=journal,
-        )
-    records = executor.run_jobs(list(jobs))
-    stats = executor.last_stats
-    return CampaignSweepReport(
-        records=records,
-        failures=list(stats.failures_detail),
-        stats=stats,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import SimulationResult, run_simulation
-from repro.core.types import NodeId, RoutingMode
+from repro.core.types import RoutingMode, grid_nodes
 from repro.faults.injector import ComponentFault, random_faults
 from repro.harness.parallel import ParallelExecutor, SimJob
 
@@ -71,10 +71,43 @@ PAPER = ExperimentScale(
 SCALES = {s.name: s for s in (QUICK, STANDARD, PAPER)}
 
 
-def mesh_nodes(scale: ExperimentScale) -> list[NodeId]:
-    return [
-        NodeId(x, y) for y in range(scale.height) for x in range(scale.width)
-    ]
+#: A point = one (router, routing, traffic, rate) cell, averaged over
+#: the scale's seeds.  PointSpec is the hashable description of one.
+@dataclass(frozen=True)
+class PointSpec:
+    router: str
+    routing: RoutingMode | str
+    traffic: str
+    injection_rate: float
+
+    def config(self, scale: ExperimentScale, seed: int) -> SimulationConfig:
+        """This point at ``scale``'s mesh size and packet budget."""
+        return SimulationConfig(
+            width=scale.width,
+            height=scale.height,
+            router=self.router,
+            routing=self.routing,
+            traffic=self.traffic,
+            injection_rate=self.injection_rate,
+            warmup_packets=scale.warmup_packets,
+            measure_packets=scale.measure_packets,
+            max_cycles=scale.max_cycles,
+            seed=seed,
+        )
+
+    def jobs(
+        self,
+        scale: ExperimentScale,
+        faults_per_seed: dict[int, list[ComponentFault]] | None = None,
+    ) -> list[SimJob]:
+        """One job per seed of the scale, in seed order."""
+        return [
+            SimJob.of(
+                self.config(scale, seed),
+                faults_per_seed.get(seed) if faults_per_seed else None,
+            )
+            for seed in scale.seeds
+        ]
 
 
 def run_point(
@@ -87,53 +120,8 @@ def run_point(
     faults: list[ComponentFault] | None = None,
 ) -> SimulationResult:
     """Run one simulation at one operating point."""
-    config = SimulationConfig(
-        width=scale.width,
-        height=scale.height,
-        router=router,
-        routing=routing,
-        traffic=traffic,
-        injection_rate=injection_rate,
-        warmup_packets=scale.warmup_packets,
-        measure_packets=scale.measure_packets,
-        max_cycles=scale.max_cycles,
-        seed=seed,
-    )
-    return run_simulation(config, faults=faults)
-
-
-#: A point = one (router, routing, traffic, rate) cell, averaged over
-#: the scale's seeds.  PointSpec is the hashable description of one.
-@dataclass(frozen=True)
-class PointSpec:
-    router: str
-    routing: RoutingMode | str
-    traffic: str
-    injection_rate: float
-
-    def jobs(
-        self,
-        scale: ExperimentScale,
-        faults_per_seed: dict[int, list[ComponentFault]] | None = None,
-    ) -> list[SimJob]:
-        """One job per seed of the scale, in seed order."""
-        jobs = []
-        for seed in scale.seeds:
-            config = SimulationConfig(
-                width=scale.width,
-                height=scale.height,
-                router=self.router,
-                routing=self.routing,
-                traffic=self.traffic,
-                injection_rate=self.injection_rate,
-                warmup_packets=scale.warmup_packets,
-                measure_packets=scale.measure_packets,
-                max_cycles=scale.max_cycles,
-                seed=seed,
-            )
-            faults = faults_per_seed.get(seed) if faults_per_seed else None
-            jobs.append(SimJob.of(config, faults))
-        return jobs
+    spec = PointSpec(router, routing, traffic, injection_rate)
+    return run_simulation(spec.config(scale, seed), faults=faults)
 
 
 #: Metric keys seed-averaged by aggregate_point, straight off the flat
@@ -232,4 +220,6 @@ def fault_population(
     router comparisons see the same broken hardware.
     """
     rng = random.Random(10_000 + seed * 101 + count * 7 + (1 if critical else 0))
-    return random_faults(mesh_nodes(scale), count, rng, critical=critical)
+    return random_faults(
+        grid_nodes(scale.width, scale.height), count, rng, critical=critical
+    )

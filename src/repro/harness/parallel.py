@@ -38,7 +38,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, reject_unknown
 from repro.core.simulator import run_simulation
 from repro.faults.injector import ComponentFault
 from repro.faults.schedule import FaultSchedule
@@ -91,79 +91,48 @@ class SimJob:
             schedule=schedule if schedule else None,
         )
 
+    def to_payload(self) -> dict:
+        """Plain-JSON description of the job; what :func:`job_key` hashes.
 
-def config_payload(config: SimulationConfig) -> dict:
-    """Canonical JSON-friendly description of a configuration.
+        ``schedule`` follows the config codec's rule — present only for
+        campaign jobs — so schedule-free keys (and any cache built from
+        them) are byte-identical to prior versions.
+        """
+        payload = {
+            "config": self.config.to_payload(),
+            "faults": [fault.to_payload() for fault in self.faults],
+        }
+        if self.schedule is not None:
+            payload["schedule"] = self.schedule.to_payload()
+        return payload
 
-    Every field that influences simulation output appears here; two
-    configs with equal payloads are the same experiment.
-    """
-    router_config = config.router_config
-    payload = {
-        "width": config.width,
-        "height": config.height,
-        "topology": config.topology,
-        "router": config.router,
-        "routing": config.routing.value,
-        "traffic": config.traffic,
-        "injection_rate": config.injection_rate,
-        "flits_per_packet": config.flits_per_packet,
-        "warmup_packets": config.warmup_packets,
-        "measure_packets": config.measure_packets,
-        "max_cycles": config.max_cycles,
-        "fault_drop_timeout": config.fault_drop_timeout,
-        "drain_timeout": config.drain_timeout,
-        "seed": config.seed,
-        "router_config": {
-            "vcs_per_port": router_config.vcs_per_port,
-            "buffer_depth": router_config.buffer_depth,
-            "flit_width_bits": router_config.flit_width_bits,
-            "mirror_allocation": router_config.mirror_allocation,
-            "lookahead_routing": router_config.lookahead_routing,
-        },
-    }
-    if config.backend != "object":
-        # The backend is bit-identical on its envelope, so sharing cache
-        # entries would be sound — but a conformance regression must not
-        # be maskable by a cache hit on the other backend's record, and
-        # the default omission keeps pre-existing object-backend keys
-        # (and their on-disk caches) stable.
-        payload["backend"] = config.backend
-    if getattr(config, "shards", None) is not None:
-        # Same reasoning as backend: sharded runs are bit-identical to
-        # the reference, but an equivalence regression must not hide
-        # behind a cache hit on the unsharded record.  Unsharded keys
-        # stay byte-identical to prior versions.
-        payload["shards"] = list(config.shards)
-    return payload
-
-
-def _fault_payload(fault: ComponentFault) -> dict:
-    return {
-        "node": [fault.node.x, fault.node.y],
-        "component": fault.component.value,
-        "module": fault.module,
-        "vc_position": fault.vc_position,
-    }
+    @classmethod
+    def from_payload(cls, payload: dict) -> "SimJob":
+        """Inverse of :meth:`to_payload`; an unknown key raises
+        ``ValueError`` naming it."""
+        reject_unknown("job", payload, ("config", "faults", "schedule"))
+        schedule = payload.get("schedule")
+        return cls(
+            config=SimulationConfig.from_payload(payload["config"]),
+            faults=tuple(
+                ComponentFault.from_payload(f) for f in payload.get("faults", ())
+            ),
+            schedule=None
+            if schedule is None
+            else FaultSchedule.from_payload(schedule),
+        )
 
 
 def job_key(job: SimJob) -> str:
     """Stable content hash of a job (hex digest).
 
-    The key covers the cache version, the full config payload and the
-    fault population, so any change to what is simulated changes the
-    key.  Equal jobs always hash equal across processes and sessions
-    (the payload is serialised with sorted keys and no float coercion).
+    The key covers the cache version and the job's whole payload —
+    config, fault population, schedule — so any change to what is
+    simulated changes the key.  Equal jobs always hash equal across
+    processes and sessions (the payload is serialised with sorted keys
+    and no float coercion).
     """
-    payload = {
-        "version": CACHE_VERSION,
-        "config": config_payload(job.config),
-        "faults": [_fault_payload(f) for f in job.faults],
-    }
-    if job.schedule is not None:
-        # Only present for campaign jobs, so schedule-free keys (and any
-        # cache built from them) are byte-identical to prior versions.
-        payload["schedule"] = job.schedule.to_payload()
+    payload = {"version": CACHE_VERSION, **job.to_payload()}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

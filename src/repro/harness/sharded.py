@@ -56,7 +56,7 @@ from repro.core.shard import TileRect, TileSimulator, delta_box
 from repro.core.simulator import SimulationResult, Simulator
 from repro.core.soa.errors import BackendUnsupportedError
 from repro.core.statistics import StatsCollector
-from repro.core.types import DropReason, NodeId
+from repro.core.types import DropReason, NodeId, grid_nodes
 from repro.traffic import make_traffic
 
 #: Router architectures the tile engine supports (the same pair the
@@ -224,11 +224,7 @@ def build_generation_schedule(config: SimulationConfig):
     exhaustion over every node of the (fault-free) mesh.
     """
     rng = random.Random(config.seed)
-    nodes = [
-        NodeId(x, y)
-        for y in range(config.height)
-        for x in range(config.width)
-    ]
+    nodes = grid_nodes(config.width, config.height)
     traffic = make_traffic(config.traffic)
     traffic.bind(config, rng, nodes)
     entries: list[tuple] = []
@@ -751,6 +747,8 @@ def sharded_main(argv=None) -> int:
     """``python -m repro shards`` — sharded runs and the equivalence grid."""
     import argparse
 
+    from repro.harness.scenario import CONFIG_FLAGS, add_flags, job_from_args
+
     parser = argparse.ArgumentParser(
         prog="repro shards",
         description=(
@@ -769,20 +767,15 @@ def sharded_main(argv=None) -> int:
         action="store_true",
         help="drive tiles in-process (debugging; same protocol, no workers)",
     )
-    parser.add_argument("--router", choices=sorted(SHARD_ROUTERS), default="roco")
-    parser.add_argument(
-        "--routing", choices=["xy", "xy-yx", "adaptive"], default="xy"
-    )
-    parser.add_argument("--traffic", default="uniform")
-    parser.add_argument("--rate", type=float, default=0.2)
-    parser.add_argument("--size", type=int, default=8, help="mesh is size x size")
-    parser.add_argument("--packets", type=int, default=2000)
-    parser.add_argument("--warmup", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--shards",
-        default="2x2",
-        help="tile grid as WxH (e.g. 2x2, 1x4)",
+    add_flags(
+        parser,
+        CONFIG_FLAGS,
+        omit=("--topology",),
+        router=dict(choices=sorted(SHARD_ROUTERS)),
+        # This parser has never restricted --traffic; an unknown name
+        # is rejected when the generation oracle binds the pattern.
+        traffic=dict(choices=None),
+        shards=dict(default="2x2"),
     )
     parser.add_argument(
         "--full-sweep",
@@ -797,19 +790,7 @@ def sharded_main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.grid:
         return 1 if equivalence_grid(inline=args.inline) else 0
-    config = SimulationConfig(
-        width=args.size,
-        height=args.size,
-        router=args.router,
-        routing=args.routing,
-        traffic=args.traffic,
-        injection_rate=args.rate,
-        warmup_packets=args.warmup,
-        measure_packets=args.packets,
-        seed=args.seed,
-        audit=args.audit,
-        shards=parse_shards(args.shards),
-    )
+    config = job_from_args(args, audit=args.audit).config
     result = run_sharded_simulation(
         config, full_sweep=args.full_sweep, inline=args.inline
     )

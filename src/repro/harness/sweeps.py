@@ -10,32 +10,19 @@ runners do not cover.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
-from pathlib import Path
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields
 
 from repro.core.config import SimulationConfig
 from repro.faults.schedule import FaultSchedule
-from repro.harness.parallel import ParallelExecutor, ResultCache, SimJob
-
-#: Axis names accepted by Sweep, mapping to SimulationConfig fields.
-AXIS_FIELDS = {
-    "router": "router",
-    "routing": "routing",
-    "traffic": "traffic",
-    "injection_rate": "injection_rate",
-    "seed": "seed",
-    "width": "width",
-    "height": "height",
-    "flits_per_packet": "flits_per_packet",
-}
+from repro.harness.parallel import ParallelExecutor, SimJob
 
 
 @dataclass
 class Sweep:
     """A cartesian sweep over simulation parameters.
 
-    ``axes`` maps axis names (see :data:`AXIS_FIELDS`) to the values to
+    ``axes`` maps :class:`SimulationConfig` field names to the values to
     sweep; ``base`` carries everything held constant.  Example::
 
         sweep = Sweep(
@@ -54,7 +41,7 @@ class Sweep:
     schedule: FaultSchedule | None = None
 
     def __post_init__(self) -> None:
-        unknown = set(self.axes) - set(AXIS_FIELDS)
+        unknown = set(self.axes) - {f.name for f in fields(SimulationConfig)}
         if unknown:
             raise ValueError(f"unknown sweep axes: {sorted(unknown)}")
         if not self.axes:
@@ -75,46 +62,19 @@ class Sweep:
             params.update(dict(zip(names, combo)))
             yield SimulationConfig(**params)
 
-    def run(
-        self,
-        progress: Callable[[int, int, dict], None] | None = None,
-        workers: int | None = None,
-        cache: ResultCache | None = None,
-        cache_dir: str | Path | None = None,
-        executor: ParallelExecutor | None = None,
-        policy=None,
-        journal=None,
-    ) -> list[dict]:
+    def run(self, executor: ParallelExecutor | None = None) -> list[dict]:
         """Run the grid; returns one flat record per configuration.
 
-        ``progress(done, total, record)`` is called after each completed
-        point (in completion order) — hook it to print status or stream
-        results to disk.  ``workers`` fans the grid out over a process
-        pool (``0`` = all cores; default serial); results are identical
-        to a serial run and come back in grid order either way.
-        ``cache`` / ``cache_dir`` enable the on-disk result cache so
-        repeated runs skip already-simulated points.  ``policy`` (a
-        :class:`~repro.harness.resilient.RetryPolicy`) supervises the
-        grid — one crashing or hanging point is retried/quarantined
-        instead of aborting the sweep — and ``journal`` (a
-        :class:`~repro.harness.resilient.SweepJournal`) makes an
-        interrupted sweep resumable.  A pre-built ``executor`` overrides
-        all of these knobs.
+        ``executor`` decides how: its ``workers`` fan the grid out over
+        a process pool, its ``cache`` skips already-simulated points,
+        its ``progress`` is called after each completed point, its
+        ``policy`` / ``journal`` supervise and resume the sweep (see
+        :class:`~repro.harness.parallel.ParallelExecutor`).  Records are
+        identical whichever executor runs them and come back in grid
+        order; the default runs serially in this process.
         """
         if executor is None:
-            if cache is None and cache_dir is not None:
-                cache = ResultCache(cache_dir)
-            executor = ParallelExecutor(
-                workers=workers,
-                cache=cache,
-                progress=progress,
-                policy=policy,
-                journal=journal,
-            )
-        elif progress is not None and executor.progress is None:
-            executor.progress = progress
-        if self.schedule is None:
-            return executor.run_configs(self.configurations())
+            executor = ParallelExecutor()
         return executor.run_jobs(
             [
                 SimJob.of(config, schedule=self.schedule)

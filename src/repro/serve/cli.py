@@ -19,8 +19,9 @@ The smoke boots a real server on an ephemeral port with crash chaos
 injected (every job's first attempt dies), fires two identical and one
 distinct concurrent client requests, and asserts the dedupe and
 recovery contract end to end: exactly two simulations run, the
-identical requests coalesce onto one, every client gets bit-identical
-records, and the injected crashes are retried transparently.
+identical requests coalesce onto one (under the key a batch sweep
+computes for the same fields), every client gets bit-identical records,
+and the injected crashes are retried transparently.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import sys
 import tempfile
 import threading
 
-from repro.harness.parallel import ResultCache
+from repro.core.config import SimulationConfig
+from repro.harness.parallel import ResultCache, SimJob, job_key
 from repro.harness.resilient import RetryPolicy
 from repro.serve.broker import JobBroker
 from repro.serve.client import ServeClient
@@ -238,6 +240,14 @@ def _smoke() -> int:
             key_b = results[1]["reply"]["jobs"][0]["key"]
             key_c = results[2]["reply"]["jobs"][0]["key"]
             assert key_a == key_b, "identical requests got different keys"
+            # Identity over the wire is identity on disk: the key is the
+            # one a batch sweep computes for the same fields.
+            local = SimulationConfig.from_payload(
+                dict(base, injection_rate=0.08, seed=3)
+            )
+            assert key_a == job_key(SimJob.of(local)), (
+                "server key differs from the locally computed job_key"
+            )
             assert key_c != key_a, "distinct requests got the same key"
             assert results[0]["record"] == results[1]["record"], (
                 "coalesced clients saw different records"

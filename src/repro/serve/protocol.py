@@ -32,40 +32,24 @@ import json
 from dataclasses import dataclass
 
 from repro.core.config import SimulationConfig
-from repro.core.types import NodeId
 from repro.faults.schedule import FaultSchedule
 from repro.harness.parallel import SimJob
+from repro.harness.scenario import sampled_schedule
 
 #: Hard ceiling on jobs a single request may expand to; a sweep bigger
 #: than this should be chunked by the client (admission control bounds
 #: *concurrent* work, this bounds one request's fan-out).
 MAX_JOBS_PER_REQUEST = 256
 
-#: Configuration fields a request may set, mapped straight onto
-#: :class:`SimulationConfig`.  ``audit`` and fault fields are excluded:
-#: auditing is an interactive debugging mode and static fault lists
-#: have no sweep-mode CLI equivalent either.
-CONFIG_FIELDS = (
-    "width",
-    "height",
-    "topology",
-    "router",
-    "routing",
-    "traffic",
-    "injection_rate",
-    "flits_per_packet",
-    "warmup_packets",
-    "measure_packets",
-    "max_cycles",
-    "fault_drop_timeout",
-    "drain_timeout",
-    "seed",
-    "backend",
-    "shards",
-)
-
-#: Convenience aliases accepted in config payloads.
-_SUGAR = {"rate": "injection_rate", "size": None}  # size -> width+height
+#: Config fields a request may not set, with the reason; every other
+#: :class:`SimulationConfig` field is settable under its own name.
+EXCLUDED_FIELDS = {
+    "audit": "auditing is an interactive debugging mode (python -m repro audit)",
+    "router_config": (
+        "a request names an architecture with 'router'; its VC and buffer "
+        "structure stays the paper's, as in the CLI"
+    ),
+}
 
 
 class RequestError(ValueError):
@@ -81,24 +65,27 @@ class NormalizedRequest:
 
 
 def build_config(payload: object) -> SimulationConfig:
-    """Whitelisted ``dict -> SimulationConfig`` with friendly errors."""
+    """Request ``dict -> SimulationConfig`` with friendly errors.
+
+    Keys are the config's own field names plus two aliases: ``rate``
+    for ``injection_rate`` and ``size`` for ``width`` and ``height``.
+    """
     if not isinstance(payload, dict):
         raise RequestError("config must be a JSON object")
     params: dict = {}
     for name, value in payload.items():
         if name == "size":
             params["width"] = params["height"] = value
-            continue
-        if name in _SUGAR and _SUGAR[name]:
-            name = _SUGAR[name]
-        if name not in CONFIG_FIELDS:
-            raise RequestError(f"unknown config field {name!r}")
-        params[name] = value
-    shards = params.get("shards")
-    if isinstance(shards, list):
-        params["shards"] = tuple(shards)
+        elif name == "rate":
+            params["injection_rate"] = value
+        elif name in EXCLUDED_FIELDS:
+            raise RequestError(
+                f"unknown config field {name!r}: {EXCLUDED_FIELDS[name]}"
+            )
+        else:
+            params[name] = value
     try:
-        return SimulationConfig(**params)
+        return SimulationConfig.from_payload(params)
     except (TypeError, ValueError) as exc:
         raise RequestError(f"bad config: {exc}") from exc
 
@@ -116,16 +103,10 @@ def _campaign_schedule(payload: dict, config: SimulationConfig) -> FaultSchedule
     faults = payload.get("faults", 1)
     if not isinstance(faults, int) or faults < 1:
         raise RequestError("'faults' must be a positive integer")
-    nodes = [
-        NodeId(x, y)
-        for y in range(config.height)
-        for x in range(config.width)
-    ]
     try:
-        return FaultSchedule.sampled(
-            nodes,
+        return sampled_schedule(
+            config,
             count=faults,
-            seed=config.seed,
             mtbf=float(payload["mtbf"]),
             critical=payload.get("critical", True),
             weibull_shape=payload.get("weibull_shape"),

@@ -7,7 +7,8 @@ import pytest
 
 from repro.audit import InvariantViolation, load_reproducer, save_reproducer, shrink
 from repro.audit.cli import audit_main
-from repro.audit.shrink import config_from_payload, reproducer_payload
+from repro.audit.shrink import reproducer_payload
+from repro.core.config import SimulationConfig
 from repro.core.simulator import DeadlockError, Simulator
 from repro.core.types import NodeId
 from repro.faults.injector import ComponentFault
@@ -133,7 +134,7 @@ class TestReproducerFiles:
     def test_config_payload_round_trip_keeps_router_config(self):
         config = small_config()
         payload = reproducer_payload(config, None, self._violation())
-        assert config_from_payload(payload["config"]) == config
+        assert SimulationConfig.from_payload(payload["config"]) == config
 
 
 class TestAuditCli:

@@ -202,17 +202,13 @@ class TestDispatchAndCacheKey:
             grid_config("roco", "xy", "uniform", backend="vector")
 
     def test_cache_key_distinguishes_backends(self):
-        from repro.harness.parallel import config_payload
-
         config = grid_config("roco", "xy", "uniform")
-        obj = config_payload(config)
-        soa = config_payload(replace(config, backend="soa"))
+        obj = config.to_payload()
+        soa = replace(config, backend="soa").to_payload()
         assert obj != soa
         assert soa["backend"] == "soa"
 
     def test_cache_key_stable_for_object_backend(self):
         """Pre-SoA cache entries stay valid: the default backend adds no
         key, so object-backend payloads hash exactly as before."""
-        from repro.harness.parallel import config_payload
-
-        assert "backend" not in config_payload(grid_config("roco", "xy", "uniform"))
+        assert "backend" not in grid_config("roco", "xy", "uniform").to_payload()

@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.core.types import RoutingMode
+from repro.core.types import NodeId, RoutingMode, grid_nodes
 from repro.harness import (
     SCALES,
     ExperimentScale,
     averaged_point,
     fault_population,
     figure2,
-    mesh_nodes,
     report,
     run_point,
     table1,
@@ -49,8 +48,9 @@ class TestScalesAndPoints:
         assert point["average_latency"] == pytest.approx(expected)
 
     def test_mesh_nodes(self):
-        nodes = mesh_nodes(TINY)
+        nodes = grid_nodes(TINY.width, TINY.height)
         assert len(nodes) == 16
+        assert nodes[3:5] == [NodeId(3, 0), NodeId(0, 1)]  # row-major
 
     def test_fault_population_deterministic_and_shared(self):
         a = fault_population(TINY, 2, critical=True, seed=1)

@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.faults.schedule import FaultSchedule
-from repro.harness.campaign import campaign_jobs, run_campaigns
 from repro.harness.chaos import ChaosConfig, ChaosRule
 from repro.harness.parallel import (
     FAILURE_MARKER,
@@ -111,18 +110,27 @@ class TestFailureIsolation:
     def test_drain_timeout_does_not_abort_campaign(self):
         """The acceptance case: one poisoned job in a multi-job campaign."""
         schedule = FaultSchedule()
-        jobs = campaign_jobs(small_config(seed=1), [schedule])
-        jobs.insert(1, SimJob.of(drain_timeout_config(), schedule=schedule))
-        jobs.extend(campaign_jobs(small_config(seed=2), [schedule]))
-        report = run_campaigns(jobs, policy=FAST)
-        assert len(report.records) == 3
-        assert len(report.ok_records) == 2
-        assert len(report.failures) == 1
-        assert report.failures[0].error_type == "DrainTimeoutError"
-        assert report.stats.failures == 1
-        summary = "\n".join(report.summary_lines())
-        assert "DrainTimeoutError" in summary
-        assert "2 completed" in summary and "1 failed" in summary
+        jobs = [
+            SimJob.of(config, schedule=schedule)
+            for config in (
+                small_config(seed=1),
+                drain_timeout_config(),
+                small_config(seed=2),
+            )
+        ]
+        executor = ParallelExecutor(policy=FAST)
+        records = executor.run_jobs(jobs)
+        assert len(records) == 3
+        ok, failed = split_failures(records)
+        assert len(ok) == 2
+        assert len(failed) == 1
+        assert is_failure_record(records[1])
+        assert failed[0].error_type == "DrainTimeoutError"
+        stats = executor.last_stats
+        assert stats.failures == 1
+        assert stats.failures_detail[0].error_type == "DrainTimeoutError"
+        assert "DrainTimeoutError" in failed[0].describe()
+        assert "3 jobs" in stats.describe() and "1 failed" in stats.describe()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_without_policy_drain_timeout_still_raises(self, workers):

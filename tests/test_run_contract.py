@@ -103,6 +103,32 @@ def test_drain_timeout_sharded_process():
     assert drain_outcome("sharded-process", overrides) == expected
 
 
+@pytest.mark.xfail(strict=True, raises=DrainTimeoutError)
+@pytest.mark.parametrize("seed", (1, 10))
+def test_roco_xy_drains_near_saturation(seed):
+    """ROADMAP item 1(a): a healthy 8x8 RoCo/XY mesh must drain.
+
+    It does not.  At seed 1 four column VCs of column 5 wait on each
+    other through Table 1's floating ``dy`` VC, which admits both
+    north- and southbound worms (the cycle is spelled out under
+    "Deadlock discipline" in docs/modeling-notes.md).  Strict, so the
+    fix has to remove the marker.
+    """
+    config = SimulationConfig(
+        width=8,
+        height=8,
+        router="roco",
+        routing="xy",
+        traffic="uniform",
+        injection_rate=0.30,
+        warmup_packets=500,
+        measure_packets=3000,
+        drain_timeout=400,
+        seed=seed,
+    )
+    assert Simulator(config).run().completion_probability == 1.0
+
+
 # ----------------------------------------------------------------------
 # max_cycles ceiling and progress cadence
 # ----------------------------------------------------------------------

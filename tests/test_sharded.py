@@ -23,7 +23,6 @@ from repro.core.simulator import Simulator, run_simulation
 from repro.core.soa.errors import BackendUnsupportedError, ensure_supported
 from repro.core.types import NodeId
 from repro.faults import Component, ComponentFault
-from repro.harness.parallel import config_payload
 from repro.harness.sharded import (
     ShardPlan,
     ShardUnsupportedError,
@@ -365,8 +364,8 @@ def test_worker_exception_surfaces_structured_failure():
 
 def test_cache_key_stable_without_shards_and_distinct_with():
     config = grid_config()
-    payload = config_payload(config)
+    payload = config.to_payload()
     assert "shards" not in payload
-    sharded_payload = config_payload(replace(config, shards=(2, 2)))
+    sharded_payload = replace(config, shards=(2, 2)).to_payload()
     assert sharded_payload["shards"] == [2, 2]
     assert payload != sharded_payload

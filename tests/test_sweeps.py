@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.harness.sweeps import AXIS_FIELDS, Sweep, pivot
+from repro.harness.parallel import ParallelExecutor
+from repro.harness.sweeps import Sweep, pivot
 
 BASE = {
     "width": 3,
@@ -21,6 +22,20 @@ class TestSweepConstruction:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
             Sweep(axes={"voltage": [1.0]})
+        with pytest.raises(ValueError, match="injection_rte"):
+            Sweep(axes={"injection_rte": [0.1]})
+
+    def test_any_config_field_is_an_axis(self):
+        sweep = Sweep(
+            axes={"topology": ["mesh", "torus"], "backend": ["object", "soa"]},
+            base={"router": "generic"},
+        )
+        assert {(c.topology, c.backend) for c in sweep.configurations()} == {
+            ("mesh", "object"),
+            ("mesh", "soa"),
+            ("torus", "object"),
+            ("torus", "soa"),
+        }
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
@@ -59,7 +74,10 @@ class TestSweepExecution:
     def test_progress_callback(self):
         calls = []
         sweep = Sweep(axes={"seed": [1, 2]}, base=BASE)
-        sweep.run(progress=lambda done, total, result: calls.append((done, total)))
+        executor = ParallelExecutor(
+            progress=lambda done, total, result: calls.append((done, total))
+        )
+        sweep.run(executor)
         assert calls == [(1, 2), (2, 2)]
 
 
@@ -80,10 +98,3 @@ class TestPivot:
         table = pivot(self.RECORDS, row="router", column="rate", value="lat")
         assert table["a"][0.1] == pytest.approx(11.0)
 
-
-class TestAxisRegistry:
-    def test_every_axis_is_a_config_field(self):
-        from repro.core.config import SimulationConfig
-
-        for field_name in AXIS_FIELDS.values():
-            assert hasattr(SimulationConfig(), field_name)
