@@ -5,16 +5,16 @@ Every study in this repository ultimately reduces to "run a list of
 flat records".  This module makes that list embarrassingly parallel:
 
 * :class:`SimJob` — one unit of work (a config plus its optional fault
-  population), picklable so it survives a ``spawn`` worker boundary;
+  population), picklable so it survives a worker-process boundary;
 * :func:`job_key` — a stable content hash of a job, used to key the
   result cache (and to detect that two jobs are the same experiment);
 * :class:`ResultCache` — a directory of ``<key>.json`` records so a
   repeated sweep performs zero new simulations;
 * :class:`ParallelExecutor` — serves jobs from the cache and a resumed
   journal, hands the rest to a
-  :class:`~repro.harness.resilient.ManagedWorkerSet` (``spawn`` worker
-  processes, or in-process where no pool can exist) and returns records
-  in submission order.
+  :class:`~repro.harness.resilient.ManagedWorkerSet` (worker processes
+  started from :func:`worker_context`, or in-process where no pool can
+  exist) and returns records in submission order.
 
 Determinism: a simulation is a pure function of its job — the simulator
 seeds its only RNG from ``config.seed`` and touches no global state —
@@ -30,6 +30,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import site
 import sys
 import threading
 import time
@@ -254,7 +255,7 @@ class ResultCache:
 def execute_job(job: SimJob) -> dict:
     """Run one job to completion and flatten it to a record.
 
-    Top-level so it is importable by ``spawn`` workers.
+    Top-level so a worker process can import it by name.
     """
     result = run_simulation(
         job.config, faults=list(job.faults), schedule=job.schedule
@@ -277,13 +278,15 @@ def _in_daemonic_process() -> bool:
 
 
 def pool_fallback_reason(workers: int) -> str | None:
-    """Why a ``workers``-wide pool cannot be spawned here (or ``None``).
+    """Why ``workers`` child processes cannot be started here (or ``None``).
 
     Daemonic workers (sweep-pool children, managed worker-set
     processes) may not have children of their own; a REPL/stdin parent
-    cannot be re-imported by ``spawn``.  The worker set then runs
-    attempts in-process — bit-identical, just serial — and the executor
-    emits a :class:`NestedPoolFallbackWarning` naming the reason.
+    has no entry point for a child to replay, which a fork of the fork
+    server does just as a ``spawn`` child does.  The worker set then
+    runs attempts in-process — bit-identical, just serial — and the
+    executor emits a :class:`NestedPoolFallbackWarning` naming the
+    reason; a sharded run drives its tiles inline, with the same warning.
     """
     if workers <= 1:
         return None
@@ -300,7 +303,74 @@ def pool_fallback_reason(workers: int) -> str | None:
     return None
 
 
-def _warn_pool_fallback(reason: str) -> None:
+#: What the fork server imports before it forks: the modules that hold
+#: the two process mains (``_worker_main``, ``_tile_worker``), which
+#: import the whole simulator, after the stdlib's own default entry.
+_PRELOAD = ["__main__", "repro.harness.resilient", "repro.harness.sharded"]
+
+#: Serialises the environment swap in :func:`worker_context`.
+_server_start_lock = threading.Lock()
+
+
+def _server_path() -> str | None:
+    """What the fork server needs on ``PYTHONPATH`` to import the package.
+
+    The directory this process imported it from — or ``None`` for an
+    installed package: the server finds that by itself, and a site
+    directory may not come before the standard library, which
+    ``PYTHONPATH`` entries do.
+    """
+    home = str(Path(__file__).resolve().parents[2])
+    sites = [*site.getsitepackages(), site.getusersitepackages()]
+    return None if home in map(os.path.realpath, sites) else home
+
+
+def worker_context():
+    """The multiprocessing context every worker and tile starts from.
+
+    The stdlib fork server, preloaded with the modules that hold the
+    two process mains: the package is imported once per parent process
+    and each worker or tile is a fork of that clean, single-threaded
+    server — as immune to the parent's threads as a ``spawn`` child,
+    without an interpreter boot and a package import per process.
+    ``spawn`` where the platform has no fork server.
+
+    The server is started here, so at the first ``Process.start()`` and
+    never at import.  Up to CPython 3.12 it ignores the ``sys.path`` it
+    is sent, swallows the preload's ``ImportError`` and leaves every
+    fork to import the package again, so a parent that found ``repro``
+    through a hand-edited ``sys.path`` gains nothing; the server is
+    therefore started with the package's directory on ``PYTHONPATH``
+    (unless the package is installed, and found anyway), and
+    ``os.environ`` is as found afterwards.  A server the embedding
+    program started earlier keeps its own preload: it works, only slowly.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        method = "spawn"
+    else:
+        method = "forkserver"
+        from multiprocessing import forkserver
+
+        with _server_start_lock:
+            forkserver.set_forkserver_preload(_PRELOAD)
+            found = os.environ.get("PYTHONPATH")
+            home = _server_path()
+            if home is not None:
+                os.environ["PYTHONPATH"] = os.pathsep.join(
+                    filter(None, (home, found))
+                )
+            try:
+                forkserver.ensure_running()  # a no-op once it runs
+            finally:
+                if found is not None:
+                    os.environ["PYTHONPATH"] = found
+                else:
+                    os.environ.pop("PYTHONPATH", None)
+    return multiprocessing.get_context(method)
+
+
+def warn_pool_fallback(reason: str) -> None:
+    """Tell the caller's caller that its processes became inline work."""
     warnings.warn(
         f"falling back to inline execution: {reason}",
         NestedPoolFallbackWarning,
@@ -309,9 +379,10 @@ def _warn_pool_fallback(reason: str) -> None:
 
 
 def _spawn_supported() -> bool:
-    """Whether ``spawn`` workers can re-import the parent's ``__main__``.
+    """Whether a child process can re-import the parent's ``__main__``.
 
-    Spawned children replay the parent's entry point; a REPL / stdin /
+    Children of either start method replay the parent's entry point
+    (``multiprocessing.spawn.prepare``); a REPL / stdin /
     ``python -c`` parent has none, and the pool would crash-loop trying
     to import ``<stdin>``.  Fall back to inline execution there instead
     of hanging (results are identical, just serial).
@@ -564,7 +635,7 @@ class ParallelExecutor:
             # The pool cannot be spawned here (daemonic worker context
             # or no re-importable entry point); say so instead of
             # silently serialising — results are identical either way.
-            _warn_pool_fallback(fallback)
+            warn_pool_fallback(fallback)
         from repro.harness.resilient import ManagedWorkerSet
 
         # The set is sized to the batch, so a lone pending job asks for

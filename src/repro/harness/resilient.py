@@ -52,7 +52,6 @@ import heapq
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import threading
@@ -70,6 +69,7 @@ from repro.harness.parallel import (
     SimJob,
     execute_job,
     pool_fallback_reason,
+    worker_context,
 )
 
 #: Exception types for which a retry is provably pointless: the
@@ -93,6 +93,13 @@ POLL_INTERVAL = 0.02
 #: Minimum grace before a worker that has not yet spoken (still booting
 #: the interpreter / importing the simulator) can be declared wedged.
 _BOOT_GRACE = 60.0
+
+#: The process that imported this module.  A worker forked from the
+#: preloaded server (:func:`~repro.harness.parallel.worker_context`)
+#: reads its parent's pid here; a worker that had to import the package
+#: itself reads its own — how tests/test_worker_context.py tells them
+#: apart without a clock.
+IMPORTED_IN_PID = os.getpid()
 
 
 class TransientJobError(RuntimeError):
@@ -360,7 +367,7 @@ def _worker_main(worker_id, conn, chaos, heartbeat_interval, job_fn):
     """Worker loop: recv task, execute, send result; heartbeat thread.
 
     Runs until the owner kills the process or closes the pipe.
-    Top-level so ``spawn`` children can import it.  All sends share one
+    Top-level so a child process can import it by name.  All sends share one
     lock because the heartbeat thread and the main loop write to the
     same pipe.  ``job_fn`` (a picklable top-level callable, or ``None``
     for :func:`~repro.harness.parallel.execute_job`) lets embedders like
@@ -425,7 +432,7 @@ class _WorkerHandle:
         self.last_heartbeat = time.monotonic()
         self.running: _Running | None = None
         #: Set once the worker has sent any message; heartbeat timeouts
-        #: only apply after that (spawn cost must not look like a wedge).
+        #: only apply after that (boot cost must not look like a wedge).
         self.ready = False
 
 
@@ -445,12 +452,18 @@ class ManagedWorkerSet:
     broker) keeps one warm set and feeds it for as long as it lives.
 
     Where attempts run is the set's own choice, made from what it can
-    observe.  With ``workers > 1`` and a spawnable parent each worker is
-    a ``spawn`` process on its own duplex pipe with a heartbeat thread;
-    a pass assigns ready jobs to idle workers, drains messages, enforces
-    per-attempt deadlines and heartbeat liveness, kills and replenishes
-    crashed or wedged workers and speculatively re-executes stragglers.
-    With ``workers <= 1``, or where
+    observe.  With ``workers > 1`` and a parent that may have children
+    each worker is a process started from
+    :func:`~repro.harness.parallel.worker_context` — a fork of the
+    preloaded fork server, ``spawn`` where there is none — on its own
+    duplex pipe with a heartbeat thread; a pass assigns ready jobs to
+    idle workers, drains messages, enforces per-attempt deadlines and
+    heartbeat liveness, kills and replenishes crashed or wedged workers
+    and speculatively re-executes stragglers.  A forked worker inherits
+    the server's modules, the environment as of the parent process's
+    first pool and the server's hash seed (one per parent process, not
+    one per worker; records may not depend on it), and the parent's cwd
+    and ``sys.path`` as of its own start.  With ``workers <= 1``, or where
     :func:`~repro.harness.parallel.pool_fallback_reason` says no pool
     can exist, a pass runs one ready job in this process instead.  A
     finished attempt goes through the same validation, classification
@@ -502,9 +515,6 @@ class ManagedWorkerSet:
         inline = workers <= 1 or pool_fallback_reason(workers) is not None
         #: Worker processes kept alive; 0 means attempts run in-process.
         self.pool_size = 0 if inline else workers
-        # ``spawn`` is the only start method available on every platform
-        # and the only one immune to fork-unsafe parent state (threads).
-        self.context = multiprocessing.get_context("spawn")
         while len(self.workers) < self.pool_size:
             self._spawn_worker()
 
@@ -611,8 +621,9 @@ class ManagedWorkerSet:
 
     def _spawn_worker(self) -> None:
         worker_id = next(self._worker_ids)
-        parent_conn, child_conn = self.context.Pipe(duplex=True)
-        process = self.context.Process(
+        context = worker_context()
+        parent_conn, child_conn = context.Pipe(duplex=True)
+        process = context.Process(
             target=_worker_main,
             args=(
                 worker_id,

@@ -2,9 +2,9 @@
 
 The mesh is partitioned by a :class:`ShardPlan` into rectangular tiles,
 each stepped by a :class:`~repro.core.shard.TileSimulator` in its own
-spawn-context worker process.  A coordinator drives every tile through
-the two halves of the cycle in lockstep and routes all cross-tile state
-between them (see docs/sharded-scaling.md for the full protocol):
+worker process.  A coordinator drives every tile through the two halves
+of the cycle in lockstep and routes all cross-tile state between them
+(see docs/sharded-scaling.md for the full protocol):
 
 1. ``front(t)`` on all tiles in parallel — generation, injection, link
    delivery, switch traversal.  Flits launched onto boundary links have
@@ -38,11 +38,19 @@ worker exceptions surface as a structured
 the coordinator.  Cycle-lockstep tiles cannot be retried mid-protocol
 (their state is minted by every previous cycle), so quarantine is
 whole-run: callers' retry policies see a fatal, deterministic error.
+
+Tile processes start from the sweep workers' context
+(:func:`~repro.harness.parallel.worker_context`: forks of one preloaded
+fork server, ``spawn`` where there is none), so a run pays no
+interpreter boot or package import per tile, and whether this process
+may have children at all is the executor's question
+(:func:`~repro.harness.parallel.pool_fallback_reason`): a daemonic
+sweep worker or a stdin parent drives the tiles inline, with a
+:class:`~repro.harness.parallel.NestedPoolFallbackWarning`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import time
@@ -57,6 +65,11 @@ from repro.core.simulator import SimulationResult, Simulator
 from repro.core.soa.errors import BackendUnsupportedError
 from repro.core.statistics import StatsCollector
 from repro.core.types import DropReason, NodeId, grid_nodes
+from repro.harness.parallel import (
+    pool_fallback_reason,
+    warn_pool_fallback,
+    worker_context,
+)
 from repro.traffic import make_traffic
 
 #: Router architectures the tile engine supports (the same pair the
@@ -66,6 +79,10 @@ SHARD_ROUTERS = ("roco", "generic")
 #: Default seconds the coordinator waits for a tile's phase reply
 #: before declaring the worker hung.
 DEFAULT_TILE_TIMEOUT = 120.0
+
+#: Longest the coordinator waits for a dead or terminated worker to be
+#: reaped (and its exit code to arrive).
+_REAP_TIMEOUT = 5.0
 
 
 class ShardUnsupportedError(BackendUnsupportedError):
@@ -296,7 +313,7 @@ class _InlineTile:
 
     Protocol-identical to :class:`_ProcessTile` — the same payloads and
     replies — minus the pipes, so equivalence tests can cover the
-    protocol densely without paying process spawn per cell.
+    protocol densely without paying process start per cell.
     """
 
     def __init__(self, index: int, payload: dict) -> None:
@@ -339,12 +356,12 @@ class _InlineTile:
 
 
 class _ProcessTile:
-    """One spawn-context worker process with hang/crash supervision."""
+    """One worker process with hang/crash supervision."""
 
     def __init__(self, index: int, payload: dict, timeout: float) -> None:
         self.index = index
         self.timeout = timeout
-        context = multiprocessing.get_context("spawn")
+        context = worker_context()
         self.conn, child = context.Pipe()
         self.process = context.Process(
             target=_tile_worker, args=(child, payload), daemon=True
@@ -386,6 +403,9 @@ class _ProcessTile:
         except (EOFError, OSError):
             # EOF: the worker closed its end.  OSError (connection
             # reset): it died with our last message still unread.
+            # Either can arrive before the exit code does (under the
+            # fork server it travels through the server), so wait for it.
+            self.process.join(timeout=_REAP_TIMEOUT)
             raise self._fail(
                 "ShardWorkerCrash",
                 f"tile {self.index} worker closed its pipe mid-protocol "
@@ -431,7 +451,7 @@ class _ProcessTile:
             pass
         if self.process.is_alive():
             self.process.terminate()
-        self.process.join(timeout=5.0)
+        self.process.join(timeout=_REAP_TIMEOUT)
 
 
 # ----------------------------------------------------------------------
@@ -484,13 +504,17 @@ def run_sharded_simulation(
         return Simulator(config, full_sweep=full_sweep).run(
             progress=progress, progress_every=progress_every
         )
-    if not inline and multiprocessing.current_process().daemon:
-        # Sweep-pool workers are daemonic and may not spawn tile
-        # processes; the inline driver runs the identical protocol
-        # in-process, so sharded configs stay usable (and bit-identical)
-        # inside a ParallelExecutor job.
-        inline = True
     plan = ShardPlan.plan(config, shards)
+    if not inline:
+        # The executor's rule for "may this process have children":
+        # sweep-pool workers are daemonic and a stdin parent has no
+        # entry point for a child to replay.  The inline driver runs
+        # the identical protocol in-process, so sharded configs stay
+        # usable (and bit-identical) there.
+        fallback = pool_fallback_reason(plan.num_tiles)
+        if fallback is not None:
+            warn_pool_fallback(fallback)
+            inline = True
     entries, measure_start = build_generation_schedule(config)
     per_tile_schedule: list[list[tuple]] = [[] for _ in plan.rects]
     for entry in entries:

@@ -17,7 +17,7 @@ tests all talk to the same object:
   server's :class:`~repro.harness.resilient.RetryPolicy` (crash
   recovery, deadlines, straggler speculation — the same machinery the
   chaos grid certifies for batch sweeps).  Where a pool cannot exist
-  (``workers<=1``, daemonic context, no spawn entry point) the set runs
+  (``workers<=1``, daemonic context, no entry point to replay) the set runs
   attempts on the broker's pump thread, under the same policy.
 * **Admission control** — at most ``max_inflight`` distinct jobs may
   be queued or running; beyond that :meth:`submit` raises
@@ -68,7 +68,7 @@ TELEMETRY_FIELD = "_serve_scheduler"
 def serve_execute_job(job: SimJob) -> dict:
     """Worker entry point for server jobs: record + scheduler telemetry.
 
-    Top-level so ``spawn`` workers can import it.  Identical to
+    Top-level so worker processes can import it.  Identical to
     :func:`~repro.harness.parallel.execute_job` except for the
     :data:`TELEMETRY_FIELD` side channel.
     """

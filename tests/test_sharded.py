@@ -13,7 +13,12 @@ with deterministic chaos hooks.
 from __future__ import annotations
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -316,12 +321,16 @@ def test_worker_crash_surfaces_structured_failure():
     assert failure.index == 2
     assert failure.kind == "fatal"
     assert failure.error_type == "ShardWorkerCrash"
+    # Whichever branch saw the death first (the liveness poll or EOF on
+    # the pipe), and whichever start method delivers the code.
+    assert "code 87" in failure.message
 
 
 def test_reset_pipe_surfaces_structured_failure():
     """A worker that dies with the coordinator's message still unread
     resets the pipe: ``recv`` raises ConnectionResetError, not EOFError.
-    The caller must still get the typed crash, not a raw socket error."""
+    The caller must still get the typed crash, not a raw socket error,
+    and the exit code, which is only there once the child is reaped."""
 
     class ResetConnection:
         def poll(self, timeout):
@@ -331,10 +340,13 @@ def test_reset_pipe_surfaces_structured_failure():
             raise ConnectionResetError(104, "Connection reset by peer")
 
     class DeadProcess:
-        exitcode = 1
+        exitcode = None
 
         def is_alive(self):
             return False
+
+        def join(self, timeout=None):
+            self.exitcode = 1
 
     tile = _ProcessTile.__new__(_ProcessTile)
     tile.index, tile.timeout = 3, 1.0
@@ -344,6 +356,42 @@ def test_reset_pipe_surfaces_structured_failure():
     failure = excinfo.value.failure
     assert (failure.index, failure.error_type) == (3, "ShardWorkerCrash")
     assert "exit code 1" in failure.message and "cycle 7" in failure.message
+
+
+def test_stdin_parent_falls_back_inline_like_the_executor():
+    """A stdin / REPL parent has no entry point for a child to replay:
+    the executor's rule applies here too — the inline driver, a
+    ``NestedPoolFallbackWarning``, the same record — where a tile
+    process would die importing ``<stdin>``."""
+    program = (
+        "import json, warnings\n"
+        "from repro.core.config import SimulationConfig\n"
+        "from repro.core.simulator import Simulator\n"
+        "from repro.harness.sharded import (\n"
+        "    compare_records, run_sharded_simulation)\n"
+        "config = SimulationConfig(width=4, height=4, injection_rate=0.15,\n"
+        "    warmup_packets=10, measure_packets=40, seed=11)\n"
+        "with warnings.catch_warnings(record=True) as caught:\n"
+        "    warnings.simplefilter('always')\n"
+        "    sharded = run_sharded_simulation(config, shards=(2, 1))\n"
+        "print(json.dumps([\n"
+        "    [[w.category.__name__, str(w.message)] for w in caught],\n"
+        "    compare_records(Simulator(config).run(), sharded)]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-"],
+        input=program,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    caught, mismatches = json.loads(done.stdout.strip().splitlines()[-1])
+    assert mismatches == []
+    assert [category for category, _ in caught] == ["NestedPoolFallbackWarning"]
+    assert "entry point unavailable" in caught[0][1]
 
 
 def test_worker_exception_surfaces_structured_failure():
