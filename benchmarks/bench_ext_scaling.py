@@ -73,9 +73,9 @@ def bench(ctx):
     assert generic[large] - roco[large] > generic[small] - roco[small]
 
     ratio = roco[8] / generic[8]
-    # Sharded extension of the curve: each large-mesh point runs across
-    # tile worker processes; results are bit-identical to the reference
-    # engine, so these extend the same curves.
+    # Sharded extension of the curve: each large-mesh point runs on the
+    # tile engine; results are bit-identical to the reference engine,
+    # so these extend the same curves.
     sharded_sizes = ctx.pick(quick=(16, 32), full=SHARDED_SIZES)
     sharded_budget = ctx.pick(
         quick={16: (60, 250), 32: (40, 160)},

@@ -1,16 +1,15 @@
-"""Sharded tile engine: equivalence cells and tile-parallel throughput.
+"""Sharded tile engine: equivalence cells and what the tiling costs.
 
-Runs matched pairs — the single-process reference vs the sharded tile
-engine (worker processes, docs/sharded-scaling.md) on identical
-configs — and asserts record-level bit-identity on every cell.  The
-registered *headline* is the deterministic equivalent-cell count,
-floored at the number of cells on every tier (the one floor here; it
-is not a timing).  Wall-clock and simulated cycles/sec per cell are printed,
-informational only and never written to the artifact: at benchmark
-packet counts the per-cycle pipe round-trips dominate, so sharding pays
-off in mesh capacity (64x64 runs that a single process cannot hold
-comfortably), not in small-mesh speed — there is no speed floor to
-hold.
+Runs matched pairs — the reference vs the sharded tile engine
+(docs/sharded-scaling.md) on identical configs — and asserts
+record-level bit-identity on every cell.  The registered *headline* is
+the deterministic equivalent-cell count, floored at the number of cells
+on every tier (the one floor here; it is not a timing).  Wall-clock and
+simulated cycles/sec per cell are printed, informational only and never
+written to the artifact: the tiles are stepped one after another in
+this process, so a sharded cell costs the reference's work plus the
+ghost halo, the boundary harvest and the coordinator — there is no
+speed floor to hold.
 """
 
 from __future__ import annotations

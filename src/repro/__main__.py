@@ -60,6 +60,7 @@ import sys
 from dataclasses import replace
 
 from repro.core.simulator import run_simulation
+from repro.core.soa.errors import BackendUnsupportedError
 from repro.harness.campaign import run_campaign
 from repro.harness.parallel import (
     ParallelExecutor,
@@ -91,7 +92,7 @@ SUBCOMMANDS = {
     ),
     "shards": (
         "repro.harness.sharded:sharded_main",
-        "tile-process runs and the equivalence grid (docs/sharded-scaling.md)",
+        "tiled runs and the equivalence grid (docs/sharded-scaling.md)",
     ),
     "serve": (
         "repro.serve.cli:serve_main",
@@ -365,6 +366,16 @@ def _run_sweep(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; a configuration outside the chosen engine's
+    envelope is the user's error (exit 2), not a traceback."""
+    try:
+        return _dispatch(argv)
+    except BackendUnsupportedError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] in SUBCOMMANDS:
         return load_subcommand(argv[0])(argv[1:])

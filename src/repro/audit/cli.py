@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_flags(
         parser,
         CONFIG_FLAGS,
-        omit=("--shards",),
+        # The audit engine walks the object model in one piece.
+        omit=("--shards", "--backend"),
         packets=dict(default=500),
         warmup=dict(default=100),
     )

@@ -3,8 +3,8 @@
 The single-process audit engine (repro.audit.engine) walks live object
 state, which no longer exists in one place once the mesh is sharded.
 ``SimulationConfig(audit=True)`` on a sharded run therefore enables this
-module instead: every tile reports a per-cycle accounting snapshot with
-its ``alloc_done`` message, and the coordinator's
+module instead: every tile takes a per-cycle accounting snapshot after
+its allocate phase, and the coordinator's
 :class:`BoundaryLedger` reconciles them against its own record of what
 crossed each boundary.
 
@@ -69,7 +69,7 @@ class BoundaryLedger:
                 )
 
     def check(self, cycle: int, generated_packets: int, audits) -> None:
-        """Per-cycle reconciliation after every tile's alloc_done."""
+        """Per-cycle reconciliation after every tile's allocate phase."""
         if any(payload is None for payload in audits):
             raise ShardInvariantViolation(
                 "audit-payload", cycle, None,

@@ -183,10 +183,12 @@ class SimulationConfig:
     #: docs/vectorized-core.md).
     backend: str = "object"
     #: Tile the mesh into ``(tiles_x, tiles_y)`` rectangles, each
-    #: simulated by its own worker process exchanging boundary flits and
+    #: stepped by its own tile simulator exchanging boundary flits and
     #: credits once per cycle (repro.harness.sharded); bit-identical to
-    #: the single-process reference on its envelope.  Accepts a tuple or
-    #: a ``"2x2"`` string; None (default) and ``(1, 1)`` run in-process.
+    #: the reference on its envelope, and slower than it — an
+    #: equivalence-checked protocol, not a speed-up (``backend="soa"`` is
+    #: the fast path).  Accepts a tuple or a ``"2x2"`` string; None
+    #: (default) and ``(1, 1)`` run the reference engine.
     shards: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:

@@ -47,7 +47,7 @@ def ensure_supported(config, faults=None, schedule=None) -> None:
     if getattr(config, "shards", None) not in (None, (1, 1)):
         raise BackendUnsupportedError(
             f"shards={config.shards!r}",
-            "tile workers run the object engine (see docs/sharded-scaling.md)",
+            "tiles run the object engine (see docs/sharded-scaling.md)",
         )
     if config.audit:
         raise BackendUnsupportedError(

@@ -286,7 +286,7 @@ def pool_fallback_reason(workers: int) -> str | None:
     server does just as a ``spawn`` child does.  The worker set then
     runs attempts in-process — bit-identical, just serial — and the
     executor emits a :class:`NestedPoolFallbackWarning` naming the
-    reason; a sharded run drives its tiles inline, with the same warning.
+    reason.
     """
     if workers <= 1:
         return None
@@ -303,10 +303,10 @@ def pool_fallback_reason(workers: int) -> str | None:
     return None
 
 
-#: What the fork server imports before it forks: the modules that hold
-#: the two process mains (``_worker_main``, ``_tile_worker``), which
-#: import the whole simulator, after the stdlib's own default entry.
-_PRELOAD = ["__main__", "repro.harness.resilient", "repro.harness.sharded"]
+#: What the fork server imports before it forks: the module that holds
+#: the process main (``_worker_main``), which imports the whole
+#: simulator, after the stdlib's own default entry.
+_PRELOAD = ["__main__", "repro.harness.resilient"]
 
 #: Serialises the environment swap in :func:`worker_context`.
 _server_start_lock = threading.Lock()
@@ -326,11 +326,11 @@ def _server_path() -> str | None:
 
 
 def worker_context():
-    """The multiprocessing context every worker and tile starts from.
+    """The multiprocessing context every worker process starts from.
 
-    The stdlib fork server, preloaded with the modules that hold the
-    two process mains: the package is imported once per parent process
-    and each worker or tile is a fork of that clean, single-threaded
+    The stdlib fork server, preloaded with the module that holds the
+    process main: the package is imported once per parent process
+    and each worker is a fork of that clean, single-threaded
     server — as immune to the parent's threads as a ``spawn`` child,
     without an interpreter boot and a package import per process.
     ``spawn`` where the platform has no fork server.
@@ -369,7 +369,7 @@ def worker_context():
     return multiprocessing.get_context(method)
 
 
-def warn_pool_fallback(reason: str) -> None:
+def _warn_pool_fallback(reason: str) -> None:
     """Tell the caller's caller that its processes became inline work."""
     warnings.warn(
         f"falling back to inline execution: {reason}",
@@ -635,7 +635,7 @@ class ParallelExecutor:
             # The pool cannot be spawned here (daemonic worker context
             # or no re-importable entry point); say so instead of
             # silently serialising — results are identical either way.
-            warn_pool_fallback(fallback)
+            _warn_pool_fallback(fallback)
         from repro.harness.resilient import ManagedWorkerSet
 
         # The set is sized to the batch, so a lone pending job asks for

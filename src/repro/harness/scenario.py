@@ -39,10 +39,16 @@ CONFIG_FLAGS = {
     "--packets": dict(type=int, default=2000, help="measured packets"),
     "--warmup": dict(type=int, default=300),
     "--seed": dict(type=int, default=1),
+    "--backend": dict(
+        choices=("object", "soa"),
+        default="object",
+        help="soa is the fast engine on its envelope (docs/vectorized-core.md)",
+    ),
     "--shards": dict(
         metavar="WxH",
-        help="partition the mesh into WxH tile worker processes "
-        "(bit-identical; see docs/sharded-scaling.md)",
+        help="step the mesh as WxH tiles in this process (bit-identical, "
+        "not faster: use --backend soa for a large mesh; see "
+        "docs/sharded-scaling.md)",
     ),
 }
 
@@ -141,7 +147,7 @@ def job_from_args(
             # Flags not every parser declares.
             **{
                 name: given[name]
-                for name in ("topology", "shards")
+                for name in ("topology", "shards", "backend")
                 if given.get(name) is not None
             },
             **fields,

@@ -1,22 +1,22 @@
-"""Sharded mesh execution: cooperating tile processes, one per rectangle.
+"""Sharded mesh execution: one mesh stepped as cooperating tiles.
 
 The mesh is partitioned by a :class:`ShardPlan` into rectangular tiles,
-each stepped by a :class:`~repro.core.shard.TileSimulator` in its own
-worker process.  A coordinator drives every tile through the two halves
-of the cycle in lockstep and routes all cross-tile state between them
-(see docs/sharded-scaling.md for the full protocol):
+each stepped by a :class:`~repro.core.shard.TileSimulator`.  A
+coordinator drives every tile through the two halves of the cycle in
+lockstep and routes all cross-tile state between them (see
+docs/sharded-scaling.md for the full protocol):
 
-1. ``front(t)`` on all tiles in parallel — generation, injection, link
-   delivery, switch traversal.  Flits launched onto boundary links have
-   a 2-cycle lookahead (``LINK_DELAY``) before any receiver can observe
-   them, so harvesting them once per cycle is always conservative.
+1. ``front(t)`` on every tile — generation, injection, link delivery,
+   switch traversal.  Flits launched onto boundary links have a 2-cycle
+   lookahead (``LINK_DELAY``) before any receiver can observe them, so
+   harvesting them once per cycle is always conservative.
 2. ``alloc(t)`` in *anti-diagonal wave order* over the tile grid.  VC
    allocation arbitrates cross-tile (upstream routers claim VCs on the
    neighbouring tile's boundary routers), and the reference resolves
    same-cycle claim races in global row-major router order — which,
    restricted to the pairs that can actually race across a cut, is
    exactly "west tile before east tile, north tile before south tile".
-   Each tile's alloc grant carries every delta routed to it so far, so
+   Each tile's alloc call carries every delta routed to it so far, so
    a successor tile allocates against the same owner/credit state the
    reference would have shown it.
 
@@ -31,30 +31,20 @@ that replays the reference simulator's exact rng-draw order once up
 front, then hands each tile its own sources' creation schedule — tiles
 never touch an rng, so partitioning cannot perturb the stream.
 
-Worker supervision follows repro.harness.resilient: crashes, hangs and
-worker exceptions surface as a structured
-:class:`~repro.harness.resilient.JobFailure` (wrapped in
-:class:`ShardedExecutionError`) naming the tile, instead of deadlocking
-the coordinator.  Cycle-lockstep tiles cannot be retried mid-protocol
-(their state is minted by every previous cycle), so quarantine is
-whole-run: callers' retry policies see a fatal, deterministic error.
-
-Tile processes start from the sweep workers' context
-(:func:`~repro.harness.parallel.worker_context`: forks of one preloaded
-fork server, ``spawn`` where there is none), so a run pays no
-interpreter boot or package import per tile, and whether this process
-may have children at all is the executor's question
-(:func:`~repro.harness.parallel.pool_fallback_reason`): a daemonic
-sweep worker or a stdin parent drives the tiles inline, with a
-:class:`~repro.harness.parallel.NestedPoolFallbackWarning`.
+Every tile lives in the calling process and a phase is a method call.
+The allocate wave is serial by construction (a 2x1 cycle is one front
+and two allocs whoever runs them), so tiles in processes of their own
+cannot repay their boot and pipes at any size or tiling
+(docs/sharded-scaling.md has the measurement).  ``shards=`` is an
+equivalence-checked tile protocol, not a speed-up — the fast way to run
+a large mesh is ``backend="soa"`` — and it behaves the same in every
+parent: a script, a REPL, a daemonic sweep or serve worker.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-import traceback
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -65,25 +55,11 @@ from repro.core.simulator import SimulationResult, Simulator
 from repro.core.soa.errors import BackendUnsupportedError
 from repro.core.statistics import StatsCollector
 from repro.core.types import DropReason, NodeId, grid_nodes
-from repro.harness.parallel import (
-    pool_fallback_reason,
-    warn_pool_fallback,
-    worker_context,
-)
 from repro.traffic import make_traffic
 
 #: Router architectures the tile engine supports (the same pair the
 #: paper's comparison — and the SoA backend — covers).
 SHARD_ROUTERS = ("roco", "generic")
-
-#: Default seconds the coordinator waits for a tile's phase reply
-#: before declaring the worker hung.
-DEFAULT_TILE_TIMEOUT = 120.0
-
-#: Longest the coordinator waits for a dead or terminated worker to be
-#: reaped (and its exit code to arrive).
-_REAP_TIMEOUT = 5.0
-
 
 class ShardUnsupportedError(BackendUnsupportedError):
     """A configuration outside the sharded-execution envelope.
@@ -101,17 +77,6 @@ class ShardUnsupportedError(BackendUnsupportedError):
         message += "; run with shards=None"
         RuntimeError.__init__(self, message)
         self.feature = feature
-
-
-class ShardedExecutionError(RuntimeError):
-    """A tile worker died or wedged; carries the structured failure."""
-
-    def __init__(self, failure) -> None:
-        super().__init__(
-            f"tile {failure.index} failed ({failure.error_type}): "
-            f"{failure.message}"
-        )
-        self.failure = failure
 
 
 def ensure_sharded_supported(config, traffic=None, faults=None, schedule=None):
@@ -133,7 +98,7 @@ def ensure_sharded_supported(config, traffic=None, faults=None, schedule=None):
     if config.backend != "object":
         raise ShardUnsupportedError(
             f"backend={config.backend!r}",
-            "tile workers run the object engine",
+            "tiles run the object engine",
         )
     if traffic is not None:
         raise ShardUnsupportedError(
@@ -258,218 +223,31 @@ def build_generation_schedule(config: SimulationConfig):
 
 
 # ----------------------------------------------------------------------
-# Tile drivers: in-process and worker-process
-# ----------------------------------------------------------------------
-
-
-def _tile_worker(conn, payload) -> None:
-    """Worker-process main loop: one message, one phase."""
-    try:
-        sim = TileSimulator(
-            payload["config"],
-            payload["rects"],
-            payload["tile"],
-            payload["schedule"],
-            payload["measure_start"],
-            full_sweep=payload["full_sweep"],
-        )
-        audit = payload["audit"]
-        kill_cycle = payload.get("kill_cycle")
-        slow_seconds = payload.get("slow_seconds")
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "front":
-                cycle = message[1]
-                if kill_cycle is not None and cycle >= kill_cycle:
-                    os._exit(87)
-                if slow_seconds:
-                    time.sleep(slow_seconds)
-                conn.send(("front_done", cycle, sim.front(cycle)))
-            elif kind == "alloc":
-                _, cycle, inbox = message
-                delta, commit = sim.alloc(cycle, inbox)
-                audit_payload = sim.audit_payload(cycle) if audit else None
-                conn.send(("alloc_done", cycle, delta, commit, audit_payload))
-            elif kind == "census":
-                conn.send(("census_done", sim.survivors(message[1])))
-            elif kind == "finish":
-                conn.send(("final", sim.finish(message[1])))
-                conn.close()
-                return
-            else:  # pragma: no cover - protocol future-proofing
-                raise RuntimeError(f"unknown coordinator message {kind!r}")
-    except BaseException as exc:  # noqa: BLE001 - report, then die
-        try:
-            conn.send(
-                ("error", type(exc).__name__, str(exc), traceback.format_exc())
-            )
-        except Exception:  # pragma: no cover - coordinator already gone
-            pass
-
-
-class _InlineTile:
-    """Drives a TileSimulator in-process (debugging / fast tests).
-
-    Protocol-identical to :class:`_ProcessTile` — the same payloads and
-    replies — minus the pipes, so equivalence tests can cover the
-    protocol densely without paying process start per cell.
-    """
-
-    def __init__(self, index: int, payload: dict) -> None:
-        self.index = index
-        self.sim = TileSimulator(
-            payload["config"],
-            payload["rects"],
-            payload["tile"],
-            payload["schedule"],
-            payload["measure_start"],
-            full_sweep=payload["full_sweep"],
-        )
-        self._audit = payload["audit"]
-        self._pending = None
-
-    def send_front(self, cycle: int) -> None:
-        self._pending = ("front_done", cycle, self.sim.front(cycle))
-
-    def recv_front(self, cycle: int):
-        _, _, delta = self._pending
-        return delta
-
-    def send_alloc(self, cycle: int, inbox) -> None:
-        delta, commit = self.sim.alloc(cycle, inbox)
-        audit_payload = self.sim.audit_payload(cycle) if self._audit else None
-        self._pending = ("alloc_done", cycle, delta, commit, audit_payload)
-
-    def recv_alloc(self, cycle: int):
-        _, _, delta, commit, audit_payload = self._pending
-        return delta, commit, audit_payload
-
-    def census(self, cycle: int):
-        return self.sim.survivors(cycle)
-
-    def finish(self, end_cycle: int):
-        return self.sim.finish(end_cycle)
-
-    def shutdown(self) -> None:
-        self._pending = None
-
-
-class _ProcessTile:
-    """One worker process with hang/crash supervision."""
-
-    def __init__(self, index: int, payload: dict, timeout: float) -> None:
-        self.index = index
-        self.timeout = timeout
-        context = worker_context()
-        self.conn, child = context.Pipe()
-        self.process = context.Process(
-            target=_tile_worker, args=(child, payload), daemon=True
-        )
-        self.process.start()
-        child.close()
-
-    def _fail(self, error_type: str, message: str) -> "ShardedExecutionError":
-        from repro.harness.resilient import JobFailure
-
-        return ShardedExecutionError(
-            JobFailure(
-                index=self.index,
-                kind="fatal",
-                error_type=error_type,
-                message=message,
-                attempts=1,
-            )
-        )
-
-    def _recv(self, expected: str, cycle: int | None):
-        deadline = time.monotonic() + self.timeout
-        while not self.conn.poll(0.05):
-            if not self.process.is_alive():
-                raise self._fail(
-                    "ShardWorkerCrash",
-                    f"tile {self.index} worker exited with code "
-                    f"{self.process.exitcode} before replying to "
-                    f"{expected!r} (cycle {cycle})",
-                )
-            if time.monotonic() > deadline:
-                raise self._fail(
-                    "ShardWorkerTimeout",
-                    f"tile {self.index} worker sent no {expected!r} reply "
-                    f"within {self.timeout:.0f}s (cycle {cycle})",
-                )
-        try:
-            message = self.conn.recv()
-        except (EOFError, OSError):
-            # EOF: the worker closed its end.  OSError (connection
-            # reset): it died with our last message still unread.
-            # Either can arrive before the exit code does (under the
-            # fork server it travels through the server), so wait for it.
-            self.process.join(timeout=_REAP_TIMEOUT)
-            raise self._fail(
-                "ShardWorkerCrash",
-                f"tile {self.index} worker closed its pipe mid-protocol "
-                f"(exit code {self.process.exitcode}, cycle {cycle})",
-            ) from None
-        if message[0] == "error":
-            _, error_type, detail, trace = message
-            raise self._fail(
-                error_type, f"{detail}\n--- worker traceback ---\n{trace}"
-            )
-        if message[0] != expected:  # pragma: no cover - protocol guard
-            raise self._fail(
-                "ShardProtocolError",
-                f"expected {expected!r}, got {message[0]!r}",
-            )
-        return message
-
-    def send_front(self, cycle: int) -> None:
-        self.conn.send(("front", cycle))
-
-    def recv_front(self, cycle: int):
-        return self._recv("front_done", cycle)[2]
-
-    def send_alloc(self, cycle: int, inbox) -> None:
-        self.conn.send(("alloc", cycle, inbox))
-
-    def recv_alloc(self, cycle: int):
-        message = self._recv("alloc_done", cycle)
-        return message[2], message[3], message[4]
-
-    def census(self, cycle: int):
-        self.conn.send(("census", cycle))
-        return self._recv("census_done", cycle)[1]
-
-    def finish(self, end_cycle: int):
-        self.conn.send(("finish", end_cycle))
-        return self._recv("final", end_cycle)[1]
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.close()
-        except Exception:  # pragma: no cover - already closed
-            pass
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=_REAP_TIMEOUT)
-
-
-# ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class _ChaosHooks:
-    """Deterministic failure injection for the sharded tests/CI grid."""
+def _build_tiles(config: SimulationConfig, plan: ShardPlan, full_sweep: bool):
+    """``(tiles, entry_cycles)``: one simulator per rectangle of ``plan``.
 
-    #: (tile, cycle): that tile's worker hard-exits at the cycle.
-    kill_tile: tuple[int, int] | None = None
-    #: (tile, seconds): sleep injected into every front phase.
-    slow_tile: tuple[int, float] | None = None
-    #: 1-indexed ordinal of a boundary flit message to silently drop
-    #: (coordinator-side), for proving the conservation ledger trips.
-    drop_flit: int | None = None
+    Each tile takes its own sources' stretch of the oracle's schedule
+    and consumes it as the run proceeds; the whole-run entry list and
+    the per-tile splits do not outlive this call.  ``entry_cycles`` are
+    the creation cycles in pid order, for an O(log n)
+    generated-by-cycle.
+    """
+    entries, measure_start = build_generation_schedule(config)
+    schedules: list[list[tuple]] = [[] for _ in plan.rects]
+    for entry in entries:
+        schedules[plan.tile_of(entry[1], entry[2])].append(entry)
+    rects = [(r.x0, r.y0, r.x1, r.y1) for r in plan.rects]
+    tiles = [
+        TileSimulator(
+            config, rects, index, tile_schedule, measure_start, full_sweep=full_sweep
+        )
+        for index, tile_schedule in enumerate(schedules)
+    ]
+    return tiles, [entry[0] for entry in entries]
 
 
 def run_sharded_simulation(
@@ -482,17 +260,19 @@ def run_sharded_simulation(
     full_sweep: bool = False,
     progress=None,
     progress_every: int = 5000,
-    inline: bool = False,
-    tile_timeout: float = DEFAULT_TILE_TIMEOUT,
-    _chaos: _ChaosHooks | None = None,
+    inline: bool = True,
+    _drop_flit: int | None = None,
 ) -> SimulationResult:
     """Run ``config`` sharded into ``shards`` tiles; bit-identical result.
 
-    ``shards`` defaults to ``config.shards``.  ``inline=True`` drives
-    the tiles in-process through the identical protocol (no worker
-    processes) — the debugging/testing mode.  ``tile_timeout`` bounds
-    how long the coordinator waits for any one phase reply before
-    declaring the worker hung.
+    ``shards`` defaults to ``config.shards``.  The tiles are stepped in
+    the calling process.  ``inline`` is accepted and ignored, for one
+    reason: perfbench's frozen ``shard_inline`` cell passes
+    ``inline=True``.  The keyword goes when that cell does.
+
+    ``_drop_flit`` is the tests' chaos hook: the 1-indexed ordinal of a
+    boundary flit message the coordinator silently loses, which proves
+    the conservation ledger live.
     """
     if shards is None:
         shards = config.shards
@@ -505,67 +285,24 @@ def run_sharded_simulation(
             progress=progress, progress_every=progress_every
         )
     plan = ShardPlan.plan(config, shards)
-    if not inline:
-        # The executor's rule for "may this process have children":
-        # sweep-pool workers are daemonic and a stdin parent has no
-        # entry point for a child to replay.  The inline driver runs
-        # the identical protocol in-process, so sharded configs stay
-        # usable (and bit-identical) there.
-        fallback = pool_fallback_reason(plan.num_tiles)
-        if fallback is not None:
-            warn_pool_fallback(fallback)
-            inline = True
-    entries, measure_start = build_generation_schedule(config)
-    per_tile_schedule: list[list[tuple]] = [[] for _ in plan.rects]
-    for entry in entries:
-        per_tile_schedule[plan.tile_of(entry[1], entry[2])].append(entry)
-    #: entry cycles in creation order, for O(log n) generated-by-cycle.
-    entry_cycles = [entry[0] for entry in entries]
-
-    chaos = _chaos or _ChaosHooks()
-    payload_base = {
-        "config": config,
-        "rects": [(r.x0, r.y0, r.x1, r.y1) for r in plan.rects],
-        "measure_start": measure_start,
-        "full_sweep": full_sweep,
-        "audit": config.audit,
-    }
-    drivers = []
+    tiles, entry_cycles = _build_tiles(config, plan, full_sweep)
     ledger = None
     if config.audit:
         from repro.audit.sharded import BoundaryLedger
 
         ledger = BoundaryLedger(plan, config.flits_per_packet)
-    try:
-        for index in range(plan.num_tiles):
-            payload = dict(payload_base)
-            payload["tile"] = index
-            payload["schedule"] = per_tile_schedule[index]
-            if chaos.kill_tile is not None and chaos.kill_tile[0] == index:
-                payload["kill_cycle"] = chaos.kill_tile[1]
-            if chaos.slow_tile is not None and chaos.slow_tile[0] == index:
-                payload["slow_seconds"] = chaos.slow_tile[1]
-            if inline:
-                drivers.append(_InlineTile(index, payload))
-            else:
-                drivers.append(_ProcessTile(index, payload, tile_timeout))
-        coordinator = _Coordinator(
-            config, plan, drivers, entry_cycles, ledger, chaos.drop_flit
+    coordinator = _Coordinator(config, plan, tiles, entry_cycles, ledger, _drop_flit)
+    end_cycle = drive(coordinator, progress, progress_every)
+    finals = [sim.finish(end_cycle) for sim in tiles]
+    if ledger is not None:
+        ledger.final_check(
+            end_cycle,
+            coordinator.generated,
+            coordinator.audits,
+            drained=coordinator.outstanding == 0
+            and coordinator.generated >= config.total_packets,
         )
-        end_cycle = drive(coordinator, progress, progress_every)
-        finals = [driver.finish(end_cycle) for driver in drivers]
-        if ledger is not None:
-            ledger.final_check(
-                end_cycle,
-                coordinator.generated,
-                coordinator.audits,
-                drained=coordinator.outstanding == 0
-                and coordinator.generated >= config.total_packets,
-            )
-        return _merge_result(config, finals, coordinator.generated, end_cycle + 1)
-    finally:
-        for driver in drivers:
-            driver.shutdown()
+    return _merge_result(config, finals, coordinator.generated, end_cycle + 1)
 
 
 class _Coordinator:
@@ -579,16 +316,16 @@ class _Coordinator:
     #: Sharded execution is fault-free (ensure_sharded_supported).
     has_faults = False
 
-    def __init__(self, config, plan, drivers, entry_cycles, ledger, drop_flit):
+    def __init__(self, config, plan, tiles, entry_cycles, ledger, drop_flit):
         self.config = config
         self.plan = plan
-        self.drivers = drivers
+        self.tiles = tiles
         self.entry_cycles = entry_cycles
         self.ledger = ledger
         #: Chaos: ordinal of the one boundary flit message to lose.
         self.drop_flit = drop_flit
         self.flit_messages = 0
-        #: tile -> deltas routed to it since its last alloc grant.
+        #: tile -> deltas routed to it since its last alloc.
         self.pending: dict[int, dict] = {}
         self.commits: list[dict | None] = [None] * plan.num_tiles
         self.audits: list[dict | None] = [None] * plan.num_tiles
@@ -597,20 +334,17 @@ class _Coordinator:
         self.moves = 0
 
     def step(self, cycle: int) -> None:
-        drivers = self.drivers
-        for driver in drivers:
-            driver.send_front(cycle)
-        for driver in drivers:
-            self._route(driver.recv_front(cycle))
+        tiles = self.tiles
+        for sim in tiles:
+            self._route(sim.front(cycle))
+        commits = self.commits
         for wave in self.plan.waves:
             for index in wave:
-                drivers[index].send_alloc(cycle, self.pending.pop(index, None))
-            for index in wave:
-                delta, commit, audit_payload = drivers[index].recv_alloc(cycle)
-                self.commits[index] = commit
-                self.audits[index] = audit_payload
+                sim = tiles[index]
+                delta, commits[index] = sim.alloc(cycle, self.pending.pop(index, None))
+                if self.ledger is not None:
+                    self.audits[index] = sim.audit_payload(cycle)
                 self._route(delta)
-        commits = self.commits
         self.generated = bisect_right(self.entry_cycles, cycle)
         self.outstanding = self.generated - sum(
             commit["delivered"] + commit["dropped"] for commit in commits
@@ -641,8 +375,8 @@ class _Coordinator:
             cycle,
             [
                 (NodeId(x, y), created)
-                for driver in self.drivers
-                for _pid, _measured, created, x, y in driver.census(cycle)
+                for sim in self.tiles
+                for _pid, _measured, created, x, y in sim.survivors(cycle)
             ],
         )
 
@@ -667,12 +401,12 @@ def _merge_result(config, finals, generated: int, cycles: int) -> SimulationResu
 
 # --------------------------------------------------------------------------
 # CLI: `python -m repro shards` — single sharded runs and the equivalence
-# grid the scaling-smoke CI lane executes.
+# grid the backend-conformance CI lane executes.
 # --------------------------------------------------------------------------
 
 #: (size, shards, router, routing, full_sweep, packets, warmup, rate)
-#: Every cell is run sharded (worker processes) and unsharded, and the
-#: two result records must match field-for-field.
+#: Every cell is run sharded and unsharded, and the two result records
+#: must match field-for-field.
 EQUIVALENCE_GRID: tuple[tuple, ...] = (
     (4, (1, 2), "roco", "xy", False, 120, 30, 0.2),
     (4, (1, 2), "generic", "xy", False, 120, 30, 0.2),
@@ -731,14 +465,14 @@ def compare_records(reference: SimulationResult, sharded: SimulationResult):
     return mismatches
 
 
-def equivalence_grid(cells=EQUIVALENCE_GRID, *, inline: bool = False, out=print):
+def equivalence_grid(cells=EQUIVALENCE_GRID, *, out=print):
     """Run the sharded-vs-reference grid; returns the number of failures.
 
     Each cell simulates the same configuration twice — once through the
-    plain :class:`Simulator`, once through worker-process tiles — and
+    plain :class:`Simulator`, once through the tile protocol — and
     asserts record-level identity (latency percentiles, energy, per-drop
     accounting, scheduler counters...).  This is the check the CI
-    ``scaling-smoke`` job runs.
+    ``backend-conformance`` job runs.
     """
     failures = 0
     for cell in cells:
@@ -750,9 +484,7 @@ def equivalence_grid(cells=EQUIVALENCE_GRID, *, inline: bool = False, out=print)
         config = _grid_config(cell)
         start = time.monotonic()
         reference = Simulator(config, full_sweep=full_sweep).run()
-        sharded = run_sharded_simulation(
-            config, shards, full_sweep=full_sweep, inline=inline
-        )
+        sharded = run_sharded_simulation(config, shards, full_sweep=full_sweep)
         elapsed = time.monotonic() - start
         mismatches = compare_records(reference, sharded)
         if mismatches:
@@ -777,8 +509,8 @@ def sharded_main(argv=None) -> int:
         prog="repro shards",
         description=(
             "Sharded mesh execution: run one simulation partitioned into "
-            "tile worker processes, or the sharded-vs-reference "
-            "equivalence grid (docs/sharded-scaling.md)"
+            "tiles, or the sharded-vs-reference equivalence grid "
+            "(docs/sharded-scaling.md)"
         ),
     )
     parser.add_argument(
@@ -786,15 +518,11 @@ def sharded_main(argv=None) -> int:
         action="store_true",
         help="run the equivalence grid instead of a single simulation",
     )
-    parser.add_argument(
-        "--inline",
-        action="store_true",
-        help="drive tiles in-process (debugging; same protocol, no workers)",
-    )
     add_flags(
         parser,
         CONFIG_FLAGS,
-        omit=("--topology",),
+        # Tiles run the object engine on a mesh.
+        omit=("--topology", "--backend"),
         router=dict(choices=sorted(SHARD_ROUTERS)),
         # This parser has never restricted --traffic; an unknown name
         # is rejected when the generation oracle binds the pattern.
@@ -813,11 +541,9 @@ def sharded_main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.grid:
-        return 1 if equivalence_grid(inline=args.inline) else 0
+        return 1 if equivalence_grid() else 0
     config = job_from_args(args, audit=args.audit).config
-    result = run_sharded_simulation(
-        config, full_sweep=args.full_sweep, inline=args.inline
-    )
+    result = run_sharded_simulation(config, full_sweep=args.full_sweep)
     print(result.summary_line())
     print(
         f"  latency p50/p95/p99: {result.latency.p50:.1f} / "

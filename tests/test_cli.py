@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import SUBCOMMANDS, build_parser, load_subcommand, main
@@ -67,6 +72,64 @@ class TestMain:
                 )
                 == 0
             )
+
+
+SMALL = ["--size", "4", "--packets", "80", "--warmup", "20", "--rate", "0.1"]
+
+
+class TestBackendFlag:
+    def test_soa_prints_what_the_object_engine_prints(self, capsys):
+        point = ["--size", "16", "--packets", "200", "--warmup", "40", "--rate", "0.1"]
+        assert main(point) == 0
+        reference = capsys.readouterr().out
+        assert main([*point, "--backend", "soa"]) == 0
+        assert capsys.readouterr().out == reference
+        assert "compl=1.000" in reference
+
+    @pytest.mark.parametrize("name", ["audit", "shards"])
+    def test_object_only_subcommands_do_not_offer_it(self, name, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([name, "--backend", "soa"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
+#: argv -> what the one line on stderr has to say.
+OUTSIDE_THE_ENVELOPE = {
+    "shards-router": (
+        [*SMALL, "--shards", "2x2", "--router", "path_sensitive"],
+        "sharded execution does not support router='path_sensitive'",
+    ),
+    "shards-faults": (
+        [*SMALL, "--shards", "2x2", "--faults", "2"],
+        "sharded execution does not support static fault injection",
+    ),
+    "shards-subcommand-planner": (
+        ["shards", *SMALL, "--shards", "4x1"],
+        "each tile must be at least 2 columns wide",
+    ),
+    "soa-faults": (
+        [*SMALL, "--backend", "soa", "--faults", "2"],
+        "backend='soa' does not support static fault injection",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIDE_THE_ENVELOPE)
+def test_envelope_rejection_is_a_cli_error_not_a_traceback(case):
+    argv, message = OUTSIDE_THE_ENVELOPE[case]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("repro: error: ") and message in line
 
 
 class TestSubcommands:

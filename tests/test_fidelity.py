@@ -27,12 +27,10 @@ from repro.harness.parallel import ResultCache
 
 BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baseline"
 
-#: Registered benchmarks this pin leaves to the ``bench-smoke`` lane.
-#: The first two time wall-clock pairs (their equivalence halves are
-#: tests/test_activity_scheduler.py and tests/test_backend_conformance.py);
-#: the last two spawn tile worker processes, ~10 s of a ~30 s quick tier
-#: (tests/test_sharded.py holds the sharded equivalence contract).
-NOT_PINNED = ("activity_core", "backend_soa", "sharded_scaling", "ext_scaling")
+#: Registered benchmarks this pin leaves to the ``bench-smoke`` lane:
+#: the two that time wall-clock pairs (their equivalence halves are
+#: tests/test_activity_scheduler.py and tests/test_backend_conformance.py).
+NOT_PINNED = ("activity_core", "backend_soa")
 
 PINNED = [name for name in discover().names() if name not in NOT_PINNED]
 

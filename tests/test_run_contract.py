@@ -36,7 +36,7 @@ from repro.harness.export import result_record
 from repro.harness.sharded import run_sharded_simulation
 from repro.traffic import make_traffic
 
-ENGINES = ("object", "soa", "sharded-inline")
+ENGINES = ("object", "soa", "sharded")
 
 BASE = SimulationConfig(
     width=4,
@@ -52,9 +52,7 @@ def run_engine(engine: str, config: SimulationConfig, **kwargs):
         return Simulator(config).run(**kwargs)
     if engine == "soa":
         return SoASimulator(config).run(**kwargs)
-    return run_sharded_simulation(
-        config, (2, 2), inline=engine == "sharded-inline", **kwargs
-    )
+    return run_sharded_simulation(config, (2, 2), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -95,12 +93,6 @@ def drain_outcome(engine: str, overrides: dict):
 def test_drain_timeout_same_cycle_and_census(engine, cell):
     overrides, expected = DRAIN_CELLS[cell]
     assert drain_outcome(engine, overrides) == expected
-
-
-def test_drain_timeout_sharded_process():
-    """The process driver's census crosses real pipes (CI: scaling-smoke)."""
-    overrides, expected = DRAIN_CELLS["generic-1flit-s21"]
-    assert drain_outcome("sharded-process", overrides) == expected
 
 
 @pytest.mark.xfail(strict=True, raises=DrainTimeoutError)

@@ -1,22 +1,25 @@
-"""Sharded mesh execution: bit-identity, supervision and the ledger.
+"""Sharded mesh execution: bit-identity, the envelope and the ledger.
 
 The contract mirrors the SoA backend's (tests/test_backend_conformance):
 inside the envelope a sharded run must be *bit-identical* to the
 single-process reference — same result record, same packet accounting,
 same scheduler telemetry — and outside it the engine must refuse
 loudly while the reference path stays untouched.  On top of that the
-tile protocol adds its own failure surface: boundary messages, worker
-crashes and the cross-shard conservation ledger, each exercised here
-with deterministic chaos hooks.
+tile protocol adds its own failure surface: boundary messages and the
+cross-shard conservation ledger, exercised here with a deterministic
+chaos hook.  Tiles are stepped in the caller's process, whatever that
+process is; that is pinned here without a clock.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,18 +31,19 @@ from repro.core.simulator import Simulator, run_simulation
 from repro.core.soa.errors import BackendUnsupportedError, ensure_supported
 from repro.core.types import NodeId
 from repro.faults import Component, ComponentFault
+from repro.harness.parallel import ParallelExecutor, SimJob, execute_job
+from repro.harness.resilient import ManagedWorkerSet
 from repro.harness.sharded import (
     ShardPlan,
     ShardUnsupportedError,
-    ShardedExecutionError,
-    _ChaosHooks,
-    _ProcessTile,
     _split_extent,
     build_generation_schedule,
     compare_records,
     ensure_sharded_supported,
     run_sharded_simulation,
 )
+
+from .test_resilient import drain
 
 
 def grid_config(**overrides) -> SimulationConfig:
@@ -58,11 +62,9 @@ def grid_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**params)
 
 
-def assert_identical(config, shards, *, full_sweep=False, inline=True):
+def assert_identical(config, shards, *, full_sweep=False):
     reference = Simulator(config, full_sweep=full_sweep).run()
-    sharded = run_sharded_simulation(
-        config, shards, full_sweep=full_sweep, inline=inline
-    )
+    sharded = run_sharded_simulation(config, shards, full_sweep=full_sweep)
     mismatches = compare_records(reference, sharded)
     assert mismatches == []
     return reference, sharded
@@ -103,16 +105,10 @@ def test_transpose_traffic_bit_identical():
     assert_identical(config, (2, 1))
 
 
-def test_process_driver_bit_identical():
-    """The real worker-process path (spawn, pipes) matches too."""
-    config = grid_config(warmup_packets=20, measure_packets=80)
-    assert_identical(config, (2, 2), inline=False)
-
-
 def test_tile_scheduler_counters_reported():
     config = grid_config(width=4, height=4, warmup_packets=10,
                          measure_packets=40)
-    result = run_sharded_simulation(config, (2, 2), inline=True)
+    result = run_sharded_simulation(config, (2, 2))
     assert len(result.tile_scheduler) == 4
     assert sum(c.router_steps for c in result.tile_scheduler) == \
         result.scheduler.router_steps
@@ -252,7 +248,7 @@ def test_oracle_replays_reference_generation():
     assert all(measured_flags[config.warmup_packets:])
     assert entries[config.warmup_packets][0] == measure_start
     # The oracle-driven run injects exactly the measured population.
-    result = run_sharded_simulation(config, (2, 2), inline=True)
+    result = run_sharded_simulation(config, (2, 2))
     assert result.injected_packets == config.measure_packets
 
 
@@ -267,7 +263,7 @@ def test_oracle_xyyx_variant_draws():
 
 
 # ----------------------------------------------------------------------
-# The conservation ledger and chaos hooks
+# The conservation ledger and its chaos hook
 # ----------------------------------------------------------------------
 
 
@@ -281,88 +277,70 @@ def audit_config(**overrides):
 def test_ledger_clean_run_checks_every_cycle():
     config = audit_config()
     reference = Simulator(config).run()
-    sharded = run_sharded_simulation(config, (2, 2), inline=True)
+    sharded = run_sharded_simulation(config, (2, 2))
     assert compare_records(reference, sharded) == []
 
 
 def test_dropped_boundary_flit_trips_flit_conservation():
     config = audit_config()
     with pytest.raises(ShardInvariantViolation) as excinfo:
-        run_sharded_simulation(
-            config, (2, 2), inline=True,
-            _chaos=_ChaosHooks(drop_flit=1),
-        )
+        run_sharded_simulation(config, (2, 2), _drop_flit=1)
     assert excinfo.value.invariant in ("flit-conservation",
                                        "boundary-transit")
 
 
-def test_slow_tile_stalls_but_stays_identical():
-    """Lookahead is conservative: a slow neighbour delays the wave but
-    cannot change what any tile observes."""
+# ----------------------------------------------------------------------
+# No process: the same run in every parent
+# ----------------------------------------------------------------------
+
+
+def test_no_process_is_started(monkeypatch):
+    """A tile run neither asks for a worker context nor starts a child."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sharded run tried to start a process")
+
+    monkeypatch.setattr("repro.harness.parallel.worker_context", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     config = grid_config(width=4, height=4, warmup_packets=10,
                          measure_packets=40)
-    reference = Simulator(config).run()
-    sharded = run_sharded_simulation(
-        config, (2, 2),
-        _chaos=_ChaosHooks(slow_tile=(1, 0.002)),
-    )
-    assert compare_records(reference, sharded) == []
+    assert_identical(config, (2, 2))
 
 
-def test_worker_crash_surfaces_structured_failure():
+def execute_recording_warnings(job: SimJob) -> dict:
+    """Top-level ``job_fn``: the record, what was warned on the way and
+    whether the process that ran it may have children."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        record = execute_job(job)
+    return {
+        "record": record,
+        "warned": [w.category.__name__ for w in caught],
+        "daemonic": multiprocessing.current_process().daemon,
+    }
+
+
+def test_daemonic_sweep_workers_run_tiles_without_a_warning():
+    """A pool worker may have no children; a sharded job needs none."""
     config = grid_config(width=4, height=4, warmup_packets=10,
-                         measure_packets=40)
-    with pytest.raises(ShardedExecutionError) as excinfo:
-        run_sharded_simulation(
-            config, (2, 2),
-            _chaos=_ChaosHooks(kill_tile=(2, 5)),
-        )
-    failure = excinfo.value.failure
-    assert failure.index == 2
-    assert failure.kind == "fatal"
-    assert failure.error_type == "ShardWorkerCrash"
-    # Whichever branch saw the death first (the liveness poll or EOF on
-    # the pipe), and whichever start method delivers the code.
-    assert "code 87" in failure.message
+                         measure_packets=40, shards=(2, 1))
+    jobs = [SimJob.of(replace(config, seed=seed)) for seed in (11, 12)]
+    # Two jobs submitted before the first pass go to the two idle workers.
+    with ManagedWorkerSet(workers=2, job_fn=execute_recording_warnings) as pool:
+        indices = [pool.submit(job) for job in jobs]
+        settled = drain(pool)
+    for index, job in zip(indices, jobs):
+        assert settled[index] == {
+            "record": execute_job(job), "warned": [], "daemonic": True,
+        }
+    assert ParallelExecutor(workers=2).run_jobs(jobs) == [
+        settled[index]["record"] for index in indices
+    ]
 
 
-def test_reset_pipe_surfaces_structured_failure():
-    """A worker that dies with the coordinator's message still unread
-    resets the pipe: ``recv`` raises ConnectionResetError, not EOFError.
-    The caller must still get the typed crash, not a raw socket error,
-    and the exit code, which is only there once the child is reaped."""
-
-    class ResetConnection:
-        def poll(self, timeout):
-            return True
-
-        def recv(self):
-            raise ConnectionResetError(104, "Connection reset by peer")
-
-    class DeadProcess:
-        exitcode = None
-
-        def is_alive(self):
-            return False
-
-        def join(self, timeout=None):
-            self.exitcode = 1
-
-    tile = _ProcessTile.__new__(_ProcessTile)
-    tile.index, tile.timeout = 3, 1.0
-    tile.conn, tile.process = ResetConnection(), DeadProcess()
-    with pytest.raises(ShardedExecutionError) as excinfo:
-        tile.recv_front(7)
-    failure = excinfo.value.failure
-    assert (failure.index, failure.error_type) == (3, "ShardWorkerCrash")
-    assert "exit code 1" in failure.message and "cycle 7" in failure.message
-
-
-def test_stdin_parent_falls_back_inline_like_the_executor():
-    """A stdin / REPL parent has no entry point for a child to replay:
-    the executor's rule applies here too — the inline driver, a
-    ``NestedPoolFallbackWarning``, the same record — where a tile
-    process would die importing ``<stdin>``."""
+def test_stdin_parent_gets_the_reference_record_and_no_warning():
+    """A stdin / REPL parent has no entry point for a child to replay,
+    and it does not matter: no child is started."""
     program = (
         "import json, warnings\n"
         "from repro.core.config import SimulationConfig\n"
@@ -390,18 +368,14 @@ def test_stdin_parent_falls_back_inline_like_the_executor():
     assert done.returncode == 0, done.stderr
     caught, mismatches = json.loads(done.stdout.strip().splitlines()[-1])
     assert mismatches == []
-    assert [category for category, _ in caught] == ["NestedPoolFallbackWarning"]
-    assert "entry point unavailable" in caught[0][1]
+    assert caught == []
 
 
-def test_worker_exception_surfaces_structured_failure():
-    """An in-worker exception is relayed with its type name, not a
-    crash; the inline driver raises it directly."""
+def test_planner_rejection_reaches_the_caller_of_a_sharded_config():
     config = grid_config(width=4, height=4, warmup_packets=10,
                          measure_packets=40, shards=(3, 1))
     with pytest.raises(ShardUnsupportedError):
-        # 4 columns / 3 tiles -> a 1-wide tile; planner rejects before
-        # any worker spawns.
+        # 4 columns / 3 tiles -> a 1-wide tile.
         run_sharded_simulation(config)
 
 

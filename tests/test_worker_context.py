@@ -4,7 +4,8 @@ The fork-server side is proven without a clock: a worker forked from a
 server that imported the package reads the *server's* pid in
 ``resilient.IMPORTED_IN_PID``; one that had to import the package
 itself (a ``spawn`` child, or a fork of a server whose preload failed)
-reads its own.
+reads its own.  The last test is a source-level guard: one place in
+``src/`` starts a process and one chooses the context.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import pytest
 from repro.harness import parallel, resilient
 from repro.harness.parallel import ParallelExecutor, SimJob, worker_context
 from repro.harness.resilient import ManagedWorkerSet
-from repro.harness.sharded import compare_records, run_sharded_simulation
 
 from .conftest import small_config
 from .test_resilient import drain
@@ -143,8 +143,16 @@ class TestSpawnWhereThereIsNoForkServer:
         pooled = ParallelExecutor(workers=2).run_jobs(jobs)
         assert pooled == ParallelExecutor(workers=1).run_jobs(jobs)
 
-    def test_tile_processes_equal_inline(self):
-        config = small_config(warmup_packets=10, measure_packets=40)
-        inline = run_sharded_simulation(config, (2, 1), inline=True)
-        processes = run_sharded_simulation(config, (2, 1))
-        assert compare_records(inline, processes) == []
+
+def test_one_process_start_and_one_context_choice_in_the_source():
+    """``ManagedWorkerSet._spawn_worker`` and ``worker_context``: a
+    second supervisor or a second start-method choice shows up here."""
+    hits = {needle: [] for needle in (".Process(", "get_context(")}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        text = path.read_text()
+        for needle, found in hits.items():
+            found += [str(path.relative_to(ROOT / "src"))] * text.count(needle)
+    assert hits == {
+        ".Process(": ["repro/harness/resilient.py"],
+        "get_context(": ["repro/harness/parallel.py"],
+    }
