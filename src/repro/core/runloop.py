@@ -118,12 +118,18 @@ def live_packets(sources: dict, routers: dict):
     """Yield ``(node, packet)`` where unfinished packets sit.
 
     The reference order: per source its queued packets, then the worm
-    it is streaming; then the router VC queues row-major, each packet
-    once at the first queue holding a flit of it, skipping packets
-    already dropped (their late flits can still land).  A streamed worm
-    is met at its source and again in a VC: dropping is idempotent, the
-    census counts both.  VC queues are walked over snapshots, so a
-    consumer may drop what it is handed.
+    it is streaming; then the router VC queues row-major, then the
+    routers' inbound link registers row-major (flits on a wire, held at
+    the router they are bound for) — each packet once at the first
+    place holding a flit of it, skipping packets already dropped (their
+    late flits can still land).  Only a run cut at ``max_cycles`` has
+    flits on wires: a packet whose remaining flits are all there is met
+    nowhere else.  A tile's inbound registers include its ghosts'
+    egress, and its own egress is empty between steps, so a flit
+    crossing a cut is met once, on the receiving tile.  A streamed worm
+    is met at its source and again in the network: dropping is
+    idempotent, the census counts both.  Queues and links are walked
+    over snapshots, so a consumer may drop what it is handed.
     """
     for node, source in sources.items():
         for packet in source.queue:
@@ -131,13 +137,20 @@ def live_packets(sources: dict, routers: dict):
         if source.current:
             yield node, source.current[0].packet
     seen: set[int] = set()
+
+    def first_meeting(node, flits):
+        for flit in flits:
+            packet = flit.packet
+            if packet.pid not in seen and packet.dropped_cycle is None:
+                seen.add(packet.pid)
+                yield node, packet
+
     for node, router in routers.items():
         for vc in router.all_vcs():
-            for flit in tuple(vc.queue):
-                packet = flit.packet
-                if packet.pid not in seen and packet.dropped_cycle is None:
-                    seen.add(packet.pid)
-                    yield node, packet
+            yield from first_meeting(node, tuple(vc.queue))
+    for node, router in routers.items():
+        for _direction, link in router._in_links:
+            yield from first_meeting(node, link.pending())
 
 
 def packet_draws(config, traffic, rng, nodes: list, blocked=None):

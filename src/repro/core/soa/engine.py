@@ -198,6 +198,11 @@ class SoASimulator:
             width = 5 if lay.mirror else 4
             self.arb = [[[0] * width, [0] * width] for _ in range(N)]
             self._allocate = self._allocate_roco
+            #: What a router with exactly one occupied VC runs instead;
+            #: the sequential-allocator ablation keeps the general block.
+            self._allocate_lone = (
+                self._allocate_roco_lone if lay.mirror else self._allocate_roco
+            )
             #: Bits of one module's slots within ``occ_mask`` (module mi
             #: occupies bits ``mi*2V .. mi*2V+2V-1``).
             self._mod_bits = 2 * self.V
@@ -567,24 +572,30 @@ class SoASimulator:
         # allocators' empty-router work is a pure no-op in both modes,
         # so the mask gates the call itself; RoCo's quiescence snapshot
         # (``_alloc_occupied``, taken at allocate entry) lands here.
+        # For RoCo a mask of one bit — a router holding flits in a
+        # single VC, most calls — selects the lone kernel.
         occ = self.occ_mask
         allocate = self._allocate
-        if full:
+        if self._generic:
             for n in stepped:
                 if occ[n]:
                     allocate(n, cycle)
-        elif self.layout.arch == "roco":
+        elif full:
+            lone = self._allocate_lone
+            for n in stepped:
+                mask = occ[n]
+                if mask:
+                    (allocate if mask & (mask - 1) else lone)(n, cycle)
+        else:
+            lone = self._allocate_lone
             r_occupied = self.r_occupied
             for n in stepped:
-                if occ[n]:
+                mask = occ[n]
+                if mask:
                     r_occupied[n] = True
-                    allocate(n, cycle)
+                    (allocate if mask & (mask - 1) else lone)(n, cycle)
                 else:
                     r_occupied[n] = False
-        else:
-            for n in stepped:
-                if occ[n]:
-                    allocate(n, cycle)
 
         # Sleep pass (active scheduler only).  RoCo judges occupancy by
         # the allocate-entry snapshot (deliberately stale across any
@@ -1104,6 +1115,74 @@ class SoASimulator:
                 for port, _slot, index in _sequential_allocate(state, requests):
                     self._commit(n, bit_slot[shift + port * V + index], cycle)
 
+    def _allocate_roco_lone(self, n: int, cycle: int) -> None:
+        """``_allocate_roco`` for a router holding flits in exactly one VC.
+
+        What the general block does with one bit of ``occ_mask[n]`` set,
+        without its masks, request matrix and tally list: VA for a
+        head, the ready/credit test, one contention count, the two
+        pointer moves of the mirror allocator and the commit
+        (tests/test_soa_arbitration.py holds the two blocks equal on
+        every single-VC state).
+        """
+        bit = self.occ_mask[n].bit_length() - 1
+        s = self.bit_slot[n][bit]
+        out_vc = self.out_vc
+        fid = self.q[s][0]
+        if not fid % self.F:
+            if self.apid[s] == NONE_CODE:
+                self.apid[s] = fid // self.F
+            if out_vc[s] == NONE_CODE:
+                if not self.layout.lookahead and self.f_arrival[fid] >= cycle:
+                    return  # ablation: RC charged post-arrival
+                va_requests: list = []
+                self._roco_request_worm(n, s, fid, va_requests, cycle)
+                if va_requests:
+                    self._resolve_vc_allocations(n, va_requests, cycle)
+        # Unallocated — VA lost, or its defensive eject consumed the flit.
+        t = out_vc[s]
+        if t == NONE_CODE:
+            return
+        avail = self.avail
+        if t >= 0:
+            # Inlined credits(cycle) > 0 with lazy release refresh; the
+            # commit's own refresh would find nothing left to mature.
+            r = self.rel[t]
+            if r and r[0] <= cycle:
+                a = avail[t]
+                while r and r[0] <= cycle:
+                    del r[0]
+                    a += 1
+                avail[t] = a
+            if avail[t] <= 0:
+                return
+        self.sa += 1
+        # _tally_contention over one buffered worm: one request on its
+        # output, contended by nobody.
+        od = self.out_dir[s]
+        if od & 1:
+            self.row_req += 1
+        elif od != LOCAL:
+            self.col_req += 1
+        # MirrorAllocator.allocate on one request: the local arbiter of
+        # its (port, direction slot) moves past the VC, the global one
+        # to the other slot.
+        V = self.V
+        mi, place = divmod(bit, self._mod_bits)
+        slot = 0 if od == self.layout.mod_slot0_dir[mi] else 1
+        state = self.arb[n][mi]
+        port, index = divmod(place, V)
+        state[2 * port + slot] = index + 1 if index + 1 < V else 0
+        state[4] = 1 - slot
+        # ``_commit_switch_grant``
+        if t >= 0:
+            avail[t] -= 1
+            self.expected[t] += 1
+        win = self.sa_win[n]
+        if not win:
+            self.sa_routers.append(n)
+        win.append((s, od, t))
+
     def _roco_request_worm(
         self, n: int, s: int, fid: int, va_requests: list, cycle: int
     ) -> None:
@@ -1165,14 +1244,27 @@ class SoASimulator:
                 yield n, pid
             if self.s_cur[n] != NONE_CODE:
                 yield n, self.s_cur[n] // F
+        buffered = [
+            (n, fid)
+            for n in range(self.N)
+            for s in self.layout.router_slots[n]
+            for fid in self.q[s]
+        ]
+        # Flits on wires (a run cut at max_cycles), at their receivers:
+        # the wake buckets are the link registers.  Row-major, links in
+        # CARDINALS order, launch order on a link — the reference's walk.
+        on_wires = sorted(
+            (n, din, at, fid)
+            for at, bucket in self.wake.items()
+            for n, din, fid in bucket
+        )
+        buffered += [(n, fid) for n, _din, _at, fid in on_wires]
         counted: set[int] = set()
-        for n in range(self.N):
-            for s in self.layout.router_slots[n]:
-                for fid in self.q[s]:
-                    pid = fid // F
-                    if pid not in counted and self.p_dropped[pid] == NONE_CODE:
-                        counted.add(pid)
-                        yield n, pid
+        for n, fid in buffered:
+            pid = fid // F
+            if pid not in counted and self.p_dropped[pid] == NONE_CODE:
+                counted.add(pid)
+                yield n, pid
 
     def stranded_census(self, cycle: int) -> StrandedCensus:
         """``Simulator.stranded_census`` on array state (fault-free)."""

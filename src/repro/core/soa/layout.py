@@ -16,10 +16,17 @@ Slot numbering is the canonical enumeration order used everywhere
 (engine, state bridge, conformance tests): routers in creation
 (row-major) order, VCs within a router in ``all_vcs()`` order.
 
-Admission/route tables are cached lazily per (router, input, dest)
-key — the throwaway network is kept alive for cache misses — so the
-build cost is O(nodes) up front and O(1) amortised per lookup, rather
-than O(nodes²) eagerly.
+Admission/route tables are filled lazily — the throwaway network is
+kept alive for the misses — and keyed by *direction class*, not by
+destination: ``(router, input, sign(dx), sign(dy), yx)``.  On a mesh
+(the only topology in the envelope) ``xy_direction``, ``yx_direction``,
+``productive_directions``, RoCo's ``_is_final`` and ``dest == node``
+read the destination through those two signs alone
+(:func:`repro.routing.base.direction_class`), so every destination of a
+class gets the answer the first one asked for.  That bounds the tables
+at 9 classes x 2 variants per (router, input) — O(nodes), where
+per-destination keys were O(nodes²) and never stopped missing on a
+large mesh — while the build stays O(nodes) up front.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from dataclasses import astuple
 
 from repro.core.network import Network
 from repro.core.types import CARDINALS, Direction, NodeId, Packet
+from repro.routing.base import direction_class
 
 #: Integer codes for the slot-state arrays.  ``NONE_CODE`` stands for
 #: Python ``None`` (no route / no downstream VC / no owner);
@@ -55,6 +63,10 @@ class SoALayout:
         self._net = net
         self.nodes: list[NodeId] = net.nodes
         self.node_index = {node: n for n, node in enumerate(self.nodes)}
+        #: Per-node coordinates: all that the class-keyed routing tables
+        #: below read of a destination.
+        self._xs = [node.x for node in self.nodes]
+        self._ys = [node.y for node in self.nodes]
         self._routers = net._router_list
 
         self.slot_of: dict[int, int] = {}
@@ -139,6 +151,11 @@ class SoALayout:
 
     # ------------------------------------------------------------------
 
+    def _class_key(self, n: int, dest: int) -> int:
+        """``(router, direction class of dest seen from it)`` as one int."""
+        xs, ys = self._xs, self._ys
+        return n * 9 + direction_class(xs[dest] - xs[n], ys[dest] - ys[n])
+
     def _fake_packet(self, src: int, dest: int, yx: int) -> Packet:
         packet = Packet(
             pid=-1,
@@ -158,7 +175,7 @@ class SoALayout:
         direction int at router ``m`` — in the object model's candidate
         order, which the VC allocator's first-wins tie-break depends on.
         """
-        key = ((m * 4 + din) * self.N + dest) * 2 + yx
+        key = (self._class_key(m, dest) * 4 + din) * 2 + yx
         entries = self._cand.get(key)
         if entries is None:
             raw = self._routers[m].vc_candidates(
@@ -183,7 +200,7 @@ class SoALayout:
         structural iteration order (route-major, then ``all_vcs()``
         filtered by the Injxy/Injyx class).
         """
-        key = (n * self.N + dest) * 2 + yx
+        key = self._class_key(n, dest) * 2 + yx
         entries = self._inj.get(key)
         if entries is None:
             router = self._routers[n]
@@ -201,7 +218,7 @@ class SoALayout:
 
     def route_candidates(self, n: int, dest: int, yx: int) -> tuple:
         """``routing.candidates`` as direction ints (adaptive: escape first)."""
-        key = (n * self.N + dest) * 2 + yx
+        key = self._class_key(n, dest) * 2 + yx
         entries = self._routes.get(key)
         if entries is None:
             entries = tuple(
@@ -215,7 +232,7 @@ class SoALayout:
 
     def escape_route(self, n: int, dest: int) -> int:
         """``routing.escape_direction`` (generic adaptive escape VCs)."""
-        key = n * self.N + dest
+        key = self._class_key(n, dest)
         route = self._escape.get(key)
         if route is None:
             route = int(
@@ -236,6 +253,12 @@ class SoALayout:
             "slots": self.S,
             "slots_per_router": self.S // self.N,
             "flits_per_packet": self.F,
+            "tables": {
+                "admission": len(self._cand),
+                "injection": len(self._inj),
+                "routes": len(self._routes),
+                "escape": len(self._escape),
+            },
         }
 
 

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import SimulationResult, Simulator
+from repro.core.soa.errors import ensure_supported
 from repro.faults.schedule import FaultSchedule
+from repro.harness.sharded import ensure_sharded_supported
 from repro.metrics.resilience import PacketAccounting, ResilienceProbe
 
 
@@ -73,7 +75,16 @@ def run_campaign(
     ``window`` is the timeline bin width in cycles; ``full_sweep``
     selects the reference scheduler (results are bit-identical either
     way — asserted by tests/test_runtime_faults.py).
+
+    The probe instruments the object engine, the only one that takes
+    fault events: a config choosing another engine is refused by that
+    engine's own envelope check (``BackendUnsupportedError``), as
+    :func:`~repro.core.simulator.run_simulation` would refuse it.
     """
+    if config.shards not in (None, (1, 1)):
+        ensure_sharded_supported(config, schedule=schedule)
+    elif config.backend != "object":
+        ensure_supported(config, schedule=schedule)
     simulator = Simulator(config, schedule=schedule, full_sweep=full_sweep)
     probe = ResilienceProbe(simulator, window=window)
     result = simulator.run()

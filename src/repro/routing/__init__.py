@@ -4,6 +4,7 @@ from repro.core.types import RoutingMode
 from repro.routing.adaptive import AdaptiveRouting
 from repro.routing.base import (
     RoutingAlgorithm,
+    direction_class,
     path_nodes_xy,
     path_nodes_yx,
     productive_directions,
@@ -33,6 +34,7 @@ __all__ = [
     "XYRouting",
     "XYYXRouting",
     "choose_variant",
+    "direction_class",
     "make_routing",
     "path_nodes_xy",
     "path_nodes_yx",

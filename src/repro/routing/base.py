@@ -100,6 +100,21 @@ def productive_directions(node: NodeId, dest: NodeId) -> tuple[Direction, ...]:
     return tuple(dirs)
 
 
+def direction_class(dx: int, dy: int) -> int:
+    """Which way a destination ``(dx, dy)`` away lies, as one of nine ints.
+
+    ``3 * (sign(dx) + 1) + sign(dy) + 1``: 4 is "arrived".  On a mesh
+    the three functions above read the destination through these two
+    signs and nothing else — as does everything a router derives from
+    them (RoCo's ``_is_final`` is ``dy == 0`` / ``dx == 0``, early
+    ejection is ``dest == node``) — so a table keyed by this class
+    instead of by the destination node is exact, and nine entries deep
+    (the SoA layout's routing tables, repro.core.soa.layout).  A torus
+    compares ring distances and has no such summary.
+    """
+    return 3 * ((dx > 0) - (dx < 0)) + (dy > 0) - (dy < 0) + 4
+
+
 def path_nodes_xy(src: NodeId, dest: NodeId) -> list[NodeId]:
     """Every node an XY-routed packet visits, inclusive of both endpoints."""
     nodes = [src]

@@ -96,6 +96,36 @@ class TestConformanceGrid:
         )
         assert full_record(fast) == full_record(reference)
 
+    #: The grid above is 4x4 throughout.  A rectangular mesh tells x
+    #: from y in the layout's direction-class tables, and at 16x16 every
+    #: class serves dozens of destinations per router.
+    LARGER = (
+        (7, 5, "xy-yx", 0.25, 220),
+        (16, 16, "adaptive", 0.10, 400),
+    )
+
+    @pytest.mark.parametrize("router", ROUTERS)
+    @pytest.mark.parametrize(
+        "width,height,routing,rate,packets",
+        LARGER,
+        ids=[f"{w}x{h}-{m}" for w, h, m, _, _ in LARGER],
+    )
+    def test_larger_mesh_is_bit_identical(
+        self, router, width, height, routing, rate, packets
+    ):
+        config = grid_config(
+            router,
+            routing,
+            "uniform",
+            width=width,
+            height=height,
+            injection_rate=rate,
+            measure_packets=packets,
+        )
+        reference = run_simulation(config)
+        fast = run_simulation(replace(config, backend="soa"))
+        assert full_record(fast) == full_record(reference)
+
 
 #: Absolute pins for one cell per router (active scheduler), computed
 #: from the object-model reference.  A shared-drift regression moves

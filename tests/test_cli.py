@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import SUBCOMMANDS, build_parser, load_subcommand, main
+from repro.core.types import NodeId
+from repro.faults import Component, ComponentFault, FaultEvent, FaultSchedule
 
 
 class TestParser:
@@ -112,12 +114,27 @@ OUTSIDE_THE_ENVELOPE = {
         [*SMALL, "--backend", "soa", "--faults", "2"],
         "backend='soa' does not support static fault injection",
     ),
+    # Campaigns go through run_campaign, which builds the object engine
+    # itself: it has to ask the chosen engine first.
+    "soa-campaign": (
+        [*SMALL, "--backend", "soa", "--faults", "2", "--mtbf", "400"],
+        "backend='soa' does not support runtime fault schedules",
+    ),
+    "shards-campaign": (
+        [*SMALL, "--shards", "2x2", "--fault-schedule", "SCHEDULE"],
+        "sharded execution does not support runtime fault schedules",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", OUTSIDE_THE_ENVELOPE)
-def test_envelope_rejection_is_a_cli_error_not_a_traceback(case):
+def test_envelope_rejection_is_a_cli_error_not_a_traceback(case, tmp_path):
     argv, message = OUTSIDE_THE_ENVELOPE[case]
+    if "SCHEDULE" in argv:
+        schedule = tmp_path / "schedule.json"
+        fault = ComponentFault(node=NodeId(1, 1), component=Component.SA)
+        FaultSchedule([FaultEvent(cycle=30, fault=fault)]).to_json(schedule)
+        argv = [str(schedule) if arg == "SCHEDULE" else arg for arg in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-m", "repro", *argv],

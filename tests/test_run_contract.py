@@ -63,19 +63,23 @@ def run_engine(engine: str, config: SimulationConfig, **kwargs):
 DRAIN_CELLS = {
     "generic-1flit-s21": (
         dict(router="generic", flits_per_packet=1, injection_rate=0.1, seed=21),
-        (51, 3, {NodeId(0, 1): 1, NodeId(1, 0): 1}, 17),
+        (51, 3, {NodeId(0, 1): 1, NodeId(1, 0): 1, NodeId(2, 2): 1}, 17),
     ),
     "generic-1flit-s19": (
         dict(router="generic", flits_per_packet=1, injection_rate=0.1, seed=19),
-        (59, 3, {NodeId(0, 2): 1, NodeId(1, 1): 1}, 13),
+        (59, 3, {NodeId(0, 2): 1, NodeId(1, 1): 1, NodeId(3, 3): 1}, 19),
     ),
     "generic-1flit-s13": (
         dict(router="generic", flits_per_packet=1, injection_rate=0.1, seed=13),
         (2, 2, {NodeId(0, 0): 1, NodeId(2, 0): 1}, 1),
     ),
-    # The lone outstanding packet is a tail flit on a wire: no node
-    # holds it, so the census is empty while ``outstanding`` is not.
-    "roco-tail-on-wire-s9": (dict(router="roco", seed=9), (30, 1, {}, 0)),
+    # The lone outstanding packet is a tail flit on a wire: the census
+    # finds it in the inbound link register of the router it is bound
+    # for (as it does the third packet of the first two cells).
+    "roco-tail-on-wire-s9": (
+        dict(router="roco", seed=9),
+        (30, 1, {NodeId(2, 3): 1}, 17),
+    ),
 }
 
 
@@ -136,12 +140,12 @@ def truncated_outcome(engine: str, max_cycles: int):
 @pytest.mark.parametrize("max_cycles", (1, 40, 90))
 @pytest.mark.parametrize("engine", ENGINES[1:])
 def test_max_cycles_truncates_to_the_reference_record(engine, max_cycles):
-    # ``conserved`` is compared, not required: a packet whose remaining
-    # flits are all on wires at the cutoff is met by no engine's
-    # survivor walk (cycles 40 and 90 here), so all three leave it
-    # unbooked alike.
+    # ``conserved`` is required: at cycles 40 and 90 a packet has its
+    # remaining flits all on wires, where the survivor walk has to look
+    # (the inbound link registers) or leave it unbooked.
     record, conserved, drops = truncated_outcome("object", max_cycles)
     assert record["cycles"] == max_cycles
+    assert conserved
     assert drops.get(DropReason.UNDELIVERED.value, 0) > 0
     assert truncated_outcome(engine, max_cycles) == (record, conserved, drops)
 

@@ -20,7 +20,9 @@ pointers** with the reference components on the same requests:
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 from repro.arbiters.mirror import MirrorAllocator
 from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.config import RouterConfig, SimulationConfig
+from repro.core.soa import engine as engine_module
 from repro.core.soa.engine import SoASimulator, _rr
 from repro.core.soa.layout import EJECT_CODE, LOCAL, NONE_CODE
 from repro.core.soa.state import decode_state, encode_state, state_diff
@@ -310,3 +313,198 @@ def generic_cases(draw):
 @given(generic_cases())
 def test_generic_block_random(case):
     check_generic(*case)
+
+
+# ----------------------------------------------------------------------
+# RoCo: the lone-VC kernel == the general block on every single-VC state
+# ----------------------------------------------------------------------
+
+#: Centre of a 5x5 mesh: two hops of room in every direction, so a worm
+#: can be bound for the neighbour (early ejection there) or beyond it.
+CENTRE5 = 12
+
+#: What the one occupied VC holds: a ``BODY`` flit or an already
+#: allocated ``HEAD`` (no VA), a ``FRESH`` head whose VA runs now, or a
+#: ``STRAY`` head routed LOCAL (the defensive eject).
+BODY, HEAD, FRESH_HEAD, STRAY = "body", "head", "fresh", "stray"
+#: Where it is bound: the neighbour's PE, a downstream VC with credit,
+#: one without, one whose only credit matures this cycle — or, for a
+#: fresh head, candidates that are all owned (VA fails).
+TO_EJECT, TO_CREDIT, TO_DRY, TO_MATURING, TO_OWNED = (
+    "eject",
+    "credit",
+    "dry",
+    "maturing",
+    "owned",
+)
+
+
+def lone_state(lookahead, i, slot, pointers, kind, target, just_arrived=False):
+    """A 5x5 RoCo simulator whose centre router holds one flit, in the
+    VC at walk position ``i``, requesting crossbar direction ``slot``."""
+    config = SimulationConfig(
+        width=5,
+        height=5,
+        router="roco",
+        routing="xy",
+        router_config=RouterConfig.for_architecture(
+            "roco", lookahead_routing=lookahead
+        ),
+        seed=1,
+    )
+    sim = SoASimulator(config)
+    sim.net_cycle = CYCLE
+    lay = sim.layout
+    n = CENTRE5
+    mi = i // (2 * V)
+    od = (lay.mod_slot0_dir[mi] + 2 * slot) % 4
+    m = lay.nbr[n][od]
+    pid = sim._create_packet(n, lay.nodes[n], 0)
+    sim.p_injected[pid] = 0
+    sim.p_dest[pid] = m if target == TO_EJECT else lay.nbr[m][od]
+    candidates = [
+        t for t, _ in lay.roco_admission(m, (od + 2) % 4, sim.p_dest[pid], 0)
+    ]
+    if target != TO_EJECT:
+        for t in candidates:
+            if target == TO_OWNED:
+                sim.owner[t] = pid + 1
+            elif target != TO_CREDIT:
+                sim.avail[t] = 0
+                if target == TO_MATURING:
+                    sim.rel[t] = [CYCLE]
+    s = sim.bit_slot[n][i]
+    head = pid * sim.F
+    sim.occ_mask[n] = 1 << i
+    sim.r_active[n] = True
+    sim.arb[n][mi] = list(pointers)
+    if kind in (FRESH_HEAD, STRAY):
+        sim.q[s] = [head]
+        sim.f_route[head] = od if kind == FRESH_HEAD else LOCAL
+        sim.f_arrival[head] = CYCLE if just_arrived else CYCLE - 1
+        return sim
+    fid = head if kind == HEAD else head + 1
+    sim.q[s] = [fid]
+    sim.f_arrival[fid] = CYCLE - 1
+    if kind == BODY:
+        sim.apid[s] = pid
+    sim.out_dir[s] = od
+    if target == TO_EJECT:
+        sim.out_vc[s] = EJECT_CODE
+    else:
+        sim.out_vc[s] = candidates[0]
+        sim.owner[candidates[0]] = pid
+    return sim
+
+
+def check_lone(case, lone=SoASimulator._allocate_roco_lone) -> SoASimulator:
+    """Run ``lone`` and the general block on two copies of one state."""
+    fast, general = lone_state(*case), lone_state(*case)
+    lone(fast, CENTRE5, CYCLE)
+    general._allocate_roco(CENTRE5, CYCLE)
+    got, want = encode_state(fast, CYCLE), encode_state(general, CYCLE)
+    assert got.sa_winners == want.sa_winners, case
+    assert got.arbiters == want.arbiters, case
+    assert got == want, "\n".join(state_diff(got, want))
+    for field in ("avail", "expected", "rel", "sa_routers", "occ_mask", "f_look"):
+        assert getattr(fast, field) == getattr(general, field), (field, case)
+    result, expected = fast._stats(), general._stats()
+    assert result.activity == expected.activity, case
+    assert result.contention == expected.contention, case
+    return fast
+
+
+def lone_cases():
+    """Every single-VC state under uniform local pointers."""
+    for lookahead, i, slot in itertools.product((True, False), range(4 * V), (0, 1)):
+        for p, g in itertools.product(range(V), (0, 1)):
+            pointers = (p, p, p, p, g)
+            for kind, target in itertools.product(
+                (BODY, HEAD), (TO_EJECT, TO_CREDIT, TO_DRY, TO_MATURING)
+            ):
+                yield lookahead, i, slot, pointers, kind, target
+            for target, just in itertools.product(
+                (TO_EJECT, TO_CREDIT, TO_DRY, TO_MATURING, TO_OWNED), (False, True)
+            ):
+                yield lookahead, i, slot, pointers, FRESH_HEAD, target, just
+            yield lookahead, i, slot, pointers, STRAY, TO_EJECT
+
+
+def test_lone_kernel_equals_general_block_exhaustive():
+    grants = va = skipped = 0
+    for case in lone_cases():
+        sim = check_lone(case)
+        grants += len(sim.sa_win[CENTRE5])
+        va += sim.va
+        skipped += case[4] == FRESH_HEAD and sim.va == 0
+    # Not vacuous: most states grant, fresh heads ran VA, and the
+    # look-ahead ablation held just-arrived ones back.
+    assert grants > 3000 and va > 1000 and skipped == 4 * V * 2 * V * 2 * 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.booleans(),
+    st.integers(min_value=0, max_value=4 * V - 1),
+    st.integers(min_value=0, max_value=1),
+    st.tuples(*[st.integers(min_value=0, max_value=V - 1)] * 4),
+    st.integers(min_value=0, max_value=1),
+    st.sampled_from((BODY, HEAD, FRESH_HEAD)),
+    st.sampled_from((TO_EJECT, TO_CREDIT, TO_DRY, TO_MATURING)),
+)
+def test_lone_kernel_mixed_pointers(lookahead, i, slot, local, g, kind, target):
+    check_lone((lookahead, i, slot, (*local, g), kind, target))
+
+
+#: One seeded fault per pointer move of the lone kernel, as source edits.
+LONE_MUTANTS = {
+    "local pointer stays on the winner": (
+        "index + 1 if index + 1 < V else 0",
+        "index",
+    ),
+    "global pointer stays on the winning slot": (
+        "state[4] = 1 - slot",
+        "state[4] = slot",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONE_MUTANTS))
+def test_lone_kernel_check_catches_a_wrong_pointer_move(name):
+    old, new = LONE_MUTANTS[name]
+    source = textwrap.dedent(inspect.getsource(SoASimulator._allocate_roco_lone))
+    assert source.count(old) == 1, "the kernel changed: re-seed this mutant"
+    namespace = dict(vars(engine_module))
+    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
+    mutant = namespace["_allocate_roco_lone"]
+    with pytest.raises(AssertionError):
+        for case in lone_cases():
+            check_lone(case, lone=mutant)
+
+
+def lone_run(monkeypatch, mirror: bool):
+    """A short loaded run with the lone kernel booby-trapped."""
+
+    def trap(self, n, cycle):
+        raise RuntimeError("lone kernel entered")
+
+    monkeypatch.setattr(SoASimulator, "_allocate_roco_lone", trap)
+    config = SimulationConfig(
+        width=4,
+        height=4,
+        router="roco",
+        routing="xy",
+        router_config=RouterConfig.for_architecture("roco", mirror_allocation=mirror),
+        injection_rate=0.2,
+        warmup_packets=10,
+        measure_packets=60,
+        seed=3,
+        backend="soa",
+    )
+    return SoASimulator(config).run()
+
+
+def test_sequential_allocator_ablation_never_enters_the_lone_kernel(monkeypatch):
+    assert lone_run(monkeypatch, mirror=False).delivered_packets == 60
+    with pytest.raises(RuntimeError, match="lone kernel entered"):
+        lone_run(monkeypatch, mirror=True)
