@@ -282,8 +282,8 @@ def pool_fallback_reason(workers: int) -> str | None:
 
     Daemonic workers (sweep-pool children, managed worker-set
     processes) may not have children of their own; a REPL/stdin parent
-    has no entry point for a child to replay, which a fork of the fork
-    server does just as a ``spawn`` child does.  The worker set then
+    has no entry point to import, which the fork server does (once, for
+    all its forks) just as every ``spawn`` child does.  The worker set then
     runs attempts in-process — bit-identical, just serial — and the
     executor emits a :class:`NestedPoolFallbackWarning` naming the
     reason.
@@ -303,10 +303,15 @@ def pool_fallback_reason(workers: int) -> str | None:
     return None
 
 
-#: What the fork server imports before it forks: the module that holds
-#: the process main (``_worker_main``), which imports the whole
-#: simulator, after the stdlib's own default entry.
-_PRELOAD = ["__main__", "repro.harness.resilient"]
+#: Environment name that carries the entry point to a starting server;
+#: set only around ``ensure_running()`` and popped by the server before
+#: its first fork, so neither the parent nor any worker keeps it.
+_MAIN_TRANSPORT = "_REPRO_FORKSERVER_MAIN"
+
+#: The keys of ``spawn.get_preparation_data()`` the server gets: what a
+#: child's ``prepare()`` sets before it imports the entry point, then
+#: the entry point, by name (``python -m mod``) or by path (a script).
+_MAIN_KEYS = ("sys_path", "sys_argv", "init_main_from_name", "init_main_from_path")
 
 #: Serialises the environment swap in :func:`worker_context`.
 _server_start_lock = threading.Lock()
@@ -325,25 +330,73 @@ def _server_path() -> str | None:
     return None if home in map(os.path.realpath, sites) else home
 
 
+def _server_preload() -> list[str]:
+    """What a server started now imports before it forks.
+
+    The module that holds the process main (and imports the whole
+    simulator), then every ``repro`` module this process has imported
+    so far — a parent that uses the job server or the SoA engine gets
+    workers that already hold them, with no list to keep — then the
+    server-only module that imports the entry point from what
+    :func:`worker_context` left under :data:`_MAIN_TRANSPORT`.  The
+    stdlib's own ``"__main__"`` entry is left out: no server up to
+    CPython 3.13.0 acts on it, and one that does would import a script
+    main by a second route, outside the containment of the last
+    module, which imports script and ``-m`` mains alike.
+    """
+    loaded = sorted(
+        name
+        for name in tuple(sys.modules)  # another thread may be importing
+        if name == "repro" or name.startswith("repro.")
+    )
+    return ["repro.harness.resilient", *loaded, "repro.harness._server_main"]
+
+
+def _server_environ() -> dict[str, str]:
+    """What ``os.environ`` holds only while the server is being started."""
+    from multiprocessing import spawn
+
+    data = spawn.get_preparation_data("ignore")
+    swap = {
+        _MAIN_TRANSPORT: json.dumps(
+            {key: data[key] for key in _MAIN_KEYS if key in data}
+        )
+    }
+    home = _server_path()
+    if home is not None:
+        swap["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (home, os.environ.get("PYTHONPATH")))
+        )
+    return swap
+
+
 def worker_context():
     """The multiprocessing context every worker process starts from.
 
     The stdlib fork server, preloaded with the module that holds the
-    process main: the package is imported once per parent process
-    and each worker is a fork of that clean, single-threaded
+    process main, the ``repro`` modules the parent has imported and the
+    parent's entry point: each is imported once per parent process
+    and every worker is a fork of that clean, single-threaded
     server — as immune to the parent's threads as a ``spawn`` child,
-    without an interpreter boot and a package import per process.
-    ``spawn`` where the platform has no fork server.
+    without an interpreter boot, a package import and a replay of the
+    entry script per process.  ``spawn`` where the platform has no fork
+    server.
 
     The server is started here, so at the first ``Process.start()`` and
     never at import.  Up to CPython 3.12 it ignores the ``sys.path`` it
-    is sent, swallows the preload's ``ImportError`` and leaves every
-    fork to import the package again, so a parent that found ``repro``
-    through a hand-edited ``sys.path`` gains nothing; the server is
-    therefore started with the package's directory on ``PYTHONPATH``
-    (unless the package is installed, and found anyway), and
-    ``os.environ`` is as found afterwards.  A server the embedding
-    program started earlier keeps its own preload: it works, only slowly.
+    is sent, swallows the preload's ``ImportError`` and never learns the
+    entry point (it keeps the keys ``main_path`` / ``sys_path`` of data
+    that names them ``init_main_from_*``), which leaves every fork to
+    import the package and run the entry script again.  It is therefore
+    started with the package's directory on ``PYTHONPATH`` (unless the
+    package is installed, and found anyway) and the entry point under
+    :data:`_MAIN_TRANSPORT`, which ``repro.harness._server_main``
+    removes and imports as ``__mp_main__`` — the call each child makes,
+    made once, so a child finds ``__main__`` in place; ``os.environ``
+    is as found afterwards.  An entry point that raises there is
+    reported on the server's stderr and replayed by each worker as
+    before.  A server the embedding program started earlier keeps its
+    own preload: it works, only slowly.
     """
     if "forkserver" not in multiprocessing.get_all_start_methods():
         method = "spawn"
@@ -352,20 +405,18 @@ def worker_context():
         from multiprocessing import forkserver
 
         with _server_start_lock:
-            forkserver.set_forkserver_preload(_PRELOAD)
-            found = os.environ.get("PYTHONPATH")
-            home = _server_path()
-            if home is not None:
-                os.environ["PYTHONPATH"] = os.pathsep.join(
-                    filter(None, (home, found))
-                )
+            forkserver.set_forkserver_preload(_server_preload())
+            swap = _server_environ()
+            found = {name: os.environ.get(name) for name in swap}
+            os.environ.update(swap)
             try:
                 forkserver.ensure_running()  # a no-op once it runs
             finally:
-                if found is not None:
-                    os.environ["PYTHONPATH"] = found
-                else:
-                    os.environ.pop("PYTHONPATH", None)
+                for name, value in found.items():
+                    if value is None:
+                        os.environ.pop(name, None)
+                    else:
+                        os.environ[name] = value
     return multiprocessing.get_context(method)
 
 
@@ -379,10 +430,10 @@ def _warn_pool_fallback(reason: str) -> None:
 
 
 def _spawn_supported() -> bool:
-    """Whether a child process can re-import the parent's ``__main__``.
+    """Whether another process can import the parent's ``__main__``.
 
-    Children of either start method replay the parent's entry point
-    (``multiprocessing.spawn.prepare``); a REPL / stdin /
+    The fork server, or else every child, imports the parent's entry
+    point (``multiprocessing.spawn.prepare``); a REPL / stdin /
     ``python -c`` parent has none, and the pool would crash-loop trying
     to import ``<stdin>``.  Fall back to inline execution there instead
     of hanging (results are identical, just serial).

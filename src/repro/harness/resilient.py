@@ -460,9 +460,11 @@ class ManagedWorkerSet:
     idle workers, drains messages, enforces per-attempt deadlines and
     heartbeat liveness, kills and replenishes crashed or wedged workers
     and speculatively re-executes stragglers.  A forked worker inherits
-    the server's modules, the environment as of the parent process's
-    first pool and the server's hash seed (one per parent process, not
-    one per worker; records may not depend on it), and the parent's cwd
+    the server's modules — the package and the parent's entry point,
+    imported there once as ``__mp_main__`` — with the environment, the
+    entry point's module-level state and the hash seed as of the parent
+    process's first pool (one per parent process, not one per worker;
+    records may not depend on them), and the parent's cwd, ``sys.argv``
     and ``sys.path`` as of its own start.  With ``workers <= 1``, or where
     :func:`~repro.harness.parallel.pool_fallback_reason` says no pool
     can exist, a pass runs one ready job in this process instead.  A
@@ -555,6 +557,9 @@ class ManagedWorkerSet:
             self._assign_ready()
             self._maybe_speculate()
             self._drain_messages()
+            # A worker freed by that drain gets its next job now, not
+            # after the caller has filed what this pass returns.
+            self._assign_ready()
             self._check_liveness()
         elif self.ready:
             self._attempt_inline(self.ready.popleft())
@@ -679,10 +684,13 @@ class ManagedWorkerSet:
         try:
             handle.conn.send((index, attempt, self.jobs[index]))
         except (OSError, ValueError, BrokenPipeError):
-            # Worker died between liveness check and send; put the job
-            # back and let the liveness pass replace the worker.
+            # Worker died between liveness check and send (at boot, of
+            # an entry point it could not import): put the job back and
+            # drop the worker now, or the assign loop offers it the same
+            # job forever; the loop then starts its replacement.
             self.launches[index] -= 1
             self.ready.appendleft(index)
+            self._discard_worker(handle, kill=True)
             return
         handle.running = _Running(
             index=index,

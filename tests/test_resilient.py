@@ -517,6 +517,36 @@ class TestWorkerSet:
             # Indices stay unique after the early ones were forgotten.
             assert pool.submit(small_jobs(seeds=(99,))[0]) == n
 
+    def test_a_freed_worker_is_relaunched_before_its_result_is_returned(self):
+        """Whenever a pass hands out a result while jobs are still
+        ready, every worker is busy: the one that reported got its next
+        job first and runs it while the caller files the record."""
+        hand_outs = 0
+        with ManagedWorkerSet(workers=2, job_fn=echo_seed) as pool:
+            for seed in range(12):
+                pool.submit(small_jobs(seeds=(seed,))[0])
+            give_up = time.monotonic() + 60.0
+            while pool.outstanding():
+                assert time.monotonic() < give_up
+                if pool.pump() and pool.ready:
+                    hand_outs += 1
+                    assert all(h.running for h in pool.workers.values())
+        assert hand_outs, "no pass returned a result with jobs still ready"
+
+    def test_a_worker_dead_before_its_first_job_is_replaced(self):
+        """A broken pipe at launch drops that worker; the assign loop
+        used to offer it the same job for ever (a worker that dies at
+        boot while the next one is still being started)."""
+        with ManagedWorkerSet(workers=2, job_fn=echo_seed) as pool:
+            victim = next(iter(pool.workers.values()))
+            victim.process.kill()
+            victim.process.join(timeout=10.0)
+            assert not victim.process.is_alive()
+            indices = [pool.submit(job) for job in small_jobs(seeds=(1, 2, 3, 4))]
+            assert drain(pool) == {i: {"seed": i + 1} for i in indices}
+            assert victim.worker_id not in pool.workers
+            assert len(pool.workers) == 2
+
     def test_unsupervised_dead_worker_raises_and_reaps(self):
         """policy=None: a killed worker is WorkerCrashError in bounded
         time with no child left alive (a spawn Pool hangs here)."""
