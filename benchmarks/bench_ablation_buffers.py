@@ -36,7 +36,6 @@ def latency(depth: int, sim, warmup: int, measure: int) -> float:
     "ablation_buffers",
     headline="depth2_over_depth5_latency",
     unit="x",
-    direction="higher",
 )
 def bench(ctx):
     """Latency penalty of starved (depth-2) buffers vs the paper's depth 5."""

@@ -36,7 +36,6 @@ def run(lookahead: bool, rate: float, sim, warmup: int, measure: int):
     "ablation_lookahead",
     headline="lookahead_saving_cycles_low_load",
     unit="cycles",
-    direction="higher",
 )
 def bench(ctx):
     """End-to-end cycles look-ahead RC saves at the lowest operating point."""

@@ -35,7 +35,6 @@ def run(mirror: bool, rate: float, sim, warmup: int, measure: int):
     "ablation_mirror",
     headline="sequential_over_mirror_latency_high_load",
     unit="x",
-    direction="higher",
 )
 def bench(ctx):
     """What the Mirroring Effect's matching guarantee is worth under load."""

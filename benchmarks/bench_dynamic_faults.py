@@ -68,7 +68,6 @@ def run_curves(executor, warmup: int, measure: int) -> dict[str, dict[int, float
     "dynamic_faults",
     headline="roco_completion_4_kills",
     unit="probability",
-    direction="higher",
 )
 def bench(ctx):
     """RoCo's completion with 4 staggered mid-run kills on the mesh."""

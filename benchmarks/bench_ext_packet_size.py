@@ -35,7 +35,6 @@ def latency(flits: int, rate: float, sim, warmup: int, measure: int) -> float:
     "ext_packet_size",
     headline="serialization_cycles_1_to_4_flits",
     unit="cycles",
-    direction="lower",
 )
 def bench(ctx):
     """Unloaded latency cost of growing worms from 1 to 4 flits."""

@@ -36,7 +36,6 @@ def latency(router: str, traffic: str, sim, warmup: int, measure: int) -> float:
     "ext_permutations",
     headline="bit_complement_roco_over_generic_latency",
     unit="x",
-    direction="lower",
 )
 def bench(ctx):
     """RoCo vs generic on the hardest adversarial pattern (bit-complement)."""

@@ -18,7 +18,6 @@ ROUTERS = ("generic", "path_sensitive", "roco")
     "ext_saturation",
     headline="roco_saturation_fraction_of_bound",
     unit="fraction",
-    direction="higher",
 )
 def bench(ctx):
     """RoCo's saturation throughput as a fraction of the bisection bound."""

@@ -43,7 +43,6 @@ def scaling_point(router: str, k: int, sim, warmup: int, measure: int, shards=No
     "ext_scaling",
     headline="roco_over_generic_latency_8x8",
     unit="x",
-    direction="lower",
 )
 def bench(ctx):
     """RoCo's latency ratio vs generic at the paper's 8x8 size."""

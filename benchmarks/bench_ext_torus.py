@@ -35,7 +35,6 @@ def run(topology: str, rate: float, sim, warmup: int, measure: int):
     "ext_torus",
     headline="torus_over_mesh_latency_low_load",
     unit="x",
-    direction="lower",
 )
 def bench(ctx):
     """Latency the torus wraparound buys back at low load."""

@@ -23,7 +23,6 @@ TRANSPOSE_SCALE = ExperimentScale(
     "fig10_transpose",
     headline="roco_latency_gap_low_load_xy",
     unit="fraction",
-    direction="higher",
 )
 def bench(ctx):
     """RoCo's low-load advantage under the transpose permutation."""

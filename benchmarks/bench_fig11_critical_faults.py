@@ -10,7 +10,6 @@ from repro.harness.benchbed import Outcome, benchmark
     "fig11_critical_faults",
     headline="completion_ratio_roco_over_generic_xy_4faults",
     unit="x",
-    direction="higher",
 )
 def bench(ctx):
     """RoCo's completion advantage at the worst point (XY, 4 faults)."""

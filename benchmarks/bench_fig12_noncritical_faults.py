@@ -10,7 +10,6 @@ from repro.harness.benchbed import Outcome, benchmark
     "fig12_noncritical_faults",
     headline="min_roco_completion_xy",
     unit="probability",
-    direction="higher",
 )
 def bench(ctx):
     """RoCo's worst completion under message-centric faults (recycling)."""

@@ -10,7 +10,6 @@ from repro.harness.benchbed import Outcome, benchmark
     "fig13_energy",
     headline="mean_energy_saving_vs_generic",
     unit="fraction",
-    direction="higher",
 )
 def bench(ctx):
     """RoCo's energy-per-packet saving vs generic, averaged over traffic."""

@@ -19,7 +19,6 @@ def mean_improvement(per_router) -> float:
     "fig14_pef",
     headline="mean_pef_improvement_vs_generic_critical",
     unit="fraction",
-    direction="higher",
 )
 def bench(ctx):
     """RoCo's PEF advantage vs generic under critical faults (paper ~39%)."""

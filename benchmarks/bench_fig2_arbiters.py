@@ -11,7 +11,6 @@ V = 3
     "fig2_arbiters",
     headline="request_line_ratio_generic_over_roco",
     unit="x",
-    direction="higher",
 )
 def bench(ctx):
     """Analytic arbiter inventory: how much wiring RoCo saves (R=>v)."""

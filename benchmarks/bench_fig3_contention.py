@@ -10,7 +10,6 @@ from repro.harness.benchbed import Outcome, benchmark
     "fig3_contention",
     headline="row_contention_ratio_generic_over_roco",
     unit="x",
-    direction="higher",
 )
 def bench(ctx):
     """How much more row-input contention the generic router suffers."""

@@ -10,7 +10,6 @@ from repro.harness.benchbed import Outcome, benchmark
     "fig8_uniform",
     headline="roco_latency_gap_low_load_xy",
     unit="fraction",
-    direction="higher",
 )
 def bench(ctx):
     """RoCo's low-load latency advantage over the generic router (XY)."""

@@ -10,7 +10,6 @@ from repro.harness.benchbed import Outcome, benchmark
     "fig9_selfsimilar",
     headline="roco_latency_gap_low_load_xy",
     unit="fraction",
-    direction="higher",
 )
 def bench(ctx):
     """RoCo's low-load advantage under bursty self-similar arrivals."""

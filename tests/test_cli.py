@@ -127,26 +127,65 @@ OUTSIDE_THE_ENVELOPE = {
 }
 
 
-@pytest.mark.parametrize("case", OUTSIDE_THE_ENVELOPE)
-def test_envelope_rejection_is_a_cli_error_not_a_traceback(case, tmp_path):
-    argv, message = OUTSIDE_THE_ENVELOPE[case]
+#: Flag values the job or the executor refuses when it is built from them.
+BAD_FLAG_VALUES = {
+    "size": (["--size", "1"], "mesh must be at least 2x2"),
+    "rate": (["--rate", "2"], "injection rate must be within [0, 1]"),
+    "packets": (["--packets", "0"], "measure_packets must be >= 1"),
+    "torus-router": (
+        ["--topology", "torus", "--router", "roco", "--size", "4"],
+        "torus support requires router='generic'",
+    ),
+    "workers": (
+        [*SMALL, "--workers", "-1", "--rates", "0.1,0.2"],
+        "workers must be >= 0",
+    ),
+    # argparse's own error: the usage lines come first.
+    "rates-empty": ([*SMALL, "--rates", ","], "argument --rates: empty rate list"),
+}
+
+NOT_A_TRACEBACK = {**OUTSIDE_THE_ENVELOPE, **BAD_FLAG_VALUES}
+
+
+@pytest.mark.parametrize("case", NOT_A_TRACEBACK)
+def test_envelope_rejection_is_a_cli_error_not_a_traceback(case, tmp_path, capsys):
+    argv, message = NOT_A_TRACEBACK[case]
     if "SCHEDULE" in argv:
         schedule = tmp_path / "schedule.json"
         fault = ComponentFault(node=NodeId(1, 1), component=Component.SA)
         FaultSchedule([FaultEvent(cycle=30, fault=fault)]).to_json(schedule)
         argv = [str(schedule) if arg == "SCHEDULE" else arg for arg in argv]
+    try:
+        code = main(argv)  # any other exception out of here is the traceback
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    *usage, line = capsys.readouterr().err.splitlines()
+    assert all(text.startswith(("usage: ", " ")) for text in usage)
+    assert line.startswith("repro: error: ") and message in line
+
+
+def test_python_dash_m_exits_with_what_main_returns():
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
-        [sys.executable, "-m", "repro", *argv],
+        [sys.executable, "-m", "repro", "--size", "1"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    (line,) = done.stderr.splitlines()
-    assert line.startswith("repro: error: ") and message in line
+    assert done.stderr == "repro: error: mesh must be at least 2x2\n"
+
+
+def test_an_error_inside_the_run_still_propagates(monkeypatch):
+    # Only building the job from the flags is the user's to get wrong.
+    def broken_run(config, **kwargs):
+        raise ValueError("raised by the engine")
+
+    monkeypatch.setattr("repro.__main__.run_simulation", broken_run)
+    with pytest.raises(ValueError, match="raised by the engine"):
+        main(SMALL)
 
 
 class TestSubcommands:

@@ -85,18 +85,27 @@ def test_8x8_2x2_bit_identical_across_scheduler_grid(router, full_sweep):
     assert_identical(config, (2, 2), full_sweep=full_sweep)
 
 
-@pytest.mark.parametrize("router", ["roco", "generic"])
-def test_4x4_1x2_bit_identical(router):
+@pytest.mark.parametrize("size,router", [(4, "roco"), (4, "generic"), (8, "generic")])
+def test_4x4_1x2_bit_identical(size, router):
+    # The 8x8 input is the 1x2 cut under the event-driven generic router.
     config = grid_config(
-        width=4, height=4, router=router, warmup_packets=20,
+        width=size, height=size, router=router, warmup_packets=20,
         measure_packets=80,
     )
     assert_identical(config, (1, 2))
 
 
-@pytest.mark.parametrize("routing", ["xy-yx", "adaptive"])
-def test_routing_modes_bit_identical(routing):
-    config = grid_config(routing=routing)
+@pytest.mark.parametrize(
+    "size,router,routing",
+    [
+        (8, "roco", "xy-yx"),
+        (8, "roco", "adaptive"),
+        (4, "roco", "xy-yx"),
+        (4, "generic", "xy-yx"),
+    ],
+)
+def test_routing_modes_bit_identical(size, router, routing):
+    config = grid_config(width=size, height=size, router=router, routing=routing)
     assert_identical(config, (2, 2))
 
 
