@@ -29,7 +29,6 @@ minimal reproducers, or replay one (see docs/auditing.md)::
     python -m repro audit --router roco --rate 0.2 --faults 2
     python -m repro audit --rate 0.3 --shrink repro.json
     python -m repro audit --replay repro.json
-    python -m repro audit --grid
 
 Resilient sweeps — supervise jobs with deadlines/retries, journal
 completed work, and resume an interrupted campaign without duplicating
@@ -39,7 +38,6 @@ simulations (see docs/resilient-execution.md)::
         --cache-dir ~/.cache/repro --job-timeout 120 --max-retries 2
     python -m repro --rates 0.05,0.15 --num-seeds 5 --workers 0 \
         --cache-dir ~/.cache/repro --resume
-    python -m repro chaos --grid
 
 Serve mode — run simulations as a service: an HTTP job server that
 dedupes identical concurrent requests onto one simulation, shares the
@@ -49,7 +47,11 @@ docs/serving.md)::
     python -m repro serve --workers 4 --cache-dir ~/.cache/repro
     python -m repro serve submit '{"kind": "experiment", "config": {"rate": 0.1}}'
     python -m repro serve status
-    python -m repro serve --smoke
+
+The contracts of the last three modes — audited runs hold every
+invariant, chaos-ridden sweeps converge bit-identical, the server
+dedupes and recovers — are tier-1 tests (``tests/test_audit.py``,
+``tests/test_chaos.py``, ``tests/test_serve.py``), not commands.
 """
 
 from __future__ import annotations
@@ -98,10 +100,6 @@ SUBCOMMANDS = {
     "serve": (
         "repro.serve.cli:serve_main",
         "job server: request dedupe, supervised execution (docs/serving.md)",
-    ),
-    "chaos": (
-        "repro.harness.chaos:chaos_main",
-        "fault-injection grid for the job engine (docs/resilient-execution.md)",
     ),
 }
 
@@ -222,9 +220,9 @@ def _rate_list(text: str) -> list[float]:
     return rates
 
 
-def _usage_error(exc: Exception) -> int:
+def _usage_error(reason: Exception | str) -> int:
     """One line for a command line that cannot be run; the exit status."""
-    print(f"repro: error: {exc}", file=sys.stderr)
+    print(f"repro: error: {reason}", file=sys.stderr)
     return 2
 
 
@@ -314,12 +312,10 @@ def _build_resilience(args, cache) -> tuple[object, object] | tuple[None, None]:
 
 def _run_sweep(args) -> int:
     if args.faults and args.mtbf is None and args.fault_schedule is None:
-        print(
-            "error: static --faults is not supported in sweep mode "
-            "(use --mtbf or --fault-schedule for campaigns)",
-            file=sys.stderr,
+        return _usage_error(
+            "static --faults is not supported in sweep mode "
+            "(use --mtbf or --fault-schedule for campaigns)"
         )
-        return 2
     rates = args.rates if args.rates else [args.rate]
     seeds = list(range(args.seed, args.seed + args.num_seeds))
     try:
@@ -398,19 +394,15 @@ def _dispatch(argv: list[str] | None) -> int:
         return load_subcommand(argv[0])(argv[1:])
     args = build_parser().parse_args(argv)
     if args.num_seeds < 1:
-        print("error: --num-seeds must be >= 1", file=sys.stderr)
-        return 2
+        return _usage_error("--num-seeds must be >= 1")
     campaign_error = _campaign_args_valid(args)
     if campaign_error is not None:
-        print(f"error: {campaign_error}", file=sys.stderr)
-        return 2
+        return _usage_error(campaign_error)
     if args.resume and args.journal is None and not args.cache_dir:
-        print(
-            "error: --resume needs --journal FILE or --cache-dir DIR "
-            "to locate the sweep journal",
-            file=sys.stderr,
+        return _usage_error(
+            "--resume needs --journal FILE or --cache-dir DIR "
+            "to locate the sweep journal"
         )
-        return 2
     if args.rates is not None or args.num_seeds > 1:
         return _run_sweep(args)
     return _run_single(args)

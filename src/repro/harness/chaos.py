@@ -28,26 +28,22 @@ Fault kinds:
 * ``"corrupt"`` — runs the simulation but tampers with the returned
   record, exercising result validation.
 
-``python -m repro chaos --grid`` runs the full kind x mode grid and
-enforces convergence, plus an ``unsupervised`` row (``policy=None``:
-the injected fault must surface as its typed error, with no worker
-left alive); it is CI's ``chaos-smoke`` job.  Wall times are
-report-only.
+The kind x mode grid that enforces convergence — plus the unsupervised
+cells (``policy=None``: the injected fault must surface as its typed
+error, with no worker left alive) — is
+``tests/test_chaos.py::TestChaosGrid::test_cell``; this
+module is only the injection seam the worker set takes as ``chaos=``.
 """
 
 from __future__ import annotations
 
-import argparse
-import multiprocessing
 import os
-import sys
 import time
 from dataclasses import dataclass
 
 from repro.harness.parallel import SimJob, execute_job
 from repro.harness.resilient import (
     JobTimeoutError,
-    ManagedWorkerSet,
     TransientJobError,
     WorkerCrashError,
 )
@@ -159,207 +155,3 @@ def chaos_execute(
     for fieldname in rule.fields:
         record[fieldname] = -1.0
     return record
-
-
-# ----------------------------------------------------------------------
-# Chaos grid: the differential convergence check behind CI chaos-smoke
-# ----------------------------------------------------------------------
-
-
-def _grid_jobs(quick: bool) -> list[SimJob]:
-    from repro.core.config import SimulationConfig
-
-    rates = (0.05, 0.10) if quick else (0.05, 0.10, 0.20)
-    seeds = (1, 2, 3)
-    return [
-        SimJob.of(
-            SimulationConfig(
-                width=3,
-                height=3,
-                router="roco",
-                injection_rate=rate,
-                warmup_packets=10,
-                measure_packets=60,
-                seed=seed,
-            )
-        )
-        for rate in rates
-        for seed in seeds
-    ]
-
-
-def _grid_chaos(kind: str) -> ChaosConfig:
-    """Transient injection on the first attempts of three of the jobs."""
-    return ChaosConfig(
-        rules=(
-            ChaosRule(
-                kind=kind, indices=(0, 2, 4), attempts=(0,), seconds=20.0
-            ),
-        )
-    )
-
-
-def _poison_chaos() -> ChaosConfig:
-    """Job 1 crashes on every attempt: must end quarantined."""
-    return ChaosConfig(rules=(ChaosRule(kind="crash", indices=(1,), attempts=None),))
-
-
-def _run_unsupervised(jobs: list[SimJob], workers: int, chaos) -> list[dict]:
-    """The jobs through a policy-less worker set; a failure is raised."""
-    records: dict[int, dict] = {}
-    with ManagedWorkerSet(None, workers=workers, chaos=chaos) as pool:
-        for job in jobs:
-            pool.submit(job)
-        while pool.outstanding():
-            records.update(pool.pump())
-    return [records[index] for index in range(len(jobs))]
-
-
-def run_chaos_grid(
-    workers: int = 2, quick: bool = False, stream=None
-) -> int:
-    """Run the chaos kind x execution mode grid; 0 iff it converged.
-
-    Every cell re-runs the same small sweep under injected faults and
-    asserts the surviving records are bit-identical to the fault-free
-    serial baseline; the poison cells additionally assert that exactly
-    the poisoned job is quarantined.  The unsupervised cells run without
-    a policy, where an injected fault must come out as its typed error,
-    in bounded time and with every worker reaped, and a fault-free run
-    must equal the baseline.  Wall times are report-only.
-    """
-    from repro.harness.parallel import ParallelExecutor, is_failure_record
-    from repro.harness.resilient import RetryPolicy, split_failures
-
-    stream = stream if stream is not None else sys.stdout
-    jobs = _grid_jobs(quick)
-    print(f"chaos grid: {len(jobs)} jobs per cell", file=stream, flush=True)
-    baseline = ParallelExecutor().run_jobs(jobs)
-    failures = 0
-
-    def report(cell: str, ok: bool, wall: float, detail: str) -> None:
-        status = "ok" if ok else "MISMATCH"
-        print(
-            f"  {cell:<24s} {status:<8s} {wall:6.2f}s  {detail}",
-            file=stream,
-            flush=True,
-        )
-
-    policy = RetryPolicy(
-        job_timeout=2.0,
-        max_retries=3,
-        backoff_base=0.0,
-        heartbeat_interval=0.2,
-        heartbeat_timeout=10.0,
-    )
-    for mode, mode_workers in (("serial", None), ("pooled", workers)):
-        for kind in ("crash", "hang", "transient", "corrupt"):
-            executor = ParallelExecutor(
-                workers=mode_workers, policy=policy, chaos=_grid_chaos(kind)
-            )
-            started = time.monotonic()
-            records = executor.run_jobs(jobs)
-            wall = time.monotonic() - started
-            stats = executor.last_stats
-            ok = records == baseline and stats.failures == 0
-            if not ok:
-                failures += 1
-            report(
-                f"{mode}/{kind}",
-                ok,
-                wall,
-                f"retries={stats.retries} timeouts={stats.timeouts} "
-                f"crashes={stats.worker_crashes} "
-                f"corrupt={stats.corrupt_results}",
-            )
-        # Poison cell: an unrecoverable job must be quarantined as a
-        # structured failure while every other record stays identical.
-        executor = ParallelExecutor(
-            workers=mode_workers, policy=policy, chaos=_poison_chaos()
-        )
-        started = time.monotonic()
-        records = executor.run_jobs(jobs)
-        wall = time.monotonic() - started
-        _, failed = split_failures(records)
-        survivors_ok = all(
-            records[i] == baseline[i]
-            for i in range(len(jobs))
-            if not is_failure_record(records[i])
-        )
-        ok = (
-            survivors_ok
-            and len(failed) == 1
-            and failed[0].index == 1
-            and failed[0].kind == "retries-exhausted"
-        )
-        if not ok:
-            failures += 1
-        report(
-            f"{mode}/poison",
-            ok,
-            wall,
-            f"quarantined={[f.index for f in failed]}",
-        )
-    for kind, chaos, expected in (
-        ("crash", _grid_chaos("crash"), WorkerCrashError),
-        ("transient", _grid_chaos("transient"), ChaosTransientError),
-        ("clean", None, None),
-    ):
-        before = set(multiprocessing.active_children())
-        started = time.monotonic()
-        try:
-            records = _run_unsupervised(jobs, workers, chaos)
-            raised = None
-        except TransientJobError as exc:
-            raised = type(exc)
-        wall = time.monotonic() - started
-        orphans = len(set(multiprocessing.active_children()) - before)
-        ok = raised is expected and orphans == 0
-        if expected is None:
-            ok = ok and records == baseline
-        if not ok:
-            failures += 1
-        report(
-            f"unsupervised/{kind}",
-            ok,
-            wall,
-            f"raised={raised.__name__ if raised else None} orphans={orphans}",
-        )
-    verdict = "converged" if failures == 0 else f"{failures} cell(s) diverged"
-    print(f"chaos grid: {verdict}", file=stream, flush=True)
-    return 0 if failures == 0 else 1
-
-
-def chaos_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro chaos",
-        description=(
-            "Differential chaos testing of the resilient execution layer "
-            "(see docs/resilient-execution.md)"
-        ),
-    )
-    parser.add_argument(
-        "--grid",
-        action="store_true",
-        help=(
-            "run the crash/hang/transient/corrupt x serial/pooled grid "
-            "and the unsupervised row"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes for the pooled cells (default 2)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="trim the per-cell job list for smoke runs",
-    )
-    args = parser.parse_args(argv)
-    if not args.grid:
-        parser.error("nothing to do: pass --grid")
-    return run_chaos_grid(workers=args.workers, quick=args.quick)
-

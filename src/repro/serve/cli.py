@@ -1,4 +1,4 @@
-"""``python -m repro serve`` — run, probe or smoke-test the job server.
+"""``python -m repro serve`` — run or probe the job server.
 
 Server::
 
@@ -11,17 +11,11 @@ Client conveniences (thin wrappers over :mod:`repro.serve.client`)::
     python -m repro serve submit --url http://127.0.0.1:8650 \
         '{"kind": "experiment", "config": {"router": "roco", "rate": 0.1}}'
 
-Self-test (used by CI's serve-smoke lane)::
-
-    python -m repro serve --smoke
-
-The smoke boots a real server on an ephemeral port with crash chaos
-injected (every job's first attempt dies), fires two identical and one
-distinct concurrent client requests, and asserts the dedupe and
-recovery contract end to end: exactly two simulations run, the
-identical requests coalesce onto one (under the key a batch sweep
-computes for the same fields), every client gets bit-identical records,
-and the injected crashes are retried transparently.
+The dedupe and recovery contract — two identical and one distinct
+concurrent requests on a worker pool whose every first attempt crashes
+run exactly two simulations, coalesce under the key a batch sweep
+computes, and hand every client bit-identical records — is
+``tests/test_serve.py::TestPooledCrashRecoveryAcceptance``.
 """
 
 from __future__ import annotations
@@ -29,15 +23,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
-import threading
 
-from repro.core.config import SimulationConfig
-from repro.harness.parallel import ResultCache, SimJob, job_key
+from repro.harness.parallel import ResultCache
 from repro.harness.resilient import RetryPolicy
 from repro.serve.broker import JobBroker
 from repro.serve.client import ServeClient
-from repro.serve.server import ServerThread, run_server
+from repro.serve.server import run_server
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,15 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="admission-control bound on distinct in-flight jobs",
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the end-to-end dedupe/recovery self-test and exit",
-    )
     return parser
 
 
-def _build_broker(args, chaos=None) -> JobBroker:
+def _build_broker(args) -> JobBroker:
     cache = None
     if args.cache_dir and not args.no_cache:
         cache = ResultCache(args.cache_dir)
@@ -102,7 +88,6 @@ def _build_broker(args, chaos=None) -> JobBroker:
         cache=cache,
         workers=args.workers,
         policy=RetryPolicy(**policy_kwargs),
-        chaos=chaos,
         max_inflight=args.max_inflight,
     )
 
@@ -174,122 +159,10 @@ def _client_submit(argv: list[str]) -> int:
     return 0
 
 
-# -- smoke -------------------------------------------------------------
-
-
-def _smoke() -> int:
-    """End-to-end dedupe + crash-recovery self-test (CI serve-smoke)."""
-    from repro.harness.chaos import ChaosConfig, ChaosRule
-
-    base = {
-        "width": 3,
-        "height": 3,
-        "warmup_packets": 10,
-        "measure_packets": 60,
-    }
-    same = {"kind": "experiment", "config": dict(base, rate=0.08, seed=3)}
-    distinct = {"kind": "experiment", "config": dict(base, rate=0.1, seed=4)}
-    # Every job's first attempt crashes its worker; the RetryPolicy must
-    # recover both jobs transparently.
-    chaos = ChaosConfig(rules=(ChaosRule(kind="crash", indices=None),))
-
-    with tempfile.TemporaryDirectory(prefix="serve-smoke-") as tmp:
-        broker = JobBroker(
-            cache=ResultCache(tmp),
-            workers=2,
-            policy=RetryPolicy(max_retries=3, backoff_base=0.0),
-            chaos=chaos,
-            max_inflight=8,
-        )
-        with broker, ServerThread(broker) as url:
-            print(f"smoke: server at {url}, {broker.mode} mode")
-            client = ServeClient(url)
-            assert client.healthy(), "healthz probe failed"
-
-            barrier = threading.Barrier(3)
-            results: dict[int, dict] = {}
-            errors: list[BaseException] = []
-
-            def fire(slot: int, request: dict) -> None:
-                try:
-                    barrier.wait(timeout=10)
-                    reply = ServeClient(url).submit(request)
-                    key = reply["jobs"][0]["key"]
-                    results[slot] = {
-                        "reply": reply,
-                        "record": ServeClient(url).result(key, timeout=120),
-                    }
-                except BaseException as exc:  # surfaced below
-                    errors.append(exc)
-                    barrier.abort()
-
-            threads = [
-                threading.Thread(target=fire, args=(slot, request))
-                for slot, request in enumerate((same, same, distinct))
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=180)
-            if errors:
-                raise errors[0]
-            assert len(results) == 3, f"only {len(results)} clients finished"
-
-            status = client.status()
-            key_a = results[0]["reply"]["jobs"][0]["key"]
-            key_b = results[1]["reply"]["jobs"][0]["key"]
-            key_c = results[2]["reply"]["jobs"][0]["key"]
-            assert key_a == key_b, "identical requests got different keys"
-            # Identity over the wire is identity on disk: the key is the
-            # one a batch sweep computes for the same fields.
-            local = SimulationConfig.from_payload(
-                dict(base, injection_rate=0.08, seed=3)
-            )
-            assert key_a == job_key(SimJob.of(local)), (
-                "server key differs from the locally computed job_key"
-            )
-            assert key_c != key_a, "distinct requests got the same key"
-            assert results[0]["record"] == results[1]["record"], (
-                "coalesced clients saw different records"
-            )
-            assert results[2]["record"] != results[0]["record"]
-            sims = status["simulations_run"]
-            assert sims == 2, f"expected 2 simulations for 3 requests, got {sims}"
-            assert status["coalesced"] == 1, status
-            execution = status["execution"]
-            recovered = (
-                execution["worker_crashes"] + execution["retries"]
-            )
-            assert recovered >= 2, f"chaos crashes not recovered: {execution}"
-            stream = list(ServeClient(url).events(key_a))
-            kinds = [event["event"] for event in stream]
-            assert kinds[-1] == "completed", kinds
-            assert "retry" in kinds or execution["worker_crashes"] >= 1, kinds
-
-            # Warm resubmission: served without a new simulation.
-            reply = client.submit(same)
-            assert reply["jobs"][0]["cached"], reply
-            again = client.result(key_a, timeout=30)
-            assert again == results[0]["record"]
-            assert client.status()["simulations_run"] == 2
-
-            cache = client.status()["cache"]
-            print(
-                f"smoke: ok — 3 requests, {sims} simulations, "
-                f"{status['coalesced']} coalesced, "
-                f"{execution['worker_crashes']} worker crash(es), "
-                f"{execution['retries']} retr(ies), cache {cache}"
-            )
-    return 0
-
-
 def serve_main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv[:1] == ["status"]:
         return _client_status(argv[1:])
     if argv[:1] == ["submit"]:
         return _client_submit(argv[1:])
-    args = build_parser().parse_args(argv)
-    if args.smoke:
-        return _smoke()
-    return _serve(args)
+    return _serve(build_parser().parse_args(argv))

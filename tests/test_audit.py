@@ -12,7 +12,7 @@ from repro.arbiters.mirror import MirrorAllocator, MirrorGrant
 from repro.audit import AuditEngine, InvariantViolation, default_checkers
 from repro.core.config import RouterConfig
 from repro.core.simulator import DeadlockError, Simulator, run_simulation
-from repro.core.types import NodeId
+from repro.core.types import grid_nodes
 from repro.faults.schedule import FaultSchedule
 
 from .conftest import small_config
@@ -102,25 +102,34 @@ class TestCleanRuns:
         sim.run()  # a double hook would recurse or double-count
 
     @pytest.mark.parametrize("full_sweep", [False, True])
-    def test_audited_fault_campaign_holds(self, full_sweep):
-        nodes = [NodeId(x, y) for y in range(4) for x in range(4)]
-        schedule = FaultSchedule.sampled(
-            nodes,
-            count=2,
-            seed=3,
-            mtbf=150.0,
-            critical=True,
-            router_config=RouterConfig.for_architecture("roco"),
-        )
+    @pytest.mark.parametrize("fault_count", [0, 2])
+    @pytest.mark.parametrize("rate", [0.05, 0.2])
+    @pytest.mark.parametrize("router, routing", [("roco", "xy-yx"), ("generic", "xy")])
+    def test_audited_fault_campaign_holds(
+        self, router, routing, rate, fault_count, full_sweep
+    ):
+        schedule = None
+        if fault_count:
+            schedule = FaultSchedule.sampled(
+                grid_nodes(4, 4),
+                count=fault_count,
+                seed=1,
+                mtbf=150.0,
+                critical=True,
+                router_config=RouterConfig.for_architecture(router),
+            )
         sim = Simulator(
-            small_config(audit=True, routing="xy-yx", injection_rate=0.15),
+            small_config(
+                audit=True, router=router, routing=routing, injection_rate=rate, seed=1
+            ),
             schedule=schedule,
             full_sweep=full_sweep,
         )
         try:
             sim.run()
         except DeadlockError:
-            pass  # a faulty run may legally fail to drain
+            # A faulty run may legally fail to drain; a fault-free one may not.
+            assert fault_count
         assert sim.audit.cycles_audited > 0
 
 

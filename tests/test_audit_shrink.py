@@ -159,8 +159,3 @@ class TestAuditCli:
 
     def test_bad_interval_rejected(self):
         assert audit_main(["--interval", "0"]) == 2
-
-    def test_replay_and_grid_are_exclusive(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text("{}")
-        assert audit_main(["--replay", str(path), "--grid"]) == 2

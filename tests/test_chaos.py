@@ -3,9 +3,11 @@ run under chaos converge bit-identical to fault-free runs.
 
 The pooled cells here spawn real worker processes and inject real
 faults (``os._exit``, sleeps); they are kept small (3x3 mesh, short
-runs) so the whole file stays in CI-smoke territory.  The full grid
-lives behind ``python -m repro chaos --grid`` (the CI chaos-smoke job).
+runs) so the whole file stays in CI-smoke territory.  The full kind x
+execution mode grid is ``TestChaosGrid``.
 """
+
+import multiprocessing
 
 import pytest
 
@@ -16,14 +18,18 @@ from repro.harness.chaos import (
     ChaosRule,
     ChaosTransientError,
     chaos_execute,
-    run_chaos_grid,
 )
 from repro.harness.parallel import ParallelExecutor, SimJob, is_failure_record
 from repro.harness.resilient import (
     CorruptResultError,
+    ManagedWorkerSet,
     RetryPolicy,
+    WorkerCrashError,
+    split_failures,
     validate_record,
 )
+
+from .test_resilient import drain
 
 BASE = {
     "width": 3,
@@ -193,11 +199,79 @@ class TestChaosConvergence:
 
 
 class TestChaosGrid:
-    def test_quick_grid_serial_only(self, capsys):
-        import sys
+    """Every fault kind x execution mode over one nine-job sweep.
 
-        exit_code = run_chaos_grid(workers=1, quick=True, stream=sys.stderr)
-        assert exit_code == 0
-        err = capsys.readouterr().err
-        assert "converged" in err
-        assert "MISMATCH" not in err
+    A supervised cell strikes the first attempt of three jobs and must
+    converge to the fault-free records; a poison cell crashes job 1 on
+    every attempt and must quarantine exactly that job; an unsupervised
+    cell (``policy=None``) must raise the injected fault as its type, in
+    bounded time, and leave no worker process behind.
+    """
+
+    CELLS = [
+        *(
+            f"{mode}/{kind}"
+            for mode in ("serial", "pooled")
+            for kind in ("crash", "hang", "transient", "corrupt", "poison")
+        ),
+        *(f"unsupervised/{kind}" for kind in ("crash", "transient", "clean")),
+    ]
+    POLICY = RetryPolicy(
+        job_timeout=1.0,
+        max_retries=3,
+        backoff_base=0.0,
+        heartbeat_interval=0.2,
+        heartbeat_timeout=10.0,
+    )
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        jobs = [
+            SimJob.of(SimulationConfig(**{**BASE, "injection_rate": rate}, seed=seed))
+            for rate in (0.05, 0.10, 0.20)
+            for seed in (1, 2, 3)
+        ]
+        return jobs, ParallelExecutor().run_jobs(jobs)
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_cell(self, sweep, cell):
+        jobs, baseline = sweep
+        mode, kind = cell.split("/")
+        if kind == "clean":
+            chaos = None
+        elif kind == "poison":
+            chaos = ChaosConfig((ChaosRule("crash", indices=(1,), attempts=None),))
+        else:
+            chaos = ChaosConfig((ChaosRule(kind, indices=(0, 2, 4), seconds=20.0),))
+        if mode == "unsupervised":
+            self.check_unsupervised(jobs, baseline, chaos)
+            return
+        executor = ParallelExecutor(
+            workers=2 if mode == "pooled" else None, policy=self.POLICY, chaos=chaos
+        )
+        records = executor.run_jobs(jobs)
+        if kind == "poison":
+            _, failed = split_failures(records)
+            assert [(f.index, f.kind) for f in failed] == [(1, "retries-exhausted")]
+            records[1] = baseline[1]  # the survivors are what is compared
+        assert records == baseline
+        assert executor.last_stats.retries >= 3
+
+    @staticmethod
+    def check_unsupervised(jobs, baseline, chaos):
+        before = set(multiprocessing.active_children())
+        pool = ManagedWorkerSet(None, workers=2, chaos=chaos)
+        for job in jobs:
+            pool.submit(job)
+        if chaos is None:
+            with pool:
+                records = drain(pool)
+            assert [records[index] for index in range(len(jobs))] == baseline
+        else:
+            kind = chaos.rules[0].kind
+            # No ``with``: the raise has to reap the workers by itself.
+            with pytest.raises(
+                WorkerCrashError if kind == "crash" else ChaosTransientError
+            ):
+                drain(pool)
+        assert set(multiprocessing.active_children()) <= before

@@ -140,6 +140,19 @@ BAD_FLAG_VALUES = {
         [*SMALL, "--workers", "-1", "--rates", "0.1,0.2"],
         "workers must be >= 0",
     ),
+    "num-seeds": ([*SMALL, "--num-seeds", "0"], "--num-seeds must be >= 1"),
+    "campaign-flags": (
+        [*SMALL, "--mtbf", "400"],
+        "--mtbf needs --faults N to know how many arrivals to sample",
+    ),
+    "resume-nowhere": (
+        [*SMALL, "--rates", "0.1,0.2", "--resume"],
+        "--resume needs --journal FILE or --cache-dir DIR",
+    ),
+    "sweep-static-faults": (
+        [*SMALL, "--rates", "0.1,0.2", "--faults", "2"],
+        "static --faults is not supported in sweep mode",
+    ),
     # argparse's own error: the usage lines come first.
     "rates-empty": ([*SMALL, "--rates", ","], "argument --rates: empty rate list"),
 }
@@ -190,7 +203,7 @@ def test_an_error_inside_the_run_still_propagates(monkeypatch):
 
 class TestSubcommands:
     def test_table_names_the_known_subcommands(self):
-        assert set(SUBCOMMANDS) == {"audit", "bench", "shards", "serve", "chaos"}
+        assert set(SUBCOMMANDS) == {"audit", "bench", "shards", "serve"}
 
     @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
     def test_every_entry_imports_and_answers_help(self, name, capsys):
@@ -199,6 +212,23 @@ class TestSubcommands:
             main([name, "--help"])
         assert excinfo.value.code == 0
         assert f"repro {name}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["chaos", "--grid"], ["audit", "--grid"], ["serve", "--smoke"]]
+    )
+    def test_self_test_commands_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_shards_runs_an_audited_mesh_and_reports_each_tile(self, capsys):
+        mesh = ["--size", "8", "--shards", "2x2", "--packets", "300", "--warmup", "60"]
+        assert main(["shards", *mesh, "--rate", "0.2", "--audit"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[-4:]] == [
+            f"  tile {n}" for n in range(4)
+        ]
 
     def test_top_level_help_lists_the_table(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

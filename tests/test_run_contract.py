@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit.cli import audit_main
 from repro.core.config import SimulationConfig
 from repro.core.runloop import packet_draws
 from repro.core.simulator import DrainTimeoutError, Simulator
@@ -33,6 +34,7 @@ from repro.faults.injector import ComponentFault
 from repro.faults.model import Component
 from repro.faults.schedule import FaultSchedule
 from repro.harness.export import result_record
+from repro.harness.parallel import SimJob
 from repro.harness.sharded import run_sharded_simulation
 from repro.traffic import make_traffic
 
@@ -97,6 +99,26 @@ def drain_outcome(engine: str, overrides: dict):
 def test_drain_timeout_same_cycle_and_census(engine, cell):
     overrides, expected = DRAIN_CELLS[cell]
     assert drain_outcome(engine, overrides) == expected
+
+
+@pytest.mark.parametrize("fault_events", (0, 1))
+def test_audit_cli_fails_a_fault_free_run_that_does_not_drain(
+    fault_events, monkeypatch, capsys
+):
+    """A run with fault events may legally fail to drain (exit 0); a
+    fault-free one may not.  The event is due long after the stall, so
+    both runs stop at the cell's cycle 30."""
+    overrides, _ = DRAIN_CELLS["roco-tail-on-wire-s9"]
+    fault = ComponentFault(NodeId(2, 1), Component.CROSSBAR, module="column")
+    job = SimJob(
+        replace(BASE, drain_timeout=0, audit=True, **overrides),
+        schedule=FaultSchedule.at_cycle(1000, [fault] * fault_events),
+    )
+    monkeypatch.setattr("repro.audit.cli.job_from_args", lambda *_, **__: job)
+    assert audit_main([]) == (0 if fault_events else 1)
+    err = capsys.readouterr().err
+    assert "run did not complete: " in err and " at cycle 30: " in err
+    assert ("audit: all invariants held" in err) == bool(fault_events)
 
 
 @pytest.mark.xfail(strict=True, raises=DrainTimeoutError)

@@ -429,6 +429,21 @@ class TestPooledCrashRecoveryAcceptance:
                 broker.stats.worker_crashes + broker.stats.retries >= 2
             ), "injected crashes were not recovered"
 
+            # Over HTTP, on the same broker: the stream of a job whose
+            # first attempt crashed ends in ``completed``, and a warm
+            # resubmission is answered without a third simulation.
+            with ServerThread(broker) as url:
+                client = ServeClient(url)
+                kinds = [e["event"] for e in client.events(tickets[0].key)]
+                assert kinds[-1] == "completed"
+                assert "retry" in kinds or broker.stats.worker_crashes >= 1
+                (again,) = client.submit(
+                    {"kind": "experiment", "config": dict(BASE, seed=3)}
+                )["jobs"]
+                assert again["key"] == tickets[0].key and again["cached"]
+                assert client.result(again["key"], timeout=30) == baseline_a
+                assert client.status()["simulations_run"] == 2
+
 
 class HttpFixture:
     """One gated synthetic broker behind a real HTTP server."""
@@ -465,6 +480,8 @@ class TestHttpTransport:
             )
             assert reply["total_jobs"] == 1
             (jobinfo,) = reply["jobs"]
+            # Identity over the wire is identity on disk.
+            assert jobinfo["key"] == job_key(small_job(seed=5))
             record = client.result(jobinfo["key"], timeout=30)
             assert record == {"seed": 5, "rate": 0.08}
             status = client.status()
