@@ -1,10 +1,12 @@
 """Command-line interface: ``python -m repro`` runs simulations.
 
-A single operating point::
+A single operating point (``--shards WxH`` steps it as tiles and prints
+each tile's scheduler counters)::
 
     python -m repro --router roco --routing xy --rate 0.2
     python -m repro --router generic --traffic transpose --rate 0.15 --size 8
     python -m repro --router roco --faults 2 --fault-class critical
+    python -m repro --size 8 --shards 2x2
 
 Sweep mode — give several rates and/or seeds and the grid fans out over
 a worker pool with an on-disk result cache (repeat invocations skip
@@ -23,12 +25,14 @@ to move a paper result is ``git diff`` over the regenerated baseline::
     python -m repro bench --quick --filter "fig8*" --out bench-results
     python -m repro bench --quick --out benchmarks/baseline && git diff
 
-Audit mode — run with per-cycle invariant checking, shrink failures to
-minimal reproducers, or replay one (see docs/auditing.md)::
+Audited runs — ``--audit`` checks every invariant every cycle, in a
+single run or a sweep; ``--shrink`` turns a violation of a single run
+into a minimal reproducer and ``--replay`` re-runs one (see
+docs/auditing.md)::
 
-    python -m repro audit --router roco --rate 0.2 --faults 2
-    python -m repro audit --rate 0.3 --shrink repro.json
-    python -m repro audit --replay repro.json
+    python -m repro --audit --router roco --rate 0.2 --faults 2 --mtbf 500
+    python -m repro --audit --rate 0.3 --shrink repro.json
+    python -m repro --replay repro.json
 
 Resilient sweeps — supervise jobs with deadlines/retries, journal
 completed work, and resume an interrupted campaign without duplicating
@@ -61,6 +65,7 @@ import importlib
 import sys
 from dataclasses import replace
 
+from repro.core.runloop import AuditViolation, DeadlockError
 from repro.core.simulator import run_simulation
 from repro.core.soa.errors import BackendUnsupportedError
 from repro.harness.campaign import run_campaign
@@ -82,20 +87,12 @@ from repro.harness.scenario import (
 
 
 #: ``python -m repro NAME ...``: name -> (lazy ``module:function``,
-#: summary).  Each subcommand has an argument surface separate from the
-#: simulation flags below and is imported only when it is chosen.
+#: summary).  Neither runs a scenario: each has flags of its own, apart
+#: from the simulation flags below, and is imported only when chosen.
 SUBCOMMANDS = {
-    "audit": (
-        "repro.audit.cli:audit_main",
-        "invariant-audited runs, shrinking, reproducer replay (docs/auditing.md)",
-    ),
     "bench": (
         "repro.harness.benchbed:bench_main",
         "benchbed registry runner and fidelity artifacts (docs/benchmarking.md)",
-    ),
-    "shards": (
-        "repro.harness.sharded:sharded_main",
-        "one run stepped as tiles, per-tile counters (docs/sharded-scaling.md)",
     ),
     "serve": (
         "repro.serve.cli:serve_main",
@@ -110,6 +107,97 @@ def load_subcommand(name: str):
     return getattr(importlib.import_module(module), function)
 
 
+def _rate_list(text: str) -> list[float]:
+    try:
+        rates = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad rate list {text!r}") from exc
+    if not rates:
+        raise argparse.ArgumentTypeError(f"empty rate list {text!r}")
+    return rates
+
+
+#: Shrink to or replay a repro-audit/v1 file (single run; one of the two).
+REPRODUCER_FLAGS = {
+    "--shrink": dict(
+        metavar="FILE",
+        help="on a violation under --audit, shrink the scenario and save it here",
+    ),
+    "--replay": dict(
+        metavar="FILE",
+        help="re-run a saved reproducer under audit; exits 0 if it still fails",
+    ),
+}
+
+#: A grid of points instead of a single simulation.
+SWEEP_FLAGS = {
+    "--rates": dict(
+        type=_rate_list,
+        metavar="R1,R2,...",
+        help="comma-separated injection rates to sweep (overrides --rate)",
+    ),
+    "--num-seeds": dict(
+        type=int, default=1, metavar="N", help="sweep N consecutive seeds from --seed"
+    ),
+}
+
+#: Worker pool and result cache (sweep mode).
+EXECUTION_FLAGS = {
+    "--workers": dict(
+        type=int,
+        metavar="N",
+        help="worker processes for sweeps (0 = all cores; default serial)",
+    ),
+    "--cache-dir": dict(
+        metavar="DIR", help="directory for the on-disk result cache (enables caching)"
+    ),
+    "--no-cache": dict(
+        action="store_true", help="ignore --cache-dir and always simulate"
+    ),
+}
+
+#: Fault-tolerant sweep supervision (docs/resilient-execution.md).
+RESILIENCE_FLAGS = {
+    "--job-timeout": dict(
+        type=float,
+        metavar="SECONDS",
+        help="per-job wall-clock deadline (pooled runs; enables supervision)",
+    ),
+    "--max-retries": dict(
+        type=int,
+        metavar="N",
+        help="retries per job before quarantining it (enables supervision)",
+    ),
+    "--speculative": dict(
+        action="store_true",
+        help="re-execute stragglers speculatively on idle workers",
+    ),
+    "--journal": dict(
+        metavar="FILE",
+        help="sweep journal path (default: <cache-dir>/journal.jsonl "
+        "when --cache-dir is set)",
+    ),
+    "--resume": dict(
+        action="store_true",
+        help="resume an interrupted sweep from its journal: completed jobs are "
+        "served from the cache, quarantined failures are replayed, nothing is "
+        "simulated twice",
+    ),
+}
+
+#: The argument groups after the scenario flags: title -> (what, flags).
+FLAG_GROUPS = {
+    "fault campaign": ("inject faults mid-run, not before wiring", CAMPAIGN_FLAGS),
+    "reproducers": ("repro-audit/v1 files (single run)", REPRODUCER_FLAGS),
+    "sweep mode": ("a grid of points instead of a single simulation", SWEEP_FLAGS),
+    "execution": ("worker pool and result cache (sweep mode)", EXECUTION_FLAGS),
+    "resilience": (
+        "fault-tolerant sweep supervision (see docs/resilient-execution.md)",
+        RESILIENCE_FLAGS,
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -122,102 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_flags(parser, CONFIG_FLAGS)
     add_flags(parser, FAULT_FLAGS)
-    add_flags(
-        parser.add_argument_group(
-            "fault campaign", "inject faults mid-run instead of before wiring"
-        ),
-        CAMPAIGN_FLAGS,
-    )
-    sweep = parser.add_argument_group(
-        "sweep mode", "run a grid of points instead of a single simulation"
-    )
-    sweep.add_argument(
-        "--rates",
-        type=_rate_list,
-        default=None,
-        metavar="R1,R2,...",
-        help="comma-separated injection rates to sweep (overrides --rate)",
-    )
-    sweep.add_argument(
-        "--num-seeds",
-        type=int,
-        default=1,
-        metavar="N",
-        help="sweep N consecutive seeds starting at --seed",
-    )
-    execution = parser.add_argument_group(
-        "execution", "worker pool and result cache (sweep mode)"
-    )
-    execution.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for sweeps (0 = all cores; default serial)",
-    )
-    execution.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for the on-disk result cache (enables caching)",
-    )
-    execution.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache-dir and always simulate",
-    )
-    resilience = parser.add_argument_group(
-        "resilience",
-        "fault-tolerant sweep supervision (see docs/resilient-execution.md)",
-    )
-    resilience.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock deadline (pooled runs; enables supervision)",
-    )
-    resilience.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retries per job before quarantining it (enables supervision)",
-    )
-    resilience.add_argument(
-        "--speculative",
-        action="store_true",
-        help="re-execute stragglers speculatively on idle workers",
-    )
-    resilience.add_argument(
-        "--journal",
-        default=None,
-        metavar="FILE",
-        help=(
-            "sweep journal path (default: <cache-dir>/journal.jsonl "
-            "when --cache-dir is set)"
-        ),
-    )
-    resilience.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume an interrupted sweep from its journal: completed "
-            "jobs are served from the cache, quarantined failures are "
-            "replayed, nothing is simulated twice"
-        ),
-    )
+    for title, (description, flags) in FLAG_GROUPS.items():
+        add_flags(parser.add_argument_group(title, description), flags)
     return parser
-
-
-def _rate_list(text: str) -> list[float]:
-    try:
-        rates = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad rate list {text!r}") from exc
-    if not rates:
-        raise argparse.ArgumentTypeError(f"empty rate list {text!r}")
-    return rates
 
 
 def _usage_error(reason: Exception | str) -> int:
@@ -226,23 +221,51 @@ def _usage_error(reason: Exception | str) -> int:
     return 2
 
 
-def _campaign_args_valid(args) -> str | None:
-    """Return an error message when the campaign flags are inconsistent."""
+def _args_error(args, sweep: bool) -> str | None:
+    """Why the parsed flags cannot run together, or None when they can."""
+    campaign = args.mtbf is not None or args.fault_schedule is not None
+    static_faults = bool(args.faults) and not campaign
+    if args.num_seeds < 1:
+        return "--num-seeds must be >= 1"
     if args.fault_schedule is not None and args.mtbf is not None:
         return "--fault-schedule and --mtbf are mutually exclusive"
     if args.mtbf is not None and args.faults <= 0:
         return "--mtbf needs --faults N to know how many arrivals to sample"
     if args.transient is not None and args.transient <= 0:
         return "--transient must be a positive cycle count"
-    if (
-        args.transient is not None
-        and args.fault_schedule is None
-        and args.mtbf is None
-    ):
+    if args.transient is not None and not campaign:
         return "--transient requires --mtbf or --fault-schedule"
     if args.weibull_shape is not None and args.mtbf is None:
         return "--weibull-shape requires --mtbf"
+    if args.resume and args.journal is None and not args.cache_dir:
+        return "--resume needs --journal FILE or --cache-dir DIR to find the journal"
+    if sweep and static_faults:
+        return (
+            "static --faults is not supported in sweep mode "
+            "(use --mtbf or --fault-schedule for campaigns)"
+        )
+    if sweep and (args.shrink or args.replay):
+        return "--shrink and --replay run one scenario, not a sweep"
+    if args.shrink and args.replay:
+        return "--shrink and --replay are mutually exclusive"
+    if args.shrink and not args.audit:
+        return "--shrink needs --audit: only an audited run raises a violation"
+    if args.shrink and (static_faults or args.shards or args.backend != "object"):
+        # A repro-audit/v1 file holds a config and a schedule, nothing else.
+        return (
+            "--shrink saves a config and a fault schedule: it takes no "
+            "static --faults, --shards or --backend soa"
+        )
     return None
+
+
+def _run_failed(exc: Exception) -> int:
+    """Report a run whose outcome failed; the exit status."""
+    if isinstance(exc, DeadlockError):
+        print(f"repro: run did not complete: {exc}", file=sys.stderr)
+    else:
+        print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
+    return 1
 
 
 def _run_single(args) -> int:
@@ -250,25 +273,28 @@ def _run_single(args) -> int:
         job = job_from_args(args)
     except ValueError as exc:
         return _usage_error(exc)
+    for event in job.schedule or ():
+        healing = f", heals at {event.clear_cycle}" if event.transient else ""
+        print(
+            f"fault @ cycle {event.cycle}: {event.fault.component.value} "
+            f"at {event.fault.node} ({event.fault.module} module){healing}"
+        )
+    for fault in job.faults:
+        print(
+            f"fault: {fault.component.value} at {fault.node} "
+            f"({fault.module} module)"
+        )
     campaign = None
-    if job.schedule is not None:
-        for event in job.schedule:
-            healing = (
-                f", heals at {event.clear_cycle}" if event.transient else ""
-            )
-            print(
-                f"fault @ cycle {event.cycle}: {event.fault.component.value} "
-                f"at {event.fault.node} ({event.fault.module} module){healing}"
-            )
-        campaign = run_campaign(job.config, job.schedule)
-        result = campaign.result
-    else:
-        for fault in job.faults:
-            print(
-                f"fault: {fault.component.value} at {fault.node} "
-                f"({fault.module} module)"
-            )
-        result = run_simulation(job.config, faults=list(job.faults))
+    try:
+        if job.schedule is not None:
+            campaign = run_campaign(job.config, job.schedule)
+            result = campaign.result
+        else:
+            result = run_simulation(job.config, faults=list(job.faults))
+    except AuditViolation as violation:
+        if args.shrink is None:
+            raise
+        return _shrink(job, violation, args.shrink)
     print(result.summary_line())
     print(
         f"  latency p50/p95/p99: {result.latency.p50:.1f} / "
@@ -279,7 +305,53 @@ def _run_single(args) -> int:
     if campaign is not None:
         for line in campaign.summary_lines():
             print(f"  {line}")
+    for tile, counters in enumerate(result.tile_scheduler):
+        print(
+            f"  tile {tile}: {counters.router_steps} router steps / "
+            f"{counters.router_slots} slots (duty {counters.duty_cycle:.3f})"
+        )
+    if job.config.audit:
+        print("audit: all invariants held", file=sys.stderr)
     return 0
+
+
+def _shrink(job: SimJob, violation: AuditViolation, path: str) -> int:
+    """Report ``violation``, then save the shrunken scenario to ``path``."""
+    from repro.audit.shrink import save_reproducer, shrink
+
+    _run_failed(violation)
+    print("shrinking...", file=sys.stderr)
+    result = shrink(job.config, job.schedule)
+    save_reproducer(path, result.config, result.schedule, result.violation)
+    print(
+        f"reproducer saved to {path}: {result.config.total_packets} packet(s), "
+        f"{len(result.schedule) if result.schedule else 0} fault event(s), "
+        f"{result.runs} shrink run(s)",
+        file=sys.stderr,
+    )
+    return 1
+
+
+def _run_replay(path: str) -> int:
+    """Re-run a reproducer under audit: 0 when its violation recurs."""
+    from repro.audit.shrink import load_reproducer
+
+    try:
+        config, schedule, recorded = load_reproducer(path)
+    except (OSError, ValueError) as exc:
+        return _usage_error(exc)
+    print(
+        f"replaying {path}: expecting [{recorded.get('invariant')}] "
+        f"around cycle {recorded.get('cycle')}",
+        file=sys.stderr,
+    )
+    try:
+        run_simulation(config, schedule=schedule)
+    except AuditViolation as violation:
+        _run_failed(violation)
+        return 0
+    print("reproducer ran clean (violation did not reproduce)", file=sys.stderr)
+    return 1
 
 
 def _build_resilience(args, cache) -> tuple[object, object] | tuple[None, None]:
@@ -295,27 +367,18 @@ def _build_resilience(args, cache) -> tuple[object, object] | tuple[None, None]:
         return None, None
     from repro.harness.resilient import RetryPolicy, SweepJournal
 
-    policy_kwargs = {"speculative": args.speculative}
-    if args.job_timeout is not None:
-        policy_kwargs["job_timeout"] = args.job_timeout
+    policy = RetryPolicy(job_timeout=args.job_timeout, speculative=args.speculative)
     if args.max_retries is not None:
-        policy_kwargs["max_retries"] = args.max_retries
-    policy = RetryPolicy(**policy_kwargs)
+        policy = replace(policy, max_retries=args.max_retries)
     journal_path = args.journal
     if journal_path is None and cache is not None:
         journal_path = cache.directory / "journal.jsonl"
-    journal = None
-    if journal_path is not None:
-        journal = SweepJournal(journal_path, resume=args.resume)
-    return policy, journal
+    if journal_path is None:
+        return policy, None
+    return policy, SweepJournal(journal_path, resume=args.resume)
 
 
 def _run_sweep(args) -> int:
-    if args.faults and args.mtbf is None and args.fault_schedule is None:
-        return _usage_error(
-            "static --faults is not supported in sweep mode "
-            "(use --mtbf or --fault-schedule for campaigns)"
-        )
     rates = args.rates if args.rates else [args.rate]
     seeds = list(range(args.seed, args.seed + args.num_seeds))
     try:
@@ -379,33 +442,33 @@ def _run_sweep(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command line; a configuration outside the chosen engine's
-    envelope is the user's error (exit 2), not a traceback — like a flag
-    value the job or the executor refuses when it is built from it."""
-    try:
-        return _dispatch(argv)
-    except BackendUnsupportedError as exc:
-        return _usage_error(exc)
+    """Run one command line; ``tests/test_cli.py`` holds its exit status.
 
-
-def _dispatch(argv: list[str] | None) -> int:
+    0: it ran.  1: the run's outcome failed — a healthy mesh stopped
+    draining or an invariant broke, in a single run or an unsupervised
+    sweep, or a replayed reproducer ran clean.  2: it cannot be run — a
+    flag value, or a configuration outside the chosen engine's envelope,
+    is the user's error, not a traceback.  Any other error from inside a
+    run propagates.
+    """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] in SUBCOMMANDS:
         return load_subcommand(argv[0])(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.num_seeds < 1:
-        return _usage_error("--num-seeds must be >= 1")
-    campaign_error = _campaign_args_valid(args)
-    if campaign_error is not None:
-        return _usage_error(campaign_error)
-    if args.resume and args.journal is None and not args.cache_dir:
-        return _usage_error(
-            "--resume needs --journal FILE or --cache-dir DIR "
-            "to locate the sweep journal"
-        )
-    if args.rates is not None or args.num_seeds > 1:
-        return _run_sweep(args)
-    return _run_single(args)
+    sweep = args.rates is not None or args.num_seeds > 1
+    error = _args_error(args, sweep)
+    if error is not None:
+        return _usage_error(error)
+    try:
+        if sweep:
+            return _run_sweep(args)
+        if args.replay is not None:
+            return _run_replay(args.replay)
+        return _run_single(args)
+    except BackendUnsupportedError as exc:
+        return _usage_error(exc)
+    except (DeadlockError, AuditViolation) as exc:
+        return _run_failed(exc)
 
 
 if __name__ == "__main__":

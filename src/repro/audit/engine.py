@@ -1,7 +1,7 @@
 """The audit engine: per-cycle invariant checking for a live simulator.
 
 Opt in via ``SimulationConfig(audit=True)`` (or ``python -m repro
-audit``).  The engine rides the network's existing end-of-cycle observer
+--audit``).  The engine rides the network's existing end-of-cycle observer
 hook (``Network.on_cycle_stepped``): at :meth:`attach` time it chains
 any observer already installed — instrumentation probes, scheduler
 tests, deliberate corruption fixtures — calling it *first* so the audit

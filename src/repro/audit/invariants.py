@@ -30,13 +30,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.arbiters.mirror import MirrorAllocator, MirrorGrant, max_possible_matching
+from repro.core.runloop import AuditViolation
 from repro.core.types import CARDINALS, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.audit.engine import AuditEngine, NetworkSnapshot
 
 
-class InvariantViolation(RuntimeError):
+class InvariantViolation(AuditViolation):
     """A runtime invariant failed; the simulation state is corrupt.
 
     Carries enough structure for tooling (the shrinker, the CLI, CI) to

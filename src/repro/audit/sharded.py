@@ -31,8 +31,10 @@ cycle and tile — fail-stop, like the in-process audit engine.
 
 from __future__ import annotations
 
+from repro.core.runloop import AuditViolation
 
-class ShardInvariantViolation(RuntimeError):
+
+class ShardInvariantViolation(AuditViolation):
     """A cross-shard invariant broke (fail-stop diagnostics)."""
 
     def __init__(

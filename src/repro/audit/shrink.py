@@ -6,7 +6,9 @@ preserving the failure: the cycle budget is cut to just past the
 violation, warm-up is dropped, the packet count is bisected down,
 fault-schedule events are ddmin-reduced, and a few alternate traffic
 seeds are probed for an even smaller failing run.  The result can be
-saved as a runnable JSON reproducer (``repro audit --replay file``).
+saved as a runnable JSON reproducer: ``python -m repro --audit --shrink
+FILE`` writes one for a violating run, ``python -m repro --replay FILE``
+re-runs it.
 
 The run function is injectable so tests (and future checkers with
 external triggers) can shrink scenarios whose corruption comes from a

@@ -21,6 +21,15 @@ class DeadlockError(RuntimeError):
     """Raised when a fault-free network stops making progress entirely."""
 
 
+class AuditViolation(RuntimeError):
+    """An audited run broke an invariant: its state is corrupt.
+
+    The base of ``repro.audit``'s ``InvariantViolation`` and
+    ``ShardInvariantViolation``, declared here so the job engine and the
+    command line can name them without importing the audit package.
+    """
+
+
 @dataclass
 class StrandedCensus:
     """Snapshot of outstanding traffic when a run fails to drain.

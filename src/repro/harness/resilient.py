@@ -33,8 +33,10 @@ Failure taxonomy (docs/resilient-execution.md):
 
 * **fatal** — deterministic simulation errors
   (:class:`~repro.core.simulator.DeadlockError`, which includes
-  ``DrainTimeoutError``, and ``BackendUnsupportedError``).  Retrying a
-  pure function of the job cannot help; quarantine immediately.
+  ``DrainTimeoutError``; :class:`~repro.core.runloop.AuditViolation`,
+  the base of both audit violations; ``BackendUnsupportedError``).
+  Retrying a pure function of the job cannot help; quarantine
+  immediately.
 * **transient** — worker crashes, deadline timeouts, corrupted results
   and any other exception.  Retried with exponential backoff until the
   per-job ``max_retries`` or the sweep-wide ``retry_budget`` runs out,
@@ -61,7 +63,7 @@ from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 
-from repro.core.simulator import DeadlockError
+from repro.core.runloop import AuditViolation, DeadlockError
 from repro.core.soa.errors import BackendUnsupportedError
 from repro.harness.parallel import (
     FAILURE_MARKER,
@@ -74,7 +76,7 @@ from repro.harness.parallel import (
 
 #: Exception types for which a retry is provably pointless: the
 #: simulator is deterministic, so the same job raises the same error.
-FATAL_EXCEPTIONS = (DeadlockError, BackendUnsupportedError)
+FATAL_EXCEPTIONS = (DeadlockError, AuditViolation, BackendUnsupportedError)
 
 #: Growth of the delay between successive retries of one job.
 BACKOFF_FACTOR = 2.0

@@ -1,13 +1,12 @@
-"""One scenario front end for the simulation CLIs and the job server.
+"""One scenario front end for the command line and the job server.
 
 A *scenario* is what a :class:`~repro.harness.parallel.SimJob` holds: a
 configuration, a static fault population, a runtime fault schedule.
-``repro``, ``repro audit`` and ``repro shards`` spell it with the same
-flags, so the flags are declared here once (:data:`CONFIG_FLAGS`,
-:data:`FAULT_FLAGS`, :data:`CAMPAIGN_FLAGS`; each parser adds them with
-:func:`add_flags` and states only where it differs), parsed flags become
-a job in one place (:func:`job_from_args`), and sampled campaigns — from
-``--mtbf`` or from a server ``campaign`` request — are drawn by one call
+``python -m repro`` spells it with the flags declared here
+(:data:`CONFIG_FLAGS`, :data:`FAULT_FLAGS`, :data:`CAMPAIGN_FLAGS`,
+added by :func:`add_flags`), parsed flags become a job in one place
+(:func:`job_from_args`), and sampled campaigns — from ``--mtbf`` or from
+a server ``campaign`` request — are drawn by one call
 (:func:`sampled_schedule`).
 """
 
@@ -50,6 +49,11 @@ CONFIG_FLAGS = {
         "not faster: use --backend soa for a large mesh; see "
         "docs/sharded-scaling.md)",
     ),
+    "--audit": dict(
+        action="store_true",
+        help="check every invariant every cycle; a violation exits 1 "
+        "(docs/auditing.md)",
+    ),
 }
 
 #: The random fault population: how many, and of which class.
@@ -86,20 +90,10 @@ CAMPAIGN_FLAGS = {
 }
 
 
-def add_flags(target, flags: dict[str, dict], omit=(), **overrides: dict) -> None:
-    """Declare ``flags`` on a parser or argument group.
-
-    ``omit`` names the flags this parser does not offer; ``overrides``
-    maps a flag's dest (``packets``, ``fault_class``) to the
-    ``add_argument`` keywords that differ here from the shared
-    declaration.
-    """
+def add_flags(target, flags: dict[str, dict]) -> None:
+    """Declare ``flags`` on a parser or argument group."""
     for flag, spec in flags.items():
-        if flag not in omit:
-            dest = flag[2:].replace("-", "_")
-            target.add_argument(flag, **{**spec, **overrides.pop(dest, {})})
-    if overrides:
-        raise TypeError(f"overrides for undeclared flags: {sorted(overrides)}")
+        target.add_argument(flag, **spec)
 
 
 def sampled_schedule(config: SimulationConfig, **sampling) -> FaultSchedule:
@@ -118,48 +112,34 @@ def sampled_schedule(config: SimulationConfig, **sampling) -> FaultSchedule:
     )
 
 
-def job_from_args(
-    args: argparse.Namespace,
-    *,
-    default_mtbf: float | None = None,
-    **fields,
-) -> SimJob:
+def job_from_args(args: argparse.Namespace) -> SimJob:
     """The job a parsed command line describes.
 
-    ``fields`` are config fields the caller sets beyond the shared flags
-    (``audit=True``).  ``--fault-schedule`` loads a runtime campaign and
-    ``--faults N`` with an MTBF (``--mtbf``, else ``default_mtbf``)
-    samples one; ``--faults N`` without any draws a static population
-    applied before wiring.
+    ``--fault-schedule`` loads a runtime campaign and ``--faults N
+    --mtbf M`` samples one; ``--faults N`` alone draws a static
+    population applied before wiring.
     """
-    given = vars(args)
-    config = SimulationConfig.from_payload(
-        {
-            "width": args.size,
-            "height": args.size,
-            "router": args.router,
-            "routing": args.routing,
-            "traffic": args.traffic,
-            "injection_rate": args.rate,
-            "warmup_packets": args.warmup,
-            "measure_packets": args.packets,
-            "seed": args.seed,
-            # Flags not every parser declares.
-            **{
-                name: given[name]
-                for name in ("topology", "shards", "backend")
-                if given.get(name) is not None
-            },
-            **fields,
-        }
+    config = SimulationConfig(
+        width=args.size,
+        height=args.size,
+        topology=args.topology,
+        router=args.router,
+        routing=args.routing,
+        traffic=args.traffic,
+        injection_rate=args.rate,
+        warmup_packets=args.warmup,
+        measure_packets=args.packets,
+        seed=args.seed,
+        audit=args.audit,
+        backend=args.backend,
+        shards=args.shards,
     )
-    if given.get("fault_schedule") is not None:
+    if args.fault_schedule is not None:
         return SimJob(config, schedule=FaultSchedule.from_json(args.fault_schedule))
-    if not given.get("faults"):
+    if not args.faults:
         return SimJob.of(config)
     critical = args.fault_class == "critical"
-    mtbf = args.mtbf if args.mtbf is not None else default_mtbf
-    if mtbf is None:
+    if args.mtbf is None:
         faults = random_faults(
             grid_nodes(config.width, config.height),
             args.faults,
@@ -172,7 +152,7 @@ def job_from_args(
         schedule=sampled_schedule(
             config,
             count=args.faults,
-            mtbf=mtbf,
+            mtbf=args.mtbf,
             critical=critical,
             weibull_shape=args.weibull_shape,
             duration=args.transient,

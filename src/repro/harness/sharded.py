@@ -38,7 +38,9 @@ cannot repay their boot and pipes at any size or tiling
 (docs/sharded-scaling.md has the measurement).  ``shards=`` is an
 equivalence-checked tile protocol, not a speed-up — the fast way to run
 a large mesh is ``backend="soa"`` — and it behaves the same in every
-parent: a script, a REPL, a daemonic sweep or serve worker.
+parent: a script, a REPL, a daemonic sweep or serve worker.  From the
+command line, ``python -m repro --shards 2x2 --audit`` runs one with the
+conservation ledger on and prints each tile's scheduler counters.
 """
 
 from __future__ import annotations
@@ -424,61 +426,3 @@ def compare_records(reference: SimulationResult, sharded: SimulationResult):
                 f"{field}: reference={ref_value!r} sharded={shard_value!r}"
             )
     return mismatches
-
-
-# --------------------------------------------------------------------------
-# CLI: `python -m repro shards` — one sharded run, tile by tile.
-# --------------------------------------------------------------------------
-
-
-def sharded_main(argv=None) -> int:
-    """``python -m repro shards`` — one sharded run with per-tile counters."""
-    import argparse
-
-    from repro.harness.scenario import CONFIG_FLAGS, add_flags, job_from_args
-
-    parser = argparse.ArgumentParser(
-        prog="repro shards",
-        description=(
-            "Sharded mesh execution: run one simulation partitioned into "
-            "tiles (docs/sharded-scaling.md)"
-        ),
-    )
-    add_flags(
-        parser,
-        CONFIG_FLAGS,
-        # Tiles run the object engine on a mesh.
-        omit=("--topology", "--backend"),
-        router=dict(choices=sorted(SHARD_ROUTERS)),
-        # This parser has never restricted --traffic; an unknown name
-        # is rejected when the generation oracle binds the pattern.
-        traffic=dict(choices=None),
-        shards=dict(default="2x2"),
-    )
-    parser.add_argument(
-        "--full-sweep",
-        action="store_true",
-        help="disable the activity scheduler (sweep every router each cycle)",
-    )
-    parser.add_argument(
-        "--audit",
-        action="store_true",
-        help="enable the cross-shard conservation ledger",
-    )
-    args = parser.parse_args(argv)
-    config = job_from_args(args, audit=args.audit).config
-    result = run_sharded_simulation(config, full_sweep=args.full_sweep)
-    print(result.summary_line())
-    print(
-        f"  latency p50/p95/p99: {result.latency.p50:.1f} / "
-        f"{result.latency.p95:.1f} / {result.latency.p99:.1f} cycles; "
-        f"throughput {result.throughput:.3f} flits/node/cycle; "
-        f"{result.cycles} cycles simulated"
-    )
-    for tile, counters in enumerate(result.tile_scheduler):
-        print(
-            f"  tile {tile}: {counters.router_steps} router steps / "
-            f"{counters.router_slots} slots "
-            f"(duty {counters.duty_cycle:.3f})"
-        )
-    return 0

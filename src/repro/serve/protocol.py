@@ -44,7 +44,7 @@ MAX_JOBS_PER_REQUEST = 256
 #: Config fields a request may not set, with the reason; every other
 #: :class:`SimulationConfig` field is settable under its own name.
 EXCLUDED_FIELDS = {
-    "audit": "auditing is an interactive debugging mode (python -m repro audit)",
+    "audit": "auditing is an interactive debugging mode (python -m repro --audit)",
     "router_config": (
         "a request names an architecture with 'router'; its VC and buffer "
         "structure stays the paper's, as in the CLI"

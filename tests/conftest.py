@@ -30,6 +30,29 @@ def run_small(**overrides) -> SimulationResult:
     return run_simulation(small_config(**overrides))
 
 
+@pytest.fixture
+def tripwire(monkeypatch):
+    """Every audited run of the test also runs a checker that fails the
+    first audited cycle >= 5 holding a buffered flit, naming its packet —
+    so does a shrunken candidate that still carries traffic past cycle 5.
+    (Imported here: a script importing this module must not preload the
+    audit package, tests/test_worker_context.py.)"""
+    from repro.audit import invariants
+
+    class Tripwire(invariants.InvariantChecker):
+        name = "tripwire"
+
+        def check(self, engine, snapshot, cycle) -> None:
+            if cycle >= 5 and snapshot.queue_flits:
+                pid = min(snapshot.queue_flits)
+                engine.fail(self.name, cycle, "fixture tripped", pid=pid)
+
+    monkeypatch.setattr(
+        "repro.audit.engine.default_checkers",
+        lambda: [*invariants.default_checkers(), Tripwire()],
+    )
+
+
 @pytest.fixture(scope="session")
 def baseline_results() -> dict[str, SimulationResult]:
     """One small fault-free run per architecture, shared across tests."""

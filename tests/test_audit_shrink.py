@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.__main__ import main
 from repro.audit import InvariantViolation, load_reproducer, save_reproducer, shrink
-from repro.audit.cli import audit_main
 from repro.audit.shrink import reproducer_payload
 from repro.core.config import SimulationConfig
 from repro.core.simulator import DeadlockError, Simulator
@@ -137,13 +137,26 @@ class TestReproducerFiles:
         assert SimulationConfig.from_payload(payload["config"]) == config
 
 
+SMALL = ["--size", "4", "--rate", "0.1", "--packets", "60", "--warmup", "10"]
+
+
 class TestAuditCli:
     def test_single_clean_run_exits_zero(self, capsys):
-        code = audit_main(
-            ["--size", "4", "--rate", "0.1", "--packets", "60", "--warmup", "10"]
-        )
+        code = main([*SMALL, "--audit"])
         assert code == 0
         assert "all invariants held" in capsys.readouterr().err
+
+    def test_shrunken_reproducer_replays_to_exit_zero(self, tripwire, tmp_path, capsys):
+        path = tmp_path / "repro.json"
+        assert main([*SMALL, "--audit", "--shrink", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("INVARIANT VIOLATION: [tripwire] cycle ")
+        assert f"reproducer saved to {path}: " in err
+        config, schedule, recorded = load_reproducer(path)
+        assert recorded["invariant"] == "tripwire" and schedule is None
+        assert config.total_packets < 70 and config.warmup_packets == 0
+        assert main(["--replay", str(path)]) == 0
+        assert "INVARIANT VIOLATION: [tripwire] cycle " in capsys.readouterr().err
 
     def test_replay_of_clean_reproducer_exits_one(self, tmp_path, capsys):
         path = tmp_path / "repro.json"
@@ -153,9 +166,6 @@ class TestAuditCli:
             None,
             InvariantViolation("credit", 12, "synthetic"),
         )
-        code = audit_main(["--replay", str(path)])
+        code = main(["--replay", str(path)])
         assert code == 1
         assert "did not reproduce" in capsys.readouterr().err
-
-    def test_bad_interval_rejected(self):
-        assert audit_main(["--interval", "0"]) == 2

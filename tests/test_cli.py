@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert "fault:" in out
 
+    def test_an_audited_campaign_holds(self, capsys):
+        argv = [*SMALL, "--audit", "--faults", "2", "--mtbf", "150"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("fault @ cycle ") == 2
+        assert captured.err == "audit: all invariants held\n"
+
+    def test_an_audited_sweep_holds(self, capsys):
+        assert main([*SMALL, "--audit", "--rates", "0.1,0.2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[3] for row in rows] == ["rate=0.10", "rate=0.20"]
+
     def test_every_router_runs(self, capsys):
         for router in ("generic", "path_sensitive", "roco"):
             assert (
@@ -88,13 +101,6 @@ class TestBackendFlag:
         assert capsys.readouterr().out == reference
         assert "compl=1.000" in reference
 
-    @pytest.mark.parametrize("name", ["audit", "shards"])
-    def test_object_only_subcommands_do_not_offer_it(self, name, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main([name, "--backend", "soa"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --backend" in capsys.readouterr().err
-
 
 #: argv -> what the one line on stderr has to say.
 OUTSIDE_THE_ENVELOPE = {
@@ -106,8 +112,8 @@ OUTSIDE_THE_ENVELOPE = {
         [*SMALL, "--shards", "2x2", "--faults", "2"],
         "sharded execution does not support static fault injection",
     ),
-    "shards-subcommand-planner": (
-        ["shards", *SMALL, "--shards", "4x1"],
+    "shards-planner": (
+        [*SMALL, "--shards", "4x1"],
         "each tile must be at least 2 columns wide",
     ),
     "soa-faults": (
@@ -126,6 +132,9 @@ OUTSIDE_THE_ENVELOPE = {
     ),
 }
 
+
+SHRINK = [*SMALL, "--audit", "--shrink", "r.json"]
+NOT_A_REPRODUCER = "--shrink saves a config and a fault schedule"
 
 #: Flag values the job or the executor refuses when it is built from them.
 BAD_FLAG_VALUES = {
@@ -153,8 +162,20 @@ BAD_FLAG_VALUES = {
         [*SMALL, "--rates", "0.1,0.2", "--faults", "2"],
         "static --faults is not supported in sweep mode",
     ),
+    "shrink-unaudited": ([*SMALL, "--shrink", "r.json"], "--shrink needs --audit"),
+    "shrink-sweep": ([*SHRINK, "--rates", "0.1,0.2"], "one scenario, not a sweep"),
+    "shrink-and-replay": ([*SHRINK, "--replay", "r.json"], "mutually exclusive"),
+    # A repro-audit/v1 file holds a config and a schedule, nothing else.
+    "shrink-static-faults": ([*SHRINK, "--faults", "2"], NOT_A_REPRODUCER),
+    "shrink-shards": ([*SHRINK, "--shards", "2x2"], NOT_A_REPRODUCER),
+    "shrink-soa": ([*SHRINK, "--backend", "soa"], NOT_A_REPRODUCER),
     # argparse's own error: the usage lines come first.
     "rates-empty": ([*SMALL, "--rates", ","], "argument --rates: empty rate list"),
+    # One command runs a scenario: no subcommand, no scheduler selector.
+    "audit-subcommand": (["audit", *SMALL], "unrecognized arguments: audit"),
+    "shards-subcommand": (["shards", *SMALL], "unrecognized arguments: shards"),
+    "full-sweep": ([*SMALL, "--full-sweep"], "unrecognized arguments: --full-sweep"),
+    "interval": ([*SMALL, "--interval", "2"], "unrecognized arguments: --interval 2"),
 }
 
 NOT_A_TRACEBACK = {**OUTSIDE_THE_ENVELOPE, **BAD_FLAG_VALUES}
@@ -178,17 +199,36 @@ def test_envelope_rejection_is_a_cli_error_not_a_traceback(case, tmp_path, capsy
     assert line.startswith("repro: error: ") and message in line
 
 
-def test_python_dash_m_exits_with_what_main_returns():
+#: A healthy 8x8 RoCo/XY mesh near saturation that stops draining at
+#: cycle 2798 (the XY stall of tests/test_run_contract.py, seed 1).
+STALL = [
+    "--router", "roco", "--routing", "xy", "--rate", "0.30", "--size", "8",
+    "--warmup", "500", "--packets", "3000", "--seed", "1",
+]
+
+
+def python_dash_m(argv: list[str]) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run(
-        [sys.executable, "-m", "repro", "--size", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert done.returncode == 2
-    assert done.stderr == "repro: error: mesh must be at least 2x2\n"
+
+
+def test_python_dash_m_exits_with_what_main_returns():
+    usage = python_dash_m(["--size", "1"])
+    assert usage.returncode == 2
+    assert usage.stderr == "repro: error: mesh must be at least 2x2\n"
+    # A stall is the run's outcome: one line, no traceback.
+    stall = python_dash_m(STALL)
+    assert stall.returncode == 1
+    assert stall.stderr.startswith(
+        "repro: run did not complete: no progress for 2000 cycles at cycle 2798: "
+    )
+    assert stall.stderr.count("\n") == 1
 
 
 def test_an_error_inside_the_run_still_propagates(monkeypatch):
@@ -201,9 +241,56 @@ def test_an_error_inside_the_run_still_propagates(monkeypatch):
         main(SMALL)
 
 
+class TestRunOutcome:
+    """A stall or a violation out of a run is exit 1 and no traceback."""
+
+    def test_an_unsupervised_sweep_that_stalls(self, capsys):
+        assert main([*STALL, "--rates", "0.30"]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("repro: run did not complete: no progress for ")
+
+    def test_a_violation_prints_its_text_and_the_packet_journey(
+        self, tripwire, capsys
+    ):
+        assert main([*SMALL, "--audit"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, *journey = captured.err.splitlines()
+        match = re.fullmatch(
+            r"INVARIANT VIOLATION: \[tripwire\] cycle \d+: fixture tripped "
+            r"\(packet (\d+)\)",
+            first,
+        )
+        assert match is not None
+        assert journey[0] == f"packet {match[1]}:" and len(journey) > 1
+
+    def test_a_violation_ends_an_unsupervised_audited_sweep(self, tripwire, capsys):
+        assert main([*SMALL, "--audit", "--rates", "0.1,0.2"]) == 1
+        assert "INVARIANT VIOLATION: [tripwire] cycle " in capsys.readouterr().err
+
+    def test_a_supervised_sweep_quarantines_a_violation_once(self, tripwire, capsys):
+        argv = [*SMALL, "--audit", "--rates", "0.1", "--max-retries", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(
+            "        FAILED [fatal] InvariantViolation after 1 attempt(s): "
+        )
+
+    def test_a_cross_shard_violation(self, monkeypatch, capsys):
+        from repro.audit.sharded import ShardInvariantViolation
+
+        def broken(ledger, cycle, *_):
+            raise ShardInvariantViolation("boundary-transit", cycle, 1, "fixture")
+
+        monkeypatch.setattr("repro.audit.sharded.BoundaryLedger.check", broken)
+        assert main([*SMALL, "--shards", "2x2", "--audit"]) == 1
+        assert capsys.readouterr().err == (
+            "INVARIANT VIOLATION: [boundary-transit] cycle 0 (tile 1): fixture\n"
+        )
+
+
 class TestSubcommands:
     def test_table_names_the_known_subcommands(self):
-        assert set(SUBCOMMANDS) == {"audit", "bench", "shards", "serve"}
+        assert set(SUBCOMMANDS) == {"bench", "serve"}
 
     @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
     def test_every_entry_imports_and_answers_help(self, name, capsys):
@@ -224,11 +311,13 @@ class TestSubcommands:
 
     def test_shards_runs_an_audited_mesh_and_reports_each_tile(self, capsys):
         mesh = ["--size", "8", "--shards", "2x2", "--packets", "300", "--warmup", "60"]
-        assert main(["shards", *mesh, "--rate", "0.2", "--audit"]) == 0
-        lines = capsys.readouterr().out.splitlines()
+        assert main([*mesh, "--rate", "0.2", "--audit"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
         assert [line.split(":")[0] for line in lines[-4:]] == [
             f"  tile {n}" for n in range(4)
         ]
+        assert captured.err == "audit: all invariants held\n"
 
     def test_top_level_help_lists_the_table(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -496,6 +496,17 @@ def drain(pool: ManagedWorkerSet, deadline: float = 60.0) -> dict[int, object]:
     return settled
 
 
+def raise_violation(job: SimJob) -> dict:
+    """Seed 1 breaks an invariant, any other seed the shard ledger.
+    (Imported here: a script importing this module must not preload the
+    audit package, tests/test_worker_context.py.)"""
+    from repro.audit import InvariantViolation, ShardInvariantViolation
+
+    if job.config.seed == 1:
+        raise InvariantViolation("credit", 7, "fixture")
+    raise ShardInvariantViolation("boundary-transit", 7, 1, "fixture")
+
+
 class TestWorkerSet:
     """The engine itself, below the executor and the broker."""
 
@@ -560,6 +571,18 @@ class TestWorkerSet:
             drain(pool)
         assert not any(p.is_alive() for p in processes)
         assert pool.workers == {} and pool.pump() == []
+
+    def test_an_invariant_violation_is_fatal(self):
+        """Deterministic like a stall: quarantined on its first attempt."""
+        with ManagedWorkerSet(FAST, job_fn=raise_violation) as pool:
+            for job in small_jobs(seeds=(1, 2)):
+                pool.submit(job)
+            failures = drain(pool).values()
+        assert {(f.error_type, f.kind, f.attempts) for f in failures} == {
+            ("InvariantViolation", "fatal", 1),
+            ("ShardInvariantViolation", "fatal", 1),
+        }
+        assert pool.stats.retries == 0
 
     def test_unpicklable_error_arrives_as_repr(self):
         with ManagedWorkerSet(None, workers=2, job_fn=raise_unpicklable) as pool:

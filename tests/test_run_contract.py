@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audit.cli import audit_main
+from repro.__main__ import main
 from repro.core.config import SimulationConfig
 from repro.core.runloop import packet_draws
 from repro.core.simulator import DrainTimeoutError, Simulator
@@ -101,24 +101,31 @@ def test_drain_timeout_same_cycle_and_census(engine, cell):
     assert drain_outcome(engine, overrides) == expected
 
 
-@pytest.mark.parametrize("fault_events", (0, 1))
+@pytest.mark.parametrize(
+    "fault_cycle", (None, 1000, 5), ids=("0", "1", "struck-before-the-stall")
+)
 def test_audit_cli_fails_a_fault_free_run_that_does_not_drain(
-    fault_events, monkeypatch, capsys
+    fault_cycle, monkeypatch, capsys
 ):
-    """A run with fault events may legally fail to drain (exit 0); a
-    fault-free one may not.  The event is due long after the stall, so
-    both runs stop at the cell's cycle 30."""
+    """A stall on a healthy mesh exits 1, even when a fault is due later:
+    the event at cycle 1000 never strikes, so that run stops at the cell's
+    cycle 30 like the run without one.  Once a fault has struck, the mesh
+    may legally strand packets and the run stops silently (exit 0)."""
     overrides, _ = DRAIN_CELLS["roco-tail-on-wire-s9"]
     fault = ComponentFault(NodeId(2, 1), Component.CROSSBAR, module="column")
+    faults = [] if fault_cycle is None else [fault]
     job = SimJob(
         replace(BASE, drain_timeout=0, audit=True, **overrides),
-        schedule=FaultSchedule.at_cycle(1000, [fault] * fault_events),
+        schedule=FaultSchedule.at_cycle(fault_cycle or 0, faults),
     )
-    monkeypatch.setattr("repro.audit.cli.job_from_args", lambda *_, **__: job)
-    assert audit_main([]) == (0 if fault_events else 1)
-    err = capsys.readouterr().err
-    assert "run did not complete: " in err and " at cycle 30: " in err
-    assert ("audit: all invariants held" in err) == bool(fault_events)
+    monkeypatch.setattr("repro.__main__.job_from_args", lambda _: job)
+    struck = fault_cycle == 5
+    assert main([]) == (0 if struck else 1)
+    out, err = capsys.readouterr()
+    stalled = "repro: run did not complete: " in err and " at cycle 30: " in err
+    assert stalled != struck
+    assert ("audit: all invariants held" in err) == struck
+    assert ("; 26 cycles simulated" in out) == struck
 
 
 @pytest.mark.xfail(strict=True, raises=DrainTimeoutError)

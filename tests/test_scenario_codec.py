@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.__main__ import main
 from repro.audit import load_reproducer
-from repro.audit.cli import audit_main
 from repro.audit.invariants import InvariantViolation
 from repro.audit.shrink import SCHEMA, save_reproducer
 from repro.core.config import RouterConfig, SimulationConfig
@@ -434,5 +434,5 @@ class TestReproducerFormat:
         for path in (old, new):
             # The scenario is healthy, so the replay runs to the end and
             # reports that the recorded violation did not reproduce.
-            assert audit_main(["--replay", str(path)]) == 1
+            assert main(["--replay", str(path)]) == 1
             assert "did not reproduce" in capsys.readouterr().err
