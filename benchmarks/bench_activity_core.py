@@ -10,7 +10,7 @@ operating point, where most routers are dormant most cycles, and sit
 above that at every higher load as the mesh fills.
 
 That the active scheduler produces the full sweep's records bit for bit
-is ``tests/test_activity_scheduler.py``'s contract; what it saves in
+is tests/test_engines_agree.py's ``object`` row; what it saves in
 wall time is perfbench's (``core.scheduler.duty_cycle`` next to
 ``object_cycles_per_s`` on ``mesh8_lowload``, perfbench/README.md).
 """

@@ -234,12 +234,18 @@ class VirtualChannel:
         """Remove every buffered flit of dropped packet ``pid``.
 
         Each removed flit frees its slot after the credit round-trip,
-        exactly as if it had been forwarded; the draining-worm state is
-        cleared when it belonged to the packet (also on an empty VC: the
-        head may have moved on while body flits are still upstream).
+        exactly as if it had been forwarded.  The grant (``out_dir`` /
+        ``out_vc``) belongs to the front worm, so it is cleared only when
+        that worm is the packet — the front flit's, or on an empty VC
+        ``active_pid``'s (the head may have moved on while body flits are
+        still upstream).  ``active_pid`` names the most recently pushed
+        head, which under non-atomic reallocation may be a worm queued
+        behind the draining one: a worm behind a purged front must not
+        inherit its grant, whose downstream VC the purge releases.
         Returns the number of flits removed.
         """
         queue = self.queue
+        front_pid = queue[0].packet.pid if queue else self.active_pid
         removed = 0
         if queue:
             kept = [f for f in queue if f.packet.pid != pid]
@@ -249,9 +255,10 @@ class VirtualChannel:
                 queue.extend(kept)
                 for _ in range(removed):
                     self.schedule_release(cycle)
-        if self.active_pid == pid:
+        if front_pid == pid:
             self.out_dir = None
             self.out_vc = None
+        if self.active_pid == pid:
             self.active_pid = None
         return removed
 

@@ -23,6 +23,10 @@ from dataclasses import dataclass, fields
 
 from repro.core.types import RoutingMode
 
+#: Traffic patterns that permute the bits of a node index
+#: (repro.traffic.permutations): they need whole bits.
+BIT_PERMUTATIONS = ("bit_complement", "bit_reverse", "shuffle")
+
 
 def _codec_fields(cls, last: str) -> tuple[frozenset, tuple, tuple]:
     """Split a dataclass's fields after ``last``, the final field of
@@ -222,6 +226,22 @@ class SimulationConfig:
                 )
             if self.width < 3 or self.height < 3:
                 raise ValueError("a torus needs at least 3 nodes per ring")
+            if self.router_config.vcs_per_port < 3:
+                raise ValueError(
+                    "a torus needs at least 3 VCs per port (two dateline "
+                    "classes; see docs/modeling-notes.md)"
+                )
+        if self.router == "roco" and self.router_config.vcs_per_port != 3:
+            raise ValueError(
+                "the RoCo router has 3 VCs per port (Table 1's classes), "
+                f"not {self.router_config.vcs_per_port}"
+            )
+        nodes = self.num_nodes
+        if self.traffic in BIT_PERMUTATIONS and nodes & (nodes - 1):
+            raise ValueError(
+                f"{self.traffic} traffic needs a power-of-two node count, "
+                f"got {nodes}"
+            )
 
     @property
     def num_nodes(self) -> int:

@@ -11,8 +11,8 @@ cycle) and by neighbour link launches (via a timed wake scheduled for
 the flit's arrival cycle, so receivers sleep through the wire delay).
 The ``full_sweep=True`` escape hatch restores the original
 step-every-router schedule; both produce bit-identical simulation
-results (see docs/activity-scheduling.md and
-tests/test_activity_scheduler.py).
+results (see docs/activity-scheduling.md and the ``object`` row of
+tests/test_engines_agree.py).
 """
 
 from __future__ import annotations

@@ -12,11 +12,12 @@ credit bookkeeping, the VC/switch allocators, and link advancement.
 
 The contract is bit-identity with the object backend on the supported
 envelope (see :func:`repro.core.soa.errors.ensure_supported`), pinned by
-tests/test_backend_conformance.py.  Every loop below mirrors a specific
-reference code path, including its quirks — the one-cycle-stale credit
-view of ``injection_vc_for``, the discarded re-requests of final-round
-VA losers (which still bump ``va_requests``), and the contention tally
-that walks *all* of a router's VCs once per allocator invocation.
+the ``soa`` rows of tests/test_engines_agree.py.  Every loop below
+mirrors a specific reference code path, including its quirks — the
+one-cycle-stale credit view of ``injection_vc_for``, the discarded
+re-requests of final-round VA losers (which still bump
+``va_requests``), and the contention tally that walks *all* of a
+router's VCs once per allocator invocation.
 
 Speed comes from what is *not* here: no per-flit objects, no per-call
 candidate list construction, no dict-keyed port lookups, no trace hooks

@@ -34,9 +34,10 @@ def ensure_supported(config, faults=None, schedule=None) -> None:
     """Raise :class:`BackendUnsupportedError` outside the SoA envelope.
 
     The envelope is: RoCo/generic routers on a fault-free mesh, any
-    routing mode and traffic pattern, both schedulers, audit off.  The
-    conformance grid (tests/test_backend_conformance.py) pins both the
-    supported cells (bit-identical results) and these rejections.
+    routing mode and traffic pattern, both schedulers, audit off.
+    tests/test_engines_agree.py holds every job inside it to the object
+    engine bit for bit; tests/test_backend_conformance.py pins these
+    rejections.
     """
     if config.router not in SOA_ROUTERS:
         raise BackendUnsupportedError(

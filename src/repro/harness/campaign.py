@@ -74,7 +74,7 @@ def run_campaign(
 
     ``window`` is the timeline bin width in cycles; ``full_sweep``
     selects the reference scheduler (results are bit-identical either
-    way — asserted by tests/test_runtime_faults.py).
+    way — asserted by tests/test_engines_agree.py).
 
     The probe instruments the object engine, the only one that takes
     fault events: a config choosing another engine is refused by that

@@ -257,10 +257,11 @@ class SweepJournal:
 
     One line per event: ``{"event": "ok", "key": ...}`` or ``{"event":
     "failure", "key": ..., "failure": {...}}``.  Opened with
-    ``resume=True`` it replays an existing journal (tolerating a
-    truncated final line from a crash); otherwise it starts fresh.
-    Every append is flushed and fsynced so a killed sweep loses at most
-    the in-flight line.
+    ``resume=True`` it replays an existing journal and cuts it back to
+    its last newline, dropping a line torn by a crash before the next
+    append can land on it; otherwise it starts fresh.  Every append is
+    flushed and fsynced so a killed sweep loses at most the in-flight
+    line.
     """
 
     def __init__(self, path: str | Path, resume: bool = False) -> None:
@@ -275,14 +276,18 @@ class SweepJournal:
             self._handle = self.path.open("w", encoding="utf-8")
 
     def _load(self) -> None:
-        for line in self.path.read_text(encoding="utf-8").splitlines():
+        data = self.path.read_bytes()
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            os.truncate(self.path, whole)  # the torn tail of a killed run
+        for line in data[:whole].decode("utf-8").splitlines():
             line = line.strip()
             if not line:
                 continue
             try:
                 entry = json.loads(line)
             except ValueError:
-                continue  # truncated tail of an interrupted run
+                continue  # appended onto a torn tail by an older version
             key = entry.get("key")
             if not key:
                 continue

@@ -23,8 +23,8 @@ docs/sharded-scaling.md for the full protocol):
 Because both halves replay the reference phases verbatim and all
 cross-tile visibility matches the reference's intra-cycle ordering, a
 sharded run is **bit-identical** to the single-process run — asserted
-cell-by-cell by tests/test_sharded.py and, up to 32x32, by
-``benchmarks/bench_sharded_scaling.py``.
+by the ``tiles`` rows of tests/test_engines_agree.py and, up to 32x32,
+by ``benchmarks/bench_sharded_scaling.py``.
 
 Traffic is generated from a central *oracle* (:func:`build_generation_schedule`)
 that replays the reference simulator's exact rng-draw order once up
@@ -50,12 +50,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.core.config import SimulationConfig, parse_shards
-from repro.core.runloop import StrandedCensus, drive, packet_draws
+from repro.core.runloop import StrandedCensus, drive, live_packets, packet_draws
 from repro.core.shard import TileRect, TileSimulator, delta_box
 from repro.core.simulator import SimulationResult, Simulator
 from repro.core.soa.errors import BackendUnsupportedError
 from repro.core.statistics import StatsCollector
-from repro.core.types import DropReason, NodeId, grid_nodes
+from repro.core.types import DropReason, grid_nodes
 from repro.traffic import make_traffic
 
 #: Router architectures the tile engine supports (the same pair the
@@ -371,14 +371,21 @@ class _Coordinator:
                 inbox["flits"].append(message)
 
     def stranded_census(self, cycle: int) -> StrandedCensus:
+        """The reference walk over every tile at once: one pid set, so a
+        worm straddling a cut is met once, where the reference meets it."""
+        sources, routers = {}, {}
+        for sim in self.tiles:
+            sources.update(sim.sources)
+            routers.update(sim.network.routers)
+        order = sorted(routers, key=lambda node: (node.y, node.x))
+        held = live_packets(
+            {node: sources[node] for node in order},
+            {node: routers[node] for node in order},
+        )
         return StrandedCensus.of(
             self.outstanding,
             cycle,
-            [
-                (NodeId(x, y), created)
-                for sim in self.tiles
-                for _pid, _measured, created, x, y in sim.survivors(cycle)
-            ],
+            [(node, packet.created_cycle) for node, packet in held],
         )
 
 

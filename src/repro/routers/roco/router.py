@@ -193,11 +193,11 @@ class RoCoRouter(BaseRouter):
             self._alloc_occupied = False
             return
         if self.network.full_sweep:
-            # The differential oracle: every VC of every live module is
-            # walked unconditionally, through the property and helper
-            # calls, with fresh containers.  The scheduler differential
-            # tests compare the occupancy-first path below against this
-            # branch rather than against itself.
+            # The reference: every VC of every live module is walked
+            # unconditionally, through the property and helper calls,
+            # with fresh containers.  The differential oracle compares
+            # the occupancy-first path below against this branch rather
+            # than against itself.
             stats = self.network.stats
             va_requests: list = []
             va_pending: dict[str, list] = {name: [] for name in self.modules}

@@ -12,8 +12,8 @@ permuted:
   stages of sorting/FFT networks.
 
 Patterns require power-of-two node counts (bit permutations need whole
-bits); self-addressed nodes fall back to uniform destinations so every
-node offers load.
+bits; ``SimulationConfig`` rejects any other size); self-addressed nodes
+fall back to uniform destinations so every node offers load.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ class _BitPermutationTraffic(TrafficPattern):
         self, config: SimulationConfig, rng: random.Random, nodes: list[NodeId]
     ) -> None:
         super().bind(config, rng, nodes)
-        count = len(nodes)
-        if count & (count - 1):
-            raise ValueError(
-                f"{self.name} traffic needs a power-of-two node count, got {count}"
-            )
-        self._bits = count.bit_length() - 1
+        self._bits = len(nodes).bit_length() - 1
 
     def _index(self, node: NodeId) -> int:
         return node.y * self.config.width + node.x

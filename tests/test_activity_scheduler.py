@@ -1,119 +1,24 @@
-"""Differential validation of the activity-driven scheduling core.
+"""The activity-driven scheduling core: it really sleeps, and safely.
 
 The network steps only *active* routers by default; ``full_sweep=True``
-restores the original step-every-router schedule.  The two must be
-observationally indistinguishable: every exported result field —
-latency, throughput, energy, contention, completion, drop counts —
-must match bit-for-bit across traffic patterns, routing algorithms,
-router architectures, fault sets and seeds.  These tests pin that
-contract, plus the scheduler-specific behaviours that make it worth
-having (dormant routers really do sleep) and the fault paths where
-sleeping would be easiest to get wrong (bypassed routers forwarding
-double-routed traffic, drain-timeout termination in faulty meshes).
+restores the original step-every-router schedule.  That the two are
+observationally indistinguishable — every exported result field,
+across traffic patterns, routings, routers, fault sets and seeds — is
+tests/test_engines_agree.py's ``object`` row.  These tests pin what
+makes the scheduler worth having (dormant routers really do sleep), a
+fault path where sleeping would be easiest to get wrong (a bypassed
+router forwarding double-routed traffic) and the progress callback.
 """
 
 from __future__ import annotations
 
-import random
-
-import pytest
-
-from repro.core.config import SimulationConfig
 from repro.core.simulator import Simulator, run_simulation
 from repro.core.types import NodeId
-from repro.faults import ComponentFault, random_faults
+from repro.faults import ComponentFault
 from repro.faults.model import Component
-from repro.harness.export import result_record
-from repro.routers.roco.path_set import COLUMN, ROW
+from repro.routers.roco.path_set import ROW
 
-
-def small_config(**overrides) -> SimulationConfig:
-    defaults = dict(
-        width=4,
-        height=4,
-        router="roco",
-        routing="xy",
-        traffic="uniform",
-        injection_rate=0.1,
-        seed=3,
-        warmup_packets=30,
-        measure_packets=120,
-        max_cycles=20_000,
-        fault_drop_timeout=100,
-        drain_timeout=400,
-    )
-    defaults.update(overrides)
-    return SimulationConfig(**defaults)
-
-
-def assert_equivalent(config: SimulationConfig, faults=None) -> None:
-    """Run both schedulers and compare everything they report."""
-    active = run_simulation(config, faults=faults)
-    sweep = run_simulation(config, faults=faults, full_sweep=True)
-    assert result_record(active) == result_record(sweep)
-    assert active.cycles == sweep.cycles
-    # The active scheduler must never exceed the sweep's work budget.
-    assert active.scheduler.router_steps <= sweep.scheduler.router_steps
-    assert sweep.scheduler.duty_cycle == 1.0
-
-
-# ----------------------------------------------------------------------
-# Fault-free grid: 3 routers x 3 routings x 2 traffics = 18 combos
-# ----------------------------------------------------------------------
-
-FAULT_FREE_GRID = [
-    (router, routing, traffic)
-    for router in ("generic", "path_sensitive", "roco")
-    for routing in ("xy", "xy-yx", "adaptive")
-    for traffic in ("uniform", "transpose")
-]
-
-
-@pytest.mark.parametrize("router,routing,traffic", FAULT_FREE_GRID)
-def test_differential_equivalence_fault_free(router, routing, traffic):
-    assert_equivalent(
-        small_config(router=router, routing=routing, traffic=traffic)
-    )
-
-
-def test_differential_equivalence_across_seeds_and_rates():
-    for seed, rate in ((11, 0.05), (12, 0.2), (13, 0.3)):
-        assert_equivalent(small_config(seed=seed, injection_rate=rate))
-
-
-# ----------------------------------------------------------------------
-# Faulty grid: critical and non-critical populations, every router
-# ----------------------------------------------------------------------
-
-
-def fault_population(seed: int, count: int, critical: bool) -> list[ComponentFault]:
-    nodes = [NodeId(x, y) for y in range(4) for x in range(4)]
-    return random_faults(nodes, count, random.Random(seed), critical=critical)
-
-
-FAULT_GRID = [
-    (router, critical, count, seed)
-    for router in ("generic", "path_sensitive", "roco")
-    for critical, count, seed in ((True, 2, 21), (False, 3, 22))
-]
-
-
-@pytest.mark.parametrize("router,critical,count,seed", FAULT_GRID)
-def test_differential_equivalence_under_faults(router, critical, count, seed):
-    faults = fault_population(seed, count, critical)
-    assert_equivalent(small_config(router=router, seed=seed), faults=faults)
-
-
-def test_differential_equivalence_targeted_roco_faults():
-    """Every RoCo recovery mechanism exercised under both schedulers."""
-    targeted = [
-        ComponentFault(NodeId(1, 1), Component.CROSSBAR, module=ROW),
-        ComponentFault(NodeId(2, 2), Component.RC, module=COLUMN),
-        ComponentFault(NodeId(2, 1), Component.SA, module=ROW),
-        ComponentFault(NodeId(1, 2), Component.BUFFER, module=COLUMN, vc_position=2),
-    ]
-    assert_equivalent(small_config(seed=5), faults=targeted)
-
+from .conftest import small_config
 
 # ----------------------------------------------------------------------
 # The scheduler actually sleeps (otherwise this is all pointless)
@@ -138,69 +43,28 @@ def test_full_sweep_steps_everything():
     assert sched.router_steps == 16 * sched.cycles
 
 
-def test_scheduler_telemetry_not_in_result_record():
-    """Scheduler counters describe *how* a run executed, not what it
-    simulated, and legitimately differ between schedulers — they must
-    stay out of the exported record the differential tests compare."""
-    record = result_record(run_simulation(small_config()))
-    assert not any("scheduler" in key or "duty" in key for key in record)
-
-
 # ----------------------------------------------------------------------
-# Fault paths: activity under module kills and hardware recycling
+# Fault paths: activity under hardware recycling
 # ----------------------------------------------------------------------
 
 
 def test_bypassed_rc_faulty_router_wakes_and_forwards():
     """Hardware Recycling: a router whose RC is dead still forwards
-    double-routed flits — so it must keep waking for through-traffic."""
+    double-routed flits — so it must keep waking for through-traffic
+    (the ``bypassed-rc`` cell of tests/test_engines_agree.py holds both
+    schedulers to one record)."""
     victim = NodeId(1, 1)
     faults = [ComponentFault(victim, Component.RC, module=ROW)]
     # West-to-east traffic through row 1 must transit the victim's
     # faulty Row-Module.
-    config = small_config(traffic="transpose", seed=9)
-    active = run_simulation(config, faults=faults)
-    sweep = run_simulation(config, faults=faults, full_sweep=True)
-    assert result_record(active) == result_record(sweep)
-    assert active.delivered_packets > 0
-
     sim = Simulator(small_config(traffic="transpose", seed=9), faults=faults)
     result = sim.run()
+    assert result.delivered_packets > 0
     router = sim.network.router_at(victim)
     assert router.modules[ROW].rc_faulty
     # The bypassed router was woken for forwarded traffic and went back
     # to sleep in between — it is not pinned awake, and not comatose.
     assert 0 < router.steps_taken < result.cycles
-
-
-def test_critical_module_kill_keeps_activity_equivalent():
-    """A dead Column-Module must not wedge the active scheduler: flits
-    re-routed around the kill still wake exactly the routers they
-    visit, and drops (if any) are identical under both schedulers."""
-    faults = [
-        ComponentFault(NodeId(1, 1), Component.CROSSBAR, module=COLUMN),
-        ComponentFault(NodeId(2, 2), Component.VA, module=ROW),
-    ]
-    for routing in ("xy", "adaptive"):
-        assert_equivalent(small_config(routing=routing, seed=17), faults=faults)
-
-
-def test_drain_timeout_break_identical_in_faulty_nets():
-    """The paper's inactivity termination rule (break, not deadlock
-    error) must trip at the same cycle under both schedulers."""
-    # Kill a whole column of generic routers: cross traffic wedges and
-    # the run can only end via the drain-timeout break.
-    faults = [
-        ComponentFault(NodeId(2, y), Component.CROSSBAR) for y in range(4)
-    ]
-    config = small_config(
-        router="generic", traffic="transpose", seed=23, drain_timeout=300
-    )
-    active = run_simulation(config, faults=faults)
-    sweep = run_simulation(config, faults=faults, full_sweep=True)
-    assert result_record(active) == result_record(sweep)
-    assert active.cycles == sweep.cycles
-    assert active.completion_probability < 1.0
 
 
 # ----------------------------------------------------------------------

@@ -145,6 +145,10 @@ BAD_FLAG_VALUES = {
         ["--topology", "torus", "--router", "roco", "--size", "4"],
         "torus support requires router='generic'",
     ),
+    "permutation-size": (
+        ["--traffic", "shuffle", "--size", "3"],
+        "shuffle traffic needs a power-of-two node count, got 9",
+    ),
     "workers": (
         [*SMALL, "--workers", "-1", "--rates", "0.1,0.2"],
         "workers must be >= 0",

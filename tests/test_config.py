@@ -60,6 +60,8 @@ class TestSimulationConfig:
             {"flits_per_packet": 0},
             {"measure_packets": 0},
             {"warmup_packets": -1},
+            {"router": "roco", "router_config": RouterConfig(vcs_per_port=4)},
+            {"backend": "vector"},
         ],
     )
     def test_validation(self, bad):

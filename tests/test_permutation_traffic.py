@@ -36,10 +36,8 @@ class TestBitComplement:
             assert pattern.destination(dest) == node
 
     def test_rejects_non_power_of_two(self):
-        config = SimulationConfig(width=3, height=3, injection_rate=0.1)
-        nodes = [NodeId(x, y) for y in range(3) for x in range(3)]
-        with pytest.raises(ValueError):
-            BitComplementTraffic().bind(config, random.Random(1), nodes)
+        with pytest.raises(ValueError, match="power-of-two node count, got 9"):
+            SimulationConfig(width=3, height=3, traffic="bit_complement")
 
 
 class TestBitReverse:

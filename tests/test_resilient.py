@@ -269,15 +269,25 @@ class TestSweepJournal:
         assert resumed.completed_keys == {"k"}
         assert resumed.failures == {}
 
-    def test_truncated_tail_tolerated(self, tmp_path):
+    def test_torn_at_every_byte_resumes_and_appends(self, tmp_path):
+        """A sweep killed mid-write leaves any prefix of its journal; the
+        next resume's append must not land on the torn line."""
         path = tmp_path / "journal.jsonl"
         journal = SweepJournal(path)
-        journal.record_ok("aaa")
+        for key in ("aaa", "bbb", "ccc"):
+            journal.record_ok(key)
         journal.close()
-        with path.open("a") as handle:
-            handle.write('{"event": "ok", "key": "bb')  # killed mid-write
-        resumed = SweepJournal(path, resume=True)
-        assert resumed.completed_keys == {"aaa"}
+        whole = path.read_bytes()
+        for offset in range(len(whole) + 1):
+            path.write_bytes(whole[:offset])
+            lines = whole[:offset].decode().splitlines(keepends=True)
+            done = {json.loads(line)["key"] for line in lines if line.endswith("\n")}
+            resumed = SweepJournal(path, resume=True)
+            resumed.record_ok("new")
+            resumed.close()
+            again = SweepJournal(path, resume=True)
+            again.close()
+            assert again.completed_keys == done | {"new"}, offset
 
     def test_fresh_open_truncates(self, tmp_path):
         path = tmp_path / "journal.jsonl"

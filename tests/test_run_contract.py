@@ -2,10 +2,11 @@
 
 The object reference, the SoA fast path and the sharded coordinator
 share ``repro.core.runloop.drive`` (termination), one survivor walk and
-one rng draw order.  These tests pin what that sharing promises from
-the outside: the same raise cycle and census on a drain timeout, the
-same truncated record at a ``max_cycles`` ceiling, the same ``progress``
-sequence — plus the two data-level halves of the contract,
+one rng draw order.  The same raise cycle and census on a drain timeout
+and the same truncated record at a ``max_cycles`` ceiling are the
+``drain-*`` and ``max-cycles-*`` cells of tests/test_engines_agree.py;
+these tests pin both on the object engine in absolute numbers, the same
+``progress`` sequence, and the two data-level halves of the contract,
 ``StatsCollector.merge`` and ``packet_draws``.
 
 The drain-timeout cells were picked by sweeping 4x4 roco/generic cells
@@ -33,7 +34,6 @@ from repro.core.types import DropReason, NodeId, Packet
 from repro.faults.injector import ComponentFault
 from repro.faults.model import Component
 from repro.faults.schedule import FaultSchedule
-from repro.harness.export import result_record
 from repro.harness.parallel import SimJob
 from repro.harness.sharded import run_sharded_simulation
 from repro.traffic import make_traffic
@@ -85,20 +85,15 @@ DRAIN_CELLS = {
 }
 
 
-def drain_outcome(engine: str, overrides: dict):
-    config = replace(BASE, drain_timeout=0, **overrides)
+@pytest.mark.parametrize("cell", DRAIN_CELLS)
+def test_drain_timeout_cycle_and_census(cell):
+    overrides, expected = DRAIN_CELLS[cell]
     with pytest.raises(DrainTimeoutError) as excinfo:
-        run_engine(engine, config)
+        Simulator(replace(BASE, drain_timeout=0, **overrides)).run()
     census = excinfo.value.census
     raised_at = int(str(excinfo.value).split(" at cycle ")[1].split(":")[0])
-    return raised_at, census.outstanding, census.per_node, census.oldest_age
-
-
-@pytest.mark.parametrize("cell", DRAIN_CELLS)
-@pytest.mark.parametrize("engine", ENGINES)
-def test_drain_timeout_same_cycle_and_census(engine, cell):
-    overrides, expected = DRAIN_CELLS[cell]
-    assert drain_outcome(engine, overrides) == expected
+    outcome = raised_at, census.outstanding, census.per_node, census.oldest_age
+    assert outcome == expected
 
 
 @pytest.mark.parametrize(
@@ -161,22 +156,14 @@ def test_roco_xy_drains_near_saturation(seed):
 TRUNCATED = replace(BASE, router="roco", injection_rate=0.2, seed=3)
 
 
-def truncated_outcome(engine: str, max_cycles: int):
-    result = run_engine(engine, replace(TRUNCATED, max_cycles=max_cycles))
-    return result_record(result), result.conserved, result.drops_by_reason
-
-
 @pytest.mark.parametrize("max_cycles", (1, 40, 90))
-@pytest.mark.parametrize("engine", ENGINES[1:])
-def test_max_cycles_truncates_to_the_reference_record(engine, max_cycles):
-    # ``conserved`` is required: at cycles 40 and 90 a packet has its
-    # remaining flits all on wires, where the survivor walk has to look
-    # (the inbound link registers) or leave it unbooked.
-    record, conserved, drops = truncated_outcome("object", max_cycles)
-    assert record["cycles"] == max_cycles
-    assert conserved
-    assert drops.get(DropReason.UNDELIVERED.value, 0) > 0
-    assert truncated_outcome(engine, max_cycles) == (record, conserved, drops)
+def test_max_cycles_truncates_and_books_every_packet(max_cycles):
+    # At cycles 40 and 90 a packet has its remaining flits all on wires,
+    # where the survivor walk has to look (the inbound link registers)
+    # or leave it unbooked.
+    result = Simulator(replace(TRUNCATED, max_cycles=max_cycles)).run()
+    assert (result.cycles, result.conserved) == (max_cycles, True)
+    assert result.drops_by_reason.get(DropReason.UNDELIVERED.value, 0) > 0
 
 
 def progress_sequence(engine: str) -> list[tuple]:

@@ -5,18 +5,15 @@ The load-bearing contracts:
 * **equivalence** — an empty schedule is bit-identical to a fault-free
   run, and a schedule firing entirely at cycle 0 is bit-identical to
   the same faults applied statically before wiring, on both schedulers;
-* **conservation** — under ANY schedule every generated packet ends as
-  exactly one of delivered / dropped-with-reason, and the activity and
-  full-sweep schedulers agree bit-for-bit (Hypothesis-driven below);
+* **conservation** — every generated packet ends as exactly one of
+  delivered / dropped-with-reason (under sampled schedules, and with
+  the schedulers agreeing bit for bit: tests/test_engines_agree.py);
 * **reactions** — mid-run kills salvage buffered worms, sever committed
   routes, and classify end-of-run survivors; transients heal.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from repro.core.config import SimulationConfig
 from repro.core.simulator import (
     DeadlockError,
     DrainTimeoutError,
@@ -78,31 +75,8 @@ class TestScheduleEquivalence:
         static = run_simulation(config, faults=faults, full_sweep=full_sweep)
         assert result_record(runtime) == result_record(static)
 
-    @pytest.mark.parametrize("router", ARCHITECTURES)
-    def test_schedulers_agree_on_midrun_campaign(self, router):
-        config = small_config(router=router)
-        schedule = center_kill(cycle=120)
-        active = run_simulation(config, schedule=schedule)
-        sweep = run_simulation(config, schedule=schedule, full_sweep=True)
-        assert result_record(active) == result_record(sweep)
-
-    def test_schedulers_agree_on_transient_campaign(self):
-        config = small_config()
-        schedule = center_kill(cycle=120, duration=150)
-        active = run_simulation(config, schedule=schedule)
-        sweep = run_simulation(config, schedule=schedule, full_sweep=True)
-        assert result_record(active) == result_record(sweep)
-
 
 class TestConservation:
-    @pytest.mark.parametrize("router", ARCHITECTURES)
-    def test_midrun_kill_conserves_packets(self, router):
-        result = run_simulation(
-            small_config(router=router), schedule=center_kill(cycle=120)
-        )
-        assert_conserved(result)
-        assert result.generated_packets > 0
-
     def test_multi_fault_campaign_conserves(self):
         schedule = FaultSchedule(
             [
@@ -124,54 +98,6 @@ class TestConservation:
         result = run_simulation(small_config(), schedule=center_kill(cycle=100))
         valid = {reason.value for reason in DropReason}
         assert set(result.drops_by_reason) <= valid
-
-
-# One small Hypothesis sweep: random schedule against a random seed,
-# checking conservation AND scheduler bit-identity in one property.
-schedule_params = st.fixed_dictionaries(
-    {
-        "router": st.sampled_from(ARCHITECTURES),
-        "seed": st.integers(1, 1_000),
-        "fault_count": st.integers(1, 3),
-        "fault_seed": st.integers(1, 1_000),
-        "mtbf": st.sampled_from([60.0, 200.0]),
-        "duration": st.sampled_from([None, 120]),
-    }
-)
-
-
-@settings(
-    max_examples=12,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(params=schedule_params)
-def test_conservation_under_random_schedules(params):
-    config = SimulationConfig(
-        width=4,
-        height=4,
-        router=params["router"],
-        injection_rate=0.08,
-        warmup_packets=10,
-        measure_packets=80,
-        max_cycles=20_000,
-        seed=params["seed"],
-    )
-    nodes = [NodeId(x, y) for y in range(4) for x in range(4)]
-    schedule = FaultSchedule.sampled(
-        nodes,
-        count=params["fault_count"],
-        seed=params["fault_seed"],
-        mtbf=params["mtbf"],
-        critical=True,
-        duration=params["duration"],
-        start_cycle=50,
-    )
-    active = run_simulation(config, schedule=schedule)
-    assert_conserved(active)
-    sweep = run_simulation(config, schedule=schedule, full_sweep=True)
-    assert result_record(active) == result_record(sweep)
-    assert active.drops_by_reason == sweep.drops_by_reason
 
 
 class TestRuntimeReactions:

@@ -13,7 +13,7 @@ import json
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
@@ -137,35 +137,35 @@ router_configs = st.builds(
     mirror_allocation=st.booleans(),
     lookahead_routing=st.booleans(),
 )
+routers = st.sampled_from(["generic", "path_sensitive", "roco"])
 
 
 @st.composite
 def configs(draw) -> SimulationConfig:
     torus = draw(st.booleans())
-    return SimulationConfig(
-        width=draw(st.integers(3, 12)),
-        height=draw(st.integers(3, 12)),
-        topology="torus" if torus else "mesh",
-        router="generic"
-        if torus
-        else draw(st.sampled_from(["generic", "path_sensitive", "roco"])),
-        routing=RoutingMode.XY if torus else draw(st.sampled_from(list(RoutingMode))),
-        traffic=draw(st.sampled_from(sorted(TRAFFIC_CLASSES))),
-        injection_rate=draw(st.floats(0.0, 1.0)),
-        flits_per_packet=draw(st.integers(1, 8)),
-        router_config=draw(st.none() | router_configs),
-        warmup_packets=draw(st.integers(0, 10**6)),
-        measure_packets=draw(st.integers(1, 10**6)),
-        max_cycles=draw(st.integers(1, 10**7)),
-        fault_drop_timeout=draw(st.integers(1, 10**4)),
-        drain_timeout=draw(st.integers(1, 10**4)),
-        seed=draw(st.integers(0, 2**32)),
-        audit=draw(st.booleans()),
-        backend=draw(st.sampled_from(["object", "soa"])),
-        shards=draw(
-            st.none() | st.tuples(st.integers(1, 4), st.integers(1, 4))
-        ),
-    )
+    try:
+        return SimulationConfig(
+            width=draw(st.integers(3, 12)),
+            height=draw(st.integers(3, 12)),
+            topology="torus" if torus else "mesh",
+            router="generic" if torus else draw(routers),
+            routing=RoutingMode.XY if torus else draw(st.sampled_from(RoutingMode)),
+            traffic=draw(st.sampled_from(sorted(TRAFFIC_CLASSES))),
+            injection_rate=draw(st.floats(0.0, 1.0)),
+            flits_per_packet=draw(st.integers(1, 8)),
+            router_config=draw(st.none() | router_configs),
+            warmup_packets=draw(st.integers(0, 10**6)),
+            measure_packets=draw(st.integers(1, 10**6)),
+            max_cycles=draw(st.integers(1, 10**7)),
+            fault_drop_timeout=draw(st.integers(1, 10**4)),
+            drain_timeout=draw(st.integers(1, 10**4)),
+            seed=draw(st.integers(0, 2**32)),
+            audit=draw(st.booleans()),
+            backend=draw(st.sampled_from(["object", "soa"])),
+            shards=draw(st.none() | st.tuples(st.integers(1, 4), st.integers(1, 4))),
+        )
+    except ValueError:
+        reject()  # a config that cannot run: SimulationConfig says which
 
 
 faults = st.builds(

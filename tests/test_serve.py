@@ -113,6 +113,7 @@ class TestProtocol:
             ({"kind": "nope"}, "unknown request kind"),
             ({"config": {"bogus_field": 1}}, "unknown config field"),
             ({"config": {"width": -3}}, "bad config"),
+            ({"config": {"traffic": "shuffle", "size": 3}}, "power-of-two"),
             (
                 {"kind": "campaign", "config": {}, "schedule": [], "mtbf": 1.0},
                 "not both",

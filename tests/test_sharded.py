@@ -1,10 +1,10 @@
-"""Sharded mesh execution: bit-identity, the envelope and the ledger.
+"""Sharded mesh execution: dispatch, the envelope and the ledger.
 
-The contract mirrors the SoA backend's (tests/test_backend_conformance):
-inside the envelope a sharded run must be *bit-identical* to the
+Inside the envelope a sharded run must be *bit-identical* to the
 single-process reference — same result record, same packet accounting,
-same scheduler telemetry — and outside it the engine must refuse
-loudly while the reference path stays untouched.  On top of that the
+same scheduler telemetry: the ``tiles`` rows of
+tests/test_engines_agree.py.  Outside it the engine must refuse loudly
+while the reference path stays untouched.  On top of that the
 tile protocol adds its own failure surface: boundary messages and the
 cross-shard conservation ledger, exercised here with a deterministic
 chaos hook.  Tiles are stepped in the caller's process, whatever that
@@ -13,7 +13,6 @@ process is; that is pinned here without a clock.
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
 import os
@@ -62,56 +61,9 @@ def grid_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**params)
 
 
-def assert_identical(config, shards, *, full_sweep=False):
-    reference = Simulator(config, full_sweep=full_sweep).run()
-    sharded = run_sharded_simulation(config, shards, full_sweep=full_sweep)
-    mismatches = compare_records(reference, sharded)
-    assert mismatches == []
-    return reference, sharded
-
-
 # ----------------------------------------------------------------------
-# Bit-identity
+# Dispatch (bit-identity is tests/test_engines_agree.py's ``tiles`` rows)
 # ----------------------------------------------------------------------
-
-EQUIVALENCE_CELLS = sorted(
-    itertools.product(("roco", "generic"), (False, True))
-)
-
-
-@pytest.mark.parametrize("router,full_sweep", EQUIVALENCE_CELLS)
-def test_8x8_2x2_bit_identical_across_scheduler_grid(router, full_sweep):
-    config = grid_config(router=router)
-    assert_identical(config, (2, 2), full_sweep=full_sweep)
-
-
-@pytest.mark.parametrize("size,router", [(4, "roco"), (4, "generic"), (8, "generic")])
-def test_4x4_1x2_bit_identical(size, router):
-    # The 8x8 input is the 1x2 cut under the event-driven generic router.
-    config = grid_config(
-        width=size, height=size, router=router, warmup_packets=20,
-        measure_packets=80,
-    )
-    assert_identical(config, (1, 2))
-
-
-@pytest.mark.parametrize(
-    "size,router,routing",
-    [
-        (8, "roco", "xy-yx"),
-        (8, "roco", "adaptive"),
-        (4, "roco", "xy-yx"),
-        (4, "generic", "xy-yx"),
-    ],
-)
-def test_routing_modes_bit_identical(size, router, routing):
-    config = grid_config(width=size, height=size, router=router, routing=routing)
-    assert_identical(config, (2, 2))
-
-
-def test_transpose_traffic_bit_identical():
-    config = grid_config(traffic="transpose", injection_rate=0.1)
-    assert_identical(config, (2, 1))
 
 
 def test_tile_scheduler_counters_reported():
@@ -313,7 +265,8 @@ def test_no_process_is_started(monkeypatch):
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     config = grid_config(width=4, height=4, warmup_packets=10,
                          measure_packets=40)
-    assert_identical(config, (2, 2))
+    sharded = run_sharded_simulation(config, (2, 2))
+    assert compare_records(Simulator(config).run(), sharded) == []
 
 
 def execute_recording_warnings(job: SimJob) -> dict:
@@ -386,17 +339,3 @@ def test_planner_rejection_reaches_the_caller_of_a_sharded_config():
     with pytest.raises(ShardUnsupportedError):
         # 4 columns / 3 tiles -> a 1-wide tile.
         run_sharded_simulation(config)
-
-
-# ----------------------------------------------------------------------
-# Cache keys
-# ----------------------------------------------------------------------
-
-
-def test_cache_key_stable_without_shards_and_distinct_with():
-    config = grid_config()
-    payload = config.to_payload()
-    assert "shards" not in payload
-    sharded_payload = replace(config, shards=(2, 2)).to_payload()
-    assert sharded_payload["shards"] == [2, 2]
-    assert payload != sharded_payload

@@ -153,10 +153,13 @@ class TestTorusSimulation:
         assert result.completion_probability == 1.0
 
     def test_torus_validation(self):
-        from repro.core.config import SimulationConfig
+        from repro.core.config import RouterConfig, SimulationConfig
 
         with pytest.raises(ValueError):
             SimulationConfig(topology="torus", router="roco")
+        with pytest.raises(ValueError, match="3 VCs per port"):
+            SimulationConfig(topology="torus", router="generic",
+                             router_config=RouterConfig(vcs_per_port=2))
         with pytest.raises(ValueError):
             SimulationConfig(topology="torus", router="generic", routing="adaptive")
         with pytest.raises(ValueError):
