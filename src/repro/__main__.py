@@ -25,14 +25,15 @@ to move a paper result is ``git diff`` over the regenerated baseline::
     python -m repro bench --quick --filter "fig8*" --out bench-results
     python -m repro bench --quick --out benchmarks/baseline && git diff
 
-Audited runs — ``--audit`` checks every invariant every cycle, in a
-single run or a sweep; ``--shrink`` turns a violation of a single run
-into a minimal reproducer and ``--replay`` re-runs one (see
-docs/auditing.md)::
+Audited runs and job files — ``--audit`` checks every invariant every
+cycle, in a single run or a sweep.  ``--shrink FILE`` turns any failed
+single run (a stall or a violation) into a minimal job and saves its
+payload; ``--replay FILE`` runs a saved job in place of the scenario
+flags, with the ordinary exit status (see docs/auditing.md)::
 
     python -m repro --audit --router roco --rate 0.2 --faults 2 --mtbf 500
-    python -m repro --audit --rate 0.3 --shrink repro.json
-    python -m repro --replay repro.json
+    python -m repro --audit --rate 0.3 --faults 2 --shrink job.json
+    python -m repro --replay job.json
 
 Resilient sweeps — supervise jobs with deadlines/retries, journal
 completed work, and resume an interrupted campaign without duplicating
@@ -62,10 +63,12 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
-from repro.core.runloop import AuditViolation, DeadlockError
+from repro.core.runloop import RUN_FAILURES, DeadlockError
 from repro.core.simulator import run_simulation
 from repro.core.soa.errors import BackendUnsupportedError
 from repro.harness.campaign import run_campaign
@@ -117,15 +120,15 @@ def _rate_list(text: str) -> list[float]:
     return rates
 
 
-#: Shrink to or replay a repro-audit/v1 file (single run; one of the two).
-REPRODUCER_FLAGS = {
+#: Save or run one job's payload (single run).
+JOB_FILE_FLAGS = {
     "--shrink": dict(
         metavar="FILE",
-        help="on a violation under --audit, shrink the scenario and save it here",
+        help="when the run fails, shrink its job and save the payload here",
     ),
     "--replay": dict(
         metavar="FILE",
-        help="re-run a saved reproducer under audit; exits 0 if it still fails",
+        help="run the job saved in FILE instead of the scenario flags",
     ),
 }
 
@@ -188,7 +191,7 @@ RESILIENCE_FLAGS = {
 #: The argument groups after the scenario flags: title -> (what, flags).
 FLAG_GROUPS = {
     "fault campaign": ("inject faults mid-run, not before wiring", CAMPAIGN_FLAGS),
-    "reproducers": ("repro-audit/v1 files (single run)", REPRODUCER_FLAGS),
+    "job files": ("SimJob payloads (single run)", JOB_FILE_FLAGS),
     "sweep mode": ("a grid of points instead of a single simulation", SWEEP_FLAGS),
     "execution": ("worker pool and result cache (sweep mode)", EXECUTION_FLAGS),
     "resilience": (
@@ -246,16 +249,6 @@ def _args_error(args, sweep: bool) -> str | None:
         )
     if sweep and (args.shrink or args.replay):
         return "--shrink and --replay run one scenario, not a sweep"
-    if args.shrink and args.replay:
-        return "--shrink and --replay are mutually exclusive"
-    if args.shrink and not args.audit:
-        return "--shrink needs --audit: only an audited run raises a violation"
-    if args.shrink and (static_faults or args.shards or args.backend != "object"):
-        # A repro-audit/v1 file holds a config and a schedule, nothing else.
-        return (
-            "--shrink saves a config and a fault schedule: it takes no "
-            "static --faults, --shards or --backend soa"
-        )
     return None
 
 
@@ -268,10 +261,23 @@ def _run_failed(exc: Exception) -> int:
     return 1
 
 
+def _load_job(path: str) -> SimJob:
+    """The job saved in ``path``: a ``SimJob`` payload, or a
+    ``repro-audit/v1`` file (its scenario, audited)."""
+    payload = json.loads(Path(path).read_text())
+    try:
+        if payload.pop("schema", None) is not None:
+            payload.pop("violation", None)
+            payload["config"]["audit"] = True
+        return SimJob.from_payload(payload)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path} holds no job: {exc!r}") from exc
+
+
 def _run_single(args) -> int:
     try:
-        job = job_from_args(args)
-    except ValueError as exc:
+        job = _load_job(args.replay) if args.replay else job_from_args(args)
+    except (OSError, ValueError) as exc:
         return _usage_error(exc)
     for event in job.schedule or ():
         healing = f", heals at {event.clear_cycle}" if event.transient else ""
@@ -291,10 +297,10 @@ def _run_single(args) -> int:
             result = campaign.result
         else:
             result = run_simulation(job.config, faults=list(job.faults))
-    except AuditViolation as violation:
+    except RUN_FAILURES as failure:
         if args.shrink is None:
             raise
-        return _shrink(job, violation, args.shrink)
+        return _shrink(job, failure, args.shrink)
     print(result.summary_line())
     print(
         f"  latency p50/p95/p99: {result.latency.p50:.1f} / "
@@ -315,42 +321,22 @@ def _run_single(args) -> int:
     return 0
 
 
-def _shrink(job: SimJob, violation: AuditViolation, path: str) -> int:
-    """Report ``violation``, then save the shrunken scenario to ``path``."""
-    from repro.audit.shrink import save_reproducer, shrink
+def _shrink(job: SimJob, failure: Exception, path: str) -> int:
+    """Report ``failure``, then save the shrunken job's payload to ``path``."""
+    from repro.audit.shrink import shrink
 
-    _run_failed(violation)
+    _run_failed(failure)
     print("shrinking...", file=sys.stderr)
-    result = shrink(job.config, job.schedule)
-    save_reproducer(path, result.config, result.schedule, result.violation)
+    result = shrink(job)
+    shrunk = result.job
+    Path(path).write_text(json.dumps(shrunk.to_payload(), indent=2) + "\n")
     print(
-        f"reproducer saved to {path}: {result.config.total_packets} packet(s), "
-        f"{len(result.schedule) if result.schedule else 0} fault event(s), "
+        f"job saved to {path}: {shrunk.config.total_packets} packet(s), "
+        f"{len(shrunk.faults)} static fault(s), "
+        f"{len(shrunk.schedule or ())} fault event(s), "
         f"{result.runs} shrink run(s)",
         file=sys.stderr,
     )
-    return 1
-
-
-def _run_replay(path: str) -> int:
-    """Re-run a reproducer under audit: 0 when its violation recurs."""
-    from repro.audit.shrink import load_reproducer
-
-    try:
-        config, schedule, recorded = load_reproducer(path)
-    except (OSError, ValueError) as exc:
-        return _usage_error(exc)
-    print(
-        f"replaying {path}: expecting [{recorded.get('invariant')}] "
-        f"around cycle {recorded.get('cycle')}",
-        file=sys.stderr,
-    )
-    try:
-        run_simulation(config, schedule=schedule)
-    except AuditViolation as violation:
-        _run_failed(violation)
-        return 0
-    print("reproducer ran clean (violation did not reproduce)", file=sys.stderr)
     return 1
 
 
@@ -445,11 +431,11 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command line; ``tests/test_cli.py`` holds its exit status.
 
     0: it ran.  1: the run's outcome failed — a healthy mesh stopped
-    draining or an invariant broke, in a single run or an unsupervised
-    sweep, or a replayed reproducer ran clean.  2: it cannot be run — a
-    flag value, or a configuration outside the chosen engine's envelope,
-    is the user's error, not a traceback.  Any other error from inside a
-    run propagates.
+    draining or an invariant broke (``RUN_FAILURES``), in a single run,
+    a replayed job or an unsupervised sweep.  2: it cannot be run — a
+    flag value, a file that holds no job, or a configuration outside the
+    chosen engine's envelope, is the user's error, not a traceback.  Any
+    other error from inside a run propagates.
     """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] in SUBCOMMANDS:
@@ -460,14 +446,10 @@ def main(argv: list[str] | None = None) -> int:
     if error is not None:
         return _usage_error(error)
     try:
-        if sweep:
-            return _run_sweep(args)
-        if args.replay is not None:
-            return _run_replay(args.replay)
-        return _run_single(args)
+        return _run_sweep(args) if sweep else _run_single(args)
     except BackendUnsupportedError as exc:
         return _usage_error(exc)
-    except (DeadlockError, AuditViolation) as exc:
+    except RUN_FAILURES as exc:
         return _run_failed(exc)
 
 

@@ -1,5 +1,5 @@
 """Analytical reproductions: Table 2 matching math, Figure 2 arbiter
-inventory, and Figure 3 contention measurement."""
+inventory, and the zero-load and saturation models."""
 
 from repro.analysis.arbitration import (
     ArbiterInventory,
@@ -7,7 +7,6 @@ from repro.analysis.arbitration import (
     generic_va_inventory,
     roco_va_inventory,
 )
-from repro.analysis.contention import ContentionCurve, measure_contention
 from repro.analysis.model import (
     HOP_CYCLES,
     ZeroLoadEstimate,
@@ -33,11 +32,9 @@ __all__ = [
     "bisection_saturation_rate",
     "expected_saturation_rate",
     "zero_load_latency",
-    "ContentionCurve",
     "figure2",
     "generic_non_blocking_probability",
     "generic_va_inventory",
-    "measure_contention",
     "non_blocking_assignments",
     "non_blocking_assignments_bruteforce",
     "path_sensitive_non_blocking_probability",

@@ -103,11 +103,6 @@ class MirrorAllocator:
         return winner
 
 
-def matching_size(requests: list[list[list[bool]]], grants: list[MirrorGrant]) -> int:
-    """Number of crossbar passages realised; used by tests to check maximality."""
-    return len(grants)
-
-
 def max_possible_matching(requests: list[list[list[bool]]]) -> int:
     """Brute-force maximum matching size on the 2x2 request matrix."""
     has = [[any(requests[p][s]) for s in range(2)] for p in range(2)]

@@ -3,8 +3,8 @@
 Opt-in per-cycle checking that the simulator's state machine never
 leaks, duplicates, reorders or teleports a flit, never unbalances a
 credit loop, and never emits an illegal crossbar matching — plus a
-delta-debugging shrinker that turns a failing run into a minimal,
-replayable JSON reproducer.
+delta-debugging shrinker that turns any failed run into a minimal job,
+saved and replayed as its JSON payload.
 """
 
 from repro.audit.engine import AuditEngine, NetworkSnapshot
@@ -20,13 +20,7 @@ from repro.audit.invariants import (
     default_checkers,
 )
 from repro.audit.sharded import BoundaryLedger, ShardInvariantViolation
-from repro.audit.shrink import (
-    ShrinkResult,
-    audit_failure,
-    load_reproducer,
-    save_reproducer,
-    shrink,
-)
+from repro.audit.shrink import ShrinkResult, run_failure, shrink
 
 __all__ = [
     "AuditEngine",
@@ -43,8 +37,6 @@ __all__ = [
     "FlitLocationChecker",
     "default_checkers",
     "ShrinkResult",
-    "audit_failure",
+    "run_failure",
     "shrink",
-    "save_reproducer",
-    "load_reproducer",
 ]

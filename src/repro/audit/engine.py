@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.simulator import Simulator
 
 #: Event cap for the engine's own FlightRecorder.  Large enough to hold
-#: the tail of any shrunken reproducer; the recorder's ``truncated``
+#: the tail of any shrunken job; the recorder's ``truncated``
 #: flag marks longer runs honestly.
 AUDIT_TRACE_EVENTS = 250_000
 

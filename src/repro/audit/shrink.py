@@ -1,231 +1,155 @@
-"""Delta-debugging shrinker for audit failures.
+"""Delta-debugging shrinker for failed runs.
 
-Given a scenario (config + optional fault schedule) whose audited run
-raises an :class:`InvariantViolation`, :func:`shrink` minimises it while
-preserving the failure: the cycle budget is cut to just past the
-violation, warm-up is dropped, the packet count is bisected down,
-fault-schedule events are ddmin-reduced, and a few alternate traffic
-seeds are probed for an even smaller failing run.  The result can be
-saved as a runnable JSON reproducer: ``python -m repro --audit --shrink
-FILE`` writes one for a violating run, ``python -m repro --replay FILE``
-re-runs it.
+A run *fails* when it raises one of
+:data:`~repro.core.runloop.RUN_FAILURES`: a healthy mesh stopped
+draining, or an audited run broke an invariant.  Given a
+:class:`~repro.harness.parallel.SimJob` that fails, :func:`shrink`
+minimises it while it keeps failing the same way: the cycle budget is
+cut to just past the failure, warm-up is dropped, the packet count is
+bisected down, the static faults and then the fault-schedule events are
+ddmin-reduced, and a few alternate traffic seeds are probed for an even
+smaller failing run.  ``python -m repro --shrink FILE`` saves the result
+as the job's payload; ``python -m repro --replay FILE`` runs it.
 
-The run function is injectable so tests (and future checkers with
-external triggers) can shrink scenarios whose corruption comes from a
-fixture rather than the simulator itself; the default,
-:func:`audit_failure`, simply runs the scenario with auditing on.
+The run function is injectable so tests can shrink jobs whose failure
+comes from a fixture rather than the simulator itself; the default,
+:func:`run_failure`, runs the job as given.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.audit.invariants import InvariantViolation
-from repro.core.config import SimulationConfig
+from repro.core.runloop import RUN_FAILURES
 from repro.faults.schedule import FaultSchedule
 
-#: Reproducer file format tag.
-SCHEMA = "repro-audit/v1"
+if TYPE_CHECKING:  # pragma: no cover - the audit package stays light
+    from repro.harness.parallel import SimJob
 
-#: A scenario runner: returns the violation the scenario raises, or
-#: None when it runs clean (the candidate does not reproduce).
-RunFn = Callable[[SimulationConfig, FaultSchedule | None], InvariantViolation | None]
+#: A job runner: returns the failure the job raises, or None when it
+#: runs clean (the candidate does not reproduce).
+RunFn = Callable[["SimJob"], Exception | None]
 
 
-def audit_failure(
-    config: SimulationConfig, schedule: FaultSchedule | None = None
-) -> InvariantViolation | None:
-    """Run the scenario with auditing forced on; return its violation.
-
-    Deadlock/drain failures are *not* violations — a shrunken candidate
-    that merely deadlocks did not reproduce the state corruption.
-    """
-    from repro.core.simulator import DeadlockError, run_simulation
+def run_failure(job: SimJob) -> Exception | None:
+    """Run ``job``; the run failure it raised, or None."""
+    from repro.core.simulator import run_simulation
 
     try:
-        run_simulation(replace(config, audit=True), schedule=schedule)
-    except InvariantViolation as violation:
-        return violation
-    except DeadlockError:
-        return None
+        run_simulation(job.config, faults=list(job.faults), schedule=job.schedule)
+    except RUN_FAILURES as failure:
+        return failure
     return None
 
 
 @dataclass
 class ShrinkResult:
-    """The minimised scenario and the violation it still raises."""
+    """The minimised job and the failure it still raises."""
 
-    config: SimulationConfig
-    schedule: FaultSchedule | None
-    violation: InvariantViolation
+    job: SimJob
+    failure: Exception
     runs: int
-
-    @property
-    def total_packets(self) -> int:
-        return self.config.total_packets
 
 
 def shrink(
-    config: SimulationConfig,
-    schedule: FaultSchedule | None = None,
-    run_fn: RunFn | None = None,
-    max_runs: int = 128,
+    job: SimJob, run_fn: RunFn | None = None, max_runs: int = 128
 ) -> ShrinkResult:
-    """Minimise a failing scenario with bounded delta debugging.
+    """Minimise a failing job with bounded delta debugging.
 
-    Raises ``ValueError`` when the initial scenario does not fail —
-    there is nothing to shrink.  ``max_runs`` caps the total number of
-    simulations; passes degrade gracefully when the budget runs out.
+    A candidate reproduces when it fails with the original failure's
+    type.  Raises ``ValueError`` when the job does not fail — there is
+    nothing to shrink.  ``max_runs`` caps the total number of runs;
+    passes degrade gracefully when the budget runs out.
     """
-    runner = run_fn if run_fn is not None else audit_failure
+    runner = run_fn if run_fn is not None else run_failure
     runs = 0
 
-    def attempt(
-        cfg: SimulationConfig, sched: FaultSchedule | None
-    ) -> InvariantViolation | None:
+    def attempt(candidate: SimJob) -> Exception | None:
         nonlocal runs
         if runs >= max_runs:
             return None
         runs += 1
-        return runner(cfg, sched)
+        return runner(candidate)
 
-    violation = attempt(config, schedule)
-    if violation is None:
-        raise ValueError("scenario does not fail under audit; nothing to shrink")
-    best = [config, schedule, violation]
+    failure = attempt(job)
+    if failure is None:
+        raise ValueError("the job does not fail; nothing to shrink")
+    best = [job, failure]
 
-    def adopt(cfg: SimulationConfig, sched: FaultSchedule | None) -> bool:
-        candidate = attempt(cfg, sched)
-        if candidate is None:
+    def adopt(candidate: SimJob) -> bool:
+        found = attempt(candidate)
+        if type(found) is not type(failure):
             return False
-        best[0], best[1], best[2] = cfg, sched, candidate
+        best[:] = [candidate, found]
         return True
 
+    def configured(**changes) -> SimJob:
+        return replace(best[0], config=replace(best[0].config, **changes))
+
     def tighten_cycles() -> None:
-        """Cut the run right past the (current) violation cycle."""
-        limit = best[2].cycle + 1
-        if limit < best[0].max_cycles:
-            adopt(replace(best[0], max_cycles=limit), best[1])
+        """Cut the run right past the (current) failure cycle."""
+        limit = best[1].cycle + 1
+        if limit < best[0].config.max_cycles:
+            adopt(configured(max_cycles=limit))
 
     tighten_cycles()
-    if best[0].warmup_packets:
-        adopt(replace(best[0], warmup_packets=0), best[1])
+    if best[0].config.warmup_packets:
+        adopt(configured(warmup_packets=0))
         tighten_cycles()
 
     # Bisect the measured packet count towards 1.  Failure is not
     # strictly monotone in packet count, so this is a greedy probe: a
     # failing midpoint becomes the new ceiling, a clean one the floor.
     floor = 1
-    while floor < best[0].measure_packets and runs < max_runs:
-        probe = (floor + best[0].measure_packets) // 2
-        if probe >= best[0].measure_packets:
-            break
-        if adopt(replace(best[0], measure_packets=probe), best[1]):
+    while floor < best[0].config.measure_packets and runs < max_runs:
+        probe = (floor + best[0].config.measure_packets) // 2
+        if adopt(configured(measure_packets=probe)):
             tighten_cycles()
         else:
             floor = probe + 1
 
-    if best[1] is not None and len(best[1]) > 1:
-        # Adoption happens inside the pass; afterwards best[1] holds the
-        # smallest failing schedule found.
-        _ddmin_events(list(best[1].events), best, adopt)
-        tighten_cycles()
+    def faults(kept: list) -> SimJob:
+        return replace(best[0], faults=tuple(kept))
+
+    def schedule(kept: list) -> SimJob:
+        return replace(best[0], schedule=FaultSchedule(kept) if kept else None)
+
+    # The static faults, then the schedule's events.  Adoption happens
+    # inside each pass, so best[0] ends with the smallest of each found.
+    _ddmin(list(best[0].faults), faults, adopt)
+    _ddmin(list(best[0].schedule or ()), schedule, adopt)
+    tighten_cycles()
 
     # Alternate seeds sometimes fail much earlier; probe a few at half
     # the current packet count and keep the first that still fails.
-    half = max(1, best[0].measure_packets // 2)
-    if half < best[0].measure_packets:
+    half = max(1, best[0].config.measure_packets // 2)
+    if half < best[0].config.measure_packets:
         for offset in (1, 2, 3):
             if runs >= max_runs:
                 break
-            candidate = replace(
-                best[0], seed=config.seed + offset, measure_packets=half
-            )
-            if adopt(candidate, best[1]):
+            if adopt(configured(seed=job.config.seed + offset, measure_packets=half)):
                 tighten_cycles()
                 break
 
-    return ShrinkResult(
-        config=best[0], schedule=best[1], violation=best[2], runs=runs
-    )
+    return ShrinkResult(job=best[0], failure=best[1], runs=runs)
 
 
-def _ddmin_events(events: list, best: list, adopt) -> list:
-    """Complement-style ddmin over fault-schedule events."""
+def _ddmin(items: list, rebuild: Callable[[list], SimJob], adopt) -> None:
+    """Complement-style ddmin: drop chunks of ``items`` while the job
+    ``rebuild`` makes of the rest is adopted (still fails)."""
     n = 2
-    while len(events) >= 2:
-        chunk = max(1, len(events) // n)
-        reduced = False
-        for start in range(0, len(events), chunk):
-            candidate = events[:start] + events[start + chunk :]
-            if adopt(best[0], FaultSchedule(candidate) if candidate else None):
-                events = candidate
+    while len(items) >= 2:
+        chunk = max(1, len(items) // n)
+        for start in range(0, len(items), chunk):
+            candidate = items[:start] + items[start + chunk :]
+            if adopt(rebuild(candidate)):
+                items = candidate
                 n = max(2, n - 1)
-                reduced = True
                 break
-        if not reduced:
-            if n >= len(events):
+        else:
+            if n >= len(items):
                 break
-            n = min(len(events), n * 2)
-    if len(events) == 1 and adopt(best[0], None):
-        events = []
-    return events
-
-
-# ----------------------------------------------------------------------
-# Reproducer files
-# ----------------------------------------------------------------------
-
-
-def reproducer_payload(
-    config: SimulationConfig,
-    schedule: FaultSchedule | None,
-    violation: InvariantViolation,
-) -> dict:
-    return {
-        "schema": SCHEMA,
-        "config": config.to_payload(),
-        "schedule": schedule.to_payload() if schedule else None,
-        "violation": {
-            "invariant": violation.invariant,
-            "cycle": violation.cycle,
-            "message": violation.message,
-            "node": [violation.node.x, violation.node.y]
-            if violation.node is not None
-            else None,
-            "pid": violation.pid,
-        },
-    }
-
-
-def save_reproducer(
-    path: "str | Path",
-    config: SimulationConfig,
-    schedule: FaultSchedule | None,
-    violation: InvariantViolation,
-) -> None:
-    payload = reproducer_payload(config, schedule, violation)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_reproducer(
-    path: "str | Path",
-) -> tuple[SimulationConfig, FaultSchedule | None, dict]:
-    """Load a reproducer; the returned config has auditing forced on."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != SCHEMA:
-        raise ValueError(
-            f"not an audit reproducer (schema {payload.get('schema')!r})"
-        )
-    config = replace(
-        SimulationConfig.from_payload(payload["config"]), audit=True
-    )
-    schedule = (
-        FaultSchedule.from_payload(payload["schedule"])
-        if payload.get("schedule")
-        else None
-    )
-    return config, schedule, payload.get("violation", {})
+            n = min(len(items), n * 2)
+    if len(items) == 1:
+        adopt(rebuild([]))

@@ -8,7 +8,7 @@ phases.
 
 Both dataclasses are their own codec: :meth:`to_payload` is the
 plain-JSON form every other module serialises a configuration through
-(the cache key, audit reproducers, server requests) and
+(the cache key, job files, server requests) and
 :meth:`from_payload` its inverse.  One rule decides what a payload
 holds, so a field added later needs no line anywhere else: the fields of
 cache-key format 1 appear whatever their value, every field declared

@@ -30,6 +30,12 @@ class AuditViolation(RuntimeError):
     """
 
 
+#: What makes a run *fail*: the command line's exit status 1, what the
+#: shrinker preserves, and what the job engine never retries.  Each one
+#: an engine raises carries the ``cycle`` it was raised at.
+RUN_FAILURES = (DeadlockError, AuditViolation)
+
+
 @dataclass
 class StrandedCensus:
     """Snapshot of outstanding traffic when a run fails to drain.
@@ -75,11 +81,13 @@ class StrandedCensus:
 
 
 class DrainTimeoutError(DeadlockError):
-    """No-progress drain timeout, with a census of the stranded traffic."""
+    """No-progress drain timeout at ``cycle``, with a census of the
+    stranded traffic."""
 
-    def __init__(self, message: str, census: StrandedCensus) -> None:
+    def __init__(self, message: str, census: StrandedCensus, cycle: int) -> None:
         super().__init__(f"{message}: {census.describe()}")
         self.census = census
+        self.cycle = cycle
 
 
 def drive(engine, progress=None, progress_every: int = 5000) -> int:
@@ -119,6 +127,7 @@ def drive(engine, progress=None, progress_every: int = 5000) -> int:
             raise DrainTimeoutError(
                 f"no progress for {drain_timeout} cycles at cycle {cycle}",
                 engine.stranded_census(cycle),
+                cycle,
             )
     return cycle
 

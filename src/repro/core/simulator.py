@@ -513,7 +513,6 @@ class Simulator:
 
 def run_simulation(
     config: SimulationConfig,
-    traffic: TrafficPattern | None = None,
     faults: list[ComponentFault] | None = None,
     *,
     schedule: FaultSchedule | None = None,
@@ -537,26 +536,14 @@ def run_simulation(
         from repro.harness.sharded import run_sharded_simulation
 
         return run_sharded_simulation(
-            config,
-            traffic=traffic,
-            faults=faults,
-            schedule=schedule,
-            full_sweep=full_sweep,
+            config, faults=faults, schedule=schedule, full_sweep=full_sweep
         )
     if config.backend != "object":
         from repro.core.soa.engine import run_soa_simulation
 
         return run_soa_simulation(
-            config,
-            traffic=traffic,
-            faults=faults,
-            schedule=schedule,
-            full_sweep=full_sweep,
+            config, faults=faults, schedule=schedule, full_sweep=full_sweep
         )
     return Simulator(
-        config,
-        traffic=traffic,
-        faults=faults,
-        schedule=schedule,
-        full_sweep=full_sweep,
+        config, faults=faults, schedule=schedule, full_sweep=full_sweep
     ).run()

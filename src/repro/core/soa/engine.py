@@ -107,7 +107,6 @@ class SoASimulator:
     def __init__(
         self,
         config: SimulationConfig,
-        traffic: TrafficPattern | None = None,
         faults=None,
         *,
         schedule=None,
@@ -118,7 +117,7 @@ class SoASimulator:
         self.layout = build_layout(config)
         self.full_sweep = full_sweep
         self.rng = random.Random(config.seed)
-        self.traffic = traffic if traffic is not None else make_traffic(config.traffic)
+        self.traffic = make_traffic(config.traffic)
         self.traffic.bind(config, self.rng, self.layout.nodes)
         #: True when the pattern inherits the base Bernoulli ``arrivals``
         #: verbatim — lets _generate inline the draw.
@@ -1344,7 +1343,6 @@ class SoASimulator:
 
 def run_soa_simulation(
     config: SimulationConfig,
-    traffic: TrafficPattern | None = None,
     faults=None,
     *,
     schedule=None,
@@ -1352,9 +1350,5 @@ def run_soa_simulation(
 ) -> SimulationResult:
     """SoA-backend counterpart of :func:`repro.core.simulator.run_simulation`."""
     return SoASimulator(
-        config,
-        traffic=traffic,
-        faults=faults,
-        schedule=schedule,
-        full_sweep=full_sweep,
+        config, faults=faults, schedule=schedule, full_sweep=full_sweep
     ).run()

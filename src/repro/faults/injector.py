@@ -44,7 +44,7 @@ class ComponentFault:
     vc_position: int = 0
 
     def to_payload(self) -> dict:
-        """Plain-JSON form (cache keys, schedule files, reproducers)."""
+        """Plain-JSON form (cache keys, schedule files, job files)."""
         return {
             "node": [self.node.x, self.node.y],
             "component": self.component.value,

@@ -599,7 +599,6 @@ class ParallelExecutor:
 
             policy = RetryPolicy()
         journal = self.journal
-        retry_failed = policy is not None and policy.retry_failed_on_resume
 
         pending: list[tuple[int, SimJob]] = []
         keys: list[str | None] = [None] * total
@@ -613,11 +612,7 @@ class ParallelExecutor:
                 journal_done = (
                     journal is not None and key in journal.completed_keys
                 )
-                if (
-                    journal is not None
-                    and key in journal.failures
-                    and not retry_failed
-                ):
+                if journal is not None and key in journal.failures:
                     # Replay the quarantine verdict from the interrupted
                     # run instead of re-running a known-poison job.
                     failure = journal.failure_for(key, index)

@@ -16,9 +16,8 @@ Pieces:
   the same attempt, classification and retry code run in-process where
   no pool can exist;
 * :class:`RetryPolicy` — per-job wall-clock deadlines, bounded retry
-  with exponential backoff and a global retry budget, speculative
-  re-execution of stragglers (``None`` is the unsupervised value: the
-  first failure is raised);
+  with exponential backoff, speculative re-execution of stragglers
+  (``None`` is the unsupervised value: the first failure is raised);
 * :class:`JobFailure` — a structured quarantine record for a job that
   could not be completed; it travels through ``run_jobs`` results (as a
   marker dict, see ``FAILURE_MARKER``) instead of an exception that
@@ -31,16 +30,14 @@ Pieces:
 
 Failure taxonomy (docs/resilient-execution.md):
 
-* **fatal** — deterministic simulation errors
-  (:class:`~repro.core.simulator.DeadlockError`, which includes
-  ``DrainTimeoutError``; :class:`~repro.core.runloop.AuditViolation`,
-  the base of both audit violations; ``BackendUnsupportedError``).
+* **fatal** — deterministic simulation errors: a failed run
+  (:data:`~repro.core.runloop.RUN_FAILURES`, a ``DeadlockError`` or an
+  ``AuditViolation``) or ``BackendUnsupportedError``.
   Retrying a pure function of the job cannot help; quarantine
   immediately.
 * **transient** — worker crashes, deadline timeouts, corrupted results
   and any other exception.  Retried with exponential backoff until the
-  per-job ``max_retries`` or the sweep-wide ``retry_budget`` runs out,
-  then quarantined as a crash loop.
+  per-job ``max_retries`` runs out, then quarantined as a crash loop.
 
 Determinism: a simulation is a pure function of its job, so a retried
 or speculatively duplicated execution returns the same record — the
@@ -63,7 +60,7 @@ from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 
-from repro.core.runloop import AuditViolation, DeadlockError
+from repro.core.runloop import RUN_FAILURES
 from repro.core.soa.errors import BackendUnsupportedError
 from repro.harness.parallel import (
     FAILURE_MARKER,
@@ -76,7 +73,7 @@ from repro.harness.parallel import (
 
 #: Exception types for which a retry is provably pointless: the
 #: simulator is deterministic, so the same job raises the same error.
-FATAL_EXCEPTIONS = (DeadlockError, AuditViolation, BackendUnsupportedError)
+FATAL_EXCEPTIONS = (*RUN_FAILURES, BackendUnsupportedError)
 
 #: Growth of the delay between successive retries of one job.
 BACKOFF_FACTOR = 2.0
@@ -131,21 +128,18 @@ class RetryPolicy:
 
     ``job_timeout`` is enforced only on worker processes — an
     in-process attempt cannot be preempted.  ``max_retries`` bounds the
-    re-executions of a single job; ``retry_budget`` bounds retries
-    across the whole call (``None`` = unbounded).  ``speculative``
-    launches a duplicate of a straggling job on an otherwise idle
-    worker; the first result wins (determinism makes duplicates safe).
+    re-executions of a single job.  ``speculative`` launches a duplicate
+    of a straggling job on an otherwise idle worker; the first result
+    wins (determinism makes duplicates safe).
     """
 
     job_timeout: float | None = None
     max_retries: int = 2
     backoff_base: float = 0.05
-    retry_budget: int | None = None
     speculative: bool = False
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 30.0
     validate: bool = True
-    retry_failed_on_resume: bool = False
 
     def backoff(self, attempt: int) -> float:
         """Delay before launching ``attempt`` (the first retry is 1)."""
@@ -163,9 +157,8 @@ _UNSUPERVISED = RetryPolicy(max_retries=0, validate=False)
 class JobFailure:
     """A job the worker set gave up on, as data instead of an exception.
 
-    ``kind`` is one of ``"fatal"`` (deterministic simulation error),
-    ``"retries-exhausted"`` (crash loop / persistent transient),
-    ``"retry-budget"`` (sweep-wide budget ran out first).
+    ``kind`` is ``"fatal"`` (deterministic simulation error) or
+    ``"retries-exhausted"`` (crash loop / persistent transient).
     ``attempts`` counts every launch, the first execution included.
     """
 
@@ -506,7 +499,6 @@ class ManagedWorkerSet:
         self.chaos = chaos
         self.job_fn = job_fn
         self.on_retry = on_retry
-        self.retry_budget = self.policy.retry_budget
         # Per-job state lives only while the job is unsettled, so a
         # long-lived set stays as small as its backlog.
         self.jobs: dict[int, SimJob] = {}
@@ -798,11 +790,7 @@ class ManagedWorkerSet:
             kind = "fatal"
         elif self.launches[index] > self.policy.max_retries:
             kind = "retries-exhausted"
-        elif self.retry_budget is not None and self.retry_budget <= 0:
-            kind = "retry-budget"
         else:  # retry, after the backoff delay
-            if self.retry_budget is not None:
-                self.retry_budget -= 1
             self.stats.retries += 1
             if self.on_retry is not None:
                 self.on_retry(index, attempt, type(exc).__name__)

@@ -80,15 +80,13 @@ class ShardUnsupportedError(BackendUnsupportedError):
         self.feature = feature
 
 
-def ensure_sharded_supported(config, traffic=None, faults=None, schedule=None):
+def ensure_sharded_supported(config, faults=None, schedule=None):
     """Raise :class:`ShardUnsupportedError` outside the envelope.
 
     The envelope is: RoCo/generic routers on a fault-free mesh, any
-    routing mode and *named* traffic pattern, both schedulers, the
-    object backend.  Faults are rejected because fault propagation
-    (handshake repair, purges, reachability) is global and non-local to
-    a tile; explicit traffic instances because the generation oracle
-    must be able to rebuild the pattern deterministically per tile.
+    routing mode and traffic pattern, both schedulers, the object
+    backend.  Faults are rejected because fault propagation (handshake
+    repair, purges, reachability) is global and non-local to a tile.
     """
     if config.router not in SHARD_ROUTERS:
         raise ShardUnsupportedError(
@@ -100,12 +98,6 @@ def ensure_sharded_supported(config, traffic=None, faults=None, schedule=None):
         raise ShardUnsupportedError(
             f"backend={config.backend!r}",
             "tiles run the object engine",
-        )
-    if traffic is not None:
-        raise ShardUnsupportedError(
-            "explicit traffic instances",
-            "pass a named pattern via config.traffic so the generation "
-            "oracle can replay it",
         )
     if faults:
         raise ShardUnsupportedError(
@@ -255,7 +247,6 @@ def run_sharded_simulation(
     config: SimulationConfig,
     shards=None,
     *,
-    traffic=None,
     faults=None,
     schedule=None,
     full_sweep: bool = False,
@@ -280,7 +271,7 @@ def run_sharded_simulation(
     if shards is None:
         raise ValueError("no shard spec: pass shards=... or set config.shards")
     shards = parse_shards(shards)
-    ensure_sharded_supported(config, traffic, faults, schedule)
+    ensure_sharded_supported(config, faults, schedule)
     if shards == (1, 1):
         return Simulator(config, full_sweep=full_sweep).run(
             progress=progress, progress_every=progress_every

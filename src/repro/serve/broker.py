@@ -64,6 +64,12 @@ from repro.harness.resilient import (
 #: streams it in the job's ``completed`` event instead.
 TELEMETRY_FIELD = "_serve_scheduler"
 
+#: Known keys the broker remembers; past it the oldest settled go.
+HISTORY_LIMIT = 1024
+
+#: Seconds between two ``telemetry`` events of a running job.
+TELEMETRY_INTERVAL = 1.0
+
 
 def serve_execute_job(job: SimJob) -> dict:
     """Worker entry point for server jobs: record + scheduler telemetry.
@@ -151,8 +157,6 @@ class JobBroker:
         policy: RetryPolicy | None = None,
         chaos=None,
         max_inflight: int = 64,
-        history_limit: int = 1024,
-        telemetry_interval: float = 1.0,
         job_fn=serve_execute_job,
     ) -> None:
         if max_inflight < 1:
@@ -162,8 +166,6 @@ class JobBroker:
         self.policy = policy if policy is not None else RetryPolicy()
         self.chaos = chaos
         self.max_inflight = max_inflight
-        self.history_limit = history_limit
-        self.telemetry_interval = telemetry_interval
         self.job_fn = job_fn
         self.stats = ExecutionStats()
         self.requests = 0
@@ -442,13 +444,13 @@ class JobBroker:
 
         Caller holds ``self._lock``.
         """
-        if len(self._entries) <= self.history_limit:
+        if len(self._entries) <= HISTORY_LIMIT:
             return
         settled = sorted(
             (e for e in self._entries.values() if e.terminal),
             key=lambda e: e.settled_at or 0.0,
         )
-        excess = len(self._entries) - self.history_limit
+        excess = len(self._entries) - HISTORY_LIMIT
         for entry in settled[:excess]:
             self._entries.pop(entry.key, None)
 
@@ -496,7 +498,7 @@ class JobBroker:
 
     def _maybe_telemetry(self) -> None:
         now = time.monotonic()
-        if now - self._last_telemetry < self.telemetry_interval:
+        if now - self._last_telemetry < TELEMETRY_INTERVAL:
             return
         self._last_telemetry = now
         with self._lock:

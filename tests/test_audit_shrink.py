@@ -1,4 +1,4 @@
-"""Tests for the delta-debugging shrinker and reproducer files."""
+"""Tests for the delta-debugging shrinker and the job files it saves."""
 
 import json
 from dataclasses import replace
@@ -6,26 +6,28 @@ from dataclasses import replace
 import pytest
 
 from repro.__main__ import main
-from repro.audit import InvariantViolation, load_reproducer, save_reproducer, shrink
-from repro.audit.shrink import reproducer_payload
-from repro.core.config import SimulationConfig
-from repro.core.simulator import DeadlockError, Simulator
+from repro.audit import InvariantViolation, shrink
+from repro.core.runloop import RUN_FAILURES, DrainTimeoutError
+from repro.core.simulator import Simulator
 from repro.core.types import NodeId
 from repro.faults.injector import ComponentFault
 from repro.faults.model import Component
 from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.harness.parallel import SimJob
 
 from .conftest import small_config
+from .test_engines_agree import agree
+from .test_run_contract import BASE, DRAIN_CELLS
 
 
-def _credit_corruptor_run(config, schedule):
+def _credit_corruptor_run(job):
     """A RunFn whose failure comes from a fixture, not the simulator.
 
     The trigger is size-independent (first cycle >= 5 with any buffered
     flit loses a credit), so every shrunken candidate that still carries
     traffic past cycle 5 keeps failing.
     """
-    sim = Simulator(replace(config, audit=True), schedule=schedule)
+    sim = Simulator(replace(job.config, audit=True), schedule=job.schedule)
     state = {"done": False}
 
     def corrupt(cycle, stepped):
@@ -41,100 +43,73 @@ def _credit_corruptor_run(config, schedule):
     sim.network.on_cycle_stepped = corrupt
     try:
         sim.run()
-    except InvariantViolation as violation:
-        return violation
-    except DeadlockError:
-        return None
+    except RUN_FAILURES as failure:
+        return failure
     return None
 
 
+def _fault(x) -> ComponentFault:
+    return ComponentFault(node=NodeId(x, 1), component=Component.SA)
+
+
 def _schedule(cycles) -> FaultSchedule:
-    return FaultSchedule(
-        [
-            FaultEvent(
-                cycle=c,
-                fault=ComponentFault(node=NodeId(1, 1), component=Component.SA),
-            )
-            for c in cycles
-        ]
-    )
+    return FaultSchedule([FaultEvent(cycle=c, fault=_fault(1)) for c in cycles])
 
 
 class TestShrink:
     def test_rejects_non_failing_scenario(self):
         with pytest.raises(ValueError):
-            shrink(small_config(), run_fn=lambda config, schedule: None)
+            shrink(SimJob.of(small_config()), run_fn=lambda job: None)
 
     def test_shrinks_packets_and_cycles(self):
         config = small_config(
             measure_packets=400, warmup_packets=50, injection_rate=0.1
         )
-        result = shrink(config, run_fn=_credit_corruptor_run)
-        assert result.violation.invariant == "credit"
-        assert result.total_packets <= 50
-        assert result.config.warmup_packets == 0
-        assert result.config.max_cycles <= result.violation.cycle + 1
+        result = shrink(SimJob.of(config), run_fn=_credit_corruptor_run)
+        assert result.failure.invariant == "credit"
+        assert result.job.config.total_packets <= 50
+        assert result.job.config.warmup_packets == 0
+        assert result.job.config.max_cycles <= result.failure.cycle + 1
         assert result.runs <= 128
 
     def test_ddmin_isolates_the_culprit_event(self):
-        # Synthetic runner: the failure needs exactly the cycle-42 event.
-        def run_fn(config, schedule):
-            events = schedule.events if schedule is not None else ()
-            if any(e.cycle == 42 for e in events):
+        # Synthetic runner: the failure needs exactly the x=2 static fault
+        # and the cycle-42 event, out of 4 faults and 6 events.
+        def run_fn(job):
+            events = job.schedule.events if job.schedule is not None else ()
+            if _fault(2) in job.faults and any(e.cycle == 42 for e in events):
                 return InvariantViolation("credit", 50, "synthetic")
             return None
 
+        faults = [_fault(x) for x in range(4)]
         schedule = _schedule([10, 20, 30, 42, 55, 60])
-        result = shrink(small_config(), schedule, run_fn=run_fn)
-        assert result.schedule is not None
-        assert [e.cycle for e in result.schedule.events] == [42]
-        assert result.config.measure_packets == 1
-        assert result.config.max_cycles == 51
+        result = shrink(SimJob.of(small_config(), faults, schedule), run_fn=run_fn)
+        assert result.job.faults == (_fault(2),)
+        assert [e.cycle for e in result.job.schedule.events] == [42]
+        assert result.job.config.measure_packets == 1
+        assert result.job.config.max_cycles == 51
 
     def test_schedule_dropped_when_failure_is_fault_free(self):
-        def run_fn(config, schedule):
+        def run_fn(job):
             return InvariantViolation("credit", 9, "always fails")
 
-        result = shrink(small_config(), _schedule([10, 20]), run_fn=run_fn)
-        assert result.schedule is None
+        job = SimJob.of(small_config(), [_fault(0), _fault(2)], _schedule([10, 20]))
+        result = shrink(job, run_fn=run_fn)
+        assert result.job.faults == () and result.job.schedule is None
 
-
-class TestReproducerFiles:
-    def _violation(self) -> InvariantViolation:
-        return InvariantViolation(
-            "credit", 12, "sum off by one", node=NodeId(1, 2), pid=7
-        )
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "repro.json"
-        config = small_config(measure_packets=25, warmup_packets=0)
-        schedule = _schedule([8])
-        save_reproducer(path, config, schedule, self._violation())
-        loaded_config, loaded_schedule, recorded = load_reproducer(path)
-        assert loaded_config.audit is True
-        assert replace(loaded_config, audit=False) == config
-        assert [e.cycle for e in loaded_schedule.events] == [8]
-        assert recorded["invariant"] == "credit"
-        assert recorded["cycle"] == 12
-        assert recorded["node"] == [1, 2]
-        assert recorded["pid"] == 7
-
-    def test_round_trip_without_schedule(self, tmp_path):
-        path = tmp_path / "repro.json"
-        save_reproducer(path, small_config(), None, self._violation())
-        _, loaded_schedule, _ = load_reproducer(path)
-        assert loaded_schedule is None
-
-    def test_wrong_schema_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "not-a-reproducer"}))
-        with pytest.raises(ValueError):
-            load_reproducer(path)
-
-    def test_config_payload_round_trip_keeps_router_config(self):
-        config = small_config()
-        payload = reproducer_payload(config, None, self._violation())
-        assert SimulationConfig.from_payload(payload["config"]) == config
+    @pytest.mark.parametrize(
+        "engine", [{}, {"backend": "soa"}, {"shards": (2, 2)}],
+        ids=["object", "soa", "tiles-2x2"],
+    )
+    def test_a_stall_shrinks_to_its_raise_cycle(self, engine):
+        overrides, _ = DRAIN_CELLS["roco-tail-on-wire-s9"]
+        config = replace(BASE, drain_timeout=0, **overrides, **engine)
+        result = shrink(SimJob.of(config))
+        assert isinstance(result.failure, DrainTimeoutError)
+        shrunk = result.job.config
+        assert shrunk.max_cycles == result.failure.cycle + 1
+        assert shrunk.total_packets < config.total_packets
+        assert (shrunk.backend, shrunk.shards) == (config.backend, config.shards)
 
 
 SMALL = ["--size", "4", "--rate", "0.1", "--packets", "60", "--warmup", "10"]
@@ -146,26 +121,49 @@ class TestAuditCli:
         assert code == 0
         assert "all invariants held" in capsys.readouterr().err
 
-    def test_shrunken_reproducer_replays_to_exit_zero(self, tripwire, tmp_path, capsys):
-        path = tmp_path / "repro.json"
-        assert main([*SMALL, "--audit", "--shrink", str(path)]) == 1
+    def test_a_shrunken_job_with_static_faults_replays_to_exit_one(
+        self, tripwire, tmp_path, capsys
+    ):
+        path, again = tmp_path / "job.json", tmp_path / "again.json"
+        assert main([*SMALL, "--audit", "--faults", "2", "--shrink", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("INVARIANT VIOLATION: [tripwire] cycle ")
-        assert f"reproducer saved to {path}: " in err
-        config, schedule, recorded = load_reproducer(path)
-        assert recorded["invariant"] == "tripwire" and schedule is None
-        assert config.total_packets < 70 and config.warmup_packets == 0
-        assert main(["--replay", str(path)]) == 0
+        assert f"job saved to {path}: " in err
+        job = SimJob.from_payload(json.loads(path.read_text()))
+        assert job.config.audit and job.faults == () and job.schedule is None
+        assert job.config.total_packets < 70 and job.config.warmup_packets == 0
+        # The replay fails the same way, and may be shrunk again.
+        assert main(["--replay", str(path), "--shrink", str(again)]) == 1
         assert "INVARIANT VIOLATION: [tripwire] cycle " in capsys.readouterr().err
+        rerun = SimJob.from_payload(json.loads(again.read_text()))
+        assert rerun.config.total_packets <= job.config.total_packets
 
-    def test_replay_of_clean_reproducer_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "repro.json"
-        save_reproducer(
-            path,
-            small_config(measure_packets=40, warmup_packets=0),
-            None,
-            InvariantViolation("credit", 12, "synthetic"),
-        )
-        code = main(["--replay", str(path)])
-        assert code == 1
-        assert "did not reproduce" in capsys.readouterr().err
+    def test_replay_of_a_clean_job_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        job = SimJob.of(small_config(measure_packets=40, warmup_packets=0, audit=True))
+        path.write_text(json.dumps(job.to_payload()))
+        assert main(["--replay", str(path)]) == 0
+        assert capsys.readouterr().err == "audit: all invariants held\n"
+
+    def test_the_payload_a_failing_oracle_prints_replays(self, tmp_path, capsys):
+        job = SimJob.of(small_config(measure_packets=40, warmup_packets=0))
+        with pytest.raises(pytest.fail.Exception) as failed:
+            agree(job, ["object"], {"object/sweep": {"record": "a wrong reference"}})
+        text = str(failed.value)
+        assert "python -m repro --replay FILE" in text
+        path = tmp_path / "job.json"
+        path.write_text(text.splitlines()[-1])
+        assert main(["--replay", str(path)]) == 0
+        assert "compl=1.000" in capsys.readouterr().out
+
+
+class TestReproducerFiles:
+    def test_wrong_schema_rejected(self, tmp_path, capsys):
+        """A file that holds no job is one usage line and exit 2."""
+        path = tmp_path / "job.json"
+        for content in ("{not json", '["a", "list"]', '{"schema": "not-a-reproducer"}',
+                        '{"config": {"width": 4}, "violation": {}}'):
+            path.write_text(content)
+            assert main(["--replay", str(path)]) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("repro: error: ")

@@ -133,9 +133,6 @@ OUTSIDE_THE_ENVELOPE = {
 }
 
 
-SHRINK = [*SMALL, "--audit", "--shrink", "r.json"]
-NOT_A_REPRODUCER = "--shrink saves a config and a fault schedule"
-
 #: Flag values the job or the executor refuses when it is built from them.
 BAD_FLAG_VALUES = {
     "size": (["--size", "1"], "mesh must be at least 2x2"),
@@ -166,13 +163,10 @@ BAD_FLAG_VALUES = {
         [*SMALL, "--rates", "0.1,0.2", "--faults", "2"],
         "static --faults is not supported in sweep mode",
     ),
-    "shrink-unaudited": ([*SMALL, "--shrink", "r.json"], "--shrink needs --audit"),
-    "shrink-sweep": ([*SHRINK, "--rates", "0.1,0.2"], "one scenario, not a sweep"),
-    "shrink-and-replay": ([*SHRINK, "--replay", "r.json"], "mutually exclusive"),
-    # A repro-audit/v1 file holds a config and a schedule, nothing else.
-    "shrink-static-faults": ([*SHRINK, "--faults", "2"], NOT_A_REPRODUCER),
-    "shrink-shards": ([*SHRINK, "--shards", "2x2"], NOT_A_REPRODUCER),
-    "shrink-soa": ([*SHRINK, "--backend", "soa"], NOT_A_REPRODUCER),
+    "shrink-sweep": (
+        [*SMALL, "--shrink", "r.json", "--rates", "0.1,0.2"],
+        "one scenario, not a sweep",
+    ),
     # argparse's own error: the usage lines come first.
     "rates-empty": ([*SMALL, "--rates", ","], "argument --rates: empty rate list"),
     # One command runs a scenario: no subcommand, no scheduler selector.
@@ -201,6 +195,27 @@ def test_envelope_rejection_is_a_cli_error_not_a_traceback(case, tmp_path, capsy
     *usage, line = capsys.readouterr().err.splitlines()
     assert all(text.startswith(("usage: ", " ")) for text in usage)
     assert line.startswith("repro: error: ") and message in line
+
+
+#: Single runs ``--shrink`` used to refuse.  It saves the job of any
+#: failed one; a clean run exits 0 and saves nothing.
+SHRINK_ANYWHERE = {
+    "unaudited": SMALL,
+    "static-faults": [*SMALL, "--faults", "2"],
+    "shards": [*SMALL, "--shards", "2x2"],
+    "soa": [*SMALL, "--backend", "soa"],
+    "after-replay": ["--replay", "JOB"],
+}
+
+
+@pytest.mark.parametrize("case", SHRINK_ANYWHERE)
+def test_shrink_takes_any_single_run(case, tmp_path, capsys):
+    job, saved = tmp_path / "job.json", tmp_path / "shrunk.json"
+    job.write_text('{"config": {"width": 4, "height": 4, "measure_packets": 80}}')
+    argv = [str(job) if arg == "JOB" else arg for arg in SHRINK_ANYWHERE[case]]
+    assert main([*argv, "--shrink", str(saved)]) == 0
+    assert " cycles simulated" in capsys.readouterr().out
+    assert not saved.exists()
 
 
 #: A healthy 8x8 RoCo/XY mesh near saturation that stops draining at

@@ -9,9 +9,9 @@ counters included; every record must be ``conserved``.
 rows each ran, and pins how the cell's runs end, so a regression shared
 by every engine fails it too; ``test_generated_case`` draws every config
 field, with and without faults.  A failure prints the row, its first
-differing fields and its job: ``execute_job(SimJob.from_payload(...))``
-replays it (a ``/sweep`` row through ``run_simulation(...,
-full_sweep=True)``).
+differing fields and its job's payload: saved to a file,
+``python -m repro --replay FILE`` runs it (on the active scheduler; a
+``/sweep`` row's reference is ``run_simulation(..., full_sweep=True)``).
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ def agree(job: SimJob, rows, found: dict) -> dict:
 
     def fail(row: str, lines: list[str]):
         payload = json.dumps(row_job(row, job).to_payload())
-        pytest.fail("\n".join([f"row {row!r}:", *lines[:6], "job payload:", payload]))
+        pytest.fail("\n".join([f"row {row!r}:", *lines[:6],
+                               "job (python -m repro --replay FILE):", payload]))
 
     def run(row: str) -> dict:
         if row not in found:

@@ -6,8 +6,7 @@ The contract under test (docs/resilient-execution.md):
   unrecoverable error) is quarantined as a structured ``JobFailure``
   record; the remaining jobs of the sweep/campaign complete normally;
 * bounded retry — transient failures are retried up to ``max_retries``
-  per job within the sweep-wide ``retry_budget``, with the counters
-  surfaced on ``ExecutionStats``;
+  per job, with the counters surfaced on ``ExecutionStats``;
 * resume — an interrupted sweep re-invoked with its journal performs
   zero duplicate simulations (journal + cache hits cover all completed
   jobs, journaled failures are replayed);
@@ -169,18 +168,6 @@ class TestRetries:
         assert record["attempts"] == 3  # initial + 2 retries
         assert executor.last_stats.worker_crashes == 3
         assert executor.last_stats.retries == 2
-
-    def test_retry_budget_bounds_sweep_wide_retries(self):
-        chaos = ChaosConfig(
-            rules=(ChaosRule(kind="transient", indices=None, attempts=None),)
-        )
-        policy = RetryPolicy(backoff_base=0.0, max_retries=5, retry_budget=3)
-        executor = ParallelExecutor(policy=policy, chaos=chaos)
-        records = executor.run_jobs(small_jobs())
-        assert all(is_failure_record(r) for r in records)
-        assert executor.last_stats.retries == 3
-        kinds = {r["kind"] for r in records}
-        assert "retry-budget" in kinds
 
     def test_corrupt_result_detected_and_retried(self):
         jobs = small_jobs()
@@ -363,23 +350,6 @@ class TestResume:
         assert is_failure_record(records[1])
         assert records[0] == first_records[0]
         assert records[1]["error_type"] == first_records[1]["error_type"]
-
-    def test_retry_failed_on_resume_reruns_quarantined_jobs(self, tmp_path):
-        jobs = [SimJob.of(drain_timeout_config())]
-        journal = SweepJournal(tmp_path / "journal.jsonl")
-        first = ParallelExecutor(journal=journal, policy=FAST)
-        first.run_jobs(jobs)
-        journal.close()
-
-        policy = RetryPolicy(backoff_base=0.0, retry_failed_on_resume=True)
-        resumed = ParallelExecutor(
-            journal=SweepJournal(tmp_path / "journal.jsonl", resume=True),
-            policy=policy,
-        )
-        records = resumed.run_jobs(jobs)
-        assert resumed.simulations_run == 0  # it failed again, no record
-        assert is_failure_record(records[0])
-        assert resumed.last_stats.resumed == 0  # genuinely re-attempted
 
 
 class TestInterruptConsistency:

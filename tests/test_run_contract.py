@@ -90,8 +90,7 @@ def test_drain_timeout_cycle_and_census(cell):
     overrides, expected = DRAIN_CELLS[cell]
     with pytest.raises(DrainTimeoutError) as excinfo:
         Simulator(replace(BASE, drain_timeout=0, **overrides)).run()
-    census = excinfo.value.census
-    raised_at = int(str(excinfo.value).split(" at cycle ")[1].split(":")[0])
+    raised_at, census = excinfo.value.cycle, excinfo.value.census
     outcome = raised_at, census.outstanding, census.per_node, census.oldest_age
     assert outcome == expected
 

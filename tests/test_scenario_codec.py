@@ -3,7 +3,7 @@
 ``SimulationConfig`` / ``RouterConfig`` / ``ComponentFault`` /
 ``FaultSchedule`` / ``SimJob`` each own a ``to_payload`` /
 ``from_payload`` pair, and every module that serialises a scenario — the
-cache key, audit reproducers, server requests — goes through them.  The
+cache key, job files, server requests — goes through them.  The
 tests pin the bytes (literal ``job_key`` digests computed before the
 codec existed), the round trip, and the property that makes the codec
 safe to extend: no config field can be left out of the key.
@@ -17,9 +17,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
-from repro.audit import load_reproducer
-from repro.audit.invariants import InvariantViolation
-from repro.audit.shrink import SCHEMA, save_reproducer
 from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.types import NodeId, RoutingMode
 from repro.faults.injector import ComponentFault
@@ -360,11 +357,11 @@ class TestRequestFields:
 
 
 # ----------------------------------------------------------------------
-# Audit reproducers
+# Job files
 # ----------------------------------------------------------------------
 
-#: A reproducer exactly as the pre-codec commit wrote it: the config
-#: block carries no ``audit`` key.
+#: A ``repro-audit/v1`` reproducer exactly as the pre-codec commit wrote
+#: it: the config block carries no ``audit`` key.
 OLD_REPRODUCER = {
     "schema": "repro-audit/v1",
     "config": {
@@ -412,27 +409,21 @@ OLD_REPRODUCER = {
 
 class TestReproducerFormat:
     def test_old_and_new_files_load_and_replay(self, tmp_path, capsys):
-        assert SCHEMA == "repro-audit/v1"
-        old = tmp_path / "old.json"
+        """An old reproducer replays as the job its config and schedule
+        name, audited; the job file ``--shrink`` writes today is that
+        job's payload.  The scenario is healthy: both run clean."""
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
         old.write_text(json.dumps(OLD_REPRODUCER))
-        config, schedule, recorded = load_reproducer(old)
-        assert config.audit and len(schedule) == 1
-        assert recorded["invariant"] == "credit"
-
-        new = tmp_path / "new.json"
-        save_reproducer(
-            new,
-            config,
-            schedule,
-            InvariantViolation("credit", 12, "synthetic", node=NodeId(1, 1), pid=4),
+        config = SimulationConfig.from_payload(OLD_REPRODUCER["config"])
+        job = SimJob(
+            replace(config, audit=True),
+            schedule=FaultSchedule.from_payload(OLD_REPRODUCER["schedule"]),
         )
-        written = json.loads(new.read_text())
-        assert written["config"].pop("audit") is True
-        assert written == OLD_REPRODUCER
-        assert load_reproducer(new) == (config, schedule, recorded)
-
+        new.write_text(json.dumps(job.to_payload()))
+        outputs = []
         for path in (old, new):
-            # The scenario is healthy, so the replay runs to the end and
-            # reports that the recorded violation did not reproduce.
-            assert main(["--replay", str(path)]) == 1
-            assert "did not reproduce" in capsys.readouterr().err
+            assert main(["--replay", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("fault @ cycle 20: rc at (1,1) (row module)")
+        assert outputs[0].err == "audit: all invariants held\n"

@@ -166,8 +166,6 @@ def test_envelope_rejections():
         )
     with pytest.raises(ShardUnsupportedError):
         ensure_sharded_supported(replace(base, backend="soa"))
-    with pytest.raises(ShardUnsupportedError):
-        ensure_sharded_supported(base, traffic=object())
     fault = ComponentFault(NodeId(0, 0), Component.BUFFER)
     with pytest.raises(ShardUnsupportedError):
         ensure_sharded_supported(base, faults=[fault])
