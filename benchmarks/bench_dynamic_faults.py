@@ -100,7 +100,10 @@ def bench(ctx):
     # The resilience staircase from one instrumented RoCo campaign:
     # service measured against faults accumulated at injection time.
     campaign = run_campaign(
-        config_for("roco", warmup, measure), FaultSchedule(list(KILL_SEQUENCE))
+        SimJob.of(
+            config_for("roco", warmup, measure),
+            schedule=FaultSchedule(list(KILL_SEQUENCE)),
+        )
     )
     ctx.absorb(campaign.result)
     assert campaign.conserved

@@ -190,7 +190,7 @@ RESILIENCE_FLAGS = {
 
 #: The argument groups after the scenario flags: title -> (what, flags).
 FLAG_GROUPS = {
-    "fault campaign": ("inject faults mid-run, not before wiring", CAMPAIGN_FLAGS),
+    "fault campaign": ("inject faults mid-run, not at cycle 0", CAMPAIGN_FLAGS),
     "job files": ("SimJob payloads (single run)", JOB_FILE_FLAGS),
     "sweep mode": ("a grid of points instead of a single simulation", SWEEP_FLAGS),
     "execution": ("worker pool and result cache (sweep mode)", EXECUTION_FLAGS),
@@ -227,7 +227,6 @@ def _usage_error(reason: Exception | str) -> int:
 def _args_error(args, sweep: bool) -> str | None:
     """Why the parsed flags cannot run together, or None when they can."""
     campaign = args.mtbf is not None or args.fault_schedule is not None
-    static_faults = bool(args.faults) and not campaign
     if args.num_seeds < 1:
         return "--num-seeds must be >= 1"
     if args.fault_schedule is not None and args.mtbf is not None:
@@ -242,11 +241,6 @@ def _args_error(args, sweep: bool) -> str | None:
         return "--weibull-shape requires --mtbf"
     if args.resume and args.journal is None and not args.cache_dir:
         return "--resume needs --journal FILE or --cache-dir DIR to find the journal"
-    if sweep and static_faults:
-        return (
-            "static --faults is not supported in sweep mode "
-            "(use --mtbf or --fault-schedule for campaigns)"
-        )
     if sweep and (args.shrink or args.replay):
         return "--shrink and --replay run one scenario, not a sweep"
     return None
@@ -293,7 +287,7 @@ def _run_single(args) -> int:
     campaign = None
     try:
         if job.schedule is not None:
-            campaign = run_campaign(job.config, job.schedule)
+            campaign = run_campaign(job)
             result = campaign.result
         else:
             result = run_simulation(job.config, faults=list(job.faults))
@@ -369,12 +363,10 @@ def _run_sweep(args) -> int:
     seeds = list(range(args.seed, args.seed + args.num_seeds))
     try:
         base = job_from_args(args)
-        # One campaign, sampled at --seed, strikes every point of the grid.
+        # One fault population or campaign, drawn at --seed, strikes
+        # every point of the grid.
         jobs = [
-            SimJob.of(
-                replace(base.config, injection_rate=rate, seed=seed),
-                schedule=base.schedule,
-            )
+            replace(base, config=replace(base.config, injection_rate=rate, seed=seed))
             for rate in rates
             for seed in seeds
         ]

@@ -151,10 +151,6 @@ class VirtualChannel:
             self._releases.popleft()
             self._available += 1
 
-    def shrink_for_fault(self) -> None:
-        """Re-base credits after this buffer is marked faulty (depth -> 1)."""
-        self.rebase_credits()
-
     def rebase_credits(self) -> None:
         """Recompute credits from first principles after a capacity change.
 

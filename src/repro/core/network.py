@@ -42,9 +42,6 @@ class Network:
         self.stats = StatsCollector(num_nodes=config.num_nodes)
         self.cycle = 0
         self.has_faults = False
-        #: True once :meth:`wire` ran; static fault injection must happen
-        #: before, runtime injection (repro.faults.runtime) after.
-        self.wired = False
         #: Escape hatch: step every router every cycle (the pre-activity
         #: schedule), used to differentially validate the active-set path.
         self.full_sweep = full_sweep
@@ -101,10 +98,9 @@ class Network:
         return list(self.routers)
 
     def wire(self) -> None:
-        """Finalise neighbour wiring; call after static fault injection."""
+        """Finalise neighbour wiring; faults strike after (or before) it."""
         for router in self._router_list:
             router.wire()
-        self.wired = True
 
     def refresh_handshake(self, node: NodeId) -> None:
         """Recompute dead-port handshake state around ``node``.

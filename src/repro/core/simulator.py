@@ -33,7 +33,7 @@ from repro.core.types import (
     make_packet_flits,
 )
 from repro.energy.model import EnergyModel, EnergyReport
-from repro.faults.injector import ComponentFault, apply_faults
+from repro.faults.injector import ComponentFault
 from repro.faults.runtime import RuntimeFaultEngine
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.latency import LatencySummary
@@ -254,8 +254,6 @@ class Simulator:
         self.network = Network(config, full_sweep=full_sweep)
         self.traffic = traffic if traffic is not None else make_traffic(config.traffic)
         self.traffic.bind(config, self.rng, self.network.nodes)
-        self.faults = list(faults) if faults else []
-        apply_faults(self.network, self.faults)
         self.network.wire()
         self.sources = {
             node: Source(node, self.network.router_at(node))
@@ -268,16 +266,25 @@ class Simulator:
         self._pending_events = deque(self.schedule.events) if self.schedule else deque()
         self._expiries: list = []  # heap of (clear_cycle, seq, fault)
         self._expiry_seq = 0
-        if self.schedule is not None:
-            #: pid -> live Packet, so runtime eviction can resolve VC
-            #: ownership claims; maintained only when a schedule exists.
-            self._packet_registry: dict[int, Packet] | None = {}
-            self._fault_engine: RuntimeFaultEngine | None = RuntimeFaultEngine(
-                self.network, self._packet_registry.get
+        #: pid -> live Packet, so runtime eviction can resolve VC
+        #: ownership claims; maintained only when a schedule exists.
+        self._packet_registry: dict[int, Packet] | None = (
+            {} if self.schedule is not None else None
+        )
+        #: Strike cycles that killed a node or module, in order: the
+        #: steps of the degradation staircase (ResilienceProbe).
+        self.topology_changes: list[int] = []
+        #: Static faults strike here, as permanent faults at cycle 0, on
+        #: the engine that later strikes and heals the schedule's events.
+        self.faults: list[ComponentFault] = []
+        self._fault_engine: RuntimeFaultEngine | None = None
+        if faults or self.schedule is not None:
+            registry = self._packet_registry
+            self._fault_engine = RuntimeFaultEngine(
+                self.network, registry.get if registry is not None else None
             )
-        else:
-            self._packet_registry = None
-            self._fault_engine = None
+            for fault in faults or ():
+                self._strike(fault, 0)
         #: Nodes able to inject, in node order; read by the draw
         #: generator every cycle, so refreshed in place.
         self._gen_nodes: list[NodeId] = []
@@ -389,12 +396,18 @@ class Simulator:
     # Runtime fault campaign
     # ------------------------------------------------------------------
 
+    def _strike(self, fault: ComponentFault, cycle: int) -> None:
+        """Strike ``fault`` through the engine and record it."""
+        if self._fault_engine.apply(fault, cycle):
+            self.topology_changes.append(cycle)
+        self.faults.append(fault)
+
     def _process_fault_events(self, cycle: int) -> None:
         """Heal due transients and strike due events, in schedule order.
 
         Runs at the top of the cycle — before generation and injection —
         so a schedule firing entirely at cycle 0 produces exactly the
-        state a static ``apply_faults`` run starts from.
+        state the same faults given as static faults start from.
         """
         engine = self._fault_engine
         touched = False
@@ -404,8 +417,7 @@ class Simulator:
             touched = True
         while self._pending_events and self._pending_events[0].cycle <= cycle:
             event = self._pending_events.popleft()
-            engine.apply(event.fault, cycle)
-            self.faults.append(event.fault)
+            self._strike(event.fault, cycle)
             if event.duration is not None:
                 self._expiry_seq += 1
                 heapq.heappush(
@@ -520,11 +532,12 @@ def run_simulation(
 ) -> SimulationResult:
     """Convenience one-call entry point: build, run, return the result.
 
-    ``faults`` are applied statically before the run; ``schedule``
+    ``faults`` strike as permanent faults at cycle 0; ``schedule``
     delivers runtime fault events to the live network mid-run (the two
-    compose).  ``full_sweep=True`` disables activity-driven scheduling
-    and steps every router every cycle — slower, but useful for
-    differential validation of the active-set scheduler.
+    compose, on one fault engine).  ``full_sweep=True`` disables
+    activity-driven scheduling and steps every router every cycle —
+    slower, but useful for differential validation of the active-set
+    scheduler.
 
     ``config.backend`` selects the execution engine: ``"object"`` runs
     this module's reference :class:`Simulator`; ``"soa"`` dispatches to

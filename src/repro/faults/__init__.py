@@ -1,4 +1,5 @@
-"""Fault model: static injection, runtime campaigns and recovery."""
+"""Fault model: populations, one fault engine for static faults and
+runtime campaigns, and recovery."""
 
 from repro.faults.injector import (
     ComponentFault,

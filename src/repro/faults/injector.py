@@ -1,9 +1,11 @@
-"""Static permanent-fault injection (paper Section 5.4).
+"""Fault populations and the Table-3 classifier (paper Section 5.4).
 
-Faults are injected before simulation starts ("we assumed permanent
-failures to be handled statically") at randomly chosen distinct routers.
-The *same* fault population is applied to every architecture under
-comparison; only the reaction differs:
+Static faults strike before any traffic moves ("we assumed permanent
+failures to be handled statically") at randomly chosen distinct routers,
+through the same :class:`~repro.faults.runtime.RuntimeFaultEngine` that
+strikes mid-run faults.  The *same* fault population is applied to every
+architecture under comparison; only the reaction
+(:func:`fault_effect`) differs:
 
 * generic / Path-Sensitive routers — any component fault takes the whole
   node off-line (their operation is unified across components);
@@ -135,41 +137,17 @@ def fault_effect(router, fault: ComponentFault) -> tuple:
 
 
 def apply_faults(network: Network, faults: list[ComponentFault]) -> None:
-    """Imprint ``faults`` onto the network's routers.
+    """Strike ``faults`` on ``network`` as permanent faults at cycle 0.
 
-    Must run before :meth:`Network.wire` so the dead-port handshake state
-    the neighbours cache reflects the faults; faults arriving *during* a
-    run go through :mod:`repro.faults.runtime` instead, which repairs
-    the cached handshake state and salvages in-flight traffic.
+    A loop over one :class:`~repro.faults.runtime.RuntimeFaultEngine`,
+    the only code that marks a fault; it works before or after
+    :meth:`Network.wire`.  The simulator strikes its static faults
+    through its own engine, so nothing in ``src/`` calls this.  It stays
+    for one reason: perfbench's frozen ``layers.py`` imports it.  It goes
+    when that import does.
     """
-    if not faults:
-        return
-    if network.wired:
-        raise RuntimeError(
-            "apply_faults must run before Network.wire: neighbours have "
-            "already cached dead-port handshake state.  Use "
-            "repro.faults.runtime (or a FaultSchedule) to inject faults "
-            "into a live network."
-        )
-    network.has_faults = True
+    from repro.faults.runtime import RuntimeFaultEngine  # import cycle guard
+
+    engine = RuntimeFaultEngine(network)
     for fault in faults:
-        router = network.routers[fault.node]
-        effect = fault_effect(router, fault)
-        if effect[0] == "node":
-            router.dead = True
-            for vc in router.all_vcs():
-                vc.dead = True
-            continue
-        module = router.modules[fault.module]
-        if effect[0] == "module":
-            module.dead = True
-            for vc in module.all_vcs():
-                vc.dead = True
-        elif effect[0] == "rc":
-            module.rc_faulty = True
-        elif effect[0] == "sa":
-            module.sa_degraded = True
-        else:  # buffer
-            vc = module.all_vcs()[effect[3]]
-            vc.faulty = True
-            vc.shrink_for_fault()
+        engine.apply(fault, cycle=0)

@@ -1,15 +1,17 @@
-"""Runtime fault application: imprinting faults onto a *live* network.
+"""Fault application: the one code that imprints faults on a network.
 
-Static injection (:func:`repro.faults.injector.apply_faults`) runs before
-``Network.wire`` and can simply flip flags — nothing is in flight yet.
-A fault striking mid-run is harder: buffered worms may sit inside the
-dying module, neighbours have cached dead-port handshake state from
-wiring time, upstream virtual channels hold allocations pointing into
-the dead region, and look-ahead routes committed before the fault would
-send worms straight into it.  :class:`RuntimeFaultEngine` handles all of
-that:
+Static faults and scheduled ones both strike here: the simulator strikes
+its static faults at cycle 0, right after ``Network.wire``, so one
+reference-count table covers both kinds.  A fault striking mid-run is
+the hard case: buffered worms may sit inside the dying module,
+neighbours have cached dead-port handshake state from wiring time,
+upstream virtual channels hold allocations pointing into the dead
+region, and look-ahead routes committed before the fault would send
+worms straight into it.  :class:`RuntimeFaultEngine` handles all of
+that (at cycle 0 nothing is in flight, so salvage and severing find
+nothing to do):
 
-* **imprint** — the same Table-3 reaction dispatch as static injection
+* **imprint** — the Table-3 reaction of :func:`fault_effect`
   (node dead / module dead / rc_faulty / sa_degraded / buffer shrink);
 * **salvage** — packets with flits buffered inside a dying module are
   dropped network-wide with :data:`DropReason.BUFFERED_IN_DEAD` (their
@@ -25,8 +27,9 @@ that:
 
 Transient faults reverse the imprint on expiry (traffic lost while the
 fault was active stays lost, matching real hardware).  Overlapping
-faults on the same effect are reference-counted so a transient expiring
-under a permanent fault does not resurrect the component.
+faults on the same effect — a static fault included — are
+reference-counted so a transient expiring under a permanent fault does
+not resurrect the component.
 """
 
 from __future__ import annotations

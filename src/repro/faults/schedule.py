@@ -169,17 +169,6 @@ class FaultSchedule:
         )
         return f"FaultSchedule({len(self.events)} events, {span})"
 
-    @property
-    def topology_event_cycles(self) -> tuple[int, ...]:
-        """Strike cycles of events that change reachability (kills)."""
-        from repro.faults.model import CRITICAL_FAULT_COMPONENTS
-
-        return tuple(
-            e.cycle
-            for e in self.events
-            if e.fault.component in CRITICAL_FAULT_COMPONENTS
-        )
-
     # -- serialisation -----------------------------------------------------
 
     def to_payload(self) -> list[dict]:

@@ -1,11 +1,12 @@
 """Fault-campaign runner: simulations under runtime fault schedules.
 
 A *campaign* is an ordinary simulation with a
-:class:`~repro.faults.schedule.FaultSchedule` striking mid-run, plus the
-resilience instrumentation a degradation study needs: the conservation
-ledger, service timelines and the delivered-fraction-vs-fault-count
-staircase.  :func:`run_campaign` wires all of that together so callers
-(the CLI, the dynamic-fault benchmark, tests) get one object back.
+:class:`~repro.faults.schedule.FaultSchedule` striking mid-run (and any
+static faults striking at cycle 0), plus the resilience instrumentation
+a degradation study needs: the conservation ledger, service timelines
+and the delivered-fraction-vs-fault-count staircase.
+:func:`run_campaign` wires all of that together so callers (the CLI,
+the dynamic-fault benchmark, tests) get one object back.
 
 To fan out over many schedules or configs, run
 ``SimJob.of(config, schedule=s)`` jobs through a
@@ -21,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import SimulationConfig
 from repro.core.simulator import SimulationResult, Simulator
 from repro.core.soa.errors import ensure_supported
-from repro.faults.schedule import FaultSchedule
+from repro.harness.parallel import SimJob
 from repro.harness.sharded import ensure_sharded_supported
 from repro.metrics.resilience import PacketAccounting, ResilienceProbe
 
@@ -36,7 +36,7 @@ class CampaignResult:
     result: SimulationResult
     accounting: PacketAccounting
     probe: ResilienceProbe
-    schedule: FaultSchedule
+    job: SimJob
 
     @property
     def delivered_fraction(self) -> float:
@@ -47,10 +47,16 @@ class CampaignResult:
         return self.accounting.conserved
 
     def summary_lines(self) -> list[str]:
-        """Human-readable campaign report (CLI output)."""
+        """Human-readable campaign report (CLI output).
+
+        Static faults count as fault events striking at cycle 0; an
+        event is topology-affecting when its strike killed a node or a
+        module.
+        """
+        events = len(self.job.faults) + len(self.job.schedule or ())
+        kills = len(self.probe.simulator.topology_changes)
         lines = [
-            f"fault events: {len(self.schedule)} "
-            f"({len(self.schedule.topology_event_cycles)} topology-affecting)",
+            f"fault events: {events} ({kills} topology-affecting)",
             f"packets: {self.accounting.describe()}",
         ]
         staircase = self.probe.delivered_by_fault_count()
@@ -64,33 +70,35 @@ class CampaignResult:
 
 
 def run_campaign(
-    config: SimulationConfig,
-    schedule: FaultSchedule,
+    job: SimJob,
     *,
     full_sweep: bool = False,
     window: int = 100,
 ) -> CampaignResult:
-    """Run ``config`` under ``schedule`` with resilience instrumentation.
+    """Run ``job`` — its static faults and its schedule — instrumented.
 
     ``window`` is the timeline bin width in cycles; ``full_sweep``
     selects the reference scheduler (results are bit-identical either
     way — asserted by tests/test_engines_agree.py).
 
     The probe instruments the object engine, the only one that takes
-    fault events: a config choosing another engine is refused by that
+    faults: a config choosing another engine is refused by that
     engine's own envelope check (``BackendUnsupportedError``), as
     :func:`~repro.core.simulator.run_simulation` would refuse it.
     """
+    config = job.config
     if config.shards not in (None, (1, 1)):
-        ensure_sharded_supported(config, schedule=schedule)
+        ensure_sharded_supported(config, job.faults, job.schedule)
     elif config.backend != "object":
-        ensure_supported(config, schedule=schedule)
-    simulator = Simulator(config, schedule=schedule, full_sweep=full_sweep)
+        ensure_supported(config, job.faults, job.schedule)
+    simulator = Simulator(
+        config, faults=list(job.faults), schedule=job.schedule, full_sweep=full_sweep
+    )
     probe = ResilienceProbe(simulator, window=window)
     result = simulator.run()
     return CampaignResult(
         result=result,
         accounting=PacketAccounting.from_result(result),
         probe=probe,
-        schedule=schedule,
+        job=job,
     )

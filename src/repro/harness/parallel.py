@@ -69,8 +69,8 @@ def is_failure_record(record: dict) -> bool:
 class SimJob:
     """One simulation to run: a configuration plus its fault population.
 
-    ``faults`` are applied statically before wiring; ``schedule`` is a
-    runtime fault campaign consumed mid-run.  Both are part of the cache
+    ``faults`` strike at cycle 0; ``schedule`` is a runtime fault
+    campaign consumed mid-run.  Both are part of the cache
     key, but the key of a schedule-free job is unchanged from earlier
     versions so existing caches stay valid.
     """

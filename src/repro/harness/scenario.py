@@ -66,7 +66,7 @@ FAULT_FLAGS = {
     ),
 }
 
-#: Runtime campaigns: faults that strike mid-run instead of before wiring.
+#: Runtime campaigns: faults that strike mid-run instead of at cycle 0.
 CAMPAIGN_FLAGS = {
     "--fault-schedule": dict(
         metavar="FILE",
@@ -117,7 +117,7 @@ def job_from_args(args: argparse.Namespace) -> SimJob:
 
     ``--fault-schedule`` loads a runtime campaign and ``--faults N
     --mtbf M`` samples one; ``--faults N`` alone draws a static
-    population applied before wiring.
+    population that strikes at cycle 0.
     """
     config = SimulationConfig(
         width=args.size,

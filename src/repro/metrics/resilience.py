@@ -122,10 +122,11 @@ class ResilienceProbe:
         probe.throughput_timeline()          # packets/cycle per window
         probe.delivered_by_fault_count()     # degradation staircase
 
-    The fault-count segmentation keys each packet by how many
-    topology-affecting schedule events had fired *at or before* its
-    creation cycle, so the staircase reads "of traffic injected while k
-    nodes/modules were dead, what fraction still got through?".
+    The fault-count segmentation keys each packet by how many strikes
+    that killed a node or module (static ones at cycle 0 included) had
+    fired *at or before* its creation cycle, so the staircase reads "of
+    traffic injected while k nodes/modules were dead, what fraction
+    still got through?".
     """
 
     def __init__(self, simulator: "Simulator", window: int = 100) -> None:
@@ -134,10 +135,9 @@ class ResilienceProbe:
         self.simulator = simulator
         self.window = window
         self._windows: dict[int, WindowPoint] = {}
-        schedule = simulator.schedule
-        self._event_cycles: list[int] = (
-            sorted(schedule.topology_event_cycles) if schedule is not None else []
-        )
+        #: The simulator's own list, appended in cycle order as strikes
+        #: happen: a packet is keyed on the strikes before its creation.
+        self._event_cycles: list[int] = simulator.topology_changes
         self._by_fault_count: dict[int, FaultCountPoint] = {}
         simulator.delivery_listeners.append(self._on_delivered)
         simulator.drop_listeners.append(self._on_dropped)

@@ -141,7 +141,7 @@ class BaseRouter(abc.ABC):
         return not self.dead
 
     def wire(self) -> None:
-        """Attach output ports to neighbours; called once after faults."""
+        """Attach output ports to neighbours; called once, before traffic."""
         for d, port in self.outputs.items():
             neighbor_node = self.network.neighbor_of(self.node, d)
             neighbor = self.network.router_at(neighbor_node)

@@ -200,7 +200,7 @@ class TestFaultyBuffer:
     def test_shrink_rebases_credits(self):
         vc = VirtualChannel(0, 0, depth=5)
         vc.faulty = True
-        vc.shrink_for_fault()
+        vc.rebase_credits()
         assert vc.credits(0) == 1
 
     def test_faulty_overflow(self):

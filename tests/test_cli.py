@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
 import os
 import re
 import subprocess
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import SUBCOMMANDS, build_parser, load_subcommand, main
+from repro.core.config import SimulationConfig
 from repro.core.types import NodeId
 from repro.faults import Component, ComponentFault, FaultEvent, FaultSchedule
+from repro.harness.parallel import SimJob, execute_job
 
 
 class TestParser:
@@ -159,10 +162,6 @@ BAD_FLAG_VALUES = {
         [*SMALL, "--rates", "0.1,0.2", "--resume"],
         "--resume needs --journal FILE or --cache-dir DIR",
     ),
-    "sweep-static-faults": (
-        [*SMALL, "--rates", "0.1,0.2", "--faults", "2"],
-        "static --faults is not supported in sweep mode",
-    ),
     "shrink-sweep": (
         [*SMALL, "--shrink", "r.json", "--rates", "0.1,0.2"],
         "one scenario, not a sweep",
@@ -195,6 +194,35 @@ def test_envelope_rejection_is_a_cli_error_not_a_traceback(case, tmp_path, capsy
     *usage, line = capsys.readouterr().err.splitlines()
     assert all(text.startswith(("usage: ", " ")) for text in usage)
     assert line.startswith("repro: error: ") and message in line
+
+
+def test_a_sweep_strikes_its_static_faults_at_every_point(tmp_path, capsys):
+    argv = [*SMALL, "--rates", "0.1,0.2", "--faults", "2"]
+    assert main([*argv, "--cache-dir", str(tmp_path)]) == 0
+    records = [
+        json.loads(path.read_text())["record"] for path in tmp_path.glob("*.json")
+    ]
+    assert [record["num_faults"] for record in records] == [2, 2]
+
+
+def test_a_replayed_job_strikes_its_static_faults_and_its_schedule(
+    tmp_path, capsys
+):
+    config = SimulationConfig(
+        width=4, height=4, router="generic", injection_rate=0.1,
+        warmup_packets=20, measure_packets=200, seed=3,
+    )
+    late = FaultEvent(5_000, ComponentFault(NodeId(2, 2), Component.SA))
+    job = SimJob.of(
+        config,
+        [ComponentFault(NodeId(1, 1), Component.VA)],
+        schedule=FaultSchedule([late]),
+    )
+    saved = tmp_path / "job.json"
+    saved.write_text(json.dumps(job.to_payload()))
+    assert main(["--replay", str(saved)]) == 0
+    summary = re.search(r"compl=(\S+)", capsys.readouterr().out)
+    assert summary[1] == f"{execute_job(job)['completion_probability']:.3f}"
 
 
 #: Single runs ``--shrink`` used to refuse.  It saves the job of any

@@ -3,10 +3,11 @@
 Every (architecture, component, module) combination is checked against
 the paper's fault-reaction table: generic and Path-Sensitive routers
 lose the whole node on any fault; RoCo isolates one module on critical
-faults and absorbs non-critical ones with hardware recycling.  The same
-matrix is then asserted for the *runtime* engine (a live, wired network)
-so static and mid-run injection can never drift apart, and
-``recovery.is_recoverable`` is checked for consistency with both.
+faults and absorbs non-critical ones with hardware recycling.  One
+engine imprints every fault; the matrix is asserted for a strike before
+traffic moves and for one on a live network with worms in flight, the
+neighbours' dead-port views are held to what wiring computes from
+scratch, and ``recovery.is_recoverable`` is checked for consistency.
 """
 
 import itertools
@@ -15,11 +16,13 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
+from repro.core.simulator import Simulator
 from repro.core.types import NodeId
 from repro.faults import (
     CLASSIFICATION,
     Component,
     ComponentFault,
+    FaultSchedule,
     RuntimeFaultEngine,
     apply_faults,
     is_recoverable,
@@ -27,8 +30,12 @@ from repro.faults import (
 )
 from repro.routers.roco.path_set import COLUMN, ROW
 
+from .conftest import small_config
+
 ARCHITECTURES = ("generic", "path_sensitive", "roco")
 VICTIM = NodeId(1, 1)
+#: The live strike lands here, with worms buffered across the mesh.
+LIVE_CYCLE = 40
 
 MATRIX = list(
     itertools.product(ARCHITECTURES, list(Component), (ROW, COLUMN))
@@ -46,15 +53,8 @@ def build_network(router):
 
 def inject_static(router, fault):
     network = build_network(router)
+    network.wire()
     apply_faults(network, [fault])
-    network.wire()
-    return network
-
-
-def inject_runtime(router, fault):
-    network = build_network(router)
-    network.wire()
-    RuntimeFaultEngine(network).apply(fault, cycle=0)
     return network
 
 
@@ -100,27 +100,37 @@ def test_static_reaction_matrix(architecture, component, module):
 
 @pytest.mark.parametrize("architecture,component,module", MATRIX)
 def test_runtime_reaction_matches_static(architecture, component, module):
-    """Mid-run injection imprints the exact same Table-3 state."""
+    """A strike on a live network — salvage and severing at work —
+    imprints the same Table-3 state as one before traffic moves."""
     fault = ComponentFault(VICTIM, component, module=module, vc_position=2)
-    network = inject_runtime(architecture, fault)
-    assert network.has_faults
-    assert_reaction(network, architecture, fault)
+    simulator = Simulator(
+        small_config(router=architecture, injection_rate=0.3),
+        schedule=FaultSchedule.at_cycle(LIVE_CYCLE, [fault]),
+    )
+    for cycle in range(LIVE_CYCLE):
+        simulator.step(cycle)
+    assert any(vc.queue for vc in simulator.network.routers[VICTIM].all_vcs())
+    simulator.step(LIVE_CYCLE)
+    assert simulator.faults == [fault]
+    assert simulator.network.has_faults
+    assert_reaction(simulator.network, architecture, fault)
 
 
 @pytest.mark.parametrize("architecture,component,module", MATRIX)
 def test_handshake_state_matches_static(architecture, component, module):
-    """Neighbour dead-port views agree between static and runtime paths."""
+    """The engine leaves every dead-port view that wiring would compute."""
     fault = ComponentFault(VICTIM, component, module=module, vc_position=2)
-    static = inject_static(architecture, fault)
-    runtime = inject_runtime(architecture, fault)
-    for node in static.nodes:
-        static_ports = static.routers[node].outputs
-        runtime_ports = runtime.routers[node].outputs
-        assert set(static_ports) == set(runtime_ports)
-        for direction, port in static_ports.items():
-            assert port.dead == runtime_ports[direction].dead, (
-                f"handshake mismatch at {node} towards {direction}"
-            )
+    network = inject_static(architecture, fault)
+    struck = {
+        (node, direction): port.dead
+        for node, router in network.routers.items()
+        for direction, port in router.outputs.items()
+    }
+    network.wire()  # recomputes each port's dead flag from ``accepting``
+    for (node, direction), dead in struck.items():
+        assert network.routers[node].outputs[direction].dead == dead, (
+            f"handshake mismatch at {node} towards {direction}"
+        )
 
 
 @pytest.mark.parametrize("architecture,component,module", MATRIX)

@@ -74,17 +74,6 @@ class TestFaultSchedule:
         assert hash(one) == hash(two)
         assert one != FaultSchedule.at_cycle(6, [fault_at(0, 0)])
 
-    def test_topology_event_cycles_filters_noncritical(self):
-        schedule = FaultSchedule(
-            [
-                FaultEvent(10, fault_at(0, 0, Component.VA)),
-                FaultEvent(20, fault_at(1, 0, Component.RC)),
-                FaultEvent(30, fault_at(2, 0, Component.CROSSBAR)),
-                FaultEvent(40, fault_at(3, 0, Component.BUFFER)),
-            ]
-        )
-        assert schedule.topology_event_cycles == (10, 30)
-
 
 class TestSampledSchedules:
     def test_same_seed_same_schedule(self):

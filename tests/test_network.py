@@ -1,7 +1,5 @@
 """Unit tests for the mesh network container."""
 
-import pytest
-
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
 from repro.core.types import Direction, NodeId, Packet
@@ -13,9 +11,9 @@ def network(router="roco", faults=None, **overrides):
     params = {"width": 4, "height": 4, "router": router}
     params.update(overrides)
     net = Network(SimulationConfig(**params))
+    net.wire()
     if faults:
         apply_faults(net, faults)
-    net.wire()
     return net
 
 
@@ -112,13 +110,6 @@ class TestFaultQueries:
         for d in (Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST):
             assert not net.can_transit(NodeId(2, 2), d)
         assert net.node_blocked(NodeId(2, 2))
-
-    def test_apply_faults_after_wire_raises(self):
-        net = network("roco")
-        with pytest.raises(RuntimeError, match="before Network.wire"):
-            apply_faults(
-                net, [ComponentFault(NodeId(1, 1), Component.VA, module=ROW)]
-            )
 
     def test_wire_after_faults_marks_dead_ports(self):
         net = Network(SimulationConfig(width=4, height=4, router="generic"))

@@ -109,7 +109,9 @@ class TestResilienceProbe:
 
 class TestCampaignRunner:
     def test_run_campaign_end_to_end(self):
-        campaign = run_campaign(small_config(), center_kill(cycle=120))
+        campaign = run_campaign(
+            SimJob.of(small_config(), schedule=center_kill(cycle=120))
+        )
         assert campaign.conserved
         assert 0.0 < campaign.delivered_fraction <= 1.0
         lines = campaign.summary_lines()
@@ -117,11 +119,32 @@ class TestCampaignRunner:
         assert any("generated=" in line for line in lines)
 
     def test_schedulers_agree_through_campaign(self):
-        config = small_config()
-        schedule = center_kill(cycle=120)
-        active = run_campaign(config, schedule)
-        sweep = run_campaign(config, schedule, full_sweep=True)
+        job = SimJob.of(small_config(), schedule=center_kill(cycle=120))
+        active = run_campaign(job)
+        sweep = run_campaign(job, full_sweep=True)
         assert active.accounting == sweep.accounting
+
+    def test_a_kill_of_any_component_is_a_staircase_step(self):
+        """An RC fault takes a generic node off-line: it is counted."""
+        fault = ComponentFault(NodeId(1, 1), Component.RC, "row")
+        campaign = run_campaign(
+            SimJob.of(
+                small_config(router="generic"),
+                schedule=FaultSchedule.at_cycle(60, [fault]),
+            )
+        )
+        assert campaign.result.total_dropped > 0
+        assert "fault events: 1 (1 topology-affecting)" in campaign.summary_lines()
+        staircase = campaign.probe.delivered_by_fault_count()
+        assert [point.fault_count for point in staircase] == [0, 1]
+
+    def test_a_static_kill_counts_from_cycle_zero(self):
+        kill = ComponentFault(NodeId(1, 1), Component.VA, "row")
+        campaign = run_campaign(SimJob.of(small_config(), [kill]))
+        assert campaign.probe.simulator.topology_changes == [0]
+        staircase = campaign.probe.delivered_by_fault_count()
+        assert [point.fault_count for point in staircase] == [1]
+        assert campaign.summary_lines()[0] == "fault events: 1 (1 topology-affecting)"
 
     def test_degradation_curve_sorted(self):
         runs = []
@@ -130,9 +153,8 @@ class TestCampaignRunner:
                 ComponentFault(NodeId(1 + i, 1), Component.VA, "row")
                 for i in range(count)
             ]
-            campaign = run_campaign(
-                small_config(), FaultSchedule.at_cycle(cycle, faults)
-            )
+            schedule = FaultSchedule.at_cycle(cycle, faults)
+            campaign = run_campaign(SimJob.of(small_config(), schedule=schedule))
             runs.append((count, campaign.result))
         curve = degradation_curve(runs)
         assert [count for count, _ in curve] == [0, 1, 2]

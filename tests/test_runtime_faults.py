@@ -4,7 +4,8 @@ The load-bearing contracts:
 
 * **equivalence** — an empty schedule is bit-identical to a fault-free
   run, and a schedule firing entirely at cycle 0 is bit-identical to
-  the same faults applied statically before wiring, on both schedulers;
+  the same faults given as static faults, for every Table-3 component
+  on both schedulers (one engine strikes both, on one reference count);
 * **conservation** — every generated packet ends as exactly one of
   delivered / dropped-with-reason (under sampled schedules, and with
   the schedulers agreeing bit for bit: tests/test_engines_agree.py);
@@ -60,13 +61,14 @@ class TestScheduleEquivalence:
         )
         assert result_record(plain) == result_record(empty)
 
+    @pytest.mark.parametrize("component", list(Component))
     @pytest.mark.parametrize("router", ARCHITECTURES)
     @pytest.mark.parametrize("full_sweep", [False, True])
     def test_cycle_zero_schedule_matches_static_injection(
-        self, router, full_sweep
+        self, router, full_sweep, component
     ):
         config = small_config(router=router)
-        faults = [ComponentFault(NodeId(1, 1), Component.VA, "row")]
+        faults = [ComponentFault(NodeId(1, 1), component, "row", vc_position=1)]
         runtime = run_simulation(
             config,
             schedule=FaultSchedule.at_cycle(0, faults),
@@ -74,6 +76,26 @@ class TestScheduleEquivalence:
         )
         static = run_simulation(config, faults=faults, full_sweep=full_sweep)
         assert result_record(runtime) == result_record(static)
+
+    @pytest.mark.parametrize("router", ARCHITECTURES)
+    def test_transient_expiry_keeps_a_static_fault(self, router):
+        """A static fault and a transient on the same effect share one
+        reference count: the transient's expiry cannot heal the static."""
+        config = small_config(router=router)
+        fault = ComponentFault(NodeId(1, 1), Component.VA, "row")
+        simulator = Simulator(
+            config,
+            faults=[fault],
+            schedule=FaultSchedule([FaultEvent(50, fault, duration=50)]),
+        )
+        both = result_record(simulator.run())
+        assert both["cycles"] > 100  # the transient healed mid-run
+        victim = simulator.network.routers[fault.node]
+        modules = getattr(victim, "modules", None)
+        assert victim.dead if modules is None else modules["row"].dead
+        alone = result_record(run_simulation(config, faults=[fault]))
+        assert (both.pop("num_faults"), alone.pop("num_faults")) == (2, 1)
+        assert both == alone
 
 
 class TestConservation:
