@@ -1,10 +1,10 @@
 """Simulation-as-a-service: job server, broker and client.
 
-``python -m repro serve`` boots an asyncio HTTP server whose requests
-normalize through the same :func:`~repro.harness.parallel.job_key`
-hashing as batch sweeps, so identical concurrent requests coalesce onto
-one in-flight simulation and share one cache entry.  See
-docs/serving.md.
+``python -m repro serve`` boots a threaded stdlib HTTP server (one thread
+per connection) whose requests normalize through the same
+:func:`~repro.harness.parallel.job_key` hashing as batch sweeps, so
+identical concurrent requests coalesce onto one in-flight simulation and
+share one cache entry.  See docs/serving.md.
 """
 
 from repro.serve.broker import JobBroker, SaturatedError, Ticket
@@ -20,7 +20,7 @@ from repro.serve.protocol import (
     RequestError,
     normalize_request,
 )
-from repro.serve.server import JobServer, ServerThread, run_server
+from repro.serve.server import ServerThread, run_server
 
 __all__ = [
     "JobBroker",
@@ -34,7 +34,6 @@ __all__ = [
     "NormalizedRequest",
     "normalize_request",
     "MAX_JOBS_PER_REQUEST",
-    "JobServer",
     "ServerThread",
     "run_server",
 ]

@@ -27,7 +27,7 @@ import sys
 from repro.harness.parallel import ResultCache
 from repro.harness.resilient import RetryPolicy
 from repro.serve.broker import JobBroker
-from repro.serve.client import ServeClient
+from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.server import run_server
 
 
@@ -92,7 +92,7 @@ def _build_broker(args) -> JobBroker:
     )
 
 
-def _serve(args) -> int:
+def _listen(args) -> int:
     broker = _build_broker(args)
     with broker:
         print(
@@ -103,10 +103,6 @@ def _serve(args) -> int:
                 if broker.cache is not None
                 else ""
             ),
-            file=sys.stderr,
-        )
-        print(
-            f"serve: listening on http://{args.host}:{args.port}",
             file=sys.stderr,
         )
         run_server(broker, host=args.host, port=args.port)
@@ -146,7 +142,10 @@ def _client_submit(argv: list[str]) -> int:
     try:
         payload = json.loads(text)
     except ValueError as exc:
-        print(f"error: request is not valid JSON: {exc}", file=sys.stderr)
+        print(
+            f"repro serve submit: error: request is not valid JSON: {exc}",
+            file=sys.stderr,
+        )
         return 2
     client = ServeClient(args.url)
     reply = client.submit_with_backoff(payload)
@@ -159,10 +158,19 @@ def _client_submit(argv: list[str]) -> int:
     return 0
 
 
+#: ``python -m repro serve NAME ...``: the client subcommands.
+CLIENT_COMMANDS = {"status": _client_status, "submit": _client_submit}
+
+
 def serve_main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["status"]:
-        return _client_status(argv[1:])
-    if argv[:1] == ["submit"]:
-        return _client_submit(argv[1:])
-    return _serve(build_parser().parse_args(argv))
+    command = CLIENT_COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _listen(build_parser().parse_args(argv))
+    try:
+        return command(argv[1:])
+    except (OSError, ServeClientError) as exc:
+        # No server at --url, or one that refused the request: the
+        # command line cannot be run (exit 2), which is not a traceback.
+        print(f"repro serve {argv[0]}: error: {exc}", file=sys.stderr)
+        return 2

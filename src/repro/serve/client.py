@@ -1,7 +1,7 @@
 """Thin blocking client for the simulation job server.
 
 Stdlib-only (``http.client``); each call opens one connection, mirroring
-the server's ``Connection: close`` framing.  Typical use::
+the server's one request per connection.  Typical use::
 
     client = ServeClient("http://127.0.0.1:8650")
     reply = client.submit({"kind": "experiment",

@@ -1,215 +1,140 @@
-"""Asyncio HTTP front end of the simulation job server.
+"""HTTP front end of the simulation job server.
 
-A deliberately small stdlib-only HTTP/1.1 implementation (the repo
-avoids new runtime dependencies): one connection per request,
-``Connection: close`` framing, JSON bodies.  Endpoints
-(docs/serving.md):
-
-* ``POST /submit`` — a protocol request; replies with the job keys
-  (409-free: identical jobs coalesce), ``503`` + ``Retry-After`` when
-  admission control sheds the load, ``400`` on malformed requests;
-* ``GET  /result/<key>?timeout=S`` — block up to ``S`` seconds for the
-  record (``202`` with the current state on timeout, ``404`` unknown);
-* ``GET  /events/<key>?from=N`` — NDJSON event stream (replay from
-  ``N``, then live) until the job's terminal event;
-* ``GET  /status`` — cache counters, worker liveness, in-flight table;
-* ``GET  /healthz`` — liveness probe.
-
-Blocking broker calls run in the default executor so many clients can
-be served concurrently by one event loop; the broker's locks make that
-safe.
+The stdlib's ``http.server`` (the repo avoids new runtime dependencies):
+a ``ThreadingHTTPServer`` gives every connection a thread of its own,
+and one handler calls the broker directly, so a long poll blocks only
+its own client; the broker's locks make the calls safe.  One request
+per connection, JSON bodies.  The endpoints — ``POST /submit``,
+``GET /result/<key>``, ``/events/<key>``, ``/status`` and ``/healthz`` —
+and their status codes are documented in docs/serving.md.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
+import sys
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.broker import JobBroker, SaturatedError
 from repro.serve.protocol import RequestError, encode_event
 
-#: Bound on request head + body we are willing to buffer.
+#: Bound on a request body we are willing to buffer.
 MAX_BODY_BYTES = 4 * 1024 * 1024
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    408: "Request Timeout",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+#: Seconds one socket read may wait: a client stalled inside its request
+#: head is disconnected, one stalled inside its body is answered 408.
+REQUEST_TIMEOUT = 30.0
+#: Seconds ``ServerThread.stop`` waits for requests still being answered.
+STOP_GRACE = 10.0
+#: What a socket failure looks like: the client went away or stalled.
+_CLIENT_GONE = (ConnectionError, TimeoutError)
 
 
-class JobServer:
-    """One broker behind one listening socket."""
+class _Handler(BaseHTTPRequestHandler):
+    """One request; ``self.server.broker`` answers it."""
 
-    def __init__(
-        self,
-        broker: JobBroker,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        request_timeout: float = 30.0,
-    ) -> None:
-        self.broker = broker
-        self.host = host
-        self.port = port
-        self.request_timeout = request_timeout
-        self._server: asyncio.AbstractServer | None = None
+    # Without it a request line too garbled to name a version is
+    # answered with a bare HTTP/0.9 body and no status line.
+    default_request_version = "HTTP/1.0"
+    timeout = REQUEST_TIMEOUT
 
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def log_message(self, format, *args) -> None:
+        pass
 
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    # -- plumbing ------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
+    def handle(self) -> None:
         try:
-            try:
-                method, target, body = await asyncio.wait_for(
-                    self._read_request(reader), timeout=self.request_timeout
-                )
-            except asyncio.TimeoutError:
-                await self._send_json(
-                    writer, 408, {"error": "request timed out"}
-                )
-                return
-            except _BadRequest as exc:
-                await self._send_json(writer, exc.code, {"error": str(exc)})
-                return
-            try:
-                await self._route(method, target, body, writer)
-            except (ConnectionResetError, BrokenPipeError):
-                raise
-            except Exception as exc:
-                await self._send_json(
-                    writer,
-                    500,
-                    {"error": f"{type(exc).__name__}: {exc}"},
-                )
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away; nothing to answer
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+            super().handle()
+        except _CLIENT_GONE:
+            pass  # nothing to answer
 
-    async def _read_request(self, reader) -> tuple[str, str, bytes]:
-        request_line = await reader.readline()
-        if not request_line:
-            raise _BadRequest("empty request")
-        try:
-            method, target, _version = (
-                request_line.decode("latin-1").strip().split(" ", 2)
-            )
-        except ValueError:
-            raise _BadRequest("malformed request line") from None
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise _BadRequest("bad Content-Length") from None
-        if content_length > MAX_BODY_BYTES:
-            raise _BadRequest("request body too large", code=413)
-        body = (
-            await reader.readexactly(content_length)
-            if content_length
-            else b""
-        )
-        return method.upper(), target, body
+    def send_error(self, code, message=None, explain=None) -> None:
+        self._send_json(code, {"error": message or self.responses[code][0]})
 
-    async def _send_json(
-        self, writer, code: int, payload: dict, headers: dict | None = None
+    def _send_json(
+        self, code: int, payload: dict, headers: dict | None = None
     ) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        head = [
-            f"HTTP/1.1 {code} {_REASONS.get(code, 'OK')}",
-            "Content-Type: application/json",
-            f"Content-Length: {len(body)}",
-            "Connection: close",
-        ]
+        self.send_response(code)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
-            head.append(f"{name}: {value}")
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-        writer.write(body)
-        await writer.drain()
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
 
     # -- routing -------------------------------------------------------
 
-    async def _route(self, method, target, body, writer) -> None:
-        url = urlsplit(target)
+    def do_GET(self) -> None:
+        url = urlsplit(self.path)
         path = url.path.rstrip("/") or "/"
-        query = {
-            name: values[-1] for name, values in parse_qs(url.query).items()
-        }
-        if path == "/healthz" and method == "GET":
-            await self._send_json(writer, 200, {"ok": True})
-            return
-        if path == "/status" and method == "GET":
-            status = await asyncio.to_thread(self.broker.status)
-            await self._send_json(writer, 200, status)
-            return
-        if path == "/submit":
-            if method != "POST":
-                await self._send_json(
-                    writer, 405, {"error": "submit is POST-only"}
-                )
-                return
-            await self._submit(body, writer)
-            return
-        if path.startswith("/result/") and method == "GET":
-            await self._result(path[len("/result/") :], query, writer)
-            return
-        if path.startswith("/events/") and method == "GET":
-            await self._events(path[len("/events/") :], query, writer)
-            return
-        await self._send_json(writer, 404, {"error": f"no route {path}"})
+        query = {name: values[-1] for name, values in parse_qs(url.query).items()}
+        try:
+            self._route(path, query)
+        except _CLIENT_GONE:
+            raise
+        except Exception as exc:  # e.g. shutdown mid-wait
+            self.send_error(500, f"{type(exc).__name__}: {exc}")
 
-    async def _submit(self, body: bytes, writer) -> None:
+    do_POST = do_GET
+
+    def _route(self, path: str, query: dict) -> None:
+        if path == "/submit":
+            if self.command == "POST":
+                self._submit()
+            else:
+                self.send_error(405, "submit is POST-only")
+        elif self.command != "GET":
+            self.send_error(404, f"no route {path}")
+        elif path == "/healthz":
+            self._send_json(200, {"ok": True})
+        elif path == "/status":
+            self._send_json(200, self.server.broker.status())
+        elif path.startswith("/result/"):
+            self._result(path[len("/result/") :], query)
+        elif path.startswith("/events/"):
+            self._events(path[len("/events/") :], query)
+        else:
+            self.send_error(404, f"no route {path}")
+
+    def _body(self) -> bytes | None:
+        """The request body, or None once its error has been answered."""
+        text = self.headers.get("Content-Length", "0")
+        length = int(text) if text.strip().isdecimal() else -1
+        if length < 0:
+            self.send_error(400, f"bad Content-Length {text!r}")
+            return None
+        if length > MAX_BODY_BYTES:
+            self.send_error(413, "request body too large")
+            return None
         try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (ValueError, UnicodeDecodeError):
-            await self._send_json(
-                writer, 400, {"error": "request body is not valid JSON"}
-            )
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self.send_error(408, "request timed out")
+            return None
+        if len(body) < length:
+            self.send_error(400, f"body ended after {len(body)} of {length} bytes")
+            return None
+        return body
+
+    def _submit(self) -> None:
+        body = self._body()
+        if body is None:
             return
         try:
-            reply = await asyncio.to_thread(
-                self.broker.submit_request, payload
-            )
+            payload = json.loads(body) if body else {}
+        except ValueError:
+            self.send_error(400, "request body is not valid JSON")
+            return
+        try:
+            reply = self.server.broker.submit_request(payload)
         except RequestError as exc:
-            await self._send_json(writer, 400, {"error": str(exc)})
+            self.send_error(400, str(exc))
             return
         except SaturatedError as exc:
-            await self._send_json(
-                writer,
+            self._send_json(
                 503,
                 {
                     "error": "saturated",
@@ -225,116 +150,102 @@ class JobServer:
             # report the partial admission as a shed so the client
             # retries the remainder.
             reply["error"] = "saturated"
-            await self._send_json(
-                writer, 503, reply, headers={"Retry-After": "1"}
-            )
+            self._send_json(503, reply, headers={"Retry-After": "1"})
             return
-        await self._send_json(writer, 200, reply)
+        self._send_json(200, reply)
 
-    async def _result(self, key: str, query: dict, writer) -> None:
+    def _result(self, key: str, query: dict) -> None:
+        broker = self.server.broker
         try:
             timeout = float(query.get("timeout", 0.0))
         except ValueError:
-            await self._send_json(writer, 400, {"error": "bad timeout"})
+            self.send_error(400, "bad timeout")
             return
-        state = await asyncio.to_thread(self.broker.entry_state, key)
+        state = broker.entry_state(key)
         if state is None:
-            await self._send_json(
-                writer, 404, {"error": f"unknown job {key}"}
-            )
+            self.send_error(404, f"unknown job {key}")
             return
         if "record" not in state and timeout > 0:
             try:
-                record = await asyncio.to_thread(
-                    self.broker.result, key, timeout
-                )
+                record = broker.result(key, timeout)
                 state = {"key": key, "state": "done", "record": record}
             except TimeoutError:
-                state = await asyncio.to_thread(self.broker.entry_state, key)
-            except Exception as exc:  # e.g. shutdown mid-wait
-                await self._send_json(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-                return
+                state = broker.entry_state(key)
         if state is not None and "record" in state:
-            await self._send_json(writer, 200, state)
+            self._send_json(200, state)
         else:
-            await self._send_json(writer, 202, state or {"key": key})
+            self._send_json(202, state or {"key": key})
 
-    async def _events(self, key: str, query: dict, writer) -> None:
+    def _events(self, key: str, query: dict) -> None:
+        broker = self.server.broker
         try:
             start = int(query.get("from", -1))
         except ValueError:
-            await self._send_json(writer, 400, {"error": "bad from"})
+            self.send_error(400, "bad from")
             return
-        probe = await asyncio.to_thread(
-            self.broker.events_after, key, start, 0.0
-        )
-        if probe is None:
-            await self._send_json(
-                writer, 404, {"error": f"unknown job {key}"}
-            )
+        batch = broker.events_after(key, start, 0.0)
+        if batch is None:
+            self.send_error(404, f"unknown job {key}")
             return
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Cache-Control: no-store\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1"))
-        events, terminal = probe
-        while True:
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Cache-Control", "no-store")
+        self.end_headers()
+        while batch is not None:  # None: trimmed from history mid-stream
+            events, terminal = batch
             for event in events:
-                writer.write(encode_event(event))
+                self.wfile.write(encode_event(event))
                 start = max(start, event["seq"])
-            await writer.drain()
             if terminal:
                 return
-            result = await asyncio.to_thread(
-                self.broker.events_after, key, start, 0.5
-            )
-            if result is None:  # trimmed from history mid-stream
-                return
-            events, terminal = result
+            batch = broker.events_after(key, start, 0.5)
 
 
-class _BadRequest(Exception):
-    def __init__(self, message: str, code: int = 400) -> None:
-        super().__init__(message)
-        self.code = code
+class _Server(ThreadingHTTPServer):
+    """The listening socket, in the family ``host`` resolves to (so
+    ``::1`` binds too), with the broker and the live request threads."""
+
+    request_queue_size = 100  # listen backlog; the stdlib's is 5
+
+    def __init__(self, broker: JobBroker, host: str, port: int) -> None:
+        self.broker = broker
+        self.answering: set[threading.Thread] = set()
+        found = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)
+        self.address_family = found[0][0]
+        super().__init__((host, port), _Handler)
+
+    def process_request_thread(self, request, client_address) -> None:
+        thread = threading.current_thread()
+        self.answering.add(thread)
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self.answering.discard(thread)
 
 
-async def _serve(broker, host, port, ready=None, stop=None) -> JobServer:
-    server = JobServer(broker, host=host, port=port)
-    await server.start()
-    if ready is not None:
-        ready(server)
-    try:
-        if stop is None:
-            await asyncio.Event().wait()  # run forever
-        else:
-            await stop.wait()
-    finally:
-        await server.close()
-    return server
+def _url(host: str, port: int) -> str:
+    return f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
 
 
 def run_server(
     broker: JobBroker, host: str = "127.0.0.1", port: int = 8650
 ) -> None:
     """Blocking entry point used by ``python -m repro serve``."""
-    try:
-        asyncio.run(_serve(broker, host, port))
-    except KeyboardInterrupt:
-        pass
+    with _Server(broker, host, port) as server:
+        url = _url(*server.server_address[:2])
+        print(f"serve: listening on {url}", file=sys.stderr)
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
 
 
 class ServerThread:
     """A server on a background thread (tests, smoke, embedding).
 
     ``with ServerThread(broker) as url:`` yields the base URL with the
-    ephemeral port resolved; leaving the context stops the loop and
-    joins the thread.  The broker's lifecycle stays with the caller.
+    ephemeral port resolved; leaving the context stops the server (see
+    ``stop``).  The broker's lifecycle stays with the caller.
     """
 
     def __init__(
@@ -343,51 +254,31 @@ class ServerThread:
         self.broker = broker
         self.host = host
         self.port = port
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="serve-http", daemon=True
-        )
-        self._error: BaseException | None = None
-
-    def _run(self) -> None:
-        async def main():
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-
-            def ready(server):
-                self.port = server.port
-                self._ready.set()
-
-            await _serve(
-                self.broker, self.host, self.port, ready=ready,
-                stop=self._stop,
-            )
-
-        try:
-            asyncio.run(main())
-        except BaseException as exc:  # surfaced on start()/stop()
-            self._error = exc
-            self._ready.set()
+        self._server: _Server | None = None
 
     @property
     def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+        return _url(self.host, self.port)
 
     def start(self) -> "ServerThread":
-        self._thread.start()
-        self._ready.wait(timeout=10.0)
-        if self._error is not None:
-            raise RuntimeError("server failed to start") from self._error
-        if not self._ready.is_set():
-            raise RuntimeError("server did not start within 10s")
+        self._server = _Server(self.broker, self.host, self.port)
+        self.port = self._server.server_address[1]
+        # stop() waits out at most one poll interval (the argument).
+        serve = self._server.serve_forever
+        threading.Thread(target=serve, args=(0.05,), daemon=True).start()
         return self
 
     def stop(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=10.0)
+        """Stop listening, then wait up to ``STOP_GRACE`` seconds for the
+        requests still being answered; a longer poll outlives it."""
+        if self._server is None:
+            return
+        server, self._server = self._server, None
+        server.shutdown()  # returns once serve_forever has returned
+        server.server_close()
+        deadline = time.monotonic() + STOP_GRACE
+        for thread in server.answering.copy():
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> str:
         self.start()

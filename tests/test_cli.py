@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from repro.core.config import SimulationConfig
 from repro.core.types import NodeId
 from repro.faults import Component, ComponentFault, FaultEvent, FaultSchedule
 from repro.harness.parallel import SimJob, execute_job
+from repro.serve import JobBroker, ServeClient, ServerThread
 
 
 class TestParser:
@@ -373,3 +376,52 @@ class TestSubcommands:
         out = capsys.readouterr().out
         for name, (_, summary) in SUBCOMMANDS.items():
             assert f"  {name:<8}{summary}" in out
+
+
+class TestServe:
+    """``repro serve``: the server announces the port it bound, and a
+    client command that cannot be run is one error line and exit 2."""
+
+    def test_port_0_announces_the_bound_port(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            env={**os.environ, "PYTHONPATH": src},
+            stderr=subprocess.PIPE,
+            text=True,
+            # A suite started in the background of a script inherits an
+            # ignored SIGINT, and so would the server.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            for line in server.stderr:
+                if line.startswith("serve: listening on "):
+                    break
+            url = line.split()[-1]
+            assert re.fullmatch(r"http://127\.0\.0\.1:[1-9]\d*", url)
+            assert ServeClient(url).healthy()
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+        finally:
+            server.kill()
+            server.wait()
+            server.stderr.close()
+
+    def test_no_server_at_the_url(self, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        assert main(["serve", "status", "--url", f"http://127.0.0.1:{port}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve status: error: ")
+        assert err.count("\n") == 1
+
+    def test_a_rejected_request(self, capsys):
+        broker = JobBroker(workers=1, job_fn=lambda job: {})
+        with broker, ServerThread(broker) as url:
+            argv = ["serve", "submit", "--url", url, '{"config": {"bogus": 1}}']
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "repro serve submit: error: bad config: unknown config field 'bogus'\n"
+        )

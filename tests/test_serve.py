@@ -13,11 +13,19 @@ The contract under test:
   ``Retry-After``).
 * **Resilience** — injected worker crashes in server mode recover
   through the RetryPolicy with records identical to a clean run.
-* **Transport** — the asyncio HTTP layer and the thin client
-  round-trip submissions, blocking results and NDJSON event streams.
+* **Transport** — the threaded stdlib HTTP layer (one thread per
+  connection) and the thin client round-trip submissions, blocking
+  results and NDJSON event streams; malformed, oversized, stalled and
+  disconnecting clients get a JSON error or are dropped, and neither
+  they nor long polls hold up anyone else.
 """
 
+import json
+import re
+import socket
+import struct
 import threading
+import time
 
 import pytest
 
@@ -39,7 +47,7 @@ from repro.serve.protocol import (
     encode_event,
     normalize_request,
 )
-from repro.serve.server import ServerThread
+from repro.serve.server import MAX_BODY_BYTES, ServerThread, _Handler
 
 BASE = {
     "width": 3,
@@ -557,3 +565,154 @@ class TestHttpTransport:
                 client.result(key, timeout=0.5)
             fixture.gate.set()
             assert client.result(key, timeout=30)["seed"] == 1
+
+    @pytest.mark.parametrize(
+        "request_bytes, code",
+        [
+            (b"garbage\r\n\r\n", 400),
+            (b"POST /submit HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"POST /submit HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (
+                b"POST /submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % (MAX_BODY_BYTES + 1),
+                413,
+            ),
+            (b"POST /submit HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", 400),
+            (b"POST /submit HTTP/1.1\r\nContent-Length: 9\r\n\r\nnot json!", 400),
+            (b"GET /submit HTTP/1.1\r\n\r\n", 405),
+        ],
+        ids=[
+            "garbage-request-line",
+            "negative-length",
+            "non-numeric-length",
+            "oversized-length",
+            "short-body",
+            "body-not-json",
+            "get-submit",
+        ],
+    )
+    def test_boundary_request_gets_a_json_error(self, request_bytes, code, capfd):
+        with HttpFixture() as (fixture, client):
+            with connect(client) as sock:
+                sock.sendall(request_bytes)
+                sock.shutdown(socket.SHUT_WR)
+                assert json_reply(sock) == code
+            assert client.healthy()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_a_stalled_body_is_answered_408(self, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        with HttpFixture() as (fixture, client):
+            with connect(client) as sock:
+                sock.sendall(b"POST /submit HTTP/1.1\r\nContent-Length: 10\r\n\r\n{")
+                assert json_reply(sock) == 408
+            assert client.healthy()
+
+    def test_a_dropped_event_stream_leaves_the_server_serving(self, capfd):
+        with HttpFixture() as (fixture, client):
+            fixture.gate.clear()
+            request = {"kind": "experiment", "config": dict(BASE, seed=3)}
+            key = client.submit(request)["jobs"][0]["key"]
+            with connect(client) as sock:
+                sock.sendall(b"GET /events/%s HTTP/1.1\r\n\r\n" % key.encode())
+                assert re.match(rb"HTTP/1\.[01] 200 ", sock.recv(65536))
+                # Close with a reset, so the server's next write fails.
+                sock.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+            fixture.gate.set()
+            assert client.result(key, timeout=30)["seed"] == 3
+            assert [e["event"] for e in client.events(key)][-1] == "completed"
+            deadline = time.monotonic() + 10
+            while handler_threads() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert handler_threads() == 0
+            assert client.healthy()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_a_partial_request_head_does_not_delay_other_clients(self):
+        with HttpFixture() as (fixture, client):
+            with connect(client) as stalled:
+                stalled.sendall(b"POST /submit HTTP/1.1\r\nContent-Le")
+                started = time.monotonic()
+                assert client.healthy()
+                assert time.monotonic() - started < 2.0
+
+    def test_long_polls_do_not_starve_other_clients(self):
+        """More long polls than any default executor has threads: each
+        blocks only its own connection."""
+        with HttpFixture() as (fixture, client):
+            fixture.gate.clear()
+            request = {"kind": "experiment", "config": dict(BASE, seed=1)}
+            key = client.submit(request)["jobs"][0]["key"]
+            records = []
+            pollers = [
+                threading.Thread(
+                    target=lambda: records.append(client.result(key, timeout=10))
+                )
+                for _ in range(33)
+            ]
+            for poller in pollers:
+                poller.start()
+            time.sleep(0.5)  # every poll reaches the server
+            started = time.monotonic()
+            client.status()
+            status_s = time.monotonic() - started
+            started = time.monotonic()
+            client.submit({"kind": "experiment", "config": dict(BASE, seed=2)})
+            submit_s = time.monotonic() - started
+            fixture.gate.set()
+            for poller in pollers:
+                poller.join(timeout=30)
+            assert status_s < 2.0 and submit_s < 2.0, (status_s, submit_s)
+            assert records == [{"seed": 1, "rate": 0.08}] * 33
+
+    def test_stop_waits_for_a_request_in_flight(self):
+        with HttpFixture() as (fixture, client):
+            fixture.gate.clear()
+            request = {"kind": "experiment", "config": dict(BASE, seed=4)}
+            key = client.submit(request)["jobs"][0]["key"]
+            with connect(client) as sock:
+                poll = b"GET /result/%s?timeout=1 HTTP/1.1\r\n\r\n" % key.encode()
+                sock.sendall(poll)
+                time.sleep(0.2)  # the poll reaches the broker
+                fixture.server.stop()
+                assert handler_threads() == 0
+                assert re.match(rb"HTTP/1\.[01] 202 ", sock.recv(65536))
+            fixture.gate.set()
+
+    def test_an_ipv6_host_round_trips(self):
+        try:
+            with socket.socket(socket.AF_INET6) as probe:
+                probe.bind(("::1", 0))
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        fixture = HttpFixture()
+        fixture.server = ServerThread(fixture.broker, host="::1")
+        with fixture as (fixture, client):
+            assert fixture.server.url.startswith("http://[::1]:")
+            request = {"kind": "experiment", "config": dict(BASE, seed=6)}
+            key = client.submit(request)["jobs"][0]["key"]
+            assert client.result(key, timeout=30) == {"seed": 6, "rate": 0.08}
+
+
+def connect(client: ServeClient) -> socket.socket:
+    return socket.create_connection((client.host, client.port), timeout=10)
+
+
+def json_reply(sock: socket.socket) -> int:
+    """Read one reply to its end: its status code, after checking that it
+    has a status line and a JSON body naming the error."""
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status = re.match(rb"HTTP/1\.[01] (\d{3}) ", head)
+    assert status is not None, head
+    assert "error" in json.loads(body)
+    return int(status[1])
+
+
+def handler_threads() -> int:
+    """Connections the server is still answering."""
+    return sum("process_request_thread" in t.name for t in threading.enumerate())
