@@ -62,6 +62,7 @@ class VirtualChannel:
         "input_dir",
         "owner_pid",
         "expected",
+        "verdict",
         "_available",
         "_releases",
     )
@@ -104,6 +105,11 @@ class VirtualChannel:
         #: The local PE source must not start a worm while arrivals are
         #: pending, or its zero-latency pushes would interleave worms.
         self.expected = 0
+        #: ``(fault_epoch, pid, attempts)`` of the front head's last VA
+        #: attempt that every candidate output *hard*-blocked: while the
+        #: network's fault epoch and the front packet are unchanged, that
+        #: attempt would end the same way (see BaseRouter._blocked_again).
+        self.verdict: tuple[int, int, int] | None = None
         #: Credits as seen by upstream switch allocators.
         self._available = depth
         #: Freed slots waiting out the credit round-trip: release cycles.

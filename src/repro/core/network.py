@@ -9,7 +9,10 @@ By default stepping is *activity-driven*: only routers in the active set
 Dormant routers are woken by source injections (immediately, the same
 cycle) and by neighbour link launches (via a timed wake scheduled for
 the flit's arrival cycle, so receivers sleep through the wire delay).
-The ``full_sweep=True`` escape hatch restores the original
+In a faulty network a router holding only fault-blocked heads *naps*:
+it stays active but is not stepped until something can change its
+verdicts (BaseRouter.nap).  The ``full_sweep=True`` escape hatch
+restores the original
 step-every-router schedule; both produce bit-identical simulation
 results (see docs/activity-scheduling.md and the ``object`` row of
 tests/test_engines_agree.py).
@@ -42,6 +45,9 @@ class Network:
         self.stats = StatsCollector(num_nodes=config.num_nodes)
         self.cycle = 0
         self.has_faults = False
+        #: Bumped by every fault apply and clear (repro.faults.runtime),
+        #: the only events that can change a kept hard-block verdict.
+        self.fault_epoch = 0
         #: Escape hatch: step every router every cycle (the pre-activity
         #: schedule), used to differentially validate the active-set path.
         self.full_sweep = full_sweep
@@ -49,8 +55,12 @@ class Network:
         self.routers: dict[NodeId, "BaseRouter"] = {}
         self._build_routers(make_router)
         self._router_list = list(self.routers.values())
-        #: Routers frozen by this cycle's front half for its alloc half.
+        #: Routers frozen by this cycle's front half for its alloc half,
+        #: and the logically active ones: those plus the napping ones.
         self._stepped: list["BaseRouter"] = []
+        self._active: list["BaseRouter"] = []
+        #: Routers in a nap not yet settled (see BaseRouter.nap).
+        self._napping = 0
         #: Timed wakes: cycle -> routers that must rejoin the active set
         #: at that cycle (a flit launched towards them lands then).
         self._wake_queue: dict[int, list["BaseRouter"]] = {}
@@ -128,6 +138,21 @@ class Network:
     # Cycle advance
     # ------------------------------------------------------------------
 
+    def new_fault_epoch(self) -> None:
+        """A fault struck or healed: kept verdicts lapse, naps end."""
+        self.fault_epoch += 1
+        if self._napping:
+            for router in self._router_list:
+                router.rouse()
+
+    def settle(self, cycle: int) -> None:
+        """End every nap at the end of ``cycle``, the run's last."""
+        if self._napping:
+            for router in self._router_list:
+                if router._nap_until is not None:
+                    router.settle_nap(cycle + 1)
+            self._napping = 0
+
     def schedule_wake(
         self, router: "BaseRouter", input_dir: Direction, cycle: int
     ) -> None:
@@ -186,9 +211,12 @@ class Network:
                         router._due_dirs.append(input_dir)
                     router.wake()
             stepped = [r for r in self._router_list if r.active]
+        self._active = stepped
+        if self._napping:
+            stepped = self._without_nappers(stepped, cycle)
         scheduler = self.stats.scheduler
         scheduler.cycles += 1
-        scheduler.router_steps += len(stepped)
+        scheduler.router_steps += len(self._active)
         scheduler.router_slots += len(self._router_list)
         if self.full_sweep:
             for router in stepped:
@@ -206,8 +234,23 @@ class Network:
             router.traverse(cycle)
         self._stepped = stepped
 
+    def _without_nappers(self, active: list, cycle: int) -> list:
+        """``active`` less the routers napping through ``cycle``; a nap
+        that ends here (deadline due, or roused) is settled first."""
+        stepped = []
+        for router in active:
+            until = router._nap_until
+            if until is not None:
+                if until > cycle:
+                    continue
+                router.settle_nap(cycle)
+                self._napping -= 1
+            stepped.append(router)
+        return stepped
+
     def step_alloc(self, cycle: int) -> None:
-        """Allocation, quiescence sleep and end-of-cycle bookkeeping."""
+        """Allocation, quiescence sleep, blocked naps and end-of-cycle
+        bookkeeping."""
         stepped = self._stepped
         for router in stepped:
             router.allocate(cycle)
@@ -219,8 +262,10 @@ class Network:
                 if router.quiescent():
                     router.active = False
                     scheduler.sleeps += 1
+                elif router._blocked_cycle == cycle and router.nap(cycle):
+                    self._napping += 1
         if self.on_cycle_stepped is not None:
-            self.on_cycle_stepped(cycle, stepped)
+            self.on_cycle_stepped(cycle, self._active)
         self.stats.tick()
 
     # ------------------------------------------------------------------

@@ -73,9 +73,10 @@ class Source:
         self.current.popleft()
         self.vc.reserve_slot(cycle)
         self.vc.push(flit)
-        # Source injection is one of the two scheduler wake events (the
-        # other is an inbound link launch): the router must allocate for
-        # this flit in the current cycle, exactly as under a full sweep.
+        # Source injection is one of the two wake events of an empty
+        # router (the other is an inbound link launch), and it ends a
+        # blocked nap: the router must allocate for this flit in the
+        # current cycle, exactly as under a full sweep.
         self.router.wake()
         flit.arrival = cycle
         if network.trace is not None:
@@ -381,6 +382,7 @@ class Simulator:
         if self.audit is not None:
             self.audit.attach()
         cycle = drive(self, progress, progress_every)
+        self.network.settle(cycle)
         self._drop_survivors(cycle)
         if self.audit is not None:
             self.audit.final_check(cycle)

@@ -25,6 +25,10 @@ nothing to do):
   (:meth:`BaseRouter.reroute_after_fault`); worms already stretched into
   the dead region are dropped with :data:`DropReason.ROUTE_SEVERED`.
 
+Every apply and clear also starts a new fault epoch
+(:meth:`Network.new_fault_epoch`): routers keep a head's hard-block
+verdict only while the epoch it was formed in lasts.
+
 Transient faults reverse the imprint on expiry (traffic lost while the
 fault was active stays lost, matching real hardware).  Overlapping
 faults on the same effect — a static fault included — are
@@ -66,6 +70,7 @@ class RuntimeFaultEngine:
         """Strike ``fault`` now; returns True when topology changed."""
         network = self.network
         network.has_faults = True
+        network.new_fault_epoch()
         router = network.routers[fault.node]
         effect = fault_effect(router, fault)
         first = self._acquire(effect)
@@ -92,6 +97,7 @@ class RuntimeFaultEngine:
 
     def clear(self, fault: ComponentFault, cycle: int) -> bool:
         """Heal a transient ``fault``; returns True when topology changed."""
+        self.network.new_fault_epoch()
         router = self.network.routers[fault.node]
         effect = fault_effect(router, fault)
         if not self._release(effect):

@@ -25,6 +25,7 @@ equivalence is asserted by ``tests/test_parallel.py``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -146,7 +147,10 @@ class ResultCache:
     a repeated run performed zero new simulations.  An unparseable entry
     is not a silent permanent miss: it is quarantined to
     ``<key>.corrupt`` (preserving the evidence) and counted, so the next
-    store repopulates the slot.
+    store repopulates the slot.  A store the disk refuses (full,
+    read-only, no permission) is counted in ``failed_stores`` and
+    otherwise ignored: a cache that cannot write is a slower cache, and
+    the record it was handed is still delivered.
 
     One instance may be shared by concurrent threads (the job server
     keeps a single warm cache for every client): the counters are
@@ -165,7 +169,8 @@ class ResultCache:
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
-        #: Guards the four counters above.  ``x += 1`` on an instance
+        self.failed_stores = 0
+        #: Guards the five counters above.  ``x += 1`` on an instance
         #: attribute is a read-modify-write that can interleave between
         #: bytecodes, so unsynchronized concurrent lookups undercount.
         self._lock = threading.Lock()
@@ -175,13 +180,14 @@ class ResultCache:
             setattr(self, counter, getattr(self, counter) + 1)
 
     def counters(self) -> dict:
-        """Consistent snapshot of the four counters."""
+        """Consistent snapshot of the five counters."""
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
                 "stores": self.stores,
                 "corrupt": self.corrupt,
+                "failed_stores": self.failed_stores,
             }
 
     def path_for(self, key: str) -> Path:
@@ -232,6 +238,11 @@ class ResultCache:
         try:
             tmp.write_text(json.dumps(payload, indent=2) + "\n")
             tmp.replace(self.path_for(key))
+        except OSError:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+            self._count("failed_stores")
+            return
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
@@ -246,6 +257,8 @@ class ResultCache:
         )
         if snapshot["corrupt"]:
             line += f", {snapshot['corrupt']} corrupt (quarantined)"
+        if snapshot["failed_stores"]:
+            line += f", {snapshot['failed_stores']} failed stores"
         return line
 
     def __len__(self) -> int:

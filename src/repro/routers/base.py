@@ -96,8 +96,19 @@ class BaseRouter(abc.ABC):
         #: schedules its landing link, so everything else is empty wire).
         self._deliver_due = -1
         self._due_dirs: list[Direction] = []
-        #: Cycles this router was actually stepped (scheduler telemetry).
+        #: Cycles this router was stepped (scheduler telemetry); a nap's
+        #: cycles are added when it ends.
         self.steps_taken = 0
+        #: Blocked sleep (a *nap*, see :meth:`nap`): None while awake,
+        #: else the cycle the router must be stepped again by — its
+        #: earliest stall deadline, or 0 once something roused it.
+        self._nap_until: int | None = None
+        #: First cycle of the current nap, and the VA requests each of
+        #: its cycles makes (the kept verdicts' attempts).
+        self._nap_from = 0
+        self._nap_va = 0
+        #: Last cycle a head here ended all-hard-blocked (nap pre-check).
+        self._blocked_cycle = -1
         #: Filled by :meth:`wire`: upstream links feeding this router,
         #: in CARDINALS order (the full-sweep delivery order), and the
         #: flat VC list the hot-path idle checks iterate.
@@ -169,12 +180,70 @@ class BaseRouter(abc.ABC):
         Called by the PE source when it pushes an injection flit (the
         simulator generates traffic before stepping, so the router
         allocates the same cycle) and by the network's timed wake queue
-        when an in-flight flit lands.  Idempotent and cheap — the hot
-        path calls it once per launched flit.
+        when an in-flight flit lands; either also ends a nap.
+        Idempotent and cheap — the hot path calls it once per launched
+        flit.
         """
         if not self.active:
             self.active = True
             self.network.stats.scheduler.wakeups += 1
+        elif self._nap_until is not None:
+            self._nap_until = 0  # :meth:`rouse`, inlined on the hot path
+
+    def nap(self, cycle: int) -> bool:
+        """Leave the stepped list while only blocked heads are held.
+
+        Called after an allocate phase that kept or replayed a verdict
+        (only faulty networks keep them).  When every occupied VC holds
+        a head whose kept verdict is current and there is no SA winner,
+        each further step would repeat the same :meth:`_blocked_again`
+        calls until the earliest stall deadline, where
+        :meth:`note_stall` drops a packet.  The router then naps:
+        it stays logically active (counted in ``router_steps`` and shown
+        to ``on_cycle_stepped``), is not stepped, and is stepped again
+        at that deadline or once roused (:meth:`rouse`);
+        :meth:`settle_nap` then books the skipped steps.  Returns
+        whether it napped.
+        """
+        if self._sa_winners:
+            return False
+        epoch = self.network.fault_epoch
+        since = self._stall_since
+        first = None
+        va = 0
+        for vc in self._vc_cache:
+            queue = vc.queue
+            if not queue:
+                continue
+            verdict = vc.verdict
+            if (
+                verdict is None
+                or verdict[0] != epoch
+                or verdict[1] != queue[0].packet.pid
+            ):
+                return False
+            start = since[id(vc)]  # replaying a verdict noted the stall
+            if first is None or start < first:
+                first = start
+            va += verdict[2]
+        if first is None:
+            return False  # a drop this cycle emptied the router
+        self._nap_until = first + self.network.config.fault_drop_timeout
+        self._nap_from = cycle + 1
+        self._nap_va = va
+        return True
+
+    def rouse(self) -> None:
+        """End a nap: step this router from the next frozen list on."""
+        if self._nap_until is not None:
+            self._nap_until = 0
+
+    def settle_nap(self, cycle: int) -> None:
+        """Book a nap's skipped steps, ``_nap_from`` up to ``cycle`` (excluded)."""
+        slept = cycle - self._nap_from
+        self.steps_taken += slept
+        self._activity.va_requests += slept * self._nap_va
+        self._nap_until = None
 
     def quiescent(self) -> bool:
         """Whether skipping this router's phases is observably a no-op.
@@ -521,6 +590,38 @@ class BaseRouter(abc.ABC):
                 )
             self._stall_since.pop(key, None)
 
+    def _hard_blocked(self, vc: VirtualChannel, cycle: int, attempts: int) -> None:
+        """End a VA attempt that every candidate output hard-blocked.
+
+        ``attempts`` is the number of :meth:`_request_vc_allocation`
+        calls it made.  Only a fault event can change such a verdict, so
+        outside the full-sweep reference the VC keeps it for this fault
+        epoch and :meth:`_blocked_again` replays it.
+        """
+        network = self.network
+        if network.has_faults and not network.full_sweep:
+            vc.verdict = (network.fault_epoch, vc.queue[0].packet.pid, attempts)
+            self._blocked_cycle = cycle
+        self.note_stall(vc, cycle)
+
+    def _blocked_again(self, vc: VirtualChannel, cycle: int) -> bool:
+        """Replay ``vc``'s kept verdict (not None) if it still holds;
+        True if it did.
+
+        The replay is what routing and VA would do: the same VA requests
+        and the same :meth:`note_stall` call.
+        """
+        verdict = vc.verdict
+        if (
+            verdict[0] != self.network.fault_epoch
+            or verdict[1] != vc.queue[0].packet.pid
+        ):
+            return False
+        self._activity.va_requests += verdict[2]
+        self._blocked_cycle = cycle
+        self.note_stall(vc, cycle)
+        return True
+
     def clear_stall(self, vc: VirtualChannel) -> None:
         if self._stall_since:
             self._stall_since.pop(id(vc), None)
@@ -534,8 +635,8 @@ class BaseRouter(abc.ABC):
         for vc in self.all_vcs():
             if vc.owner_pid == pid:
                 vc.release_owner()
-            if vc.queue or vc.active_pid == pid:
-                vc.purge(pid, cycle)
+            if (vc.queue or vc.active_pid == pid) and vc.purge(pid, cycle):
+                self.rouse()
 
     def reroute_after_fault(self, vc: VirtualChannel) -> None:
         """Recompute a committed look-ahead route invalidated by a fault.

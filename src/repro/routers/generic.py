@@ -225,6 +225,8 @@ class GenericRouter(BaseRouter):
     def _route_and_request(
         self, vc: VirtualChannel, va_requests: list, cycle: int
     ) -> None:
+        if vc.verdict is not None and self._blocked_again(vc, cycle):
+            return
         front = vc.front
         packet = front.packet
         if vc.escape and self.routing.mode is RoutingMode.ADAPTIVE:
@@ -232,14 +234,16 @@ class GenericRouter(BaseRouter):
         else:
             candidates = self.routing.candidates(self.node, packet)
         all_hard = True
+        attempts = 0
         for out_dir in self._order_by_congestion(candidates, cycle):
+            attempts += 1
             outcome = self._request_vc_allocation(vc, out_dir, front, va_requests)
             if outcome:
                 return
             if outcome is False:
                 all_hard = False
         if all_hard:
-            self.note_stall(vc, cycle)
+            self._hard_blocked(vc, cycle, attempts)
         else:
             self.clear_stall(vc)
 

@@ -281,6 +281,8 @@ class PathSensitiveRouter(BaseRouter):
         cycle is charged: look-ahead already steered the flit into the
         right path set.
         """
+        if vc.verdict is not None and self._blocked_again(vc, cycle):
+            return
         front = vc.front
         packet = front.packet
         if packet.dest == self.node:
@@ -288,14 +290,16 @@ class PathSensitiveRouter(BaseRouter):
             return
         candidates = self.routing.candidates(self.node, packet)
         all_hard = True
+        attempts = 0
         for out_dir in self._order_by_headroom(candidates, packet, cycle):
+            attempts += 1
             outcome = self._request_vc_allocation(vc, out_dir, front, va_requests)
             if outcome:
                 return
             if outcome is False:
                 all_hard = False
         if all_hard:
-            self.note_stall(vc, cycle)
+            self._hard_blocked(vc, cycle, attempts)
         else:
             self.clear_stall(vc)
 

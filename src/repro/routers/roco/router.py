@@ -388,6 +388,8 @@ class RoCoRouter(BaseRouter):
         self, module: RoCoModule, vc: VirtualChannel, cycle: int, va_requests: list
     ) -> None:
         """Stage VA for a head whose route here was committed by look-ahead."""
+        if vc.verdict is not None and self._blocked_again(vc, cycle):
+            return
         front = vc.front
         out_dir = front.route
         if out_dir is None or out_dir is Direction.LOCAL:
@@ -405,7 +407,7 @@ class RoCoRouter(BaseRouter):
                 # redo this router's skipped look-ahead computation.
                 vc.hold_until = max(vc.hold_until, cycle + 1)
         elif outcome is None:
-            self.note_stall(vc, cycle)
+            self._hard_blocked(vc, cycle, 1)
         else:
             self.clear_stall(vc)
 

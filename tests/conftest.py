@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import errno
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import SimulationConfig
@@ -51,6 +55,22 @@ def tripwire(monkeypatch):
         "repro.audit.engine.default_checkers",
         lambda: [*invariants.default_checkers(), Tripwire()],
     )
+
+
+@pytest.fixture(params=[errno.ENOSPC, errno.EACCES], ids=["ENOSPC", "EACCES"])
+def refusing_disk(request, monkeypatch) -> int:
+    """Every result-cache write fails as a full (``ENOSPC``) or
+    unwritable (``EACCES``) disk fails it; yields the errno."""
+    code = request.param
+    write_text = Path.write_text
+
+    def refuse(self, *args, **kwargs):
+        if self.suffix == ".tmp":
+            raise OSError(code, os.strerror(code), str(self))
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    return code
 
 
 @pytest.fixture(scope="session")

@@ -38,6 +38,7 @@ class TestCounterThreadSafety:
             "misses": 0,
             "stores": threads_n * per_thread,
             "corrupt": 0,
+            "failed_stores": 0,
         }
 
     def test_concurrent_hits_and_misses_count_exactly(self, tmp_path):

@@ -27,10 +27,12 @@ from hypothesis import HealthCheck, event, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RouterConfig, SimulationConfig
+from repro.core.network import Network
 from repro.core.simulator import DeadlockError, Simulator, run_simulation
 from repro.core.soa import BackendUnsupportedError, ensure_supported
 from repro.core.types import NodeId, RoutingMode, grid_nodes
 from repro.faults import Component, ComponentFault, FaultSchedule, random_faults
+from repro.faults.runtime import RuntimeFaultEngine
 from repro.harness.export import result_record
 from repro.harness.parallel import SimJob
 from repro.harness.sharded import ShardPlan, ensure_sharded_supported
@@ -84,6 +86,10 @@ def outcome(job: SimJob, full_sweep: bool = False) -> dict:
                  "message": str(error).partition(": ")[0],
                  **{key: getattr(error.census, key) for key in CENSUS}}
     assert not config.audit or simulator.audit.cycles_audited, "no cycle audited"
+    if simulator and "raised" not in found:
+        # Every step is booked on its router, a blocked nap's included.
+        steps = sum(r.steps_taken for r in simulator.network.routers.values())
+        assert steps == found["scheduler.router_steps"], "router steps lost"
     return found
 
 
@@ -221,6 +227,20 @@ cell("audit-dropped-worm-grant", "audited", SimulationConfig(
     router_config=RouterConfig.for_architecture("generic", vcs_per_port=1,
                                                 buffer_depth=4),
     warmup_packets=0, measure_packets=80, seed=1), fault(1, 1, VA))
+# The blocking reading: no drop timeout ends a hard-blocked wait before the
+# faulty watchdog does, so routers holding only such heads nap for long
+# stretches — through a fault healing under them, and through a cut run.
+blocking = partial(scheduler, seed=21, measure_packets=60, drain_timeout=150,
+                   fault_drop_timeout=100_000)
+CRITICAL = random_faults(NODES, 2, random.Random(21), True)
+for r in ("roco", "path_sensitive"):
+    cell(f"blocking-{r}", "object audited", blocking(router=r), *CRITICAL)
+for r in BOTH:
+    cell(f"blocking-heal-{r}", "object audited",
+         small_config(router=r, fault_drop_timeout=100_000),
+         schedule=center_kill(120, 150))
+cell("blocking-max-cycles", "object audited", blocking(router="generic",
+                                                        max_cycles=200), *CRITICAL)
 
 
 @pytest.mark.parametrize("cell, row", [
@@ -232,6 +252,37 @@ def test_named_cell(cell, row):
     ended = "stalled" if "raised" in found else (
         "drained" if found["completion_probability"] == 1.0 else "lossy")
     assert ended == ends, f"{cell} {row}: expected {ends}"
+
+
+def test_blocking_cells_nap(monkeypatch):
+    """The blocking cells reach what they are named for: routers nap, one
+    is napping when the transient fault heals, some at the cut; the
+    full-sweep reference keeps no verdict and takes no nap."""
+    napping_at: dict[str, int] = {}
+    clear, settle = RuntimeFaultEngine.clear, Network.settle
+
+    def spy(method, label):
+        def wrapper(self, *args):
+            network = getattr(self, "network", self)
+            napping_at[label] = max(napping_at.get(label, 0), network._napping)
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(RuntimeFaultEngine, "clear", spy(clear, "clear"))
+    monkeypatch.setattr(Network, "settle", spy(settle, "end"))
+    for name, label in (("blocking-heal-roco", "clear"),
+                        ("blocking-heal-generic", "clear"),
+                        ("blocking-max-cycles", "end")):
+        napping_at.clear()
+        job = CELLS[name][0]
+        Simulator(job.config, faults=list(job.faults), schedule=job.schedule).run()
+        assert napping_at.get(label), f"{name}: no router napping at the {label}"
+    napping_at.clear()
+    sweep = Simulator(job.config, faults=list(job.faults), full_sweep=True)
+    sweep.run()
+    assert not napping_at["end"]
+    assert all(vc.verdict is None for router in sweep.network.routers.values()
+               for vc in router.all_vcs())
 
 
 # ----------------------------------------------------------------------

@@ -202,6 +202,20 @@ class TestResultCache:
         assert list(tmp_path.glob("*.tmp")) == []
         assert cache.lookup("samekey") == {"a": 2}
 
+    @POLICIES
+    def test_refused_store_still_delivers_the_record(
+        self, tmp_path, refusing_disk, policy
+    ):
+        """A full or unwritable cache disk costs the cache, not the sweep:
+        every record comes back and each refused store is counted."""
+        cache = ResultCache(tmp_path)
+        configs = [small_config(seed=1), small_config(seed=2)]
+        records = ParallelExecutor(cache=cache, policy=policy).run_configs(configs)
+        assert records == [result_record(run_simulation(c)) for c in configs]
+        assert cache.counters()["failed_stores"] == 2 and cache.stores == 0
+        assert cache.summary() == "0 hits, 2 misses, 0 stores, 2 failed stores"
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_store_leaves_no_tmp_litter(self, tmp_path):
         cache = ResultCache(tmp_path)
         with pytest.raises(TypeError):

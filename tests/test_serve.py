@@ -241,6 +241,21 @@ class TestBrokerDedupe:
         assert cache.stores == 1
 
 
+    def test_refused_store_keeps_the_broker_serving(self, tmp_path, refusing_disk):
+        """A cache store the disk refuses must not kill the pump thread:
+        the ticket and every later one still resolve."""
+        cache = ResultCache(tmp_path)
+        with JobBroker(
+            cache=cache, workers=1, policy=FAST,
+            job_fn=lambda job: {"seed": job.config.seed},
+        ) as broker:
+            for seed in (1, 2):
+                ticket = broker.submit(small_job(seed=seed))
+                assert ticket.future.result(timeout=30) == {"seed": seed}
+            assert broker.status()["cache"]["failed_stores"] == 2
+        assert cache.stores == 0
+
+
 class TestBrokerAdmission:
     def test_saturation_sheds_and_recovers(self):
         gate = threading.Event()
