@@ -38,7 +38,7 @@ from repro.faults.runtime import RuntimeFaultEngine
 from repro.faults.schedule import FaultSchedule
 from repro.metrics.latency import LatencySummary
 from repro.metrics.pef import pef
-from repro.traffic import TrafficPattern, make_traffic
+from repro.traffic import make_traffic
 
 
 class Source:
@@ -244,7 +244,6 @@ class Simulator:
     def __init__(
         self,
         config: SimulationConfig,
-        traffic: TrafficPattern | None = None,
         faults: list[ComponentFault] | None = None,
         *,
         schedule: FaultSchedule | None = None,
@@ -253,7 +252,7 @@ class Simulator:
         self.config = config
         self.rng = random.Random(config.seed)
         self.network = Network(config, full_sweep=full_sweep)
-        self.traffic = traffic if traffic is not None else make_traffic(config.traffic)
+        self.traffic = make_traffic(config.traffic)
         self.traffic.bind(config, self.rng, self.network.nodes)
         self.network.wire()
         self.sources = {

@@ -549,13 +549,13 @@ class ParallelExecutor:
     exceptions.  ``journal`` (a
     :class:`~repro.harness.resilient.SweepJournal`) logs completed job
     keys and failures, enabling resumption of an interrupted sweep with
-    zero duplicate simulations.  ``chaos`` (a
-    :class:`~repro.harness.chaos.ChaosConfig`) deterministically
-    injects worker faults for differential testing; it implies a
-    default policy when none is given.  Without a policy the first
-    failed job raises its own exception type out of :meth:`run_jobs`
-    (a dead worker raises
-    :class:`~repro.harness.resilient.WorkerCrashError`).
+    zero duplicate simulations.  Without a policy the first failed job
+    raises its own exception type out of :meth:`run_jobs` (a dead
+    worker raises :class:`~repro.harness.resilient.WorkerCrashError`).
+
+    ``job_fn``, called as ``job_fn(job, index, attempt)`` with the
+    job's position in :meth:`run_jobs`'s list, replaces
+    :func:`execute_job` (see :class:`~repro.harness.resilient.ManagedWorkerSet`).
 
     ``simulations_run`` accumulates the number of actual simulator
     invocations across the executor's lifetime; with a warm cache it
@@ -569,14 +569,14 @@ class ParallelExecutor:
         progress: ProgressCallback | None = None,
         policy=None,
         journal=None,
-        chaos=None,
+        job_fn=None,
     ) -> None:
         self.workers = resolve_workers(workers)
         self.cache = cache
         self.progress = progress
         self.policy = policy
         self.journal = journal
-        self.chaos = chaos
+        self.job_fn = job_fn
         self.simulations_run = 0
         self.last_stats = ExecutionStats()
 
@@ -606,11 +606,6 @@ class ParallelExecutor:
         records: list[dict | None] = [None] * total
         done = 0
         stats = ExecutionStats(total=total)
-        policy = self.policy
-        if policy is None and self.chaos is not None:
-            from repro.harness.resilient import RetryPolicy
-
-            policy = RetryPolicy()
         journal = self.journal
 
         pending: list[tuple[int, SimJob]] = []
@@ -650,7 +645,7 @@ class ParallelExecutor:
                         continue
                 pending.append((index, job))
 
-            for index, outcome in self._execute(pending, policy, stats):
+            for index, outcome in self._execute(pending, stats):
                 if isinstance(outcome, dict):
                     records[index] = outcome
                     stats.simulated += 1
@@ -685,7 +680,7 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
 
     def _execute(
-        self, pending: list[tuple[int, SimJob]], policy, stats: ExecutionStats
+        self, pending: list[tuple[int, SimJob]], stats: ExecutionStats
     ) -> Iterable[tuple[int, object]]:
         if not pending:
             return  # a warm pass builds no worker set and imports nothing
@@ -701,11 +696,11 @@ class ParallelExecutor:
         # one worker and the set runs it in-process: no spawn for one
         # simulation, with or without a policy.
         with ManagedWorkerSet(
-            policy,
+            self.policy,
             workers=min(self.workers, len(pending)),
-            chaos=self.chaos,
             stats=stats,
             on_retry=getattr(self.progress, "note_retry", None),
+            job_fn=self.job_fn,
         ) as workers:
             for index, job in pending:
                 workers.submit(job, index)

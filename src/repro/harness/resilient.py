@@ -40,9 +40,8 @@ Failure taxonomy (docs/resilient-execution.md):
   per-job ``max_retries`` runs out, then quarantined as a crash loop.
 
 Determinism: a simulation is a pure function of its job, so a retried
-or speculatively duplicated execution returns the same record — the
-chaos harness (:mod:`repro.harness.chaos`) asserts that a fault-ridden
-sweep converges bit-identically to the fault-free run.
+or speculatively duplicated execution returns the same record, and a
+fault-ridden sweep converges bit-identically to the fault-free run.
 """
 
 from __future__ import annotations
@@ -102,11 +101,11 @@ IMPORTED_IN_PID = os.getpid()
 
 
 class TransientJobError(RuntimeError):
-    """Base class for injected / simulated transient job errors."""
+    """Base class of the transient (retryable) job errors."""
 
 
 class WorkerCrashError(TransientJobError):
-    """A worker process died mid-job (serial chaos stand-in included)."""
+    """A worker process died mid-job."""
 
 
 class JobTimeoutError(TransientJobError):
@@ -344,35 +343,26 @@ def _classify(exc: Exception) -> tuple[str, bool]:
 # ----------------------------------------------------------------------
 
 
-def _attempt(job: SimJob, index: int, attempt: int, chaos, job_fn, in_worker: bool):
+def _attempt(job: SimJob, index: int, attempt: int, job_fn):
     """Execute one attempt of one job; the only call into job code.
 
-    ``execute_job`` is looked up when the attempt runs, not when the set
-    was built, so a caller that rebinds the module attribute (perfbench's
-    tracer) sees in-process attempts.
+    ``job_fn(job, index, attempt)``, or ``execute_job(job)`` when
+    ``job_fn`` is ``None``.  ``execute_job`` is looked up when the
+    attempt runs, not when the set was built, so a caller that rebinds
+    the module attribute (perfbench's tracer) sees in-process attempts.
     """
-    from repro.harness.chaos import chaos_execute  # chaos imports this module
-
-    return chaos_execute(
-        job,
-        index,
-        attempt,
-        chaos,
-        in_worker=in_worker,
-        job_fn=job_fn if job_fn is not None else execute_job,
-    )
+    if job_fn is None:
+        return execute_job(job)
+    return job_fn(job, index, attempt)
 
 
-def _worker_main(worker_id, conn, chaos, heartbeat_interval, job_fn):
+def _worker_main(worker_id, conn, heartbeat_interval, job_fn):
     """Worker loop: recv task, execute, send result; heartbeat thread.
 
     Runs until the owner kills the process or closes the pipe.
     Top-level so a child process can import it by name.  All sends share one
     lock because the heartbeat thread and the main loop write to the
-    same pipe.  ``job_fn`` (a picklable top-level callable, or ``None``
-    for :func:`~repro.harness.parallel.execute_job`) lets embedders like
-    the job server capture extra per-job telemetry without forking the
-    worker protocol.
+    same pipe.
     """
     send_lock = threading.Lock()
     stop = threading.Event()
@@ -382,11 +372,7 @@ def _worker_main(worker_id, conn, chaos, heartbeat_interval, job_fn):
             conn.send(message)
 
     def _beat() -> None:
-        from repro.harness import chaos as chaos_mod
-
         while not stop.wait(heartbeat_interval):
-            if chaos_mod.heartbeat_suppressed():
-                return  # chaos "wedge": simulate a frozen interpreter
             try:
                 _send(("hb", worker_id))
             except (OSError, ValueError):
@@ -398,7 +384,7 @@ def _worker_main(worker_id, conn, chaos, heartbeat_interval, job_fn):
         while True:
             index, attempt, job = conn.recv()
             try:
-                record = _attempt(job, index, attempt, chaos, job_fn, in_worker=True)
+                record = _attempt(job, index, attempt, job_fn)
                 _send(("done", worker_id, index, attempt, record))
             except Exception as exc:
                 # The exception crosses the pipe as (class, args, state)
@@ -478,9 +464,14 @@ class ManagedWorkerSet:
     reaped, so a dead worker surfaces as :class:`WorkerCrashError`
     instead of a hang.
 
-    Not thread-safe: one owner thread submits and pumps.  ``job_fn``
-    must be a picklable top-level callable when workers are processes
-    (default :func:`~repro.harness.parallel.execute_job`).  ``stats``
+    ``job_fn`` is how an attempt runs a job: it is called as
+    ``job_fn(job, index, attempt)``, with the index the job was
+    submitted under and the 0-based number of that job's launch, and
+    returns the record; ``None`` calls
+    :func:`~repro.harness.parallel.execute_job` on the job alone.  It
+    must be a picklable top-level callable when workers are processes.
+
+    Not thread-safe: one owner thread submits and pumps.  ``stats``
     accumulates recovery counters across every job ever submitted.
     """
 
@@ -488,7 +479,6 @@ class ManagedWorkerSet:
         self,
         policy: RetryPolicy | None = None,
         workers: int = 1,
-        chaos=None,
         stats: ExecutionStats | None = None,
         on_retry=None,
         job_fn=None,
@@ -496,7 +486,6 @@ class ManagedWorkerSet:
         self.unsupervised = policy is None
         self.policy = _UNSUPERVISED if policy is None else policy
         self.stats = stats if stats is not None else ExecutionStats()
-        self.chaos = chaos
         self.job_fn = job_fn
         self.on_retry = on_retry
         # Per-job state lives only while the job is unsettled, so a
@@ -525,8 +514,7 @@ class ManagedWorkerSet:
         """Enqueue a job; returns the index its outcome will carry.
 
         ``index`` defaults to a counter; a caller with its own numbering
-        (the executor's job positions, which chaos rules match) passes
-        it.
+        (the executor's job positions) passes it.
         """
         if self._closed:
             raise RuntimeError("worker set is closed")
@@ -632,7 +620,6 @@ class ManagedWorkerSet:
             args=(
                 worker_id,
                 child_conn,
-                self.chaos,
                 self.policy.heartbeat_interval,
                 self.job_fn,
             ),
@@ -727,17 +714,14 @@ class ManagedWorkerSet:
     def _attempt_inline(self, index: int) -> None:
         """Run one attempt in this process.
 
-        Nothing can preempt it, so deadlines do not apply here (the
-        chaos harness raises :class:`JobTimeoutError` for a hang instead,
-        which still exercises the retry path).  An interrupt is not an
-        ``Exception`` and leaves through :meth:`pump`.
+        Nothing can preempt it, so deadlines and heartbeats do not apply
+        here.  An interrupt is not an ``Exception`` and leaves through
+        :meth:`pump`.
         """
         attempt = self._count_launch(index)
         started = time.monotonic()
         try:
-            record = _attempt(
-                self.jobs[index], index, attempt, self.chaos, self.job_fn, False
-            )
+            record = _attempt(self.jobs[index], index, attempt, self.job_fn)
         except Exception as exc:
             self._failed_attempt(index, attempt, exc)
         else:

@@ -15,10 +15,10 @@ tests all talk to the same object:
 * **Execution** — jobs run on a
   :class:`~repro.harness.resilient.ManagedWorkerSet` supervised by the
   server's :class:`~repro.harness.resilient.RetryPolicy` (crash
-  recovery, deadlines, straggler speculation — the same machinery the
-  chaos grid certifies for batch sweeps).  Where a pool cannot exist
-  (``workers<=1``, daemonic context, no entry point to replay) the set runs
-  attempts on the broker's pump thread, under the same policy.
+  recovery, deadlines, straggler speculation — the same machinery
+  batch sweeps use).  Where a pool cannot exist (``workers<=1``,
+  daemonic context, no entry point to replay) the set runs attempts on
+  the broker's pump thread, under the same policy.
 * **Admission control** — at most ``max_inflight`` distinct jobs may
   be queued or running; beyond that :meth:`submit` raises
   :class:`SaturatedError`, which the HTTP layer maps to a 503
@@ -71,10 +71,11 @@ HISTORY_LIMIT = 1024
 TELEMETRY_INTERVAL = 1.0
 
 
-def serve_execute_job(job: SimJob) -> dict:
+def serve_execute_job(job: SimJob, index: int, attempt: int) -> dict:
     """Worker entry point for server jobs: record + scheduler telemetry.
 
-    Top-level so worker processes can import it.  Identical to
+    Top-level so worker processes can import it; takes the worker set's
+    ``(job, index, attempt)`` and ignores the last two.  Identical to
     :func:`~repro.harness.parallel.execute_job` except for the
     :data:`TELEMETRY_FIELD` side channel.
     """
@@ -155,7 +156,6 @@ class JobBroker:
         cache: ResultCache | None = None,
         workers: int | None = None,
         policy: RetryPolicy | None = None,
-        chaos=None,
         max_inflight: int = 64,
         job_fn=serve_execute_job,
     ) -> None:
@@ -164,7 +164,6 @@ class JobBroker:
         self.cache = cache
         self.workers = resolve_workers(workers)
         self.policy = policy if policy is not None else RetryPolicy()
-        self.chaos = chaos
         self.max_inflight = max_inflight
         self.job_fn = job_fn
         self.stats = ExecutionStats()
@@ -203,7 +202,6 @@ class JobBroker:
         self._pool = ManagedWorkerSet(
             policy=self.policy,
             workers=self.workers,
-            chaos=self.chaos,
             stats=self.stats,
             on_retry=self._on_retry,
             job_fn=self.job_fn,

@@ -1,24 +1,21 @@
 """Chaos-harness tests: fault injection is deterministic, and sweeps
 run under chaos converge bit-identical to fault-free runs.
 
-The pooled cells here spawn real worker processes and inject real
-faults (``os._exit``, sleeps); they are kept small (3x3 mesh, short
-runs) so the whole file stays in CI-smoke territory.  The full kind x
-execution mode grid is ``TestChaosGrid``.
+The faults are a job function (tests/chaos.py) the engine calls with
+each attempt's ``(index, attempt)``.  The pooled cells here spawn real
+worker processes and inject real faults (``os._exit``, sleeps,
+``SIGSTOP``); they are kept small (3x3 mesh, short runs) so the whole
+file stays in CI-smoke territory, and they fail if the pool falls back
+to inline attempts.  The full kind x execution mode grid is
+``TestChaosGrid``.
 """
 
 import multiprocessing
+import signal
 
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.harness.chaos import (
-    CRASH_EXIT_CODE,
-    ChaosConfig,
-    ChaosRule,
-    ChaosTransientError,
-    chaos_execute,
-)
 from repro.harness.parallel import ParallelExecutor, SimJob, is_failure_record
 from repro.harness.resilient import (
     CorruptResultError,
@@ -29,6 +26,7 @@ from repro.harness.resilient import (
     validate_record,
 )
 
+from .chaos import CRASH_EXIT_CODE, ChaosConfig, ChaosRule, ChaosTransientError
 from .test_resilient import drain
 
 BASE = {
@@ -47,6 +45,11 @@ def jobs_for(seeds=(1, 2, 3)):
 
 
 FAST = RetryPolicy(backoff_base=0.0, max_retries=3)
+
+#: A pooled cell must run its attempts in worker processes.
+STRICT_POOL = pytest.mark.filterwarnings(
+    "error::repro.harness.parallel.NestedPoolFallbackWarning"
+)
 
 
 class TestChaosRules:
@@ -89,7 +92,7 @@ class TestChaosExecuteSerial:
 
     def test_clean_execution_matches_direct_run(self):
         direct = ParallelExecutor().run_jobs([self.job()])[0]
-        chaotic = chaos_execute(self.job(), 0, 0, ChaosConfig(rules=()))
+        chaotic = ChaosConfig(rules=())(self.job(), 0, 0)
         assert chaotic == direct
 
     def test_transient_raises_chaos_error(self):
@@ -97,9 +100,9 @@ class TestChaosExecuteSerial:
             rules=(ChaosRule(kind="transient", indices=(0,), attempts=(0,)),)
         )
         with pytest.raises(ChaosTransientError):
-            chaos_execute(self.job(), 0, 0, chaos)
+            chaos(self.job(), 0, 0)
         # Attempt 1 is clean — the fault is injected exactly once.
-        record = chaos_execute(self.job(), 0, 1, chaos)
+        record = chaos(self.job(), 0, 1)
         validate_record(record)
 
     def test_crash_raises_worker_crash_standin_serially(self):
@@ -109,7 +112,7 @@ class TestChaosExecuteSerial:
             rules=(ChaosRule(kind="crash", indices=(0,), attempts=(0,)),)
         )
         with pytest.raises(WorkerCrashError):
-            chaos_execute(self.job(), 0, 0, chaos)
+            chaos(self.job(), 0, 0)
 
     def test_hang_raises_timeout_standin_serially(self):
         from repro.harness.resilient import JobTimeoutError
@@ -118,7 +121,7 @@ class TestChaosExecuteSerial:
             rules=(ChaosRule(kind="hang", indices=(0,), attempts=(0,)),)
         )
         with pytest.raises(JobTimeoutError):
-            chaos_execute(self.job(), 0, 0, chaos)
+            chaos(self.job(), 0, 0)
 
     def test_corrupt_tampers_named_fields(self):
         chaos = ChaosConfig(
@@ -131,7 +134,7 @@ class TestChaosExecuteSerial:
                 ),
             )
         )
-        record = chaos_execute(self.job(), 0, 0, chaos)
+        record = chaos(self.job(), 0, 0)
         with pytest.raises(CorruptResultError):
             validate_record(record)
 
@@ -159,7 +162,7 @@ class TestChaosConvergence:
                 ),
             )
         )
-        executor = ParallelExecutor(policy=FAST, chaos=chaos)
+        executor = ParallelExecutor(policy=FAST, job_fn=chaos)
         assert executor.run_jobs(jobs_for()) == baseline
         stats = executor.last_stats
         assert stats.retries == 3
@@ -167,6 +170,7 @@ class TestChaosConvergence:
         assert stats.worker_crashes == 1
         assert stats.corrupt_results == 1
 
+    @STRICT_POOL
     def test_pooled_mixed_chaos_converges(self, baseline):
         chaos = ChaosConfig(
             rules=(
@@ -180,7 +184,7 @@ class TestChaosConvergence:
             heartbeat_interval=0.2,
             heartbeat_timeout=10.0,
         )
-        executor = ParallelExecutor(workers=2, policy=policy, chaos=chaos)
+        executor = ParallelExecutor(workers=2, policy=policy, job_fn=chaos)
         assert executor.run_jobs(jobs_for()) == baseline
         assert executor.last_stats.failures == 0
         assert executor.last_stats.retries == 2
@@ -190,7 +194,7 @@ class TestChaosConvergence:
             rules=(ChaosRule(kind="crash", indices=(1,), attempts=None),)
         )
         policy = RetryPolicy(backoff_base=0.0, max_retries=2)
-        executor = ParallelExecutor(policy=policy, chaos=chaos)
+        executor = ParallelExecutor(policy=policy, job_fn=chaos)
         records = executor.run_jobs(jobs_for())
         assert records[0] == baseline[0]
         assert records[2] == baseline[2]
@@ -205,12 +209,15 @@ class TestChaosGrid:
     converge to the fault-free records; a poison cell crashes job 1 on
     every attempt and must quarantine exactly that job; an unsupervised
     cell (``policy=None``) must raise the injected fault as its type, in
-    bounded time, and leave no worker process behind.
+    bounded time, and leave no worker process behind.  A frozen worker,
+    outside the grid, is caught by its missing heartbeat alone.
     """
 
     CELLS = [
         *(
-            f"{mode}/{kind}"
+            pytest.param(
+                f"{mode}/{kind}", marks=[STRICT_POOL] if mode == "pooled" else []
+            )
             for mode in ("serial", "pooled")
             for kind in ("crash", "hang", "transient", "corrupt", "poison")
         ),
@@ -247,7 +254,7 @@ class TestChaosGrid:
             self.check_unsupervised(jobs, baseline, chaos)
             return
         executor = ParallelExecutor(
-            workers=2 if mode == "pooled" else None, policy=self.POLICY, chaos=chaos
+            workers=2 if mode == "pooled" else None, policy=self.POLICY, job_fn=chaos
         )
         records = executor.run_jobs(jobs)
         if kind == "poison":
@@ -257,10 +264,28 @@ class TestChaosGrid:
         assert records == baseline
         assert executor.last_stats.retries >= 3
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="no SIGSTOP")
+    @STRICT_POOL
+    def test_frozen_worker_caught_by_missing_heartbeat(self, sweep):
+        """A stopped worker is alive and silent; with no deadline, only
+        the heartbeat check can kill it and retry its job."""
+        jobs, baseline = sweep
+        policy = RetryPolicy(
+            max_retries=3,
+            backoff_base=0.0,
+            heartbeat_interval=0.1,
+            heartbeat_timeout=1.0,
+        )
+        freeze = ChaosConfig((ChaosRule("freeze", indices=(0,)),))
+        executor = ParallelExecutor(workers=2, policy=policy, job_fn=freeze)
+        assert executor.run_jobs(jobs) == baseline
+        assert executor.last_stats.worker_crashes == 1
+        assert executor.last_stats.retries == 1
+
     @staticmethod
     def check_unsupervised(jobs, baseline, chaos):
         before = set(multiprocessing.active_children())
-        pool = ManagedWorkerSet(None, workers=2, chaos=chaos)
+        pool = ManagedWorkerSet(None, workers=2, job_fn=chaos)
         for job in jobs:
             pool.submit(job)
         if chaos is None:

@@ -417,7 +417,7 @@ class TestServe:
         assert err.count("\n") == 1
 
     def test_a_rejected_request(self, capsys):
-        broker = JobBroker(workers=1, job_fn=lambda job: {})
+        broker = JobBroker(workers=1, job_fn=lambda job, *_: {})
         with broker, ServerThread(broker) as url:
             argv = ["serve", "submit", "--url", url, '{"config": {"bogus": 1}}']
             assert main(argv) == 2

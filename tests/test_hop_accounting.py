@@ -9,6 +9,7 @@ crossed.
 
 import pytest
 
+from repro.core import simulator
 from repro.core.simulator import Simulator
 from repro.core.statistics import StatsCollector
 from repro.core.types import Direction, NodeId, Packet
@@ -68,7 +69,9 @@ def _detour_sim() -> Simulator:
     # One static critical fault away from the staircase, so this is a
     # faulted XY-YX run (the regime the old Manhattan fallback lied in).
     fault = ComponentFault(node=NodeId(1, 3), component=Component.CROSSBAR)
-    sim = Simulator(config, traffic=SingleFlow(), faults=[fault])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "make_traffic", lambda name: SingleFlow())
+        sim = Simulator(config, faults=[fault])
     routing = DetourRouting()
     routing.topology = sim.network.topology
     sim.network.routing = routing

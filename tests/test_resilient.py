@@ -14,14 +14,15 @@ The contract under test (docs/resilient-execution.md):
   cache consistent (no ``.tmp`` litter) and the journal flushed.
 """
 
+import errno
 import json
+import os
 import time
 
 import pytest
 
 from repro.core.config import SimulationConfig
 from repro.faults.schedule import FaultSchedule
-from repro.harness.chaos import ChaosConfig, ChaosRule
 from repro.harness.parallel import (
     FAILURE_MARKER,
     ParallelExecutor,
@@ -41,6 +42,8 @@ from repro.harness.resilient import (
     validate_record,
 )
 from repro.harness.sweeps import Sweep
+
+from .chaos import ChaosConfig, ChaosRule
 
 BASE = {
     "width": 3,
@@ -150,7 +153,7 @@ class TestRetries:
         chaos = ChaosConfig(
             rules=(ChaosRule(kind="transient", indices=(1,), attempts=(0,)),)
         )
-        executor = ParallelExecutor(policy=FAST, chaos=chaos)
+        executor = ParallelExecutor(policy=FAST, job_fn=chaos)
         records = executor.run_jobs(jobs)
         assert records == baseline
         assert executor.last_stats.retries == 1
@@ -161,7 +164,7 @@ class TestRetries:
             rules=(ChaosRule(kind="crash", indices=(0,), attempts=None),)
         )
         policy = RetryPolicy(backoff_base=0.0, max_retries=2)
-        executor = ParallelExecutor(policy=policy, chaos=chaos)
+        executor = ParallelExecutor(policy=policy, job_fn=chaos)
         (record,) = executor.run_jobs(small_jobs(seeds=(1,)))
         assert is_failure_record(record)
         assert record["kind"] == "retries-exhausted"
@@ -175,7 +178,7 @@ class TestRetries:
         chaos = ChaosConfig(
             rules=(ChaosRule(kind="corrupt", indices=(0, 2), attempts=(0,)),)
         )
-        executor = ParallelExecutor(policy=FAST, chaos=chaos)
+        executor = ParallelExecutor(policy=FAST, job_fn=chaos)
         records = executor.run_jobs(jobs)
         assert records == baseline
         assert executor.last_stats.corrupt_results == 2
@@ -352,6 +355,64 @@ class TestResume:
         assert records[1]["error_type"] == first_records[1]["error_type"]
 
 
+class _RefusingHandle:
+    """A journal handle whose second write lands half its line and then
+    fails as a full disk fails it."""
+
+    def __init__(self, handle) -> None:
+        self.handle = handle
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes == 2:
+            self.handle.write(text[: len(text) // 2])
+            self.handle.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.handle.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+
+class TestJournalOnARefusingDisk:
+    def test_a_torn_append_stops_the_sweep_and_resume_finishes_it(
+        self, tmp_path
+    ):
+        """The journal's own write failing is not absorbed like a cache
+        store: the sweep stops with the disk's error, the records it had
+        already cached stay, and a resume cuts the torn line and
+        simulates only the job that never ran."""
+        jobs = small_jobs()
+        path = tmp_path / "journal.jsonl"
+        cache_dir = tmp_path / "cache"
+        journal = SweepJournal(path)
+        journal._handle = _RefusingHandle(journal._handle)
+        executor = ParallelExecutor(
+            cache=ResultCache(cache_dir), journal=journal, policy=RetryPolicy()
+        )
+        with pytest.raises(OSError) as excinfo:
+            executor.run_jobs(jobs)
+        journal.close()
+        assert excinfo.value.errno == errno.ENOSPC
+        assert len(list(cache_dir.glob("*.json"))) == 2
+        assert not path.read_bytes().endswith(b"\n")
+
+        resumed_journal = SweepJournal(path, resume=True)
+        assert len(resumed_journal.completed_keys) == 1
+        assert path.read_bytes().endswith(b"\n")
+        resumed = ParallelExecutor(
+            cache=ResultCache(cache_dir),
+            journal=resumed_journal,
+            policy=RetryPolicy(),
+        )
+        records = resumed.run_jobs(jobs)
+        resumed_journal.close()
+        assert resumed.simulations_run == 1
+        assert resumed.last_stats.cache_hits == 2
+        assert records == ParallelExecutor().run_jobs(jobs)
+
+
 class TestInterruptConsistency:
     def test_keyboard_interrupt_leaves_cache_consistent(self, tmp_path):
         """Satellite: no ``.tmp`` litter, journal flushed, stats set."""
@@ -393,7 +454,7 @@ class TestProgressReporting:
         policy = RetryPolicy(backoff_base=0.0, max_retries=1)
         printer = ProgressPrinter(stream=sys.stderr)
         executor = ParallelExecutor(
-            policy=policy, chaos=chaos, progress=printer
+            policy=policy, job_fn=chaos, progress=printer
         )
         executor.run_jobs(small_jobs())
         err = capsys.readouterr().err
@@ -409,7 +470,7 @@ class TestProgressReporting:
         )
         executor = ParallelExecutor(
             policy=RetryPolicy(backoff_base=0.0, max_retries=0),
-            chaos=chaos,
+            job_fn=chaos,
             progress=lambda done, total, record: seen.append(
                 record.get(FAILURE_MARKER, False)
             ),
@@ -428,7 +489,7 @@ class TestPooledSupervision:
             rules=(ChaosRule(kind="crash", indices=(1,), attempts=(0,)),)
         )
         policy = RetryPolicy(backoff_base=0.0, max_retries=2)
-        executor = ParallelExecutor(workers=2, policy=policy, chaos=chaos)
+        executor = ParallelExecutor(workers=2, policy=policy, job_fn=chaos)
         records = executor.run_jobs(jobs)
         assert records == baseline
         assert executor.last_stats.worker_crashes == 1
@@ -448,7 +509,7 @@ class TestPooledSupervision:
         policy = RetryPolicy(
             job_timeout=1.5, backoff_base=0.0, max_retries=2
         )
-        executor = ParallelExecutor(workers=2, policy=policy, chaos=chaos)
+        executor = ParallelExecutor(workers=2, policy=policy, job_fn=chaos)
         records = executor.run_jobs(jobs)
         assert records == baseline
         assert executor.last_stats.timeouts == 1
@@ -461,7 +522,7 @@ class TestPooledSupervision:
         ) == ParallelExecutor().run_jobs(jobs)
 
 
-def echo_seed(job: SimJob) -> dict:
+def echo_seed(job: SimJob, index: int, attempt: int) -> dict:
     """Trivial top-level job function (picklable for spawn workers)."""
     return {"seed": job.config.seed}
 
@@ -476,7 +537,7 @@ def drain(pool: ManagedWorkerSet, deadline: float = 60.0) -> dict[int, object]:
     return settled
 
 
-def raise_violation(job: SimJob) -> dict:
+def raise_violation(job: SimJob, index: int, attempt: int) -> dict:
     """Seed 1 breaks an invariant, any other seed the shard ledger.
     (Imported here: a script importing this module must not preload the
     audit package, tests/test_worker_context.py.)"""
@@ -542,7 +603,7 @@ class TestWorkerSet:
         """policy=None: a killed worker is WorkerCrashError in bounded
         time with no child left alive (a spawn Pool hangs here)."""
         chaos = ChaosConfig((ChaosRule("crash", indices=(1,)),))
-        pool = ManagedWorkerSet(policy=None, workers=2, chaos=chaos)
+        pool = ManagedWorkerSet(policy=None, workers=2, job_fn=chaos)
         processes = [h.process for h in pool.workers.values()]
         assert len(processes) == 2
         for job in small_jobs():
@@ -572,7 +633,7 @@ class TestWorkerSet:
                 drain(pool)
 
 
-def raise_unpicklable(job: SimJob) -> dict:
+def raise_unpicklable(job: SimJob, index: int, attempt: int) -> dict:
     class LocalError(Exception):  # a local class cannot cross a pipe
         pass
 

@@ -326,7 +326,7 @@ class TestUnknownKeys:
         broker = JobBroker(
             workers=1,
             policy=RetryPolicy(backoff_base=0.0, validate=False),
-            job_fn=lambda job: {"seed": job.config.seed},
+            job_fn=lambda job, *_: {"seed": job.config.seed},
         )
         with broker, ServerThread(broker) as url:
             with pytest.raises(RequestRejected, match="'voltage'") as excinfo:

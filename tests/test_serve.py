@@ -30,7 +30,6 @@ import time
 import pytest
 
 from repro.core.config import SimulationConfig
-from repro.harness.chaos import ChaosConfig, ChaosRule
 from repro.harness.parallel import ResultCache, SimJob, execute_job, job_key
 from repro.harness.resilient import RetryPolicy
 from repro.serve.broker import JobBroker, SaturatedError, serve_execute_job
@@ -48,6 +47,8 @@ from repro.serve.protocol import (
     normalize_request,
 )
 from repro.serve.server import MAX_BODY_BYTES, ServerThread, _Handler
+
+from .chaos import ChaosConfig, ChaosRule
 
 BASE = {
     "width": 3,
@@ -161,7 +162,7 @@ class TestBrokerDedupe:
         calls: list[str] = []
         calls_lock = threading.Lock()
 
-        def counting_fn(job):
+        def counting_fn(job, index, attempt):
             with calls_lock:
                 calls.append(job_key(job))
             gate.wait(timeout=30)
@@ -195,7 +196,7 @@ class TestBrokerDedupe:
 
     def test_resubmission_after_settle_served_from_memory(self):
         with JobBroker(
-            workers=1, policy=FAST, job_fn=lambda job: {"v": 1}
+            workers=1, policy=FAST, job_fn=lambda job, *_: {"v": 1}
         ) as broker:
             first = broker.submit(small_job())
             assert first.future.result(timeout=30) == {"v": 1}
@@ -209,7 +210,7 @@ class TestBrokerDedupe:
         job = small_job()
         cache.store(job_key(job), {"v": "warm"})
         with JobBroker(
-            cache=cache, workers=1, policy=FAST, job_fn=lambda j: {"v": "cold"}
+            cache=cache, workers=1, policy=FAST, job_fn=lambda j, *_: {"v": "cold"}
         ) as broker:
             ticket = broker.submit(job)
             assert ticket.cached
@@ -221,7 +222,7 @@ class TestBrokerDedupe:
         with JobBroker(
             workers=1,
             policy=FAST,
-            job_fn=lambda job: {"seed": job.config.seed},
+            job_fn=lambda job, *_: {"seed": job.config.seed},
         ) as broker:
             a = broker.submit(small_job(seed=1))
             b = broker.submit(small_job(seed=2))
@@ -233,7 +234,7 @@ class TestBrokerDedupe:
     def test_completed_simulation_stored_in_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         with JobBroker(
-            cache=cache, workers=1, policy=FAST, job_fn=lambda j: {"v": 9}
+            cache=cache, workers=1, policy=FAST, job_fn=lambda j, *_: {"v": 9}
         ) as broker:
             ticket = broker.submit(small_job())
             assert ticket.future.result(timeout=30) == {"v": 9}
@@ -247,7 +248,7 @@ class TestBrokerDedupe:
         cache = ResultCache(tmp_path)
         with JobBroker(
             cache=cache, workers=1, policy=FAST,
-            job_fn=lambda job: {"seed": job.config.seed},
+            job_fn=lambda job, *_: {"seed": job.config.seed},
         ) as broker:
             for seed in (1, 2):
                 ticket = broker.submit(small_job(seed=seed))
@@ -260,7 +261,7 @@ class TestBrokerAdmission:
     def test_saturation_sheds_and_recovers(self):
         gate = threading.Event()
 
-        def gated_fn(job):
+        def gated_fn(job, index, attempt):
             gate.wait(timeout=30)
             return {"seed": job.config.seed}
 
@@ -287,7 +288,7 @@ class TestBrokerAdmission:
     def test_submit_request_reports_partial_shed(self):
         gate = threading.Event()
 
-        def gated_fn(job):
+        def gated_fn(job, index, attempt):
             gate.wait(timeout=30)
             return {"ok": True}
 
@@ -315,7 +316,7 @@ class TestBrokerAdmission:
 class TestBrokerEvents:
     def test_event_sequence_and_resumable_reads(self):
         with JobBroker(
-            workers=1, policy=FAST, job_fn=lambda job: {"v": 1}
+            workers=1, policy=FAST, job_fn=lambda job, *_: {"v": 1}
         ) as broker:
             ticket = broker.submit(small_job())
             ticket.future.result(timeout=30)
@@ -345,7 +346,7 @@ class TestBrokerEvents:
 
     def test_status_snapshot_shape(self):
         with JobBroker(
-            workers=1, policy=FAST, job_fn=lambda job: {"v": 1}
+            workers=1, policy=FAST, job_fn=lambda job, *_: {"v": 1}
         ) as broker:
             broker.submit(small_job()).future.result(timeout=30)
             status = broker.status()
@@ -365,7 +366,7 @@ class TestBrokerEvents:
     def test_shutdown_fails_pending_jobs(self):
         gate = threading.Event()
 
-        def gated_fn(job):
+        def gated_fn(job, index, attempt):
             gate.wait(timeout=30)
             return {"ok": True}
 
@@ -389,12 +390,13 @@ class TestBrokerEvents:
 class TestInlineRetryRecovery:
     def test_transient_chaos_retried_inline(self):
         chaos = ChaosConfig(
-            rules=(ChaosRule(kind="transient", indices=None, attempts=(0,)),)
+            rules=(ChaosRule(kind="transient", indices=None, attempts=(0,)),),
+            job_fn=serve_execute_job,
         )
         with JobBroker(
             workers=1,
             policy=RetryPolicy(max_retries=2, backoff_base=0.0),
-            chaos=chaos,
+            job_fn=chaos,
         ) as broker:
             ticket = broker.submit(small_job())
             record = ticket.future.result(timeout=120)
@@ -412,15 +414,17 @@ class TestPooledCrashRecoveryAcceptance:
         distinct concurrent submissions on a crash-chaos worker pool run
         exactly two simulations, recover every injected crash, and hand
         all waiters records bit-identical to a clean serial run."""
-        chaos = ChaosConfig(rules=(ChaosRule(kind="crash", indices=None),))
+        chaos = ChaosConfig(
+            rules=(ChaosRule(kind="crash", indices=None),),
+            job_fn=serve_execute_job,
+        )
         baseline_a = execute_job(small_job(seed=3))
         baseline_b = execute_job(small_job(seed=4))
         with JobBroker(
             cache=ResultCache(tmp_path),
             workers=2,
             policy=RetryPolicy(max_retries=3, backoff_base=0.0),
-            chaos=chaos,
-            job_fn=serve_execute_job,
+            job_fn=chaos,
         ) as broker:
             assert broker.mode == "pooled"
             barrier = threading.Barrier(3)
@@ -476,7 +480,7 @@ class HttpFixture:
         self.gate = threading.Event()
         self.gate.set()  # default: jobs complete immediately
 
-        def job_fn(job):
+        def job_fn(job, index, attempt):
             self.gate.wait(timeout=30)
             return {"seed": job.config.seed, "rate": job.config.injection_rate}
 

@@ -267,7 +267,7 @@ def test_no_process_is_started(monkeypatch):
     assert compare_records(Simulator(config).run(), sharded) == []
 
 
-def execute_recording_warnings(job: SimJob) -> dict:
+def execute_recording_warnings(job: SimJob, index: int, attempt: int) -> dict:
     """Top-level ``job_fn``: the record, what was warned on the way and
     whether the process that ran it may have children."""
     with warnings.catch_warnings(record=True) as caught:

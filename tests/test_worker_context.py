@@ -39,7 +39,7 @@ needs_fork_server = pytest.mark.skipif(
 )
 
 
-def where(job: SimJob) -> tuple[int, int, int]:
+def where(job: SimJob, index: int, attempt: int) -> tuple[int, int, int]:
     """Top-level ``job_fn``: who imported the worker module, who am I,
     who started me."""
     return resilient.IMPORTED_IN_PID, os.getpid(), os.getppid()
@@ -60,7 +60,7 @@ def census() -> list[list[tuple[int, int, int]]]:
     return sets
 
 
-def in_worker(job: SimJob) -> dict:
+def in_worker(job: SimJob, index: int, attempt: int) -> dict:
     """Top-level ``job_fn``: what a worker holds that it did not fetch."""
     return {
         "transport": parallel._MAIN_TRANSPORT in os.environ,
