@@ -3,8 +3,19 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cache
 
 from repro.arbiters.base import Arbiter
+
+
+@cache
+def one_hot(n: int) -> tuple[tuple[bool, ...], ...]:
+    """``one_hot(n)[i]``: ``n`` request lines with only line ``i`` raised.
+
+    The lines a lone requester presents; shared and immutable, so a
+    caller raising one line builds no list.
+    """
+    return tuple(tuple(j == i for j in range(n)) for i in range(n))
 
 
 class RoundRobinArbiter(Arbiter):

@@ -236,6 +236,11 @@ class SimulationConfig:
                 "the RoCo router has 3 VCs per port (Table 1's classes), "
                 f"not {self.router_config.vcs_per_port}"
             )
+        if self.router == "path_sensitive" and self.router_config.vcs_per_port != 3:
+            raise ValueError(
+                "the Path-Sensitive router has 3 VCs per path set (one per "
+                f"arrival direction), not {self.router_config.vcs_per_port}"
+            )
         nodes = self.num_nodes
         if self.traffic in BIT_PERMUTATIONS and nodes & (nodes - 1):
             raise ValueError(

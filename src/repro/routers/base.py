@@ -531,6 +531,18 @@ class BaseRouter(abc.ABC):
             south if south > 1 else 0
         )
 
+    def _tally_lone(self, vc: VirtualChannel) -> None:
+        """:meth:`_tally_contention` of a router whose only occupied VC
+        is ``vc``: one request at most, never contended."""
+        out_dir = vc.out_dir
+        if out_dir is None or out_dir is Direction.LOCAL or not vc.queue:
+            return
+        contention = self.network.stats.contention
+        if out_dir is Direction.EAST or out_dir is Direction.WEST:
+            contention.row_requests += 1
+        else:
+            contention.column_requests += 1
+
     # ------------------------------------------------------------------
     # Switch traversal helpers
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import groupby
 from operator import attrgetter
 
-from repro.arbiters.round_robin import RoundRobinArbiter
+from repro.arbiters.round_robin import RoundRobinArbiter, one_hot
 from repro.core.buffer import VirtualChannel
 from repro.core.types import Direction, NodeId, Packet, RoutingMode
 from repro.routers.base import BaseRouter
@@ -32,6 +32,9 @@ GENERIC_PORTS = (
 
 #: Groups a port-ordered VC list by input port (SA stage 1).
 _INPUT_DIR = attrgetter("input_dir")
+
+#: SA stage-2 lines of a lone nominee, by input port (= line index).
+_PORT_LINES = one_hot(len(GENERIC_PORTS))
 
 
 class GenericRouter(BaseRouter):
@@ -62,6 +65,8 @@ class GenericRouter(BaseRouter):
         self._sa_stage2 = {
             d: RoundRobinArbiter(len(GENERIC_PORTS)) for d in GENERIC_PORTS
         }
+        #: SA stage-1 lines of a lone requester, by VC index.
+        self._vc_lines = one_hot(v)
 
     # ------------------------------------------------------------------
     # Structure
@@ -145,6 +150,9 @@ class GenericRouter(BaseRouter):
         occupied = [vc for vc in self._vcs if vc.queue]
         if not occupied:
             return
+        if len(occupied) == 1 and not self.network.full_sweep:
+            self._allocate_lone(occupied[0], cycle)
+            return
         # RC + VA (in parallel with SA in stage 1; speculation is modelled
         # by letting a worm that allocates this cycle also compete for the
         # switch this cycle).  Requests for the same downstream VC are
@@ -221,6 +229,38 @@ class GenericRouter(BaseRouter):
                 lines[d] = True
             winner = self._sa_stage2[out_dir].grant(lines)
             self._commit_switch_grant(nominees[GENERIC_PORTS[winner]], cycle)
+
+    def _allocate_lone(self, vc: VirtualChannel, cycle: int) -> None:
+        """:meth:`allocate` of a step that finds only ``vc`` occupied.
+
+        The general body with each container cut to its one entry: the
+        VC, if ready, is the sole request of both SA stages and wins
+        them, but each stage's arbiter is still called — one raised line
+        — so its rotating priority moves past the winner as in the
+        general walk.  The full sweep never comes here: it is the
+        reference the lone path is checked against.
+        """
+        if self.network.has_faults:
+            self._discard_dropped_front(vc, cycle)
+        queue = vc.queue
+        if queue:
+            front = queue[0]
+            if front.is_head:
+                if vc.active_pid is None:
+                    vc.active_pid = front.packet.pid
+                if vc.out_vc is None and front.arrival < cycle:
+                    va_requests: list = []
+                    self._route_and_request(vc, va_requests, cycle)
+                    if va_requests:
+                        self._resolve_vc_allocations(va_requests, cycle)
+        self._tally_lone(vc)
+        if not self._vc_ready_for_switch(vc, cycle):
+            return
+        self._activity.sa_requests += 1
+        d = vc.input_dir
+        self._sa_stage1[d].grant(self._vc_lines[vc.index])
+        self._sa_stage2[vc.out_dir].grant(_PORT_LINES[d])
+        self._commit_switch_grant(vc, cycle)
 
     def _route_and_request(
         self, vc: VirtualChannel, va_requests: list, cycle: int

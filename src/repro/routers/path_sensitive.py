@@ -16,7 +16,7 @@ why only 2 of its 24 match cases are non-blocking (Table 2).
 
 from __future__ import annotations
 
-from repro.arbiters.round_robin import RoundRobinArbiter
+from repro.arbiters.round_robin import RoundRobinArbiter, one_hot
 from repro.core.buffer import VirtualChannel
 from repro.core.types import Direction, NodeId, Packet, RoutingMode
 from repro.routers.base import EJECT, BaseRouter
@@ -61,6 +61,16 @@ _FEEDERS = {
         if out_dir in QUADRANT_OUTPUTS[quadrant]
     )
     for out_dir in OUTPUT_ORDER
+}
+
+#: Local-stage lines of a lone requester, by VC index within its set.
+_VC_LINES = one_hot(3)
+
+#: (path-set index, output) -> the lone requester's local arbiter slot
+#: and its one raised line at that output's 2:1 arbiter.
+_LONE_CROSSPOINT = {
+    (q_index, out_dir): (slot, one_hot(2)[_FEEDERS[out_dir].index(q_index)])
+    for (q_index, out_dir), slot in _CROSSPOINT_SLOT.items()
 }
 
 #: Quadrant pairs able to serve an axis-aligned destination.
@@ -198,6 +208,9 @@ class PathSensitiveRouter(BaseRouter):
         occupied = [vc for vc in self._vcs if vc.queue]
         if not occupied:
             return
+        if len(occupied) == 1 and not self.network.full_sweep:
+            self._allocate_lone(occupied[0], cycle)
+            return
         has_faults = self.network.has_faults
         lookahead = self.config.lookahead_routing
         va_requests: list = []
@@ -270,6 +283,44 @@ class PathSensitiveRouter(BaseRouter):
             quadrant = feeders[self._output_arbiters[out_dir].grant(lines)]
             self._commit_switch_grant(local[(quadrant, out_dir)], cycle)
             granted_sets.append(quadrant)
+
+    def _allocate_lone(self, vc: VirtualChannel, cycle: int) -> None:
+        """:meth:`allocate` of a step that finds only ``vc`` occupied.
+
+        The general body with each container cut to its one entry: the
+        VC, if ready and at a crosspoint, is the sole request of its
+        local arbiter and of its output's 2:1 arbiter, and each is still
+        called — one raised line — so its rotating priority moves past
+        the winner as in the general walk.  The full sweep never comes
+        here: it is the reference the lone path is checked against.
+        """
+        if self.network.has_faults:
+            self._discard_dropped_front(vc, cycle)
+        queue = vc.queue
+        if queue:
+            front = queue[0]
+            if front.is_head:
+                if vc.active_pid is None:
+                    vc.active_pid = front.packet.pid
+                if vc.out_vc is None and (
+                    self.config.lookahead_routing or front.arrival < cycle
+                ):
+                    va_requests: list = []
+                    self._request_worm_allocation(vc, cycle, va_requests)
+                    if va_requests:
+                        self._resolve_vc_allocations(va_requests, cycle)
+        self._tally_lone(vc)
+        if not self._vc_ready_for_switch(vc, cycle):
+            return
+        out_dir = vc.out_dir
+        crosspoint = _LONE_CROSSPOINT.get((vc.port, out_dir))
+        if crosspoint is None:
+            return  # the decomposed crossbar has no such crosspoint
+        slot, feeder_lines = crosspoint
+        self._activity.sa_requests += 1
+        self._set_arbiters[QUADRANTS[vc.port]][slot].grant(_VC_LINES[vc.index])
+        self._output_arbiters[out_dir].grant(feeder_lines)
+        self._commit_switch_grant(vc, cycle)
 
     def _request_worm_allocation(
         self, vc: VirtualChannel, cycle: int, va_requests: list

@@ -278,6 +278,12 @@ class RoCoRouter(BaseRouter):
             self._alloc_occupied = False
             return
         self._alloc_occupied = True
+        if len(row_occupied) + len(column_occupied) == 1:
+            if row_occupied:
+                self._allocate_lone(row, row_occupied[0], cycle)
+            else:
+                self._allocate_lone(column, column_occupied[0], cycle)
+            return
         has_faults = self.network.has_faults
         lookahead = self.config.lookahead_routing
         va_requests: list = []
@@ -337,6 +343,51 @@ class RoCoRouter(BaseRouter):
                 self._commit_switch_grant(
                     module.ports[grant.port][grant.vc_index], cycle
                 )
+
+    def _allocate_lone(
+        self, module: RoCoModule, vc: VirtualChannel, cycle: int
+    ) -> None:
+        """:meth:`allocate` of a step that finds only ``vc`` occupied,
+        in ``module``.
+
+        The occupancy-first body with each container cut to its one
+        entry.  The VC, if ready, is the module's sole SA request: its
+        one bit of the request matrix is set around the allocator call,
+        so the allocator's arbiters move their rotating priority exactly
+        as in the general walk.  The full-sweep reference never comes
+        here.
+        """
+        if module.dead:
+            return
+        requested = False
+        if self.network.has_faults:
+            self._discard_dropped_front(vc, cycle)
+        queue = vc.queue
+        if queue:
+            front = queue[0]
+            if front.is_head:
+                if vc.active_pid is None:
+                    vc.active_pid = front.packet.pid
+                if vc.out_vc is None and (
+                    self.config.lookahead_routing or front.arrival < cycle
+                ):
+                    requested = True
+                    va_requests: list = []
+                    self._request_worm_allocation(module, vc, cycle, va_requests)
+                    if va_requests:
+                        self._resolve_vc_allocations(va_requests, cycle)
+        if module.sa_degraded and requested and vc.out_vc is not None:
+            return  # the borrowed VA arbiters issued a grant: busy
+        if not self._vc_ready_for_switch(vc, cycle):
+            return
+        self._activity.sa_requests += 1
+        self._tally_lone(vc)
+        lines = module.sa_requests[vc.port][module.slot_map[vc.out_dir]]
+        lines[vc.index] = True
+        grants = module.allocator.allocate(module.sa_requests)
+        lines[vc.index] = False
+        for grant in grants:
+            self._commit_switch_grant(module.ports[grant.port][grant.vc_index], cycle)
 
     # ------------------------------------------------------------------
     # Runtime fault reaction

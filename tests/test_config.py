@@ -61,6 +61,10 @@ class TestSimulationConfig:
             {"measure_packets": 0},
             {"warmup_packets": -1},
             {"router": "roco", "router_config": RouterConfig(vcs_per_port=4)},
+            {
+                "router": "path_sensitive",
+                "router_config": RouterConfig(vcs_per_port=4),
+            },
             {"backend": "vector"},
         ],
     )

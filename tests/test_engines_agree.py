@@ -36,6 +36,9 @@ from repro.faults.runtime import RuntimeFaultEngine
 from repro.harness.export import result_record
 from repro.harness.parallel import SimJob
 from repro.harness.sharded import ShardPlan, ensure_sharded_supported
+from repro.routers.generic import GenericRouter
+from repro.routers.path_sensitive import PathSensitiveRouter
+from repro.routers.roco import RoCoRouter
 from repro.routers.roco.path_set import COLUMN, ROW
 from repro.traffic import TRAFFIC_CLASSES
 
@@ -242,6 +245,23 @@ for r in BOTH:
 cell("blocking-max-cycles", "object audited", blocking(router="generic",
                                                         max_cycles=200), *CRITICAL)
 
+# Light load: most router steps find one occupied VC, the lone path of
+# ``allocate`` (``_allocate_lone``), which the full-sweep reference never
+# takes.
+lone = partial(small_config, injection_rate=0.02, warmup_packets=10,
+               measure_packets=40, seed=5)
+for r, m, (w, h, tiles) in product(ALL, ("xy", "adaptive"),
+                                   [(4, 4, "tiles-2x2"), (5, 3, "tiles-2x1")]):
+    rows = "object audited" if r == "path_sensitive" else f"object soa {tiles}"
+    cell(f"lone-{r}-{m}-{w}x{h}", rows,
+         lone(router=r, routing=m, width=w, height=h))
+cell("lone-roco-sa-rc", "object audited", lone(),
+     fault(1, 1, Component.SA), fault(2, 2, Component.RC, COLUMN), ends="drained")
+cell("lone-roco-sequential", "object soa tiles-2x2", lone(
+    router_config=RouterConfig.for_architecture("roco", mirror_allocation=False)))
+cell("lone-roco-no-lookahead", "object soa tiles-2x2", lone(
+    router_config=RouterConfig.for_architecture("roco", lookahead_routing=False)))
+
 
 @pytest.mark.parametrize("cell, row", [
     pytest.param(name, row, id=f"{name}-{row}")
@@ -283,6 +303,35 @@ def test_blocking_cells_nap(monkeypatch):
     assert not napping_at["end"]
     assert all(vc.verdict is None for router in sweep.network.routers.values()
                for vc in router.all_vcs())
+
+
+def test_lone_cells_take_the_lone_path(monkeypatch):
+    """Each router takes the lone path on its lone cell; the full-sweep
+    reference never does (a booby-trapped ``_allocate_lone``)."""
+    classes = (GenericRouter, PathSensitiveRouter, RoCoRouter)
+    entered: dict[str, int] = {}
+
+    def spy(method):
+        def wrapper(self, *args):
+            entered[self.architecture] = entered.get(self.architecture, 0) + 1
+            return method(self, *args)
+        return wrapper
+
+    def trap(self, *args):
+        raise AssertionError("the full sweep took the lone path")
+
+    names = [f"lone-{r}-xy-4x4" for r in ALL] + ["lone-roco-sa-rc"]
+    for cls in classes:
+        monkeypatch.setattr(cls, "_allocate_lone", spy(cls._allocate_lone))
+    for name in names:
+        job = CELLS[name][0]
+        Simulator(job.config, faults=list(job.faults)).run()
+    assert sorted(entered) == sorted(ALL), entered
+    for cls in classes:
+        monkeypatch.setattr(cls, "_allocate_lone", trap)
+    for name in names:
+        job = CELLS[name][0]
+        Simulator(job.config, faults=list(job.faults), full_sweep=True).run()
 
 
 # ----------------------------------------------------------------------
