@@ -212,6 +212,20 @@ class SimulationConfig:
             raise ValueError("measure_packets must be >= 1")
         if self.warmup_packets < 0:
             raise ValueError("warmup_packets must be >= 0")
+        # Values that would otherwise fail later, and misreported: an
+        # empty buffer stalls until the drain watchdog calls it a
+        # deadlock, a run of no cycles returns an empty record.  Zero
+        # stays legal for both timeouts.
+        if self.router_config.buffer_depth < 1:
+            raise ValueError("buffer_depth must be >= 1")
+        if self.router_config.vcs_per_port < 1:
+            raise ValueError("vcs_per_port must be >= 1")
+        if self.max_cycles < 1:
+            raise ValueError("max_cycles must be >= 1")
+        if self.drain_timeout < 0:
+            raise ValueError("drain_timeout must be >= 0")
+        if self.fault_drop_timeout < 0:
+            raise ValueError("fault_drop_timeout must be >= 0")
         if self.backend not in ("object", "soa"):
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.shards is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING
 
-from repro.core.buffer import VirtualChannel
+from repro.core.buffer import CREDIT_LATENCY, VirtualChannel
 from repro.core.channel import Channel
 from repro.core.types import (
     CARDINALS,
@@ -32,6 +32,8 @@ from repro.core.types import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from collections.abc import Sequence
+
     from repro.core.network import Network
 
 
@@ -131,7 +133,7 @@ class BaseRouter(abc.ABC):
     @abc.abstractmethod
     def vc_candidates(
         self, input_dir: Direction, packet: Packet, escape_only: bool = False
-    ) -> list[tuple[object, Direction | None]]:
+    ) -> Sequence[tuple[object, Direction | None]]:
         """Admission options for a head flit arriving on ``input_dir``.
 
         Returns ``(target, route_here)`` pairs where ``target`` is either
@@ -289,10 +291,38 @@ class BaseRouter(abc.ABC):
         if len(dirs) > 1:
             dirs.sort()
         link_map = self._in_link_map
+        network = self.network
+        if network.has_faults or network.trace is not None:
+            for d in dirs:
+                for flit in link_map[d].deliver(cycle):
+                    self._accept_flit(flit, d, cycle)
+            return
+        # ``Channel.deliver`` and :meth:`_accept_flit` inlined: on a
+        # healthy, untraced network no packet is ever dropped in flight
+        # and no VC dies, so an arrival is buffered or early-ejected.
+        activity = self._activity
         for d in dirs:
-            link = link_map[d]
-            for flit in link.deliver(cycle):
-                self._accept_flit(flit, d, cycle)
+            in_flight = link_map[d]._in_flight
+            while in_flight and in_flight[0][0] <= cycle:
+                flit = in_flight.popleft()[1]
+                target = flit.vc_hint
+                flit.route = flit.lookahead_route
+                flit.lookahead_route = None
+                if target is EJECT:
+                    network.eject(flit, self.node, cycle, early=True)
+                    continue
+                queue = target.queue
+                faulty = target.faulty
+                if len(queue) >= (1 if faulty else target.depth):
+                    target.push(flit)  # raises the overflow error
+                queue.append(flit)
+                target.expected -= 1
+                flit.arrival = cycle
+                if flit.is_head:
+                    target.active_pid = flit.packet.pid
+                if faulty:
+                    target.hold_until = max(target.hold_until, cycle + 2)
+                activity.buffer_writes += 1
 
     def _accept_flit(self, flit: Flit, input_dir: Direction, cycle: int) -> None:
         """Buffer (or early-eject / discard) one arriving flit."""
@@ -344,14 +374,58 @@ class BaseRouter(abc.ABC):
         (fault drop) between grant and traversal; a stale grant refunds
         the slot reserved at grant time.
         """
-        winners, self._sa_winners = self._sa_winners, []
-        for vc, out_dir, out_vc in winners:
-            if vc.empty or vc.out_dir is not out_dir or vc.out_vc is not out_vc:
-                if isinstance(out_vc, VirtualChannel):
-                    out_vc.refund_slot()
-                    out_vc.expected -= 1
+        winners = self._sa_winners
+        if not winners:
+            return
+        self._sa_winners = []
+        network = self.network
+        if network.trace is not None or network.full_sweep:
+            for vc, out_dir, out_vc in winners:
+                if vc.empty or vc.out_dir is not out_dir or vc.out_vc is not out_vc:
+                    if isinstance(out_vc, VirtualChannel):
+                        out_vc.refund_slot()
+                        out_vc.expected -= 1
+                    continue
+                self._launch(vc, out_dir, cycle)
+            return
+        # :meth:`_launch` inlined, with ``VirtualChannel.pop`` and
+        # ``Channel.send``; the landing wake still goes through
+        # ``Network.schedule_wake``, which a tile overrides.
+        stats = self._activity
+        outputs = self.outputs
+        release = cycle + CREDIT_LATENCY
+        for vc, out_dir, target in winners:
+            queue = vc.queue
+            if not queue or vc.out_dir is not out_dir or vc.out_vc is not target:
+                if isinstance(target, VirtualChannel):
+                    target.refund_slot()
+                    target.expected -= 1
                 continue
-            self._launch(vc, out_dir, cycle)
+            flit = queue.popleft()
+            vc._releases.append(release)
+            closes = flit.closes_worm
+            if closes:
+                vc.out_dir = vc.out_vc = vc.active_pid = None
+            stats.buffer_reads += 1
+            stats.crossbar_traversals += 1
+            if out_dir is Direction.LOCAL:
+                network.eject(flit, self.node, cycle, early=False)
+                continue
+            flit.vc_hint = target
+            if flit.is_head:
+                flit.packet.hops += 1
+            port = outputs[out_dir]
+            link = port.link
+            arrival = cycle + link.delay
+            in_flight = link._in_flight
+            if link.single_lane and in_flight and in_flight[-1][0] >= arrival:
+                link.send(flit, cycle)  # raises the bandwidth error
+            in_flight.append((arrival, flit))
+            link.sends += 1
+            network.schedule_wake(port.downstream, port.input_dir, arrival)
+            stats.link_flits += 1
+            if closes and target is not EJECT:
+                target.owner_pid = None
 
     # ------------------------------------------------------------------
     # Shared allocation helpers
@@ -401,26 +475,36 @@ class BaseRouter(abc.ABC):
             return None
         # Targets already requested this cycle (identity: VCs define no
         # ``__eq__``); usually none, so no container is built.
-        staged = [req[3] for req in requests] if requests else ()
+        staged = [req[3] for req in requests] if requests else None
         cycle = self.network.cycle
-        best: tuple[object, Direction | None] | None = None
-        best_key = None
+        best = best_route = None
+        best_contested = False
+        best_credits = 0
         for target, route in candidates:
             if target is EJECT:
-                best = (target, route)
+                best, best_route = target, route
                 break
             if target.owner_pid is not None:
                 continue
             # Prefer un-contested targets, then the emptiest (the
             # congestion signal of adaptive selection); spreading over
             # equally-good VCs is what rotating input-stage arbiters do
-            # in hardware.
-            key = (target not in staged, target.credits(cycle))
-            if best is None or key > best_key:
-                best, best_key = (target, route), key
+            # in hardware.  ``credits(cycle)``, inlined.
+            releases = target._releases
+            if releases and releases[0] <= cycle:
+                target._refresh(cycle)
+            credits = target._available
+            contested = staged is not None and target in staged
+            if (
+                best is None
+                or (best_contested and not contested)
+                or (contested is best_contested and credits > best_credits)
+            ):
+                best, best_route = target, route
+                best_contested, best_credits = contested, credits
         if best is None:
             return False
-        target, route = best
+        target, route = best, best_route
         if target is EJECT:
             vc.out_vc = EJECT
             vc.assign_route(out_dir)
@@ -443,6 +527,16 @@ class BaseRouter(abc.ABC):
         Losing requests re-arbitrate against the remaining free VCs for
         as many iterations as the router's arbiters complete per cycle.
         """
+        if len(requests) == 1:
+            # A lone request wins its target and leaves no loser.
+            vc, out_dir, flit, target, route = requests[0]
+            target.claim(flit.packet.pid)
+            vc.out_vc = target
+            vc.out_dir = out_dir
+            flit.lookahead_route = route
+            if self._stall_since:
+                self._stall_since.pop(id(vc), None)
+            return
         for _ in range(self.va_iterations):
             if not requests:
                 return
@@ -488,11 +582,19 @@ class BaseRouter(abc.ABC):
 
     def _commit_switch_grant(self, vc: VirtualChannel, cycle: int) -> None:
         """Reserve the downstream slot for a flit that won SA this cycle."""
-        if isinstance(vc.out_vc, VirtualChannel):
-            vc.out_vc.reserve_slot(cycle)
-            vc.out_vc.expected += 1
-        self._sa_winners.append((vc, vc.out_dir, vc.out_vc))
-        self.clear_stall(vc)
+        target = vc.out_vc
+        if isinstance(target, VirtualChannel):
+            # ``reserve_slot``, inlined: refresh only when a release is due.
+            releases = target._releases
+            if releases and releases[0] <= cycle:
+                target._refresh(cycle)
+            if target._available <= 0:
+                target.reserve_slot(cycle)  # raises the underflow error
+            target._available -= 1
+            target.expected += 1
+        self._sa_winners.append((vc, vc.out_dir, target))
+        if self._stall_since:
+            self._stall_since.pop(id(vc), None)
 
     def _tally_contention(self, vcs) -> None:
         """Figure-3 bookkeeping, shared across architectures.
@@ -519,6 +621,12 @@ class BaseRouter(abc.ABC):
                 north += 1
             elif out_dir is Direction.SOUTH:
                 south += 1
+        self._add_contention((north, east, south, west))
+
+    def _add_contention(self, tally: Sequence[int]) -> None:
+        """Book one tally: the standing requests on each crossbar output,
+        indexed by output direction (North, East, South, West first)."""
+        north, east, south, west = tally[:4]
         if not (north or east or south or west):
             return
         contention = self.network.stats.contention
@@ -530,6 +638,45 @@ class BaseRouter(abc.ABC):
         contention.column_contended += (north if north > 1 else 0) + (
             south if south > 1 else 0
         )
+
+    def _ready_walk(
+        self,
+        occupied: list[VirtualChannel],
+        cycle: int,
+        tally: list[int],
+        arbitrates: bool = True,
+    ) -> list[VirtualChannel]:
+        """The multi-VC body's one walk over ``occupied`` after VA.
+
+        Counts every routed worm in ``tally`` (five slots, indexed by
+        output direction; :meth:`_add_contention` books it) and returns,
+        in order, the VCs :meth:`_vc_ready_for_switch` passes — none
+        unless ``arbitrates``.  Credits are refreshed only when a release
+        is due, as ``credits()`` does.  The full sweep keeps the two
+        separate walks: it is the reference this one is checked against.
+        """
+        outputs = self.outputs
+        ready = []
+        for vc in occupied:
+            out_dir = vc.out_dir
+            if out_dir is None or not vc.queue:
+                continue
+            tally[out_dir] += 1
+            target = vc.out_vc
+            if not arbitrates or target is None or vc.hold_until > cycle:
+                continue
+            if target is not EJECT or out_dir is not Direction.LOCAL:
+                port = outputs.get(out_dir)
+                if port is None or port.dead:
+                    continue
+                if target is not EJECT:
+                    releases = target._releases
+                    if releases and releases[0] <= cycle:
+                        target._refresh(cycle)
+                    if target._available <= 0:
+                        continue
+            ready.append(vc)
+        return ready
 
     def _tally_lone(self, vc: VirtualChannel) -> None:
         """:meth:`_tally_contention` of a router whose only occupied VC

@@ -12,6 +12,7 @@ a worm occupying VC 0 routes dimension-ordered (XY) from that node.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import groupby
 from operator import attrgetter
 
@@ -67,6 +68,12 @@ class GenericRouter(BaseRouter):
         }
         #: SA stage-1 lines of a lone requester, by VC index.
         self._vc_lines = one_hot(v)
+        #: Mesh admission options per input port (:meth:`vc_candidates`),
+        #: built once and shared by every caller.
+        self._admission = {
+            d: tuple((vc, None) for vc in vcs) for d, vcs in self.ports.items()
+        }
+        self._torus = network.topology.name == "torus"
 
     # ------------------------------------------------------------------
     # Structure
@@ -77,7 +84,7 @@ class GenericRouter(BaseRouter):
 
     def vc_candidates(
         self, input_dir: Direction, packet: Packet, escape_only: bool = False
-    ) -> list[tuple[object, Direction | None]]:
+    ) -> Sequence[tuple[object, Direction | None]]:
         """All VCs of the facing input port; routes are computed locally.
 
         On a torus, the admitting VCs are restricted by the Dally-Seitz
@@ -91,14 +98,11 @@ class GenericRouter(BaseRouter):
         vcs = self.ports[input_dir]
         if escape_only:
             return [(vcs[0], None)]
-        if (
-            self.network.topology.name == "torus"
-            and input_dir is not Direction.LOCAL
-        ):
+        if self._torus and input_dir is not Direction.LOCAL:
             if self._ring_class(input_dir, packet):
                 return [(vcs[1], None)]
             return [(vcs[0], None), (vcs[2], None)]
-        return [(vc, None) for vc in vcs]
+        return self._admission[input_dir]
 
     def _ring_class(self, input_dir: Direction, packet: Packet) -> int:
         """Dateline class of the channel feeding ``input_dir`` here."""
@@ -150,7 +154,91 @@ class GenericRouter(BaseRouter):
         occupied = [vc for vc in self._vcs if vc.queue]
         if not occupied:
             return
-        if len(occupied) == 1 and not self.network.full_sweep:
+        if self.network.full_sweep:
+            # The reference: the general body through the helper calls,
+            # the ``ready`` list and ``groupby`` pools, kept apart from
+            # the one walk below so that the differential oracle
+            # compares the one walk and the lone path against an
+            # independent body.
+
+            # RC + VA (in parallel with SA in stage 1; speculation is modelled
+            # by letting a worm that allocates this cycle also compete for the
+            # switch this cycle).  Requests for the same downstream VC are
+            # resolved by the output-side arbiters, one winner per cycle.
+            has_faults = self.network.has_faults
+            va_requests: list = []
+            newly_allocated: list[VirtualChannel] = []
+            for vc in occupied:
+                if has_faults:
+                    self._discard_dropped_front(vc, cycle)
+                queue = vc.queue
+                if not queue:
+                    continue
+                front = queue[0]
+                if not front.is_head:
+                    continue
+                if vc.active_pid is None:
+                    vc.active_pid = front.packet.pid
+                if vc.out_vc is None:
+                    if front.arrival >= cycle:
+                        # Without look-ahead routing the head spends this
+                        # cycle in Routing Computation (Section 3.1: RoCo
+                        # and Path-Sensitive pre-compute the route one
+                        # step ahead and skip this stage).
+                        continue
+                    self._route_and_request(vc, va_requests, cycle)
+                    newly_allocated.append(vc)
+            if va_requests:
+                self._resolve_vc_allocations(va_requests, cycle)
+
+            # Switch readiness is decided once per occupied VC and shared by
+            # the contention tally and both SA stages.
+            ready = [vc for vc in occupied if self._vc_ready_for_switch(vc, cycle)]
+            self._tally_contention(occupied)
+            if not ready:
+                return
+            self.network.stats.activity.sa_requests += len(ready)
+
+            # SA stage 1: each input port nominates one ready VC.  Worms
+            # whose VA succeeded only this cycle are *speculative* SA
+            # requesters and, per the Peh-Dally priority rule the generic
+            # router implements, lose to any non-speculative request — both
+            # within a port and at the output arbiters.  This speculation
+            # failure under load is the pipeline-stall contention cost the
+            # paper charges the generic design with.
+            vcs_per_port = self.config.vcs_per_port
+            nominees: dict[Direction, VirtualChannel] = {}
+            speculative: list[Direction] = []
+            for d, group in groupby(ready, _INPUT_DIR):
+                group = list(group)
+                pool = [vc for vc in group if vc not in newly_allocated]
+                if not pool:
+                    pool = group
+                    speculative.append(d)
+                lines = [False] * vcs_per_port
+                for vc in pool:
+                    lines[vc.index] = True
+                nominees[d] = self.ports[d][self._sa_stage1[d].grant(lines)]
+
+            # SA stage 2: each output port arbitrates among nominating inputs,
+            # non-speculative requests first.  Outputs are served in the order
+            # their first nominee appears (port order): grant order is the
+            # next cycle's launch order.
+            served: list[Direction] = []
+            for vc in nominees.values():
+                out_dir = vc.out_dir
+                if out_dir in served:
+                    continue
+                served.append(out_dir)
+                requesters = [d for d, n in nominees.items() if n.out_dir is out_dir]
+                pool = [d for d in requesters if d not in speculative] or requesters
+                lines = [False] * len(GENERIC_PORTS)
+                for d in pool:
+                    lines[d] = True
+                winner = self._sa_stage2[out_dir].grant(lines)
+                self._commit_switch_grant(nominees[GENERIC_PORTS[winner]], cycle)
+            return
+        if len(occupied) == 1:
             self._allocate_lone(occupied[0], cycle)
             return
         # RC + VA (in parallel with SA in stage 1; speculation is modelled
@@ -183,51 +271,62 @@ class GenericRouter(BaseRouter):
         if va_requests:
             self._resolve_vc_allocations(va_requests, cycle)
 
-        # Switch readiness is decided once per occupied VC and shared by
-        # the contention tally and both SA stages.
-        ready = [vc for vc in occupied if self._vc_ready_for_switch(vc, cycle)]
-        self._tally_contention(occupied)
+        # One walk after VA (``_ready_walk``) takes the contention tally
+        # and the VCs ready for the switch; each raises its line in its
+        # input port's SA stage-1 request.  Worms whose VA succeeded only
+        # this cycle are *speculative* SA requesters and, per the
+        # Peh-Dally priority rule the generic router implements, lose to
+        # any non-speculative request — both within a port and at the
+        # output arbiters — so a port's lines are its non-speculative
+        # requesters' while it has one.  This speculation failure under
+        # load is the pipeline-stall contention cost the paper charges
+        # the generic design with.
+        tally = [0] * len(GENERIC_PORTS)
+        ready = self._ready_walk(occupied, cycle, tally)
+        self._add_contention(tally)
         if not ready:
             return
-        self.network.stats.activity.sa_requests += len(ready)
-
-        # SA stage 1: each input port nominates one ready VC.  Worms
-        # whose VA succeeded only this cycle are *speculative* SA
-        # requesters and, per the Peh-Dally priority rule the generic
-        # router implements, lose to any non-speculative request — both
-        # within a port and at the output arbiters.  This speculation
-        # failure under load is the pipeline-stall contention cost the
-        # paper charges the generic design with.
-        vcs_per_port = self.config.vcs_per_port
-        nominees: dict[Direction, VirtualChannel] = {}
-        speculative: list[Direction] = []
-        for d, group in groupby(ready, _INPUT_DIR):
-            group = list(group)
-            pool = [vc for vc in group if vc not in newly_allocated]
-            if not pool:
-                pool = group
-                speculative.append(d)
-            lines = [False] * vcs_per_port
-            for vc in pool:
+        self._activity.sa_requests += len(ready)
+        vc_lines = self._vc_lines
+        #: input port -> [request lines, whether they are speculative]
+        stage1: dict[Direction, list] = {}
+        for vc in ready:
+            speculative = vc in newly_allocated
+            d = vc.input_dir
+            entry = stage1.get(d)
+            if entry is None or (entry[1] and not speculative):
+                stage1[d] = [vc_lines[vc.index], speculative]
+            elif entry[1] is speculative:
+                lines = entry[0]
+                if type(lines) is tuple:
+                    lines = entry[0] = list(lines)
                 lines[vc.index] = True
-            nominees[d] = self.ports[d][self._sa_stage1[d].grant(lines)]
 
-        # SA stage 2: each output port arbitrates among nominating inputs,
-        # non-speculative requests first.  Outputs are served in the order
+        # SA stage 1 nominates one VC per requesting input port; each
+        # nominee raises its port's line at its output's stage-2 request
+        # by the same speculation rule.  Outputs are served in the order
         # their first nominee appears (port order): grant order is the
         # next cycle's launch order.
-        served: list[Direction] = []
-        for vc in nominees.values():
+        ports = self.ports
+        stage1_arbiters = self._sa_stage1
+        nominees: dict[Direction, VirtualChannel] = {}
+        #: output -> [request lines, whether they are speculative]
+        stage2: dict[Direction, list] = {}
+        for d, (lines, speculative) in stage1.items():
+            vc = ports[d][stage1_arbiters[d].grant(lines)]
+            nominees[d] = vc
             out_dir = vc.out_dir
-            if out_dir in served:
-                continue
-            served.append(out_dir)
-            requesters = [d for d, n in nominees.items() if n.out_dir is out_dir]
-            pool = [d for d in requesters if d not in speculative] or requesters
-            lines = [False] * len(GENERIC_PORTS)
-            for d in pool:
+            entry = stage2.get(out_dir)
+            if entry is None or (entry[1] and not speculative):
+                stage2[out_dir] = [_PORT_LINES[d], speculative]
+            elif entry[1] is speculative:
+                lines = entry[0]
+                if type(lines) is tuple:
+                    lines = entry[0] = list(lines)
                 lines[d] = True
-            winner = self._sa_stage2[out_dir].grant(lines)
+        stage2_arbiters = self._sa_stage2
+        for out_dir, (lines, _) in stage2.items():
+            winner = stage2_arbiters[out_dir].grant(lines)
             self._commit_switch_grant(nominees[GENERIC_PORTS[winner]], cycle)
 
     def _allocate_lone(self, vc: VirtualChannel, cycle: int) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.arbiters.round_robin import RoundRobinArbiter, one_hot
 from repro.core.buffer import VirtualChannel
-from repro.core.types import Direction, NodeId, Packet, RoutingMode
+from repro.core.types import Direction, NodeId, Packet
 from repro.routers.base import EJECT, BaseRouter
 
 #: Quadrant path sets and the two outputs each one reaches.
@@ -208,7 +208,86 @@ class PathSensitiveRouter(BaseRouter):
         occupied = [vc for vc in self._vcs if vc.queue]
         if not occupied:
             return
-        if len(occupied) == 1 and not self.network.full_sweep:
+        if self.network.full_sweep:
+            # The reference: the general body through the helper calls,
+            # the ``ready`` list and the ``contenders`` map, kept apart
+            # from the one walk below so that the differential oracle
+            # compares the one walk and the lone path against an
+            # independent body.
+            has_faults = self.network.has_faults
+            lookahead = self.config.lookahead_routing
+            va_requests: list = []
+            newly_allocated: list[VirtualChannel] = []
+            for vc in occupied:
+                if has_faults:
+                    self._discard_dropped_front(vc, cycle)
+                queue = vc.queue
+                if not queue:
+                    continue
+                front = queue[0]
+                if not front.is_head:
+                    continue
+                if vc.active_pid is None:
+                    vc.active_pid = front.packet.pid
+                if vc.out_vc is None:
+                    if not lookahead and front.arrival >= cycle:
+                        continue  # ablation: RC charged post-arrival
+                    self._request_worm_allocation(vc, cycle, va_requests)
+                    newly_allocated.append(vc)
+            if va_requests:
+                self._resolve_vc_allocations(va_requests, cycle)
+
+            # Switch readiness is decided once per occupied VC and shared by
+            # the contention tally and the local SA stage.
+            ready = [vc for vc in occupied if self._vc_ready_for_switch(vc, cycle)]
+            self._tally_contention(occupied)
+            if not ready:
+                return
+
+            # Local stage: each path set elects one ready VC per reachable
+            # output (two v:1 arbiters per set).  The global stage then walks
+            # the outputs in fixed order with chained dependency — a set
+            # matched to an earlier output cannot serve a later one, the
+            # structural reason only 2 of its 24 match cases are non-blocking
+            # (Table 2).
+            contenders: dict[tuple[int, Direction], list[VirtualChannel]] = {}
+            for vc in ready:
+                contenders.setdefault((vc.port, vc.out_dir), []).append(vc)
+            local: dict[tuple[int, Direction], VirtualChannel] = {}
+            for key, group in contenders.items():
+                slot = _CROSSPOINT_SLOT.get(key)
+                if slot is None:
+                    continue  # the decomposed crossbar has no such crosspoint
+                self.network.stats.activity.sa_requests += len(group)
+                # Separable-SA speculation rule (as in the generic router):
+                # worms allocated only this cycle yield to non-speculative
+                # requests.  RoCo's mirror allocator has no such cross-port
+                # priority conflict.
+                pool = [vc for vc in group if vc not in newly_allocated] or group
+                lines = [False, False, False]
+                for vc in pool:
+                    lines[vc.index] = True
+                quadrant = QUADRANTS[key[0]]
+                winner = self._set_arbiters[quadrant][slot].grant(lines)
+                local[key] = self.path_sets[quadrant][winner]
+
+            granted_sets: list[int] = []
+            for out_dir in OUTPUT_ORDER:
+                feeders = _FEEDERS[out_dir]
+                requesting = [q for q in feeders if (q, out_dir) in local]
+                if not requesting:
+                    continue
+                # Chained dependency: a set matched earlier in the walk may
+                # only pick up a *second* output opportunistically, when no
+                # unmatched set wants it — the global arbitration signal has
+                # already been consumed by its first grant.
+                pool = [q for q in requesting if q not in granted_sets] or requesting
+                lines = [q in pool for q in feeders]
+                quadrant = feeders[self._output_arbiters[out_dir].grant(lines)]
+                self._commit_switch_grant(local[(quadrant, out_dir)], cycle)
+                granted_sets.append(quadrant)
+            return
+        if len(occupied) == 1:
             self._allocate_lone(occupied[0], cycle)
             return
         has_faults = self.network.has_faults
@@ -234,12 +313,37 @@ class PathSensitiveRouter(BaseRouter):
         if va_requests:
             self._resolve_vc_allocations(va_requests, cycle)
 
-        # Switch readiness is decided once per occupied VC and shared by
-        # the contention tally and the local SA stage.
-        ready = [vc for vc in occupied if self._vc_ready_for_switch(vc, cycle)]
-        self._tally_contention(occupied)
-        if not ready:
+        # One walk after VA (``_ready_walk``) takes the contention tally
+        # and the VCs ready for the switch; each, at a crosspoint of the
+        # decomposed crossbar, raises its line at the local arbiter of
+        # that crosspoint.  As in the generic router's separable SA, worms
+        # allocated only this cycle are speculative and yield to
+        # non-speculative requests: a crosspoint's lines are its
+        # non-speculative requesters' while it has one.  RoCo's mirror
+        # allocator has no such cross-port priority conflict.
+        tally = [0] * 5
+        ready = self._ready_walk(occupied, cycle, tally)
+        self._add_contention(tally)
+        requests = 0
+        #: (path set, output) -> [request lines, whether speculative]
+        crosspoints: dict[tuple[int, Direction], list] = {}
+        for vc in ready:
+            key = (vc.port, vc.out_dir)
+            if key not in _CROSSPOINT_SLOT:
+                continue  # the decomposed crossbar has no such crosspoint
+            requests += 1
+            speculative = vc in newly_allocated
+            entry = crosspoints.get(key)
+            if entry is None or (entry[1] and not speculative):
+                crosspoints[key] = [_VC_LINES[vc.index], speculative]
+            elif entry[1] is speculative:
+                lines = entry[0]
+                if type(lines) is tuple:
+                    lines = entry[0] = list(lines)
+                lines[vc.index] = True
+        if not requests:
             return
+        self._activity.sa_requests += requests
 
         # Local stage: each path set elects one ready VC per reachable
         # output (two v:1 arbiters per set).  The global stage then walks
@@ -247,26 +351,11 @@ class PathSensitiveRouter(BaseRouter):
         # matched to an earlier output cannot serve a later one, the
         # structural reason only 2 of its 24 match cases are non-blocking
         # (Table 2).
-        contenders: dict[tuple[int, Direction], list[VirtualChannel]] = {}
-        for vc in ready:
-            contenders.setdefault((vc.port, vc.out_dir), []).append(vc)
         local: dict[tuple[int, Direction], VirtualChannel] = {}
-        for key, group in contenders.items():
-            slot = _CROSSPOINT_SLOT.get(key)
-            if slot is None:
-                continue  # the decomposed crossbar has no such crosspoint
-            self.network.stats.activity.sa_requests += len(group)
-            # Separable-SA speculation rule (as in the generic router):
-            # worms allocated only this cycle yield to non-speculative
-            # requests.  RoCo's mirror allocator has no such cross-port
-            # priority conflict.
-            pool = [vc for vc in group if vc not in newly_allocated] or group
-            lines = [False, False, False]
-            for vc in pool:
-                lines[vc.index] = True
+        for key, (lines, _) in crosspoints.items():
             quadrant = QUADRANTS[key[0]]
-            winner = self._set_arbiters[quadrant][slot].grant(lines)
-            local[key] = self.path_sets[quadrant][winner]
+            arbiter = self._set_arbiters[quadrant][_CROSSPOINT_SLOT[key]]
+            local[key] = self.path_sets[quadrant][arbiter.grant(lines)]
 
         granted_sets: list[int] = []
         for out_dir in OUTPUT_ORDER:

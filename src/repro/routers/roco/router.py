@@ -287,14 +287,14 @@ class RoCoRouter(BaseRouter):
         has_faults = self.network.has_faults
         lookahead = self.config.lookahead_routing
         va_requests: list = []
-        # (module, its occupied VCs, the VCs that requested VA) for the
-        # live modules with work, Row first.
-        work = []
-        for module, occupied in ((row, row_occupied), (column, column_occupied)):
-            if module.dead or not occupied:
+        # (module, its occupied VCs, the VCs that requested VA), Row first.
+        work = (
+            (row, row_occupied, []),
+            (column, column_occupied, []),
+        )
+        for module, occupied, pending in work:
+            if module.dead:
                 continue
-            pending: list[VirtualChannel] = []
-            work.append((module, occupied, pending))
             for vc in occupied:
                 if has_faults:
                     self._discard_dropped_front(vc, cycle)
@@ -314,25 +314,36 @@ class RoCoRouter(BaseRouter):
         if va_requests:
             self._resolve_vc_allocations(va_requests, cycle)
 
-        every_occupied = row_occupied + column_occupied
+        # One walk after VA (``_ready_walk``) over both modules' occupied
+        # VCs takes the contention tally and, in a module that arbitrates
+        # this cycle, the VCs ready for the switch, which set their bits
+        # of the module's request matrix (scratch: set here, cleared
+        # after the allocator call).  Mirror switch allocation runs in a
+        # live module, unless its arbitration is offloaded (SA fault
+        # recovery) to VA arbiters that issued a grant this cycle (mere
+        # pending requests do not occupy them).
+        tally = [0] * 5
+        arbitrating = []
         for module, occupied, pending in work:
-            # Mirror switch allocation over the module's 2x2 crossbar.
-            if module.sa_degraded and any(vc.out_vc is not None for vc in pending):
-                # SA fault recovery: arbitration borrows the VA arbiters,
-                # which are busy if they issued a grant this cycle (mere
-                # pending requests do not occupy them).
+            if not occupied:
                 continue
-            ready = [vc for vc in occupied if self._vc_ready_for_switch(vc, cycle)]
-            if not ready:
-                continue
-            self.network.stats.activity.sa_requests += len(ready)
-            self._tally_contention(every_occupied)
-            # The request matrix is module scratch: set the ready bits,
-            # allocate, clear the same bits.
+            arbitrates = not module.dead and not (
+                module.sa_degraded and any(vc.out_vc is not None for vc in pending)
+            )
+            ready = self._ready_walk(occupied, cycle, tally, arbitrates)
+            if ready:
+                requests = module.sa_requests
+                slot_map = module.slot_map
+                for vc in ready:
+                    requests[vc.port][slot_map[vc.out_dir]][vc.index] = True
+                arbitrating.append((module, ready))
+        # The tally sees every occupied VC; it is booked once per module
+        # that arbitrates with a ready VC.
+        for module, ready in arbitrating:
+            self._activity.sa_requests += len(ready)
+            self._add_contention(tally)
             requests = module.sa_requests
             slot_map = module.slot_map
-            for vc in ready:
-                requests[vc.port][slot_map[vc.out_dir]][vc.index] = True
             grants = module.allocator.allocate(requests)
             for vc in ready:
                 requests[vc.port][slot_map[vc.out_dir]][vc.index] = False

@@ -66,6 +66,13 @@ class TestSimulationConfig:
                 "router_config": RouterConfig(vcs_per_port=4),
             },
             {"backend": "vector"},
+            # Each of these once ran and failed later, misreported.
+            {"router_config": RouterConfig(buffer_depth=0)},
+            {"router_config": RouterConfig(buffer_depth=-1)},
+            {"router": "generic", "router_config": RouterConfig(vcs_per_port=0)},
+            {"max_cycles": 0},
+            {"drain_timeout": -1},
+            {"fault_drop_timeout": -5},
         ],
     )
     def test_validation(self, bad):

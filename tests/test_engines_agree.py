@@ -262,6 +262,25 @@ cell("lone-roco-sequential", "object soa tiles-2x2", lone(
 cell("lone-roco-no-lookahead", "object soa tiles-2x2", lone(
     router_config=RouterConfig.for_architecture("roco", lookahead_routing=False)))
 
+# Near saturation with two-flit buffers: about two router steps in five
+# hold two or more occupied VCs, the one-walk body of ``allocate``, which
+# the full-sweep reference never runs.
+
+
+def multi(router="roco", **overrides) -> SimulationConfig:
+    return small_config(
+        router=router, injection_rate=0.35, warmup_packets=10, measure_packets=60,
+        seed=4, router_config=RouterConfig.for_architecture(router, buffer_depth=2),
+        **overrides)
+
+
+for r, m, (w, h, tiles) in product(ALL, ("xy", "adaptive"),
+                                   [(4, 4, "tiles-2x2"), (5, 3, "tiles-2x1")]):
+    rows = "object audited" if r == "path_sensitive" else f"object soa {tiles}"
+    cell(f"multi-{r}-{m}-{w}x{h}", rows, multi(r, routing=m, width=w, height=h))
+cell("multi-roco-sa-rc", "object audited", multi(),
+     fault(1, 1, Component.SA), fault(2, 2, Component.RC, COLUMN), ends="drained")
+
 
 @pytest.mark.parametrize("cell, row", [
     pytest.param(name, row, id=f"{name}-{row}")

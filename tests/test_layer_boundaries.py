@@ -2,9 +2,10 @@
 
 The object engine's layers meet at a handful of public callables:
 ``TrafficPattern.arrivals`` / ``destination``, ``routing.candidates``,
-``RoundRobinArbiter.grant``, ``MirrorAllocator.allocate`` and
-``Source.inject``.  perfbench wraps exactly these to attribute time to
-layers and requires their call counts to repeat for a seed
+``RoundRobinArbiter.grant``, ``MirrorAllocator.allocate``,
+``Source.inject`` and the router's per-flit phases ``traverse`` /
+``deliver_due`` / ``quiescent``.  perfbench wraps exactly these to
+attribute time to layers and requires their call counts to repeat for a seed
 (``perfbench/manifest.py::EXACT``), but perfbench is outside
 ``testpaths``.  This test pins the same counts — plus the scheduler
 counters — for one small seeded run per router, so an optimisation that
@@ -12,7 +13,9 @@ inlines across a boundary (or skips an arbiter call that advanced
 rotating priority) fails here in seconds.
 
 ``tests/fixtures/layer_boundary_counts.json`` was generated at the
-commit *before* the occupancy-first allocate rewrite.  Regenerate it
+commit *before* the occupancy-first allocate rewrite (the three
+``routers.*`` phase counts: before the per-flit phases were inlined).
+Regenerate it
 only when a change is meant to move a boundary:
 
     PYTHONPATH=src python tests/test_layer_boundaries.py
@@ -29,6 +32,7 @@ from repro.core.config import SimulationConfig
 from repro.core.simulator import Simulator, Source
 from repro.core.types import NodeId
 from repro.faults.schedule import FaultSchedule
+from repro.routers import ROUTER_CLASSES
 from repro.routing import make_routing
 from repro.traffic import make_traffic
 
@@ -97,6 +101,9 @@ def count_boundaries(case: str, patch) -> dict:
             "arbiters.round_robin.grant",
             "arbiters.mirror.allocate",
             "core.source.inject",
+            "routers.traverse",
+            "routers.deliver_due",
+            "routers.quiescent",
         ),
         0,
     )
@@ -119,6 +126,11 @@ def count_boundaries(case: str, patch) -> dict:
     counted(RoundRobinArbiter, "grant", "arbiters.round_robin.grant")
     counted(MirrorAllocator, "allocate", "arbiters.mirror.allocate")
     counted(Source, "inject", "core.source.inject")
+    router_cls = ROUTER_CLASSES[fields["router"]]
+    for attr in ("traverse", "deliver_due", "quiescent"):
+        # The method the router resolves to: an override that called its
+        # base would otherwise count twice.
+        counted(_defining_classes(router_cls, attr)[0], attr, f"routers.{attr}")
 
     result = Simulator(config, schedule=_schedule(case)).run()
     scheduler = result.scheduler

@@ -120,6 +120,11 @@ class Twin:
     def place(self, case: tuple, pid: int) -> Packet:
         """Reset the twin, then put ``case``'s state in its centre router."""
         vc_pos, od, kind, target, condition, pointer = case
+        self.reset(pointer)
+        return self.put(vc_pos, od, kind, target, condition, pid)
+
+    def reset(self, pointer: int) -> None:
+        """Empty every router a case touches; every arbiter at ``pointer``."""
         net, router = self.net, self.router
         net.has_faults = False
         for each in self.routers:
@@ -139,6 +144,11 @@ class Twin:
         for arbiter in self.arbiters:
             arbiter._next = pointer % arbiter.num_requesters
 
+    def put(self, vc_pos, od, kind, target, condition, pid: int) -> Packet | None:
+        """Put one VC's state in the centre router; None when the state
+        needs a downstream VC that an earlier ``put`` already holds, or
+        would rewrite one an earlier ``put`` has given an owner."""
+        net, router = self.net, self.router
         vc = router.all_vcs()[vc_pos]
         hops = 0 if od is LOCAL else 1 if target == EJECTS else 2
         packet = Packet(pid=pid, src=CENTRE, dest=step(CENTRE, od, hops), size=4,
@@ -150,7 +160,12 @@ class Twin:
             downstream = [
                 t for t, _ in port.downstream.vc_candidates(port.input_dir, packet)
             ]
+        free = [t for t in downstream if t is EJECT or t.owner_pid is None]
+        if kind in (HEAD, BODY) and downstream and not free:
+            return None
         if target in (DRY, MATURING, OWNED):
+            if any(t is not EJECT and t.owner_pid is not None for t in downstream):
+                return None
             for t in downstream:
                 if target == OWNED:
                     t.owner_pid = pid + 1
@@ -167,7 +182,7 @@ class Twin:
             vc.active_pid = pid
         if kind in (HEAD, BODY):
             vc.out_dir = od
-            vc.out_vc = downstream[0] if downstream else EJECT
+            vc.out_vc = free[0] if free else EJECT
             if vc.out_vc is not EJECT:
                 vc.out_vc.owner_pid = pid
         elif kind == KEPT:
@@ -189,17 +204,18 @@ class Twin:
             net.has_faults = True
         return packet
 
-    def snapshot(self, od: Direction) -> dict:
+    def snapshot(self, *ods: Direction) -> dict:
         """What ``allocate`` may have changed: the centre router, and the
-        one its worm is bound for."""
+        ones its worms are bound for (outputs ``ods``)."""
         name = self.names.get
 
         def target(t):
             return "EJECT" if t is EJECT else name(id(t))
 
         routers = [self.router]
-        if od is not LOCAL:
-            routers.append(self.router.outputs[od].downstream)
+        for od in dict.fromkeys(ods):
+            if od is not LOCAL:
+                routers.append(self.router.outputs[od].downstream)
         stats = self.net.stats
         return {
             "arbiters": [a._next for a in self.arbiters],

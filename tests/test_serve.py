@@ -122,6 +122,7 @@ class TestProtocol:
             ({"kind": "nope"}, "unknown request kind"),
             ({"config": {"bogus_field": 1}}, "unknown config field"),
             ({"config": {"width": -3}}, "bad config"),
+            ({"config": {"drain_timeout": -1, "size": 3}}, "drain_timeout"),
             ({"config": {"traffic": "shuffle", "size": 3}}, "power-of-two"),
             (
                 {"kind": "campaign", "config": {}, "schedule": [], "mtbf": 1.0},
