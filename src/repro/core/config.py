@@ -202,8 +202,9 @@ class SimulationConfig:
             self.routing = RoutingMode(self.routing)
         if self.width < 2 or self.height < 2:
             raise ValueError("mesh must be at least 2x2")
-        if not 0.0 <= self.injection_rate <= 1.0:
-            raise ValueError("injection rate must be within [0, 1] flits/node/cycle")
+        if not 0.0 < self.injection_rate <= 1.0:
+            # Zero can never generate the packet budget.
+            raise ValueError("injection rate must be within (0, 1] flits/node/cycle")
         if self.flits_per_packet < 1:
             raise ValueError("packets need at least one flit")
         if self.measure_packets < 1:
@@ -254,6 +255,14 @@ class SimulationConfig:
             raise ValueError(
                 "the Path-Sensitive router has 3 VCs per path set (one per "
                 f"arrival direction), not {self.router_config.vcs_per_port}"
+            )
+        # Imported here: repro.traffic.base imports this module.
+        import repro.traffic as registry
+
+        if self.traffic not in registry.TRAFFIC_CLASSES:
+            raise ValueError(
+                f"unknown traffic pattern {self.traffic!r}; "
+                f"choose from {sorted(registry.TRAFFIC_CLASSES)}"
             )
         nodes = self.num_nodes
         if self.traffic in BIT_PERMUTATIONS and nodes & (nodes - 1):

@@ -101,8 +101,11 @@ def drive(engine, progress=None, progress_every: int = 5000) -> int:
     ``moves`` nor ``outstanding`` changed for ``drain_timeout`` cycles:
     a faulty network stops there (the paper's inactivity rule — what is
     stranded is the measured outcome); a healthy one cannot strand
-    traffic, so that is a :class:`DrainTimeoutError`.  ``progress`` is
-    called as documented on :meth:`Simulator.run`.
+    traffic, so with packets outstanding that is a
+    :class:`DrainTimeoutError`.  A healthy network with nothing
+    outstanding is only waiting for its next packet, however long the
+    gap between two arrivals: it runs on.  ``progress`` is called as
+    documented on :meth:`Simulator.run`.
     """
     config = engine.config
     total_packets = config.total_packets
@@ -124,11 +127,12 @@ def drive(engine, progress=None, progress_every: int = 5000) -> int:
         if cycle - last_progress_cycle > drain_timeout:
             if engine.has_faults:
                 break
-            raise DrainTimeoutError(
-                f"no progress for {drain_timeout} cycles at cycle {cycle}",
-                engine.stranded_census(cycle),
-                cycle,
-            )
+            if outstanding:
+                raise DrainTimeoutError(
+                    f"no progress for {drain_timeout} cycles at cycle {cycle}",
+                    engine.stranded_census(cycle),
+                    cycle,
+                )
     return cycle
 
 

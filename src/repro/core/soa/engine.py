@@ -27,6 +27,8 @@ candidate list construction, no dict-keyed port lookups, no trace hooks
 from __future__ import annotations
 
 import random
+from collections import defaultdict
+from itertools import compress
 
 from repro.core.config import SimulationConfig
 from repro.core.runloop import drive
@@ -146,9 +148,9 @@ class SoASimulator:
         self.r_active = [False] * N
         self.sa_win: list[list[tuple[int, int, int]]] = [[] for _ in range(N)]
         #: Routers with pending SA winners, in ascending (row-major)
-        #: order — appended by ``_commit`` on a router's first grant of
-        #: the cycle (allocate runs in ascending order), drained by the
-        #: traversal phase.  Lets phase 2 skip the full router scan.
+        #: order — appended on a router's first grant of the cycle
+        #: (allocate runs in ascending order), drained by the traversal
+        #: phase.  Lets phase 2 skip the full router scan.
         self.sa_routers: list[int] = []
         #: RoCo's O(1) quiescence snapshot (``_alloc_occupied``).
         self.r_occupied = [False] * N
@@ -163,46 +165,16 @@ class SoASimulator:
         #: delivery and switch traversal (both inlined in _net_step),
         #: _inject, and the defensive RoCo eject.
         self.occ_mask = [0] * N
-        self.bit_slot: list[list[int]] = []
-        self.slot_bitmask = [0] * S
+        #: The layout's walk-order tables (shared by every run of a shape).
+        self.bit_slot = lay.bit_slot
+        self.slot_bitmask = lay.slot_bitmask
         if lay.arch == "generic":
-            for n in range(N):
-                walk = [s for port in lay.gen_port_slots[n] for s in port]
-                self.bit_slot.append(walk)
-                for i, s in enumerate(walk):
-                    self.slot_bitmask[s] = 1 << i
             # [sa1 x5 | sa2 x5] round-robin pointers per router.
             self.arb = [[0] * 10 for _ in range(N)]
-            self._allocate = self._allocate_generic
-            # Admission for a mesh generic router is every VC of the
-            # facing input port, route computed locally (None).
-            self._gen_adm = [
-                tuple(
-                    tuple((t, NONE_CODE) for t in lay.gen_port_slots[m][d])
-                    for d in range(5)
-                )
-                for m in range(N)
-            ]
         else:
-            for n in range(N):
-                walk = [
-                    s
-                    for module in lay.roco_ports[n]
-                    for port in module
-                    for s in port
-                ]
-                self.bit_slot.append(walk)
-                for i, s in enumerate(walk):
-                    self.slot_bitmask[s] = 1 << i
             # Two modules x (5 mirror pointers or 4 sequential pointers).
             width = 5 if lay.mirror else 4
             self.arb = [[[0] * width, [0] * width] for _ in range(N)]
-            self._allocate = self._allocate_roco
-            #: What a router with exactly one occupied VC runs instead;
-            #: the sequential-allocator ablation keeps the general block.
-            self._allocate_lone = (
-                self._allocate_roco_lone if lay.mirror else self._allocate_roco
-            )
             #: Bits of one module's slots within ``occ_mask`` (module mi
             #: occupies bits ``mi*2V .. mi*2V+2V-1``).
             self._mod_bits = 2 * self.V
@@ -211,8 +183,9 @@ class SoASimulator:
         self._generic = lay.arch == "generic"
 
         # -- link / wake state (shared: the wake bucket IS the link) ------
-        #: cycle -> [(receiver_node, input_dir, fid), ...] in launch order.
-        self.wake: dict[int, list[tuple[int, int, int]]] = {}
+        #: landing cycle -> {receiver_node: [(input_dir, fid), ...]}, each
+        #: list in launch order.
+        self.wake: dict[int, dict[int, list[tuple[int, int]]]] = {}
 
         # -- per-source state ---------------------------------------------
         self.s_queue: list[list[int]] = [[] for _ in range(N)]
@@ -276,6 +249,23 @@ class SoASimulator:
         self.sched_wakeups = 0
         self.sched_sleeps = 0
 
+    # The allocate kernels are looked up per cycle, not stored: a bound
+    # method held by its own instance is a reference cycle, which would
+    # leave every finished run to the cyclic garbage collector.
+
+    @property
+    def _allocate(self):
+        """The general allocate block of this architecture."""
+        return self._allocate_generic if self._generic else self._allocate_roco
+
+    @property
+    def _allocate_lone(self):
+        """What a router with exactly one occupied VC runs instead; the
+        sequential-allocator ablation keeps RoCo's general block."""
+        if self._generic:
+            return self._allocate_generic_lone
+        return self._allocate_roco_lone if self.layout.mirror else self._allocate_roco
+
     # ------------------------------------------------------------------
     # Credits / scheduling primitives
     # ------------------------------------------------------------------
@@ -290,12 +280,6 @@ class SoASimulator:
                 avail += 1
             self.avail[s] = avail
         return self.avail[s]
-
-    def _wake(self, n: int) -> None:
-        """``BaseRouter.wake``: join the active set, count the wakeup."""
-        if not self.r_active[n]:
-            self.r_active[n] = True
-            self.sched_wakeups += 1
 
     # ------------------------------------------------------------------
     # Generation and injection (Simulator._generate / Source.inject)
@@ -373,7 +357,10 @@ class SoASimulator:
         self.avail[s] -= 1  # reserve_slot (already refreshed by _credits)
         self.q[s].append(fid)
         self.occ_mask[n] |= self.slot_bitmask[s]
-        self._wake(n)
+        if not self.r_active[n]:
+            # BaseRouter.wake: join the active set, count the wakeup.
+            self.r_active[n] = True
+            self.sched_wakeups += 1
         self.f_arrival[fid] = cycle
         F = self.F
         pid, seq = divmod(fid, F)
@@ -442,24 +429,21 @@ class SoASimulator:
     def _net_step(self, cycle: int) -> None:
         self.net_cycle = cycle
         full = self.full_sweep
-        bucket = self.wake.pop(cycle, None)
-        due: dict[int, list[tuple[int, int]]] | None = None
-        if bucket:
-            due = {}
-            for n, din, fid in bucket:
-                lst = due.get(n)
-                if lst is None:
-                    due[n] = [(din, fid)]
-                else:
-                    lst.append((din, fid))
-                if not full:
-                    self._wake(n)
+        due = self.wake.pop(cycle, None)
         if full:
             stepped = range(self.N)
             num_stepped = self.N
         else:
             r_active = self.r_active
-            stepped = [n for n in range(self.N) if r_active[n]]
+            if due:
+                # Network.deliver_due's wake of every receiver.
+                woken = 0
+                for n in due:
+                    if not r_active[n]:
+                        r_active[n] = True
+                        woken += 1
+                self.sched_wakeups += woken
+            stepped = list(compress(range(self.N), r_active))
             num_stepped = len(stepped)
         self.sched_cycles += 1
         self.sched_steps += num_stepped
@@ -469,8 +453,9 @@ class SoASimulator:
         # CARDINALS order within a router (deliver_due sorts its dirs).
         # Every router with arrivals is in the stepped set — it was
         # woken above (active) or stepped unconditionally (full sweep) —
-        # so iterating the due map in node order IS the reference walk
-        # restricted to routers that actually receive a flit.
+        # so iterating the bucket's receivers in node order IS the
+        # reference walk restricted to routers that actually receive a
+        # flit.
         # (``BaseRouter._accept_flit``, inlined for the hot path.)
         if due:
             F = self.F
@@ -532,8 +517,8 @@ class SoASimulator:
             release_at = cycle + 2
             out_bucket = wake.get(release_at)
             if out_bucket is None:
-                out_bucket = wake[release_at] = []
-            moved = 0
+                out_bucket = wake[release_at] = defaultdict(list)
+            moved = links = 0
             for n in routers:
                 winners = sa_win[n]
                 sa_win[n] = []
@@ -561,53 +546,58 @@ class SoASimulator:
                     f_hint[fid] = t
                     if fid % F == 0:
                         p_hops[fid // F] += 1
-                    out_bucket.append((nbr[n][od], (od + 2) % 4, fid))
-                    self.lf += 1
+                    out_bucket[nbr[n][od]].append(((od + 2) % 4, fid))
+                    links += 1
                     if closes and t >= 0:
                         owner[t] = NONE_CODE
             self.br += moved
             self.xb += moved
+            self.lf += links
 
         # Phase 3: allocation (RC + VA + SA), per architecture.  The
         # allocators' empty-router work is a pure no-op in both modes,
         # so the mask gates the call itself; RoCo's quiescence snapshot
         # (``_alloc_occupied``, taken at allocate entry) lands here.
-        # For RoCo a mask of one bit — a router holding flits in a
-        # single VC, most calls — selects the lone kernel.
+        # A mask of one bit — a router holding flits in a single VC, most
+        # calls at low load — selects the lone kernel.
+        #
+        # The active scheduler's sleep pass rides along: a stepped router
+        # sleeps iff it has no SA winners and is not busy — RoCo judging
+        # by the allocate-entry snapshot, the generic router re-probing
+        # its queues.  Traversal drained every winner list and only a
+        # router's own allocate refills it, and a generic allocate never
+        # empties a queue, so that is exactly the routers found empty
+        # here.
         occ = self.occ_mask
         allocate = self._allocate
-        if self._generic:
-            for n in stepped:
-                if occ[n]:
-                    allocate(n, cycle)
-        elif full:
-            lone = self._allocate_lone
+        lone = self._allocate_lone
+        if full:
             for n in stepped:
                 mask = occ[n]
                 if mask:
                     (allocate if mask & (mask - 1) else lone)(n, cycle)
         else:
-            lone = self._allocate_lone
-            r_occupied = self.r_occupied
-            for n in stepped:
-                mask = occ[n]
-                if mask:
-                    r_occupied[n] = True
-                    (allocate if mask & (mask - 1) else lone)(n, cycle)
-                else:
-                    r_occupied[n] = False
-
-        # Sleep pass (active scheduler only).  RoCo judges occupancy by
-        # the allocate-entry snapshot (deliberately stale across any
-        # queue change after allocate); the generic router re-probes.
-        if not full:
-            sa_win = self.sa_win
-            r_active = self.r_active
-            busy = self.r_occupied if self.layout.arch == "roco" else occ
-            for n in stepped:
-                if not sa_win[n] and not busy[n]:
-                    r_active[n] = False
-                    self.sched_sleeps += 1
+            sleeps = 0
+            if self._generic:
+                for n in stepped:
+                    mask = occ[n]
+                    if mask:
+                        (allocate if mask & (mask - 1) else lone)(n, cycle)
+                    else:
+                        r_active[n] = False
+                        sleeps += 1
+            else:
+                r_occupied = self.r_occupied
+                for n in stepped:
+                    mask = occ[n]
+                    if mask:
+                        r_occupied[n] = True
+                        (allocate if mask & (mask - 1) else lone)(n, cycle)
+                    else:
+                        r_occupied[n] = False
+                        r_active[n] = False
+                        sleeps += 1
+            self.sched_sleeps += sleeps
 
         # StatsCollector.tick()
         if self._measuring:
@@ -656,7 +646,7 @@ class SoASimulator:
             return None
         din = (od + 2) % 4
         if self._generic:
-            candidates = self._gen_adm[m][din]
+            candidates = lay.gen_adm[m][din]
         else:
             pid = fid // self.F
             candidates = lay.roco_admission(m, din, self.p_dest[pid], self.p_yx[pid])
@@ -741,50 +731,52 @@ class SoASimulator:
     def _allocate_generic(self, n: int, cycle: int) -> None:
         # Caller guarantees occ_mask[n] != 0 (the empty-router walk is a
         # pure no-op in both scheduler modes).
-        mask = self.occ_mask[n]
+        #
+        # One walk runs RC + VA for unallocated heads and books every VC
+        # that holds an output VC: the contention tally (every buffered
+        # worm with a committed cardinal output is a standing request on
+        # it, Figure 3; out_dir is set and cleared with out_vc) and
+        # switch readiness.  ``tally`` packs a byte-wide count per
+        # direction (LOCAL lands in byte 4, never read); ``ready`` and
+        # ``newly`` (the VCs whose VA ran this cycle: speculative SA
+        # requesters) are masks over the occ_mask bit positions.  Booking
+        # a VC during the walk sees what booking after VA would: VA
+        # writes only its requester's output fields and the downstream
+        # owners, and a credit refresh is idempotent within a cycle.
         F = self.F
         q = self.q
         out_vc = self.out_vc
+        out_dir = self.out_dir
         apid = self.apid
         f_arrival = self.f_arrival
-        bit_slot = self.bit_slot[n]
-        va_requests: list = []
-        newly = 0  # VCs whose VA ran this cycle: speculative SA requesters
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            s = bit_slot[b.bit_length() - 1]
-            fid = q[s][0]
-            if fid % F:
-                continue  # not a head flit
-            if apid[s] == NONE_CODE:
-                apid[s] = fid // F
-            if out_vc[s] == NONE_CODE:
-                if f_arrival[fid] >= cycle:
-                    continue  # post-arrival RC cycle
-                self._gen_route_and_request(n, s, fid, va_requests, cycle)
-                newly |= b
-        if va_requests:
-            self._resolve_vc_allocations(n, va_requests, cycle)
-
-        # One walk for the contention tally (every buffered worm with a
-        # committed cardinal output is a standing request on it, Figure
-        # 3; out_dir is set and cleared with out_vc) and for switch
-        # readiness.  ``tally`` packs a byte-wide count per direction
-        # (LOCAL lands in byte 4, never read); ``ready``, like ``newly``,
-        # is a mask over the occ_mask bit positions.
-        out_dir = self.out_dir
         avail = self.avail
         rel = self.rel
-        tally = ready = 0
-        m = mask
+        bit_slot = self.bit_slot[n]
+        va_requests: list = []
+        newly = tally = ready = 0
+        m = self.occ_mask[n]
         while m:
             b = m & -m
             m ^= b
             s = bit_slot[b.bit_length() - 1]
             t = out_vc[s]
-            if t == NONE_CODE:
+            fid = q[s][0]
+            if not fid % F:
+                if apid[s] == NONE_CODE:
+                    apid[s] = fid // F
+                if t == NONE_CODE:
+                    if f_arrival[fid] >= cycle:
+                        continue  # post-arrival RC cycle
+                    # GenericRouter._route_and_request: the first output
+                    # that VA grants or stages ends the search.
+                    for od in self._gen_routes(n, s, fid // F, cycle):
+                        if self._request_vc_alloc(n, s, od, fid, va_requests, cycle):
+                            break
+                    newly |= b
+                    t = out_vc[s]
+                    if t == NONE_CODE:
+                        continue  # staged (booked below) or blocked
+            elif t == NONE_CODE:
                 continue
             tally += 1 << (out_dir[s] << 3)
             if t >= 0:
@@ -799,6 +791,25 @@ class SoASimulator:
                 if avail[t] <= 0:
                     continue
             ready |= b
+        if va_requests:
+            self._resolve_vc_allocations(n, va_requests, cycle)
+            # The staged requesters, booked once VA has settled them.
+            sbm = self.slot_bitmask
+            for req in va_requests:
+                s = req[0]
+                t = out_vc[s]
+                if t == NONE_CODE:
+                    continue  # lost VA
+                tally += 1 << (out_dir[s] << 3)
+                r = rel[t]
+                if r and r[0] <= cycle:
+                    a = avail[t]
+                    while r and r[0] <= cycle:
+                        del r[0]
+                        a += 1
+                    avail[t] = a
+                if avail[t] > 0:
+                    ready |= sbm[s]
         ce = tally >> 8 & 255
         cw = tally >> 24 & 255
         if ce or cw:
@@ -813,35 +824,50 @@ class SoASimulator:
             return
         self.sa += ready.bit_count()
 
-        # SA stage 1: each input port nominates one ready VC by a
-        # round-robin scan (shift to the stored pointer, lowest set bit)
-        # over its non-speculative requesters — worms whose VA did not
-        # run this cycle, the Peh-Dally rule — else over all of them.
+        # A ready VC means at least one grant: commits below are
+        # ``_commit_switch_grant`` inlined, whose credit refresh already
+        # ran when the VC was booked.
         V = self.V
         arb = self.arb[n]
+        expected = self.expected
+        win = self.sa_win[n]
+        if not win:
+            self.sa_routers.append(n)
         if not ready & (ready - 1):
             # A lone requester wins both stages; each arbiter moves past it.
             i = ready.bit_length() - 1
             d = i // V
             arb[d] = (i + 1) % V
             s = bit_slot[i]
-            arb[5 + out_dir[s]] = (d + 1) % 5
-            self._commit(n, s, cycle)
+            od = out_dir[s]
+            arb[5 + od] = (d + 1) % 5
+            t = out_vc[s]
+            if t >= 0:
+                avail[t] -= 1
+                expected[t] += 1
+            win.append((s, od, t))
             return
+
+        # SA stage 1: each input port nominates one ready VC by a
+        # round-robin scan (shift to the stored pointer, lowest set bit)
+        # over its non-speculative requesters — worms whose VA did not
+        # run this cycle, the Peh-Dally rule — else over all of them.
         pmask = (1 << V) - 1
         settled = ready & ~newly
         nominees = 0  # one bit per nominating port, occ_mask positions
         non_spec = 0  # ports whose nominee is non-speculative
         lines = 0  # byte ``od``: the ports nominating output ``od``
-        for d in range(5):
+        rest = ready
+        while rest:
+            # The next port with a ready VC, in port order.
+            d = ((rest & -rest).bit_length() - 1) // V
             base = d * V
+            rest &= ~(pmask << base)
             pool = settled >> base & pmask
             if pool:
                 non_spec |= 1 << d
             else:
                 pool = ready >> base & pmask
-                if not pool:
-                    continue
             p = arb[d]
             high = pool >> p
             i = p + (high & -high).bit_length() if high else (pool & -pool).bit_length()
@@ -867,29 +893,119 @@ class SoASimulator:
             i = p + (high & -high).bit_length() if high else (pool & -pool).bit_length()
             arb[5 + od] = i if i < 5 else 0
             base = (i - 1) * V
-            self._commit(
-                n, bit_slot[base + (nominees >> base & pmask).bit_length() - 1], cycle
-            )
+            s = bit_slot[base + (nominees >> base & pmask).bit_length() - 1]
+            t = out_vc[s]
+            if t >= 0:
+                avail[t] -= 1
+                expected[t] += 1
+            win.append((s, od, t))
 
-    def _gen_route_and_request(
-        self, n: int, s: int, fid: int, va_requests: list, cycle: int
-    ) -> None:
-        """``GenericRouter._route_and_request`` (fault-free paths)."""
+    def _allocate_generic_lone(self, n: int, cycle: int) -> None:
+        """``_allocate_generic`` for a router holding flits in exactly one VC.
+
+        What the general block does with one bit of ``occ_mask[n]`` set:
+        VA for an unallocated head (its request is the router's only
+        one, so it wins its group and is claimed on the spot), one
+        uncontended contention count on its output, booked before the
+        credit test, then — with a credit free — the two SA pointer
+        moves of a lone requester and the commit
+        (tests/test_soa_arbitration.py holds the two blocks equal on
+        every single-VC state).
+        """
+        bit = self.occ_mask[n].bit_length() - 1
+        s = self.bit_slot[n][bit]
+        out_vc = self.out_vc
+        out_dir = self.out_dir
+        F = self.F
+        fid = self.q[s][0]
+        if not fid % F:
+            pid = fid // F
+            if self.apid[s] == NONE_CODE:
+                self.apid[s] = pid
+            if out_vc[s] == NONE_CODE:
+                if self.f_arrival[fid] >= cycle:
+                    return  # post-arrival RC cycle
+                # _route_and_request + _request_vc_alloc, inlined.
+                lay = self.layout
+                candidates = self._gen_routes(n, s, pid, cycle)
+                nbr = lay.nbr[n]
+                owner = self.owner
+                for od in candidates:
+                    self.va += 1
+                    if od == LOCAL:
+                        out_vc[s] = EJECT_CODE
+                        out_dir[s] = LOCAL
+                        break
+                    m = nbr[od]
+                    if m < 0:
+                        continue
+                    # Most credits among the unowned VCs, first on a tie.
+                    best_t = NONE_CODE
+                    best = -1
+                    for t in lay.gen_port_slots[m][(od + 2) % 4]:
+                        if owner[t] == NONE_CODE:
+                            credits = self._credits(t, cycle)
+                            if credits > best:
+                                best_t, best = t, credits
+                    if best_t != NONE_CODE:
+                        owner[best_t] = pid  # claim()
+                        out_vc[s] = best_t
+                        out_dir[s] = od
+                        self.f_look[fid] = NONE_CODE
+                        break
+        t = out_vc[s]
+        if t == NONE_CODE:
+            return
+        # _tally_contention over one buffered worm: one request on its
+        # output, contended by nobody.
+        od = out_dir[s]
+        if od & 1:
+            self.row_req += 1
+        elif od != LOCAL:
+            self.col_req += 1
+        if t >= 0:
+            # Inlined credits(cycle) > 0 with lazy release refresh, then
+            # the commit's reserve_slot.
+            avail = self.avail
+            r = self.rel[t]
+            if r and r[0] <= cycle:
+                a = avail[t]
+                while r and r[0] <= cycle:
+                    del r[0]
+                    a += 1
+                avail[t] = a
+            if avail[t] <= 0:
+                return
+            avail[t] -= 1
+            self.expected[t] += 1
+        self.sa += 1
+        # A lone requester wins both stages; each arbiter moves past it.
+        arb = self.arb[n]
+        d = bit // self.V
+        arb[d] = (bit + 1) % self.V
+        arb[5 + od] = (d + 1) % 5
+        # ``_commit_switch_grant``
+        win = self.sa_win[n]
+        if not win:
+            self.sa_routers.append(n)
+        win.append((s, od, t))
+
+    def _gen_routes(self, n: int, s: int, pid: int, cycle: int) -> tuple:
+        """The output directions a head in slot ``s`` tries, in order."""
         lay = self.layout
-        pid = fid // self.F
         dest = self.p_dest[pid]
         if lay.slot_escape[s] and lay.mode is RoutingMode.ADAPTIVE:
-            candidates = (lay.escape_route(n, dest),)
-        else:
-            candidates = lay.route_candidates(n, dest, self.p_yx[pid])
+            return (lay.escape_route(n, dest),)
+        candidates = lay.route_candidates(n, dest, self.p_yx[pid])
         if len(candidates) > 1:
-            # _order_by_congestion: stable sort by free downstream credits.
-            candidates = sorted(
-                candidates, key=lambda d: -self._free_credits(n, d, cycle)
-            )
-        for od in candidates:
-            if self._request_vc_alloc(n, s, od, fid, va_requests, cycle):
-                return
+            # _order_by_congestion: a stable sort by free downstream
+            # credits, over the two productive directions of a mesh.
+            first, second = candidates
+            if self._free_credits(n, first, cycle) < self._free_credits(
+                n, second, cycle
+            ):
+                return (second, first)
+        return candidates
 
     def _free_credits(self, n: int, d: int, cycle: int) -> int:
         total = 0
@@ -907,111 +1023,131 @@ class SoASimulator:
         # deliberately before the VA walk, whose defensive ejects may
         # empty queues, so quiescence stays conservatively False for
         # one extra cycle exactly like the reference.
-        mask = self.occ_mask[n]
+        #
+        # One walk, as in _allocate_generic: VA for unallocated heads,
+        # and the contention tally and readiness of every VC holding an
+        # output VC.  A defensive eject only touches its own VC, which
+        # holds no output VC, so nothing it changes is booked.  ``dir1``
+        # marks the ready VCs bound for their module's crossbar slot 1.
         F = self.F
         q = self.q
         out_vc = self.out_vc
+        out_dir = self.out_dir
         apid = self.apid
         f_arrival = self.f_arrival
+        f_route = self.f_route
+        avail = self.avail
+        rel = self.rel
         bit_slot = self.bit_slot[n]
         lookahead = self.layout.lookahead
+        row_slot0, col_slot0 = self.layout.mod_slot0_dir
+        mod_bits = self._mod_bits
+        col_bit = 1 << mod_bits  # the Column-Module's first bit
         va_requests: list = []
-        m = mask
+        tally = ready = dir1 = 0
+        m = self.occ_mask[n]
         while m:
             b = m & -m
             m ^= b
             s = bit_slot[b.bit_length() - 1]
+            t = out_vc[s]
             fid = q[s][0]
-            if fid % F:
+            if not fid % F:
+                if apid[s] == NONE_CODE:
+                    apid[s] = fid // F
+                if t == NONE_CODE:
+                    if not lookahead and f_arrival[fid] >= cycle:
+                        continue  # ablation: RC charged post-arrival
+                    # RoCoRouter._request_worm_allocation on the
+                    # look-ahead route.
+                    od = f_route[fid]
+                    if od == NONE_CODE or od == LOCAL:
+                        self._stray_eject(n, s, fid, cycle)
+                        continue
+                    self._request_vc_alloc(n, s, od, fid, va_requests, cycle)
+                    t = out_vc[s]
+                    if t == NONE_CODE:
+                        continue  # staged (booked below) or blocked
+            elif t == NONE_CODE:
                 continue
-            if apid[s] == NONE_CODE:
-                apid[s] = fid // F
-            if out_vc[s] == NONE_CODE:
-                if not lookahead and f_arrival[fid] >= cycle:
-                    continue  # ablation: RC charged post-arrival
-                self._roco_request_worm(n, s, fid, va_requests, cycle)
+            od = out_dir[s]
+            tally += 1 << (od << 3)
+            if t >= 0:
+                # Inlined credits(cycle) > 0 with lazy release refresh.
+                r = rel[t]
+                if r and r[0] <= cycle:
+                    a = avail[t]
+                    while r and r[0] <= cycle:
+                        del r[0]
+                        a += 1
+                    avail[t] = a
+                if avail[t] <= 0:
+                    continue
+            ready |= b
+            if od != (row_slot0 if b < col_bit else col_slot0):
+                dir1 |= b
         if va_requests:
             self._resolve_vc_allocations(n, va_requests, cycle)
+            # The staged requesters, booked once VA has settled them.
+            sbm = self.slot_bitmask
+            for req in va_requests:
+                s = req[0]
+                t = out_vc[s]
+                if t == NONE_CODE:
+                    continue  # lost VA
+                od = out_dir[s]
+                tally += 1 << (od << 3)
+                r = rel[t]
+                if r and r[0] <= cycle:
+                    a = avail[t]
+                    while r and r[0] <= cycle:
+                        del r[0]
+                        a += 1
+                    avail[t] = a
+                if avail[t] > 0:
+                    b = sbm[s]
+                    ready |= b
+                    if od != (row_slot0 if b < col_bit else col_slot0):
+                        dir1 |= b
+        if not ready:
+            return
 
         V = self.V
-        out_dir = self.out_dir
-        avail = self.avail
-        rel = self.rel
+        vmask = (1 << V) - 1
+        mod_mask = self._mod_mask
         expected = self.expected
         sa_routers = self.sa_routers
         win = self.sa_win[n]
         mirror = self.layout.mirror
-        mod_slot0 = self.layout.mod_slot0_dir
-        mod_bits = self._mod_bits
-        mod_mask = self._mod_mask
-        # Re-read: the VA walk's defensive ejects may have cleared bits,
-        # and both the reference SA walk and its contention tally probe
-        # live queues.
-        mask = self.occ_mask[n]
-        counts = None
+        cn = tally & 255
+        ce = tally >> 8 & 255
+        cs = tally >> 16 & 255
+        cw = tally >> 24 & 255
+        row_cont = (ce if ce > 1 else 0) + (cw if cw > 1 else 0)
+        col_cont = (cn if cn > 1 else 0) + (cs if cs > 1 else 0)
         for mi in (0, 1):
             shift = mi * mod_bits
-            sub = (mask >> shift) & mod_mask
+            sub = ready >> shift & mod_mask
             if not sub:
                 continue
-            slot0_dir = mod_slot0[mi]
-            # Ready requests as four V-wide bitmasks: (port, crossbar
-            # direction-slot) with bit ``vc.index`` — the same matrix the
-            # allocators consume, packed.
-            r00 = r01 = r10 = r11 = 0
-            ready_count = 0
-            mm = sub
-            while mm:
-                b = mm & -mm
-                mm ^= b
-                i = b.bit_length() - 1
-                s = bit_slot[shift + i]
-                t = out_vc[s]
-                if t == NONE_CODE:
-                    continue
-                if t >= 0:
-                    # Inlined credits(cycle) > 0 with lazy release refresh.
-                    r = rel[t]
-                    if r and r[0] <= cycle:
-                        a = avail[t]
-                        while r and r[0] <= cycle:
-                            del r[0]
-                            a += 1
-                        avail[t] = a
-                    if avail[t] <= 0:
-                        continue
-                if i < V:
-                    if out_dir[s] == slot0_dir:
-                        r00 |= 1 << i
-                    else:
-                        r01 |= 1 << i
-                elif out_dir[s] == slot0_dir:
-                    r10 |= 1 << (i - V)
-                else:
-                    r11 |= 1 << (i - V)
-                ready_count += 1
-            if not ready_count:
-                continue
-            self.sa += ready_count
+            self.sa += sub.bit_count()
             # _tally_contention — the reference invokes it once per
             # module with ready VCs, each walk seeing identical state
             # (the SA loop mutates neither queues nor out_dir), so the
             # counts are computed once and applied per invocation.
-            if counts is None:
-                c = [0, 0, 0, 0]
-                mm = mask
-                while mm:
-                    b = mm & -mm
-                    mm ^= b
-                    od = out_dir[bit_slot[b.bit_length() - 1]]
-                    if od >= 0 and od != LOCAL:
-                        c[od] += 1
-                counts = c
-            cn, ce, cs, cw = counts
             self.row_req += ce + cw
-            self.row_cont += (ce if ce > 1 else 0) + (cw if cw > 1 else 0)
+            self.row_cont += row_cont
             self.col_req += cn + cs
-            self.col_cont += (cn if cn > 1 else 0) + (cs if cs > 1 else 0)
+            self.col_cont += col_cont
+            # Ready requests as four V-wide bitmasks: (port, crossbar
+            # direction-slot) with bit ``vc.index`` — the same matrix the
+            # allocators consume, packed.
+            to1 = dir1 >> shift & mod_mask
+            to0 = sub ^ to1
+            r00 = to0 & vmask
+            r01 = to1 & vmask
+            r10 = to0 >> V
+            r11 = to1 >> V
             state = self.arb[n][mi]
             if mirror:
                 # MirrorAllocator.allocate, inlined on the packed rows.
@@ -1119,8 +1255,9 @@ class SoASimulator:
         """``_allocate_roco`` for a router holding flits in exactly one VC.
 
         What the general block does with one bit of ``occ_mask[n]`` set,
-        without its masks, request matrix and tally list: VA for a
-        head, the ready/credit test, one contention count, the two
+        without its masks and request matrix: VA for a head (its request
+        is the router's only one, so it wins its group and is claimed on
+        the spot), the ready/credit test, one contention count, the two
         pointer moves of the mirror allocator and the commit
         (tests/test_soa_arbitration.py holds the two blocks equal on
         every single-VC state).
@@ -1128,18 +1265,47 @@ class SoASimulator:
         bit = self.occ_mask[n].bit_length() - 1
         s = self.bit_slot[n][bit]
         out_vc = self.out_vc
+        F = self.F
         fid = self.q[s][0]
-        if not fid % self.F:
+        if not fid % F:
+            pid = fid // F
             if self.apid[s] == NONE_CODE:
-                self.apid[s] = fid // self.F
+                self.apid[s] = pid
             if out_vc[s] == NONE_CODE:
-                if not self.layout.lookahead and self.f_arrival[fid] >= cycle:
+                lay = self.layout
+                if not lay.lookahead and self.f_arrival[fid] >= cycle:
                     return  # ablation: RC charged post-arrival
-                va_requests: list = []
-                self._roco_request_worm(n, s, fid, va_requests, cycle)
-                if va_requests:
-                    self._resolve_vc_allocations(n, va_requests, cycle)
-        # Unallocated — VA lost, or its defensive eject consumed the flit.
+                od = self.f_route[fid]
+                if od == NONE_CODE or od == LOCAL:
+                    self._stray_eject(n, s, fid, cycle)
+                    return
+                # _request_vc_alloc, inlined: the router's only request
+                # wins its group and is claimed on the spot.
+                self.va += 1
+                m = lay.nbr[n][od]
+                if m < 0:
+                    return
+                owner = self.owner
+                best_t = NONE_CODE
+                best_route = NONE_CODE
+                best = -1
+                for t, route in lay.roco_admission(
+                    m, (od + 2) % 4, self.p_dest[pid], self.p_yx[pid]
+                ):
+                    if t == EJECT_CODE:
+                        best_t, best_route = t, route
+                        break
+                    if owner[t] == NONE_CODE:
+                        credits = self._credits(t, cycle)
+                        if credits > best:
+                            best_t, best_route, best = t, route, credits
+                if best_t == NONE_CODE:
+                    return  # every candidate owned
+                if best_t >= 0:
+                    owner[best_t] = pid  # claim()
+                out_vc[s] = best_t
+                self.out_dir[s] = od
+                self.f_look[fid] = best_route
         t = out_vc[s]
         if t == NONE_CODE:
             return
@@ -1183,25 +1349,18 @@ class SoASimulator:
             self.sa_routers.append(n)
         win.append((s, od, t))
 
-    def _roco_request_worm(
-        self, n: int, s: int, fid: int, va_requests: list, cycle: int
-    ) -> None:
-        """``RoCoRouter._request_worm_allocation`` (fault-free paths)."""
-        od = self.f_route[fid]
-        if od == NONE_CODE or od == LOCAL:
-            # Defensive: early ejection should have consumed this flit.
-            qs = self.q[s]
-            qs.pop(0)
-            if not qs:
-                self.occ_mask[n] &= ~self.slot_bitmask[s]
-            self.rel[s].append(cycle + 2)
-            if fid % self.F == self.F - 1:
-                self.out_dir[s] = NONE_CODE
-                self.out_vc[s] = NONE_CODE
-                self.apid[s] = NONE_CODE
-            self._eject(n, fid, cycle, early=True)
-            return
-        self._request_vc_alloc(n, s, od, fid, va_requests, cycle)
+    def _stray_eject(self, n: int, s: int, fid: int, cycle: int) -> None:
+        """Defensive: early ejection should have consumed this flit."""
+        qs = self.q[s]
+        qs.pop(0)
+        if not qs:
+            self.occ_mask[n] &= ~self.slot_bitmask[s]
+        self.rel[s].append(cycle + 2)
+        if fid % self.F == self.F - 1:
+            self.out_dir[s] = NONE_CODE
+            self.out_vc[s] = NONE_CODE
+            self.apid[s] = NONE_CODE
+        self._eject(n, fid, cycle, early=True)
 
     # ------------------------------------------------------------------
     # Cycle body and run (Simulator.step / Simulator.run)
@@ -1256,7 +1415,8 @@ class SoASimulator:
         on_wires = sorted(
             (n, din, at, fid)
             for at, bucket in self.wake.items()
-            for n, din, fid in bucket
+            for n, landing in bucket.items()
+            for din, fid in landing
         )
         buffered += [(n, fid) for n, _din, _at, fid in on_wires]
         counted: set[int] = set()

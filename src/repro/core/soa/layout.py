@@ -140,6 +140,34 @@ class SoALayout:
             #: Output direction of crossbar slot 0 per module (slot 1 is
             #: the opposite): EAST for the Row-Module, NORTH for Column.
             self.mod_slot0_dir = (int(Direction.EAST), int(Direction.NORTH))
+        #: bit_slot[n] — router n's slots in allocate-phase walk order
+        #: (generic: input ports 0..4; RoCo: ``roco_ports`` order).  The
+        #: engine's occupancy mask gives walk position i bit ``1 << i``,
+        #: which slot_bitmask[s] holds for every slot.
+        if self.arch == "generic":
+            walks = [
+                tuple(s for port in ports for s in port)
+                for ports in self.gen_port_slots
+            ]
+        else:
+            walks = [
+                tuple(s for module in modules for port in module for s in port)
+                for modules in self.roco_ports
+            ]
+        self.bit_slot: tuple[tuple[int, ...], ...] = tuple(walks)
+        bitmask = [0] * self.S
+        for walk in walks:
+            for i, s in enumerate(walk):
+                bitmask[s] = 1 << i
+        self.slot_bitmask: tuple[int, ...] = tuple(bitmask)
+        if self.arch == "generic":
+            #: gen_adm[m][d] — VC-allocation candidates ``(target,
+            #: route)`` for a flit entering router m on input d: every VC
+            #: of that port, route computed locally (None).
+            self.gen_adm = tuple(
+                tuple(tuple((t, NONE_CODE) for t in port) for port in ports)
+                for ports in self.gen_port_slots
+            )
         self.mirror = config.router_config.mirror_allocation
         self.lookahead = config.router_config.lookahead_routing
         self.vcs_per_port = config.router_config.vcs_per_port

@@ -160,9 +160,10 @@ def _encode_soa(sim: SoASimulator, cycle: int | None) -> SoAState:
     wire_fids = set()
     links = []
     for at, bucket in sim.wake.items():
-        for recv, din, fid in bucket:
-            links.append((at, recv, din, fid))
-            wire_fids.add(fid)
+        for recv, landing in bucket.items():
+            for din, fid in landing:
+                links.append((at, recv, din, fid))
+                wire_fids.add(fid)
     links.sort()
 
     live_fids = set(wire_fids)

@@ -142,7 +142,7 @@ OUTSIDE_THE_ENVELOPE = {
 #: Flag values the job or the executor refuses when it is built from them.
 BAD_FLAG_VALUES = {
     "size": (["--size", "1"], "mesh must be at least 2x2"),
-    "rate": (["--rate", "2"], "injection rate must be within [0, 1]"),
+    "rate": (["--rate", "2"], "injection rate must be within (0, 1]"),
     "packets": (["--packets", "0"], "measure_packets must be >= 1"),
     "torus-router": (
         ["--topology", "torus", "--router", "roco", "--size", "4"],
@@ -279,6 +279,14 @@ def test_python_dash_m_exits_with_what_main_returns():
         "repro: run did not complete: no progress for 2000 cycles at cycle 2798: "
     )
     assert stall.stderr.count("\n") == 1
+
+
+def test_a_quiet_healthy_mesh_is_not_a_stall(capsys):
+    # 18,498 cycles for 20 packets: one gap between two of them is longer
+    # than the 2,000-cycle drain timeout, with nothing outstanding.
+    argv = ["--router", "generic", "--size", "2", "--rate", "0.001"]
+    assert main([*argv, "--packets", "20", "--warmup", "2", "--seed", "3"]) == 0
+    assert "18498 cycles simulated" in capsys.readouterr().out
 
 
 def test_an_error_inside_the_run_still_propagates(monkeypatch):

@@ -73,6 +73,10 @@ class TestSimulationConfig:
             {"max_cycles": 0},
             {"drain_timeout": -1},
             {"fault_drop_timeout": -5},
+            # ... and these would: no packet ever, an unknown pattern.
+            {"injection_rate": 0},
+            {"injection_rate": 0.0},
+            {"traffic": "bogus"},
         ],
     )
     def test_validation(self, bad):

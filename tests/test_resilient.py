@@ -66,14 +66,15 @@ def small_jobs(seeds=(1, 2, 3)) -> list[SimJob]:
 
 def drain_timeout_config(**overrides) -> SimulationConfig:
     """Deterministically raises DrainTimeoutError (fault-free network,
-    traffic sparse enough to trip the tiny no-progress window)."""
+    a zero no-progress window: a flit crossing a wire outlasts it while
+    its packet is outstanding)."""
     params = {
         "width": 3,
         "height": 3,
-        "injection_rate": 0.01,
+        "injection_rate": 0.1,
         "warmup_packets": 0,
         "measure_packets": 20,
-        "drain_timeout": 2,
+        "drain_timeout": 0,
         "seed": 1,
     }
     params.update(overrides)

@@ -95,6 +95,27 @@ def test_drain_timeout_cycle_and_census(cell):
     assert outcome == expected
 
 
+#: A healthy 4x4 generic mesh so lightly loaded that the gap between two
+#: generated packets outlasts the drain timeout: at cycle 101 nothing is
+#: outstanding, nothing has moved for 100 cycles and 18 packets are
+#: still to come.
+QUIET = replace(
+    BASE,
+    router="generic",
+    injection_rate=0.002,
+    warmup_packets=2,
+    measure_packets=20,
+    drain_timeout=100,
+)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_quiet_gap_between_packets_is_not_a_deadlock(engine):
+    result = run_engine(engine, QUIET)
+    assert (result.cycles, result.delivered_packets) == (3217, 20)
+    assert result.conserved
+
+
 @pytest.mark.parametrize(
     "fault_cycle", (None, 1000, 5), ids=("0", "1", "struck-before-the-stall")
 )

@@ -124,6 +124,12 @@ class TestProtocol:
             ({"config": {"width": -3}}, "bad config"),
             ({"config": {"drain_timeout": -1, "size": 3}}, "drain_timeout"),
             ({"config": {"traffic": "shuffle", "size": 3}}, "power-of-two"),
+            ({"config": {"traffic": "bogus"}}, "unknown traffic pattern"),
+            ({"config": {"injection_rate": 0}}, "injection rate"),
+            (
+                {"kind": "sweep", "base": {}, "rates": [0.0, 0.1]},
+                "injection rate",
+            ),
             (
                 {"kind": "campaign", "config": {}, "schedule": [], "mtbf": 1.0},
                 "not both",
