@@ -71,6 +71,7 @@ from pathlib import Path
 from repro.core.runloop import RUN_FAILURES, DeadlockError
 from repro.core.simulator import run_simulation
 from repro.core.soa.errors import BackendUnsupportedError
+from repro.faults.injector import describe_fault
 from repro.harness.campaign import run_campaign
 from repro.harness.parallel import (
     ParallelExecutor,
@@ -273,17 +274,15 @@ def _run_single(args) -> int:
         job = _load_job(args.replay) if args.replay else job_from_args(args)
     except (OSError, ValueError) as exc:
         return _usage_error(exc)
+    router = job.config.router
     for event in job.schedule or ():
         healing = f", heals at {event.clear_cycle}" if event.transient else ""
         print(
-            f"fault @ cycle {event.cycle}: {event.fault.component.value} "
-            f"at {event.fault.node} ({event.fault.module} module){healing}"
+            f"fault @ cycle {event.cycle}: "
+            f"{describe_fault(event.fault, router)}{healing}"
         )
     for fault in job.faults:
-        print(
-            f"fault: {fault.component.value} at {fault.node} "
-            f"({fault.module} module)"
-        )
+        print(f"fault: {describe_fault(fault, router)}")
     campaign = None
     try:
         if job.schedule is not None:

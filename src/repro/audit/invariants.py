@@ -116,7 +116,8 @@ class FlitConservationChecker(InvariantChecker):
             if finished:
                 # Flits of a dropped worm may still be draining off wires
                 # or out of the source, but a VC queue must never hold
-                # one — drops purge every router synchronously.
+                # one — a drop purges every router holding the packet
+                # synchronously.
                 in_queues = snapshot.queue_flits.get(pid, 0)
                 if packet.delivered_cycle is not None and found:
                     engine.fail(

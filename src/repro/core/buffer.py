@@ -63,6 +63,8 @@ class VirtualChannel:
         "owner_pid",
         "expected",
         "verdict",
+        "router",
+        "waiter",
         "_available",
         "_releases",
     )
@@ -110,6 +112,14 @@ class VirtualChannel:
         #: network's fault epoch and the front packet are unchanged, that
         #: attempt would end the same way (see BaseRouter._blocked_again).
         self.verdict: tuple[int, int, int] | None = None
+        #: The router this VC belongs to, set by it: a :meth:`claim` is
+        #: recorded on its network, which purges a dropped packet only
+        #: in the routers the packet claimed a VC in.
+        self.router = None
+        #: The upstream router napping until this VC has a credit for it
+        #: (see BaseRouter.nap); every credit given here is reported to
+        #: it, and a stale entry is harmless.
+        self.waiter = None
         #: Credits as seen by upstream switch allocators.
         self._available = depth
         #: Freed slots waiting out the credit round-trip: release cycles.
@@ -147,10 +157,17 @@ class VirtualChannel:
     def refund_slot(self) -> None:
         """Return a credit for a grant that never launched (purged worm)."""
         self._available += 1
+        waiter = self.waiter
+        if waiter is not None:
+            waiter.credit_due(waiter.network.cycle)
 
     def schedule_release(self, cycle: int) -> None:
         """A flit left this VC; its slot frees after the credit round-trip."""
-        self._releases.append(cycle + CREDIT_LATENCY)
+        release = cycle + CREDIT_LATENCY
+        self._releases.append(release)
+        waiter = self.waiter
+        if waiter is not None:
+            waiter.credit_due(release)
 
     def _refresh(self, cycle: int) -> None:
         while self._releases and self._releases[0] <= cycle:
@@ -175,6 +192,9 @@ class VirtualChannel:
         if self.owner_pid is not None:
             raise RuntimeError(f"{self!r} already owned by packet {self.owner_pid}")
         self.owner_pid = pid
+        router = self.router
+        if router is not None:
+            router.network.record_claim(pid, router)
 
     def release_owner(self) -> None:
         self.owner_pid = None
@@ -277,8 +297,12 @@ class VirtualChannel:
 
         The snapshot carries its own credit ledger, so — unlike
         :meth:`push` — nothing here touches credits or checks depth.
+        Nor does it carry claims: the network stops trusting its purge
+        record (``Network.record_claim``) from here on.
         """
         self.queue.extend(flits)
+        if self.router is not None:
+            self.router.network.forget_claims()
 
     def reset(self) -> None:
         """Drop all contents and worm state (used when discarding packets)."""

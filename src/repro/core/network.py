@@ -9,17 +9,18 @@ By default stepping is *activity-driven*: only routers in the active set
 Dormant routers are woken by source injections (immediately, the same
 cycle) and by neighbour link launches (via a timed wake scheduled for
 the flit's arrival cycle, so receivers sleep through the wire delay).
-In a faulty network a router holding only fault-blocked heads *naps*:
-it stays active but is not stepped until something can change its
-verdicts (BaseRouter.nap).  The ``full_sweep=True`` escape hatch
-restores the original
-step-every-router schedule; both produce bit-identical simulation
-results (see docs/activity-scheduling.md and the ``object`` row of
-tests/test_engines_agree.py).
+In a faulty network a router holding only fault-blocked heads and
+worms waiting for a credit *naps*: it stays active but is not stepped
+until something can change its verdicts or give it a credit
+(BaseRouter.nap).  The ``full_sweep=True`` escape hatch restores the
+original step-every-router schedule; both produce bit-identical
+simulation results (see docs/activity-scheduling.md and the ``object``
+row of tests/test_engines_agree.py).
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.config import SimulationConfig
@@ -30,6 +31,9 @@ from repro.routing import make_routing
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.routers.base import BaseRouter
+
+#: Sort key: a router's place in the row-major stepping order.
+_ROW_MAJOR = attrgetter("_index")
 
 
 class Network:
@@ -55,12 +59,24 @@ class Network:
         self.routers: dict[NodeId, "BaseRouter"] = {}
         self._build_routers(make_router)
         self._router_list = list(self.routers.values())
+        for index, router in enumerate(self._router_list):
+            router._index = index
         #: Routers frozen by this cycle's front half for its alloc half,
         #: and the logically active ones: those plus the napping ones.
         self._stepped: list["BaseRouter"] = []
         self._active: list["BaseRouter"] = []
         #: Routers in a nap not yet settled (see BaseRouter.nap).
         self._napping = 0
+        #: While routers nap, from the freeze to the end of the allocate
+        #: loop: the row-major place allocated last (-1 before the first);
+        #: None otherwise.  A napper roused after that place allocates in
+        #: this cycle (BaseRouter.rouse), from ``_late``.
+        self._alloc_at: int | None = None
+        self._late: list["BaseRouter"] = []
+        #: Purge record (:meth:`record_claim`): pid -> the routers the
+        #: packet claimed a VC in.  None — every drop purges every router
+        #: — until :meth:`keep_purge_record`.
+        self._reached: dict[int, list["BaseRouter"]] | None = None
         #: Timed wakes: cycle -> routers that must rejoin the active set
         #: at that cycle (a flit launched towards them lands then).
         self._wake_queue: dict[int, list["BaseRouter"]] = {}
@@ -145,6 +161,31 @@ class Network:
             for router in self._router_list:
                 router.rouse()
 
+    def keep_purge_record(self) -> None:
+        """Record claims from now on, so a drop purges only the routers
+        its packet reached.
+
+        Called before any traffic moves (the simulator does, when it can
+        strike a fault).  The full-sweep reference keeps no record.
+        """
+        if not self.full_sweep:
+            self._reached = {}
+
+    def forget_claims(self) -> None:
+        """Go back to purging every router: state was restored without
+        the claims that made it (VirtualChannel.restore)."""
+        self._reached = None
+
+    def record_claim(self, pid: int, router: "BaseRouter") -> None:
+        """Packet ``pid`` claimed a VC of ``router`` (VirtualChannel.claim)."""
+        reached = self._reached
+        if reached is not None:
+            routers = reached.get(pid)
+            if routers is None:
+                reached[pid] = [router]
+            elif router not in routers:
+                routers.append(router)
+
     def settle(self, cycle: int) -> None:
         """End every nap at the end of ``cycle``, the run's last."""
         if self._napping:
@@ -214,6 +255,7 @@ class Network:
         self._active = stepped
         if self._napping:
             stepped = self._without_nappers(stepped, cycle)
+            self._alloc_at = -1
         scheduler = self.stats.scheduler
         scheduler.cycles += 1
         scheduler.router_steps += len(self._active)
@@ -249,24 +291,63 @@ class Network:
         return stepped
 
     def step_alloc(self, cycle: int) -> None:
-        """Allocation, quiescence sleep, blocked naps and end-of-cycle
+        """Allocation, quiescence sleep, naps and end-of-cycle
         bookkeeping."""
         stepped = self._stepped
-        for router in stepped:
-            router.allocate(cycle)
+        if self._alloc_at is None:
+            for router in stepped:
+                router.allocate(cycle)
+        else:
+            stepped = self._allocate_rousing(stepped, cycle)
         if not self.full_sweep:
             # Ground-truth drain check after all phases: anything a
             # purge or refund changed mid-cycle is re-inspected here.
+            # Only a faulty network naps (BaseRouter.nap).
             scheduler = self.stats.scheduler
+            naps = self.has_faults
             for router in stepped:
                 if router.quiescent():
                     router.active = False
                     scheduler.sleeps += 1
-                elif router._blocked_cycle == cycle and router.nap(cycle):
+                elif naps and not router._sa_winners and router.nap(cycle):
                     self._napping += 1
         if self.on_cycle_stepped is not None:
             self.on_cycle_stepped(cycle, self._active)
         self.stats.tick()
+
+    def _allocate_rousing(self, stepped: list, cycle: int) -> list:
+        """The allocate loop of a cycle some router naps through.
+
+        A purge or a credit may rouse a napper mid-cycle (BaseRouter.rouse
+        puts it in ``_late``).  One roused before the loop reaches its
+        row-major place allocates there, in this cycle, as the plain
+        schedule would have it.  Returns the routers allocated.
+        """
+        late = self._late
+        extra: list["BaseRouter"] = []
+        for router in stepped:
+            index = router._index
+            if late:
+                self._allocate_late(index, extra, cycle)
+            self._alloc_at = index
+            router.allocate(cycle)
+        if late:
+            self._allocate_late(len(self._router_list), extra, cycle)
+        self._alloc_at = None
+        return stepped + extra if extra else stepped
+
+    def _allocate_late(self, before: int, done: list, cycle: int) -> None:
+        """Allocate, in row-major order, the roused nappers placed before
+        ``before``, appending them to ``done``."""
+        late = self._late
+        while late:
+            first = min(late, key=_ROW_MAJOR)
+            if first._index > before:
+                return
+            late.remove(first)
+            self._alloc_at = first._index
+            first.allocate(cycle)
+            done.append(first)
 
     # ------------------------------------------------------------------
     # Delivery and dropping
@@ -288,6 +369,8 @@ class Network:
         self.stats.flit_delivered(packet.measured)
         if flit.closes_worm:
             packet.delivered_cycle = cycle
+            if self._reached is not None:
+                self._reached.pop(packet.pid, None)
             # Report the links the head actually crossed; a detour (e.g.
             # around a fault) makes this exceed the minimal distance.
             self.stats.packet_delivered(packet, packet.measured, hops=packet.hops)
@@ -300,12 +383,24 @@ class Network:
         cycle: int,
         reason: DropReason = DropReason.UNSPECIFIED,
     ) -> None:
-        """Abort a worm network-wide (fault-timeout discard, Section 4.1)."""
+        """Abort a worm network-wide (fault-timeout discard, Section 4.1).
+
+        The purge visits, in row-major order, the routers the packet
+        claimed a VC in — every router holding a flit, a claim or a
+        draining grant of it — or every router without a purge record.
+        """
         if packet.dropped_cycle is not None or packet.delivered_cycle is not None:
             return
         packet.dropped_cycle = cycle
         packet.drop_reason = reason
-        for router in self._router_list:
+        reached = self._reached
+        if reached is None:
+            routers = self._router_list
+        else:
+            routers = reached.pop(packet.pid, ())
+            if len(routers) > 1:
+                routers.sort(key=_ROW_MAJOR)
+        for router in routers:
             router.purge_packet(packet.pid, cycle)
         self.stats.packet_dropped(packet, packet.measured, reason)
         if self.on_packet_dropped is not None:

@@ -75,8 +75,8 @@ class Source:
         self.vc.push(flit)
         # Source injection is one of the two wake events of an empty
         # router (the other is an inbound link launch), and it ends a
-        # blocked nap: the router must allocate for this flit in the
-        # current cycle, exactly as under a full sweep.
+        # nap: the router must allocate for this flit in the current
+        # cycle, exactly as under a full sweep.
         self.router.wake()
         flit.arrival = cycle
         if network.trace is not None:
@@ -279,6 +279,7 @@ class Simulator:
         self.faults: list[ComponentFault] = []
         self._fault_engine: RuntimeFaultEngine | None = None
         if faults or self.schedule is not None:
+            self.network.keep_purge_record()
             registry = self._packet_registry
             self._fault_engine = RuntimeFaultEngine(
                 self.network, registry.get if registry is not None else None

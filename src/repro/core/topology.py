@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import abc
 
-from repro.core.types import Direction, NodeId
+from repro.core.types import CARDINALS, Direction, NodeId
+
+#: (topology class, width, height) -> :meth:`Topology.neighbors` table.
+_NEIGHBOR_TABLES: dict[tuple, dict[NodeId, tuple[NodeId | None, ...]]] = {}
 
 
 class Topology(abc.ABC):
@@ -31,6 +34,25 @@ class Topology(abc.ABC):
     @abc.abstractmethod
     def neighbor(self, node: NodeId, direction: Direction) -> NodeId | None:
         """The adjacent node in ``direction``, or None at an open border."""
+
+    def neighbors(self, node: NodeId) -> tuple[NodeId | None, ...]:
+        """:meth:`neighbor` of ``node`` in each cardinal, indexed by
+        direction (None at an open border).
+
+        Network construction asks this of every router several times; the
+        table is built once per topology shape and shared.
+        """
+        key = (type(self), self.width, self.height)
+        table = _NEIGHBOR_TABLES.get(key)
+        if table is None:
+            table = _NEIGHBOR_TABLES[key] = {
+                NodeId(x, y): tuple(
+                    self.neighbor(NodeId(x, y), d) for d in CARDINALS
+                )
+                for y in range(self.height)
+                for x in range(self.width)
+            }
+        return table[node]
 
     @abc.abstractmethod
     def distance(self, a: NodeId, b: NodeId) -> int:

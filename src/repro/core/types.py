@@ -51,6 +51,9 @@ class Direction(enum.IntEnum):
 #: The four cardinal directions, in index order.
 CARDINALS = (Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST)
 
+#: ``OPPOSITE[d]`` is ``d.opposite``, read without the enum call.
+OPPOSITE = tuple(d.opposite for d in Direction)
+
 
 class RoutingMode(enum.Enum):
     """The three routing algorithms evaluated in the paper (Section 5.4)."""

@@ -95,6 +95,8 @@ def random_faults(
     per-module VC count implied by ``router_config`` (the default
     configuration's bound keeps historical seeds reproducible).
     """
+    if count < 0:
+        raise ValueError("count must be >= 0")
     pool = [n for n in nodes if exclude is None or n not in exclude]
     if count > len(pool):
         raise ValueError(f"cannot place {count} faults on {len(pool)} routers")
@@ -126,14 +128,46 @@ def fault_effect(router, fault: ComponentFault) -> tuple:
     effect for the runtime engine's overlap reference counts.
     """
     modules = getattr(router, "modules", None)
-    if modules is None:
+    reaction = _reaction(modules is not None, fault)
+    if reaction == "node":
         return ("node", fault.node)
-    if CLASSIFICATION[fault.component].blocks_roco_module:
-        return ("module", fault.node, fault.module)
-    key = (fault.component.value, fault.node, fault.module)
-    if fault.component is Component.BUFFER:
+    key = (reaction, fault.node, fault.module)
+    if reaction == "buffer":
         return (*key, fault.vc_position % len(modules[fault.module].all_vcs()))
     return key
+
+
+def _reaction(modular: bool, fault: ComponentFault) -> str:
+    """The first item of :func:`fault_effect`'s key, for a router with
+    RoCo's modules or without."""
+    if not modular:
+        return "node"
+    if CLASSIFICATION[fault.component].blocks_roco_module:
+        return "module"
+    return fault.component.value
+
+
+#: :func:`describe_fault`'s words for each reaction.
+_REACTION_WORDS = {
+    "node": "node off-line",
+    "module": "module off-line",
+    "rc": "double routing",
+    "sa": "SA offloaded onto the VA arbiters",
+    "buffer": "virtual queuing",
+}
+
+
+def describe_fault(fault: ComponentFault, architecture: str) -> str:
+    """``fault`` and what Table 3 does with it on ``architecture``, as the
+    CLI prints it: ``"rc at (0,3): node off-line"`` for a generic or
+    Path-Sensitive router, ``"rc at (0,3) (row module): double routing"``
+    for RoCo."""
+    reaction = _reaction(architecture == "roco", fault)
+    where = "" if reaction == "node" else f" ({fault.module} module)"
+    return (
+        f"{fault.component.value} at {fault.node}{where}: "
+        f"{_REACTION_WORDS[reaction]}"
+    )
 
 
 def apply_faults(network: Network, faults: list[ComponentFault]) -> None:

@@ -24,6 +24,7 @@ from repro.core.buffer import CREDIT_LATENCY, VirtualChannel
 from repro.core.channel import Channel
 from repro.core.types import (
     CARDINALS,
+    OPPOSITE,
     Direction,
     DropReason,
     Flit,
@@ -51,6 +52,10 @@ class _EjectSentinel:
 #: Singleton early-ejection target.
 EJECT = _EjectSentinel()
 
+#: Nap deadline of a router waiting only for credits that no release has
+#: announced yet: a credit hook (BaseRouter.credit_due) sets the real one.
+_NEVER = 1 << 62
+
 
 class OutputPort:
     """Upstream-side handle for one output direction of a router."""
@@ -62,7 +67,7 @@ class OutputPort:
         self.link: Channel[Flit] = Channel()
         self.downstream: "BaseRouter | None" = None
         #: The downstream input this port feeds (``direction.opposite``).
-        self.input_dir = direction.opposite
+        self.input_dir = OPPOSITE[direction]
         #: True when the downstream input no longer accepts traffic
         #: (downstream router or module permanently failed).
         self.dead = False
@@ -73,6 +78,9 @@ class BaseRouter(abc.ABC):
 
     #: Architecture tag used by configuration and the energy profiles.
     architecture = "base"
+    #: Whether every step books the contention tally, ready VC or not
+    #: (generic, Path-Sensitive); a nap then books it per skipped step.
+    idle_tally = True
 
     def __init__(self, node: NodeId, network: "Network") -> None:
         self.node = node
@@ -82,8 +90,9 @@ class BaseRouter(abc.ABC):
         #: Output ports for the cardinals wired to neighbours that exist;
         #: border directions are simply absent.
         self.outputs: dict[Direction, OutputPort] = {}
+        neighbors = network.topology.neighbors(node)
         for d in CARDINALS:
-            if network.neighbor_of(node, d) is not None:
+            if neighbors[d] is not None:
                 self.outputs[d] = OutputPort(d)
         #: Whole-router kill switch (generic/Path-Sensitive under any
         #: permanent fault; RoCo only loses a module, see subclass).
@@ -101,16 +110,19 @@ class BaseRouter(abc.ABC):
         #: Cycles this router was stepped (scheduler telemetry); a nap's
         #: cycles are added when it ends.
         self.steps_taken = 0
-        #: Blocked sleep (a *nap*, see :meth:`nap`): None while awake,
-        #: else the cycle the router must be stepped again by — its
-        #: earliest stall deadline, or 0 once something roused it.
+        #: Place in the network's row-major stepping order (set by it).
+        self._index = -1
+        #: A *nap* (see :meth:`nap`): None while awake, else the cycle the
+        #: router must be stepped again by — its earliest stall deadline,
+        #: hold or credit — or 0 once something roused it.
         self._nap_until: int | None = None
-        #: First cycle of the current nap, and the VA requests each of
-        #: its cycles makes (the kept verdicts' attempts).
+        #: First cycle of the current nap, the VA requests each of its
+        #: cycles makes (the kept verdicts' attempts) and, for an
+        #: ``idle_tally`` router, the contention each books: ``(row
+        #: requests, row contended, column requests, column contended)``.
         self._nap_from = 0
         self._nap_va = 0
-        #: Last cycle a head here ended all-hard-blocked (nap pre-check).
-        self._blocked_cycle = -1
+        self._nap_tally: tuple[int, int, int, int] | None = None
         #: Filled by :meth:`wire`: upstream links feeding this router,
         #: in CARDINALS order (the full-sweep delivery order), and the
         #: flat VC list the hot-path idle checks iterate.
@@ -155,17 +167,18 @@ class BaseRouter(abc.ABC):
 
     def wire(self) -> None:
         """Attach output ports to neighbours; called once, before traffic."""
+        network = self.network
+        neighbors = network.topology.neighbors(self.node)
         for d, port in self.outputs.items():
-            neighbor_node = self.network.neighbor_of(self.node, d)
-            neighbor = self.network.router_at(neighbor_node)
+            neighbor = network.router_at(neighbors[d])
             port.downstream = neighbor
-            port.dead = not neighbor.accepting(d.opposite)
+            port.dead = not neighbor.accepting(port.input_dir)
         in_links = []
         for d in CARDINALS:
-            neighbor_node = self.network.neighbor_of(self.node, d)
+            neighbor_node = neighbors[d]
             if neighbor_node is None:
                 continue
-            up_port = self.network.router_at(neighbor_node).outputs.get(d.opposite)
+            up_port = network.router_at(neighbor_node).outputs.get(OPPOSITE[d])
             if up_port is not None:
                 in_links.append((d, up_port.link))
         self._in_links = tuple(in_links)
@@ -193,58 +206,137 @@ class BaseRouter(abc.ABC):
             self._nap_until = 0  # :meth:`rouse`, inlined on the hot path
 
     def nap(self, cycle: int) -> bool:
-        """Leave the stepped list while only blocked heads are held.
+        """Leave the stepped list while no step can change anything.
 
-        Called after an allocate phase that kept or replayed a verdict
-        (only faulty networks keep them).  When every occupied VC holds
-        a head whose kept verdict is current and there is no SA winner,
-        each further step would repeat the same :meth:`_blocked_again`
-        calls until the earliest stall deadline, where
-        :meth:`note_stall` drops a packet.  The router then naps:
-        it stays logically active (counted in ``router_steps`` and shown
-        to ``on_cycle_stepped``), is not stepped, and is stepped again
-        at that deadline or once roused (:meth:`rouse`);
-        :meth:`settle_nap` then books the skipped steps.  Returns
-        whether it napped.
+        Called after the allocate phase of a faulty network's router
+        with no SA winner.  Every occupied VC must be one of:
+
+        * *blocked*: its head holds a current kept verdict, so each step
+          would repeat the same :meth:`_blocked_again` call until the
+          stall deadline, where :meth:`note_stall` drops the packet;
+        * *starved*: its worm holds an output VC but cannot compete for
+          the switch next cycle — its ``hold_until`` lies ahead, or the
+          output VC has no credit for it — so each step only tallies it.
+
+        The router then naps until the earliest stall deadline, hold or
+        announced credit release.  It stays logically active (counted
+        in ``router_steps`` and shown to ``on_cycle_stepped``), is not
+        stepped, and is stepped again at that deadline or once roused
+        (:meth:`rouse`, :meth:`credit_due`: each starved VC's output VC
+        names this router its ``waiter``); :meth:`settle_nap` then books
+        the skipped steps.  Returns whether it napped.
         """
-        if self._sa_winners:
+        if self.dead:
             return False
-        epoch = self.network.fault_epoch
+        network = self.network
+        epoch = network.fault_epoch
         since = self._stall_since
-        first = None
+        timeout = network.config.fault_drop_timeout
+        outputs = self.outputs
+        after = cycle + 1
+        tally = [0] * 5 if self.idle_tally else None
+        until = None
         va = 0
         for vc in self._vc_cache:
             queue = vc.queue
             if not queue:
                 continue
-            verdict = vc.verdict
-            if (
-                verdict is None
-                or verdict[0] != epoch
-                or verdict[1] != queue[0].packet.pid
-            ):
-                return False
-            start = since[id(vc)]  # replaying a verdict noted the stall
-            if first is None or start < first:
-                first = start
-            va += verdict[2]
-        if first is None:
+            target = vc.out_vc
+            if target is None:
+                verdict = vc.verdict
+                if (
+                    verdict is None
+                    or verdict[0] != epoch
+                    or verdict[1] != queue[0].packet.pid
+                ):
+                    return False
+                # Replaying a verdict noted the stall.
+                deadline = since[id(vc)] + timeout
+                va += verdict[2]
+            else:
+                deadline = vc.hold_until
+                if deadline <= after:
+                    # Starved of credit, or ready next cycle: the test of
+                    # :meth:`_vc_ready_for_switch`, one cycle ahead.
+                    if target is EJECT or target._available > 0:
+                        return False
+                    port = outputs.get(vc.out_dir)
+                    if port is None or port.dead:
+                        return False
+                    releases = target._releases
+                    if releases:
+                        deadline = releases[0]
+                        if deadline <= after:
+                            return False
+                    else:
+                        deadline = _NEVER
+                    target.waiter = self
+                if tally is not None:
+                    tally[vc.out_dir] += 1
+            if until is None or deadline < until:
+                until = deadline
+        if until is None:
             return False  # a drop this cycle emptied the router
-        self._nap_until = first + self.network.config.fault_drop_timeout
-        self._nap_from = cycle + 1
+        self._nap_until = until
+        self._nap_from = after
         self._nap_va = va
+        if tally is not None:
+            north, east, south, west = tally[:4]
+            self._nap_tally = (
+                east + west,
+                (east if east > 1 else 0) + (west if west > 1 else 0),
+                north + south,
+                (north if north > 1 else 0) + (south if south > 1 else 0),
+            )
         return True
 
     def rouse(self) -> None:
-        """End a nap: step this router from the next frozen list on."""
-        if self._nap_until is not None:
+        """End a nap: something may have changed what a step would do.
+
+        Between cycles, or mid-cycle once the allocate loop has passed
+        this router's row-major place, the router is stepped from the
+        next frozen list on (its step this cycle, before the change, is
+        the nap's).  Earlier in the cycle — a purge or a refund in the
+        front half, or a purge by a router before it in the allocate
+        loop — the plain schedule has yet to allocate it in this cycle:
+        it is settled and allocates at its place
+        (``Network._allocate_rousing``).
+        """
+        if self._nap_until is None:
+            return
+        network = self.network
+        at = network._alloc_at
+        if at is not None and self._index > at:
+            self.settle_nap(network.cycle)
+            self.steps_taken += 1
+            network._napping -= 1
+            network._late.append(self)
+        else:
             self._nap_until = 0
+
+    def credit_due(self, cycle: int) -> None:
+        """A VC this router may wait on for a credit gets one at ``cycle``
+        (a release, or now for a refund): a nap must end by then."""
+        until = self._nap_until
+        if until is not None and cycle < until:
+            if cycle <= self.network.cycle:
+                self.rouse()
+            else:
+                self._nap_until = cycle
 
     def settle_nap(self, cycle: int) -> None:
         """Book a nap's skipped steps, ``_nap_from`` up to ``cycle`` (excluded)."""
         slept = cycle - self._nap_from
         self.steps_taken += slept
         self._activity.va_requests += slept * self._nap_va
+        tally = self._nap_tally
+        if tally is not None:
+            contention = self.network.stats.contention
+            contention.row_requests += slept * tally[0]
+            contention.row_contended += slept * tally[1]
+            contention.column_requests += slept * tally[2]
+            contention.column_contended += slept * tally[3]
+            self._nap_tally = None
         self._nap_until = None
 
     def quiescent(self) -> bool:
@@ -292,20 +384,34 @@ class BaseRouter(abc.ABC):
             dirs.sort()
         link_map = self._in_link_map
         network = self.network
-        if network.has_faults or network.trace is not None:
+        if network.trace is not None:
             for d in dirs:
                 for flit in link_map[d].deliver(cycle):
                     self._accept_flit(flit, d, cycle)
             return
-        # ``Channel.deliver`` and :meth:`_accept_flit` inlined: on a
-        # healthy, untraced network no packet is ever dropped in flight
-        # and no VC dies, so an arrival is buffered or early-ejected.
+        # ``Channel.deliver`` and :meth:`_accept_flit` inlined.  On a
+        # faulty network an arrival may belong to a packet dropped while
+        # it flew, or land in a VC that died meanwhile: either hands back
+        # the slot reserved at launch, and the second drops the packet.
         activity = self._activity
+        has_faults = network.has_faults
         for d in dirs:
             in_flight = link_map[d]._in_flight
             while in_flight and in_flight[0][0] <= cycle:
                 flit = in_flight.popleft()[1]
                 target = flit.vc_hint
+                if has_faults:
+                    packet = flit.packet
+                    if packet.dropped_cycle is not None:
+                        if target is not EJECT:
+                            target.refund_slot()
+                            target.expected -= 1
+                        continue
+                    if target is not EJECT and target.dead:
+                        target.refund_slot()
+                        target.expected -= 1
+                        network.drop_packet(packet, cycle, DropReason.ARRIVED_AT_DEAD)
+                        continue
                 flit.route = flit.lookahead_route
                 flit.lookahead_route = None
                 if target is EJECT:
@@ -403,6 +509,8 @@ class BaseRouter(abc.ABC):
                 continue
             flit = queue.popleft()
             vc._releases.append(release)
+            if vc.waiter is not None:
+                vc.waiter.credit_due(release)
             closes = flit.closes_worm
             if closes:
                 vc.out_dir = vc.out_vc = vc.active_pid = None
@@ -760,7 +868,6 @@ class BaseRouter(abc.ABC):
         network = self.network
         if network.has_faults and not network.full_sweep:
             vc.verdict = (network.fault_epoch, vc.queue[0].packet.pid, attempts)
-            self._blocked_cycle = cycle
         self.note_stall(vc, cycle)
 
     def _blocked_again(self, vc: VirtualChannel, cycle: int) -> bool:
@@ -777,7 +884,6 @@ class BaseRouter(abc.ABC):
         ):
             return False
         self._activity.va_requests += verdict[2]
-        self._blocked_cycle = cycle
         self.note_stall(vc, cycle)
         return True
 
@@ -788,8 +894,9 @@ class BaseRouter(abc.ABC):
     def purge_packet(self, pid: int, cycle: int) -> None:
         """Remove every flit of a dropped packet held in this router.
 
-        Runs on every router for every drop, and nearly every VC it
-        meets is empty and unrelated: those cost two attribute probes.
+        Runs on every router the packet reached (``Network.drop_packet``),
+        and most VCs it meets are empty or unrelated: those cost two
+        attribute probes.
         """
         for vc in self.all_vcs():
             if vc.owner_pid == pid:
@@ -817,7 +924,10 @@ class BaseRouter(abc.ABC):
     # ------------------------------------------------------------------
 
     def _discard_dropped_front(self, vc: VirtualChannel, cycle: int) -> None:
-        """Flush flits whose packet was dropped while queued here."""
+        """Flush flits whose packet was dropped while queued here.
+
+        The allocate paths call it only when the front flit's packet was
+        dropped; the full-sweep reference calls it for every VC."""
         queue = vc.queue
         while queue and queue[0].packet.dropped_cycle is not None:
             vc.pop(cycle)

@@ -52,6 +52,7 @@ class GenericRouter(BaseRouter):
             vcs = []
             for i in range(v):
                 vc = VirtualChannel(port=int(d), index=i, depth=depth)
+                vc.router = self
                 vc.input_dir = d
                 vc.accepts_from = (d,)
                 vc.escape = i == 0
@@ -249,12 +250,15 @@ class GenericRouter(BaseRouter):
         va_requests: list = []
         newly_allocated: list[VirtualChannel] = []
         for vc in occupied:
-            if has_faults:
-                self._discard_dropped_front(vc, cycle)
             queue = vc.queue
             if not queue:
                 continue
             front = queue[0]
+            if has_faults and front.packet.dropped_cycle is not None:
+                self._discard_dropped_front(vc, cycle)
+                if not queue:
+                    continue
+                front = queue[0]
             if not front.is_head:
                 continue
             if vc.active_pid is None:
@@ -339,9 +343,9 @@ class GenericRouter(BaseRouter):
         general walk.  The full sweep never comes here: it is the
         reference the lone path is checked against.
         """
-        if self.network.has_faults:
-            self._discard_dropped_front(vc, cycle)
         queue = vc.queue
+        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
+            self._discard_dropped_front(vc, cycle)
         if queue:
             front = queue[0]
             if front.is_head:

@@ -127,6 +127,7 @@ class PathSensitiveRouter(BaseRouter):
                 vc = VirtualChannel(
                     port=q_index, index=i, depth=depth, vc_class=quadrant
                 )
+                vc.router = self
                 if arrival is Direction.LOCAL:
                     vc.accepts_from = QUADRANT_ARRIVALS[quadrant]
                 else:
@@ -295,12 +296,15 @@ class PathSensitiveRouter(BaseRouter):
         va_requests: list = []
         newly_allocated: list[VirtualChannel] = []
         for vc in occupied:
-            if has_faults:
-                self._discard_dropped_front(vc, cycle)
             queue = vc.queue
             if not queue:
                 continue
             front = queue[0]
+            if has_faults and front.packet.dropped_cycle is not None:
+                self._discard_dropped_front(vc, cycle)
+                if not queue:
+                    continue
+                front = queue[0]
             if not front.is_head:
                 continue
             if vc.active_pid is None:
@@ -383,9 +387,9 @@ class PathSensitiveRouter(BaseRouter):
         the winner as in the general walk.  The full sweep never comes
         here: it is the reference the lone path is checked against.
         """
-        if self.network.has_faults:
-            self._discard_dropped_front(vc, cycle)
         queue = vc.queue
+        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
+            self._discard_dropped_front(vc, cycle)
         if queue:
             front = queue[0]
             if front.is_head:

@@ -33,12 +33,12 @@ class RoCoModule:
         #: the per-ready-VC SA request path.
         self.slot_map = {d: s for s, d in enumerate(self.directions)}
         self.ports: list[list[VirtualChannel]] = [[], []]
-        #: Flat VC view in port order, rebuilt on add; read-hot.
+        #: Flat VC view in port order, built by :meth:`seal`; read-hot.
         self._flat: list[VirtualChannel] = []
-        #: Switch-allocation request matrix ``[port][slot][vc]``, rebuilt
-        #: on add.  Scratch owned by the router's allocate phase, which
-        #: sets the ready bits, runs the allocator and clears them again:
-        #: all-False between uses.
+        #: Switch-allocation request matrix ``[port][slot][vc]``, built by
+        #: :meth:`seal`.  Scratch owned by the router's allocate phase,
+        #: which sets the ready bits, runs the allocator and clears them
+        #: again: all-False between uses.
         self.sa_requests: list[list[list[bool]]] = []
         #: The Mirroring Effect allocator, or (ablation) a plain
         #: separable allocator without the maximal-matching guarantee.
@@ -54,7 +54,11 @@ class RoCoModule:
         self.sa_degraded = False
 
     def add_vc(self, port: int, vc: VirtualChannel) -> None:
+        """Append ``vc`` to path set ``port``; :meth:`seal` after the last."""
         self.ports[port].append(vc)
+
+    def seal(self) -> None:
+        """Build the flat view and the request matrix once every VC is in."""
         self._flat = self.ports[0] + self.ports[1]
         width = len(self.ports[0])
         self.sa_requests = [[[False] * width, [False] * width] for _ in range(2)]

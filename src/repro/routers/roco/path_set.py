@@ -23,6 +23,7 @@ commit to the dimension-ordered direction), and under XY-YX the extra
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from repro.core.types import Direction, RoutingMode
 
@@ -139,8 +140,13 @@ _CONFIGS = {
 }
 
 
+@cache
 def vc_configuration(mode: RoutingMode) -> tuple[VCSpec, ...]:
-    """The 12-VC configuration for ``mode`` (paper Table 1)."""
+    """The 12-VC configuration for ``mode`` (paper Table 1).
+
+    Built once per mode: every router of a network reads it, and the
+    specs are frozen.
+    """
     return _CONFIGS[mode]()
 
 

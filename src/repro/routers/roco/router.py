@@ -30,6 +30,9 @@ class RoCoRouter(BaseRouter):
     """Two-module decoupled wormhole router."""
 
     architecture = "roco"
+    #: The contention tally is booked only by a module that arbitrates
+    #: with a ready VC, which a napping router has not.
+    idle_tally = False
     #: The compact 2v:1 VA arbiters complete a second arbitration
     #: iteration within the cycle (Figure 2 / Section 3.1).
     va_iterations = 2
@@ -57,8 +60,11 @@ class RoCoRouter(BaseRouter):
             vc.input_dir = (
                 spec.accepts_from[0] if len(spec.accepts_from) == 1 else None
             )
+            vc.router = self
             module.add_vc(spec.port, vc)
             self._vcs.append(vc)
+        for module in self.modules.values():
+            module.seal()
         #: The two modules by name; read every step by the allocate phase.
         self.row: RoCoModule = self.modules[ROW]
         self.column: RoCoModule = self.modules[COLUMN]
@@ -296,12 +302,15 @@ class RoCoRouter(BaseRouter):
             if module.dead:
                 continue
             for vc in occupied:
-                if has_faults:
-                    self._discard_dropped_front(vc, cycle)
                 queue = vc.queue
                 if not queue:
                     continue
                 front = queue[0]
+                if has_faults and front.packet.dropped_cycle is not None:
+                    self._discard_dropped_front(vc, cycle)
+                    if not queue:
+                        continue
+                    front = queue[0]
                 if not front.is_head:
                     continue
                 if vc.active_pid is None:
@@ -371,9 +380,9 @@ class RoCoRouter(BaseRouter):
         if module.dead:
             return
         requested = False
-        if self.network.has_faults:
-            self._discard_dropped_front(vc, cycle)
         queue = vc.queue
+        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
+            self._discard_dropped_front(vc, cycle)
         if queue:
             front = queue[0]
             if front.is_head:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.channel import LINK_DELAY
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
-from repro.core.types import NodeId, Packet, make_packet_flits
+from repro.core.types import Direction, NodeId, Packet, make_packet_flits
 from repro.routers.base import EJECT
 
 
@@ -155,3 +155,33 @@ class TestAcceptFlit:
         net.drop_packet(packet, 1)
         run_cycles(net, 10, start=2)
         assert target.credits(net.cycle + 5) == target.effective_depth
+
+    @pytest.mark.parametrize("fate", ["dropped", "dead"])
+    def test_a_faulty_arrival_after_a_buffered_one_is_refused(self, fate):
+        """Two heads land on one router in one cycle, North first: the
+        West one's packet was dropped on the wire, or its VC died — it is
+        not buffered behind the North one, whose VC is healthy."""
+        net = network("generic")
+        net.has_faults = True
+        kept, _ = inject_worm(net, NodeId(1, 0), NodeId(1, 3), pid=0, size=2)
+        lost, _ = inject_worm(net, NodeId(0, 1), NodeId(3, 1), pid=1, size=2)
+        net.step(0)
+        net.step(1)  # both heads on the wire towards (1, 1)
+        centre = net.routers[NodeId(1, 1)]
+        if fate == "dropped":
+            net.drop_packet(lost, 1)
+        else:
+            for vc in centre.ports[Direction.WEST]:
+                vc.dead = True
+        landing = 1 + LINK_DELAY
+        run_cycles(net, landing - 2, start=2)
+        net.step_front(landing)
+        assert centre._due_dirs == [Direction.NORTH, Direction.WEST]
+        held = [f.packet for vc in centre.all_vcs() for f in vc.queue]
+        assert held == [kept]
+        assert lost.dropped_cycle is not None
+        net.step_alloc(landing)
+        run_cycles(net, 8, start=landing + 1)  # the rest of the worm lands
+        for vc in centre.ports[Direction.WEST]:
+            assert vc.empty and vc.expected == 0
+            assert vc.credits(net.cycle) == vc.effective_depth

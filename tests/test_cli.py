@@ -98,6 +98,32 @@ class TestMain:
 SMALL = ["--size", "4", "--packets", "80", "--warmup", "20", "--rate", "0.1"]
 
 
+#: (router, extra flags) -> what each fault line must end with (Table 3).
+FAULT_LINES = {
+    "generic-static": ("generic", [], {"node off-line"}),
+    "path_sensitive-campaign": ("path_sensitive", ["--mtbf", "60"], {"node off-line"}),
+    "roco-critical": ("roco", [], {"module off-line"}),
+    "roco-non-critical": ("roco", ["--fault-class", "non-critical", "--mtbf", "60"],
+                          {"double routing", "SA offloaded onto the VA arbiters",
+                           "virtual queuing"}),
+}
+
+
+@pytest.mark.parametrize("case", FAULT_LINES)
+def test_a_fault_line_says_what_the_router_does_with_it(case, capsys):
+    """Generic and Path-Sensitive take the node off-line; RoCo names the
+    module it isolates, or the recycling that absorbs the fault."""
+    router, extra, reactions = FAULT_LINES[case]
+    assert main([*SMALL, "--router", router, "--faults", "3", *extra]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("fault")]
+    assert len(lines) == 3
+    for line in lines:
+        where, _, reaction = line.partition(", heals at")[0].rpartition(": ")
+        assert reaction in reactions, line
+        assert where.endswith(" module)") is (router == "roco"), line
+
+
 class TestBackendFlag:
     def test_soa_prints_what_the_object_engine_prints(self, capsys):
         point = ["--size", "16", "--packets", "200", "--warmup", "40", "--rate", "0.1"]
@@ -157,6 +183,7 @@ BAD_FLAG_VALUES = {
         "workers must be >= 0",
     ),
     "num-seeds": ([*SMALL, "--num-seeds", "0"], "--num-seeds must be >= 1"),
+    "faults-negative": ([*SMALL, "--faults", "-1"], "count must be >= 0"),
     "campaign-flags": (
         [*SMALL, "--mtbf", "400"],
         "--mtbf needs --faults N to know how many arrivals to sample",

@@ -36,6 +36,7 @@ from repro.faults.runtime import RuntimeFaultEngine
 from repro.harness.export import result_record
 from repro.harness.parallel import SimJob
 from repro.harness.sharded import ShardPlan, ensure_sharded_supported
+from repro.routers.base import BaseRouter
 from repro.routers.generic import GenericRouter
 from repro.routers.path_sensitive import PathSensitiveRouter
 from repro.routers.roco import RoCoRouter
@@ -245,6 +246,40 @@ for r in BOTH:
 cell("blocking-max-cycles", "object audited", blocking(router="generic",
                                                         max_cycles=200), *CRITICAL)
 
+# Backpressure: worms longer than the buffer queue behind heads a
+# mid-row critical fault hard-blocks under XY, so routers upstream hold
+# worms with an output VC but no credit for the whole drop timeout and
+# nap *starved*.  The worm a starved router waits on is dropped by a
+# router before it in row-major order (``-drop-before``: its step this
+# cycle was the nap's) or after it (``-drop-after``: it allocates this
+# cycle, at its place).
+def backpressure(router="generic", **overrides) -> SimulationConfig:
+    return small_config(**{
+        "router": router, "injection_rate": 0.15, "warmup_packets": 10,
+        "measure_packets": 80, "flits_per_packet": 6, "fault_drop_timeout": 100,
+        "drain_timeout": 400,
+        "router_config": RouterConfig.for_architecture(router, buffer_depth=2),
+        **overrides})
+
+
+MID_ROW = fault(2, 1, XBAR)
+for r in ALL:
+    cell(f"backpressure-{r}", "object audited", backpressure(r, seed=2), MID_ROW)
+cell("backpressure-drop-before", "object audited", backpressure(seed=1), MID_ROW)
+cell("backpressure-drop-after", "object audited", backpressure(seed=3), MID_ROW)
+# The fault heals while routers starve-nap; buffer (virtual-queuing)
+# faults hold an arrival two cycles, a nap's deadline; the run is cut
+# while routers starve-nap.
+cell("backpressure-heal", "object audited",
+     backpressure(seed=1, fault_drop_timeout=100_000),
+     schedule=FaultSchedule.at_cycle(60, [MID_ROW], 80))
+cell("backpressure-hold", "object audited", backpressure("roco", seed=2),
+     fault(1, 1, Component.BUFFER), fault(2, 1, Component.BUFFER, vc_position=1),
+     fault(1, 2, Component.BUFFER, COLUMN, 2), fault(2, 2, Component.BUFFER, COLUMN, 4),
+     ends="drained")
+cell("backpressure-max-cycles", "object audited",
+     backpressure(seed=2, fault_drop_timeout=100_000, max_cycles=200), MID_ROW)
+
 # Light load: most router steps find one occupied VC, the lone path of
 # ``allocate`` (``_allocate_lone``), which the full-sweep reference never
 # takes.
@@ -322,6 +357,70 @@ def test_blocking_cells_nap(monkeypatch):
     assert not napping_at["end"]
     assert all(vc.verdict is None for router in sweep.network.routers.values()
                for vc in router.all_vcs())
+
+
+def test_backpressure_cells_nap(monkeypatch):
+    """The backpressure cells reach what they are named for: routers nap
+    starved, a drop in the allocate loop rouses a starved napper placed
+    before or after the dropping router, a hold sets a nap's deadline,
+    starved nappers are napping when the fault heals and at the cut; the
+    full-sweep reference never naps."""
+    seen: dict[str, int] = {}
+    starving: set = set()  # routers whose current nap is a starved one
+    nap, rouse, settle = BaseRouter.nap, BaseRouter.rouse, Network.settle
+    clear = RuntimeFaultEngine.clear
+
+    def count(label, n=1):
+        seen[label] = seen.get(label, 0) + n
+
+    def starved(router):
+        return any(vc.queue and vc.out_vc is not None for vc in router.all_vcs())
+
+    def napped(self, cycle):
+        took = nap(self, cycle)
+        starving.discard(self)
+        if took and starved(self):
+            starving.add(self)
+            count("starved")
+            if any(vc.queue and vc.out_vc is not None and vc.hold_until > cycle + 1
+                   and vc.hold_until == self._nap_until for vc in self.all_vcs()):
+                count("hold")
+        return took
+
+    def roused(self):
+        # In the allocate loop only a drop rouses (a refund comes in the
+        # front half); ``_alloc_at`` is the dropping router's place.
+        at = self.network._alloc_at
+        if self in starving and self._nap_until and at is not None and at >= 0:
+            count("after" if self._index > at else "before")
+        rouse(self)
+
+    def starved_napping(method, label):
+        def wrapper(self, *args):
+            network = getattr(self, "network", self)
+            count(label, sum(r._nap_until is not None and starved(r)
+                             for r in network.routers.values()))
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(BaseRouter, "nap", napped)
+    monkeypatch.setattr(BaseRouter, "rouse", roused)
+    monkeypatch.setattr(Network, "settle", starved_napping(settle, "end"))
+    monkeypatch.setattr(RuntimeFaultEngine, "clear", starved_napping(clear, "clear"))
+    wanted = {"backpressure-generic": "starved", "backpressure-roco": "starved",
+              "backpressure-path_sensitive": "starved",
+              "backpressure-drop-before": "before", "backpressure-drop-after": "after",
+              "backpressure-heal": "clear", "backpressure-hold": "hold",
+              "backpressure-max-cycles": "end"}
+    for name, label in wanted.items():
+        seen.clear()
+        job = CELLS[name][0]
+        Simulator(job.config, faults=list(job.faults), schedule=job.schedule).run()
+        assert seen.get(label), f"{name}: no {label} event in {seen}"
+    seen.clear()
+    job = CELLS["backpressure-generic"][0]
+    Simulator(job.config, faults=list(job.faults), full_sweep=True).run()
+    assert not seen.get("starved") and not seen.get("end"), seen
 
 
 def test_lone_cells_take_the_lone_path(monkeypatch):

@@ -11,8 +11,7 @@ or three occupied VCs on twin networks, one active-scheduled and one
 ``tests/test_lone_allocate.py`` compares: every arbiter's pointer, the
 SA winners in grant order, each VC's worm, ownership and credit fields
 (the centre's and those of the routers its worms are bound for), the
-stall table, ``_blocked_cycle`` and the activity and contention
-counters.  Both bodies share the VA helpers of ``BaseRouter``, so the
+stall table and the activity and contention counters.  Both bodies share the VA helpers of ``BaseRouter``, so the
 battery checks the SA half against an independent body, not VA.
 
 Each VC's state is drawn from the lone battery's vocabulary (kinds,
@@ -123,8 +122,6 @@ def check(variant: str) -> dict:
                     vc.verdict = verdict
                     kept = True
             if kept:
-                assert active.router._blocked_cycle == CYCLE, picked
-                active.router._blocked_cycle = sweep.router._blocked_cycle
                 tally["kept"] += 1
             ods = [state[1] for state in picked]
             got, want = active.snapshot(*ods), sweep.snapshot(*ods)
