@@ -767,8 +767,9 @@ class SoASimulator:
                 if t == NONE_CODE:
                     if f_arrival[fid] >= cycle:
                         continue  # post-arrival RC cycle
-                    # GenericRouter._route_and_request: the first output
-                    # that VA grants or stages ends the search.
+                    # GenericRouter._request_va (BaseRouter._request_routes):
+                    # the first output that VA grants or stages ends the
+                    # search.
                     for od in self._gen_routes(n, s, fid // F, cycle):
                         if self._request_vc_alloc(n, s, od, fid, va_requests, cycle):
                             break
@@ -925,7 +926,7 @@ class SoASimulator:
             if out_vc[s] == NONE_CODE:
                 if self.f_arrival[fid] >= cycle:
                     return  # post-arrival RC cycle
-                # _route_and_request + _request_vc_alloc, inlined.
+                # GenericRouter._request_va + _request_vc_alloc, inlined.
                 lay = self.layout
                 candidates = self._gen_routes(n, s, pid, cycle)
                 nbr = lay.nbr[n]
@@ -1058,8 +1059,7 @@ class SoASimulator:
                 if t == NONE_CODE:
                     if not lookahead and f_arrival[fid] >= cycle:
                         continue  # ablation: RC charged post-arrival
-                    # RoCoRouter._request_worm_allocation on the
-                    # look-ahead route.
+                    # RoCoRouter._request_va on the look-ahead route.
                     od = f_route[fid]
                     if od == NONE_CODE or od == LOCAL:
                         self._stray_eject(n, s, fid, cycle)

@@ -4,15 +4,18 @@ All three architectures (generic, Path-Sensitive, RoCo) are two-stage
 pipelined wormhole routers with credit-based virtual-channel flow control.
 This module owns everything they share:
 
-* look-ahead VC allocation against the downstream router's exposed VCs,
+* the VA front end: head staging, the RC cycle of routers without
+  look-ahead routing, and VC allocation against the downstream router's
+  exposed VCs,
 * switch-grant commitment (credit reservation) and flit launch,
 * the shared switch-traversal phase with stale-grant revalidation,
 * packet dropping and worm purging in faulty networks,
 * the stall-timeout machinery the fault model uses.
 
-Subclasses define their own buffer organisation and implement the
-``allocate`` pipeline phase (RC + VA + speculative SA); traversal is
-identical across architectures and lives here.
+Subclasses define their own buffer organisation, choose a head's route
+(``_request_va``) and implement the rest of the ``allocate`` pipeline
+phase (speculative SA); traversal is identical across architectures and
+lives here.
 """
 
 from __future__ import annotations
@@ -81,12 +84,19 @@ class BaseRouter(abc.ABC):
     #: Whether every step books the contention tally, ready VC or not
     #: (generic, Path-Sensitive); a nap then books it per skipped step.
     idle_tally = True
+    #: Whether the architecture routes one hop ahead (Section 3.1: RoCo
+    #: and Path-Sensitive), so a buffered head skips Routing Computation.
+    routes_ahead = True
 
     def __init__(self, node: NodeId, network: "Network") -> None:
         self.node = node
         self.network = network
         self.config = network.config.router_config
         self.routing = network.routing
+        #: Whether a head spends its arrival cycle in Routing Computation
+        #: before VA: always without look-ahead routing, and in the
+        #: ``lookahead_routing=False`` ablation of the routers that have it.
+        self._charges_rc = not (self.routes_ahead and self.config.lookahead_routing)
         #: Output ports for the cardinals wired to neighbours that exist;
         #: border directions are simply absent.
         self.outputs: dict[Direction, OutputPort] = {}
@@ -538,6 +548,104 @@ class BaseRouter(abc.ABC):
     # ------------------------------------------------------------------
     # Shared allocation helpers
     # ------------------------------------------------------------------
+
+    @abc.abstractmethod
+    def _request_va(
+        self, vc: VirtualChannel, cycle: int, va_requests: list
+    ) -> None:
+        """Route the head at the front of ``vc`` and stage its VA request.
+
+        The architecture's route choice, called once per step for each
+        unallocated head past Routing Computation.  It replays the VC's
+        kept verdict first (:meth:`_blocked_again`), and ends with a
+        staged request or grant, a kept verdict or a cleared stall.
+        """
+
+    def _stage_heads(
+        self, occupied: list[VirtualChannel], cycle: int, va_requests: list
+    ) -> list[VirtualChannel]:
+        """The VA front end of a step that finds several occupied VCs.
+
+        Walks ``occupied`` in order: flushes fronts of dropped packets,
+        notes the front head's packet in ``active_pid`` and, for a head
+        without an output VC that is past Routing Computation, stages
+        its request through :meth:`_request_va`.  Returns the VCs that
+        requested, in order; the caller resolves ``va_requests``.
+        """
+        has_faults = self.network.has_faults
+        charges_rc = self._charges_rc
+        requested = []
+        for vc in occupied:
+            queue = vc.queue
+            if not queue:
+                continue
+            front = queue[0]
+            if has_faults and front.packet.dropped_cycle is not None:
+                self._discard_dropped_front(vc, cycle)
+                if not queue:
+                    continue
+                front = queue[0]
+            if not front.is_head:
+                continue
+            if vc.active_pid is None:
+                vc.active_pid = front.packet.pid
+            if vc.out_vc is None:
+                if charges_rc and front.arrival >= cycle:
+                    continue  # the head spends this cycle in RC
+                self._request_va(vc, cycle, va_requests)
+                requested.append(vc)
+        return requested
+
+    def _stage_lone(self, vc: VirtualChannel, cycle: int) -> bool:
+        """:meth:`_stage_heads` of a step whose only occupied VC is
+        ``vc``, with the VA resolution; True if its head requested."""
+        queue = vc.queue
+        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
+            self._discard_dropped_front(vc, cycle)
+            if not queue:
+                return False
+        front = queue[0]
+        if not front.is_head:
+            return False
+        if vc.active_pid is None:
+            vc.active_pid = front.packet.pid
+        if vc.out_vc is not None or (self._charges_rc and front.arrival >= cycle):
+            return False
+        va_requests: list = []
+        self._request_va(vc, cycle, va_requests)
+        if va_requests:
+            self._resolve_vc_allocations(va_requests, cycle)
+        return True
+
+    def _request_routes(
+        self,
+        vc: VirtualChannel,
+        routes: Sequence[Direction],
+        cycle: int,
+        va_requests: list,
+    ) -> bool:
+        """Request VA for ``vc``'s head on the first of the ordered
+        ``routes`` that stages or grants it; True if one did.
+
+        Otherwise the head keeps a hard-block verdict when every route
+        hard-blocked (:meth:`_hard_blocked`), and its stall is cleared
+        when one was only congested.
+        """
+        front = vc.queue[0]
+        all_hard = True
+        attempts = 0
+        for out_dir in routes:
+            attempts += 1
+            outcome = self._request_vc_allocation(vc, out_dir, front, va_requests)
+            if outcome:
+                return True
+            if outcome is False:
+                all_hard = False
+        if all_hard:
+            self._hard_blocked(vc, cycle, attempts)
+        else:
+            self.clear_stall(vc)
+        return False
 
     def _request_vc_allocation(
         self,

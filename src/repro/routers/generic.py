@@ -42,6 +42,8 @@ class GenericRouter(BaseRouter):
     """Baseline 5-port wormhole router with a full crossbar."""
 
     architecture = "generic"
+    #: Routes are computed locally, so every head pays the RC cycle.
+    routes_ahead = False
 
     def __init__(self, node: NodeId, network) -> None:
         super().__init__(node, network)
@@ -187,7 +189,7 @@ class GenericRouter(BaseRouter):
                         # and Path-Sensitive pre-compute the route one
                         # step ahead and skip this stage).
                         continue
-                    self._route_and_request(vc, va_requests, cycle)
+                    self._request_va(vc, cycle, va_requests)
                     newly_allocated.append(vc)
             if va_requests:
                 self._resolve_vc_allocations(va_requests, cycle)
@@ -246,32 +248,8 @@ class GenericRouter(BaseRouter):
         # by letting a worm that allocates this cycle also compete for the
         # switch this cycle).  Requests for the same downstream VC are
         # resolved by the output-side arbiters, one winner per cycle.
-        has_faults = self.network.has_faults
         va_requests: list = []
-        newly_allocated: list[VirtualChannel] = []
-        for vc in occupied:
-            queue = vc.queue
-            if not queue:
-                continue
-            front = queue[0]
-            if has_faults and front.packet.dropped_cycle is not None:
-                self._discard_dropped_front(vc, cycle)
-                if not queue:
-                    continue
-                front = queue[0]
-            if not front.is_head:
-                continue
-            if vc.active_pid is None:
-                vc.active_pid = front.packet.pid
-            if vc.out_vc is None:
-                if front.arrival >= cycle:
-                    # Without look-ahead routing the head spends this
-                    # cycle in Routing Computation (Section 3.1: RoCo
-                    # and Path-Sensitive pre-compute the route one
-                    # step ahead and skip this stage).
-                    continue
-                self._route_and_request(vc, va_requests, cycle)
-                newly_allocated.append(vc)
+        newly_allocated = self._stage_heads(occupied, cycle, va_requests)
         if va_requests:
             self._resolve_vc_allocations(va_requests, cycle)
 
@@ -343,19 +321,7 @@ class GenericRouter(BaseRouter):
         general walk.  The full sweep never comes here: it is the
         reference the lone path is checked against.
         """
-        queue = vc.queue
-        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
-            self._discard_dropped_front(vc, cycle)
-        if queue:
-            front = queue[0]
-            if front.is_head:
-                if vc.active_pid is None:
-                    vc.active_pid = front.packet.pid
-                if vc.out_vc is None and front.arrival < cycle:
-                    va_requests: list = []
-                    self._route_and_request(vc, va_requests, cycle)
-                    if va_requests:
-                        self._resolve_vc_allocations(va_requests, cycle)
+        self._stage_lone(vc, cycle)
         self._tally_lone(vc)
         if not self._vc_ready_for_switch(vc, cycle):
             return
@@ -365,30 +331,21 @@ class GenericRouter(BaseRouter):
         self._sa_stage2[vc.out_dir].grant(_PORT_LINES[d])
         self._commit_switch_grant(vc, cycle)
 
-    def _route_and_request(
-        self, vc: VirtualChannel, va_requests: list, cycle: int
+    def _request_va(
+        self, vc: VirtualChannel, cycle: int, va_requests: list
     ) -> None:
+        """Route computation: the minimal candidates (a worm in the
+        adaptive escape VC takes the XY direction), most free credits
+        first."""
         if vc.verdict is not None and self._blocked_again(vc, cycle):
             return
-        front = vc.front
-        packet = front.packet
+        packet = vc.queue[0].packet
         if vc.escape and self.routing.mode is RoutingMode.ADAPTIVE:
             candidates = (self.routing.escape_direction(self.node, packet),)
         else:
             candidates = self.routing.candidates(self.node, packet)
-        all_hard = True
-        attempts = 0
-        for out_dir in self._order_by_congestion(candidates, cycle):
-            attempts += 1
-            outcome = self._request_vc_allocation(vc, out_dir, front, va_requests)
-            if outcome:
-                return
-            if outcome is False:
-                all_hard = False
-        if all_hard:
-            self._hard_blocked(vc, cycle, attempts)
-        else:
-            self.clear_stall(vc)
+        routes = self._order_by_congestion(candidates, cycle)
+        self._request_routes(vc, routes, cycle, va_requests)
 
     def _order_by_congestion(
         self, candidates: tuple[Direction, ...], cycle: int

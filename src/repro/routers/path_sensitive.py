@@ -233,7 +233,7 @@ class PathSensitiveRouter(BaseRouter):
                 if vc.out_vc is None:
                     if not lookahead and front.arrival >= cycle:
                         continue  # ablation: RC charged post-arrival
-                    self._request_worm_allocation(vc, cycle, va_requests)
+                    self._request_va(vc, cycle, va_requests)
                     newly_allocated.append(vc)
             if va_requests:
                 self._resolve_vc_allocations(va_requests, cycle)
@@ -291,29 +291,8 @@ class PathSensitiveRouter(BaseRouter):
         if len(occupied) == 1:
             self._allocate_lone(occupied[0], cycle)
             return
-        has_faults = self.network.has_faults
-        lookahead = self.config.lookahead_routing
         va_requests: list = []
-        newly_allocated: list[VirtualChannel] = []
-        for vc in occupied:
-            queue = vc.queue
-            if not queue:
-                continue
-            front = queue[0]
-            if has_faults and front.packet.dropped_cycle is not None:
-                self._discard_dropped_front(vc, cycle)
-                if not queue:
-                    continue
-                front = queue[0]
-            if not front.is_head:
-                continue
-            if vc.active_pid is None:
-                vc.active_pid = front.packet.pid
-            if vc.out_vc is None:
-                if not lookahead and front.arrival >= cycle:
-                    continue  # ablation: RC charged post-arrival
-                self._request_worm_allocation(vc, cycle, va_requests)
-                newly_allocated.append(vc)
+        newly_allocated = self._stage_heads(occupied, cycle, va_requests)
         if va_requests:
             self._resolve_vc_allocations(va_requests, cycle)
 
@@ -387,21 +366,7 @@ class PathSensitiveRouter(BaseRouter):
         the winner as in the general walk.  The full sweep never comes
         here: it is the reference the lone path is checked against.
         """
-        queue = vc.queue
-        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
-            self._discard_dropped_front(vc, cycle)
-        if queue:
-            front = queue[0]
-            if front.is_head:
-                if vc.active_pid is None:
-                    vc.active_pid = front.packet.pid
-                if vc.out_vc is None and (
-                    self.config.lookahead_routing or front.arrival < cycle
-                ):
-                    va_requests: list = []
-                    self._request_worm_allocation(vc, cycle, va_requests)
-                    if va_requests:
-                        self._resolve_vc_allocations(va_requests, cycle)
+        self._stage_lone(vc, cycle)
         self._tally_lone(vc)
         if not self._vc_ready_for_switch(vc, cycle):
             return
@@ -415,7 +380,7 @@ class PathSensitiveRouter(BaseRouter):
         self._output_arbiters[out_dir].grant(feeder_lines)
         self._commit_switch_grant(vc, cycle)
 
-    def _request_worm_allocation(
+    def _request_va(
         self, vc: VirtualChannel, cycle: int, va_requests: list
     ) -> None:
         """Local route selection within the quadrant, then VA.
@@ -427,25 +392,13 @@ class PathSensitiveRouter(BaseRouter):
         """
         if vc.verdict is not None and self._blocked_again(vc, cycle):
             return
-        front = vc.front
-        packet = front.packet
+        packet = vc.queue[0].packet
         if packet.dest == self.node:
             self.network.eject(vc.pop(cycle), self.node, cycle, early=True)
             return
         candidates = self.routing.candidates(self.node, packet)
-        all_hard = True
-        attempts = 0
-        for out_dir in self._order_by_headroom(candidates, packet, cycle):
-            attempts += 1
-            outcome = self._request_vc_allocation(vc, out_dir, front, va_requests)
-            if outcome:
-                return
-            if outcome is False:
-                all_hard = False
-        if all_hard:
-            self._hard_blocked(vc, cycle, attempts)
-        else:
-            self.clear_stall(vc)
+        routes = self._order_by_headroom(candidates, packet, cycle)
+        self._request_routes(vc, routes, cycle, va_requests)
 
     def _order_by_headroom(
         self, candidates, packet: Packet, cycle: int

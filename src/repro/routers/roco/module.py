@@ -63,10 +63,6 @@ class RoCoModule:
         width = len(self.ports[0])
         self.sa_requests = [[[False] * width, [False] * width] for _ in range(2)]
 
-    def slot_of(self, direction: Direction) -> int:
-        """Crossbar slot index for an output direction of this module."""
-        return self.directions.index(direction)
-
     def handles(self, direction: Direction) -> bool:
         return direction in self.directions
 

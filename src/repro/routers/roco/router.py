@@ -226,9 +226,7 @@ class RoCoRouter(BaseRouter):
                             ):
                                 continue  # ablation: RC charged post-arrival
                             va_pending[name].append(vc)
-                            self._request_worm_allocation(
-                                module, vc, cycle, va_requests
-                            )
+                            self._request_va(vc, cycle, va_requests)
             self._resolve_vc_allocations(va_requests, cycle)
             # A module's VA arbiters were *busy* this cycle if they issued
             # a grant — mere pending requests do not occupy the arbiter.
@@ -290,36 +288,17 @@ class RoCoRouter(BaseRouter):
             else:
                 self._allocate_lone(column, column_occupied[0], cycle)
             return
-        has_faults = self.network.has_faults
-        lookahead = self.config.lookahead_routing
         va_requests: list = []
         # (module, its occupied VCs, the VCs that requested VA), Row first.
+        # A dead or empty module stages nothing.
         work = (
-            (row, row_occupied, []),
-            (column, column_occupied, []),
+            (row, row_occupied,
+             self._stage_heads(row_occupied, cycle, va_requests)
+             if row_occupied and not row.dead else ()),
+            (column, column_occupied,
+             self._stage_heads(column_occupied, cycle, va_requests)
+             if column_occupied and not column.dead else ()),
         )
-        for module, occupied, pending in work:
-            if module.dead:
-                continue
-            for vc in occupied:
-                queue = vc.queue
-                if not queue:
-                    continue
-                front = queue[0]
-                if has_faults and front.packet.dropped_cycle is not None:
-                    self._discard_dropped_front(vc, cycle)
-                    if not queue:
-                        continue
-                    front = queue[0]
-                if not front.is_head:
-                    continue
-                if vc.active_pid is None:
-                    vc.active_pid = front.packet.pid
-                if vc.out_vc is None:
-                    if not lookahead and front.arrival >= cycle:
-                        continue  # ablation: RC charged post-arrival
-                    pending.append(vc)
-                    self._request_worm_allocation(module, vc, cycle, va_requests)
         if va_requests:
             self._resolve_vc_allocations(va_requests, cycle)
 
@@ -379,23 +358,7 @@ class RoCoRouter(BaseRouter):
         """
         if module.dead:
             return
-        requested = False
-        queue = vc.queue
-        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
-            self._discard_dropped_front(vc, cycle)
-        if queue:
-            front = queue[0]
-            if front.is_head:
-                if vc.active_pid is None:
-                    vc.active_pid = front.packet.pid
-                if vc.out_vc is None and (
-                    self.config.lookahead_routing or front.arrival < cycle
-                ):
-                    requested = True
-                    va_requests: list = []
-                    self._request_worm_allocation(module, vc, cycle, va_requests)
-                    if va_requests:
-                        self._resolve_vc_allocations(va_requests, cycle)
+        requested = self._stage_lone(vc, cycle)
         if module.sa_degraded and requested and vc.out_vc is not None:
             return  # the borrowed VA arbiters issued a grant: busy
         if not self._vc_ready_for_switch(vc, cycle):
@@ -443,10 +406,8 @@ class RoCoRouter(BaseRouter):
         packet = front.packet
         if self._route_viable(route, packet):
             return
-        module = next(
-            (m for m in self.modules.values() if vc in m.all_vcs()), None
-        )
-        if module is None or module.dead:
+        module = self.row if vc in self.row.all_vcs() else self.column
+        if module.dead:
             return
         for candidate in self.routing.candidates(self.node, packet):
             if candidate is route or not module.handles(candidate):
@@ -455,18 +416,25 @@ class RoCoRouter(BaseRouter):
                 front.route = candidate
                 return
 
-    def _request_worm_allocation(
-        self, module: RoCoModule, vc: VirtualChannel, cycle: int, va_requests: list
+    def _request_va(
+        self, vc: VirtualChannel, cycle: int, va_requests: list
     ) -> None:
-        """Stage VA for a head whose route here was committed by look-ahead."""
+        """Stage VA for a head whose route here was committed by look-ahead.
+
+        The one committed route's outcome is handled inline, cheaper on
+        the hot path than :meth:`_request_routes`: a hard block is one
+        attempt, and a request staged or granted in an RC-faulty module
+        pays the double-routing hold.
+        """
         if vc.verdict is not None and self._blocked_again(vc, cycle):
             return
-        front = vc.front
+        front = vc.queue[0]
         out_dir = front.route
         if out_dir is None or out_dir is Direction.LOCAL:
             # Defensive: early ejection should have consumed this flit.
             self.network.eject(vc.pop(cycle), self.node, cycle, early=True)
             return
+        module = self.row if vc in self.row.all_vcs() else self.column
         if not module.handles(out_dir):
             raise RuntimeError(
                 f"flit routed {out_dir.name} buffered in {module.name} module"

@@ -1,12 +1,13 @@
 """The lone-VC allocate path == the general walk, on every single-VC state.
 
 A router step that finds exactly one occupied VC takes
-``_allocate_lone`` (every architecture), unless the network runs the
-full sweep: that reference walks the general body (for RoCo, its own
-full-sweep body).  Each case puts the centre router of a 5x5 mesh in one
-single-VC state on twin networks, one active-scheduled and one
-``full_sweep=True``, runs ``allocate`` on both and compares all the
-phase can touch: every arbiter's pointer, the SA winners, each VC's
+``_allocate_lone`` (every architecture; its head staging is the shared
+``BaseRouter._stage_lone``), unless the network runs the full sweep:
+that reference walks the general body with its own staging loop (for
+RoCo, its own full-sweep body).  Each case puts the centre router of a
+5x5 mesh in one single-VC state on twin networks, one active-scheduled
+and one ``full_sweep=True``, runs ``allocate`` on both and compares all
+the phase can touch: every arbiter's pointer, the SA winners, each VC's
 worm, ownership and credit fields (the centre's and those of the router
 its worm is bound for), the stall table and the activity and contention
 counters.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import textwrap
 
 import pytest
 
@@ -27,7 +27,7 @@ from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.network import Network
 from repro.core.types import CARDINALS, Direction, NodeId, Packet, make_packet_flits
-from repro.routers import generic, path_sensitive
+from repro.routers import base, generic, path_sensitive
 from repro.routers.base import EJECT
 from repro.routers.roco import router as roco_router
 
@@ -336,52 +336,78 @@ def test_lone_path_equals_general_walk(variant):
         assert tally["kept"] > 0, tally
 
 
-#: name -> (router class, variant, old, new): one seeded fault, a source
-#: edit of the class's ``_allocate_lone`` that the variant's battery must
+#: name -> (class, method, variant, [(old, new), ...]): one seeded fault,
+#: source edits of the lone path (a router's ``_allocate_lone``, or the
+#: shared ``BaseRouter._stage_lone``) that the variant's battery must
 #: catch.
 MUTANTS = {
     "generic: stage-2 grant left out": (
-        generic.GenericRouter, "generic",
-        "self._sa_stage2[vc.out_dir].grant(_PORT_LINES[d])", "pass",
+        generic.GenericRouter, "_allocate_lone", "generic",
+        [("self._sa_stage2[vc.out_dir].grant(_PORT_LINES[d])", "pass")],
     ),
     "generic: tally skipped when not ready": (
-        generic.GenericRouter, "generic",
-        "self._tally_lone(vc)\n    if not self._vc_ready_for_switch(vc, cycle):\n"
-        "        return\n",
-        "if not self._vc_ready_for_switch(vc, cycle):\n        return\n"
-        "    self._tally_lone(vc)\n",
+        generic.GenericRouter, "_allocate_lone", "generic",
+        [("self._tally_lone(vc)\n"
+          "        if not self._vc_ready_for_switch(vc, cycle):\n"
+          "            return\n",
+          "if not self._vc_ready_for_switch(vc, cycle):\n"
+          "            return\n"
+          "        self._tally_lone(vc)\n")],
     ),
     "path_sensitive: output arbiter left out": (
-        path_sensitive.PathSensitiveRouter, "path_sensitive",
-        "self._output_arbiters[out_dir].grant(feeder_lines)", "pass",
+        path_sensitive.PathSensitiveRouter, "_allocate_lone", "path_sensitive",
+        [("self._output_arbiters[out_dir].grant(feeder_lines)", "pass")],
     ),
     "path_sensitive: request counted without a crosspoint": (
-        path_sensitive.PathSensitiveRouter, "path_sensitive",
-        "return  # the decomposed crossbar has no such crosspoint",
-        "self._activity.sa_requests += 1\n        return",
+        path_sensitive.PathSensitiveRouter, "_allocate_lone", "path_sensitive",
+        [("return  # the decomposed crossbar has no such crosspoint",
+          "self._activity.sa_requests += 1\n            return")],
     ),
     "roco: request bit left set": (
-        roco_router.RoCoRouter, "roco", "lines[vc.index] = False", "pass",
+        roco_router.RoCoRouter, "_allocate_lone", "roco",
+        [("lines[vc.index] = False", "pass")],
     ),
     "roco: SA borrow rule ignored": (
-        roco_router.RoCoRouter, "roco",
-        "requested and vc.out_vc", "False and vc.out_vc",
+        roco_router.RoCoRouter, "_allocate_lone", "roco",
+        [("requested and vc.out_vc", "False and vc.out_vc")],
     ),
     "roco: tallied when not ready": (
-        roco_router.RoCoRouter, "roco",
-        "if not self._vc_ready_for_switch(vc, cycle):",
-        "self._tally_lone(vc)\n    if not self._vc_ready_for_switch(vc, cycle):",
+        roco_router.RoCoRouter, "_allocate_lone", "roco",
+        [("if not self._vc_ready_for_switch(vc, cycle):",
+          "self._tally_lone(vc)\n"
+          "        if not self._vc_ready_for_switch(vc, cycle):")],
     ),
 }
+for _variant in ("path_sensitive", "roco"):
+    MUTANTS[f"{_variant}: RC cycle charged under look-ahead"] = (
+        base.BaseRouter, "_stage_lone", _variant,
+        [("self._charges_rc and front.arrival", "front.arrival")],
+    )
+for _variant in ("generic", "path_sensitive", "roco"):
+    MUTANTS[f"{_variant}: dropped front kept"] = (
+        base.BaseRouter, "_stage_lone", _variant,
+        [("self._discard_dropped_front(vc, cycle)", "pass")],
+    )
+
+
+def seeded(cls, method: str, edits):
+    """``cls.method`` recompiled with ``edits`` applied to its source.
+
+    The source is kept at its indentation in the class (the edits are
+    written so), under an ``if`` that compiles it at module level.
+    """
+    source = inspect.getsource(getattr(cls, method))
+    for old, new in edits:
+        assert source.count(old) == 1, f"{method} changed: re-seed this mutant"
+        source = source.replace(old, new)
+    namespace = dict(vars(inspect.getmodule(cls)))
+    exec(compile("if True:\n" + source, "<mutant>", "exec"), namespace)
+    return namespace[method]
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_battery_catches_a_seeded_fault(name, monkeypatch):
-    cls, variant, old, new = MUTANTS[name]
-    source = textwrap.dedent(inspect.getsource(cls._allocate_lone))
-    assert source.count(old) == 1, "the lone path changed: re-seed this mutant"
-    namespace = dict(vars(inspect.getmodule(cls)))
-    exec(compile(source.replace(old, new), "<mutant>", "exec"), namespace)
-    monkeypatch.setattr(cls, "_allocate_lone", namespace["_allocate_lone"])
+    cls, method, variant, edits = MUTANTS[name]
+    monkeypatch.setattr(cls, method, seeded(cls, method, edits))
     with pytest.raises(AssertionError):
         check(variant)

@@ -11,8 +11,11 @@ or three occupied VCs on twin networks, one active-scheduled and one
 ``tests/test_lone_allocate.py`` compares: every arbiter's pointer, the
 SA winners in grant order, each VC's worm, ownership and credit fields
 (the centre's and those of the routers its worms are bound for), the
-stall table and the activity and contention counters.  Both bodies share the VA helpers of ``BaseRouter``, so the
-battery checks the SA half against an independent body, not VA.
+stall table and the activity and contention counters.  The one walk
+stages its heads through ``BaseRouter._stage_heads`` and the reference
+through its own loop; both share only each router's route choice
+(``_request_va``) and the VA resolution, so the battery checks head
+staging and the SA half against an independent body, not VA itself.
 
 Each VC's state is drawn from the lone battery's vocabulary (kinds,
 targets, conditions); a later VC shares the output, the input group
@@ -25,7 +28,6 @@ each case at pointers that rotate from case to case.
 
 from __future__ import annotations
 
-import inspect
 import random
 
 import pytest
@@ -33,7 +35,7 @@ import pytest
 from repro.routers import base, generic, path_sensitive
 from repro.routers.roco import router as roco_router
 
-from .test_lone_allocate import CYCLE, VARIANTS, cases, twins
+from .test_lone_allocate import CYCLE, VARIANTS, cases, seeded, twins
 
 #: Cases per variant and occupied-VC count.
 CASES = {2: 400, 3: 300}
@@ -146,8 +148,8 @@ def test_one_walk_equals_reference(variant):
 
 #: name -> (class, method, variant, [(old, new), ...]): one seeded fault,
 #: source edits of the one walk (a router's ``allocate`` outside its
-#: full-sweep branch, or the shared ``_ready_walk``), which the variant's
-#: battery must catch.
+#: full-sweep branch, or the shared ``_stage_heads`` and ``_ready_walk``),
+#: which the variant's battery must catch.
 MUTANTS = {
     "generic: speculative rule inverted": (
         generic.GenericRouter, "allocate", "generic",
@@ -194,18 +196,26 @@ MUTANTS = {
     ),
 }
 
+for _variant in ("path_sensitive", "roco"):
+    MUTANTS[f"{_variant}: RC cycle charged under look-ahead"] = (
+        base.BaseRouter, "_stage_heads", _variant,
+        [("charges_rc and front.arrival", "front.arrival")],
+    )
+for _variant in ("generic", "path_sensitive", "roco"):
+    MUTANTS[f"{_variant}: dropped front kept"] = (
+        base.BaseRouter, "_stage_heads", _variant,
+        [("self._discard_dropped_front(vc, cycle)", "pass")],
+    )
+for _variant in ("generic", "path_sensitive", "roco", "roco-sequential"):
+    MUTANTS[f"{_variant}: requester not reported"] = (
+        base.BaseRouter, "_stage_heads", _variant,
+        [("requested.append(vc)", "pass")],
+    )
+
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_battery_catches_a_seeded_fault(name, monkeypatch):
     cls, method, variant, edits = MUTANTS[name]
-    # Kept at its indentation in the class (the edits are written so),
-    # under an ``if`` that compiles it at module level.
-    source = inspect.getsource(getattr(cls, method))
-    for old, new in edits:
-        assert source.count(old) == 1, f"{method} changed: re-seed this mutant"
-        source = source.replace(old, new)
-    namespace = dict(vars(inspect.getmodule(cls)))
-    exec(compile("if True:\n" + source, "<mutant>", "exec"), namespace)
-    monkeypatch.setattr(cls, method, namespace[method])
+    monkeypatch.setattr(cls, method, seeded(cls, method, edits))
     with pytest.raises(AssertionError):
         check(variant)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
 from repro.core.types import Direction, NodeId, Packet
-from repro.routers import EJECT, RoCoRouter
+from repro.routers import EJECT, ROUTER_CLASSES, RoCoRouter
 from repro.routers.generic import GENERIC_PORTS
 from repro.routers.path_sensitive import QUADRANTS, quadrant_of
 from repro.routers.roco.router import classify_vc
@@ -19,6 +19,15 @@ def network(router="roco", routing="xy", k=4):
 
 def packet(src, dest, pid=0):
     return Packet(pid=pid, src=src, dest=dest, size=4, created_cycle=0)
+
+
+@pytest.mark.parametrize("architecture", sorted(ROUTER_CLASSES))
+def test_allocate_is_defined_by_each_router_class(architecture):
+    """perfbench's ``Tracer.wrap_method`` wraps ``allocate`` only on a
+    class that defines it and skips an inherited one silently: hoisting
+    it into ``BaseRouter`` would lose the ``routers.<arch>.allocate``
+    spans."""
+    assert "allocate" in vars(ROUTER_CLASSES[architecture])
 
 
 class TestGenericStructure:
