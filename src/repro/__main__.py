@@ -76,9 +76,9 @@ from repro.harness.campaign import run_campaign
 from repro.harness.parallel import (
     ParallelExecutor,
     ProgressPrinter,
-    ResultCache,
     SimJob,
     is_failure_record,
+    open_cache,
     resolve_workers,
 )
 from repro.harness.scenario import (
@@ -372,10 +372,11 @@ def _run_sweep(args) -> int:
         workers = resolve_workers(args.workers)
     except ValueError as exc:
         return _usage_error(exc)
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-    policy, journal = _build_resilience(args, cache)
+    try:
+        cache = open_cache(args.cache_dir, args.no_cache)
+        policy, journal = _build_resilience(args, cache)
+    except ValueError as exc:
+        return _usage_error(exc)
     executor = ParallelExecutor(
         workers=workers,
         cache=cache,

@@ -106,6 +106,11 @@ class AuditEngine:
             checker.on_attach(self)
         self._attached = True
 
+    def teardown(self) -> None:
+        """Let go of the audited run (Simulator.teardown): the allocator
+        proxies a checker installs in its routers point back here."""
+        self.sim = self.network = self._chained = None
+
     def _on_cycle_stepped(self, cycle: int, stepped) -> None:
         if self._chained is not None:
             self._chained(cycle, stepped)

@@ -128,6 +128,20 @@ class Network:
         for router in self._router_list:
             router.wire()
 
+    def teardown(self) -> None:
+        """Break the reference cycles of a finished run's graph, so it is
+        freed by refcounting the moment its owner lets go of it.
+
+        The routers' back-references and the observers go; what the run
+        counted (stats, router state, queues) stays readable.  No step
+        may follow (docs/architecture.md, "The lifetime of a run").
+        """
+        for router in self._router_list:
+            router.teardown()
+        self.on_packet_delivered = self.on_packet_dropped = None
+        self.on_cycle_stepped = None
+        self._reachability = None
+
     def refresh_handshake(self, node: NodeId) -> None:
         """Recompute dead-port handshake state around ``node``.
 

@@ -144,6 +144,11 @@ class TileNetwork(Network):
         self.ejected_flits += 1
         super().eject(flit, node, cycle, early)
 
+    def teardown(self) -> None:
+        super().teardown()
+        for ghost in self.ghosts.values():
+            ghost.teardown()
+
 
 class _MirrorBinding:
     """One cut-adjacent VC and its synchronization bookkeeping."""
@@ -559,6 +564,10 @@ class TileSimulator:
             (packet.pid, packet.measured, packet.created_cycle, node.x, node.y)
             for node, packet in live_packets(self.sources, self.network.routers)
         ]
+
+    def teardown(self) -> None:
+        """Break the cycles of this tile's graph (Network.teardown)."""
+        self.network.teardown()
 
     def finish(self, end_cycle: int) -> dict:
         """Final per-tile payload: the stats collector + survivor walk."""

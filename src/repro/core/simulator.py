@@ -394,6 +394,20 @@ class Simulator:
             faults=self.faults,
         )
 
+    def teardown(self) -> None:
+        """Break the cycles that keep a finished run alive.
+
+        For the owner of a run that nothing inspects afterwards
+        (:func:`run_simulation`): the network's graph and callbacks, the
+        draw generator (its frame holds :meth:`_variant_health`) and the
+        audit engine all point back here.  The result does not depend on
+        any of them.
+        """
+        self.network.teardown()
+        self._draws = None
+        if self.audit is not None:
+            self.audit.teardown()
+
     # ------------------------------------------------------------------
     # Runtime fault campaign
     # ------------------------------------------------------------------
@@ -559,6 +573,8 @@ def run_simulation(
         return run_soa_simulation(
             config, faults=faults, schedule=schedule, full_sweep=full_sweep
         )
-    return Simulator(
-        config, faults=faults, schedule=schedule, full_sweep=full_sweep
-    ).run()
+    sim = Simulator(config, faults=faults, schedule=schedule, full_sweep=full_sweep)
+    try:
+        return sim.run()
+    finally:
+        sim.teardown()

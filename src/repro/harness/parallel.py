@@ -265,6 +265,23 @@ class ResultCache:
         return sum(1 for _ in self.directory.glob("*.json"))
 
 
+def open_cache(directory: str | None, disabled: bool = False) -> ResultCache | None:
+    """The cache a command line's ``--cache-dir`` / ``--no-cache`` ask for.
+
+    A path that cannot be made a directory (a file, a read-only parent)
+    is a bad flag value, raised as ValueError, like any other.
+    """
+    if not directory or disabled:
+        return None
+    try:
+        return ResultCache(directory)
+    except OSError as exc:
+        raise ValueError(
+            f"--cache-dir {directory} is not a usable directory: "
+            f"{exc.strerror or exc}"
+        ) from exc
+
+
 def execute_job(job: SimJob) -> dict:
     """Run one job to completion and flatten it to a record.
 

@@ -140,6 +140,21 @@ class RetryPolicy:
     heartbeat_timeout: float = 30.0
     validate: bool = True
 
+    def __post_init__(self) -> None:
+        # A deadline or heartbeat of zero or less would fail every
+        # attempt as a timeout, and negative retries would still run one.
+        if self.job_timeout is not None and self.job_timeout <= 0:
+            raise ValueError(
+                f"job_timeout must be > 0 seconds, got {self.job_timeout}"
+            )
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        for name in ("heartbeat_interval", "heartbeat_timeout"):
+            if getattr(self, name) <= 0:
+                raise ValueError(
+                    f"{name} must be > 0 seconds, got {getattr(self, name)}"
+                )
+
     def backoff(self, attempt: int) -> float:
         """Delay before launching ``attempt`` (the first retry is 1)."""
         if self.backoff_base <= 0:

@@ -273,28 +273,36 @@ def run_sharded_simulation(
     shards = parse_shards(shards)
     ensure_sharded_supported(config, faults, schedule)
     if shards == (1, 1):
-        return Simulator(config, full_sweep=full_sweep).run(
-            progress=progress, progress_every=progress_every
-        )
+        sim = Simulator(config, full_sweep=full_sweep)
+        try:
+            return sim.run(progress=progress, progress_every=progress_every)
+        finally:
+            sim.teardown()
     plan = ShardPlan.plan(config, shards)
     tiles, entry_cycles = _build_tiles(config, plan, full_sweep)
-    ledger = None
-    if config.audit:
-        from repro.audit.sharded import BoundaryLedger
+    try:
+        ledger = None
+        if config.audit:
+            from repro.audit.sharded import BoundaryLedger
 
-        ledger = BoundaryLedger(plan, config.flits_per_packet)
-    coordinator = _Coordinator(config, plan, tiles, entry_cycles, ledger, _drop_flit)
-    end_cycle = drive(coordinator, progress, progress_every)
-    finals = [sim.finish(end_cycle) for sim in tiles]
-    if ledger is not None:
-        ledger.final_check(
-            end_cycle,
-            coordinator.generated,
-            coordinator.audits,
-            drained=coordinator.outstanding == 0
-            and coordinator.generated >= config.total_packets,
+            ledger = BoundaryLedger(plan, config.flits_per_packet)
+        coordinator = _Coordinator(
+            config, plan, tiles, entry_cycles, ledger, _drop_flit
         )
-    return _merge_result(config, finals, coordinator.generated, end_cycle + 1)
+        end_cycle = drive(coordinator, progress, progress_every)
+        finals = [sim.finish(end_cycle) for sim in tiles]
+        if ledger is not None:
+            ledger.final_check(
+                end_cycle,
+                coordinator.generated,
+                coordinator.audits,
+                drained=coordinator.outstanding == 0
+                and coordinator.generated >= config.total_packets,
+            )
+        return _merge_result(config, finals, coordinator.generated, end_cycle + 1)
+    finally:
+        for sim in tiles:
+            sim.teardown()
 
 
 class _Coordinator:

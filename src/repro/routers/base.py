@@ -195,6 +195,19 @@ class BaseRouter(abc.ABC):
         self._in_link_map = dict(in_links)
         self._vc_cache = tuple(self.all_vcs())
 
+    def teardown(self) -> None:
+        """Drop the references that close cycles through this router:
+        to its network, to the neighbours its ports and VCs name, and
+        from its VCs and their queued flits back to it (Network.teardown).
+        """
+        self.network = None
+        for port in self.outputs.values():
+            port.downstream = None
+        for vc in self.all_vcs():
+            vc.router = vc.waiter = None
+            for flit in vc.queue:
+                flit.vc_hint = None
+
     # ------------------------------------------------------------------
     # Activity-driven scheduling hooks (see docs/activity-scheduling.md)
     # ------------------------------------------------------------------

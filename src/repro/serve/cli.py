@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 
-from repro.harness.parallel import ResultCache
+from repro.harness.parallel import open_cache
 from repro.harness.resilient import RetryPolicy
 from repro.serve.broker import JobBroker
 from repro.serve.client import ServeClient, ServeClientError
@@ -76,24 +76,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_broker(args) -> JobBroker:
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        cache = ResultCache(args.cache_dir)
+    """The broker the flags describe; ValueError for a bad flag value."""
     policy_kwargs: dict = {"speculative": args.speculative}
     if args.max_retries is not None:
         policy_kwargs["max_retries"] = args.max_retries
     if args.job_timeout is not None:
         policy_kwargs["job_timeout"] = args.job_timeout
+    policy = RetryPolicy(**policy_kwargs)
     return JobBroker(
-        cache=cache,
+        cache=open_cache(args.cache_dir, args.no_cache),
         workers=args.workers,
-        policy=RetryPolicy(**policy_kwargs),
+        policy=policy,
         max_inflight=args.max_inflight,
     )
 
 
 def _listen(args) -> int:
-    broker = _build_broker(args)
+    try:
+        broker = _build_broker(args)
+    except ValueError as exc:
+        print(f"repro serve: error: {exc}", file=sys.stderr)
+        return 2
     with broker:
         print(
             f"serve: {broker.mode} mode, {broker.workers} worker(s), "

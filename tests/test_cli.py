@@ -192,6 +192,25 @@ BAD_FLAG_VALUES = {
         [*SMALL, "--rates", "0.1,0.2", "--resume"],
         "--resume needs --journal FILE or --cache-dir DIR",
     ),
+    # Supervision values: a deadline of zero or less would time out
+    # every attempt, so the sweep is refused before any job runs.
+    "job-timeout-negative": (
+        [*SMALL, "--rates", "0.1,0.2", "--workers", "2", "--no-cache",
+         "--job-timeout", "-5"],
+        "job_timeout must be > 0 seconds, got -5.0",
+    ),
+    "job-timeout-zero": (
+        [*SMALL, "--rates", "0.1,0.2", "--job-timeout", "0"],
+        "job_timeout must be > 0 seconds, got 0.0",
+    ),
+    "max-retries": (
+        [*SMALL, "--rates", "0.1,0.2", "--max-retries", "-1"],
+        "max_retries must be >= 0, got -1",
+    ),
+    "cache-dir-file": (
+        [*SMALL, "--rates", "0.1,0.2", "--cache-dir", "FILE"],
+        "is not a usable directory: File exists",
+    ),
     "shrink-sweep": (
         [*SMALL, "--shrink", "r.json", "--rates", "0.1,0.2"],
         "one scenario, not a sweep",
@@ -216,6 +235,10 @@ def test_envelope_rejection_is_a_cli_error_not_a_traceback(case, tmp_path, capsy
         fault = ComponentFault(node=NodeId(1, 1), component=Component.SA)
         FaultSchedule([FaultEvent(cycle=30, fault=fault)]).to_json(schedule)
         argv = [str(schedule) if arg == "SCHEDULE" else arg for arg in argv]
+    if "FILE" in argv:
+        plain = tmp_path / "plain-file"
+        plain.write_text("")
+        argv = [str(plain) if arg == "FILE" else arg for arg in argv]
     try:
         code = main(argv)  # any other exception out of here is the traceback
     except SystemExit as exc:
@@ -441,6 +464,24 @@ class TestServe:
             server.kill()
             server.wait()
             server.stderr.close()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--job-timeout", "-1"], "job_timeout must be > 0 seconds, got -1.0"),
+            (["--max-retries", "-1"], "max_retries must be >= 0, got -1"),
+            (["--cache-dir", "FILE"], "is not a usable directory: File exists"),
+        ],
+        ids=["job-timeout", "max-retries", "cache-dir-file"],
+    )
+    def test_a_bad_server_flag_value(self, flags, message, tmp_path, capsys):
+        plain = tmp_path / "plain-file"
+        plain.write_text("")
+        flags = [str(plain) if flag == "FILE" else flag for flag in flags]
+        assert main(["serve", "--port", "0", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro serve: error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_no_server_at_the_url(self, capsys):
         with socket.socket() as sock:

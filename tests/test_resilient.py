@@ -191,6 +191,20 @@ class TestRetries:
         assert policy.backoff(3) == pytest.approx(0.4)
         assert RetryPolicy(backoff_base=0.0).backoff(5) == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("job_timeout", 0),
+            ("job_timeout", -5.0),
+            ("max_retries", -1),
+            ("heartbeat_interval", 0),
+            ("heartbeat_timeout", -1.0),
+        ],
+    )
+    def test_an_out_of_range_supervision_value_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            RetryPolicy(**{field: value})
+
 
 class TestValidation:
     def test_valid_record_passes(self):
