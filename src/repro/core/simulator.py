@@ -398,13 +398,16 @@ class Simulator:
         """Break the cycles that keep a finished run alive.
 
         For the owner of a run that nothing inspects afterwards
-        (:func:`run_simulation`): the network's graph and callbacks, the
-        draw generator (its frame holds :meth:`_variant_health`) and the
-        audit engine all point back here.  The result does not depend on
-        any of them.
+        (:func:`run_simulation`, :func:`~repro.harness.campaign.run_campaign`):
+        the network's graph and callbacks, the draw generator (its frame
+        holds :meth:`_variant_health`), the audit engine and the packet
+        listeners (a probe names the simulator it listens to) all point
+        back here.  The result does not depend on any of them.
         """
         self.network.teardown()
         self._draws = None
+        self.delivery_listeners.clear()
+        self.drop_listeners.clear()
         if self.audit is not None:
             self.audit.teardown()
 

@@ -5,36 +5,47 @@ state: routers are row-major node indices, VC buffers are global *slot*
 ids, directions are their ``Direction`` int values and the early-eject
 pseudo-target is ``EJECT_CODE``.  Everything structural — slot
 numbering, neighbour wiring, admission candidates, injection orders,
-route candidates — is derived here by introspecting a throwaway
-*object-model* :class:`~repro.core.network.Network` built from the same
-config.  That makes the tables correct by construction: the SoA engine
-consults exactly the candidate lists and iteration orders the reference
-implementation would compute, so any future change to VC configurations
-or routing flows into the fast path automatically.
+route candidates — is derived here from mesh arithmetic plus one
+*prototype*: a 3x3 object-model :class:`~repro.core.network.Network`
+of the same router architecture, routing, packet size and router
+config, built from the layout key (:func:`layout_key`) alone, whatever
+the mesh size.  The SoA engine therefore consults exactly the
+candidate lists and iteration orders the reference implementation
+would compute, so any change to VC configurations or routing flows
+into the fast path automatically.
 
 Slot numbering is the canonical enumeration order used everywhere
 (engine, state bridge, conformance tests): routers in creation
-(row-major) order, VCs within a router in ``all_vcs()`` order.
+(row-major) order, VCs within a router in ``all_vcs()`` order.  Every
+router of a mesh holds the same VCs in the same order (15 generic, 12
+RoCo), so router n's VC i is slot ``n * R + i``; what VC i is — its
+port, module, index and escape flag — is read off the prototype's
+centre router once.
 
-Admission/route tables are filled lazily — the throwaway network is
-kept alive for the misses — and keyed by *direction class*, not by
-destination: ``(router, input, sign(dx), sign(dy), yx)``.  On a mesh
-(the only topology in the envelope) ``xy_direction``, ``yx_direction``,
-``productive_directions``, RoCo's ``_is_final`` and ``dest == node``
-read the destination through those two signs alone
+Admission/route tables are filled lazily and keyed by *direction
+class*, not by destination: ``(router, input, sign(dx), sign(dy),
+yx)``.  On a mesh (the only topology in the envelope) ``xy_direction``,
+``yx_direction``, ``productive_directions``, RoCo's ``_is_final`` and
+``dest == node`` read the destination through those two signs alone
 (:func:`repro.routing.base.direction_class`), so every destination of a
-class gets the answer the first one asked for.  That bounds the tables
-at 9 classes x 2 variants per (router, input) — O(nodes), where
-per-destination keys were O(nodes²) and never stopped missing on a
-large mesh — while the build stays O(nodes) up front.
+class gets the same answer at every router, up to the slot offset.  A
+miss asks the prototype's centre router (1, 1), which sees a
+destination of each of the nine classes — ``(1 + sign dx, 1 + sign
+dy)`` — and maps the VCs it names back to router m by position.  That
+bounds the tables at 9 classes x 2 variants per (router, input) — O(nodes),
+where per-destination keys were O(nodes²) and never stopped missing on
+a large mesh — while the build stays O(nodes) and constructs nine
+routers at any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple
 
+from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.network import Network
-from repro.core.types import CARDINALS, Direction, NodeId, Packet
+from repro.core.soa.errors import BackendUnsupportedError
+from repro.core.types import CARDINALS, OPPOSITE, Direction, NodeId, Packet
 from repro.routing.base import direction_class
 
 #: Integer codes for the slot-state arrays.  ``NONE_CODE`` stands for
@@ -46,131 +57,159 @@ EJECT_CODE = -2
 #: ``int(Direction.LOCAL)`` — spelled out for the hot loops.
 LOCAL = 4
 
+#: The prototype's centre: in a 3x3 mesh it sees a destination of every
+#: direction class.
+CENTRE = NodeId(1, 1)
+
+
+def layout_key(config) -> tuple:
+    """Every config field the layout is derived from, as a hashable key.
+
+    Seed, traffic and rates are deliberately absent — they never reach
+    the wiring or routing tables.
+    """
+    return (
+        config.router,
+        config.topology,
+        config.routing,
+        config.width,
+        config.height,
+        config.flits_per_packet,
+        astuple(config.router_config),
+    )
+
+
+def _prototype(key: tuple) -> Network:
+    """The 3x3 network of ``key``'s routers, built from the key alone: a
+    config field the layout never reads (traffic, rates, sizes that only
+    suit the real mesh) cannot reject it."""
+    router, topology, routing, _width, _height, flits, router_config = key
+    if topology != "mesh":
+        raise BackendUnsupportedError(f"topology={topology!r}")
+    return Network(
+        SimulationConfig(
+            width=3,
+            height=3,
+            router=router,
+            routing=routing,
+            flits_per_packet=flits,
+            router_config=RouterConfig(*router_config),
+        )
+    )
+
 
 class SoALayout:
     """Flattened structural view of one network configuration."""
 
     def __init__(self, config) -> None:
-        self.config = config
-        self.arch = config.router
-        self.mode = config.routing
-        self.width = config.width
-        self.height = config.height
-        self.N = config.num_nodes
-        self.F = config.flits_per_packet
-        net = Network(config)
-        net.wire()
-        self._net = net
-        self.nodes: list[NodeId] = net.nodes
+        key = layout_key(config)
+        self.arch, _topology, self.mode, W, H, self.F, _ = key
+        self.width, self.height = W, H
+        N = self.N = W * H
+        net = _prototype(key)
+        #: The prototype's routing and centre router: what a miss asks.
+        self._routing = net.routing
+        self._centre = centre = net.routers[CENTRE]
+        vcs = centre.all_vcs()
+        R = len(vcs)
+        #: id(vc) -> position in ``all_vcs()``, for the centre's VCs.
+        self._pos = pos = {id(vc): i for i, vc in enumerate(vcs)}
+
+        #: Row-major, as the object model builds its routers.
+        self.nodes: list[NodeId] = [NodeId(x, y) for y in range(H) for x in range(W)]
         self.node_index = {node: n for n, node in enumerate(self.nodes)}
         #: Per-node coordinates: all that the class-keyed routing tables
         #: below read of a destination.
-        self._xs = [node.x for node in self.nodes]
-        self._ys = [node.y for node in self.nodes]
-        self._routers = net._router_list
+        self._xs = [n % W for n in range(N)]
+        self._ys = [n // W for n in range(N)]
 
-        self.slot_of: dict[int, int] = {}
-        self.router_slots: list[list[int]] = []
-        self.slot_router: list[int] = []
-        self.slot_pidx: list[int] = []
-        self.slot_escape: list[bool] = []
-        for n, router in enumerate(self._routers):
-            slots = []
-            for vc in router.all_vcs():
-                s = len(self.slot_router)
-                self.slot_of[id(vc)] = s
-                self.slot_router.append(n)
-                self.slot_pidx.append(vc.index)
-                self.slot_escape.append(vc.escape)
-                slots.append(s)
-            self.router_slots.append(slots)
-        self.S = len(self.slot_router)
+        #: Router n owns slots ``n * R`` to ``n * R + R - 1``.
+        self._R = R
+        self.S = S = N * R
+        self.router_slots: list[list[int]] = [
+            list(range(base, base + R)) for base in range(0, S, R)
+        ]
+        self.slot_router: list[int] = [n for n in range(N) for _ in range(R)]
+        self.slot_pidx: list[int] = [vc.index for vc in vcs] * N
+        self.slot_escape: list[bool] = [vc.escape for vc in vcs] * N
 
-        #: nbr[n][d] — node index of the neighbour in direction d, -1 at
-        #: a mesh border.
-        self.nbr: list[list[int]] = []
-        for node in self.nodes:
-            row = []
-            for d in CARDINALS:
-                other = net.neighbor_of(node, d)
-                row.append(self.node_index[other] if other is not None else -1)
-            self.nbr.append(row)
+        #: nbr[n][d] — node index of the neighbour in direction d
+        #: (CARDINALS order), -1 at a mesh border.
+        self.nbr: list[list[int]] = [
+            [
+                n - W if y else -1,
+                n + 1 if x + 1 < W else -1,
+                n + W if y + 1 < H else -1,
+                n - 1 if x else -1,
+            ]
+            for n, x, y in zip(range(N), self._xs, self._ys)
+        ]
 
         if self.arch == "generic":
+            #: The centre's input ports 0..4 as VC positions.
+            ports = tuple(
+                tuple(pos[id(vc)] for vc in centre.ports[Direction(d)])
+                for d in range(5)
+            )
             #: gen_port_slots[n][d] — slots of input port d (0..4).
             self.gen_port_slots = [
-                tuple(
-                    tuple(self.slot_of[id(vc)] for vc in router.ports[Direction(d)])
-                    for d in range(5)
-                )
-                for router in self._routers
+                tuple(tuple(base + i for i in port) for port in ports)
+                for base in range(0, S, R)
             ]
             #: fc_slots[n][d] — downstream facing-port slots feeding the
             #: adaptive free-credit signal (empty tuple at a border).
-            self.fc_slots = []
-            for router in self._routers:
-                per_dir = []
-                for d in CARDINALS:
-                    port = router.outputs.get(d)
-                    if port is None:
-                        per_dir.append(())
-                    else:
-                        per_dir.append(
-                            tuple(
-                                self.slot_of[id(vc)]
-                                for vc in port.downstream.ports[port.input_dir]
-                            )
-                        )
-                self.fc_slots.append(tuple(per_dir))
-        else:
-            #: roco_ports[n][module][port] — slots in the allocate-phase
-            #: walk order (modules dict order: ROW then COLUMN; ports 0
-            #: then 1).  This *interleaves* differently from slot order,
-            #: which follows the Table-1 spec order of ``all_vcs()``.
-            self.roco_ports = [
+            facing = [ports[OPPOSITE[d]] for d in CARDINALS]
+            self.fc_slots = [
                 tuple(
-                    tuple(
-                        tuple(self.slot_of[id(vc)] for vc in port_vcs)
-                        for port_vcs in module.ports
-                    )
-                    for module in router.modules.values()
+                    () if m < 0 else tuple(m * R + i for i in facing[d])
+                    for d, m in enumerate(row)
                 )
-                for router in self._routers
+                for row in self.nbr
             ]
-            #: Output direction of crossbar slot 0 per module (slot 1 is
-            #: the opposite): EAST for the Row-Module, NORTH for Column.
-            self.mod_slot0_dir = (int(Direction.EAST), int(Direction.NORTH))
-        #: bit_slot[n] — router n's slots in allocate-phase walk order
-        #: (generic: input ports 0..4; RoCo: ``roco_ports`` order).  The
-        #: engine's occupancy mask gives walk position i bit ``1 << i``,
-        #: which slot_bitmask[s] holds for every slot.
-        if self.arch == "generic":
-            walks = [
-                tuple(s for port in ports for s in port)
-                for ports in self.gen_port_slots
-            ]
-        else:
-            walks = [
-                tuple(s for module in modules for port in module for s in port)
-                for modules in self.roco_ports
-            ]
-        self.bit_slot: tuple[tuple[int, ...], ...] = tuple(walks)
-        bitmask = [0] * self.S
-        for walk in walks:
-            for i, s in enumerate(walk):
-                bitmask[s] = 1 << i
-        self.slot_bitmask: tuple[int, ...] = tuple(bitmask)
-        if self.arch == "generic":
             #: gen_adm[m][d] — VC-allocation candidates ``(target,
             #: route)`` for a flit entering router m on input d: every VC
             #: of that port, route computed locally (None).
             self.gen_adm = tuple(
-                tuple(tuple((t, NONE_CODE) for t in port) for port in ports)
-                for ports in self.gen_port_slots
+                tuple(tuple((t, NONE_CODE) for t in port) for port in router_ports)
+                for router_ports in self.gen_port_slots
             )
-        self.mirror = config.router_config.mirror_allocation
-        self.lookahead = config.router_config.lookahead_routing
-        self.vcs_per_port = config.router_config.vcs_per_port
+            walk = [i for port in ports for i in port]
+        else:
+            #: The centre's modules (dict order: ROW then COLUMN) and
+            #: their ports 0 then 1, as VC positions.
+            modules = tuple(
+                tuple(tuple(pos[id(vc)] for vc in port) for port in module.ports)
+                for module in centre.modules.values()
+            )
+            #: roco_ports[n][module][port] — slots in the allocate-phase
+            #: walk order.  This *interleaves* differently from slot order,
+            #: which follows the Table-1 spec order of ``all_vcs()``.
+            self.roco_ports = [
+                tuple(
+                    tuple(tuple(base + i for i in port) for port in module)
+                    for module in modules
+                )
+                for base in range(0, S, R)
+            ]
+            #: Output direction of crossbar slot 0 per module (slot 1 is
+            #: the opposite): EAST for the Row-Module, NORTH for Column.
+            self.mod_slot0_dir = (int(Direction.EAST), int(Direction.NORTH))
+            walk = [i for module in modules for port in module for i in port]
+        #: bit_slot[n] — router n's slots in allocate-phase walk order
+        #: (generic: input ports 0..4; RoCo: ``roco_ports`` order).  The
+        #: engine's occupancy mask gives walk position i bit ``1 << i``,
+        #: which slot_bitmask[s] holds for every slot.
+        self.bit_slot: tuple[tuple[int, ...], ...] = tuple(
+            tuple(base + i for i in walk) for base in range(0, S, R)
+        )
+        bitmask = [0] * R
+        for bit, i in enumerate(walk):
+            bitmask[i] = 1 << bit
+        self.slot_bitmask: tuple[int, ...] = tuple(bitmask) * N
+        router_config = centre.config
+        self.mirror = router_config.mirror_allocation
+        self.lookahead = router_config.lookahead_routing
+        self.vcs_per_port = router_config.vcs_per_port
 
         self._cand: dict[int, tuple] = {}
         self._inj: dict[int, tuple] = {}
@@ -179,16 +218,17 @@ class SoALayout:
 
     # ------------------------------------------------------------------
 
-    def _class_key(self, n: int, dest: int) -> int:
-        """``(router, direction class of dest seen from it)`` as one int."""
+    def _class(self, n: int, dest: int) -> int:
+        """The direction class of ``dest`` seen from router ``n``."""
         xs, ys = self._xs, self._ys
-        return n * 9 + direction_class(xs[dest] - xs[n], ys[dest] - ys[n])
+        return direction_class(xs[dest] - xs[n], ys[dest] - ys[n])
 
-    def _fake_packet(self, src: int, dest: int, yx: int) -> Packet:
+    def _fake_packet(self, cls: int, yx: int) -> Packet:
+        """A packet at the centre bound for the prototype node of ``cls``."""
         packet = Packet(
             pid=-1,
-            src=self.nodes[src],
-            dest=self.nodes[dest],
+            src=CENTRE,
+            dest=NodeId(*divmod(cls, 3)),
             size=self.F,
             created_cycle=0,
         )
@@ -203,17 +243,17 @@ class SoALayout:
         direction int at router ``m`` — in the object model's candidate
         order, which the VC allocator's first-wins tie-break depends on.
         """
-        key = (self._class_key(m, dest) * 4 + din) * 2 + yx
+        cls = self._class(m, dest)
+        key = ((m * 9 + cls) * 4 + din) * 2 + yx
         entries = self._cand.get(key)
         if entries is None:
-            raw = self._routers[m].vc_candidates(
-                Direction(din), self._fake_packet(m, dest, yx)
+            base, pos = m * self._R, self._pos
+            raw = self._centre.vc_candidates(
+                Direction(din), self._fake_packet(cls, yx)
             )
             entries = tuple(
                 (
-                    EJECT_CODE
-                    if route is Direction.LOCAL
-                    else self.slot_of[id(target)],
+                    EJECT_CODE if route is Direction.LOCAL else base + pos[id(target)],
                     int(route),
                 )
                 for target, route in raw
@@ -228,31 +268,34 @@ class SoALayout:
         structural iteration order (route-major, then ``all_vcs()``
         filtered by the Injxy/Injyx class).
         """
-        key = self._class_key(n, dest) * 2 + yx
+        cls = self._class(n, dest)
+        key = (n * 9 + cls) * 2 + yx
         entries = self._inj.get(key)
         if entries is None:
-            router = self._routers[n]
-            packet = self._fake_packet(n, dest, yx)
+            base, pos, centre = n * self._R, self._pos, self._centre
             built = []
-            for route in self._net.routing.candidates(router.node, packet):
-                module = router.module_for(route)
-                cls = "injxy" if route.is_row else "injyx"
+            for route in self._routing.candidates(
+                CENTRE, self._fake_packet(cls, yx)
+            ):
+                module = centre.module_for(route)
+                vc_class = "injxy" if route.is_row else "injyx"
                 for vc in module.all_vcs():
-                    if vc.vc_class == cls:
-                        built.append((self.slot_of[id(vc)], int(route)))
+                    if vc.vc_class == vc_class:
+                        built.append((base + pos[id(vc)], int(route)))
             entries = tuple(built)
             self._inj[key] = entries
         return entries
 
     def route_candidates(self, n: int, dest: int, yx: int) -> tuple:
         """``routing.candidates`` as direction ints (adaptive: escape first)."""
-        key = self._class_key(n, dest) * 2 + yx
+        cls = self._class(n, dest)
+        key = (n * 9 + cls) * 2 + yx
         entries = self._routes.get(key)
         if entries is None:
             entries = tuple(
                 int(d)
-                for d in self._net.routing.candidates(
-                    self.nodes[n], self._fake_packet(n, dest, yx)
+                for d in self._routing.candidates(
+                    CENTRE, self._fake_packet(cls, yx)
                 )
             )
             self._routes[key] = entries
@@ -260,13 +303,12 @@ class SoALayout:
 
     def escape_route(self, n: int, dest: int) -> int:
         """``routing.escape_direction`` (generic adaptive escape VCs)."""
-        key = self._class_key(n, dest)
+        cls = self._class(n, dest)
+        key = n * 9 + cls
         route = self._escape.get(key)
         if route is None:
             route = int(
-                self._net.routing.escape_direction(
-                    self.nodes[n], self._fake_packet(n, dest, 0)
-                )
+                self._routing.escape_direction(CENTRE, self._fake_packet(cls, 0))
             )
             self._escape[key] = route
         return route
@@ -291,22 +333,13 @@ class SoALayout:
 
 
 #: Layouts are pure structural tables (plus lazily-growing pure caches),
-#: so instances are shared across simulator runs keyed by every config
-#: field the tables are derived from.  Seed, traffic and rates are
-#: deliberately absent — they never reach the wiring or routing tables.
+#: so instances are shared across simulator runs, keyed by
+#: :func:`layout_key`.
 _layout_cache: dict[tuple, SoALayout] = {}
 
 
 def build_layout(config) -> SoALayout:
-    key = (
-        config.router,
-        config.topology,
-        config.routing,
-        config.width,
-        config.height,
-        config.flits_per_packet,
-        astuple(config.router_config),
-    )
+    key = layout_key(config)
     layout = _layout_cache.get(key)
     if layout is None:
         layout = _layout_cache[key] = SoALayout(config)

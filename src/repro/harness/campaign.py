@@ -84,7 +84,10 @@ def run_campaign(
     The probe instruments the object engine, the only one that takes
     faults: a config choosing another engine is refused by that
     engine's own envelope check (``BackendUnsupportedError``), as
-    :func:`~repro.core.simulator.run_simulation` would refuse it.
+    :func:`~repro.core.simulator.run_simulation` would refuse it.  The
+    run is torn down when it returns or raises, as ``run_simulation``'s
+    is; the probe keeps what it counted and the simulator it listened
+    to, whose counts stay readable.
     """
     config = job.config
     if config.shards not in (None, (1, 1)):
@@ -95,7 +98,10 @@ def run_campaign(
         config, faults=list(job.faults), schedule=job.schedule, full_sweep=full_sweep
     )
     probe = ResilienceProbe(simulator, window=window)
-    result = simulator.run()
+    try:
+        result = simulator.run()
+    finally:
+        simulator.teardown()
     return CampaignResult(
         result=result,
         accounting=PacketAccounting.from_result(result),

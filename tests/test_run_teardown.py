@@ -6,16 +6,18 @@ router napping on them, the network calls back into its simulator and
 the simulator's draw generator holds one of its methods.  The owner of a
 run nothing inspects afterwards — ``run_simulation`` and
 ``run_sharded_simulation``, so every worker, server, benchbed and shrink
-run — tears it down when the run returns or raises
-(``Simulator.teardown``, ``TileSimulator.teardown``), and refcounting
-frees it there, not at the next full collection.
+run — and ``run_campaign``, whose probe outlives the run, tear it down
+when the run returns or raises (``Simulator.teardown``,
+``TileSimulator.teardown``), and refcounting frees it there, not at the
+next full collection.
 
 With the cyclic collector off, each cell runs once warm (imports and
 memoised tables are not the run's garbage), then again: afterwards
 ``gc.collect()`` must find nothing, and no simulator, network or
 router of it may be left alive.  The cells cover every engine, router
 architecture, fault kind and the audit, runs cut at ``max_cycles``,
-stalled runs and one cut short by an invariant violation.
+stalled runs and one cut short by an invariant violation, and a fault
+campaign.
 """
 
 import gc
@@ -32,6 +34,8 @@ from repro.core.simulator import Simulator, run_simulation
 from repro.core.types import grid_nodes
 from repro.faults.injector import random_faults
 from repro.faults.schedule import FaultSchedule
+from repro.harness.campaign import run_campaign
+from repro.harness.parallel import SimJob
 from repro.harness.sharded import run_sharded_simulation
 from repro.routers.base import BaseRouter
 
@@ -168,6 +172,17 @@ def test_a_run_failing_while_routers_nap_leaves_no_cyclic_garbage(monkeypatch):
         lambda: run_simulation(config, faults=list(job.faults))
     )
     assert (ended, alive) == ("InvariantViolation", 0)
+    assert not found, f"cyclic garbage after the run: {found.most_common(8)}"
+
+
+def test_a_finished_campaign_leaves_no_cyclic_garbage():
+    """Static faults plus a schedule; the result's probe, which names the
+    simulator it listened to, is dropped with the result."""
+    config, static = CELLS["object-roco-static"]
+    _, scheduled = CELLS["object-roco-schedule"]
+    job = SimJob.of(config, static["faults"], scheduled["schedule"])
+    ended, found, alive = leftover(lambda: run_campaign(job))
+    assert (ended, alive) == ("returned", 0)
     assert not found, f"cyclic garbage after the run: {found.most_common(8)}"
 
 

@@ -7,24 +7,33 @@ filled on a miss by one destination of the class.  These tests hold
 every answer *served* — to any destination of the class, in any query
 order — to a fresh call on an object-model network the layout never
 saw, and hold the tables to the bound the key gives them.
+
+The layout reads its structural tables off a 3x3 prototype network, not
+the mesh it describes; they are held to the tables read off a whole
+wired network of that mesh (:func:`reference_tables`), and a layout of
+any size is held to building nine routers.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SimulationConfig
+from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.network import Network
+from repro.core.simulator import run_simulation
 from repro.core.soa import layout as layout_module
 from repro.core.soa.engine import SoASimulator
 from repro.core.soa.layout import EJECT_CODE, SoALayout
 from repro.core.soa.state import _object_tables
-from repro.core.types import Direction, Packet
+from repro.core.types import CARDINALS, Direction, Packet
+from repro.harness.export import result_record
+from repro.routers.base import BaseRouter
 from repro.routing import direction_class
 
 MESHES = ((4, 4), (5, 3), (3, 6))
@@ -190,3 +199,142 @@ def test_tables_are_bounded_by_the_class_key(monkeypatch):
     assert totals[-1] <= sim.N * 5 * 9 == 11_520
     assert totals == sorted(totals)
     assert totals[23] - totals[15] < totals[7] // 10
+
+
+def reference_tables(config) -> dict:
+    """Every structural table, read off a whole wired object network of
+    ``config``'s mesh — the layout's derivation before it read a 3x3
+    prototype."""
+    net = Network(config)
+    net.wire()
+    slot, _vcs, node_index = _object_tables(net)
+    routers = net._router_list
+    tables = {
+        "nodes": net.nodes,
+        "node_index": node_index,
+        "router_slots": [[slot[id(vc)] for vc in r.all_vcs()] for r in routers],
+        "slot_router": [n for n, r in enumerate(routers) for _ in r.all_vcs()],
+        "slot_pidx": [vc.index for r in routers for vc in r.all_vcs()],
+        "slot_escape": [vc.escape for r in routers for vc in r.all_vcs()],
+        "nbr": [
+            [
+                -1 if (other := net.neighbor_of(node, d)) is None else node_index[other]
+                for d in CARDINALS
+            ]
+            for node in net.nodes
+        ],
+    }
+    if config.router == "generic":
+        ports = tables["gen_port_slots"] = [
+            tuple(tuple(slot[id(vc)] for vc in r.ports[Direction(d)]) for d in range(5))
+            for r in routers
+        ]
+        tables["fc_slots"] = [
+            tuple(
+                ()
+                if (port := r.outputs.get(d)) is None
+                else tuple(slot[id(vc)] for vc in port.downstream.ports[port.input_dir])
+                for d in CARDINALS
+            )
+            for r in routers
+        ]
+        tables["gen_adm"] = tuple(
+            tuple(tuple((t, -1) for t in port) for port in router_ports)
+            for router_ports in ports
+        )
+        walks = [
+            tuple(s for port in router_ports for s in port) for router_ports in ports
+        ]
+    else:
+        modules = tables["roco_ports"] = [
+            tuple(
+                tuple(tuple(slot[id(vc)] for vc in port) for port in module.ports)
+                for module in r.modules.values()
+            )
+            for r in routers
+        ]
+        walks = [
+            tuple(s for module in router_modules for port in module for s in port)
+            for router_modules in modules
+        ]
+    tables["bit_slot"] = tuple(walks)
+    bitmask = [0] * len(slot)
+    for walk in walks:
+        for i, s in enumerate(walk):
+            bitmask[s] = 1 << i
+    tables["slot_bitmask"] = tuple(bitmask)
+    return tables
+
+
+ABLATIONS = {
+    "default": {},
+    "no-mirror": {"mirror_allocation": False},
+    "no-lookahead": {"lookahead_routing": False},
+}
+
+
+@pytest.mark.parametrize("ablation", ABLATIONS)
+@pytest.mark.parametrize("routing", ROUTINGS)
+@pytest.mark.parametrize("router", ROUTERS)
+@pytest.mark.parametrize(
+    "width,height", ((2, 2), *MESHES, (8, 8)), ids=lambda v: str(v)
+)
+def test_structural_tables_equal_a_whole_network(
+    width, height, router, routing, ablation
+):
+    router_config = RouterConfig.for_architecture(router, **ABLATIONS[ablation])
+    config = mesh_config(width, height, router, routing, router_config=router_config)
+    lay = SoALayout(config)
+    reference = reference_tables(config)
+    for name, table in reference.items():
+        ours = getattr(lay, name)
+        assert type(ours) is type(table), name
+        assert ours == table, name
+    assert (lay.N, lay.S) == (width * height, len(reference["slot_router"]))
+    assert lay.mirror == router_config.mirror_allocation
+    assert lay.lookahead == router_config.lookahead_routing
+
+
+@pytest.mark.parametrize(
+    "fields",
+    (
+        # The power-of-two rule of a bit permutation rejects a 3x3 copy
+        # of this config: the prototype must not be one.
+        dict(width=8, height=8, traffic="bit_complement"),
+        # A mesh smaller than the prototype.
+        dict(width=2, height=2, routing="adaptive"),
+    ),
+    ids=("8x8-bit_complement", "2x2"),
+)
+@pytest.mark.parametrize("router", ROUTERS)
+def test_the_prototype_reads_only_the_layout_key(monkeypatch, router, fields):
+    monkeypatch.setattr(layout_module, "_layout_cache", {})
+    config = SimulationConfig(
+        router=router, injection_rate=0.1, warmup_packets=40, measure_packets=200,
+        **fields,
+    )
+    soa = run_simulation(replace(config, backend="soa"))
+    assert result_record(soa) == result_record(run_simulation(config))
+
+
+def test_a_layout_builds_nine_routers_at_any_size(monkeypatch):
+    """A 64x64 layout, built and asked, constructs only the prototype."""
+    monkeypatch.setattr(layout_module, "_layout_cache", {})
+    built = []
+    init = BaseRouter.__init__
+
+    def counted(router, node, network):
+        built.append(node)
+        init(router, node, network)
+
+    monkeypatch.setattr(BaseRouter, "__init__", counted)
+    for router in ROUTERS:
+        built.clear()
+        lay = layout_module.build_layout(mesh_config(64, 64, router, "adaptive"))
+        assert lay.N == 4096
+        corner = lay.N - 1
+        assert lay.route_candidates(0, corner, 0) == (1, 2)
+        if router == "roco":
+            assert lay.roco_admission(0, 3, corner, 0)
+            assert lay.roco_injection(0, corner, 0)
+        assert 0 < len(built) <= 9, router
