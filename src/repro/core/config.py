@@ -60,6 +60,21 @@ def reject_unknown(kind: str, payload: dict, known) -> None:
             raise ValueError(f"unknown {kind} field {name!r}")
 
 
+def _int_fields(cls) -> tuple[str, ...]:
+    """The fields ``cls`` declares ``int``."""
+    return tuple(f.name for f in fields(cls) if f.type == "int")
+
+
+def _require_ints(obj, names: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` whose value is
+    not an ``int``: a float, a string or a ``bool`` would pass the range
+    checks (or fail them with a ``TypeError``) and break a run later."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
 def parse_shards(value) -> tuple[int, int]:
     """Normalise a shard spec (``"2x2"``, ``(2, 2)``, ``[1, 2]``).
 
@@ -111,6 +126,9 @@ class RouterConfig:
     lookahead_routing: bool = True
     # End of cache-key format 1 (see SimulationConfig.seed).
 
+    def __post_init__(self) -> None:
+        _require_ints(self, _ROUTER_INTS)
+
     @classmethod
     def for_architecture(cls, architecture: str, **overrides) -> "RouterConfig":
         """Paper-default configuration for a named architecture.
@@ -137,6 +155,7 @@ class RouterConfig:
 _ROUTER_KNOWN, _ROUTER_ALWAYS, _ROUTER_SPARSE = _codec_fields(
     RouterConfig, last="lookahead_routing"
 )
+_ROUTER_INTS = _int_fields(RouterConfig)
 
 
 @dataclass
@@ -196,6 +215,7 @@ class SimulationConfig:
     shards: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        _require_ints(self, _SIM_INTS)
         if self.router_config is None:
             self.router_config = RouterConfig.for_architecture(self.router)
         if isinstance(self.routing, str):
@@ -315,3 +335,4 @@ class SimulationConfig:
 
 
 _SIM_KNOWN, _SIM_ALWAYS, _SIM_SPARSE = _codec_fields(SimulationConfig, last="seed")
+_SIM_INTS = _int_fields(SimulationConfig)

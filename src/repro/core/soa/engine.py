@@ -402,7 +402,11 @@ class SoASimulator:
         else:
             admission = None
             best_credits = -1
-            for s, route in lay.roco_injection(n, self.p_dest[pid], self.p_yx[pid]):
+            base = n * lay.R
+            for i, route in lay.injection[
+                lay.class_of(n, self.p_dest[pid]) * 2 + self.p_yx[pid]
+            ]:
+                s = base + i
                 if (
                     self.owner[s] == NONE_CODE
                     and self.expected[s] == 0
@@ -647,9 +651,13 @@ class SoASimulator:
         din = (od + 2) % 4
         if self._generic:
             candidates = lay.gen_adm[m][din]
+            base = 0
         else:
             pid = fid // self.F
-            candidates = lay.roco_admission(m, din, self.p_dest[pid], self.p_yx[pid])
+            candidates = lay.admission[
+                (lay.class_of(m, self.p_dest[pid]) * 4 + din) * 2 + self.p_yx[pid]
+            ]
+            base = m * lay.R
         if not candidates:
             return None
         # Targets already requested this cycle; usually none.
@@ -662,6 +670,7 @@ class SoASimulator:
             if t == EJECT_CODE:
                 best_t, best_route = t, route
                 break
+            t += base
             if owner[t] != NONE_CODE:
                 continue
             # (un-contested, credits) as one int: credits are 0..depth.
@@ -995,9 +1004,10 @@ class SoASimulator:
         """The output directions a head in slot ``s`` tries, in order."""
         lay = self.layout
         dest = self.p_dest[pid]
+        cls = lay.class_of(n, dest)
         if lay.slot_escape[s] and lay.mode is RoutingMode.ADAPTIVE:
-            return (lay.escape_route(n, dest),)
-        candidates = lay.route_candidates(n, dest, self.p_yx[pid])
+            return lay.escape[cls]
+        candidates = lay.routes[cls * 2 + self.p_yx[pid]]
         if len(candidates) > 1:
             # _order_by_congestion: a stable sort by free downstream
             # credits, over the two productive directions of a mesh.
@@ -1289,12 +1299,15 @@ class SoASimulator:
                 best_t = NONE_CODE
                 best_route = NONE_CODE
                 best = -1
-                for t, route in lay.roco_admission(
-                    m, (od + 2) % 4, self.p_dest[pid], self.p_yx[pid]
-                ):
+                base = m * lay.R
+                for t, route in lay.admission[
+                    (lay.class_of(m, self.p_dest[pid]) * 4 + (od + 2) % 4) * 2
+                    + self.p_yx[pid]
+                ]:
                     if t == EJECT_CODE:
                         best_t, best_route = t, route
                         break
+                    t += base
                     if owner[t] == NONE_CODE:
                         credits = self._credits(t, cycle)
                         if credits > best:

@@ -22,20 +22,19 @@ RoCo), so router n's VC i is slot ``n * R + i``; what VC i is — its
 port, module, index and escape flag — is read off the prototype's
 centre router once.
 
-Admission/route tables are filled lazily and keyed by *direction
-class*, not by destination: ``(router, input, sign(dx), sign(dy),
-yx)``.  On a mesh (the only topology in the envelope) ``xy_direction``,
-``yx_direction``, ``productive_directions``, RoCo's ``_is_final`` and
-``dest == node`` read the destination through those two signs alone
-(:func:`repro.routing.base.direction_class`), so every destination of a
-class gets the same answer at every router, up to the slot offset.  A
-miss asks the prototype's centre router (1, 1), which sees a
-destination of each of the nine classes — ``(1 + sign dx, 1 + sign
-dy)`` — and maps the VCs it names back to router m by position.  That
-bounds the tables at 9 classes x 2 variants per (router, input) — O(nodes),
-where per-destination keys were O(nodes²) and never stopped missing on
-a large mesh — while the build stays O(nodes) and constructs nine
-routers at any size.
+The routing tables are keyed by *direction class*, not by router or
+destination.  On a mesh (the only topology in the envelope)
+``xy_direction``, ``yx_direction``, ``productive_directions``, RoCo's
+``_is_final`` and ``dest == node`` read the destination through the
+signs of ``(dx, dy)`` alone (:func:`repro.routing.base.direction_class`,
+nine values), so every router gives every destination of a class the
+same answer, up to the slot offset ``m * R``.  The prototype's centre
+router (1, 1) sees a destination of each class — ``(1 + sign dx, 1 +
+sign dy)`` — so ``__init__`` asks it every question once and stores the
+VCs it names as positions: admission by ``(class, input, yx)`` (72
+entries), injection and routes by ``(class, yx)`` (18 each), escape by
+class (9).  The tables are the same size on every mesh, and nothing a
+run does adds to them.
 """
 
 from __future__ import annotations
@@ -98,6 +97,13 @@ def _prototype(key: tuple) -> Network:
     )
 
 
+def _packet(dest: tuple[int, int], size: int, yx: int) -> Packet:
+    """A packet at the prototype's centre bound for ``dest``."""
+    packet = Packet(pid=-1, src=CENTRE, dest=NodeId(*dest), size=size, created_cycle=0)
+    packet.yx_first = bool(yx)
+    return packet
+
+
 class SoALayout:
     """Flattened structural view of one network configuration."""
 
@@ -107,24 +113,20 @@ class SoALayout:
         self.width, self.height = W, H
         N = self.N = W * H
         net = _prototype(key)
-        #: The prototype's routing and centre router: what a miss asks.
-        self._routing = net.routing
-        self._centre = centre = net.routers[CENTRE]
+        centre = net.routers[CENTRE]
         vcs = centre.all_vcs()
-        R = len(vcs)
+        R = self.R = len(vcs)
         #: id(vc) -> position in ``all_vcs()``, for the centre's VCs.
-        self._pos = pos = {id(vc): i for i, vc in enumerate(vcs)}
+        pos = {id(vc): i for i, vc in enumerate(vcs)}
 
         #: Row-major, as the object model builds its routers.
         self.nodes: list[NodeId] = [NodeId(x, y) for y in range(H) for x in range(W)]
         self.node_index = {node: n for n, node in enumerate(self.nodes)}
-        #: Per-node coordinates: all that the class-keyed routing tables
-        #: below read of a destination.
-        self._xs = [n % W for n in range(N)]
-        self._ys = [n // W for n in range(N)]
+        #: Per-node coordinates: all that :meth:`class_of` reads.
+        self._xs = tuple(n % W for n in range(N))
+        self._ys = tuple(n // W for n in range(N))
 
         #: Router n owns slots ``n * R`` to ``n * R + R - 1``.
-        self._R = R
         self.S = S = N * R
         self.router_slots: list[list[int]] = [
             list(range(base, base + R)) for base in range(0, S, R)
@@ -211,130 +213,69 @@ class SoALayout:
         self.lookahead = router_config.lookahead_routing
         self.vcs_per_port = router_config.vcs_per_port
 
-        self._cand: dict[int, tuple] = {}
-        self._inj: dict[int, tuple] = {}
-        self._routes: dict[int, tuple] = {}
-        self._escape: dict[int, int] = {}
+        #: packets[cls][yx]: a packet at the centre bound for ``cls``.
+        packets = [
+            [_packet(divmod(cls, 3), self.F, yx) for yx in (0, 1)]
+            for cls in range(9)
+        ]
+        if self.arch == "generic":
+            routing = net.routing
+            #: routes[cls * 2 + yx] — ``routing.candidates`` as direction
+            #: ints (adaptive: escape first).
+            self.routes: tuple[tuple[int, ...], ...] = tuple(
+                tuple(int(d) for d in routing.candidates(CENTRE, packet))
+                for pair in packets
+                for packet in pair
+            )
+            #: escape[cls] — ``(routing.escape_direction,)``, the one
+            #: route of an adaptive escape VC.
+            self.escape: tuple[tuple[int], ...] = tuple(
+                (int(routing.escape_direction(CENTRE, pair[0])),) for pair in packets
+            )
+        else:
+            #: admission[(cls * 4 + din) * 2 + yx] — ``vc_candidates`` for
+            #: a flit entering on input din, as ``(target, route)``:
+            #: target a VC position or :data:`EJECT_CODE`, route the
+            #: committed look-ahead direction int, in the object model's
+            #: candidate order (the VC allocator's first-wins tie-break
+            #: depends on it).
+            self.admission: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+                tuple(
+                    (
+                        EJECT_CODE if route is Direction.LOCAL else pos[id(target)],
+                        int(route),
+                    )
+                    for target, route in centre.vc_candidates(Direction(din), packet)
+                )
+                for pair in packets
+                for din in range(4)
+                for packet in pair
+            )
+            #: injection[cls * 2 + yx] — the scan order of
+            #: ``injection_vc_for`` as ``(VC position, route)``: route
+            #: major, then ``all_vcs()`` filtered by the Injxy/Injyx
+            #: class.  Credit and ownership are run-time checks.
+            self.injection: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+                tuple(
+                    (pos[id(vc)], int(route))
+                    for route in net.routing.candidates(CENTRE, packet)
+                    for vc in centre.module_for(route).all_vcs()
+                    if vc.vc_class == ("injxy" if route.is_row else "injyx")
+                )
+                for pair in packets
+                for packet in pair
+            )
+        net.teardown()
 
-    # ------------------------------------------------------------------
-
-    def _class(self, n: int, dest: int) -> int:
-        """The direction class of ``dest`` seen from router ``n``."""
+    def class_of(self, n: int, dest: int) -> int:
+        """The direction class of ``dest`` seen from router ``n``: the
+        first index of every routing table."""
         xs, ys = self._xs, self._ys
         return direction_class(xs[dest] - xs[n], ys[dest] - ys[n])
 
-    def _fake_packet(self, cls: int, yx: int) -> Packet:
-        """A packet at the centre bound for the prototype node of ``cls``."""
-        packet = Packet(
-            pid=-1,
-            src=CENTRE,
-            dest=NodeId(*divmod(cls, 3)),
-            size=self.F,
-            created_cycle=0,
-        )
-        packet.yx_first = bool(yx)
-        return packet
 
-    def roco_admission(self, m: int, din: int, dest: int, yx: int) -> tuple:
-        """Downstream admission candidates, exactly as ``vc_candidates``.
-
-        Returns ``((target, route), ...)`` with ``target`` a slot id or
-        :data:`EJECT_CODE` and ``route`` the committed look-ahead
-        direction int at router ``m`` — in the object model's candidate
-        order, which the VC allocator's first-wins tie-break depends on.
-        """
-        cls = self._class(m, dest)
-        key = ((m * 9 + cls) * 4 + din) * 2 + yx
-        entries = self._cand.get(key)
-        if entries is None:
-            base, pos = m * self._R, self._pos
-            raw = self._centre.vc_candidates(
-                Direction(din), self._fake_packet(cls, yx)
-            )
-            entries = tuple(
-                (
-                    EJECT_CODE if route is Direction.LOCAL else base + pos[id(target)],
-                    int(route),
-                )
-                for target, route in raw
-            )
-            self._cand[key] = entries
-        return entries
-
-    def roco_injection(self, n: int, dest: int, yx: int) -> tuple:
-        """Injection-VC candidates of ``injection_vc_for``, in scan order.
-
-        Credit/ownership checks happen at run time; this is only the
-        structural iteration order (route-major, then ``all_vcs()``
-        filtered by the Injxy/Injyx class).
-        """
-        cls = self._class(n, dest)
-        key = (n * 9 + cls) * 2 + yx
-        entries = self._inj.get(key)
-        if entries is None:
-            base, pos, centre = n * self._R, self._pos, self._centre
-            built = []
-            for route in self._routing.candidates(
-                CENTRE, self._fake_packet(cls, yx)
-            ):
-                module = centre.module_for(route)
-                vc_class = "injxy" if route.is_row else "injyx"
-                for vc in module.all_vcs():
-                    if vc.vc_class == vc_class:
-                        built.append((base + pos[id(vc)], int(route)))
-            entries = tuple(built)
-            self._inj[key] = entries
-        return entries
-
-    def route_candidates(self, n: int, dest: int, yx: int) -> tuple:
-        """``routing.candidates`` as direction ints (adaptive: escape first)."""
-        cls = self._class(n, dest)
-        key = (n * 9 + cls) * 2 + yx
-        entries = self._routes.get(key)
-        if entries is None:
-            entries = tuple(
-                int(d)
-                for d in self._routing.candidates(
-                    CENTRE, self._fake_packet(cls, yx)
-                )
-            )
-            self._routes[key] = entries
-        return entries
-
-    def escape_route(self, n: int, dest: int) -> int:
-        """``routing.escape_direction`` (generic adaptive escape VCs)."""
-        cls = self._class(n, dest)
-        key = n * 9 + cls
-        route = self._escape.get(key)
-        if route is None:
-            route = int(
-                self._routing.escape_direction(CENTRE, self._fake_packet(cls, 0))
-            )
-            self._escape[key] = route
-        return route
-
-    # ------------------------------------------------------------------
-
-    def describe(self) -> dict:
-        """Summary used by docs/tests (slot counts, table sizes)."""
-        return {
-            "arch": self.arch,
-            "nodes": self.N,
-            "slots": self.S,
-            "slots_per_router": self.S // self.N,
-            "flits_per_packet": self.F,
-            "tables": {
-                "admission": len(self._cand),
-                "injection": len(self._inj),
-                "routes": len(self._routes),
-                "escape": len(self._escape),
-            },
-        }
-
-
-#: Layouts are pure structural tables (plus lazily-growing pure caches),
-#: so instances are shared across simulator runs, keyed by
-#: :func:`layout_key`.
+#: Layouts are read-only once built, so instances are shared across
+#: simulator runs, keyed by :func:`layout_key`.
 _layout_cache: dict[tuple, SoALayout] = {}
 
 

@@ -168,21 +168,25 @@ def aggregate_point(spec: PointSpec, records: list[dict]) -> dict:
 def averaged_points(
     specs: list[PointSpec],
     scale: ExperimentScale,
-    faults_per_spec: dict[PointSpec, dict[int, list[ComponentFault]]] | None = None,
+    faults: list[dict[int, list[ComponentFault]] | None] | None = None,
     executor: ParallelExecutor | None = None,
 ) -> list[dict]:
     """Run many points in one batch; one aggregated dict per spec.
 
-    All (spec x seed) simulations are submitted to the executor as a
-    single job list, so a parallel executor keeps every worker busy
-    across the whole grid instead of parallelising one point at a time.
-    The default executor runs serially in-process.
+    ``faults[i]``, when given, is spec i's ``{seed: faults}`` — aligned
+    by position, so one spec may appear several times with different
+    fault populations (the fault figures sweep the fault count at one
+    operating point).  All (spec x seed) simulations are submitted to
+    the executor as a single job list, so a parallel executor keeps
+    every worker busy across the whole grid instead of parallelising
+    one point at a time.  The default executor runs serially in-process.
     """
     if executor is None:
         executor = ParallelExecutor()
+    if faults is None:
+        faults = [None] * len(specs)
     jobs: list[SimJob] = []
-    for spec in specs:
-        faults_per_seed = faults_per_spec.get(spec) if faults_per_spec else None
+    for spec, faults_per_seed in zip(specs, faults, strict=True):
         jobs.extend(spec.jobs(scale, faults_per_seed))
     records = executor.run_jobs(jobs)
     n = len(scale.seeds)
@@ -207,8 +211,7 @@ def averaged_point(
     where that matters (latency is averaged over delivered packets).
     """
     spec = PointSpec(router, routing, traffic, injection_rate)
-    faults_per_spec = {spec: faults_per_seed} if faults_per_seed else None
-    return averaged_points([spec], scale, faults_per_spec, executor)[0]
+    return averaged_points([spec], scale, [faults_per_seed], executor)[0]
 
 
 def fault_population(

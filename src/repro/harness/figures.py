@@ -177,52 +177,24 @@ def fault_figure(
     (seed, count).  Returns ``{routing: {router: {n_faults: completion}}}``.
     """
     populations = _fault_populations(scale, critical)
-    specs, faults_per_spec, cells = [], {}, []
+    specs, faults, cells = [], [], []
     for routing in ROUTINGS:
         for router in ROUTERS:
             for count in FAULT_COUNTS:
-                # Distinct specs per cell: the spec tuple repeats the
-                # same (router, routing, rate) for every fault count, so
-                # disambiguate by keeping our own (spec index -> cell)
-                # list rather than a spec-keyed dict.
-                spec = PointSpec(router, routing, "uniform", FAULT_INJECTION_RATE)
-                specs.append(spec)
+                # The spec repeats for every fault count: cells and
+                # faults are aligned with specs by position.
+                specs.append(
+                    PointSpec(router, routing, "uniform", FAULT_INJECTION_RATE)
+                )
                 cells.append((routing, router, count))
-                faults_per_spec[len(specs) - 1] = populations[count]
-    points = _averaged_points_indexed(specs, scale, faults_per_spec, executor)
+                faults.append(populations[count])
+    points = averaged_points(specs, scale, faults, executor)
     out: dict[str, dict[str, dict[int, float]]] = {}
     for (routing, router, count), point in zip(cells, points):
         out.setdefault(routing.value, {}).setdefault(router, {})[count] = point[
             "completion_probability"
         ]
     return out
-
-
-def _averaged_points_indexed(
-    specs: list[PointSpec],
-    scale: ExperimentScale,
-    faults_per_index: dict[int, dict[int, list]],
-    executor: ParallelExecutor | None,
-) -> list[dict]:
-    """Like :func:`averaged_points` but faults keyed by spec position.
-
-    Needed when the same PointSpec appears multiple times with different
-    fault populations (the fault figures sweep fault count at one
-    operating point).
-    """
-    from repro.harness.experiment import aggregate_point
-
-    if executor is None:
-        executor = ParallelExecutor()
-    jobs = []
-    for index, spec in enumerate(specs):
-        jobs.extend(spec.jobs(scale, faults_per_index.get(index)))
-    records = executor.run_jobs(jobs)
-    n = len(scale.seeds)
-    return [
-        aggregate_point(spec, records[i * n : (i + 1) * n])
-        for i, spec in enumerate(specs)
-    ]
 
 
 def figure11(
@@ -276,7 +248,7 @@ def figure14(
     completion, energy}}}}`` with fault classes ``critical`` and
     ``non_critical`` (the figure's panels (a) and (b)).
     """
-    specs, faults_per_index, cells = [], {}, []
+    specs, faults, cells = [], [], []
     for label, critical in (("critical", True), ("non_critical", False)):
         populations = _fault_populations(scale, critical)
         for router in ROUTERS:
@@ -287,8 +259,8 @@ def figure14(
                     )
                 )
                 cells.append((label, router, count))
-                faults_per_index[len(specs) - 1] = populations[count]
-    points = _averaged_points_indexed(specs, scale, faults_per_index, executor)
+                faults.append(populations[count])
+    points = averaged_points(specs, scale, faults, executor)
     out: dict[str, dict[str, dict[int, dict[str, float]]]] = {}
     for (label, router, count), point in zip(cells, points):
         out.setdefault(label, {}).setdefault(router, {})[count] = {

@@ -142,6 +142,14 @@ def normalize_request(payload: object) -> NormalizedRequest:
             raise RequestError("sweep 'rates' must be a non-empty list")
         if not isinstance(seeds, list) or not seeds:
             raise RequestError("sweep 'seeds' must be a non-empty list")
+        # Counted before any config is built: the body cap alone admits
+        # a grid of ~10^11 points.
+        count = len(rates) * len(seeds)
+        if count > MAX_JOBS_PER_REQUEST:
+            raise RequestError(
+                f"request expands to {count} jobs "
+                f"(limit {MAX_JOBS_PER_REQUEST}); split it"
+            )
         jobs = []
         for rate, seed in itertools.product(rates, seeds):
             point = dict(base)
@@ -156,11 +164,6 @@ def normalize_request(payload: object) -> NormalizedRequest:
         raise RequestError(
             f"unknown request kind {kind!r} "
             "(expected experiment, sweep or campaign)"
-        )
-    if len(jobs) > MAX_JOBS_PER_REQUEST:
-        raise RequestError(
-            f"request expands to {len(jobs)} jobs "
-            f"(limit {MAX_JOBS_PER_REQUEST}); split it"
         )
     return NormalizedRequest(kind=kind, jobs=tuple(jobs))
 

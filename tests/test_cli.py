@@ -278,6 +278,21 @@ def test_a_replayed_job_strikes_its_static_faults_and_its_schedule(
     assert summary[1] == f"{execute_job(job)['completion_probability']:.3f}"
 
 
+@pytest.mark.parametrize(
+    "field",
+    ({"flits_per_packet": 2.0}, {"max_cycles": float("inf")}, {"seed": True}),
+    ids=lambda field: next(iter(field)),
+)
+def test_a_replayed_job_with_a_non_integer_field_is_a_cli_error(
+    field, tmp_path, capsys
+):
+    saved = tmp_path / "job.json"
+    saved.write_text(json.dumps({"config": {"width": 4, "height": 4, **field}}))
+    assert main(["--replay", str(saved)]) == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line.startswith("repro: error: ") and next(iter(field)) in line
+
+
 #: Single runs ``--shrink`` used to refuse.  It saves the job of any
 #: failed one; a clean run exits 0 and saves nothing.
 SHRINK_ANYWHERE = {

@@ -83,6 +83,32 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("width", 4.0),
+            ("height", "4"),
+            ("flits_per_packet", 2.0),
+            ("warmup_packets", 10.5),
+            ("measure_packets", 20.5),
+            ("max_cycles", float("inf")),
+            ("fault_drop_timeout", None),
+            ("drain_timeout", 100.0),
+            ("seed", True),
+        ],
+    )
+    def test_integer_fields_refuse_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("vcs_per_port", 3.0), ("buffer_depth", True), ("flit_width_bits", "128")],
+    )
+    def test_router_integer_fields_refuse_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RouterConfig(**{field: value})
+
     def test_zero_warmup_is_legal(self):
         cfg = SimulationConfig(warmup_packets=0, measure_packets=20)
         assert cfg.total_packets == 20

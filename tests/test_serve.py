@@ -136,6 +136,14 @@ class TestProtocol:
             ),
             ({"kind": "campaign", "config": {}}, "needs a 'schedule'"),
             ({"kind": "sweep", "base": {}, "rates": []}, "non-empty list"),
+            # Integer fields take integers only: each of these once
+            # passed and then failed inside the engine, or ran a
+            # fractional budget under its own job key.
+            ({"config": {"size": 4, "flits_per_packet": 2.0}}, "flits_per_packet"),
+            ({"config": {"max_cycles": float("inf")}}, "max_cycles"),
+            ({"config": {"measure_packets": 20.5}}, "measure_packets"),
+            ({"config": {"seed": "3"}}, "seed"),
+            ({"kind": "sweep", "base": {}, "seeds": [1, 2.5]}, "seed"),
         ],
     )
     def test_malformed_requests_rejected(self, payload, match):
@@ -153,6 +161,26 @@ class TestProtocol:
                 }
             )
         assert 29 * 10 > MAX_JOBS_PER_REQUEST
+
+    def test_oversized_sweep_is_refused_before_it_is_built(self, monkeypatch):
+        built = []
+
+        def build(config):
+            # Raise at once: expanding 10^8 points first would not end.
+            built.append(config)
+            raise AssertionError("a config was built")
+
+        monkeypatch.setattr(SimulationConfig, "__post_init__", build)
+        with pytest.raises(RequestError, match="100000000 jobs"):
+            normalize_request(
+                {
+                    "kind": "sweep",
+                    "base": dict(BASE),
+                    "rates": [0.1] * 10_000,
+                    "seeds": list(range(10_000)),
+                }
+            )
+        assert built == []
 
     def test_event_round_trip(self):
         event = {"event": "queued", "key": "k", "seq": 3}

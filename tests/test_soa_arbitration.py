@@ -36,6 +36,8 @@ from repro.core.soa.engine import SoASimulator, _rr
 from repro.core.soa.layout import EJECT_CODE, LOCAL, NONE_CODE
 from repro.core.soa.state import decode_state, encode_state, state_diff
 
+from .test_soa_layout_tables import admission
+
 CENTRE = 4  # of the 3x3 mesh
 CYCLE = 10
 
@@ -362,9 +364,7 @@ def lone_state(lookahead, i, slot, pointers, kind, target, just_arrived=False):
     pid = sim._create_packet(n, lay.nodes[n], 0)
     sim.p_injected[pid] = 0
     sim.p_dest[pid] = m if target == TO_EJECT else lay.nbr[m][od]
-    candidates = [
-        t for t, _ in lay.roco_admission(m, (od + 2) % 4, sim.p_dest[pid], 0)
-    ]
+    candidates = [t for t, _ in admission(lay, m, (od + 2) % 4, sim.p_dest[pid], 0)]
     if target != TO_EJECT:
         for t in candidates:
             if target == TO_OWNED:

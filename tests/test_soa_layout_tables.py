@@ -1,17 +1,19 @@
 """The SoA layout's class-keyed routing tables against the object model.
 
 ``SoALayout`` answers "which VCs admit this flit, and on which route"
-from tables keyed by ``(router, input, direction class of the
-destination, yx)`` (:func:`repro.routing.base.direction_class`) and
-filled on a miss by one destination of the class.  These tests hold
-every answer *served* — to any destination of the class, in any query
-order — to a fresh call on an object-model network the layout never
-saw, and hold the tables to the bound the key gives them.
+from tables built once, off a 3x3 prototype, and indexed by the
+direction class of the destination
+(:func:`repro.routing.base.direction_class`) plus the input and yx
+bits — never by router or destination.  These tests hold every answer
+the engine reads — at any router, for any destination — to a fresh
+call on an object-model network the layout never saw, hold the tables
+to being the same on every mesh, and hold a run to asking nothing of
+the prototype.
 
-The layout reads its structural tables off a 3x3 prototype network, not
-the mesh it describes; they are held to the tables read off a whole
-wired network of that mesh (:func:`reference_tables`), and a layout of
-any size is held to building nine routers.
+The layout reads its structural tables off the prototype too, not the
+mesh it describes; they are held to the tables read off a whole wired
+network of that mesh (:func:`reference_tables`), and a layout of any
+size is held to building nine routers.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ from repro.core.soa.state import _object_tables
 from repro.core.types import CARDINALS, Direction, Packet
 from repro.harness.export import result_record
 from repro.routers.base import BaseRouter
-from repro.routing import direction_class
+from repro.routers.roco.router import RoCoRouter
+from repro.routing import (
+    AdaptiveRouting,
+    RoutingAlgorithm,
+    XYRouting,
+    XYYXRouting,
+    direction_class,
+)
 
 MESHES = ((4, 4), (5, 3), (3, 6))
 ROUTERS = ("roco", "generic")
@@ -105,6 +114,36 @@ class Oracle:
         )
 
 
+#: The routing tables each architecture builds.
+TABLES = {"roco": ("admission", "injection"), "generic": ("routes", "escape")}
+
+
+def admission(lay, m: int, din: int, dest: int, yx: int) -> tuple:
+    """The admission candidates the engine reads, as global slots."""
+    base = m * lay.R
+    return tuple(
+        (t if t == EJECT_CODE else base + t, route)
+        for t, route in lay.admission[(lay.class_of(m, dest) * 4 + din) * 2 + yx]
+    )
+
+
+def injection(lay, n: int, dest: int, yx: int) -> tuple:
+    base = n * lay.R
+    return tuple(
+        (base + i, route)
+        for i, route in lay.injection[lay.class_of(n, dest) * 2 + yx]
+    )
+
+
+def routes(lay, n: int, dest: int, yx: int) -> tuple:
+    return lay.routes[lay.class_of(n, dest) * 2 + yx]
+
+
+def escape(lay, n: int, dest: int) -> int:
+    (route,) = lay.escape[lay.class_of(n, dest)]
+    return route
+
+
 def test_direction_class_is_the_sign_pair():
     signs = {}
     for dx, dy in itertools.product(range(-3, 4), repeat=2):
@@ -122,23 +161,17 @@ def test_every_lookup_equals_a_fresh_object_model_call(width, height, router, ro
     config = mesh_config(width, height, router, routing)
     lay = SoALayout(config)  # private: not the process-wide shared one
     oracle = Oracle(config)
-    N = lay.N
-    for n, dest, yx in itertools.product(range(N), range(N), (0, 1)):
-        assert lay.route_candidates(n, dest, yx) == oracle.routes(n, dest, yx)
-        assert lay.escape_route(n, dest) == oracle.escape(n, dest)
-        if router != "roco":
+    for n, dest, yx in itertools.product(range(lay.N), range(lay.N), (0, 1)):
+        if router == "generic":
+            assert routes(lay, n, dest, yx) == oracle.routes(n, dest, yx)
+            assert escape(lay, n, dest) == oracle.escape(n, dest)
             continue
         if dest != n:
-            assert lay.roco_injection(n, dest, yx) == oracle.injection(n, dest, yx)
+            assert injection(lay, n, dest, yx) == oracle.injection(n, dest, yx)
         for din in range(4):
-            assert lay.roco_admission(n, din, dest, yx) == oracle.admission(
+            assert admission(lay, n, din, dest, yx) == oracle.admission(
                 n, din, dest, yx
             ), (n, din, dest, yx)
-    sizes = lay.describe()["tables"]
-    assert sizes["routes"] <= N * 9 * 2 and sizes["escape"] <= N * 9
-    if router == "roco":
-        assert sizes["admission"] <= N * 4 * 9 * 2
-        assert sizes["injection"] <= N * 9 * 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,49 +189,55 @@ _node = st.integers(min_value=0, max_value=255)
 @given(n=_node, dest=_node, din=st.integers(0, 3), yx=st.integers(0, 1))
 def test_lookups_at_16x16(router, routing, n, dest, din, yx):
     lay, oracle = mesh16(router, routing)
-    assert lay.route_candidates(n, dest, yx) == oracle.routes(n, dest, yx)
-    assert lay.escape_route(n, dest) == oracle.escape(n, dest)
-    if router == "roco":
-        assert lay.roco_admission(n, din, dest, yx) == oracle.admission(
-            n, din, dest, yx
-        )
-        if dest != n:
-            assert lay.roco_injection(n, dest, yx) == oracle.injection(n, dest, yx)
+    if router == "generic":
+        assert routes(lay, n, dest, yx) == oracle.routes(n, dest, yx)
+        assert escape(lay, n, dest) == oracle.escape(n, dest)
+        return
+    assert admission(lay, n, din, dest, yx) == oracle.admission(n, din, dest, yx)
+    if dest != n:
+        assert injection(lay, n, dest, yx) == oracle.injection(n, dest, yx)
 
 
-def test_tables_are_bounded_by_the_class_key(monkeypatch):
-    """24 seeds of 16x16 RoCo/XY: at most N*5*9 entries, and saturating.
+@pytest.mark.parametrize("router", ROUTERS)
+def test_routing_tables_are_the_same_on_every_mesh(router):
+    """Nine classes, not N routers: a 4x4 and a 64x64 layout of one
+    shape hold equal routing tables, of the sizes the class key gives."""
+    small, large = (
+        SoALayout(mesh_config(size, size, router, "adaptive")) for size in (4, 64)
+    )
+    sizes = {"admission": 72, "injection": 18, "routes": 18, "escape": 9}
+    for name in TABLES[router]:
+        assert getattr(small, name) == getattr(large, name), name
+        assert len(getattr(small, name)) == sizes[name], name
 
-    Four inputs plus the injection port, nine classes; ``yx`` is
-    constant under XY and the generic-only tables stay empty.  A key is
-    filled the first time a worm meets it, and the rarest ones (one
-    source, one destination) are met once in 10^5 packets, so fresh
-    seeds keep adding a few — but ever fewer, inside the bound, where
-    per-destination keys held 59,483 entries after these 24 runs and
-    were still adding ~1,500 a seed.
-    """
+
+@pytest.mark.parametrize(
+    "router,routing", (("roco", "xy"), ("roco", "xy-yx"), ("generic", "adaptive"))
+)
+def test_a_run_asks_the_prototype_nothing(monkeypatch, router, routing):
+    """Once the layout is built, a 16x16 SoA run reads its tables only:
+    every question a miss used to ask the prototype now raises."""
     monkeypatch.setattr(layout_module, "_layout_cache", {})
-    totals = []
-    for seed in range(24):
-        config = mesh_config(
-            16,
-            16,
-            "roco",
-            "xy",
-            injection_rate=0.10,
-            warmup_packets=100,
-            measure_packets=600,
-            seed=seed,
-            backend="soa",
-        )
-        sim = SoASimulator(config)
-        sim.run()
-        sizes = sim.layout.describe()["tables"]
-        totals.append(sum(sizes.values()))
-    assert sizes["routes"] == sizes["escape"] == 0
-    assert totals[-1] <= sim.N * 5 * 9 == 11_520
-    assert totals == sorted(totals)
-    assert totals[23] - totals[15] < totals[7] // 10
+    config = mesh_config(
+        16, 16, router, routing, injection_rate=0.1, warmup_packets=100,
+        measure_packets=600, backend="soa",
+    )
+    layout_module.build_layout(config)
+
+    def asked(*args, **kwargs):
+        raise AssertionError("the prototype was asked during a run")
+
+    for owner, name in (
+        (layout_module, "_prototype"),
+        (layout_module, "_packet"),
+        (RoCoRouter, "vc_candidates"),
+        (RoCoRouter, "module_for"),
+        (RoutingAlgorithm, "escape_direction"),
+        *((cls, "candidates") for cls in (XYRouting, XYYXRouting, AdaptiveRouting)),
+    ):
+        monkeypatch.setattr(owner, name, asked)
+    result = SoASimulator(config).run()
+    assert result.delivered_packets > 0
 
 
 def reference_tables(config) -> dict:
@@ -333,8 +372,9 @@ def test_a_layout_builds_nine_routers_at_any_size(monkeypatch):
         lay = layout_module.build_layout(mesh_config(64, 64, router, "adaptive"))
         assert lay.N == 4096
         corner = lay.N - 1
-        assert lay.route_candidates(0, corner, 0) == (1, 2)
         if router == "roco":
-            assert lay.roco_admission(0, 3, corner, 0)
-            assert lay.roco_injection(0, corner, 0)
+            assert admission(lay, 0, 3, corner, 0)
+            assert injection(lay, 0, corner, 0)
+        else:
+            assert routes(lay, 0, corner, 0) == (1, 2)
         assert 0 < len(built) <= 9, router
