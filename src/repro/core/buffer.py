@@ -25,8 +25,6 @@ next.
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.core.types import Direction, Flit, is_worm_tail
 
 #: Cycles between a flit departing a VC and the freed slot becoming
@@ -74,7 +72,7 @@ class VirtualChannel:
         self.index = index
         self.depth = depth
         self.vc_class = vc_class
-        self.queue: deque[Flit] = deque()
+        self.queue: list[Flit] = []
         #: Output direction of the worm currently draining (None until the
         #: head flit at the front has been routed).
         self.out_dir: Direction | None = None
@@ -123,7 +121,7 @@ class VirtualChannel:
         #: Credits as seen by upstream switch allocators.
         self._available = depth
         #: Freed slots waiting out the credit round-trip: release cycles.
-        self._releases: deque[int] = deque()
+        self._releases: list[int] = []
 
     # -- capacity / credits ------------------------------------------------
 
@@ -171,7 +169,7 @@ class VirtualChannel:
 
     def _refresh(self, cycle: int) -> None:
         while self._releases and self._releases[0] <= cycle:
-            self._releases.popleft()
+            del self._releases[0]
             self._available += 1
 
     def rebase_credits(self) -> None:
@@ -232,7 +230,7 @@ class VirtualChannel:
         Schedules the credit release and clears the worm state when the
         departing flit is the tail, making the VC re-allocatable.
         """
-        flit = self.queue.popleft()
+        flit = self.queue.pop(0)
         self.schedule_release(cycle)
         if flit.closes_worm:
             self.out_dir = None
@@ -249,7 +247,7 @@ class VirtualChannel:
     # that changes what the queue holds goes through the methods below, so
     # occupancy has exactly one owner: routers skip a VC on a bare
     # ``vc.queue`` probe and must never be surprised by an edit made
-    # behind this class's back.  The deque object itself is never
+    # behind this class's back.  The list object itself is never
     # replaced — hot loops hold a reference to it across calls.
 
     def purge(self, pid: int, cycle: int) -> int:
@@ -273,8 +271,7 @@ class VirtualChannel:
             kept = [f for f in queue if f.packet.pid != pid]
             removed = len(queue) - len(kept)
             if removed:
-                queue.clear()
-                queue.extend(kept)
+                queue[:] = kept
                 for _ in range(removed):
                     self.schedule_release(cycle)
         if front_pid == pid:
@@ -290,7 +287,7 @@ class VirtualChannel:
         For the end-of-run sweep only: the flit's packet is already
         accounted as lost and nothing will ever query this VC again.
         """
-        return self.queue.popleft()
+        return self.queue.pop(0)
 
     def restore(self, flits) -> None:
         """Reinstate buffered flits from a state snapshot, in order.

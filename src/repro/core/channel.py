@@ -10,7 +10,6 @@ latency of a two-stage router with single-cycle links.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Generic, TypeVar
 
 T = TypeVar("T")
@@ -33,7 +32,7 @@ class Channel(Generic[T]):
     def __init__(self, delay: int = LINK_DELAY, single_lane: bool = True) -> None:
         self.delay = delay
         self.single_lane = single_lane
-        self._in_flight: deque[tuple[int, T]] = deque()
+        self._in_flight: list[tuple[int, T]] = []
         #: Lifetime payload count; instrumentation reads this to compute
         #: per-link utilisation without touching the hot path.
         self.sends = 0
@@ -52,7 +51,7 @@ class Channel(Generic[T]):
         """Pop every payload whose arrival time is ``<= cycle``."""
         arrived: list[T] = []
         while self._in_flight and self._in_flight[0][0] <= cycle:
-            arrived.append(self._in_flight.popleft()[1])
+            arrived.append(self._in_flight.pop(0)[1])
         return arrived
 
     @property

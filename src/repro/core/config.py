@@ -60,19 +60,32 @@ def reject_unknown(kind: str, payload: dict, known) -> None:
             raise ValueError(f"unknown {kind} field {name!r}")
 
 
-def _int_fields(cls) -> tuple[str, ...]:
-    """The fields ``cls`` declares ``int``."""
-    return tuple(f.name for f in fields(cls) if f.type == "int")
+#: Field annotation -> the exact type its values must have, and what a
+#: refusal calls it.
+_CHECKED_TYPES = {"int": (int, "an integer"), "bool": (bool, "true or false")}
 
 
-def _require_ints(obj, names: tuple[str, ...]) -> None:
-    """Raise ``ValueError`` naming the first of ``names`` whose value is
-    not an ``int``: a float, a string or a ``bool`` would pass the range
-    checks (or fail them with a ``TypeError``) and break a run later."""
-    for name in names:
+def _typed_fields(cls) -> tuple[tuple[str, type, str], ...]:
+    """``(name, type, noun)`` of each field ``cls`` declares ``int`` or
+    ``bool``."""
+    return tuple(
+        (f.name, *_CHECKED_TYPES[f.type])
+        for f in fields(cls)
+        if f.type in _CHECKED_TYPES
+    )
+
+
+def _require_types(obj, typed: tuple[tuple[str, type, str], ...]) -> None:
+    """Raise ``ValueError`` naming the first field whose value is not
+    exactly its declared type: a float, a string or a ``bool`` in an
+    integer field would pass the range checks (or fail them with a
+    ``TypeError``) and break a run later, and ``0`` or ``"yes"`` in a
+    switch would run as ``False`` or ``True`` under a job key of its
+    own."""
+    for name, kind, noun in typed:
         value = getattr(obj, name)
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, not {value!r}")
+        if type(value) is not kind:
+            raise ValueError(f"{name} must be {noun}, not {value!r}")
 
 
 def parse_shards(value) -> tuple[int, int]:
@@ -127,7 +140,7 @@ class RouterConfig:
     # End of cache-key format 1 (see SimulationConfig.seed).
 
     def __post_init__(self) -> None:
-        _require_ints(self, _ROUTER_INTS)
+        _require_types(self, _ROUTER_TYPED)
 
     @classmethod
     def for_architecture(cls, architecture: str, **overrides) -> "RouterConfig":
@@ -155,7 +168,7 @@ class RouterConfig:
 _ROUTER_KNOWN, _ROUTER_ALWAYS, _ROUTER_SPARSE = _codec_fields(
     RouterConfig, last="lookahead_routing"
 )
-_ROUTER_INTS = _int_fields(RouterConfig)
+_ROUTER_TYPED = _typed_fields(RouterConfig)
 
 
 @dataclass
@@ -215,7 +228,12 @@ class SimulationConfig:
     shards: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        _require_ints(self, _SIM_INTS)
+        _require_types(self, _SIM_TYPED)
+        rate = self.injection_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise ValueError(f"injection_rate must be a number, not {rate!r}")
+        # One run, one job key: the CLI's 1.0 and a payload's 1 alike.
+        self.injection_rate = float(rate)
         if self.router_config is None:
             self.router_config = RouterConfig.for_architecture(self.router)
         if isinstance(self.routing, str):
@@ -335,4 +353,4 @@ class SimulationConfig:
 
 
 _SIM_KNOWN, _SIM_ALWAYS, _SIM_SPARSE = _codec_fields(SimulationConfig, last="seed")
-_SIM_INTS = _int_fields(SimulationConfig)
+_SIM_TYPED = _typed_fields(SimulationConfig)

@@ -407,7 +407,7 @@ class TileSimulator:
         for port, peer, recv_x, recv_y, input_dir in self._egress:
             in_flight = port.link._in_flight
             while in_flight:
-                arrival, flit = in_flight.popleft()
+                arrival, flit = in_flight.pop(0)
                 packet = flit.packet
                 hint = flit.vc_hint
                 if hint is EJECT:

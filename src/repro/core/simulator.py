@@ -49,10 +49,12 @@ class Source:
     def __init__(self, node: NodeId, router) -> None:
         self.node = node
         self.router = router
-        #: Generated packets waiting to start injection.
+        #: Generated packets waiting to start injection: unbounded under
+        #: saturation, so a deque.
         self.queue: deque[Packet] = deque()
-        #: Flits of the packet currently being streamed into its VC.
-        self.current: deque[Flit] | None = None
+        #: Flits of the packet currently being streamed into its VC: one
+        #: worm, so a list.
+        self.current: list[Flit] | None = None
         self.vc = None
 
     def inject(self, network: Network, cycle: int) -> None:
@@ -70,7 +72,7 @@ class Source:
             return
         if self.vc.credits(cycle) <= 0:
             return
-        self.current.popleft()
+        del self.current[0]
         self.vc.reserve_slot(cycle)
         self.vc.push(flit)
         # Source injection is one of the two wake events of an empty
@@ -109,7 +111,7 @@ class Source:
         packet.injected_cycle = cycle
         flits = make_packet_flits(packet)
         flits[0].route = route
-        self.current = deque(flits)
+        self.current = flits
         self.vc = vc
 
     @property

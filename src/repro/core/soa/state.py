@@ -35,7 +35,7 @@ Canonicalisation rules (what "the same state" means):
   packets still alive in the system (source-queued, streaming, or with
   flits buffered / on a wire) get a row.
 * **Link order** — the object model stores wire flits in per-link
-  deques, the SoA engine in per-cycle wake buckets.  Both are flattened
+  lists, the SoA engine in per-cycle wake buckets.  Both are flattened
   to ``(arrival_cycle, receiver, input_dir, fid)`` tuples and sorted;
   the order is total because inter-router links are single-lane (at
   most one flit per link per arrival cycle).
@@ -49,7 +49,6 @@ Canonicalisation rules (what "the same state" means):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, fields
 
 from repro.core.simulator import Simulator
@@ -526,9 +525,9 @@ def decode_state(state: SoAState, config) -> Simulator:
         vc.owner_pid = None if owner == NONE_CODE else owner
         vc.expected = expected_n
         vc._available = avail
-        vc._releases = deque(future)
+        vc._releases[:] = future
 
-    # Wire flits: per-link deques plus the landing-cycle wake bucket
+    # Wire flits: per-link lists plus the landing-cycle wake bucket
     # (the latter is a no-op under the full-sweep scheduler).
     for at, recv, din, fid in state.links:
         receiver = routers[recv]
@@ -544,9 +543,7 @@ def decode_state(state: SoAState, config) -> Simulator:
         source.queue.extend(packets[pid] for pid in queued)
         if cur != NONE_CODE:
             pid = cur // F
-            source.current = deque(
-                flit_of[fid] for fid in range(cur, (pid + 1) * F)
-            )
+            source.current = [flit_of[fid] for fid in range(cur, (pid + 1) * F)]
             source.vc = vcs[slot]
 
     # Router dynamic state: scheduler flags, pending SA winners,

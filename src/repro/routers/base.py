@@ -421,7 +421,7 @@ class BaseRouter(abc.ABC):
         for d in dirs:
             in_flight = link_map[d]._in_flight
             while in_flight and in_flight[0][0] <= cycle:
-                flit = in_flight.popleft()[1]
+                flit = in_flight.pop(0)[1]
                 target = flit.vc_hint
                 if has_faults:
                     packet = flit.packet
@@ -530,7 +530,7 @@ class BaseRouter(abc.ABC):
                     target.refund_slot()
                     target.expected -= 1
                 continue
-            flit = queue.popleft()
+            flit = queue.pop(0)
             vc._releases.append(release)
             if vc.waiter is not None:
                 vc.waiter.credit_due(release)

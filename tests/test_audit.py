@@ -97,7 +97,7 @@ class TestCorruptionIsCaught:
         def steal():
             for _, _, vc in each_vc(sim.network):
                 if vc.queue:
-                    vc.queue.popleft()
+                    vc.discard_front()
                     vc._available += 1  # keep the credit sum balanced
                     return True
             return False
@@ -190,7 +190,7 @@ class TestCorruptionIsCaught:
                         continue
                     for target in router.all_vcs():
                         if not target.queue and not target.dead:
-                            vc.queue.popleft()
+                            vc.discard_front()
                             vc._available += 1
                             target.queue.append(flit)
                             target._available -= 1
@@ -207,7 +207,7 @@ class TestCorruptionIsCaught:
         def steal():
             for _, _, vc in each_vc(sim.network):
                 if vc.queue:
-                    vc.queue.popleft()
+                    vc.discard_front()
                     vc._available += 1
                     return True
             return False

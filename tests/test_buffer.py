@@ -70,7 +70,7 @@ class TestOutOfBandEdits:
         vc.out_vc = object()
         assert vc.purge(2, cycle=10) == 2
         assert list(vc.queue) == tail_of_old
-        assert vc.queue is queue  # hot loops keep a reference to the deque
+        assert vc.queue is queue  # hot loops keep a reference to the list
         # The surviving worm keeps draining; the freed slots return only
         # after the credit round-trip.
         assert vc.active_pid == 1 and vc.routed and vc.allocated

@@ -280,12 +280,19 @@ def test_a_replayed_job_strikes_its_static_faults_and_its_schedule(
 
 @pytest.mark.parametrize(
     "field",
-    ({"flits_per_packet": 2.0}, {"max_cycles": float("inf")}, {"seed": True}),
+    (
+        {"flits_per_packet": 2.0},
+        {"max_cycles": float("inf")},
+        {"seed": True},
+        {"injection_rate": True},
+        {"audit": "yes"},
+    ),
     ids=lambda field: next(iter(field)),
 )
 def test_a_replayed_job_with_a_non_integer_field_is_a_cli_error(
     field, tmp_path, capsys
 ):
+    """A value of the wrong type, in an integer field or any other."""
     saved = tmp_path / "job.json"
     saved.write_text(json.dumps({"config": {"width": 4, "height": 4, **field}}))
     assert main(["--replay", str(saved)]) == 2

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.types import RoutingMode
+from repro.harness.parallel import SimJob, job_key
 
 
 class TestRouterConfig:
@@ -106,6 +107,29 @@ class TestSimulationConfig:
         [("vcs_per_port", 3.0), ("buffer_depth", True), ("flit_width_bits", "128")],
     )
     def test_router_integer_fields_refuse_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RouterConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [True, False, "0.1", None, [0.1]])
+    def test_injection_rate_refuses_non_numbers(self, value):
+        with pytest.raises(ValueError, match="injection_rate"):
+            SimulationConfig(injection_rate=value)
+
+    def test_an_integer_rate_is_the_float_rate(self):
+        whole = SimulationConfig(injection_rate=1)
+        assert type(whole.injection_rate) is float
+        assert job_key(SimJob.of(whole)) == job_key(
+            SimJob.of(SimulationConfig(injection_rate=1.0))
+        )
+
+    @pytest.mark.parametrize("value", ["yes", 1, 0, None])
+    def test_audit_takes_a_bool_only(self, value):
+        with pytest.raises(ValueError, match="audit"):
+            SimulationConfig(audit=value)
+
+    @pytest.mark.parametrize("field", ["mirror_allocation", "lookahead_routing"])
+    @pytest.mark.parametrize("value", [0, 1, "false", None])
+    def test_router_switches_take_a_bool_only(self, field, value):
         with pytest.raises(ValueError, match=field):
             RouterConfig(**{field: value})
 

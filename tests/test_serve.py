@@ -144,11 +144,23 @@ class TestProtocol:
             ({"config": {"measure_packets": 20.5}}, "measure_packets"),
             ({"config": {"seed": "3"}}, "seed"),
             ({"kind": "sweep", "base": {}, "seeds": [1, 2.5]}, "seed"),
+            # The rate is a number: a ``true`` rate once ran at 1.0
+            # under a job key of its own.
+            ({"config": {"size": 3, "rate": True}}, "injection_rate"),
+            ({"config": {"size": 3, "rate": "0.1"}}, "injection_rate"),
+            ({"kind": "sweep", "base": {}, "rates": [0.1, True]}, "injection_rate"),
         ],
     )
     def test_malformed_requests_rejected(self, payload, match):
         with pytest.raises(RequestError, match=match):
             normalize_request(payload)
+
+    def test_an_integer_rate_shares_the_float_rates_job_key(self):
+        def key(rate):
+            request = normalize_request({"config": {"size": 3, "rate": rate}})
+            return job_key(request.jobs[0])
+
+        assert key(1) == key(1.0)
 
     def test_oversized_request_rejected(self):
         with pytest.raises(RequestError, match="split it"):
@@ -585,6 +597,8 @@ class TestHttpTransport:
                 client.submit({"config": {"bogus": 1}})
             with pytest.raises(RequestRejected, match="unknown request kind"):
                 client.submit({"kind": "nope"})
+            with pytest.raises(RequestRejected, match="injection_rate"):
+                client.submit({"config": {"size": 3, "rate": True}})
 
     def test_unknown_key_404(self):
         from repro.serve.client import ServeClientError

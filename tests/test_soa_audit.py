@@ -117,7 +117,7 @@ class TestCorruptedSnapshotIsCaught:
         def steal(network):
             for _, _, vc in each_vc(network):
                 if vc.queue:
-                    vc.queue.popleft()
+                    vc.discard_front()
                     vc._available += 1  # keep the credit sum balanced
                     return True
             return False
@@ -198,7 +198,7 @@ class TestCorruptedSnapshotIsCaught:
                         continue
                     for target in router.all_vcs():
                         if not target.queue and not target.dead:
-                            vc.queue.popleft()
+                            vc.discard_front()
                             vc._available += 1
                             target.queue.append(flit)
                             target._available -= 1
