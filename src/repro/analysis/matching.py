@@ -16,7 +16,6 @@ The three architectures then score:
 
 from __future__ import annotations
 
-import itertools
 from math import comb, factorial
 
 
@@ -33,21 +32,6 @@ def non_blocking_assignments(n: int) -> int:
     return factorial(n) - sum(
         comb(n, j) * non_blocking_assignments(n - j) for j in range(1, n + 1)
     )
-
-
-def non_blocking_assignments_bruteforce(n: int) -> int:
-    """Brute-force count of F(N) for validating the recurrence.
-
-    Enumerates every way each of the N inputs can pick one of its N-1
-    allowed outputs (not its own index — no U-turns) and counts the
-    assignments where all N outputs are covered.
-    """
-    count = 0
-    choices = [[o for o in range(n) if o != i] for i in range(n)]
-    for assignment in itertools.product(*choices):
-        if len(set(assignment)) == n:
-            count += 1
-    return count
 
 
 def generic_non_blocking_probability(n: int = 5) -> float:

@@ -21,7 +21,6 @@ from repro.core.types import (
     NodeId,
     Packet,
     RoutingMode,
-    is_worm_tail,
     make_packet_flits,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "StatsCollector",
     "StrandedCensus",
     "VirtualChannel",
-    "is_worm_tail",
     "make_packet_flits",
     "run_simulation",
 ]

@@ -25,7 +25,7 @@ next.
 
 from __future__ import annotations
 
-from repro.core.types import Direction, Flit, is_worm_tail
+from repro.core.types import Direction, Flit
 
 #: Cycles between a flit departing a VC and the freed slot becoming
 #: visible upstream (switch traversal + credit wire).

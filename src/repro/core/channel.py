@@ -1,4 +1,4 @@
-"""Inter-router channels: flit links and credit wires.
+"""Inter-router flit links.
 
 Link propagation takes a single clock cycle (Section 5.1 of the paper).
 Combined with the one-cycle switch traversal stage, a payload launched
@@ -22,16 +22,13 @@ LINK_DELAY = 2
 class Channel(Generic[T]):
     """A point-to-point wire with fixed delay and unit per-cycle bandwidth.
 
-    One payload may be launched per cycle (a link is one flit wide).  The
-    credit network reuses the same class but allows multiple credits per
-    cycle (each VC has its own credit wire in hardware).
+    One payload may be launched per cycle (a link is one flit wide).
     """
 
-    __slots__ = ("delay", "_in_flight", "single_lane", "sends")
+    __slots__ = ("delay", "_in_flight", "sends")
 
-    def __init__(self, delay: int = LINK_DELAY, single_lane: bool = True) -> None:
+    def __init__(self, delay: int = LINK_DELAY) -> None:
         self.delay = delay
-        self.single_lane = single_lane
         self._in_flight: list[tuple[int, T]] = []
         #: Lifetime payload count; instrumentation reads this to compute
         #: per-link utilisation without touching the hot path.
@@ -40,7 +37,7 @@ class Channel(Generic[T]):
     def send(self, payload: T, cycle: int) -> None:
         """Launch ``payload`` during ``cycle``; it arrives at cycle + delay."""
         arrival = cycle + self.delay
-        if self.single_lane and self._in_flight and self._in_flight[-1][0] >= arrival:
+        if self._in_flight and self._in_flight[-1][0] >= arrival:
             raise RuntimeError(
                 "link bandwidth exceeded: two flits launched in one cycle"
             )

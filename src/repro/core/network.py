@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro.core.config import SimulationConfig
 from repro.core.statistics import StatsCollector
 from repro.core.topology import make_topology
-from repro.core.types import Direction, DropReason, Flit, NodeId, Packet, is_worm_tail
+from repro.core.types import Direction, DropReason, Flit, NodeId, Packet
 from repro.routing import make_routing
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

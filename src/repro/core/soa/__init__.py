@@ -7,7 +7,7 @@ See docs/vectorized-core.md.  Public surface:
 * :class:`~repro.core.soa.state.SoAState` with
   :func:`~repro.core.soa.state.encode_state` /
   :func:`~repro.core.soa.state.decode_state` — the object ↔ array
-  state bridge used by audit/probe consumers and the property tests;
+  state bridge, read only by the tests, whose object ↔ SoA oracle it is;
 * :class:`~repro.core.soa.errors.BackendUnsupportedError` — raised for
   configurations outside the vectorized envelope.
 """

@@ -43,13 +43,7 @@ from repro.core.statistics import (
 from repro.core.types import DropReason, RoutingMode
 from repro.routing.xyyx import choose_variant
 from repro.traffic import TrafficPattern, make_traffic
-
-# Re-exported for callers that catch the object backend's exceptions.
-from repro.core.simulator import (  # noqa: F401  (re-export)
-    DrainTimeoutError,
-    SimulationResult,
-    StrandedCensus,
-)
+from repro.core.simulator import SimulationResult, StrandedCensus
 
 
 def _rr(state: list[int], idx: int, requests) -> int | None:

@@ -237,10 +237,6 @@ class StatsCollector:
         return sum(self.latencies) / len(self.latencies)
 
     @property
-    def max_latency(self) -> int:
-        return max(self.latencies) if self.latencies else 0
-
-    @property
     def average_hops(self) -> float:
         return sum(self.hops) / len(self.hops) if self.hops else 0.0
 

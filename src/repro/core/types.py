@@ -9,7 +9,7 @@ cardinal directions plus the connection to the local Processing Element).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Direction(enum.IntEnum):
@@ -221,10 +221,6 @@ class Flit:
         self.closes_worm = ftype is FlitType.TAIL or seq == packet.size - 1
 
     @property
-    def is_tail(self) -> bool:
-        return self.ftype is FlitType.TAIL
-
-    @property
     def dest(self) -> NodeId:
         return self.packet.dest
 
@@ -242,10 +238,8 @@ class Flit:
 def make_packet_flits(packet: Packet) -> list[Flit]:
     """Split ``packet`` into its worm of flits (HEAD, BODY..., TAIL).
 
-    A single-flit packet is emitted as a lone HEAD flit that also acts as
-    the tail (``is_tail`` is derived from position, so callers should use
-    ``seq == packet.size - 1`` for single-flit worms; we simply mark it
-    TAIL-typed HEAD by convention of ``FlitType.HEAD`` plus last-seq).
+    A single-flit packet is one HEAD-typed flit; its ``closes_worm`` flag,
+    set from its position, makes it the tail as well.
     """
     if packet.size < 1:
         raise ValueError("packet size must be >= 1 flit")
@@ -258,19 +252,4 @@ def make_packet_flits(packet: Packet) -> list[Flit]:
         else:
             ftype = FlitType.BODY
         flits.append(Flit(packet, seq, ftype))
-    if packet.size == 1:
-        # A lone flit must close the wormhole it opens.
-        flits[0].ftype = FlitType.HEAD
-        # Mark it as tail through a dedicated attribute-free convention:
-        # routers treat `seq == size - 1` as the tail condition as well.
     return flits
-
-
-def is_worm_tail(flit: Flit) -> bool:
-    """True when ``flit`` closes its packet's wormhole.
-
-    Handles the single-flit-packet case where the head is also the tail.
-    The flag is derived once at construction (``Flit.closes_worm``); hot
-    paths read the attribute directly.
-    """
-    return flit.closes_worm

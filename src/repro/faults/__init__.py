@@ -18,7 +18,7 @@ from repro.faults.model import (
     Regime,
 )
 from repro.faults.reachability import ReachabilityMap
-from repro.faults.recovery import is_recoverable, recovery_mechanism
+from repro.faults.recovery import recovery_mechanism
 from repro.faults.runtime import RuntimeFaultEngine
 from repro.faults.schedule import FaultEvent, FaultSchedule
 
@@ -37,7 +37,6 @@ __all__ = [
     "Regime",
     "RuntimeFaultEngine",
     "apply_faults",
-    "is_recoverable",
     "module_vc_count",
     "random_faults",
     "recovery_mechanism",

@@ -78,7 +78,3 @@ class ReachabilityMap:
                 seen.add(neighbor)
                 frontier.append(neighbor)
         return False
-
-    def unreachable_pairs(self) -> int:
-        """Memoised queries that came back negative (diagnostics)."""
-        return sum(1 for verdict in self._memo.values() if not verdict)

@@ -18,27 +18,12 @@ VC buffer (they are *behaviour*, not a separate subsystem):
   containing module is disabled; the partner module keeps serving its
   dimension.
 
-This module provides the introspection helpers the reports and tests use
-to reason about those behaviours.
+This module names each mechanism for the reports.
 """
 
 from __future__ import annotations
 
-from repro.faults.model import CLASSIFICATION, Component
-
-
-def is_recoverable(architecture: str, component: Component) -> bool:
-    """Whether a fault leaves the router (partially) operational.
-
-    Generic and Path-Sensitive routers lose the whole node on any fault.
-    RoCo recovers message-centric/non-critical faults outright and keeps
-    the partner module alive otherwise — so every fault leaves *some*
-    service, but we reserve "recoverable" for faults the hardware
-    recycling mechanism bypasses without isolating a module.
-    """
-    if architecture != "roco":
-        return False
-    return not CLASSIFICATION[component].blocks_roco_module
+from repro.faults.model import Component
 
 
 def recovery_mechanism(component: Component) -> str:

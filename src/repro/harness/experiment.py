@@ -1,4 +1,4 @@
-"""Experiment plumbing: scales, run points and seeded fault populations.
+"""Experiment plumbing: scales, averaged points and seeded fault populations.
 
 Every figure runner is parameterised by an :class:`ExperimentScale` so
 the same code serves three purposes: fast CI benchmarks (``QUICK``),
@@ -10,10 +10,9 @@ which take correspondingly long on a pure-Python simulator).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.config import SimulationConfig
-from repro.core.simulator import SimulationResult, run_simulation
 from repro.core.types import RoutingMode, grid_nodes
 from repro.faults.injector import ComponentFault, random_faults
 from repro.harness.parallel import ParallelExecutor, SimJob
@@ -110,20 +109,6 @@ class PointSpec:
         ]
 
 
-def run_point(
-    router: str,
-    routing: RoutingMode | str,
-    traffic: str,
-    injection_rate: float,
-    scale: ExperimentScale,
-    seed: int = 1,
-    faults: list[ComponentFault] | None = None,
-) -> SimulationResult:
-    """Run one simulation at one operating point."""
-    spec = PointSpec(router, routing, traffic, injection_rate)
-    return run_simulation(spec.config(scale, seed), faults=faults)
-
-
 #: Metric keys seed-averaged by aggregate_point, straight off the flat
 #: records of repro.harness.export.result_record.
 AVERAGED_METRICS = (
@@ -194,24 +179,6 @@ def averaged_points(
         aggregate_point(spec, records[i * n : (i + 1) * n])
         for i, spec in enumerate(specs)
     ]
-
-
-def averaged_point(
-    router: str,
-    routing: RoutingMode | str,
-    traffic: str,
-    injection_rate: float,
-    scale: ExperimentScale,
-    faults_per_seed: dict[int, list[ComponentFault]] | None = None,
-    executor: ParallelExecutor | None = None,
-) -> dict:
-    """Average a run point over the scale's seeds.
-
-    Returns the seed-mean of the headline metrics; completion-weighted
-    where that matters (latency is averaged over delivered packets).
-    """
-    spec = PointSpec(router, routing, traffic, injection_rate)
-    return averaged_points([spec], scale, [faults_per_seed], executor)[0]
 
 
 def fault_population(

@@ -97,8 +97,3 @@ def write_csv(results: Iterable[SimulationResult], path: str | Path) -> Path:
         for result in results:
             writer.writerow(result_record(result))
     return path
-
-
-def read_json(path: str | Path) -> list[dict]:
-    """Load records written by :func:`write_json`."""
-    return json.loads(Path(path).read_text())

@@ -213,18 +213,6 @@ class JobFailure:
         )
 
 
-def split_failures(records: list[dict]) -> tuple[list[dict], list[JobFailure]]:
-    """Partition ``run_jobs`` output into (ok records, failures)."""
-    ok: list[dict] = []
-    failed: list[JobFailure] = []
-    for record in records:
-        if record.get(FAILURE_MARKER):
-            failed.append(JobFailure.from_record(record))
-        else:
-            ok.append(record)
-    return ok, failed
-
-
 # ----------------------------------------------------------------------
 # Result validation (corrupt-result detection)
 # ----------------------------------------------------------------------

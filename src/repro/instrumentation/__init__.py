@@ -1,6 +1,7 @@
-"""Run instrumentation: link/latency/drop probes and ASCII heatmaps."""
+"""Run instrumentation: link/latency/drop probes, the flight recorder
+and shaded ASCII heatmaps."""
 
-from repro.instrumentation.heatmap import render_grid, render_legend, render_shaded
+from repro.instrumentation.heatmap import render_legend, render_shaded
 from repro.instrumentation.trace import (
     EventKind,
     FlightRecorder,
@@ -8,17 +9,13 @@ from repro.instrumentation.trace import (
     TraceEvent,
 )
 from repro.instrumentation.probes import (
-    ActivityProbe,
     DropProbe,
     DropRecord,
     LatencyMatrixProbe,
     LinkUtilizationProbe,
-    WatchdogAlarm,
-    WatchdogProbe,
 )
 
 __all__ = [
-    "ActivityProbe",
     "DropProbe",
     "EventKind",
     "FlightRecorder",
@@ -27,9 +24,6 @@ __all__ = [
     "DropRecord",
     "LatencyMatrixProbe",
     "LinkUtilizationProbe",
-    "WatchdogAlarm",
-    "WatchdogProbe",
-    "render_grid",
     "render_legend",
     "render_shaded",
 ]

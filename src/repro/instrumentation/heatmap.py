@@ -13,27 +13,6 @@ from repro.core.types import NodeId
 SHADES = " .:-=+*#%@"
 
 
-def render_grid(
-    values: dict[NodeId, float],
-    width: int,
-    height: int,
-    fmt: str = "{:6.2f}",
-    missing: str = "     -",
-) -> str:
-    """Numeric grid, one row of routers per line (y grows downward)."""
-    lines = []
-    for y in range(height):
-        cells = []
-        for x in range(width):
-            node = NodeId(x, y)
-            if node in values:
-                cells.append(fmt.format(values[node]))
-            else:
-                cells.append(missing)
-        lines.append(" ".join(cells))
-    return "\n".join(lines)
-
-
 def render_shaded(
     values: dict[NodeId, float],
     width: int,

@@ -2,68 +2,18 @@
 
 Probes attach to a :class:`~repro.core.simulator.Simulator` *before*
 ``run()`` and collect spatial/behavioural detail the aggregate
-statistics hide — per-link utilisation, per-node latency, VC-class
-occupancy.  They read counters the core already maintains (link send
+statistics hide — per-link utilisation, per-pair latency, dropped
+packets.  They read counters the core already maintains (link send
 counts, delivery callbacks) so the simulation hot path stays untouched.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.simulator import Simulator
 from repro.core.types import Direction, NodeId, Packet
-
-
-class ActivityProbe:
-    """Per-cycle and per-node view of the activity-driven scheduler.
-
-    Subscribes to ``Network.on_cycle_stepped`` — the observer the
-    scheduler fires at the end of every cycle with the routers it
-    actually stepped — so the probe sees exactly what the active-set
-    scheduler did, without touching the stepping hot path.  Works under
-    ``full_sweep=True`` as well (every router appears every cycle),
-    which makes the probe's output itself differentially comparable.
-    """
-
-    def __init__(self, simulator: Simulator) -> None:
-        self.simulator = simulator
-        #: Number of routers stepped at each cycle, in cycle order.
-        self.active_counts: list[int] = []
-        #: Cumulative steps per node over the observed window.
-        self.steps_per_node: dict[NodeId, int] = defaultdict(int)
-        if simulator.network.on_cycle_stepped is not None:
-            raise RuntimeError("network already has a cycle observer attached")
-        simulator.network.on_cycle_stepped = self._observe
-
-    def _observe(self, cycle: int, stepped) -> None:
-        self.active_counts.append(len(stepped))
-        per_node = self.steps_per_node
-        for router in stepped:
-            per_node[router.node] += 1
-
-    @property
-    def cycles_observed(self) -> int:
-        return len(self.active_counts)
-
-    def duty_cycle(self) -> float:
-        """Observed stepped fraction of the router-cycle budget."""
-        if not self.active_counts:
-            return 0.0
-        slots = len(self.simulator.network.routers) * len(self.active_counts)
-        return sum(self.active_counts) / slots
-
-    def peak_active(self) -> int:
-        return max(self.active_counts, default=0)
-
-    def idle_cycles(self) -> int:
-        """Cycles in which no router at all needed stepping."""
-        return sum(1 for n in self.active_counts if n == 0)
-
-    def hottest_nodes(self, count: int = 5) -> list[tuple[NodeId, int]]:
-        ranked = sorted(self.steps_per_node.items(), key=lambda item: -item[1])
-        return ranked[:count]
 
 
 class LinkUtilizationProbe:
@@ -129,12 +79,6 @@ class LatencyMatrixProbe:
             sums[src].extend(vals)
         return {n: sum(v) / len(v) for n, v in sums.items()}
 
-    def per_destination(self) -> dict[NodeId, float]:
-        sums: dict[NodeId, list[int]] = defaultdict(list)
-        for (_, dest), vals in self._samples.items():
-            sums[dest].extend(vals)
-        return {n: sum(v) / len(v) for n, v in sums.items()}
-
     def worst_pairs(self, count: int = 5) -> list[tuple[NodeId, NodeId, float]]:
         ranked = sorted(
             ((s, d, m) for (s, d), m in self.matrix().items()),
@@ -174,90 +118,3 @@ class DropProbe:
         for record in self.records:
             out[record.dest] += 1
         return dict(out)
-
-    def drops_through_region(self) -> dict[NodeId, int]:
-        """Drop counts keyed by source — where lost traffic came from."""
-        out: dict[NodeId, int] = defaultdict(int)
-        for record in self.records:
-            out[record.src] += 1
-        return dict(out)
-
-
-@dataclass
-class WatchdogAlarm:
-    """One no-progress alarm: when it fired and what the network looked like."""
-
-    cycle: int
-    stalled_for: int
-    active_routers: int
-
-    @property
-    def livelock_suspected(self) -> bool:
-        """Routers kept stepping without delivering — spinning, not stuck."""
-        return self.active_routers > 0
-
-
-class WatchdogProbe:
-    """Deadlock/livelock watchdog for fault campaigns.
-
-    Subscribes to ``Network.on_cycle_stepped`` (the same single-observer
-    hook :class:`ActivityProbe` uses) plus the simulator's delivery and
-    drop listeners.  *Progress* is any packet leaving the network —
-    delivered or dropped; a stretch of ``stall_window`` cycles in which
-    routers are still being stepped but nothing leaves raises one alarm
-    (re-armed by the next progress event).  Stepping-without-progress is
-    exactly the signature that separates a livelocked or deadlocked
-    post-fault network from a merely idle one: an idle network has no
-    active routers, so it never alarms.
-
-    The probe only observes — the simulator's own drain timeout remains
-    the mechanism that aborts a wedged run (now with a stranded-packet
-    census via :class:`~repro.core.simulator.DrainTimeoutError`).
-    """
-
-    def __init__(self, simulator: Simulator, stall_window: int = 500) -> None:
-        if stall_window <= 0:
-            raise ValueError("stall_window must be positive")
-        self.simulator = simulator
-        self.stall_window = stall_window
-        self.alarms: list[WatchdogAlarm] = []
-        self.max_stall = 0
-        self._progress_events = 0
-        self._seen_progress_events = 0
-        self._last_progress_cycle = 0
-        self._armed = True
-        if simulator.network.on_cycle_stepped is not None:
-            raise RuntimeError("network already has a cycle observer attached")
-        simulator.network.on_cycle_stepped = self._observe
-        simulator.delivery_listeners.append(self._on_progress)
-        simulator.drop_listeners.append(self._on_progress)
-
-    def _on_progress(self, packet: Packet) -> None:
-        self._progress_events += 1
-
-    def _observe(self, cycle: int, stepped) -> None:
-        if self._progress_events > self._seen_progress_events:
-            self._seen_progress_events = self._progress_events
-            self._last_progress_cycle = cycle
-            self._armed = True
-            return
-        if not stepped:
-            # Idle network: nothing in flight, nothing to watch.
-            self._last_progress_cycle = cycle
-            return
-        stalled_for = cycle - self._last_progress_cycle
-        if stalled_for > self.max_stall:
-            self.max_stall = stalled_for
-        if self._armed and stalled_for >= self.stall_window:
-            self.alarms.append(
-                WatchdogAlarm(
-                    cycle=cycle,
-                    stalled_for=stalled_for,
-                    active_routers=len(stepped),
-                )
-            )
-            self._armed = False
-
-    @property
-    def triggered(self) -> bool:
-        return bool(self.alarms)

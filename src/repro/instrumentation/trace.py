@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.types import Flit, NodeId
 

@@ -1,18 +1,12 @@
-"""Evaluation metrics: latency, EDP/PDP, PEF and fault-campaign resilience."""
+"""Evaluation metrics: latency, EDP, PEF and fault-campaign resilience."""
 
 from repro.metrics.latency import LatencySummary, percentile
-from repro.metrics.pef import (
-    PEFBreakdown,
-    energy_delay_product,
-    pef,
-    power_delay_product,
-)
+from repro.metrics.pef import PEFBreakdown, energy_delay_product, pef
 from repro.metrics.resilience import (
     FaultCountPoint,
     PacketAccounting,
     ResilienceProbe,
     WindowPoint,
-    degradation_curve,
 )
 
 __all__ = [
@@ -22,9 +16,7 @@ __all__ = [
     "PacketAccounting",
     "ResilienceProbe",
     "WindowPoint",
-    "degradation_curve",
     "energy_delay_product",
     "pef",
     "percentile",
-    "power_delay_product",
 ]

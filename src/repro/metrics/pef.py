@@ -1,4 +1,4 @@
-"""Composite evaluation metrics: EDP, PDP and the paper's PEF.
+"""Composite evaluation metrics: EDP and the paper's PEF.
 
 The Performance-Energy-Fault-tolerance metric (Section 5.3) folds
 reliability into the Energy-Delay Product:
@@ -18,11 +18,6 @@ from dataclasses import dataclass
 def energy_delay_product(average_latency: float, energy_per_packet: float) -> float:
     """EDP in (energy unit) x cycles."""
     return average_latency * energy_per_packet
-
-
-def power_delay_product(power: float, average_latency: float) -> float:
-    """PDP in (power unit) x cycles."""
-    return power * average_latency
 
 
 def pef(

@@ -12,9 +12,7 @@ faults accumulated?".  This module provides:
   ``run()`` that bins deliveries and drops into fixed cycle windows
   (throughput/latency vs time) and segments delivered fraction by the
   number of topology-affecting faults that had already struck when each
-  packet was created;
-* :func:`degradation_curve` — the (fault count, delivered fraction)
-  series the dynamic-fault benchmark plots per architecture.
+  packet was created.
 
 Everything here observes via the simulator's delivery/drop listener
 lists; nothing perturbs the simulation hot path.
@@ -203,10 +201,6 @@ class ResilienceProbe:
             if point.mean_latency is not None
         ]
 
-    def drop_timeline(self) -> list[tuple[int, int]]:
-        """(window start cycle, packets dropped in window) series."""
-        return [(point.start_cycle, point.dropped) for point in self.windows]
-
     def delivered_fraction(self) -> float:
         delivered = sum(point.delivered for point in self.windows)
         total = delivered + sum(point.dropped for point in self.windows)
@@ -219,19 +213,3 @@ class ResilienceProbe:
         return [
             self._by_fault_count[count] for count in sorted(self._by_fault_count)
         ]
-
-
-def degradation_curve(
-    points: "list[tuple[int, SimulationResult]]",
-) -> list[tuple[int, float]]:
-    """(fault count, delivered fraction) series from per-count runs.
-
-    ``points`` pairs each cumulative fault count with the result of a
-    run whose schedule injected exactly that many faults — the shape the
-    dynamic-fault benchmark produces per architecture.
-    """
-    curve = []
-    for count, result in sorted(points, key=lambda item: item[0]):
-        accounting = PacketAccounting.from_result(result)
-        curve.append((count, accounting.delivered_fraction))
-    return curve

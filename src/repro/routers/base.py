@@ -549,7 +549,7 @@ class BaseRouter(abc.ABC):
             link = port.link
             arrival = cycle + link.delay
             in_flight = link._in_flight
-            if link.single_lane and in_flight and in_flight[-1][0] >= arrival:
+            if in_flight and in_flight[-1][0] >= arrival:
                 link.send(flit, cycle)  # raises the bandwidth error
             in_flight.append((arrival, flit))
             link.sends += 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.core.types import Direction, NodeId, Packet, RoutingMode
-from repro.routing.base import RoutingAlgorithm, xy_direction
+from repro.routing.base import RoutingAlgorithm
 
 
 class XYRouting(RoutingAlgorithm):

@@ -1,5 +1,7 @@
 """Unit tests for the analytical reproductions (Table 2, Figure 2)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +11,26 @@ from repro.analysis import (
     generic_non_blocking_probability,
     generic_va_inventory,
     non_blocking_assignments,
-    non_blocking_assignments_bruteforce,
     path_sensitive_non_blocking_probability,
     roco_non_blocking_probability,
     roco_va_inventory,
     table2,
 )
+
+
+def non_blocking_assignments_bruteforce(n: int) -> int:
+    """Brute-force count of F(N) for validating the recurrence.
+
+    Enumerates every way each of the N inputs can pick one of its N-1
+    allowed outputs (not its own index — no U-turns) and counts the
+    assignments where all N outputs are covered.
+    """
+    count = 0
+    choices = [[o for o in range(n) if o != i] for i in range(n)]
+    for assignment in itertools.product(*choices):
+        if len(set(assignment)) == n:
+            count += 1
+    return count
 
 
 class TestEquationOne:

@@ -25,12 +25,6 @@ class TestChannel:
         assert ch.deliver(3 + LINK_DELAY) == ["a"]
         assert ch.deliver(4 + LINK_DELAY) == ["b"]
 
-    def test_multi_lane_channel(self):
-        ch = Channel(single_lane=False)
-        ch.send(1, cycle=0)
-        ch.send(2, cycle=0)
-        assert ch.deliver(LINK_DELAY) == [1, 2]
-
     def test_deliver_is_idempotent_after_drain(self):
         ch = Channel()
         ch.send("x", cycle=0)
@@ -50,7 +44,22 @@ class TestChannel:
         assert ch.deliver(5) == ["x"]
 
     def test_late_delivery_flushes_everything_due(self):
-        ch = Channel(single_lane=False)
+        ch = Channel()
         ch.send("a", cycle=0)
         ch.send("b", cycle=1)
         assert ch.deliver(100) == ["a", "b"]
+
+    def test_pending_lists_the_wire_in_send_order(self):
+        ch = Channel()
+        ch.send("a", cycle=0)
+        ch.send("b", cycle=1)
+        assert ch.pending() == ["a", "b"]
+        ch.deliver(LINK_DELAY)
+        assert ch.pending() == ["b"]
+
+    def test_sends_counts_every_launch(self):
+        ch = Channel()
+        for cycle in range(3):
+            ch.send(cycle, cycle=cycle)
+        ch.deliver(100)
+        assert ch.sends == 3 and len(ch) == 0

@@ -19,10 +19,10 @@ from repro.core.config import SimulationConfig
 from repro.harness.parallel import ParallelExecutor, SimJob, is_failure_record
 from repro.harness.resilient import (
     CorruptResultError,
+    JobFailure,
     ManagedWorkerSet,
     RetryPolicy,
     WorkerCrashError,
-    split_failures,
     validate_record,
 )
 
@@ -258,7 +258,9 @@ class TestChaosGrid:
         )
         records = executor.run_jobs(jobs)
         if kind == "poison":
-            _, failed = split_failures(records)
+            failed = [
+                JobFailure.from_record(r) for r in records if is_failure_record(r)
+            ]
             assert [(f.index, f.kind) for f in failed] == [(1, "retries-exhausted")]
             records[1] = baseline[1]  # the survivors are what is compared
         assert records == baseline

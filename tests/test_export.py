@@ -7,7 +7,6 @@ import pytest
 
 from repro.harness.export import (
     RESULT_FIELDS,
-    read_json,
     result_record,
     write_csv,
     write_json,
@@ -48,13 +47,13 @@ class TestRecord:
 class TestJson:
     def test_write_and_read(self, results, tmp_path):
         path = write_json(results, tmp_path / "runs.json")
-        loaded = read_json(path)
+        loaded = json.loads(path.read_text())
         assert len(loaded) == 2
         assert {r["router"] for r in loaded} == {"roco", "generic"}
 
     def test_values_preserved(self, results, tmp_path):
         path = write_json(results, tmp_path / "runs.json")
-        loaded = read_json(path)
+        loaded = json.loads(path.read_text())
         assert loaded[0]["average_latency"] == pytest.approx(
             results[0].average_latency
         )

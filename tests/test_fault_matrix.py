@@ -7,7 +7,8 @@ faults and absorbs non-critical ones with hardware recycling.  One
 engine imprints every fault; the matrix is asserted for a strike before
 traffic moves and for one on a live network with worms in flight, the
 neighbours' dead-port views are held to what wiring computes from
-scratch, and ``recovery.is_recoverable`` is checked for consistency.
+scratch, and the classification's recoverable set is checked for
+consistency.
 """
 
 import itertools
@@ -25,7 +26,6 @@ from repro.faults import (
     FaultSchedule,
     RuntimeFaultEngine,
     apply_faults,
-    is_recoverable,
     recovery_mechanism,
 )
 from repro.routers.roco.path_set import COLUMN, ROW
@@ -137,7 +137,8 @@ def test_handshake_state_matches_static(architecture, component, module):
 def test_is_recoverable_consistent_with_reaction(
     architecture, component, module
 ):
-    """``is_recoverable`` is true exactly when no module or node died."""
+    """Only RoCo recovers, and only from faults that isolate no module:
+    exactly the faults after which no module or node died."""
     fault = ComponentFault(VICTIM, component, module=module, vc_position=2)
     network = inject_static(architecture, fault)
     router = network.routers[VICTIM]
@@ -145,10 +146,10 @@ def test_is_recoverable_consistent_with_reaction(
     something_died = router.dead or (
         modules is not None and any(m.dead for m in modules.values())
     )
-    assert is_recoverable(architecture, component) == (not something_died)
-    assert is_recoverable(architecture, component) == (
+    recoverable = (
         architecture == "roco" and not CLASSIFICATION[component].blocks_roco_module
     )
+    assert recoverable == (not something_died)
 
 
 def test_every_component_names_a_recovery_mechanism():

@@ -17,7 +17,6 @@ from repro.faults import (
     Pathway,
     Regime,
     apply_faults,
-    is_recoverable,
     random_faults,
 )
 from repro.faults.recovery import recovery_mechanism
@@ -64,14 +63,20 @@ class TestTable3Classification:
 
 
 class TestRecoveryMapping:
-    def test_only_roco_recovers(self):
+    def test_every_component_has_a_mechanism(self):
         for component in Component:
-            assert not is_recoverable("generic", component)
-            assert not is_recoverable("path_sensitive", component)
+            assert recovery_mechanism(component)
 
-    def test_roco_recycling_set(self):
-        recoverable = {c for c in Component if is_recoverable("roco", c)}
-        assert recoverable == {Component.RC, Component.SA, Component.BUFFER}
+    def test_recycled_components_are_the_non_blocking_ones(self):
+        """RC, SA and buffer faults are recycled; every other fault
+        isolates its RoCo module, as Table 3 classifies it."""
+        recycled = {
+            c for c in Component if "isolation" not in recovery_mechanism(c)
+        }
+        assert recycled == {Component.RC, Component.SA, Component.BUFFER}
+        assert recycled == {
+            c for c in Component if not CLASSIFICATION[c].blocks_roco_module
+        }
 
     def test_mechanism_descriptions(self):
         assert "double routing" in recovery_mechanism(Component.RC)

@@ -5,8 +5,6 @@ shapes, keys and basic sanity on a 3x3 grid so `pytest tests/` stays
 fast.
 """
 
-import pytest
-
 import repro.harness.figures as figures
 from repro.harness import ExperimentScale, latency_figure
 

@@ -2,15 +2,16 @@
 
 import pytest
 
+from repro.core.simulator import run_simulation
 from repro.core.types import NodeId, RoutingMode, grid_nodes
 from repro.harness import (
     SCALES,
     ExperimentScale,
-    averaged_point,
+    PointSpec,
+    averaged_points,
     fault_population,
     figure2,
     report,
-    run_point,
     table1,
     table2,
 )
@@ -32,18 +33,28 @@ class TestScalesAndPoints:
     def test_registered_scales(self):
         assert {"quick", "standard", "paper"} <= set(SCALES)
 
-    def test_run_point(self):
-        result = run_point("roco", RoutingMode.XY, "uniform", 0.1, TINY)
-        assert result.completion_probability == 1.0
+    def test_point_config_carries_the_point(self):
+        spec = PointSpec("roco", RoutingMode.XY, "uniform", 0.1)
+        config = spec.config(TINY, seed=5)
+        assert (config.width, config.height) == (TINY.width, TINY.height)
+        assert (config.warmup_packets, config.measure_packets) == (30, 120)
+        assert (config.router, config.injection_rate, config.seed) == ("roco", 0.1, 5)
+        assert run_simulation(config).completion_probability == 1.0
+
+    def test_point_jobs_one_per_seed_with_its_faults(self):
+        spec = PointSpec("generic", RoutingMode.XY, "uniform", 0.1)
+        faults = {s: fault_population(TINY, 1, True, s) for s in TINY.seeds}
+        jobs = spec.jobs(TINY, faults)
+        assert [job.config.seed for job in jobs] == list(TINY.seeds)
+        assert [list(job.faults) for job in jobs] == [faults[s] for s in TINY.seeds]
+        assert all(not job.faults for job in spec.jobs(TINY))
 
     def test_averaged_point_over_seeds(self):
-        point = averaged_point("roco", RoutingMode.XY, "uniform", 0.1, TINY)
+        spec = PointSpec("roco", RoutingMode.XY, "uniform", 0.1)
+        (point,) = averaged_points([spec], TINY)
         assert point["average_latency"] > 0
         assert point["completion_probability"] == 1.0
-        singles = [
-            run_point("roco", RoutingMode.XY, "uniform", 0.1, TINY, seed=s)
-            for s in TINY.seeds
-        ]
+        singles = [run_simulation(spec.config(TINY, s)) for s in TINY.seeds]
         expected = sum(r.average_latency for r in singles) / len(singles)
         assert point["average_latency"] == pytest.approx(expected)
 
@@ -61,9 +72,8 @@ class TestScalesAndPoints:
 
     def test_fault_point(self):
         faults = {s: fault_population(TINY, 1, True, s) for s in TINY.seeds}
-        point = averaged_point(
-            "roco", RoutingMode.XY, "uniform", 0.1, TINY, faults_per_seed=faults
-        )
+        spec = PointSpec("roco", RoutingMode.XY, "uniform", 0.1)
+        (point,) = averaged_points([spec], TINY, [faults])
         assert 0 < point["completion_probability"] <= 1.0
 
 

@@ -6,11 +6,9 @@ from repro.core.simulator import Simulator
 from repro.core.types import NodeId
 from repro.faults import Component, ComponentFault
 from repro.instrumentation import (
-    ActivityProbe,
     DropProbe,
     LatencyMatrixProbe,
     LinkUtilizationProbe,
-    render_grid,
     render_legend,
     render_shaded,
 )
@@ -103,68 +101,81 @@ class TestDropProbe:
         assert probe.drops_by_destination()
 
 
-class TestActivityProbe:
+class TestSchedulerCounters:
+    """``SchedulerCounters`` and the ``Network.on_cycle_stepped`` hook
+    report the scheduler's activity; the two must tell one story."""
+
     @pytest.fixture(scope="class")
-    def activity_run(self):
+    def hooked_run(self):
         sim = Simulator(small_config())
-        probe = ActivityProbe(sim)
+        active_counts: list[int] = []
+        sim.network.on_cycle_stepped = lambda cycle, active: active_counts.append(
+            len(active)
+        )
         result = sim.run()
-        return sim, probe, result
+        return sim, active_counts, result
 
-    def test_observes_every_cycle(self, activity_run):
-        _, probe, result = activity_run
-        assert probe.cycles_observed == result.scheduler.cycles
+    def test_hook_sees_every_cycle(self, hooked_run):
+        _, active_counts, result = hooked_run
+        assert len(active_counts) == result.scheduler.cycles
 
-    def test_duty_cycle_matches_scheduler_counters(self, activity_run):
-        _, probe, result = activity_run
-        duty = probe.duty_cycle()
-        assert 0.0 < duty < 1.0
-        assert duty == pytest.approx(result.scheduler.duty_cycle)
+    def test_hook_active_sets_sum_to_router_steps(self, hooked_run):
+        _, active_counts, result = hooked_run
+        assert sum(active_counts) == result.scheduler.router_steps
 
-    def test_steps_per_node_match_router_counters(self, activity_run):
-        sim, probe, result = activity_run
-        assert sum(probe.steps_per_node.values()) == result.scheduler.router_steps
-        for node, router in sim.network.routers.items():
-            assert probe.steps_per_node.get(node, 0) == router.steps_taken
+    def test_router_steps_match_router_counters(self, hooked_run):
+        sim, _, result = hooked_run
+        steps = [router.steps_taken for router in sim.network.routers.values()]
+        assert sum(steps) == result.scheduler.router_steps
 
-    def test_peak_bounded_by_mesh_size(self, activity_run):
-        sim, probe, _ = activity_run
-        assert 0 < probe.peak_active() <= len(sim.network.routers)
-        assert probe.idle_cycles() + sum(
-            1 for n in probe.active_counts if n
-        ) == probe.cycles_observed
+    def test_duty_cycle_is_steps_over_slots(self, hooked_run):
+        sim, _, result = hooked_run
+        sched = result.scheduler
+        assert sched.router_slots == len(sim.network.routers) * sched.cycles
+        assert 0.0 < sched.duty_cycle < 1.0
+        assert sched.duty_cycle == pytest.approx(
+            sched.router_steps / sched.router_slots
+        )
 
-    def test_hottest_nodes_sorted(self, activity_run):
-        _, probe, _ = activity_run
-        hottest = probe.hottest_nodes(4)
-        counts = [c for _, c in hottest]
-        assert counts == sorted(counts, reverse=True)
+    def test_active_set_bounded_by_mesh_size(self, hooked_run):
+        sim, active_counts, _ = hooked_run
+        assert 0 < max(active_counts) <= len(sim.network.routers)
 
-    def test_second_observer_rejected(self, activity_run):
-        sim, *_ = activity_run
-        with pytest.raises(RuntimeError):
-            ActivityProbe(sim)
+    def test_skipped_cycles_are_per_router_idle_cycles(self, hooked_run):
+        sim, _, result = hooked_run
+        sched = result.scheduler
+        idle = sum(
+            sched.cycles - router.steps_taken
+            for router in sim.network.routers.values()
+        )
+        assert idle == sched.skipped_router_cycles > 0
 
-    def test_full_sweep_duty_is_one(self):
+    def test_full_sweep_hook_sees_whole_mesh(self):
         sim = Simulator(small_config(measure_packets=60), full_sweep=True)
-        probe = ActivityProbe(sim)
-        sim.run()
-        assert probe.duty_cycle() == 1.0
-        assert probe.idle_cycles() == 0
-        assert probe.peak_active() == len(sim.network.routers)
+        active_counts: list[int] = []
+        sim.network.on_cycle_stepped = lambda cycle, active: active_counts.append(
+            len(active)
+        )
+        result = sim.run()
+        assert active_counts == [len(sim.network.routers)] * result.scheduler.cycles
+        assert result.scheduler.skipped_router_cycles == 0
 
 
 class TestHeatmaps:
     VALUES = {NodeId(x, y): float(x + y) for x in range(3) for y in range(3)}
 
-    def test_render_grid_shape(self):
-        text = render_grid(self.VALUES, 3, 3)
-        assert len(text.splitlines()) == 3
-        assert "4.00" in text
+    def test_render_shaded_shape(self):
+        lines = render_shaded(self.VALUES, 3, 2).splitlines()
+        assert len(lines) == 2
+        assert all(len(line) == 2 * 3 for line in lines)
 
-    def test_render_grid_missing_marker(self):
-        text = render_grid({NodeId(0, 0): 1.0}, 2, 2)
-        assert "-" in text
+    def test_render_shaded_missing_node_is_idle(self):
+        text = render_shaded({NodeId(1, 1): 1.0}, 2, 2)
+        assert text.splitlines() == ["    ", "  @@"]
+
+    def test_render_shaded_clamps_above_maximum(self):
+        text = render_shaded({NodeId(0, 0): 5.0, NodeId(1, 0): 0.5}, 2, 1, maximum=1.0)
+        assert text == "@@=="
 
     def test_render_shaded_extremes(self):
         text = render_shaded(self.VALUES, 3, 3)

@@ -12,7 +12,6 @@ from repro.metrics import (
     energy_delay_product,
     pef,
     percentile,
-    power_delay_product,
 )
 
 
@@ -61,9 +60,6 @@ class TestLatencySummary:
 class TestPEF:
     def test_edp(self):
         assert energy_delay_product(20.0, 0.8) == pytest.approx(16.0)
-
-    def test_pdp(self):
-        assert power_delay_product(2.0, 30.0) == pytest.approx(60.0)
 
     def test_pef_reduces_to_edp_when_fault_free(self):
         """Section 5.3: completion = 1 makes PEF equal EDP."""

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import Simulator
-from repro.core.types import is_worm_tail
 
 sim_params = st.fixed_dictionaries(
     {

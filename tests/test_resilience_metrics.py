@@ -1,18 +1,17 @@
-"""Tests for resilience metrics, the campaign runner and the watchdog."""
+"""Tests for resilience metrics, the campaign runner and the run loop's
+no-progress rule."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.simulator import Simulator
+from repro.core.runloop import DrainTimeoutError, StrandedCensus, drive
 from repro.core.types import NodeId
 from repro.faults import Component, ComponentFault, FaultSchedule
 from repro.harness.campaign import run_campaign
 from repro.harness.parallel import ResultCache, SimJob, execute_job, job_key
-from repro.instrumentation import WatchdogProbe
-from repro.metrics.resilience import (
-    PacketAccounting,
-    ResilienceProbe,
-    degradation_curve,
-)
+from repro.metrics.resilience import PacketAccounting, ResilienceProbe
 
 from .conftest import small_config
 
@@ -146,20 +145,6 @@ class TestCampaignRunner:
         assert [point.fault_count for point in staircase] == [1]
         assert campaign.summary_lines()[0] == "fault events: 1 (1 topology-affecting)"
 
-    def test_degradation_curve_sorted(self):
-        runs = []
-        for count, cycle in ((2, 100), (0, 0), (1, 100)):
-            faults = [
-                ComponentFault(NodeId(1 + i, 1), Component.VA, "row")
-                for i in range(count)
-            ]
-            schedule = FaultSchedule.at_cycle(cycle, faults)
-            campaign = run_campaign(SimJob.of(small_config(), schedule=schedule))
-            runs.append((count, campaign.result))
-        curve = degradation_curve(runs)
-        assert [count for count, _ in curve] == [0, 1, 2]
-        assert all(0.0 <= fraction <= 1.0 for _, fraction in curve)
-
 
 class TestCampaignJobs:
     def test_schedule_free_key_unchanged(self):
@@ -194,49 +179,72 @@ class TestCampaignJobs:
         assert first == [execute_job(job)]
 
 
-class TestWatchdogProbe:
-    def test_rejects_nonpositive_window(self):
-        simulator = Simulator(small_config())
-        with pytest.raises(ValueError, match="stall_window"):
-            WatchdogProbe(simulator, stall_window=0)
+class ScriptedEngine:
+    """The engine surface :func:`drive` reads, with scripted counts.
 
-    def test_quiet_on_healthy_run(self):
-        simulator = Simulator(small_config())
-        watchdog = WatchdogProbe(simulator, stall_window=300)
-        simulator.run()
-        assert not watchdog.triggered
+    ``script(cycle)`` returns the post-step ``(generated, outstanding,
+    moves)`` of ``cycle``.
+    """
 
-    def test_single_observer_slot_enforced(self):
-        simulator = Simulator(small_config())
-        WatchdogProbe(simulator)
-        with pytest.raises(RuntimeError, match="observer"):
-            WatchdogProbe(simulator)
-
-    def test_alarms_on_wedged_network(self):
-        config = small_config(
-            router="generic",
-            injection_rate=0.2,
-            warmup_packets=10,
-            measure_packets=120,
-            drain_timeout=600,
+    def __init__(self, script, *, total_packets=10, drain_timeout=5,
+                 max_cycles=100, has_faults=False):
+        self.config = SimpleNamespace(
+            total_packets=total_packets,
+            drain_timeout=drain_timeout,
+            max_cycles=max_cycles,
         )
-        simulator = Simulator(
-            config,
-            faults=[ComponentFault(NodeId(1, 1), Component.VA, "row")],
+        self.script = script
+        self.has_faults = has_faults
+        self.stepped: list[int] = []
+        self.generated = self.outstanding = self.moves = 0
+
+    def step(self, cycle):
+        self.stepped.append(cycle)
+        self.generated, self.outstanding, self.moves = self.script(cycle)
+
+    def stranded_census(self, cycle):
+        return StrandedCensus(self.outstanding, {NodeId(1, 1): 1}, cycle, {}, 0)
+
+
+def _wedged_at(cycle_wedged):
+    """All ten packets created; flits move until ``cycle_wedged``."""
+    return lambda cycle: (10, 3, min(cycle, cycle_wedged))
+
+
+class TestNoProgressRule:
+    def test_run_ends_once_budget_is_delivered(self):
+        engine = ScriptedEngine(lambda c: (min(c + 1, 10), 0 if c >= 12 else 1, c))
+        assert drive(engine) == 12
+        assert engine.stepped == list(range(13))
+
+    def test_healthy_stall_raises_drain_timeout(self):
+        engine = ScriptedEngine(_wedged_at(20), drain_timeout=5)
+        with pytest.raises(DrainTimeoutError) as excinfo:
+            drive(engine)
+        error = excinfo.value
+        assert error.cycle == 20 + 5 + 1
+        assert error.census.outstanding == 3
+        assert "no progress for 5 cycles" in str(error)
+
+    def test_faulty_stall_ends_the_run_quietly(self):
+        engine = ScriptedEngine(_wedged_at(20), drain_timeout=5, has_faults=True)
+        assert drive(engine) == 20 + 5 + 1
+
+    def test_idle_gap_with_nothing_outstanding_runs_on(self):
+        """A healthy network between two arrivals is waiting, not stuck."""
+        engine = ScriptedEngine(
+            lambda c: (1 if c < 40 else 10, 0, 0), drain_timeout=5
         )
-        # Hide the fault from the stall-drop path so worms block forever
-        # behind the dead node — the watchdog must notice the live
-        # routers spinning without progress before the drain rule ends
-        # the run.
-        simulator.network.has_faults = False
-        watchdog = WatchdogProbe(simulator, stall_window=200)
-        try:
-            simulator.run()
-        except Exception:
-            pass
-        assert watchdog.triggered
-        alarm = watchdog.alarms[0]
-        assert alarm.stalled_for >= 200
-        assert alarm.active_routers > 0
-        assert alarm.livelock_suspected
-        assert watchdog.max_stall >= alarm.stalled_for
+        assert drive(engine) == 40
+
+    def test_moving_flits_count_as_progress(self):
+        """Flits that keep moving hold off the rule even while the
+        outstanding count is flat: only ``max_cycles`` ends the run."""
+        engine = ScriptedEngine(lambda c: (10, 3, c), drain_timeout=5, max_cycles=50)
+        assert drive(engine) == 49
+
+    def test_progress_reported_every_interval_after_cycle_zero(self):
+        engine = ScriptedEngine(lambda c: (10, 0 if c >= 25 else 2, c))
+        calls: list[tuple[int, int, int]] = []
+        drive(engine, lambda *counts: calls.append(counts), progress_every=10)
+        assert calls == [(10, 10, 2), (20, 10, 2)]

@@ -38,7 +38,6 @@ from repro.harness.resilient import (
     RetryPolicy,
     SweepJournal,
     WorkerCrashError,
-    split_failures,
     validate_record,
 )
 from repro.harness.sweeps import Sweep
@@ -99,7 +98,8 @@ class TestFailureIsolation:
         assert records[0] == baseline[0]
         assert records[2] == baseline[1]
         assert is_failure_record(records[1])
-        ok, failed = split_failures(records)
+        ok = [r for r in records if not is_failure_record(r)]
+        failed = [JobFailure.from_record(r) for r in records if is_failure_record(r)]
         assert len(ok) == 2 and len(failed) == 1
         failure = failed[0]
         assert failure.kind == "fatal"
@@ -124,7 +124,8 @@ class TestFailureIsolation:
         executor = ParallelExecutor(policy=FAST)
         records = executor.run_jobs(jobs)
         assert len(records) == 3
-        ok, failed = split_failures(records)
+        ok = [r for r in records if not is_failure_record(r)]
+        failed = [JobFailure.from_record(r) for r in records if is_failure_record(r)]
         assert len(ok) == 2
         assert len(failed) == 1
         assert is_failure_record(records[1])

@@ -1,7 +1,5 @@
 """Unit tests for RoCo's hardware-recycling recovery behaviours (Section 4)."""
 
-import pytest
-
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
 from repro.core.simulator import run_simulation

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
 from repro.core.types import Direction, NodeId, Packet
-from repro.routers import EJECT, ROUTER_CLASSES, RoCoRouter
+from repro.routers import EJECT, ROUTER_CLASSES
 from repro.routers.generic import GENERIC_PORTS
 from repro.routers.path_sensitive import QUADRANTS, quadrant_of
 from repro.routers.roco.router import classify_vc

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.simulator import Simulator, run_simulation
+from repro.core.simulator import Simulator
 
 from .conftest import run_small, small_config
 

@@ -10,7 +10,6 @@ from repro.core.types import (
     FlitType,
     NodeId,
     Packet,
-    is_worm_tail,
     make_packet_flits,
 )
 
@@ -81,12 +80,12 @@ class TestPacketAndFlits:
 
     def test_two_flit_packet(self):
         flits = make_packet_flits(_packet(2))
-        assert flits[0].is_head and is_worm_tail(flits[1])
+        assert flits[0].is_head and flits[1].closes_worm
 
     def test_single_flit_packet_is_head_and_tail(self):
         (flit,) = make_packet_flits(_packet(1))
         assert flit.is_head
-        assert is_worm_tail(flit)
+        assert flit.closes_worm
 
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
@@ -107,5 +106,5 @@ class TestPacketAndFlits:
     @given(st.integers(1, 12))
     def test_exactly_one_tail_per_worm(self, size):
         flits = make_packet_flits(_packet(size))
-        assert sum(1 for f in flits if is_worm_tail(f)) == 1
-        assert is_worm_tail(flits[-1])
+        assert sum(1 for f in flits if f.closes_worm) == 1
+        assert flits[-1].closes_worm
