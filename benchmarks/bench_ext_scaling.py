@@ -7,8 +7,7 @@ per-router, so the per-hop saving should compound with diameter).
 
 Sizes from 16x16 up run through the sharded tile engine
 (docs/sharded-scaling.md) — bit-identical to single-process execution,
-so the curve is one continuous experiment; the artifact additionally
-records per-tile activity-scheduler counters for the sharded cells.
+so the curve is one continuous experiment.
 """
 
 from repro.core.config import SimulationConfig
@@ -81,31 +80,18 @@ def bench(ctx):
         full={16: (120, 700), 32: (120, 700), 64: (120, 700)},
     )
     sharded_curves: dict[str, list] = {"generic": [], "roco": []}
-    tile_scheduler: dict[str, dict] = {}
     for k in sharded_sizes:
         s_warmup, s_measure = sharded_budget[k]
-        per_router: dict[str, list] = {}
         for router in ("generic", "roco"):
             result = scaling_point(
                 router, k, ctx.run, s_warmup, s_measure, shards=TILINGS[k]
             )
             sharded_curves[router].append((k, result.average_latency))
-            per_router[router] = [
-                {
-                    "router_steps": c.router_steps,
-                    "router_slots": c.router_slots,
-                    "wakeups": c.wakeups,
-                    "sleeps": c.sleeps,
-                }
-                for c in result.tile_scheduler
-            ]
-        tile_scheduler[f"{k}x{k}"] = per_router
     return Outcome(
         ratio,
         details={
             "curves": curves,
             "sharded_curves": sharded_curves,
             "tilings": {f"{k}x{k}": list(TILINGS[k]) for k in sharded_sizes},
-            "tile_scheduler": tile_scheduler,
         },
     )

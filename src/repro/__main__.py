@@ -1,12 +1,10 @@
 """Command-line interface: ``python -m repro`` runs simulations.
 
-A single operating point (``--shards WxH`` steps it as tiles and prints
-each tile's scheduler counters)::
+A single operating point::
 
     python -m repro --router roco --routing xy --rate 0.2
     python -m repro --router generic --traffic transpose --rate 0.15 --size 8
     python -m repro --router roco --faults 2 --fault-class critical
-    python -m repro --size 8 --shards 2x2
 
 Sweep mode — give several rates and/or seeds and the grid fans out over
 a worker pool with an on-disk result cache (repeat invocations skip
@@ -304,11 +302,6 @@ def _run_single(args) -> int:
     if campaign is not None:
         for line in campaign.summary_lines():
             print(f"  {line}")
-    for tile, counters in enumerate(result.tile_scheduler):
-        print(
-            f"  tile {tile}: {counters.router_steps} router steps / "
-            f"{counters.router_slots} slots (duty {counters.duty_cycle:.3f})"
-        )
     if job.config.audit:
         print("audit: all invariants held", file=sys.stderr)
     return 0

@@ -44,12 +44,3 @@ class RoundRobinArbiter(Arbiter):
             idx += 1
         return None
 
-    def peek(self, requests: Sequence[bool]) -> int | None:
-        """Like :meth:`grant` but without advancing priority state."""
-        self._check(requests)
-        n = self.num_requesters
-        for offset in range(n):
-            idx = (self._next + offset) % n
-            if requests[idx]:
-                return idx
-        return None

@@ -19,14 +19,11 @@ from repro.audit.invariants import (
     WormOrderChecker,
     default_checkers,
 )
-from repro.audit.sharded import BoundaryLedger, ShardInvariantViolation
 from repro.audit.shrink import ShrinkResult, run_failure, shrink
 
 __all__ = [
     "AuditEngine",
-    "BoundaryLedger",
     "NetworkSnapshot",
-    "ShardInvariantViolation",
     "InvariantChecker",
     "InvariantViolation",
     "FlitConservationChecker",

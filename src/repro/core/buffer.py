@@ -208,11 +208,6 @@ class VirtualChannel:
         return self.queue[0] if self.queue else None
 
     @property
-    def routed(self) -> bool:
-        """True once the draining worm has an assigned output direction."""
-        return self.out_dir is not None
-
-    @property
     def allocated(self) -> bool:
         """True once the draining worm also holds a downstream VC."""
         return self.out_vc is not None
@@ -300,13 +295,6 @@ class VirtualChannel:
         self.queue.extend(flits)
         if self.router is not None:
             self.router.network.forget_claims()
-
-    def reset(self) -> None:
-        """Drop all contents and worm state (used when discarding packets)."""
-        self.queue.clear()
-        self.out_dir = None
-        self.out_vc = None
-        self.active_pid = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cls = f":{self.vc_class}" if self.vc_class else ""

@@ -51,11 +51,6 @@ class Channel(Generic[T]):
             arrived.append(self._in_flight.pop(0)[1])
         return arrived
 
-    @property
-    def busy(self) -> bool:
-        """Payloads still on the wire — the receiver must stay awake."""
-        return bool(self._in_flight)
-
     def pending(self) -> list[T]:
         """Snapshot of payloads still on the wire (runtime fault scans)."""
         return [payload for _, payload in self._in_flight]

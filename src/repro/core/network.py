@@ -109,9 +109,6 @@ class Network:
     # Topology
     # ------------------------------------------------------------------
 
-    def in_mesh(self, node: NodeId) -> bool:
-        return self.topology.contains(node)
-
     def neighbor_of(self, node: NodeId, direction: Direction) -> NodeId | None:
         """The adjacent node in ``direction`` (wrap-aware), or None."""
         return self.topology.neighbor(node, direction)

@@ -24,9 +24,9 @@ class DeadlockError(RuntimeError):
 class AuditViolation(RuntimeError):
     """An audited run broke an invariant: its state is corrupt.
 
-    The base of ``repro.audit``'s ``InvariantViolation`` and
-    ``ShardInvariantViolation``, declared here so the job engine and the
-    command line can name them without importing the audit package.
+    The base of ``repro.audit``'s ``InvariantViolation``, declared here
+    so the job engine and the command line can name it without
+    importing the audit package.
     """
 
 

@@ -97,15 +97,10 @@ class TileNetwork(Network):
     and their output links carry remotely-launched flits into the tile.
     """
 
-    def __init__(
-        self, config: SimulationConfig, rect: TileRect, full_sweep: bool = False
-    ) -> None:
+    def __init__(self, config: SimulationConfig, rect: TileRect) -> None:
         self.rect = rect
         self.ghosts: dict[NodeId, object] = {}
-        super().__init__(config, full_sweep=full_sweep)
-        #: Cumulative flits consumed at this tile's PEs (either phase),
-        #: reported to the coordinator's conservation ledger.
-        self.ejected_flits = 0
+        super().__init__(config)
 
     def _build_routers(self, make_router) -> None:
         rect = self.rect
@@ -139,10 +134,6 @@ class TileNetwork(Network):
         if getattr(router, "_shard_ghost", False):
             return
         super().schedule_wake(router, input_dir, cycle)
-
-    def eject(self, flit: Flit, node: NodeId, cycle: int, early: bool) -> None:
-        self.ejected_flits += 1
-        super().eject(flit, node, cycle, early)
 
     def teardown(self) -> None:
         super().teardown()
@@ -196,14 +187,13 @@ class TileSimulator:
         tile_index: int,
         schedule: list[tuple],
         measure_start_cycle: int | None,
-        full_sweep: bool = False,
     ) -> None:
         self.config = config
         self.tile_index = tile_index
         self._rects = [TileRect(*r) for r in rects]
         rect = self._rects[tile_index]
         self.rect = rect
-        self.network = TileNetwork(config, rect, full_sweep=full_sweep)
+        self.network = TileNetwork(config, rect)
         self.network.wire()
         self.sources = {
             node: Source(node, router)
@@ -217,8 +207,6 @@ class TileSimulator:
         #: global creation order, restricted to this tile's sources.
         self.schedule = deque(schedule)
         self.measure_start_cycle = measure_start_cycle
-        #: Cumulative count of flit messages applied, for the ledger.
-        self.flits_applied = 0
         self._bindings: list[_MirrorBinding] = []
         self._build_bindings()
         self._addr_of = {id(b.vc): b.addr for b in self._bindings}
@@ -512,46 +500,10 @@ class TileSimulator:
         link._in_flight.append((arrival, flit))
         link.sends += 1
         self.network.schedule_wake(receiver, direction, arrival)
-        self.flits_applied += 1
 
     # ------------------------------------------------------------------
-    # Audit and end-of-run payloads
+    # End-of-run payload
     # ------------------------------------------------------------------
-
-    def audit_payload(self, cycle: int) -> dict:
-        """Occupancy + invariant snapshot for the boundary ledger."""
-        violations: list[str] = []
-        for binding in self._bindings:
-            if not binding.authoritative:
-                continue
-            vc = binding.vc
-            vc._refresh(cycle)
-            expected_available = (
-                vc.effective_depth - len(vc.queue) - vc.expected
-                - len(vc._releases)
-            )
-            if vc._available != expected_available:
-                violations.append(
-                    f"credit balance broken on VC {binding.addr}: available="
-                    f"{vc._available}, derived={expected_available}"
-                )
-        occupancy = 0
-        for source in self._source_list:
-            for packet in source.queue:
-                occupancy += packet.size
-            if source.current:
-                occupancy += len(source.current)
-        for router in self.network._router_list:
-            for vc in router.all_vcs():
-                occupancy += len(vc.queue)
-            for _direction, link in router._in_links:
-                occupancy += len(link)
-        return {
-            "occupancy": occupancy,
-            "ejected": self.network.ejected_flits,
-            "applied": self.flits_applied,
-            "violations": violations,
-        }
 
     def survivors(self, end_cycle: int) -> list[tuple]:
         """``(pid, measured, created_cycle, x, y)`` per live packet.

@@ -114,11 +114,6 @@ class Source:
         self.current = flits
         self.vc = vc
 
-    @property
-    def backlog(self) -> int:
-        queued = sum(p.size for p in self.queue)
-        return queued + (len(self.current) if self.current else 0)
-
 
 @dataclass
 class SimulationResult:
@@ -154,10 +149,6 @@ class SimulationResult:
     total_delivered: int = 0
     total_dropped: int = 0
     drops_by_reason: dict = field(default_factory=dict)
-    #: Sharded runs only (repro.harness.sharded): one SchedulerCounters
-    #: per tile, in tile row-major order.  Empty for single-process
-    #: runs; like ``scheduler``, excluded from the exported record.
-    tile_scheduler: list = field(default_factory=list)
 
     @staticmethod
     def from_stats(
@@ -167,7 +158,6 @@ class SimulationResult:
         cycles: int,
         generated: int,
         faults: list[ComponentFault] = (),
-        tile_scheduler: list = (),
     ) -> "SimulationResult":
         """The result of a finished run: every engine's last call, so
         energy, percentiles and the drop table are derived one way."""
@@ -201,7 +191,6 @@ class SimulationResult:
                     stats.drops_by_reason.items(), key=lambda kv: kv[0].value
                 )
             },
-            tile_scheduler=list(tile_scheduler),
         )
 
     @property
@@ -565,13 +554,20 @@ def run_simulation(
     the struct-of-arrays fast path (:mod:`repro.core.soa`), which is
     bit-identical on its supported envelope and raises
     ``BackendUnsupportedError`` outside it (see docs/vectorized-core.md).
+    ``config.shards`` other than ``(1, 1)`` steps the mesh as tiles
+    (:mod:`repro.harness.sharded`), on the active scheduler only.
     """
     if config.shards is not None and config.shards != (1, 1):
-        from repro.harness.sharded import run_sharded_simulation
-
-        return run_sharded_simulation(
-            config, faults=faults, schedule=schedule, full_sweep=full_sweep
+        from repro.harness.sharded import (
+            ShardUnsupportedError,
+            run_sharded_simulation,
         )
+
+        if full_sweep:
+            raise ShardUnsupportedError(
+                "full_sweep=True", "the object engine is the full-sweep reference"
+            )
+        return run_sharded_simulation(config, faults=faults, schedule=schedule)
     if config.backend != "object":
         from repro.core.soa.engine import run_soa_simulation
 

@@ -63,11 +63,6 @@ class SchedulerCounters:
             return 0.0
         return self.router_steps / self.router_slots
 
-    @property
-    def skipped_router_cycles(self) -> int:
-        """Router-cycles the active-set scheduler never had to run."""
-        return self.router_slots - self.router_steps
-
 
 @dataclass
 class ContentionCounters:

@@ -3,8 +3,8 @@
 A *campaign* is an ordinary simulation with a
 :class:`~repro.faults.schedule.FaultSchedule` striking mid-run (and any
 static faults striking at cycle 0), plus the resilience instrumentation
-a degradation study needs: the conservation ledger, service timelines
-and the delivered-fraction-vs-fault-count staircase.
+a degradation study needs: the conservation ledger and the
+delivered-fraction-vs-fault-count staircase.
 :func:`run_campaign` wires all of that together so callers (the CLI,
 the dynamic-fault benchmark, tests) get one object back.
 
@@ -69,17 +69,11 @@ class CampaignResult:
         return lines
 
 
-def run_campaign(
-    job: SimJob,
-    *,
-    full_sweep: bool = False,
-    window: int = 100,
-) -> CampaignResult:
+def run_campaign(job: SimJob, *, full_sweep: bool = False) -> CampaignResult:
     """Run ``job`` — its static faults and its schedule — instrumented.
 
-    ``window`` is the timeline bin width in cycles; ``full_sweep``
-    selects the reference scheduler (results are bit-identical either
-    way — asserted by tests/test_engines_agree.py).
+    ``full_sweep`` selects the reference scheduler (results are
+    bit-identical either way — asserted by tests/test_engines_agree.py).
 
     The probe instruments the object engine, the only one that takes
     faults: a config choosing another engine is refused by that
@@ -97,7 +91,7 @@ def run_campaign(
     simulator = Simulator(
         config, faults=list(job.faults), schedule=job.schedule, full_sweep=full_sweep
     )
-    probe = ResilienceProbe(simulator, window=window)
+    probe = ResilienceProbe(simulator)
     try:
         result = simulator.run()
     finally:

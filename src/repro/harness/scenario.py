@@ -43,12 +43,6 @@ CONFIG_FLAGS = {
         default="object",
         help="soa is the fast engine on its envelope (docs/vectorized-core.md)",
     ),
-    "--shards": dict(
-        metavar="WxH",
-        help="step the mesh as WxH tiles in this process (bit-identical, "
-        "not faster: use --backend soa for a large mesh; see "
-        "docs/sharded-scaling.md)",
-    ),
     "--audit": dict(
         action="store_true",
         help="check every invariant every cycle; a violation exits 1 "
@@ -132,7 +126,6 @@ def job_from_args(args: argparse.Namespace) -> SimJob:
         seed=args.seed,
         audit=args.audit,
         backend=args.backend,
-        shards=args.shards,
     )
     if args.fault_schedule is not None:
         return SimJob(config, schedule=FaultSchedule.from_json(args.fault_schedule))

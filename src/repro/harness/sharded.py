@@ -3,8 +3,8 @@
 The mesh is partitioned by a :class:`ShardPlan` into rectangular tiles,
 each stepped by a :class:`~repro.core.shard.TileSimulator`.  A
 coordinator drives every tile through the two halves of the cycle in
-lockstep and routes all cross-tile state between them (see
-docs/sharded-scaling.md for the full protocol):
+lockstep and routes all cross-tile state between them
+(docs/sharded-scaling.md records what stays of the engine and why):
 
 1. ``front(t)`` on every tile — generation, injection, link delivery,
    switch traversal.  Flits launched onto boundary links have a 2-cycle
@@ -23,8 +23,7 @@ docs/sharded-scaling.md for the full protocol):
 Because both halves replay the reference phases verbatim and all
 cross-tile visibility matches the reference's intra-cycle ordering, a
 sharded run is **bit-identical** to the single-process run — asserted
-by the ``tiles`` rows of tests/test_engines_agree.py and, up to 32x32,
-by ``benchmarks/bench_sharded_scaling.py``.
+by the ``tiles`` rows of tests/test_engines_agree.py.
 
 Traffic is generated from a central *oracle* (:func:`build_generation_schedule`)
 that replays the reference simulator's exact rng-draw order once up
@@ -38,9 +37,8 @@ cannot repay their boot and pipes at any size or tiling
 (docs/sharded-scaling.md has the measurement).  ``shards=`` is an
 equivalence-checked tile protocol, not a speed-up — the fast way to run
 a large mesh is ``backend="soa"`` — and it behaves the same in every
-parent: a script, a REPL, a daemonic sweep or serve worker.  From the
-command line, ``python -m repro --shards 2x2 --audit`` runs one with the
-conservation ledger on and prints each tile's scheduler counters.
+parent: a script, a REPL, a daemonic sweep worker.  The object engine
+is the audited and the full-sweep reference: tiles run neither.
 """
 
 from __future__ import annotations
@@ -84,9 +82,11 @@ def ensure_sharded_supported(config, faults=None, schedule=None):
     """Raise :class:`ShardUnsupportedError` outside the envelope.
 
     The envelope is: RoCo/generic routers on a fault-free mesh, any
-    routing mode and traffic pattern, both schedulers, the object
-    backend.  Faults are rejected because fault propagation (handshake
-    repair, purges, reachability) is global and non-local to a tile.
+    routing mode and traffic pattern, the active scheduler, the object
+    backend, unaudited.  Faults are rejected because fault propagation
+    (handshake repair, purges, reachability) is global and non-local to
+    a tile; the audit is the object engine's, which ``shards=None``
+    runs (``run_simulation`` refuses ``full_sweep=True`` the same way).
     """
     if config.router not in SHARD_ROUTERS:
         raise ShardUnsupportedError(
@@ -98,6 +98,10 @@ def ensure_sharded_supported(config, faults=None, schedule=None):
         raise ShardUnsupportedError(
             f"backend={config.backend!r}",
             "tiles run the object engine",
+        )
+    if config.audit:
+        raise ShardUnsupportedError(
+            "audit=True", "the object engine is the audited reference"
         )
     if faults:
         raise ShardUnsupportedError(
@@ -220,7 +224,7 @@ def build_generation_schedule(config: SimulationConfig):
 # ----------------------------------------------------------------------
 
 
-def _build_tiles(config: SimulationConfig, plan: ShardPlan, full_sweep: bool):
+def _build_tiles(config: SimulationConfig, plan: ShardPlan):
     """``(tiles, entry_cycles)``: one simulator per rectangle of ``plan``.
 
     Each tile takes its own sources' stretch of the oracle's schedule
@@ -235,9 +239,7 @@ def _build_tiles(config: SimulationConfig, plan: ShardPlan, full_sweep: bool):
         schedules[plan.tile_of(entry[1], entry[2])].append(entry)
     rects = [(r.x0, r.y0, r.x1, r.y1) for r in plan.rects]
     tiles = [
-        TileSimulator(
-            config, rects, index, tile_schedule, measure_start, full_sweep=full_sweep
-        )
+        TileSimulator(config, rects, index, tile_schedule, measure_start)
         for index, tile_schedule in enumerate(schedules)
     ]
     return tiles, [entry[0] for entry in entries]
@@ -249,11 +251,9 @@ def run_sharded_simulation(
     *,
     faults=None,
     schedule=None,
-    full_sweep: bool = False,
     progress=None,
     progress_every: int = 5000,
     inline: bool = True,
-    _drop_flit: int | None = None,
 ) -> SimulationResult:
     """Run ``config`` sharded into ``shards`` tiles; bit-identical result.
 
@@ -261,10 +261,6 @@ def run_sharded_simulation(
     the calling process.  ``inline`` is accepted and ignored, for one
     reason: perfbench's frozen ``shard_inline`` cell passes
     ``inline=True``.  The keyword goes when that cell does.
-
-    ``_drop_flit`` is the tests' chaos hook: the 1-indexed ordinal of a
-    boundary flit message the coordinator silently loses, which proves
-    the conservation ledger live.
     """
     if shards is None:
         shards = config.shards
@@ -273,32 +269,17 @@ def run_sharded_simulation(
     shards = parse_shards(shards)
     ensure_sharded_supported(config, faults, schedule)
     if shards == (1, 1):
-        sim = Simulator(config, full_sweep=full_sweep)
+        sim = Simulator(config)
         try:
             return sim.run(progress=progress, progress_every=progress_every)
         finally:
             sim.teardown()
     plan = ShardPlan.plan(config, shards)
-    tiles, entry_cycles = _build_tiles(config, plan, full_sweep)
+    tiles, entry_cycles = _build_tiles(config, plan)
     try:
-        ledger = None
-        if config.audit:
-            from repro.audit.sharded import BoundaryLedger
-
-            ledger = BoundaryLedger(plan, config.flits_per_packet)
-        coordinator = _Coordinator(
-            config, plan, tiles, entry_cycles, ledger, _drop_flit
-        )
+        coordinator = _Coordinator(config, plan, tiles, entry_cycles)
         end_cycle = drive(coordinator, progress, progress_every)
         finals = [sim.finish(end_cycle) for sim in tiles]
-        if ledger is not None:
-            ledger.final_check(
-                end_cycle,
-                coordinator.generated,
-                coordinator.audits,
-                drained=coordinator.outstanding == 0
-                and coordinator.generated >= config.total_packets,
-            )
         return _merge_result(config, finals, coordinator.generated, end_cycle + 1)
     finally:
         for sim in tiles:
@@ -316,19 +297,14 @@ class _Coordinator:
     #: Sharded execution is fault-free (ensure_sharded_supported).
     has_faults = False
 
-    def __init__(self, config, plan, tiles, entry_cycles, ledger, drop_flit):
+    def __init__(self, config, plan, tiles, entry_cycles):
         self.config = config
         self.plan = plan
         self.tiles = tiles
         self.entry_cycles = entry_cycles
-        self.ledger = ledger
-        #: Chaos: ordinal of the one boundary flit message to lose.
-        self.drop_flit = drop_flit
-        self.flit_messages = 0
         #: tile -> deltas routed to it since its last alloc.
         self.pending: dict[int, dict] = {}
         self.commits: list[dict | None] = [None] * plan.num_tiles
-        self.audits: list[dict | None] = [None] * plan.num_tiles
         self.generated = 0
         self.outstanding = 0
         self.moves = 0
@@ -340,18 +316,15 @@ class _Coordinator:
         commits = self.commits
         for wave in self.plan.waves:
             for index in wave:
-                sim = tiles[index]
-                delta, commits[index] = sim.alloc(cycle, self.pending.pop(index, None))
-                if self.ledger is not None:
-                    self.audits[index] = sim.audit_payload(cycle)
+                delta, commits[index] = tiles[index].alloc(
+                    cycle, self.pending.pop(index, None)
+                )
                 self._route(delta)
         self.generated = bisect_right(self.entry_cycles, cycle)
         self.outstanding = self.generated - sum(
             commit["delivered"] + commit["dropped"] for commit in commits
         )
         self.moves = sum(commit["moves"] for commit in commits)
-        if self.ledger is not None:
-            self.ledger.check(cycle, self.generated, self.audits)
 
     def _route(self, delta) -> None:
         """Merge one tile's outgoing delta into the per-tile inboxes."""
@@ -359,15 +332,8 @@ class _Coordinator:
             return
         for peer, box in delta.items():
             inbox = delta_box(self.pending, peer)
-            for key in ("owner", "reserve", "release"):
+            for key in ("owner", "reserve", "release", "flits"):
                 inbox[key].extend(box[key])
-            for message in box["flits"]:
-                self.flit_messages += 1
-                if self.flit_messages == self.drop_flit:
-                    continue  # chaos: the ledger must notice the loss
-                if self.ledger is not None:
-                    self.ledger.note_sent(peer, 1)
-                inbox["flits"].append(message)
 
     def stranded_census(self, cycle: int) -> StrandedCensus:
         """The reference walk over every tile at once: one pid set, so a
@@ -398,37 +364,6 @@ def _merge_result(config, finals, generated: int, cycles: int) -> SimulationResu
     for measured in survivors.values():
         stats.packet_dropped(None, measured, DropReason.UNDELIVERED)
     return SimulationResult.from_stats(
-        config,
-        stats,
-        cycles=cycles,
-        generated=generated,
-        tile_scheduler=[final["stats"].scheduler for final in finals],
+        config, stats, cycles=cycles, generated=generated
     )
 
-
-def compare_records(reference: SimulationResult, sharded: SimulationResult):
-    """Field-level diff of two runs; empty list means bit-identical."""
-    from repro.harness.export import result_record
-
-    mismatches = []
-    ref_record = result_record(reference)
-    shard_record = result_record(sharded)
-    for field in ref_record:
-        if ref_record[field] != shard_record[field]:
-            mismatches.append(
-                f"{field}: reference={ref_record[field]!r} "
-                f"sharded={shard_record[field]!r}"
-            )
-    if reference.scheduler != sharded.scheduler:
-        mismatches.append(
-            f"scheduler: reference={reference.scheduler!r} "
-            f"sharded={sharded.scheduler!r}"
-        )
-    for field in ("generated_packets", "total_delivered", "total_dropped"):
-        ref_value = getattr(reference, field)
-        shard_value = getattr(sharded, field)
-        if ref_value != shard_value:
-            mismatches.append(
-                f"{field}: reference={ref_value!r} sharded={shard_value!r}"
-            )
-    return mismatches

@@ -2,12 +2,7 @@
 and shaded ASCII heatmaps."""
 
 from repro.instrumentation.heatmap import render_legend, render_shaded
-from repro.instrumentation.trace import (
-    EventKind,
-    FlightRecorder,
-    HopTiming,
-    TraceEvent,
-)
+from repro.instrumentation.trace import EventKind, FlightRecorder, TraceEvent
 from repro.instrumentation.probes import (
     DropProbe,
     DropRecord,
@@ -19,7 +14,6 @@ __all__ = [
     "DropProbe",
     "EventKind",
     "FlightRecorder",
-    "HopTiming",
     "TraceEvent",
     "DropRecord",
     "LatencyMatrixProbe",

@@ -67,24 +67,12 @@ class LatencyMatrixProbe:
         if packet.measured:
             self._samples[(packet.src, packet.dest)].append(packet.latency)
 
-    def matrix(self) -> dict[tuple[NodeId, NodeId], float]:
-        return {
-            pair: sum(vals) / len(vals) for pair, vals in self._samples.items()
-        }
-
     def per_source(self) -> dict[NodeId, float]:
         """Average latency of traffic *originating* at each node."""
         sums: dict[NodeId, list[int]] = defaultdict(list)
         for (src, _), vals in self._samples.items():
             sums[src].extend(vals)
         return {n: sum(v) / len(v) for n, v in sums.items()}
-
-    def worst_pairs(self, count: int = 5) -> list[tuple[NodeId, NodeId, float]]:
-        ranked = sorted(
-            ((s, d, m) for (s, d), m in self.matrix().items()),
-            key=lambda item: -item[2],
-        )
-        return ranked[:count]
 
 
 @dataclass

@@ -6,7 +6,6 @@ from repro.metrics.resilience import (
     FaultCountPoint,
     PacketAccounting,
     ResilienceProbe,
-    WindowPoint,
 )
 
 __all__ = [
@@ -15,7 +14,6 @@ __all__ = [
     "PEFBreakdown",
     "PacketAccounting",
     "ResilienceProbe",
-    "WindowPoint",
     "energy_delay_product",
     "pef",
     "percentile",

@@ -9,10 +9,9 @@ faults accumulated?".  This module provides:
   delivered + dropped-by-reason) read off a finished
   :class:`~repro.core.simulator.SimulationResult`;
 * :class:`ResilienceProbe` — a listener-based probe attached before
-  ``run()`` that bins deliveries and drops into fixed cycle windows
-  (throughput/latency vs time) and segments delivered fraction by the
-  number of topology-affecting faults that had already struck when each
-  packet was created.
+  ``run()`` that segments delivered fraction by the number of
+  topology-affecting faults that had already struck when each packet
+  was created.
 
 Everything here observes via the simulator's delivery/drop listener
 lists; nothing perturbs the simulation hot path.
@@ -79,22 +78,6 @@ class PacketAccounting:
 
 
 @dataclass
-class WindowPoint:
-    """One fixed-width window of the service timeline."""
-
-    start_cycle: int
-    delivered: int = 0
-    dropped: int = 0
-    latency_sum: int = 0
-
-    @property
-    def mean_latency(self) -> float | None:
-        if self.delivered == 0:
-            return None
-        return self.latency_sum / self.delivered
-
-
-@dataclass
 class FaultCountPoint:
     """Service quality for packets created under ``fault_count`` faults."""
 
@@ -110,14 +93,13 @@ class FaultCountPoint:
 
 
 class ResilienceProbe:
-    """Service-over-time and service-vs-fault-count view of one run.
+    """Service-vs-fault-count view of one run.
 
     Attach before ``run()``::
 
         sim = Simulator(config, schedule=schedule)
-        probe = ResilienceProbe(sim, window=200)
+        probe = ResilienceProbe(sim)
         result = sim.run()
-        probe.throughput_timeline()          # packets/cycle per window
         probe.delivered_by_fault_count()     # degradation staircase
 
     The fault-count segmentation keys each packet by how many strikes
@@ -127,12 +109,8 @@ class ResilienceProbe:
     still got through?".
     """
 
-    def __init__(self, simulator: "Simulator", window: int = 100) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
+    def __init__(self, simulator: "Simulator") -> None:
         self.simulator = simulator
-        self.window = window
-        self._windows: dict[int, WindowPoint] = {}
         #: The simulator's own list, appended in cycle order as strikes
         #: happen: a packet is keyed on the strikes before its creation.
         self._event_cycles: list[int] = simulator.topology_changes
@@ -144,14 +122,6 @@ class ResilienceProbe:
     # Listeners
     # ------------------------------------------------------------------
 
-    def _window_for(self, cycle: int) -> WindowPoint:
-        start = (cycle // self.window) * self.window
-        point = self._windows.get(start)
-        if point is None:
-            point = WindowPoint(start_cycle=start)
-            self._windows[start] = point
-        return point
-
     def _segment_for(self, packet: Packet) -> FaultCountPoint:
         count = bisect.bisect_right(self._event_cycles, packet.created_cycle)
         point = self._by_fault_count.get(count)
@@ -161,52 +131,16 @@ class ResilienceProbe:
         return point
 
     def _on_delivered(self, packet: Packet) -> None:
-        cycle = packet.delivered_cycle
-        point = self._window_for(cycle if cycle is not None else 0)
-        point.delivered += 1
-        point.latency_sum += packet.latency
         segment = self._segment_for(packet)
         segment.generated += 1
         segment.delivered += 1
 
     def _on_dropped(self, packet: Packet) -> None:
-        cycle = packet.dropped_cycle
-        self._window_for(cycle if cycle is not None else 0).dropped += 1
         self._segment_for(packet).generated += 1
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-
-    @property
-    def windows(self) -> list[WindowPoint]:
-        return [self._windows[start] for start in sorted(self._windows)]
-
-    def throughput_timeline(self) -> list[tuple[int, float]]:
-        """(window start cycle, delivered packets per cycle) series."""
-        return [
-            (point.start_cycle, point.delivered / self.window)
-            for point in self.windows
-        ]
-
-    def latency_timeline(self) -> list[tuple[int, float]]:
-        """(window start cycle, mean delivery latency) series.
-
-        Windows that delivered nothing are omitted — there is no latency
-        to report, and plotting zero would read as "infinitely fast".
-        """
-        return [
-            (point.start_cycle, point.mean_latency)
-            for point in self.windows
-            if point.mean_latency is not None
-        ]
-
-    def delivered_fraction(self) -> float:
-        delivered = sum(point.delivered for point in self.windows)
-        total = delivered + sum(point.dropped for point in self.windows)
-        if total == 0:
-            return 1.0
-        return delivered / total
 
     def delivered_by_fault_count(self) -> list[FaultCountPoint]:
         """Degradation staircase, ordered by cumulative fault count."""

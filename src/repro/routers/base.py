@@ -154,7 +154,7 @@ class BaseRouter(abc.ABC):
 
     @abc.abstractmethod
     def vc_candidates(
-        self, input_dir: Direction, packet: Packet, escape_only: bool = False
+        self, input_dir: Direction, packet: Packet
     ) -> Sequence[tuple[object, Direction | None]]:
         """Admission options for a head flit arriving on ``input_dir``.
 
@@ -163,8 +163,6 @@ class BaseRouter(abc.ABC):
         ejection, paired with ``Direction.LOCAL``).  ``route_here`` is the
         committed look-ahead route at this router, or None for
         architectures that compute routes locally on arrival.
-        ``escape_only`` restricts options to the deadlock-free escape
-        subnetwork.
         """
 
     def accepting(self, input_dir: Direction) -> bool:
@@ -666,7 +664,6 @@ class BaseRouter(abc.ABC):
         out_dir: Direction,
         flit: Flit,
         requests: list,
-        escape_only: bool = False,
     ) -> bool:
         """Stage a VC-allocation request for the worm draining ``vc``.
 
@@ -697,9 +694,7 @@ class BaseRouter(abc.ABC):
         if port is None or port.dead:
             return None
         packet = flit.packet
-        candidates = port.downstream.vc_candidates(
-            port.input_dir, packet, escape_only=escape_only
-        )
+        candidates = port.downstream.vc_candidates(port.input_dir, packet)
         if not candidates:
             return None
         # Targets already requested this cycle (identity: VCs define no

@@ -86,7 +86,7 @@ class GenericRouter(BaseRouter):
         return self._vcs
 
     def vc_candidates(
-        self, input_dir: Direction, packet: Packet, escape_only: bool = False
+        self, input_dir: Direction, packet: Packet
     ) -> Sequence[tuple[object, Direction | None]]:
         """All VCs of the facing input port; routes are computed locally.
 
@@ -98,10 +98,8 @@ class GenericRouter(BaseRouter):
         """
         if self.dead:
             return []
-        vcs = self.ports[input_dir]
-        if escape_only:
-            return [(vcs[0], None)]
         if self._torus and input_dir is not Direction.LOCAL:
+            vcs = self.ports[input_dir]
             if self._ring_class(input_dir, packet):
                 return [(vcs[1], None)]
             return [(vcs[0], None), (vcs[2], None)]

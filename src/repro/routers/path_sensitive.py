@@ -151,7 +151,7 @@ class PathSensitiveRouter(BaseRouter):
         return self._vcs
 
     def vc_candidates(
-        self, input_dir: Direction, packet: Packet, escape_only: bool = False
+        self, input_dir: Direction, packet: Packet
     ) -> list[tuple[object, Direction | None]]:
         if self.dead:
             return []

@@ -101,7 +101,7 @@ class RoCoRouter(BaseRouter):
     # ------------------------------------------------------------------
 
     def vc_candidates(
-        self, input_dir: Direction, packet: Packet, escape_only: bool = False
+        self, input_dir: Direction, packet: Packet
     ) -> list[tuple[object, Direction | None]]:
         if not self.accepting(input_dir):
             return []
@@ -123,8 +123,6 @@ class RoCoRouter(BaseRouter):
                 if vc.final_only and not final:
                     continue
                 if vc.escape and route is not escape_dir:
-                    continue
-                if escape_only and not vc.escape:
                     continue
                 out.append((vc, route))
         return out

@@ -49,6 +49,7 @@ EXCLUDED_FIELDS = {
         "a request names an architecture with 'router'; its VC and buffer "
         "structure stays the paper's, as in the CLI"
     ),
+    "shards": "tiles are a benchmark-only engine; backend='soa' is the fast one",
 }
 
 

@@ -83,11 +83,6 @@ class MultimediaTraffic(TrafficPattern):
     def destination(self, src: NodeId) -> NodeId:
         return self._peers[src]
 
-    def frame_at(self, node: NodeId, cycle: int) -> str:
-        """Which frame type ``node`` is transmitting around ``cycle``."""
-        local = (cycle + self._phase[node]) % self.cycle_per_gop
-        return self.gop[local // self.frame_period]
-
     def arrivals(self, node: NodeId, cycle: int) -> int:
         local = (cycle + self._phase[node]) % self.cycle_per_gop
         if local % self.frame_period == 0:

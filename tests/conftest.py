@@ -30,6 +30,12 @@ def small_config(**overrides) -> SimulationConfig:
     return SimulationConfig(**params)
 
 
+def backlog(source) -> int:
+    """Flits a traffic source still holds: its queued packets, whole, and
+    what is left of the worm it is streaming."""
+    return sum(p.size for p in source.queue) + len(source.current or ())
+
+
 def run_small(**overrides) -> SimulationResult:
     return run_simulation(small_config(**overrides))
 

@@ -30,12 +30,6 @@ class TestRoundRobin:
             served.add(arb.grant([True, True, True, True]))
         assert served == {0, 1, 2, 3}
 
-    def test_peek_does_not_advance(self):
-        arb = RoundRobinArbiter(3)
-        assert arb.peek([True, True, True]) == 0
-        assert arb.peek([True, True, True]) == 0
-        assert arb.grant([True, True, True]) == 0
-
     def test_wrong_width_rejected(self):
         arb = RoundRobinArbiter(3)
         with pytest.raises(ValueError):

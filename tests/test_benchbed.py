@@ -56,7 +56,6 @@ EXPECTED_BENCHMARKS = {
     "fig3_contention",
     "fig8_uniform",
     "fig9_selfsimilar",
-    "sharded_scaling",
     "table1_vc_config",
     "table2_matching",
 }

@@ -41,17 +41,9 @@ class TestQueueBehaviour:
         vc.out_vc = object()
         vc.active_pid = 0
         vc.pop(0)
-        assert vc.routed  # body/tail still draining
+        assert vc.out_dir is not None  # body/tail still draining
         vc.pop(1)
-        assert not vc.routed and vc.out_vc is None and vc.active_pid is None
-
-    def test_reset(self):
-        vc = VirtualChannel(0, 0, depth=5)
-        for f in worm(3):
-            vc.push(f)
-        vc.assign_route(Direction.EAST)
-        vc.reset()
-        assert vc.empty and not vc.routed
+        assert vc.out_dir is None and vc.out_vc is None and vc.active_pid is None
 
 
 class TestOutOfBandEdits:
@@ -73,7 +65,7 @@ class TestOutOfBandEdits:
         assert vc.queue is queue  # hot loops keep a reference to the list
         # The surviving worm keeps draining; the freed slots return only
         # after the credit round-trip.
-        assert vc.active_pid == 1 and vc.routed and vc.allocated
+        assert vc.active_pid == 1 and vc.out_dir is not None and vc.allocated
         assert vc.credits(10 + CREDIT_LATENCY - 1) == 2
         assert vc.credits(10 + CREDIT_LATENCY) == 4
 
@@ -85,7 +77,7 @@ class TestOutOfBandEdits:
         vc.assign_route(Direction.NORTH)
         vc.out_vc = object()
         assert vc.purge(7, cycle=3) == 0
-        assert vc.active_pid is None and not vc.routed and not vc.allocated
+        assert vc.active_pid is None and vc.out_dir is None and not vc.allocated
         assert vc.credits(100) == 5
 
     def test_purge_of_unrelated_packet_is_a_noop(self):

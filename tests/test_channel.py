@@ -33,9 +33,9 @@ class TestChannel:
 
     def test_busy_and_len(self):
         ch = Channel()
-        assert not ch.busy and len(ch) == 0
+        assert len(ch) == 0
         ch.send("x", cycle=0)
-        assert ch.busy and len(ch) == 1
+        assert len(ch) == 1
 
     def test_custom_delay(self):
         ch = Channel(delay=5)

@@ -134,18 +134,32 @@ class TestBackendFlag:
         assert "compl=1.000" in reference
 
 
-#: argv -> what the one line on stderr has to say.
+def tiled_job(**fields) -> dict:
+    """A job file's payload: a 4x4 mesh run on 2x2 tiles, plus ``fields``
+    (config keys, or the job's ``faults`` / ``schedule``)."""
+    job = {"config": {"width": 4, "height": 4, "shards": [2, 2]}}
+    for key in ("faults", "schedule"):
+        if key in fields:
+            job[key] = fields.pop(key)
+    job["config"].update(fields)
+    return job
+
+
+#: argv -> what the one line on stderr has to say.  A dict in argv is a
+#: job file's payload: ``--replay`` is the way a job reaches the tiles.
 OUTSIDE_THE_ENVELOPE = {
     "shards-router": (
-        [*SMALL, "--shards", "2x2", "--router", "path_sensitive"],
+        ["--replay", tiled_job(router="path_sensitive")],
         "sharded execution does not support router='path_sensitive'",
     ),
     "shards-faults": (
-        [*SMALL, "--shards", "2x2", "--faults", "2"],
+        ["--replay", tiled_job(faults=[
+            ComponentFault(NodeId(1, 1), Component.SA).to_payload()
+        ])],
         "sharded execution does not support static fault injection",
     ),
     "shards-planner": (
-        [*SMALL, "--shards", "4x1"],
+        ["--replay", tiled_job(shards=[4, 1])],
         "each tile must be at least 2 columns wide",
     ),
     "soa-faults": (
@@ -159,7 +173,9 @@ OUTSIDE_THE_ENVELOPE = {
         "backend='soa' does not support runtime fault schedules",
     ),
     "shards-campaign": (
-        [*SMALL, "--shards", "2x2", "--fault-schedule", "SCHEDULE"],
+        ["--replay", tiled_job(schedule=FaultSchedule([
+            FaultEvent(30, ComponentFault(NodeId(1, 1), Component.SA))
+        ]).to_payload())],
         "sharded execution does not support runtime fault schedules",
     ),
 }
@@ -221,24 +237,27 @@ BAD_FLAG_VALUES = {
     "audit-subcommand": (["audit", *SMALL], "unrecognized arguments: audit"),
     "shards-subcommand": (["shards", *SMALL], "unrecognized arguments: shards"),
     "full-sweep": ([*SMALL, "--full-sweep"], "unrecognized arguments: --full-sweep"),
+    "shards": ([*SMALL, "--shards", "2x2"], "unrecognized arguments: --shards 2x2"),
     "interval": ([*SMALL, "--interval", "2"], "unrecognized arguments: --interval 2"),
 }
 
 NOT_A_TRACEBACK = {**OUTSIDE_THE_ENVELOPE, **BAD_FLAG_VALUES}
 
 
+def job_file(directory: Path, payload: dict) -> str:
+    saved = directory / "job.json"
+    saved.write_text(json.dumps(payload))
+    return str(saved)
+
+
 @pytest.mark.parametrize("case", NOT_A_TRACEBACK)
 def test_envelope_rejection_is_a_cli_error_not_a_traceback(case, tmp_path, capsys):
     argv, message = NOT_A_TRACEBACK[case]
-    if "SCHEDULE" in argv:
-        schedule = tmp_path / "schedule.json"
-        fault = ComponentFault(node=NodeId(1, 1), component=Component.SA)
-        FaultSchedule([FaultEvent(cycle=30, fault=fault)]).to_json(schedule)
-        argv = [str(schedule) if arg == "SCHEDULE" else arg for arg in argv]
     if "FILE" in argv:
         plain = tmp_path / "plain-file"
         plain.write_text("")
         argv = [str(plain) if arg == "FILE" else arg for arg in argv]
+    argv = [job_file(tmp_path, arg) if isinstance(arg, dict) else arg for arg in argv]
     try:
         code = main(argv)  # any other exception out of here is the traceback
     except SystemExit as exc:
@@ -305,17 +324,21 @@ def test_a_replayed_job_with_a_non_integer_field_is_a_cli_error(
 SHRINK_ANYWHERE = {
     "unaudited": SMALL,
     "static-faults": [*SMALL, "--faults", "2"],
-    "shards": [*SMALL, "--shards", "2x2"],
     "soa": [*SMALL, "--backend", "soa"],
     "after-replay": ["--replay", "JOB"],
+    "shards": ["--replay", tiled_job(measure_packets=80)],
 }
 
 
 @pytest.mark.parametrize("case", SHRINK_ANYWHERE)
 def test_shrink_takes_any_single_run(case, tmp_path, capsys):
-    job, saved = tmp_path / "job.json", tmp_path / "shrunk.json"
-    job.write_text('{"config": {"width": 4, "height": 4, "measure_packets": 80}}')
-    argv = [str(job) if arg == "JOB" else arg for arg in SHRINK_ANYWHERE[case]]
+    saved = tmp_path / "shrunk.json"
+    plain = {"config": {"width": 4, "height": 4, "measure_packets": 80}}
+    argv = [
+        job_file(tmp_path, plain if arg == "JOB" else arg)
+        if arg == "JOB" or isinstance(arg, dict) else arg
+        for arg in SHRINK_ANYWHERE[case]
+    ]
     assert main([*argv, "--shrink", str(saved)]) == 0
     assert " cycles simulated" in capsys.readouterr().out
     assert not saved.exists()
@@ -405,18 +428,6 @@ class TestRunOutcome:
             "        FAILED [fatal] InvariantViolation after 1 attempt(s): "
         )
 
-    def test_a_cross_shard_violation(self, monkeypatch, capsys):
-        from repro.audit.sharded import ShardInvariantViolation
-
-        def broken(ledger, cycle, *_):
-            raise ShardInvariantViolation("boundary-transit", cycle, 1, "fixture")
-
-        monkeypatch.setattr("repro.audit.sharded.BoundaryLedger.check", broken)
-        assert main([*SMALL, "--shards", "2x2", "--audit"]) == 1
-        assert capsys.readouterr().err == (
-            "INVARIANT VIOLATION: [boundary-transit] cycle 0 (tile 1): fixture\n"
-        )
-
 
 class TestSubcommands:
     def test_table_names_the_known_subcommands(self):
@@ -438,16 +449,6 @@ class TestSubcommands:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_shards_runs_an_audited_mesh_and_reports_each_tile(self, capsys):
-        mesh = ["--size", "8", "--shards", "2x2", "--packets", "300", "--warmup", "60"]
-        assert main([*mesh, "--rate", "0.2", "--audit"]) == 0
-        captured = capsys.readouterr()
-        lines = captured.out.splitlines()
-        assert [line.split(":")[0] for line in lines[-4:]] == [
-            f"  tile {n}" for n in range(4)
-        ]
-        assert captured.err == "audit: all invariants held\n"
 
     def test_top_level_help_lists_the_table(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -195,7 +195,7 @@ cell("sampled-schedule", "object",
      schedule=FaultSchedule.sampled(NODES, count=3, seed=1, mtbf=60.0,
                                     duration=120, start_cycle=50))
 for r in BOTH:
-    cell(f"tiles-8x8-{r}", "tiles-2x2 tiles-2x2/sweep", grid_config(router=r))
+    cell(f"tiles-8x8-{r}", "tiles-2x2", grid_config(router=r))
 for n, r in ((4, "roco"), (4, "generic"), (8, "generic")):
     cell(f"tiles-1x2-{n}x{n}-{r}", "tiles-1x2", grid_config(
         width=n, height=n, router=r, warmup_packets=20, measure_packets=80))
@@ -468,8 +468,8 @@ FLAGS = st.sampled_from((True, False))
 def cases(draw) -> tuple[SimJob, list[str]]:
     """A job, with every field drawn (the buffer depth on every case, a
     packet longer than it half the time, faults on half the cases), and
-    the rows it may run beside ``object`` and ``audited``: ``soa`` and one
-    tiling, on one scheduler."""
+    the rows it may run beside ``object`` and ``audited``: ``soa``, on
+    one scheduler, and one tiling, on the active one."""
     depth = draw(st.integers(1, 6))
     try:
         config = SimulationConfig(
@@ -506,7 +506,7 @@ def cases(draw) -> tuple[SimJob, list[str]]:
             faults, schedule = [strike.fault for strike in schedule], None
     suffix = draw(st.sampled_from(("", "/sweep")))
     return SimJob.of(config, faults, schedule), [
-        f"soa{suffix}", draw(st.sampled_from(tuple(TILINGS))) + suffix]
+        f"soa{suffix}", draw(st.sampled_from(tuple(TILINGS)))]
 
 
 @settings(max_examples=EXAMPLES, deadline=None,

@@ -133,7 +133,8 @@ class Twin:
             for port in each.outputs.values():
                 port.dead = False
             for vc in each.all_vcs():
-                vc.reset()
+                vc.queue.clear()
+                vc.out_dir = vc.out_vc = vc.active_pid = None
                 vc.owner_pid = vc.verdict = None
                 vc.hold_until = vc.expected = 0
                 vc._available = vc.depth

@@ -22,12 +22,6 @@ class TestTopology:
         assert len(network().routers) == 16
         assert len(network(width=3, height=5).routers) == 15
 
-    def test_in_mesh(self):
-        net = network()
-        assert net.in_mesh(NodeId(0, 0)) and net.in_mesh(NodeId(3, 3))
-        assert not net.in_mesh(NodeId(-1, 0))
-        assert not net.in_mesh(NodeId(0, 4))
-
     def test_wiring_connects_neighbours(self):
         net = network()
         router = net.routers[NodeId(1, 1)]

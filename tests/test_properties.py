@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from repro.core.config import SimulationConfig
 from repro.core.simulator import Simulator
 
+from .conftest import backlog
+
 sim_params = st.fixed_dictionaries(
     {
         "router": st.sampled_from(["generic", "path_sensitive", "roco"]),
@@ -115,7 +117,7 @@ def test_packet_conservation_at_measurement_boundaries(params):
         nonlocal boundaries
         boundaries += 1
         assert generated == len(delivered) + len(dropped) + outstanding
-        resident = sum(source.backlog for source in sim.sources.values())
+        resident = sum(backlog(source) for source in sim.sources.values())
         for router in sim.network.routers.values():
             for vc in router.all_vcs():
                 resident += len(vc.queue)
@@ -128,7 +130,7 @@ def test_packet_conservation_at_measurement_boundaries(params):
     assert result.injected_packets == result.delivered_packets
     assert len(delivered) == sim._generated
     assert not dropped
-    assert sum(source.backlog for source in sim.sources.values()) == 0
+    assert sum(backlog(source) for source in sim.sources.values()) == 0
 
 
 @given(sim_params, st.integers(0, 2))

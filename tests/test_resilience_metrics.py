@@ -8,7 +8,7 @@ import pytest
 from repro.core.simulator import Simulator
 from repro.core.runloop import DrainTimeoutError, StrandedCensus, drive
 from repro.core.types import NodeId
-from repro.faults import Component, ComponentFault, FaultSchedule
+from repro.faults import Component, ComponentFault, FaultEvent, FaultSchedule
 from repro.harness.campaign import run_campaign
 from repro.harness.parallel import ResultCache, SimJob, execute_job, job_key
 from repro.metrics.resilience import PacketAccounting, ResilienceProbe
@@ -49,40 +49,13 @@ class TestPacketAccounting:
 
 
 class TestResilienceProbe:
-    def test_rejects_nonpositive_window(self):
-        simulator = Simulator(small_config())
-        with pytest.raises(ValueError, match="window"):
-            ResilienceProbe(simulator, window=0)
-
-    def test_timelines_cover_the_run(self):
-        simulator = Simulator(small_config())
-        probe = ResilienceProbe(simulator, window=50)
-        result = simulator.run()
-        throughput = probe.throughput_timeline()
-        assert throughput
-        delivered = sum(point.delivered for point in probe.windows)
-        assert delivered == result.total_delivered
-        dropped = sum(point.dropped for point in probe.windows)
-        assert dropped == result.total_dropped
-        starts = [start for start, _ in throughput]
-        assert starts == sorted(starts)
-        assert all(start % 50 == 0 for start in starts)
-
-    def test_latency_timeline_positive(self):
-        simulator = Simulator(small_config())
-        probe = ResilienceProbe(simulator, window=100)
-        simulator.run()
-        latency = probe.latency_timeline()
-        assert latency
-        assert all(value > 0 for _, value in latency)
-
     def test_fault_count_staircase(self):
         schedule = center_kill(cycle=150)
         simulator = Simulator(
             small_config(injection_rate=0.15, measure_packets=300),
             schedule=schedule,
         )
-        probe = ResilienceProbe(simulator, window=100)
+        probe = ResilienceProbe(simulator)
         result = simulator.run()
         staircase = probe.delivered_by_fault_count()
         assert [point.fault_count for point in staircase] == sorted(
@@ -97,13 +70,51 @@ class TestResilienceProbe:
         assert pre.delivered_fraction >= staircase[-1].delivered_fraction
 
     def test_delivered_fraction_matches_accounting(self):
+        """The staircase books every packet the result accounts for, each
+        once: its overall delivered fraction is the accounting's."""
         simulator = Simulator(small_config(), schedule=center_kill(cycle=120))
-        probe = ResilienceProbe(simulator, window=100)
+        probe = ResilienceProbe(simulator)
         result = simulator.run()
+        staircase = probe.delivered_by_fault_count()
         accounting = PacketAccounting.from_result(result)
-        assert probe.delivered_fraction() == pytest.approx(
-            accounting.delivered_fraction
+        delivered = sum(point.delivered for point in staircase)
+        generated = sum(point.generated for point in staircase)
+        assert (delivered, generated - delivered) == (
+            result.total_delivered, result.total_dropped
         )
+        assert delivered / generated == pytest.approx(accounting.delivered_fraction)
+
+    def test_each_strike_is_one_more_step(self):
+        first = FaultEvent(80, ComponentFault(NodeId(1, 1), Component.VA, "row"))
+        second = FaultEvent(200, ComponentFault(NodeId(2, 2), Component.VA, "row"))
+        simulator = Simulator(
+            small_config(injection_rate=0.15, measure_packets=300),
+            schedule=FaultSchedule([first, second]),
+        )
+        probe = ResilienceProbe(simulator)
+        simulator.run()
+        assert simulator.topology_changes == [80, 200]
+        staircase = probe.delivered_by_fault_count()
+        assert [point.fault_count for point in staircase] == [0, 1, 2]
+        assert all(point.generated > 0 for point in staircase)
+
+    def test_a_healed_fault_still_counts(self):
+        """The count is of strikes fired, not of faults alive: a packet
+        created after the heal is still keyed on the strike before it."""
+        simulator = Simulator(
+            small_config(injection_rate=0.15, measure_packets=300),
+            schedule=center_kill(cycle=80, duration=40),
+        )
+        probe = ResilienceProbe(simulator)
+        created: list[int] = []
+        simulator.delivery_listeners.append(
+            lambda packet: created.append(packet.created_cycle)
+        )
+        simulator.run()
+        staircase = probe.delivered_by_fault_count()
+        assert [point.fault_count for point in staircase] == [0, 1]
+        assert any(cycle >= 120 for cycle in created)  # after the heal
+        assert staircase[1].delivered == sum(cycle >= 80 for cycle in created)
 
 
 class TestCampaignRunner:

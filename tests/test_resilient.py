@@ -554,14 +554,12 @@ def drain(pool: ManagedWorkerSet, deadline: float = 60.0) -> dict[int, object]:
 
 
 def raise_violation(job: SimJob, index: int, attempt: int) -> dict:
-    """Seed 1 breaks an invariant, any other seed the shard ledger.
-    (Imported here: a script importing this module must not preload the
-    audit package, tests/test_worker_context.py.)"""
-    from repro.audit import InvariantViolation, ShardInvariantViolation
+    """Every job breaks an invariant.  (Imported here: a script importing
+    this module must not preload the audit package,
+    tests/test_worker_context.py.)"""
+    from repro.audit import InvariantViolation
 
-    if job.config.seed == 1:
-        raise InvariantViolation("credit", 7, "fixture")
-    raise ShardInvariantViolation("boundary-transit", 7, 1, "fixture")
+    raise InvariantViolation("credit", 7, f"fixture seed {job.config.seed}")
 
 
 class TestWorkerSet:
@@ -635,10 +633,9 @@ class TestWorkerSet:
             for job in small_jobs(seeds=(1, 2)):
                 pool.submit(job)
             failures = drain(pool).values()
-        assert {(f.error_type, f.kind, f.attempts) for f in failures} == {
+        assert [(f.error_type, f.kind, f.attempts) for f in failures] == [
             ("InvariantViolation", "fatal", 1),
-            ("ShardInvariantViolation", "fatal", 1),
-        }
+        ] * 2
         assert pool.stats.retries == 0
 
     def test_unpicklable_error_arrives_as_repr(self):

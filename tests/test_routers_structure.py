@@ -53,15 +53,6 @@ class TestGenericStructure:
         assert len(cands) == 3
         assert all(route is None for _, route in cands)
 
-    def test_escape_only_returns_vc0(self):
-        net = network("generic", routing="adaptive")
-        router = net.routers[NodeId(1, 1)]
-        cands = router.vc_candidates(
-            Direction.WEST, packet(NodeId(0, 1), NodeId(3, 3)), escape_only=True
-        )
-        assert len(cands) == 1
-        assert cands[0][0].escape
-
     def test_dead_router_admits_nothing(self):
         net = network("generic")
         router = net.routers[NodeId(1, 1)]

@@ -64,9 +64,7 @@ VARIANTS = {
 #: engine -> (config overrides, the routers and variants it runs)
 ENGINES = {
     "object": ({}, ("generic", "path_sensitive", "roco"), tuple(VARIANTS)),
-    "shards": (
-        {"shards": (2, 1)}, ("generic", "roco"), ("healthy", "audit", "max-cycles")
-    ),
+    "shards": ({"shards": (2, 1)}, ("generic", "roco"), ("healthy", "max-cycles")),
     "soa": ({"backend": "soa"}, ("generic", "roco"), ("healthy", "max-cycles")),
 }
 

@@ -149,6 +149,8 @@ class TestProtocol:
             ({"config": {"size": 3, "rate": True}}, "injection_rate"),
             ({"config": {"size": 3, "rate": "0.1"}}, "injection_rate"),
             ({"kind": "sweep", "base": {}, "rates": [0.1, True]}, "injection_rate"),
+            # The tile engine is kept for the benchmark only.
+            ({"config": {"shards": "2x2"}}, "unknown config field 'shards'"),
         ],
     )
     def test_malformed_requests_rejected(self, payload, match):

@@ -1,14 +1,12 @@
-"""Sharded mesh execution: dispatch, the envelope and the ledger.
+"""Sharded mesh execution: dispatch, the envelope and the traffic oracle.
 
 Inside the envelope a sharded run must be *bit-identical* to the
 single-process reference — same result record, same packet accounting,
 same scheduler telemetry: the ``tiles`` rows of
 tests/test_engines_agree.py.  Outside it the engine must refuse loudly
-while the reference path stays untouched.  On top of that the
-tile protocol adds its own failure surface: boundary messages and the
-cross-shard conservation ledger, exercised here with a deterministic
-chaos hook.  Tiles are stepped in the caller's process, whatever that
-process is; that is pinned here without a clock.
+while the reference path stays untouched; the audit and the full sweep
+are outside it, the object engine's.  Tiles are stepped in the caller's
+process, whatever that process is; that is pinned here without a clock.
 """
 
 from __future__ import annotations
@@ -24,20 +22,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.audit.sharded import ShardInvariantViolation
 from repro.core.config import SimulationConfig, parse_shards
 from repro.core.simulator import Simulator, run_simulation
+from repro.core.shard import TileSimulator
 from repro.core.soa.errors import BackendUnsupportedError, ensure_supported
 from repro.core.types import NodeId
 from repro.faults import Component, ComponentFault
+from repro.harness.export import result_record
 from repro.harness.parallel import ParallelExecutor, SimJob, execute_job
-from repro.harness.resilient import ManagedWorkerSet
+from repro.harness.resilient import JobFailure, ManagedWorkerSet, RetryPolicy
 from repro.harness.sharded import (
     ShardPlan,
     ShardUnsupportedError,
     _split_extent,
     build_generation_schedule,
-    compare_records,
     ensure_sharded_supported,
     run_sharded_simulation,
 )
@@ -66,34 +64,70 @@ def grid_config(**overrides) -> SimulationConfig:
 # ----------------------------------------------------------------------
 
 
-def test_tile_scheduler_counters_reported():
-    config = grid_config(width=4, height=4, warmup_packets=10,
-                         measure_packets=40)
-    result = run_sharded_simulation(config, (2, 2))
-    assert len(result.tile_scheduler) == 4
-    assert sum(c.router_steps for c in result.tile_scheduler) == \
-        result.scheduler.router_steps
-    reference = Simulator(config).run()
-    assert reference.tile_scheduler == []
+def same_run(result) -> tuple:
+    """What a tiled run must share with the reference: the record, the
+    scheduler counters and the packet accounting."""
+    return (result_record(result), result.scheduler, result.generated_packets,
+            result.total_delivered, result.total_dropped)
 
 
-def test_run_simulation_dispatches_on_config_shards():
+def test_run_simulation_dispatches_on_config_shards(monkeypatch):
     config = grid_config(width=4, height=4, warmup_packets=10,
                          measure_packets=40, shards="2x2")
     assert config.shards == (2, 2)
+    stepped = set()
+    front = TileSimulator.front
+
+    def counted(tile, cycle):
+        stepped.add(tile.tile_index)
+        return front(tile, cycle)
+
+    monkeypatch.setattr(TileSimulator, "front", counted)
     result = run_simulation(config)
-    assert len(result.tile_scheduler) == 4
+    assert stepped == {0, 1, 2, 3}
     reference = run_simulation(replace(config, shards=None))
-    assert compare_records(reference, result) == []
+    assert same_run(result) == same_run(reference)
 
 
-def test_shards_1x1_is_the_reference_path():
+def test_the_pinned_inline_call_runs_the_tiles(monkeypatch):
+    """perfbench's ``shard_inline`` cell passes ``inline=True``: the
+    keyword is accepted, and the run is the tiled one."""
+    config = grid_config(width=4, height=4, warmup_packets=10,
+                         measure_packets=40)
+    stepped = set()
+    front = TileSimulator.front
+
+    def counted(tile, cycle):
+        stepped.add(tile.tile_index)
+        return front(tile, cycle)
+
+    monkeypatch.setattr(TileSimulator, "front", counted)
+    result = run_sharded_simulation(config, shards=(2, 1), inline=True)
+    assert stepped == {0, 1}
+    assert same_run(result) == same_run(Simulator(config).run())
+
+
+def test_a_run_without_a_shard_spec_is_refused():
+    config = grid_config(width=4, height=4, warmup_packets=10,
+                         measure_packets=40)
+    with pytest.raises(ValueError, match="no shard spec"):
+        run_sharded_simulation(config)
+
+
+def refuse_tiles(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1x1 run built a tile")
+
+    monkeypatch.setattr(TileSimulator, "__init__", refuse)
+
+
+def test_shards_1x1_is_the_reference_path(monkeypatch):
     config = grid_config(width=4, height=4, warmup_packets=10,
                          measure_packets=40)
     reference = Simulator(config).run()
+    refuse_tiles(monkeypatch)
     sharded = run_sharded_simulation(config, (1, 1))
-    assert compare_records(reference, sharded) == []
-    assert sharded.tile_scheduler == []
+    assert same_run(sharded) == same_run(reference)
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +155,21 @@ def test_plan_rects_tile_the_mesh():
     assert len(covered) == 64
     assert plan.tile_of(0, 0) == 0
     assert plan.tile_of(7, 7) == 3
+
+
+def test_plan_tile_of_an_uneven_split():
+    """A 5x3 mesh in 2x1 tiles: the west tile takes the odd column."""
+    plan = ShardPlan.plan(grid_config(width=5, height=3), (2, 1))
+    assert plan.num_tiles == 2
+    owners = {(x, y): plan.tile_of(x, y) for x in range(5) for y in range(3)}
+    assert sorted(xy for xy, tile in owners.items() if tile == 0) == [
+        (x, y) for x in range(3) for y in range(3)
+    ]
+    for rect_index, rect in enumerate(plan.rects):
+        assert all(owners[node.x, node.y] == rect_index for node in rect.nodes())
+    for outside in ((5, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError, match="outside every tile"):
+            plan.tile_of(*outside)
 
 
 def test_plan_waves_are_anti_diagonal():
@@ -169,14 +218,50 @@ def test_envelope_rejections():
     fault = ComponentFault(NodeId(0, 0), Component.BUFFER)
     with pytest.raises(ShardUnsupportedError):
         ensure_sharded_supported(base, faults=[fault])
+    # The object engine is the audited and the full-sweep reference.
+    with pytest.raises(ShardUnsupportedError, match="audit=True"):
+        ensure_sharded_supported(replace(base, audit=True))
+    with pytest.raises(ShardUnsupportedError, match="audit=True"):
+        run_simulation(replace(base, audit=True, shards=(2, 2)))
+    with pytest.raises(ShardUnsupportedError, match="full_sweep=True"):
+        run_simulation(replace(base, shards=(2, 2)), full_sweep=True)
     # In-envelope config passes.
     ensure_sharded_supported(base)
+
+
+def test_shards_1x1_runs_the_audited_and_full_sweep_reference(monkeypatch):
+    config = grid_config(width=4, height=4, warmup_packets=10,
+                         measure_packets=40)
+    audited = replace(config, audit=True)
+    references = [run_simulation(audited), run_simulation(config, full_sweep=True)]
+    refuse_tiles(monkeypatch)
+    tiled = [run_simulation(replace(audited, shards=(1, 1))),
+             run_simulation(replace(config, shards=(1, 1)), full_sweep=True)]
+    assert [same_run(r) for r in tiled] == [same_run(r) for r in references]
 
 
 def test_shard_unsupported_is_fatal_to_the_resilient_executor():
     """ShardUnsupportedError must ride the BackendUnsupportedError
     taxonomy so retry policies treat an envelope rejection as fatal."""
     assert issubclass(ShardUnsupportedError, BackendUnsupportedError)
+
+
+def test_an_audited_tiled_job_is_quarantined_as_fatal():
+    """The executor settles an envelope rejection on its first attempt,
+    like a stall, and the rest of the sweep runs."""
+    config = grid_config(width=4, height=4, warmup_packets=10,
+                         measure_packets=40)
+    jobs = [SimJob.of(replace(config, shards=(2, 2), audit=True)),
+            SimJob.of(replace(config, shards=(2, 2)))]
+    executor = ParallelExecutor(policy=RetryPolicy(backoff_base=0.0))
+    refused, record = executor.run_jobs(jobs)
+    failure = JobFailure.from_record(refused)
+    assert (failure.error_type, failure.kind, failure.attempts) == (
+        "ShardUnsupportedError", "fatal", 1
+    )
+    assert "audit=True" in failure.message
+    assert executor.last_stats.retries == 0
+    assert record == execute_job(SimJob.of(config))
 
 
 def test_soa_backend_rejects_sharded_configs():
@@ -222,33 +307,6 @@ def test_oracle_xyyx_variant_draws():
 
 
 # ----------------------------------------------------------------------
-# The conservation ledger and its chaos hook
-# ----------------------------------------------------------------------
-
-
-def audit_config(**overrides):
-    return grid_config(
-        width=4, height=4, warmup_packets=10, measure_packets=60,
-        injection_rate=0.25, audit=True, **overrides,
-    )
-
-
-def test_ledger_clean_run_checks_every_cycle():
-    config = audit_config()
-    reference = Simulator(config).run()
-    sharded = run_sharded_simulation(config, (2, 2))
-    assert compare_records(reference, sharded) == []
-
-
-def test_dropped_boundary_flit_trips_flit_conservation():
-    config = audit_config()
-    with pytest.raises(ShardInvariantViolation) as excinfo:
-        run_sharded_simulation(config, (2, 2), _drop_flit=1)
-    assert excinfo.value.invariant in ("flit-conservation",
-                                       "boundary-transit")
-
-
-# ----------------------------------------------------------------------
 # No process: the same run in every parent
 # ----------------------------------------------------------------------
 
@@ -264,7 +322,7 @@ def test_no_process_is_started(monkeypatch):
     config = grid_config(width=4, height=4, warmup_packets=10,
                          measure_packets=40)
     sharded = run_sharded_simulation(config, (2, 2))
-    assert compare_records(Simulator(config).run(), sharded) == []
+    assert same_run(sharded) == same_run(Simulator(config).run())
 
 
 def execute_recording_warnings(job: SimJob, index: int, attempt: int) -> dict:
@@ -305,16 +363,19 @@ def test_stdin_parent_gets_the_reference_record_and_no_warning():
         "import json, warnings\n"
         "from repro.core.config import SimulationConfig\n"
         "from repro.core.simulator import Simulator\n"
-        "from repro.harness.sharded import (\n"
-        "    compare_records, run_sharded_simulation)\n"
+        "from repro.harness.sharded import run_sharded_simulation\n"
+        "from repro.harness.export import result_record\n"
         "config = SimulationConfig(width=4, height=4, injection_rate=0.15,\n"
         "    warmup_packets=10, measure_packets=40, seed=11)\n"
         "with warnings.catch_warnings(record=True) as caught:\n"
         "    warnings.simplefilter('always')\n"
         "    sharded = run_sharded_simulation(config, shards=(2, 1))\n"
+        "def same_run(r):\n"
+        "    return [result_record(r), repr(r.scheduler), r.generated_packets,\n"
+        "            r.total_delivered, r.total_dropped]\n"
         "print(json.dumps([\n"
         "    [[w.category.__name__, str(w.message)] for w in caught],\n"
-        "    compare_records(Simulator(config).run(), sharded)]))\n"
+        "    same_run(sharded) == same_run(Simulator(config).run())]))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
@@ -326,8 +387,8 @@ def test_stdin_parent_gets_the_reference_record_and_no_warning():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    caught, mismatches = json.loads(done.stdout.strip().splitlines()[-1])
-    assert mismatches == []
+    caught, identical = json.loads(done.stdout.strip().splitlines()[-1])
+    assert identical is True
     assert caught == []
 
 

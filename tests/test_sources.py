@@ -5,6 +5,8 @@ from repro.core.network import Network
 from repro.core.simulator import Source
 from repro.core.types import NodeId, Packet
 
+from .conftest import backlog
+
 
 def setup(router="roco"):
     net = Network(
@@ -61,9 +63,9 @@ class TestInjectionMechanics:
         net, source = setup()
         queue_packet(net, source, pid=0)
         queue_packet(net, source, pid=1, dest=NodeId(1, 3))
-        assert source.backlog == 8
+        assert backlog(source) == 8
         source.inject(net, 0)
-        assert source.backlog == 8 - 1
+        assert backlog(source) == 8 - 1
 
     def test_impossible_packet_dropped_immediately(self):
         net, source = setup()

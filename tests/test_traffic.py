@@ -144,12 +144,6 @@ class TestMultimedia:
             target, rel=0.25
         )
 
-    def test_frame_type_cycles_through_gop(self):
-        pattern, nodes = bind(MultimediaTraffic(frame_period=10))
-        node = nodes[0]
-        kinds = {pattern.frame_at(node, c) for c in range(0, 120, 10)}
-        assert kinds == {"I", "P", "B"}
-
 
 class TestHotspot:
     def test_bias_towards_hotspot(self):
