@@ -87,6 +87,19 @@ class MirrorAllocator:
             return [MirrorGrant(1, slot2, l10 if slot2 == 0 else l11)]
         return []
 
+    def grant_lone(self, port: int, slot: int, vc: int) -> MirrorGrant:
+        """:meth:`allocate` of a matrix whose only request is ``vc`` of
+        ``port`` for ``slot``, without building or scanning it.
+
+        The request wins its local arbiter, and the global arbiter grants
+        its slot: as port 1's direction, the only one that scores, or
+        serving port 2 directly.  Every arbiter ends as ``allocate``
+        would leave it.
+        """
+        self._local[port][slot].grant_lone(vc)
+        self._global.grant_lone(slot)
+        return MirrorGrant(port, slot, vc)
+
     def _choose_port1_slot(self, p1_has: list[bool], p2_has: list[bool]) -> int:
         """Pick port 1's direction, maximising the mirrored match count.
 

@@ -44,3 +44,8 @@ class RoundRobinArbiter(Arbiter):
             idx += 1
         return None
 
+    def grant_lone(self, line: int) -> int:
+        """:meth:`grant` of ``line`` as the only request: it wins, and
+        the line after it becomes highest priority."""
+        self._next = line + 1 if line + 1 < self.num_requesters else 0
+        return line

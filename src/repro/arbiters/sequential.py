@@ -50,3 +50,11 @@ class SequentialAllocator:
             port = self._direction_stage[slot].grant(lines)
             grants.append(MirrorGrant(port, slot, nominees[port][1]))
         return grants
+
+    def grant_lone(self, port: int, slot: int, vc: int) -> MirrorGrant:
+        """:meth:`allocate` of a matrix whose only request is ``vc`` of
+        ``port`` for ``slot``: the port nominates it and its direction
+        grants the port, each arbiter left as ``allocate`` would."""
+        self._port_stage[port].grant_lone(vc)
+        self._direction_stage[slot].grant_lone(port)
+        return MirrorGrant(port, slot, vc)

@@ -338,7 +338,9 @@ class _AuditedAllocator:
     every grant answering a real request) is enforced for any wrapped
     allocator; maximality only when the inner allocator is (or derives
     from) the Mirror allocator, whose construction guarantees it — the
-    Sequential ablation intentionally forgoes the guarantee.
+    Sequential ablation intentionally forgoes the guarantee.  A lone
+    grant (``grant_lone``) must be in range and be the request itself,
+    which is then also the maximal matching.
     """
 
     def __init__(self, inner, engine, node: NodeId, module_name: str) -> None:
@@ -347,57 +349,52 @@ class _AuditedAllocator:
         self.node = node
         self.module_name = module_name
 
+    def _checked(self, grant, num_vcs: int) -> str:
+        """``grant``'s label, once it is known to be in range."""
+        label = (
+            f"{self.module_name} module grant (port {grant.port}, slot "
+            f"{grant.direction_slot}, vc {grant.vc_index})"
+        )
+        if not (
+            0 <= grant.port < 2
+            and 0 <= grant.direction_slot < 2
+            and 0 <= grant.vc_index < num_vcs
+        ):
+            self._fail(f"{label} is out of range")
+        return label
+
+    def _fail(self, message: str) -> None:
+        engine = self.engine
+        engine.fail("matching", engine.network.cycle, message, node=self.node)
+
+    def grant_lone(self, port: int, slot: int, vc: int) -> MirrorGrant:
+        grant = self.inner.grant_lone(port, slot, vc)
+        label = self._checked(grant, self.inner.num_vcs)
+        if grant != (port, slot, vc):
+            self._fail(f"{label} was never requested (forged grant)")
+        return grant
+
     def allocate(self, requests) -> list[MirrorGrant]:
         grants = self.inner.allocate(requests)
-        engine = self.engine
-        cycle = engine.network.cycle
+        num_vcs = len(requests[0][0])
         ports: set[int] = set()
         slots: set[int] = set()
         for grant in grants:
-            label = (
-                f"{self.module_name} module grant (port {grant.port}, slot "
-                f"{grant.direction_slot}, vc {grant.vc_index})"
-            )
-            if not (
-                0 <= grant.port < 2
-                and 0 <= grant.direction_slot < 2
-                and 0 <= grant.vc_index < len(requests[0][0])
-            ):
-                engine.fail(
-                    "matching", cycle, f"{label} is out of range", node=self.node
-                )
+            label = self._checked(grant, num_vcs)
             if not requests[grant.port][grant.direction_slot][grant.vc_index]:
-                engine.fail(
-                    "matching",
-                    cycle,
-                    f"{label} was never requested (forged grant)",
-                    node=self.node,
-                )
+                self._fail(f"{label} was never requested (forged grant)")
             if grant.port in ports:
-                engine.fail(
-                    "matching",
-                    cycle,
-                    f"{label}: input port granted twice in one cycle",
-                    node=self.node,
-                )
+                self._fail(f"{label}: input port granted twice in one cycle")
             if grant.direction_slot in slots:
-                engine.fail(
-                    "matching",
-                    cycle,
-                    f"{label}: output slot granted twice in one cycle",
-                    node=self.node,
-                )
+                self._fail(f"{label}: output slot granted twice in one cycle")
             ports.add(grant.port)
             slots.add(grant.direction_slot)
         if isinstance(self.inner, MirrorAllocator):
             want = max_possible_matching(requests)
             if len(grants) != want:
-                engine.fail(
-                    "matching",
-                    cycle,
+                self._fail(
                     f"{self.module_name} module matched {len(grants)} "
-                    f"passage(s) where a maximal matching serves {want}",
-                    node=self.node,
+                    f"passage(s) where a maximal matching serves {want}"
                 )
         return grants
 

@@ -5,11 +5,11 @@ state: routers are row-major node indices, VC buffers are global *slot*
 ids, directions are their ``Direction`` int values and the early-eject
 pseudo-target is ``EJECT_CODE``.  Everything structural — slot
 numbering, neighbour wiring, admission candidates, injection orders,
-route candidates — is derived here from mesh arithmetic plus one
-*prototype*: a 3x3 object-model :class:`~repro.core.network.Network`
-of the same router architecture, routing, packet size and router
-config, built from the layout key (:func:`layout_key`) alone, whatever
-the mesh size.  The SoA engine therefore consults exactly the
+route candidates — is derived here from mesh arithmetic, the shared
+admission table and one *prototype*: a 3x3 object-model
+:class:`~repro.core.network.Network` of the same router architecture,
+routing, packet size and router config, built from the layout key
+(:func:`layout_key`) alone, whatever the mesh size.  The SoA engine therefore consults exactly the
 candidate lists and iteration orders the reference implementation
 would compute, so any change to VC configurations or routing flows
 into the fast path automatically.
@@ -25,16 +25,17 @@ centre router once.
 The routing tables are keyed by *direction class*, not by router or
 destination.  On a mesh (the only topology in the envelope)
 ``xy_direction``, ``yx_direction``, ``productive_directions``, RoCo's
-``_is_final`` and ``dest == node`` read the destination through the
-signs of ``(dx, dy)`` alone (:func:`repro.routing.base.direction_class`,
+final-dimension test and ``dest == node`` read the destination through
+the signs of ``(dx, dy)`` alone (:func:`repro.routing.base.direction_class`,
 nine values), so every router gives every destination of a class the
-same answer, up to the slot offset ``m * R``.  The prototype's centre
-router (1, 1) sees a destination of each class — ``(1 + sign dx, 1 +
-sign dy)`` — so ``__init__`` asks it every question once and stores the
-VCs it names as positions: admission by ``(class, input, yx)`` (72
-entries), injection and routes by ``(class, yx)`` (18 each), escape by
-class (9).  The tables are the same size on every mesh, and nothing a
-run does adds to them.
+same answer, up to the slot offset ``m * R``.  RoCo's admission by
+``(class, input, yx)`` (72 entries) is the cardinal-input part of the
+table the object-model routers read (repro.routers.admission).  For the
+rest, the prototype's centre router (1, 1) sees a destination of each
+class — ``(1 + sign dx, 1 + sign dy)`` — so ``__init__`` asks it every
+question once and stores the VCs it names as positions: injection and
+routes by ``(class, yx)`` (18 each), escape by class (9).  The tables
+are the same size on every mesh, and nothing a run does adds to them.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.network import Network
 from repro.core.soa.errors import BackendUnsupportedError
 from repro.core.types import CARDINALS, OPPOSITE, Direction, NodeId, Packet
+from repro.routers.admission import admission_index, admission_table
+from repro.routers.base import EJECT
 from repro.routing.base import direction_class
 
 #: Integer codes for the slot-state arrays.  ``NONE_CODE`` stands for
@@ -233,23 +236,22 @@ class SoALayout:
                 (int(routing.escape_direction(CENTRE, pair[0])),) for pair in packets
             )
         else:
-            #: admission[(cls * 4 + din) * 2 + yx] — ``vc_candidates`` for
-            #: a flit entering on input din, as ``(target, route)``:
-            #: target a VC position or :data:`EJECT_CODE`, route the
-            #: committed look-ahead direction int, in the object model's
-            #: candidate order (the VC allocator's first-wins tie-break
-            #: depends on it).
+            #: admission[(cls * 4 + din) * 2 + yx] — the router shape's
+            #: admission entry (repro.routers.admission) for a flit
+            #: entering on input din, as ``(target, route)``: target a VC
+            #: position or :data:`EJECT_CODE`, route the committed
+            #: look-ahead direction int, in the object model's candidate
+            #: order (the VC allocator's first-wins tie-break depends on
+            #: it).
+            table = admission_table(self.arch, self.mode)
             self.admission: tuple[tuple[tuple[int, int], ...], ...] = tuple(
                 tuple(
-                    (
-                        EJECT_CODE if route is Direction.LOCAL else pos[id(target)],
-                        int(route),
-                    )
-                    for target, route in centre.vc_candidates(Direction(din), packet)
+                    (EJECT_CODE if target is EJECT else target, int(route))
+                    for target, route in table[admission_index(cls, din, yx)]
                 )
-                for pair in packets
+                for cls in range(9)
                 for din in range(4)
-                for packet in pair
+                for yx in (0, 1)
             )
             #: injection[cls * 2 + yx] — the scan order of
             #: ``injection_vc_for`` as ``(VC position, route)``: route

@@ -2,8 +2,13 @@
 
 from repro.routers.base import EJECT, BaseRouter, OutputPort
 from repro.routers.generic import GenericRouter
-from repro.routers.path_sensitive import PathSensitiveRouter, quadrant_of
-from repro.routers.roco.router import RoCoRouter
+
+# RoCo before Path-Sensitive: importing the ``roco`` package imports its
+# router, which imports repro.routers.admission, which reads the RoCo VC
+# specs — a cycle that only closes cleanly from this end.
+from repro.routers.roco.router import RoCoRouter  # isort: skip
+from repro.routers.path_sensitive import PathSensitiveRouter  # isort: skip
+from repro.routers.quadrants import quadrant_of
 
 ROUTER_CLASSES = {
     "generic": GenericRouter,

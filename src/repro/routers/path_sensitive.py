@@ -19,26 +19,14 @@ from __future__ import annotations
 from repro.arbiters.round_robin import RoundRobinArbiter, one_hot
 from repro.core.buffer import VirtualChannel
 from repro.core.types import Direction, NodeId, Packet
-from repro.routers.base import EJECT, BaseRouter
-
-#: Quadrant path sets and the two outputs each one reaches.
-QUADRANTS = ("NE", "NW", "SE", "SW")
-QUADRANT_OUTPUTS = {
-    "NE": (Direction.NORTH, Direction.EAST),
-    "NW": (Direction.NORTH, Direction.WEST),
-    "SE": (Direction.SOUTH, Direction.EAST),
-    "SW": (Direction.SOUTH, Direction.WEST),
-}
-
-#: Arrival directions that can feed each quadrant set: a flit heading
-#: North-East arrives from the South input (going North), the West input
-#: (going East) or the local PE.
-QUADRANT_ARRIVALS = {
-    "NE": (Direction.SOUTH, Direction.WEST, Direction.LOCAL),
-    "NW": (Direction.SOUTH, Direction.EAST, Direction.LOCAL),
-    "SE": (Direction.NORTH, Direction.WEST, Direction.LOCAL),
-    "SW": (Direction.NORTH, Direction.EAST, Direction.LOCAL),
-}
+from repro.routers.admission import admission_table
+from repro.routers.base import BaseRouter
+from repro.routers.quadrants import (
+    PATH_SET_VCS,
+    QUADRANT_OUTPUTS,
+    QUADRANTS,
+    quadrant_of,
+)
 
 #: Output arbitration order; the chained dependency follows this walk.
 OUTPUT_ORDER = (Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST)
@@ -73,40 +61,6 @@ _LONE_CROSSPOINT = {
     for (q_index, out_dir), slot in _CROSSPOINT_SLOT.items()
 }
 
-#: Quadrant pairs able to serve an axis-aligned destination.
-_AXIS_QUADRANTS = {
-    "N": ("NE", "NW"),
-    "S": ("SE", "SW"),
-    "E": ("NE", "SE"),
-    "W": ("NW", "SW"),
-}
-
-
-def quadrant_of(
-    node: NodeId, dest: NodeId, input_dir: Direction = Direction.LOCAL
-) -> str:
-    """Destination quadrant of ``dest`` seen from ``node``.
-
-    Axis-aligned destinations sit on the boundary between two quadrant
-    sets; the set that can actually admit the flit depends on where it
-    arrives from (a pure-South flit that was travelling East arrives on
-    the West input, which only the SE set accepts).  Transitions between
-    quadrant classes only ever follow monotone coordinate movement, so
-    the class dependency order stays acyclic and deadlock-free.
-    """
-    ns = "N" if dest.y < node.y else ("S" if dest.y > node.y else "")
-    ew = "E" if dest.x > node.x else ("W" if dest.x < node.x else "")
-    if ns and ew:
-        return ns + ew
-    if not ns and not ew:
-        raise ValueError(f"destination {dest} equals current node {node}")
-    for quadrant in _AXIS_QUADRANTS[ns or ew]:
-        if input_dir in QUADRANT_ARRIVALS[quadrant]:
-            return quadrant
-    raise ValueError(
-        f"no quadrant set serves dest {dest} from {node} via {input_dir.name}"
-    )
-
 
 class PathSensitiveRouter(BaseRouter):
     """4-port quadrant-path-set router with a decomposed crossbar."""
@@ -116,26 +70,23 @@ class PathSensitiveRouter(BaseRouter):
     def __init__(self, node: NodeId, network) -> None:
         super().__init__(node, network)
         depth = self.config.buffer_depth
-        self.path_sets: dict[str, list[VirtualChannel]] = {}
+        self.path_sets: dict[str, list[VirtualChannel]] = {q: [] for q in QUADRANTS}
         self._vcs: list[VirtualChannel] = []
-        for q_index, quadrant in enumerate(QUADRANTS):
-            vcs = []
-            # Three VCs per set: one per possible previous-hop direction
-            # (the DAC'05 grouping), with the local group doubling as a
-            # shared overflow so a burst from one direction can use it.
-            for i, arrival in enumerate(QUADRANT_ARRIVALS[quadrant]):
-                vc = VirtualChannel(
-                    port=q_index, index=i, depth=depth, vc_class=quadrant
-                )
-                vc.router = self
-                if arrival is Direction.LOCAL:
-                    vc.accepts_from = QUADRANT_ARRIVALS[quadrant]
-                else:
-                    vc.accepts_from = (arrival,)
-                vc.input_dir = arrival
-                vcs.append(vc)
-            self.path_sets[quadrant] = vcs
-            self._vcs.extend(vcs)
+        for quadrant, arrival, accepts_from in PATH_SET_VCS:
+            vcs = self.path_sets[quadrant]
+            vc = VirtualChannel(
+                port=QUADRANTS.index(quadrant),
+                index=len(vcs),
+                depth=depth,
+                vc_class=quadrant,
+            )
+            vc.router = self
+            vc.accepts_from = accepts_from
+            vc.input_dir = arrival
+            vcs.append(vc)
+            self._vcs.append(vc)
+        #: The shared admission table of this router shape.
+        self._admission = admission_table(self.architecture, self.routing.mode)
         #: Two local arbiters per set (one per reachable output).
         self._set_arbiters = {
             q: [RoundRobinArbiter(3), RoundRobinArbiter(3)] for q in QUADRANTS
@@ -153,26 +104,27 @@ class PathSensitiveRouter(BaseRouter):
     def vc_candidates(
         self, input_dir: Direction, packet: Packet
     ) -> list[tuple[object, Direction | None]]:
+        """The admission entry of the head's key (repro.routers.admission),
+        read with this router's VCs.
+
+        The look-ahead decision selects the *path set*, so every route is
+        None: the concrete output (one of the quadrant's two directions)
+        is chosen locally when the head reaches the front — that is where
+        the router's "routing adaptivity" lives.  A non-minimal arrival
+        that no quadrant set serves has an empty entry: it is refused.
+        """
         if self.dead:
             return []
-        if packet.dest == self.node:
-            return [(EJECT, Direction.LOCAL)]
-        try:
-            quadrant = quadrant_of(self.node, packet.dest, input_dir)
-        except ValueError:
-            # No quadrant set serves this (arrival, destination) pair —
-            # only reachable by non-minimal traffic, which the router
-            # simply refuses to admit.
-            return []
-        # The look-ahead decision selects the *path set*; the concrete
-        # output (one of the quadrant's two directions) is chosen locally
-        # when the head reaches the front — that is where the router's
-        # "routing adaptivity" lives.
-        return [
-            (vc, None)
-            for vc in self.path_sets[quadrant]
-            if input_dir in vc.accepts_from
-        ]
+        node, dest = self.node, packet.dest
+        dx = dest.x - node.x
+        dy = dest.y - node.y
+        # direction_class(dx, dy), then admission_index, inlined.
+        cls = 3 * ((dx > 0) - (dx < 0)) + (dy > 0) - (dy < 0) + 4
+        entries = self._admission[(cls * 5 + input_dir) * 2 + packet.yx_first]
+        if cls == 4:
+            return list(entries)  # early ejection
+        vcs = self._vcs
+        return [(vcs[p], route) for p, route in entries]
 
     # ------------------------------------------------------------------
     # Injection interface

@@ -5,10 +5,11 @@ from repro.routers.roco.path_set import (
     COLUMN,
     ROW,
     VCSpec,
+    classify_vc,
     table1_summary,
     vc_configuration,
 )
-from repro.routers.roco.router import RoCoRouter, classify_vc
+from repro.routers.roco.router import RoCoRouter
 
 __all__ = [
     "COLUMN",

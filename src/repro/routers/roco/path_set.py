@@ -150,6 +150,15 @@ def vc_configuration(mode: RoutingMode) -> tuple[VCSpec, ...]:
     return _CONFIGS[mode]()
 
 
+def classify_vc(input_dir: Direction, route: Direction) -> str:
+    """Table-1 VC class for a flit arriving on ``input_dir`` routed to ``route``."""
+    if input_dir is Direction.LOCAL:
+        return "injxy" if route.is_row else "injyx"
+    if input_dir.is_row:
+        return "dx" if route.is_row else "txy"
+    return "dy" if route.is_column else "tyx"
+
+
 def table1_summary(mode: RoutingMode) -> dict[str, list[str]]:
     """Class labels per path set, in the layout of the paper's Table 1."""
     config = vc_configuration(mode)

@@ -20,8 +20,9 @@ Key behaviours modelled:
 from __future__ import annotations
 
 from repro.core.buffer import VirtualChannel
-from repro.core.types import Direction, NodeId, Packet, RoutingMode
-from repro.routers.base import EJECT, BaseRouter
+from repro.core.types import Direction, NodeId, Packet
+from repro.routers.admission import admission_table
+from repro.routers.base import BaseRouter
 from repro.routers.roco.module import RoCoModule
 from repro.routers.roco.path_set import COLUMN, ROW, vc_configuration
 
@@ -68,6 +69,8 @@ class RoCoRouter(BaseRouter):
         #: The two modules by name; read every step by the allocate phase.
         self.row: RoCoModule = self.modules[ROW]
         self.column: RoCoModule = self.modules[COLUMN]
+        #: The shared admission table of this router shape.
+        self._admission = admission_table(self.architecture, self.routing.mode)
         #: Occupancy snapshot left behind by the last allocate() pass;
         #: lets quiescent() answer in O(1) instead of re-walking VCs.
         self._alloc_occupied = False
@@ -103,35 +106,27 @@ class RoCoRouter(BaseRouter):
     def vc_candidates(
         self, input_dir: Direction, packet: Packet
     ) -> list[tuple[object, Direction | None]]:
-        if not self.accepting(input_dir):
+        """The Table-1 admission entry of the head's key
+        (repro.routers.admission), read with this router's VCs, less the
+        routes of a dead module."""
+        row, column = self.row, self.column
+        if self.dead or (row.dead and column.dead):
             return []
-        if packet.dest == self.node:
-            return [(EJECT, Direction.LOCAL)]
-        out: list[tuple[object, Direction | None]] = []
-        escape_dir = None
-        if self.routing.mode is RoutingMode.ADAPTIVE:
-            escape_dir = self.routing.escape_direction(self.node, packet)
-        for route in self.routing.candidates(self.node, packet):
-            cls = classify_vc(input_dir, route)
-            module = self.module_for(route)
-            if module.dead:
-                continue
-            final = self._is_final(route, packet)
-            for vc in module.all_vcs():
-                if vc.vc_class != cls or input_dir not in vc.accepts_from:
-                    continue
-                if vc.final_only and not final:
-                    continue
-                if vc.escape and route is not escape_dir:
-                    continue
-                out.append((vc, route))
-        return out
-
-    def _is_final(self, route: Direction, packet: Packet) -> bool:
-        """No further turns needed once travelling along ``route``."""
-        if route.is_row:
-            return packet.dest.y == self.node.y
-        return packet.dest.x == self.node.x
+        node, dest = self.node, packet.dest
+        dx = dest.x - node.x
+        dy = dest.y - node.y
+        # direction_class(dx, dy), then admission_index, inlined.
+        cls = 3 * ((dx > 0) - (dx < 0)) + (dy > 0) - (dy < 0) + 4
+        entries = self._admission[(cls * 5 + input_dir) * 2 + packet.yx_first]
+        if cls == 4:
+            return list(entries)  # early ejection
+        vcs = self._vcs
+        if row.dead or column.dead:
+            dead_row = row.dead
+            return [
+                (vcs[p], route) for p, route in entries if route.is_row != dead_row
+            ]
+        return [(vcs[p], route) for p, route in entries]
 
     # ------------------------------------------------------------------
     # Injection interface (used by the traffic source)
@@ -302,12 +297,12 @@ class RoCoRouter(BaseRouter):
 
         # One walk after VA (``_ready_walk``) over both modules' occupied
         # VCs takes the contention tally and, in a module that arbitrates
-        # this cycle, the VCs ready for the switch, which set their bits
-        # of the module's request matrix (scratch: set here, cleared
-        # after the allocator call).  Mirror switch allocation runs in a
-        # live module, unless its arbitration is offloaded (SA fault
-        # recovery) to VA arbiters that issued a grant this cycle (mere
-        # pending requests do not occupy them).
+        # this cycle, the VCs ready for the switch, which (two or more)
+        # set their bits of the module's request matrix (scratch: set
+        # here, cleared after the allocator call).  Mirror switch
+        # allocation runs in a live module, unless its arbitration is
+        # offloaded (SA fault recovery) to VA arbiters that issued a
+        # grant this cycle (mere pending requests do not occupy them).
         tally = [0] * 5
         arbitrating = []
         for module, occupied, pending in work:
@@ -317,17 +312,28 @@ class RoCoRouter(BaseRouter):
                 module.sa_degraded and any(vc.out_vc is not None for vc in pending)
             )
             ready = self._ready_walk(occupied, cycle, tally, arbitrates)
-            if ready:
+            if len(ready) > 1:
                 requests = module.sa_requests
                 slot_map = module.slot_map
                 for vc in ready:
                     requests[vc.port][slot_map[vc.out_dir]][vc.index] = True
+            if ready:
                 arbitrating.append((module, ready))
         # The tally sees every occupied VC; it is booked once per module
-        # that arbitrates with a ready VC.
+        # that arbitrates with a ready VC.  A module's sole ready VC is
+        # granted without running the allocator, as on the lone path.
         for module, ready in arbitrating:
             self._activity.sa_requests += len(ready)
             self._add_contention(tally)
+            if len(ready) == 1:
+                vc = ready[0]
+                grant = module.allocator.grant_lone(
+                    vc.port, module.slot_map[vc.out_dir], vc.index
+                )
+                self._commit_switch_grant(
+                    module.ports[grant.port][grant.vc_index], cycle
+                )
+                continue
             requests = module.sa_requests
             slot_map = module.slot_map
             grants = module.allocator.allocate(requests)
@@ -348,11 +354,10 @@ class RoCoRouter(BaseRouter):
         in ``module``.
 
         The occupancy-first body with each container cut to its one
-        entry.  The VC, if ready, is the module's sole SA request: its
-        one bit of the request matrix is set around the allocator call,
-        so the allocator's arbiters move their rotating priority exactly
-        as in the general walk.  The full-sweep reference never comes
-        here.
+        entry.  The VC, if ready, is the module's sole SA request, which
+        the allocator grants without running (``grant_lone``), its
+        arbiters moving their rotating priority exactly as ``allocate``
+        would.  The full-sweep reference never comes here.
         """
         if module.dead:
             return
@@ -363,12 +368,10 @@ class RoCoRouter(BaseRouter):
             return
         self._activity.sa_requests += 1
         self._tally_lone(vc)
-        lines = module.sa_requests[vc.port][module.slot_map[vc.out_dir]]
-        lines[vc.index] = True
-        grants = module.allocator.allocate(module.sa_requests)
-        lines[vc.index] = False
-        for grant in grants:
-            self._commit_switch_grant(module.ports[grant.port][grant.vc_index], cycle)
+        grant = module.allocator.grant_lone(
+            vc.port, module.slot_map[vc.out_dir], vc.index
+        )
+        self._commit_switch_grant(module.ports[grant.port][grant.vc_index], cycle)
 
     # ------------------------------------------------------------------
     # Runtime fault reaction
@@ -447,11 +450,3 @@ class RoCoRouter(BaseRouter):
             self._hard_blocked(vc, cycle, 1)
         else:
             self.clear_stall(vc)
-
-def classify_vc(input_dir: Direction, route: Direction) -> str:
-    """Table-1 VC class for a flit arriving on ``input_dir`` routed to ``route``."""
-    if input_dir is Direction.LOCAL:
-        return "injxy" if route.is_row else "injyx"
-    if input_dir.is_row:
-        return "dx" if route.is_row else "txy"
-    return "dy" if route.is_column else "tyx"

@@ -237,6 +237,22 @@ class _LazyAllocator(MirrorAllocator):
         return super().allocate(requests)[:1]
 
 
+class _MisdirectedLoneAllocator(MirrorAllocator):
+    """Grants a lone request's VC the other output slot."""
+
+    def grant_lone(self, port, slot, vc):
+        grant = super().grant_lone(port, slot, vc)
+        return grant._replace(direction_slot=1 - slot)
+
+
+class _OverflowingLoneAllocator(MirrorAllocator):
+    """Grants a lone request a VC index past the port's last VC."""
+
+    def grant_lone(self, port, slot, vc):
+        grant = super().grant_lone(port, slot, vc)
+        return grant._replace(vc_index=self.num_vcs)
+
+
 def _sabotage_allocators(sim: Simulator, allocator_cls) -> None:
     vcs = sim.config.router_config.vcs_per_port
     for router in sim.network.routers.values():
@@ -252,6 +268,19 @@ class TestMatchingChecker:
             sim.run()
         assert excinfo.value.invariant == "matching"
         assert "forged" in excinfo.value.message
+
+    @pytest.mark.parametrize(
+        "allocator_cls,message",
+        [(_MisdirectedLoneAllocator, "forged"), (_OverflowingLoneAllocator, "out of range")],
+        ids=["misdirected", "overflowing"],
+    )
+    def test_corrupted_lone_grant_is_caught(self, allocator_cls, message):
+        sim = audited_sim()
+        _sabotage_allocators(sim, allocator_cls)
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.run()
+        assert excinfo.value.invariant == "matching"
+        assert message in excinfo.value.message
 
     def test_dropped_grant_breaks_maximality(self):
         sim = audited_sim(injection_rate=0.3)

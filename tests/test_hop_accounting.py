@@ -7,6 +7,8 @@ launch of the head flit, so a detoured worm reports the links it really
 crossed.
 """
 
+import functools
+
 import pytest
 
 from repro.core import simulator
@@ -19,6 +21,7 @@ from repro.routing.xyyx import XYYXRouting
 from repro.traffic.base import TrafficPattern
 
 from .conftest import small_config
+from .test_admission import roco_oracle
 
 SRC = NodeId(0, 0)
 DEST = NodeId(2, 2)
@@ -77,6 +80,10 @@ def _detour_sim() -> Simulator:
     sim.network.routing = routing
     for router in sim.network.routers.values():
         router.routing = routing
+        # A router reads admission from the table built with its mode's
+        # own routing function; the detour needs the per-call admission
+        # that asks the router's routing, which the admission oracle is.
+        router.vc_candidates = functools.partial(roco_oracle, router)
     return sim
 
 

@@ -15,7 +15,12 @@ rotating priority) fails here in seconds.
 ``tests/fixtures/layer_boundary_counts.json`` was generated at the
 commit *before* the occupancy-first allocate rewrite (the three
 ``routers.*`` phase counts: before the per-flit phases were inlined).
-Regenerate it
+The RoCo case's ``routing.candidates``, ``arbiters.round_robin.grant``
+and ``arbiters.mirror.allocate`` were re-pinned when RoCo admission
+became a read of the shared admission table (no routing call per VA
+request) and a module's sole switch request became a lone grant (no
+allocator run, no arbiter ``grant`` call); every scheduler, delivered
+and dropped count stayed.  Regenerate it
 only when a change is meant to move a boundary:
 
     PYTHONPATH=src python tests/test_layer_boundaries.py
@@ -29,6 +34,7 @@ import pytest
 from repro.arbiters.mirror import MirrorAllocator
 from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.config import SimulationConfig
+from repro.core.network import Network
 from repro.core.simulator import Simulator, Source
 from repro.core.types import NodeId
 from repro.faults.schedule import FaultSchedule
@@ -93,6 +99,10 @@ def count_boundaries(case: str, patch) -> dict:
     """
     fields = CASES[case]
     config = SimulationConfig(**BASE, **fields)
+    # The first network of a router shape builds its admission table,
+    # asking the routing function, once per process: a throwaway one
+    # here, so a case counts its run's calls whatever ran before it.
+    Network(config).teardown()
     counts = dict.fromkeys(
         (
             "traffic.arrivals",

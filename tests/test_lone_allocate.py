@@ -23,6 +23,7 @@ import itertools
 
 import pytest
 
+from repro.arbiters import mirror
 from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.network import Network
@@ -338,9 +339,9 @@ def test_lone_path_equals_general_walk(variant):
 
 
 #: name -> (class, method, variant, [(old, new), ...]): one seeded fault,
-#: source edits of the lone path (a router's ``_allocate_lone``, or the
-#: shared ``BaseRouter._stage_lone``) that the variant's battery must
-#: catch.
+#: source edits of the lone path (a router's ``_allocate_lone``, the
+#: shared ``BaseRouter._stage_lone`` or the Mirror allocator's
+#: ``grant_lone``) that the variant's battery must catch.
 MUTANTS = {
     "generic: stage-2 grant left out": (
         generic.GenericRouter, "_allocate_lone", "generic",
@@ -364,9 +365,13 @@ MUTANTS = {
         [("return  # the decomposed crossbar has no such crosspoint",
           "self._activity.sa_requests += 1\n            return")],
     ),
-    "roco: request bit left set": (
-        roco_router.RoCoRouter, "_allocate_lone", "roco",
-        [("lines[vc.index] = False", "pass")],
+    "roco: lone grant skips the local arbiter": (
+        mirror.MirrorAllocator, "grant_lone", "roco",
+        [("self._local[port][slot].grant_lone(vc)", "pass")],
+    ),
+    "roco: lone grant skips the global arbiter": (
+        mirror.MirrorAllocator, "grant_lone", "roco",
+        [("self._global.grant_lone(slot)", "pass")],
     ),
     "roco: SA borrow rule ignored": (
         roco_router.RoCoRouter, "_allocate_lone", "roco",

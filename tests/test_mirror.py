@@ -10,6 +10,8 @@ from repro.arbiters.mirror import (
     MirrorGrant,
     max_possible_matching,
 )
+from repro.arbiters.round_robin import RoundRobinArbiter
+from repro.arbiters.sequential import SequentialAllocator
 
 
 def reqs(p1_slot0=(), p1_slot1=(), p2_slot0=(), p2_slot1=(), num_vcs=3):
@@ -152,3 +154,44 @@ class TestMirrorExhaustive:
         for matrix in all_request_matrices(3):
             for g in alloc.allocate(matrix):
                 assert matrix[g.port][g.direction_slot][g.vc_index]
+
+
+def arbiters_of(value) -> list[RoundRobinArbiter]:
+    """Every round-robin arbiter of a 2x2 allocator, in a fixed order."""
+    if isinstance(value, RoundRobinArbiter):
+        return [value]
+    if isinstance(value, list):
+        return [a for item in value for a in arbiters_of(item)]
+    if isinstance(value, (MirrorAllocator, SequentialAllocator)):
+        return arbiters_of(list(vars(value).values()))
+    return []
+
+
+def check_lone_grant_equals_allocate(make, num_vcs: int = 3) -> int:
+    """``grant_lone(port, slot, vc)`` against ``allocate`` of the one-bit
+    matrix, from every arbiter state: the same grant, and every
+    arbiter's pointer left the same.  Returns the cases checked."""
+    cases = 0
+    probe = arbiters_of(make(num_vcs))
+    for state in itertools.product(*(range(a.num_requesters) for a in probe)):
+        for port, slot, vc in itertools.product(range(2), range(2), range(num_vcs)):
+            lone, full = make(num_vcs), make(num_vcs)
+            for allocator in (lone, full):
+                for arbiter, pointer in zip(arbiters_of(allocator), state):
+                    arbiter._next = pointer
+            matrix = reqs(num_vcs=num_vcs)
+            matrix[port][slot][vc] = True
+            assert [lone.grant_lone(port, slot, vc)] == full.allocate(matrix), (
+                state, port, slot, vc,
+            )
+            assert [a._next for a in arbiters_of(lone)] == [
+                a._next for a in arbiters_of(full)
+            ], (state, port, slot, vc)
+            cases += 1
+    return cases
+
+
+class TestLoneGrant:
+    def test_lone_grant_equals_allocate_of_its_one_bit(self):
+        """Every state of the four local and the global arbiter."""
+        assert check_lone_grant_equals_allocate(MirrorAllocator) == 3**4 * 2 * 12

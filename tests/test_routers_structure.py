@@ -8,7 +8,7 @@ from repro.core.types import Direction, NodeId, Packet
 from repro.routers import EJECT, ROUTER_CLASSES
 from repro.routers.generic import GENERIC_PORTS
 from repro.routers.path_sensitive import QUADRANTS, quadrant_of
-from repro.routers.roco.router import classify_vc
+from repro.routers.roco.path_set import classify_vc
 
 
 def network(router="roco", routing="xy", k=4):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.arbiters.mirror import max_possible_matching
 from repro.arbiters.sequential import SequentialAllocator
 
-from .test_mirror import reqs
+from .test_mirror import check_lone_grant_equals_allocate, reqs
 
 request_matrix = st.lists(
     st.lists(st.lists(st.booleans(), min_size=3, max_size=3), min_size=2, max_size=2),
@@ -60,3 +60,9 @@ class TestSequentialAllocator:
         alloc = SequentialAllocator(3)
         if any(any(slot) for slot in matrix[0]):
             assert len(alloc.allocate(matrix)) == 1
+
+
+class TestLoneGrant:
+    def test_lone_grant_equals_allocate_of_its_one_bit(self):
+        """Every state of the two port and the two direction arbiters."""
+        assert check_lone_grant_equals_allocate(SequentialAllocator) == 3**2 * 2**2 * 12
