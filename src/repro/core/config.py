@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from repro.core.types import RoutingMode
+from repro.core.types import XY, RoutingMode
 
 #: Traffic patterns that permute the bits of a node index
 #: (repro.traffic.permutations): they need whole bits.
@@ -185,7 +185,7 @@ class SimulationConfig:
     #: meshes only.
     topology: str = "mesh"
     router: str = "roco"
-    routing: RoutingMode = RoutingMode.XY
+    routing: RoutingMode = XY
     traffic: str = "uniform"
     #: Offered load in flits/node/cycle (the paper's x-axis unit).
     injection_rate: float = 0.1
@@ -272,7 +272,7 @@ class SimulationConfig:
         if self.topology not in ("mesh", "torus"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.topology == "torus":
-            if self.router != "generic" or self.routing is not RoutingMode.XY:
+            if self.router != "generic" or self.routing is not XY:
                 raise ValueError(
                     "torus support requires router='generic' with XY routing "
                     "(dateline VC classes; see docs/modeling-notes.md)"

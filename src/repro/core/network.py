@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 from repro.core.config import SimulationConfig
 from repro.core.statistics import StatsCollector
 from repro.core.topology import make_topology
-from repro.core.types import Direction, DropReason, Flit, NodeId, Packet
+from repro.core.types import LOCAL, Direction, DropReason, Flit, NodeId, Packet
 from repro.routing import make_routing
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -441,7 +441,7 @@ class Network:
         if router.dead:
             return False
         module_for = getattr(router, "module_for", None)
-        if module_for is not None and direction is not Direction.LOCAL:
+        if module_for is not None and direction is not LOCAL:
             return not module_for(direction).dead
         return True
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.types import NodeId, Packet, RoutingMode
+from repro.core.types import XY_YX, NodeId, Packet
 from repro.routing.xyyx import choose_variant
+from repro.traffic.base import TrafficPattern
 
 
 class DeadlockError(RuntimeError):
@@ -186,10 +187,18 @@ def packet_draws(config, traffic, rng, nodes: list, blocked=None):
     owner edits it in place when a runtime fault changes which routers
     accept injection); ``blocked()`` returns the node-health predicate
     for fault-aware variant choice, or None while the mesh is healthy.
+
+    A pattern that keeps the base Bernoulli ``arrivals`` has it inlined
+    here: the same one ``traffic.rng.random()`` per node against the
+    bound ``packet_rate``, so the same draws, without a call and a
+    ``range`` per node per cycle.
     """
     arrivals = traffic.arrivals
+    bernoulli = type(traffic).arrivals is TrafficPattern.arrivals
+    draw = traffic.rng.random if bernoulli else None
+    rate = traffic.packet_rate
     destination = traffic.destination
-    use_yx = config.routing is RoutingMode.XY_YX
+    use_yx = config.routing is XY_YX
     size = config.flits_per_packet
     total = config.total_packets
     warmup = config.warmup_packets
@@ -198,7 +207,13 @@ def packet_draws(config, traffic, rng, nodes: list, blocked=None):
         packets: list[Packet] = []
         is_blocked = blocked() if use_yx and blocked is not None else None
         for node in nodes:
-            for _ in range(arrivals(node, cycle)):
+            if bernoulli:
+                if draw() >= rate:
+                    continue
+                count = 1
+            else:
+                count = arrivals(node, cycle)
+            for _ in range(count):
                 dest = destination(node)
                 packet = Packet(pid, node, dest, size, cycle, measured=pid >= warmup)
                 if use_yx:

@@ -37,11 +37,16 @@ from repro.core.config import SimulationConfig
 from repro.core.network import Network
 from repro.core.runloop import live_packets
 from repro.core.simulator import Source
-from repro.core.types import CARDINALS, Direction, Flit, FlitType, NodeId, Packet
+from repro.core.types import CARDINALS, LOCAL, Direction, Flit, FlitType, NodeId, Packet
 from repro.routers.base import EJECT
 
 #: Wire encoding of the EJECT pseudo-target in flit messages.
 EJECT_HINT = -1
+
+#: Members by wire value: a flit message decodes its direction and flit
+#: type by index, not through the enum call (~750 ns against ~20 ns).
+_DIRECTIONS = tuple(Direction)
+_FLIT_TYPES = tuple(FlitType)
 
 
 class ShardProtocolError(RuntimeError):
@@ -264,7 +269,7 @@ class TileSimulator:
         egress = []
         for node, router in self.network.routers.items():
             for direction, port in router.outputs.items():
-                if direction is Direction.LOCAL:
+                if direction is LOCAL:
                     continue
                 neighbor = self.network.neighbor_of(node, direction)
                 if neighbor is None or self.rect.contains(neighbor):
@@ -484,16 +489,16 @@ class TileSimulator:
             packet.yx_first = yx_first
             packet.measured = measured
             self.registry[pid] = packet
-        flit = Flit(packet, seq, FlitType(ftype))
+        flit = Flit(packet, seq, _FLIT_TYPES[ftype])
         flit.lookahead_route = (
-            None if lookahead is None else Direction(lookahead)
+            None if lookahead is None else _DIRECTIONS[lookahead]
         )
         flit.vc_hint = EJECT if hint == EJECT_HINT else self._vc_at(hint)
         flit.arrival = arrival
         if flit.is_head:
             packet.hops = hops
         receiver = self.network.routers[NodeId(recv_x, recv_y)]
-        direction = Direction(input_dir)
+        direction = _DIRECTIONS[input_dir]
         ghost_node = self.network.neighbor_of(receiver.node, direction)
         ghost = self.network.ghosts[ghost_node]
         link = ghost.outputs[direction.opposite].link

@@ -40,7 +40,7 @@ from repro.core.statistics import (
     SchedulerCounters,
     StatsCollector,
 )
-from repro.core.types import DropReason, RoutingMode
+from repro.core.types import ADAPTIVE, XY_YX, DropReason
 from repro.routing.xyyx import choose_variant
 from repro.traffic import TrafficPattern, make_traffic
 from repro.core.simulator import SimulationResult, StrandedCensus
@@ -327,7 +327,7 @@ class SoASimulator:
             self.injected_packets += 1
         self.p_meas.append(measured)
         yx = False
-        if self.config.routing is RoutingMode.XY_YX:
+        if self.config.routing is XY_YX:
             yx = choose_variant(node, dest_node, self.rng, None)
         self.p_yx.append(1 if yx else 0)
         F = self.F
@@ -999,7 +999,7 @@ class SoASimulator:
         lay = self.layout
         dest = self.p_dest[pid]
         cls = lay.class_of(n, dest)
-        if lay.slot_escape[s] and lay.mode is RoutingMode.ADAPTIVE:
+        if lay.slot_escape[s] and lay.mode is ADAPTIVE:
             return lay.escape[cls]
         candidates = lay.routes[cls * 2 + self.p_yx[pid]]
         if len(candidates) > 1:

@@ -45,8 +45,8 @@ from dataclasses import astuple
 from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.network import Network
 from repro.core.soa.errors import BackendUnsupportedError
-from repro.core.types import CARDINALS, OPPOSITE, Direction, NodeId, Packet
-from repro.routers.admission import admission_index, admission_table
+from repro.core.types import CARDINALS, EAST, NORTH, Direction, NodeId, Packet
+from repro.routers.admission import admission_index, admission_table, injection_table
 from repro.routers.base import EJECT
 from repro.routing.base import direction_class
 
@@ -56,7 +56,7 @@ from repro.routing.base import direction_class
 NONE_CODE = -1
 EJECT_CODE = -2
 
-#: ``int(Direction.LOCAL)`` — spelled out for the hot loops.
+#: ``int(repro.core.types.LOCAL)`` — a plain int for the hot loops.
 LOCAL = 4
 
 #: The prototype's centre: in a 3x3 mesh it sees a destination of every
@@ -163,7 +163,7 @@ class SoALayout:
             ]
             #: fc_slots[n][d] — downstream facing-port slots feeding the
             #: adaptive free-credit signal (empty tuple at a border).
-            facing = [ports[OPPOSITE[d]] for d in CARDINALS]
+            facing = [ports[d.opposite] for d in CARDINALS]
             self.fc_slots = [
                 tuple(
                     () if m < 0 else tuple(m * R + i for i in facing[d])
@@ -198,7 +198,7 @@ class SoALayout:
             ]
             #: Output direction of crossbar slot 0 per module (slot 1 is
             #: the opposite): EAST for the Row-Module, NORTH for Column.
-            self.mod_slot0_dir = (int(Direction.EAST), int(Direction.NORTH))
+            self.mod_slot0_dir = (int(EAST), int(NORTH))
             walk = [i for module in modules for port in module for i in port]
         #: bit_slot[n] — router n's slots in allocate-phase walk order
         #: (generic: input ports 0..4; RoCo: ``roco_ports`` order).  The
@@ -216,12 +216,12 @@ class SoALayout:
         self.lookahead = router_config.lookahead_routing
         self.vcs_per_port = router_config.vcs_per_port
 
-        #: packets[cls][yx]: a packet at the centre bound for ``cls``.
-        packets = [
-            [_packet(divmod(cls, 3), self.F, yx) for yx in (0, 1)]
-            for cls in range(9)
-        ]
         if self.arch == "generic":
+            #: packets[cls][yx]: a packet at the centre bound for ``cls``.
+            packets = [
+                [_packet(divmod(cls, 3), self.F, yx) for yx in (0, 1)]
+                for cls in range(9)
+            ]
             routing = net.routing
             #: routes[cls * 2 + yx] — ``routing.candidates`` as direction
             #: ints (adaptive: escape first).
@@ -254,18 +254,13 @@ class SoALayout:
                 for yx in (0, 1)
             )
             #: injection[cls * 2 + yx] — the scan order of
-            #: ``injection_vc_for`` as ``(VC position, route)``: route
-            #: major, then ``all_vcs()`` filtered by the Injxy/Injyx
-            #: class.  Credit and ownership are run-time checks.
+            #: ``injection_vc_for`` (repro.routers.admission's injection
+            #: table, flattened) as ``(VC position, route)``: route
+            #: major, then the module's Injxy/Injyx VCs.  Credit and
+            #: ownership are run-time checks.
             self.injection: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-                tuple(
-                    (pos[id(vc)], int(route))
-                    for route in net.routing.candidates(CENTRE, packet)
-                    for vc in centre.module_for(route).all_vcs()
-                    if vc.vc_class == ("injxy" if route.is_row else "injyx")
-                )
-                for pair in packets
-                for packet in pair
+                tuple((p, int(route)) for route, positions in entry for p in positions)
+                for entry in injection_table(self.mode)
             )
         net.teardown()
 

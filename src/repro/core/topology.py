@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 
-from repro.core.types import CARDINALS, Direction, NodeId
+from repro.core.types import CARDINALS, LOCAL, Direction, NodeId
 
 #: (topology class, width, height) -> :meth:`Topology.neighbors` table.
 _NEIGHBOR_TABLES: dict[tuple, dict[NodeId, tuple[NodeId | None, ...]]] = {}
@@ -65,7 +65,7 @@ class MeshTopology(Topology):
     name = "mesh"
 
     def neighbor(self, node: NodeId, direction: Direction) -> NodeId | None:
-        if direction is Direction.LOCAL:
+        if direction is LOCAL:
             return node
         candidate = node.neighbor(direction)
         return candidate if self.contains(candidate) else None
@@ -80,7 +80,7 @@ class TorusTopology(Topology):
     name = "torus"
 
     def neighbor(self, node: NodeId, direction: Direction) -> NodeId | None:
-        if direction is Direction.LOCAL:
+        if direction is LOCAL:
             return node
         raw = node.neighbor(direction)
         return NodeId(raw.x % self.width, raw.y % self.height)

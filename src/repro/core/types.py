@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Direction(enum.IntEnum):
@@ -17,6 +18,17 @@ class Direction(enum.IntEnum):
 
     The integer values are stable and used as indices into port arrays.
     ``LOCAL`` is the connection to the attached Processing Element (PE).
+
+    Each member carries three plain attributes, set once below (a member
+    attribute reads in a fraction of a property's time):
+
+    * ``opposite`` — the direction a flit *arrives from* when sent
+      *towards* this one.  A flit forwarded out of the EAST output port
+      of one router enters the WEST input port of its neighbour.
+      ``LOCAL`` is its own opposite (injection/ejection share the PE
+      interface).
+    * ``is_row`` — True for East/West, the traffic of RoCo's Row-Module.
+    * ``is_column`` — True for North/South, RoCo's Column-Module.
     """
 
     NORTH = 0
@@ -25,34 +37,21 @@ class Direction(enum.IntEnum):
     WEST = 3
     LOCAL = 4
 
-    @property
-    def opposite(self) -> "Direction":
-        """The direction a flit *arrives from* when sent *towards* ``self``.
 
-        A flit forwarded out of the EAST output port of one router enters
-        the WEST input port of its neighbour.  ``LOCAL`` is its own
-        opposite (injection/ejection share the PE interface).
-        """
-        if self is Direction.LOCAL:
-            return Direction.LOCAL
-        return Direction((self + 2) % 4)
+#: The members as module constants: a function body reads these, never
+#: ``Direction.X``.  ``EnumType`` defines ``__getattr__``, so a member
+#: read through the class takes the interpreter's slow attribute path
+#: (~10x a global read); ``docs/activity-scheduling.md`` has the costs.
+NORTH, EAST, SOUTH, WEST, LOCAL = Direction
 
-    @property
-    def is_row(self) -> bool:
-        """True for East/West — traffic handled by RoCo's Row-Module."""
-        return self in (Direction.EAST, Direction.WEST)
-
-    @property
-    def is_column(self) -> bool:
-        """True for North/South — traffic handled by RoCo's Column-Module."""
-        return self in (Direction.NORTH, Direction.SOUTH)
-
+for _d in Direction:
+    _d.opposite = _d if _d is LOCAL else Direction((_d + 2) % 4)
+    _d.is_row = _d is EAST or _d is WEST
+    _d.is_column = _d is NORTH or _d is SOUTH
+del _d
 
 #: The four cardinal directions, in index order.
-CARDINALS = (Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST)
-
-#: ``OPPOSITE[d]`` is ``d.opposite``, read without the enum call.
-OPPOSITE = tuple(d.opposite for d in Direction)
+CARDINALS = (NORTH, EAST, SOUTH, WEST)
 
 
 class RoutingMode(enum.Enum):
@@ -63,12 +62,18 @@ class RoutingMode(enum.Enum):
     ADAPTIVE = "adaptive"
 
 
+XY, XY_YX, ADAPTIVE = RoutingMode
+
+
 class FlitType(enum.IntEnum):
     """Position of a flit within its packet."""
 
     HEAD = 0
     BODY = 1
     TAIL = 2
+
+
+HEAD, BODY, TAIL = FlitType
 
 
 class DropReason(enum.Enum):
@@ -106,12 +111,12 @@ class DropReason(enum.Enum):
     UNSPECIFIED = "unspecified"
 
 
-@dataclass(frozen=True)
-class NodeId:
+class NodeId(NamedTuple):
     """Coordinates of a router in the mesh.
 
     ``x`` grows towards the East, ``y`` grows towards the South, so node
-    (0, 0) is the North-West corner.  Frozen so it can key dictionaries.
+    (0, 0) is the North-West corner.  A tuple, so it hashes and compares
+    in C (it keys the per-node dicts every cycle) and equals ``(x, y)``.
     """
 
     x: int
@@ -119,13 +124,13 @@ class NodeId:
 
     def neighbor(self, direction: Direction) -> "NodeId":
         """The coordinates of the adjacent node in ``direction``."""
-        if direction is Direction.NORTH:
+        if direction is NORTH:
             return NodeId(self.x, self.y - 1)
-        if direction is Direction.SOUTH:
+        if direction is SOUTH:
             return NodeId(self.x, self.y + 1)
-        if direction is Direction.EAST:
+        if direction is EAST:
             return NodeId(self.x + 1, self.y)
-        if direction is Direction.WEST:
+        if direction is WEST:
             return NodeId(self.x - 1, self.y)
         return self
 
@@ -217,8 +222,8 @@ class Flit:
         #: look-ahead routing charge head flits an RC cycle after this).
         self.arrival = -1
         #: Position flags, precomputed once — read on every pipeline hop.
-        self.is_head = ftype is FlitType.HEAD
-        self.closes_worm = ftype is FlitType.TAIL or seq == packet.size - 1
+        self.is_head = ftype is HEAD
+        self.closes_worm = ftype is TAIL or seq == packet.size - 1
 
     @property
     def dest(self) -> NodeId:
@@ -246,10 +251,10 @@ def make_packet_flits(packet: Packet) -> list[Flit]:
     flits = []
     for seq in range(packet.size):
         if seq == 0:
-            ftype = FlitType.HEAD
+            ftype = HEAD
         elif seq == packet.size - 1:
-            ftype = FlitType.TAIL
+            ftype = TAIL
         else:
-            ftype = FlitType.BODY
+            ftype = BODY
         flits.append(Flit(packet, seq, ftype))
     return flits

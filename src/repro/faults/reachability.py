@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.types import Direction, NodeId, Packet
+from repro.core.types import LOCAL, NodeId, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.network import Network
@@ -64,7 +64,7 @@ class ReachabilityMap:
         while frontier:
             node = frontier.pop()
             for direction in routing.candidates(node, probe):
-                if direction is Direction.LOCAL:
+                if direction is LOCAL:
                     continue
                 if not network.can_transit(node, direction):
                     continue

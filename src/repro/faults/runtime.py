@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.buffer import VirtualChannel
-from repro.core.types import Direction, DropReason, Packet
+from repro.core.types import LOCAL, DropReason, Packet
 from repro.faults.injector import ComponentFault, fault_effect
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -206,7 +206,7 @@ class RuntimeFaultEngine:
                 target = vc.out_vc
                 severed = isinstance(target, VirtualChannel) and target.dead
                 if not severed and vc.allocated and vc.out_dir is not None:
-                    if vc.out_dir is not Direction.LOCAL:
+                    if vc.out_dir is not LOCAL:
                         port = router.outputs.get(vc.out_dir)
                         severed = port is None or port.dead
                 if severed:

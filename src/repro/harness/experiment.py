@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from repro.core.config import SimulationConfig
-from repro.core.types import RoutingMode, grid_nodes
+from repro.core.types import ADAPTIVE, XY, XY_YX, RoutingMode, grid_nodes
 from repro.faults.injector import ComponentFault, random_faults
 from repro.harness.parallel import ParallelExecutor, SimJob
 
@@ -22,7 +22,7 @@ ROUTERS = ("generic", "path_sensitive", "roco")
 
 #: Routing algorithms in figure order: (a) deterministic, (b) XY-YX,
 #: (c) adaptive.
-ROUTINGS = (RoutingMode.XY, RoutingMode.XY_YX, RoutingMode.ADAPTIVE)
+ROUTINGS = (XY, XY_YX, ADAPTIVE)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.analysis.arbitration import figure2 as _figure2_inventory
 from repro.analysis.matching import table2 as _table2_analytic
-from repro.core.types import RoutingMode
+from repro.core.types import ADAPTIVE, XY, XY_YX
 from repro.harness.experiment import (
     ROUTERS,
     ROUTINGS,
@@ -43,7 +43,7 @@ def table1() -> dict[str, dict[str, list[str]]]:
     """Table 1 — RoCo VC buffer configuration per routing algorithm."""
     return {
         mode.value: table1_summary(mode)
-        for mode in (RoutingMode.ADAPTIVE, RoutingMode.XY_YX, RoutingMode.XY)
+        for mode in (ADAPTIVE, XY_YX, XY)
     }
 
 
@@ -70,7 +70,7 @@ def figure3(
         PointSpec(router, routing, "uniform", rate)
         for router in ROUTERS
         for rate in scale.contention_rates
-        for routing in (RoutingMode.XY, RoutingMode.ADAPTIVE)
+        for routing in (XY, ADAPTIVE)
     ]
     points = dict(zip(specs, averaged_points(specs, scale, executor=executor)))
     panels: dict[str, dict[str, list[tuple[float, float]]]] = {
@@ -81,8 +81,8 @@ def figure3(
     for router in ROUTERS:
         row_curve, col_curve, ad_curve = [], [], []
         for rate in scale.contention_rates:
-            xy = points[PointSpec(router, RoutingMode.XY, "uniform", rate)]
-            ad = points[PointSpec(router, RoutingMode.ADAPTIVE, "uniform", rate)]
+            xy = points[PointSpec(router, XY, "uniform", rate)]
+            ad = points[PointSpec(router, ADAPTIVE, "uniform", rate)]
             row_curve.append((rate, xy["contention_row"]))
             col_curve.append((rate, xy["contention_column"]))
             ad_curve.append((rate, ad["contention_overall"]))
@@ -222,7 +222,7 @@ def figure13(
     Returns ``{traffic: {router: energy_nJ}}``.
     """
     specs = [
-        PointSpec(router, RoutingMode.XY, traffic, FAULT_INJECTION_RATE)
+        PointSpec(router, XY, traffic, FAULT_INJECTION_RATE)
         for traffic in ENERGY_TRAFFICS
         for router in ROUTERS
     ]
@@ -230,7 +230,7 @@ def figure13(
     return {
         traffic: {
             router: points[
-                PointSpec(router, RoutingMode.XY, traffic, FAULT_INJECTION_RATE)
+                PointSpec(router, XY, traffic, FAULT_INJECTION_RATE)
             ]["energy_per_packet_nj"]
             for router in ROUTERS
         }
@@ -254,9 +254,7 @@ def figure14(
         for router in ROUTERS:
             for count in FAULT_COUNTS:
                 specs.append(
-                    PointSpec(
-                        router, RoutingMode.ADAPTIVE, "uniform", FAULT_INJECTION_RATE
-                    )
+                    PointSpec(router, ADAPTIVE, "uniform", FAULT_INJECTION_RATE)
                 )
                 cells.append((label, router, count))
                 faults.append(populations[count])

@@ -2,13 +2,9 @@
 
 from repro.routers.base import EJECT, BaseRouter, OutputPort
 from repro.routers.generic import GenericRouter
-
-# RoCo before Path-Sensitive: importing the ``roco`` package imports its
-# router, which imports repro.routers.admission, which reads the RoCo VC
-# specs — a cycle that only closes cleanly from this end.
-from repro.routers.roco.router import RoCoRouter  # isort: skip
-from repro.routers.path_sensitive import PathSensitiveRouter  # isort: skip
+from repro.routers.path_sensitive import PathSensitiveRouter
 from repro.routers.quadrants import quadrant_of
+from repro.routers.roco.router import RoCoRouter
 
 ROUTER_CLASSES = {
     "generic": GenericRouter,

@@ -20,16 +20,22 @@ admits the head to: ``target`` the VC's position in ``all_vcs()`` or
 Path-Sensitive router picks its output on arrival).  The order is the
 VC allocator's: its first-wins tie-break depends on it.  A live router
 only drops the entries of a dead module.
+
+RoCo's source side reads a second table of the same kind:
+:func:`injection_table`, the scan order of ``injection_vc_for``.
+
+The RoCo specs are imported inside the builders: importing the ``roco``
+package imports its router, which imports this module, so a top-level
+import would make the order of ``repro.routers``' own imports matter.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from repro.core.types import Direction, NodeId, Packet, RoutingMode
+from repro.core.types import ADAPTIVE, LOCAL, Direction, NodeId, Packet, RoutingMode
 from repro.routers.base import EJECT
 from repro.routers.quadrants import PATH_SET_VCS, quadrant_of
-from repro.routers.roco.path_set import classify_vc, vc_configuration
 from repro.routing import make_routing
 
 #: The router the builders ask from: at (1, 1), a destination of
@@ -37,6 +43,7 @@ from repro.routing import make_routing
 _CENTRE = NodeId(1, 1)
 
 Entry = tuple[tuple[object, Direction | None], ...]
+Injection = tuple[tuple[Direction, tuple[int, ...]], ...]
 
 
 def admission_index(cls: int, input_dir: int, yx_first: int) -> int:
@@ -56,16 +63,60 @@ def admission_table(architecture: str, mode: RoutingMode) -> tuple[Entry, ...]:
         raise ValueError(f"{architecture!r} routers have no admission table")
     table = []
     for cls in range(9):
-        dest = NodeId(*divmod(cls, 3))
         for input_dir in Direction:
             for yx in (False, True):
-                if dest == _CENTRE:
-                    table.append(((EJECT, Direction.LOCAL),))
+                if cls == 4:
+                    table.append(((EJECT, LOCAL),))
                     continue
-                packet = Packet(pid=-1, src=_CENTRE, dest=dest, size=1, created_cycle=0)
-                packet.yx_first = yx
-                table.append(tuple(admit(mode, input_dir, packet)))
+                table.append(tuple(admit(mode, input_dir, _packet(cls, yx))))
     return tuple(table)
+
+
+@cache
+def injection_table(mode: RoutingMode) -> tuple[Injection, ...]:
+    """RoCo's injection scan order under ``mode``, indexed by
+    ``cls * 2 + yx_first``.
+
+    An entry holds, per first direction of the routing function in its
+    candidate order, that direction and the positions (in ``all_vcs()``)
+    of its module's Injxy or Injyx VCs in ``RoCoModule.all_vcs()``
+    order: the order ``injection_vc_for`` scans, and whose first
+    best-credit VC it takes.
+    """
+    from repro.routers.roco.path_set import COLUMN, ROW, vc_configuration
+
+    specs = vc_configuration(mode)
+    routing = make_routing(mode)
+    walk = _module_walk(specs)
+    table = []
+    for cls in range(9):
+        for yx in (False, True):
+            entry = []
+            for route in routing.candidates(_CENTRE, _packet(cls, yx)):
+                module, vc_class = (ROW, "injxy") if route.is_row else (COLUMN, "injyx")
+                positions = tuple(
+                    p
+                    for p in walk
+                    if specs[p].module == module and specs[p].vc_class == vc_class
+                )
+                entry.append((route, positions))
+            table.append(tuple(entry))
+    return tuple(table)
+
+
+def _packet(cls: int, yx: bool) -> Packet:
+    """A packet at the centre bound for direction class ``cls``."""
+    packet = Packet(
+        pid=-1, src=_CENTRE, dest=NodeId(*divmod(cls, 3)), size=1, created_cycle=0
+    )
+    packet.yx_first = yx
+    return packet
+
+
+def _module_walk(specs) -> list[int]:
+    """Spec positions in ``RoCoModule.all_vcs()`` order: port 0, then
+    port 1 (the router adds its VCs in spec order)."""
+    return sorted(range(len(specs)), key=lambda p: specs[p].port)
 
 
 def _roco_admit(mode: RoutingMode, input_dir: Direction, packet: Packet):
@@ -73,14 +124,15 @@ def _roco_admit(mode: RoutingMode, input_dir: Direction, packet: Packet):
     needs (each class lives in the route's module), fed by the input,
     final-only VCs for a last-dimension route and escape VCs for the
     dimension-ordered one."""
+    from repro.routers.roco.path_set import classify_vc, vc_configuration
+
     specs = vc_configuration(mode)
     routing = make_routing(mode)
     escape = None
-    if mode is RoutingMode.ADAPTIVE:
+    if mode is ADAPTIVE:
         escape = routing.escape_direction(_CENTRE, packet)
     dest = packet.dest
-    # A module's VCs in RoCoModule.all_vcs() order: port 0, then port 1.
-    walk = sorted(range(len(specs)), key=lambda p: specs[p].port)
+    walk = _module_walk(specs)
     for route in routing.candidates(_CENTRE, packet):
         vc_class = classify_vc(input_dir, route)
         final = dest.y == _CENTRE.y if route.is_row else dest.x == _CENTRE.x

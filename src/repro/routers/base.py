@@ -27,7 +27,11 @@ from repro.core.buffer import CREDIT_LATENCY, VirtualChannel
 from repro.core.channel import Channel
 from repro.core.types import (
     CARDINALS,
-    OPPOSITE,
+    EAST,
+    LOCAL,
+    NORTH,
+    SOUTH,
+    WEST,
     Direction,
     DropReason,
     Flit,
@@ -70,7 +74,7 @@ class OutputPort:
         self.link: Channel[Flit] = Channel()
         self.downstream: "BaseRouter | None" = None
         #: The downstream input this port feeds (``direction.opposite``).
-        self.input_dir = OPPOSITE[direction]
+        self.input_dir = direction.opposite
         #: True when the downstream input no longer accepts traffic
         #: (downstream router or module permanently failed).
         self.dead = False
@@ -186,7 +190,7 @@ class BaseRouter(abc.ABC):
             neighbor_node = neighbors[d]
             if neighbor_node is None:
                 continue
-            up_port = network.router_at(neighbor_node).outputs.get(OPPOSITE[d])
+            up_port = network.router_at(neighbor_node).outputs.get(d.opposite)
             if up_port is not None:
                 in_links.append((d, up_port.link))
         self._in_links = tuple(in_links)
@@ -537,7 +541,7 @@ class BaseRouter(abc.ABC):
                 vc.out_dir = vc.out_vc = vc.active_pid = None
             stats.buffer_reads += 1
             stats.crossbar_traversals += 1
-            if out_dir is Direction.LOCAL:
+            if out_dir is LOCAL:
                 network.eject(flit, self.node, cycle, early=False)
                 continue
             flit.vc_hint = target
@@ -685,7 +689,7 @@ class BaseRouter(abc.ABC):
         drains eventually.
         """
         self._activity.va_requests += 1
-        if out_dir is Direction.LOCAL:
+        if out_dir is LOCAL:
             # Local ejection needs no downstream VC: the PE always sinks.
             vc.out_vc = EJECT
             vc.assign_route(out_dir)
@@ -795,7 +799,7 @@ class BaseRouter(abc.ABC):
         if target is None or not vc.queue or vc.hold_until > cycle:
             return False
         out_dir = vc.out_dir
-        if target is EJECT and out_dir is Direction.LOCAL:
+        if target is EJECT and out_dir is LOCAL:
             return True
         port = self.outputs.get(out_dir)
         if port is None or port.dead:
@@ -837,13 +841,13 @@ class BaseRouter(abc.ABC):
             out_dir = vc.out_dir
             if out_dir is None or not vc.queue:
                 continue
-            if out_dir is Direction.EAST:
+            if out_dir is EAST:
                 east += 1
-            elif out_dir is Direction.WEST:
+            elif out_dir is WEST:
                 west += 1
-            elif out_dir is Direction.NORTH:
+            elif out_dir is NORTH:
                 north += 1
-            elif out_dir is Direction.SOUTH:
+            elif out_dir is SOUTH:
                 south += 1
         self._add_contention((north, east, south, west))
 
@@ -889,7 +893,7 @@ class BaseRouter(abc.ABC):
             target = vc.out_vc
             if not arbitrates or target is None or vc.hold_until > cycle:
                 continue
-            if target is not EJECT or out_dir is not Direction.LOCAL:
+            if target is not EJECT or out_dir is not LOCAL:
                 port = outputs.get(out_dir)
                 if port is None or port.dead:
                     continue
@@ -906,10 +910,10 @@ class BaseRouter(abc.ABC):
         """:meth:`_tally_contention` of a router whose only occupied VC
         is ``vc``: one request at most, never contended."""
         out_dir = vc.out_dir
-        if out_dir is None or out_dir is Direction.LOCAL or not vc.queue:
+        if out_dir is None or out_dir is LOCAL or not vc.queue:
             return
         contention = self.network.stats.contention
-        if out_dir is Direction.EAST or out_dir is Direction.WEST:
+        if out_dir is EAST or out_dir is WEST:
             contention.row_requests += 1
         else:
             contention.column_requests += 1
@@ -925,7 +929,7 @@ class BaseRouter(abc.ABC):
         stats = self._activity
         stats.buffer_reads += 1
         stats.crossbar_traversals += 1
-        if out_dir is Direction.LOCAL:
+        if out_dir is LOCAL:
             self.network.eject(flit, self.node, cycle, early=False)
             return
         flit.vc_hint = target
@@ -1049,7 +1053,7 @@ class BaseRouter(abc.ABC):
             vc.pop(cycle)
 
     def _output_alive(self, d: Direction) -> bool:
-        if d is Direction.LOCAL:
+        if d is LOCAL:
             return True
         port = self.outputs.get(d)
         return port is not None and not port.dead

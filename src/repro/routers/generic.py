@@ -18,17 +18,21 @@ from operator import attrgetter
 
 from repro.arbiters.round_robin import RoundRobinArbiter, one_hot
 from repro.core.buffer import VirtualChannel
-from repro.core.types import Direction, NodeId, Packet, RoutingMode
+from repro.core.types import (
+    ADAPTIVE,
+    EAST,
+    LOCAL,
+    NORTH,
+    SOUTH,
+    WEST,
+    Direction,
+    NodeId,
+    Packet,
+)
 from repro.routers.base import BaseRouter
 
 #: Port order of the generic router: the four cardinals plus the PE port.
-GENERIC_PORTS = (
-    Direction.NORTH,
-    Direction.EAST,
-    Direction.SOUTH,
-    Direction.WEST,
-    Direction.LOCAL,
-)
+GENERIC_PORTS = (NORTH, EAST, SOUTH, WEST, LOCAL)
 
 
 #: Groups a port-ordered VC list by input port (SA stage 1).
@@ -98,7 +102,7 @@ class GenericRouter(BaseRouter):
         """
         if self.dead:
             return []
-        if self._torus and input_dir is not Direction.LOCAL:
+        if self._torus and input_dir is not LOCAL:
             vcs = self.ports[input_dir]
             if self._ring_class(input_dir, packet):
                 return [(vcs[1], None)]
@@ -129,7 +133,7 @@ class GenericRouter(BaseRouter):
         """
         if self.dead:
             return None
-        for vc in self.ports[Direction.LOCAL]:
+        for vc in self.ports[LOCAL]:
             if vc.injectable(self.network.cycle):
                 return vc, None
         return None
@@ -338,7 +342,7 @@ class GenericRouter(BaseRouter):
         if vc.verdict is not None and self._blocked_again(vc, cycle):
             return
         packet = vc.queue[0].packet
-        if vc.escape and self.routing.mode is RoutingMode.ADAPTIVE:
+        if vc.escape and self.routing.mode is ADAPTIVE:
             candidates = (self.routing.escape_direction(self.node, packet),)
         else:
             candidates = self.routing.candidates(self.node, packet)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.arbiters.round_robin import RoundRobinArbiter, one_hot
 from repro.core.buffer import VirtualChannel
-from repro.core.types import Direction, NodeId, Packet
+from repro.core.types import EAST, NORTH, SOUTH, WEST, Direction, NodeId, Packet
 from repro.routers.admission import admission_table
 from repro.routers.base import BaseRouter
 from repro.routers.quadrants import (
@@ -29,7 +29,7 @@ from repro.routers.quadrants import (
 )
 
 #: Output arbitration order; the chained dependency follows this walk.
-OUTPUT_ORDER = (Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST)
+OUTPUT_ORDER = (NORTH, EAST, SOUTH, WEST)
 
 
 #: (path-set index, output) -> which of the set's two local arbiters

@@ -11,25 +11,25 @@ reads the same specs.
 
 from __future__ import annotations
 
-from repro.core.types import Direction, NodeId
+from repro.core.types import EAST, LOCAL, NORTH, SOUTH, WEST, Direction, NodeId
 
 #: Quadrant path sets and the two outputs each one reaches.
 QUADRANTS = ("NE", "NW", "SE", "SW")
 QUADRANT_OUTPUTS = {
-    "NE": (Direction.NORTH, Direction.EAST),
-    "NW": (Direction.NORTH, Direction.WEST),
-    "SE": (Direction.SOUTH, Direction.EAST),
-    "SW": (Direction.SOUTH, Direction.WEST),
+    "NE": (NORTH, EAST),
+    "NW": (NORTH, WEST),
+    "SE": (SOUTH, EAST),
+    "SW": (SOUTH, WEST),
 }
 
 #: Arrival directions that can feed each quadrant set: a flit heading
 #: North-East arrives from the South input (going North), the West input
 #: (going East) or the local PE.
 QUADRANT_ARRIVALS = {
-    "NE": (Direction.SOUTH, Direction.WEST, Direction.LOCAL),
-    "NW": (Direction.SOUTH, Direction.EAST, Direction.LOCAL),
-    "SE": (Direction.NORTH, Direction.WEST, Direction.LOCAL),
-    "SW": (Direction.NORTH, Direction.EAST, Direction.LOCAL),
+    "NE": (SOUTH, WEST, LOCAL),
+    "NW": (SOUTH, EAST, LOCAL),
+    "SE": (NORTH, WEST, LOCAL),
+    "SW": (NORTH, EAST, LOCAL),
 }
 
 #: Every VC of a router as ``(quadrant, arrival, accepts_from)``, in
@@ -40,7 +40,7 @@ PATH_SET_VCS = tuple(
     (
         quadrant,
         arrival,
-        QUADRANT_ARRIVALS[quadrant] if arrival is Direction.LOCAL else (arrival,),
+        QUADRANT_ARRIVALS[quadrant] if arrival is LOCAL else (arrival,),
     )
     for quadrant in QUADRANTS
     for arrival in QUADRANT_ARRIVALS[quadrant]
@@ -55,9 +55,7 @@ _AXIS_QUADRANTS = {
 }
 
 
-def quadrant_of(
-    node: NodeId, dest: NodeId, input_dir: Direction = Direction.LOCAL
-) -> str:
+def quadrant_of(node: NodeId, dest: NodeId, input_dir: Direction = LOCAL) -> str:
     """Destination quadrant of ``dest`` seen from ``node``.
 
     Axis-aligned destinations sit on the boundary between two quadrant

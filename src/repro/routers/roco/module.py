@@ -11,13 +11,13 @@ from __future__ import annotations
 from repro.arbiters.mirror import MirrorAllocator
 from repro.arbiters.sequential import SequentialAllocator
 from repro.core.buffer import VirtualChannel
-from repro.core.types import Direction
+from repro.core.types import EAST, NORTH, SOUTH, WEST, Direction
 from repro.routers.roco.path_set import COLUMN, ROW
 
 #: Output directions per module, indexed by crossbar slot.
 MODULE_DIRECTIONS = {
-    ROW: (Direction.EAST, Direction.WEST),
-    COLUMN: (Direction.NORTH, Direction.SOUTH),
+    ROW: (EAST, WEST),
+    COLUMN: (NORTH, SOUTH),
 }
 
 

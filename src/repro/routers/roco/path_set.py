@@ -25,7 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from repro.core.types import Direction, RoutingMode
+from repro.core.types import (
+    ADAPTIVE,
+    EAST,
+    LOCAL,
+    NORTH,
+    SOUTH,
+    WEST,
+    XY,
+    XY_YX,
+    Direction,
+    RoutingMode,
+)
 
 #: Module identifiers.
 ROW = "row"
@@ -33,16 +44,16 @@ COLUMN = "column"
 
 #: Arrival-direction shorthands: a flit travelling East arrives on the
 #: WEST input of the next router, and so on.
-_EASTBOUND = (Direction.WEST,)
-_WESTBOUND = (Direction.EAST,)
-_SOUTHBOUND = (Direction.NORTH,)
-_NORTHBOUND = (Direction.SOUTH,)
-_FROM_X = (Direction.EAST, Direction.WEST)
-_FROM_Y = (Direction.NORTH, Direction.SOUTH)
-_FROM_PE = (Direction.LOCAL,)
+_EASTBOUND = (WEST,)
+_WESTBOUND = (EAST,)
+_SOUTHBOUND = (NORTH,)
+_NORTHBOUND = (SOUTH,)
+_FROM_X = (EAST, WEST)
+_FROM_Y = (NORTH, SOUTH)
+_FROM_PE = (LOCAL,)
 _FROM_EITHER_X = _FROM_X
-_BOTH_X_ARRIVALS = (Direction.EAST, Direction.WEST)
-_BOTH_Y_ARRIVALS = (Direction.NORTH, Direction.SOUTH)
+_BOTH_X_ARRIVALS = (EAST, WEST)
+_BOTH_Y_ARRIVALS = (NORTH, SOUTH)
 
 
 @dataclass(frozen=True)
@@ -134,9 +145,9 @@ def _adaptive_config() -> tuple[VCSpec, ...]:
 
 
 _CONFIGS = {
-    RoutingMode.XY: _xy_config,
-    RoutingMode.XY_YX: _xyyx_config,
-    RoutingMode.ADAPTIVE: _adaptive_config,
+    XY: _xy_config,
+    XY_YX: _xyyx_config,
+    ADAPTIVE: _adaptive_config,
 }
 
 
@@ -152,7 +163,7 @@ def vc_configuration(mode: RoutingMode) -> tuple[VCSpec, ...]:
 
 def classify_vc(input_dir: Direction, route: Direction) -> str:
     """Table-1 VC class for a flit arriving on ``input_dir`` routed to ``route``."""
-    if input_dir is Direction.LOCAL:
+    if input_dir is LOCAL:
         return "injxy" if route.is_row else "injyx"
     if input_dir.is_row:
         return "dx" if route.is_row else "txy"

@@ -20,11 +20,12 @@ Key behaviours modelled:
 from __future__ import annotations
 
 from repro.core.buffer import VirtualChannel
-from repro.core.types import Direction, NodeId, Packet
-from repro.routers.admission import admission_table
+from repro.core.types import LOCAL, Direction, NodeId, Packet
+from repro.routers.admission import admission_table, injection_table
 from repro.routers.base import BaseRouter
 from repro.routers.roco.module import RoCoModule
 from repro.routers.roco.path_set import COLUMN, ROW, vc_configuration
+from repro.routing.base import direction_class
 
 
 class RoCoRouter(BaseRouter):
@@ -71,6 +72,8 @@ class RoCoRouter(BaseRouter):
         self.column: RoCoModule = self.modules[COLUMN]
         #: The shared admission table of this router shape.
         self._admission = admission_table(self.architecture, self.routing.mode)
+        #: The shared injection table of this routing mode.
+        self._injection = injection_table(self.routing.mode)
         #: Occupancy snapshot left behind by the last allocate() pass;
         #: lets quiescent() answer in O(1) instead of re-walking VCs.
         self._alloc_occupied = False
@@ -141,16 +144,15 @@ class RoCoRouter(BaseRouter):
         """
         best = None
         best_credits = -1
-        for route in self.routing.candidates(self.node, packet):
-            module = self.module_for(route)
-            if module.dead:
+        cycle = self.network.cycle
+        vcs = self._vcs
+        for route, positions in self._first_routes(packet):
+            if self.module_for(route).dead:
                 continue
-            cls = "injxy" if route.is_row else "injyx"
-            for vc in module.all_vcs():
-                if vc.vc_class != cls:
-                    continue
-                if vc.injectable(self.network.cycle):
-                    credit = vc.credits(self.network.cycle)
+            for p in positions:
+                vc = vcs[p]
+                if vc.injectable(cycle):
+                    credit = vc.credits(cycle)
                     if credit > best_credits:
                         best, best_credits = (vc, route), credit
         return best
@@ -163,10 +165,17 @@ class RoCoRouter(BaseRouter):
         """
         if self.dead:
             return False
-        for route in self.routing.candidates(self.node, packet):
+        for route, _positions in self._first_routes(packet):
             if not self.module_for(route).dead:
                 return True
         return False
+
+    def _first_routes(self, packet: Packet):
+        """The injection-table entry of ``packet``: its first directions,
+        each with its module's injection VCs (repro.routers.admission)."""
+        node, dest = self.node, packet.dest
+        cls = direction_class(dest.x - node.x, dest.y - node.y)
+        return self._injection[cls * 2 + packet.yx_first]
 
     # ------------------------------------------------------------------
     # Pipeline
@@ -379,7 +388,7 @@ class RoCoRouter(BaseRouter):
 
     def _route_viable(self, route: Direction, packet: Packet) -> bool:
         """Whether a committed look-ahead route can still make progress."""
-        if route is Direction.LOCAL:
+        if route is LOCAL:
             return True
         port = self.outputs.get(route)
         if port is None or port.dead or port.downstream is None:
@@ -402,7 +411,7 @@ class RoCoRouter(BaseRouter):
         if front is None or not front.is_head or vc.allocated:
             return
         route = front.route
-        if route is None or route is Direction.LOCAL:
+        if route is None or route is LOCAL:
             return
         packet = front.packet
         if self._route_viable(route, packet):
@@ -431,7 +440,7 @@ class RoCoRouter(BaseRouter):
             return
         front = vc.queue[0]
         out_dir = front.route
-        if out_dir is None or out_dir is Direction.LOCAL:
+        if out_dir is None or out_dir is LOCAL:
             # Defensive: early ejection should have consumed this flit.
             self.network.eject(vc.pop(cycle), self.node, cycle, early=True)
             return

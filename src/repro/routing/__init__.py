@@ -1,6 +1,6 @@
 """Routing algorithms: XY (DOR), oblivious XY-YX, and minimal adaptive."""
 
-from repro.core.types import RoutingMode
+from repro.core.types import ADAPTIVE, XY, XY_YX, RoutingMode
 from repro.routing.adaptive import AdaptiveRouting
 from repro.routing.base import (
     RoutingAlgorithm,
@@ -15,9 +15,9 @@ from repro.routing.xy import XYRouting
 from repro.routing.xyyx import XYYXRouting, choose_variant
 
 _ALGORITHMS = {
-    RoutingMode.XY: XYRouting,
-    RoutingMode.XY_YX: XYYXRouting,
-    RoutingMode.ADAPTIVE: AdaptiveRouting,
+    XY: XYRouting,
+    XY_YX: XYYXRouting,
+    ADAPTIVE: AdaptiveRouting,
 }
 
 

@@ -10,7 +10,7 @@ port; in the RoCo router it is the structural role of the deadlock-free
 
 from __future__ import annotations
 
-from repro.core.types import Direction, NodeId, Packet, RoutingMode
+from repro.core.types import ADAPTIVE, Direction, NodeId, Packet
 from repro.routing.base import (
     RoutingAlgorithm,
     productive_directions,
@@ -21,7 +21,7 @@ from repro.routing.base import (
 class AdaptiveRouting(RoutingAlgorithm):
     """Fully minimal adaptive routing with XY escape paths."""
 
-    mode = RoutingMode.ADAPTIVE
+    mode = ADAPTIVE
 
     def candidates(self, node: NodeId, packet: Packet) -> tuple[Direction, ...]:
         dirs = productive_directions(node, packet.dest)

@@ -13,7 +13,17 @@ from __future__ import annotations
 
 import abc
 
-from repro.core.types import Direction, NodeId, Packet, RoutingMode
+from repro.core.types import (
+    EAST,
+    LOCAL,
+    NORTH,
+    SOUTH,
+    WEST,
+    Direction,
+    NodeId,
+    Packet,
+    RoutingMode,
+)
 
 
 class RoutingAlgorithm(abc.ABC):
@@ -44,15 +54,11 @@ class RoutingAlgorithm(abc.ABC):
             return xy_direction(node, dest)
         from repro.core.topology import ring_direction
 
-        step = ring_direction(
-            node.x, dest.x, topology.width, Direction.EAST, Direction.WEST
-        )
+        step = ring_direction(node.x, dest.x, topology.width, EAST, WEST)
         if step is not None:
             return step
-        step = ring_direction(
-            node.y, dest.y, topology.height, Direction.SOUTH, Direction.NORTH
-        )
-        return step if step is not None else Direction.LOCAL
+        step = ring_direction(node.y, dest.y, topology.height, SOUTH, NORTH)
+        return step if step is not None else LOCAL
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -61,42 +67,42 @@ class RoutingAlgorithm(abc.ABC):
 def xy_direction(node: NodeId, dest: NodeId) -> Direction:
     """Pure dimension-ordered choice: correct X first, then Y."""
     if dest.x > node.x:
-        return Direction.EAST
+        return EAST
     if dest.x < node.x:
-        return Direction.WEST
+        return WEST
     if dest.y > node.y:
-        return Direction.SOUTH
+        return SOUTH
     if dest.y < node.y:
-        return Direction.NORTH
-    return Direction.LOCAL
+        return NORTH
+    return LOCAL
 
 
 def yx_direction(node: NodeId, dest: NodeId) -> Direction:
     """Dimension-ordered choice with Y corrected first."""
     if dest.y > node.y:
-        return Direction.SOUTH
+        return SOUTH
     if dest.y < node.y:
-        return Direction.NORTH
+        return NORTH
     if dest.x > node.x:
-        return Direction.EAST
+        return EAST
     if dest.x < node.x:
-        return Direction.WEST
-    return Direction.LOCAL
+        return WEST
+    return LOCAL
 
 
 def productive_directions(node: NodeId, dest: NodeId) -> tuple[Direction, ...]:
     """Every direction that reduces the Manhattan distance to ``dest``."""
     dirs: list[Direction] = []
     if dest.x > node.x:
-        dirs.append(Direction.EAST)
+        dirs.append(EAST)
     elif dest.x < node.x:
-        dirs.append(Direction.WEST)
+        dirs.append(WEST)
     if dest.y > node.y:
-        dirs.append(Direction.SOUTH)
+        dirs.append(SOUTH)
     elif dest.y < node.y:
-        dirs.append(Direction.NORTH)
+        dirs.append(NORTH)
     if not dirs:
-        return (Direction.LOCAL,)
+        return (LOCAL,)
     return tuple(dirs)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.types import Direction, NodeId, Packet, RoutingMode
+from repro.core.types import XY, Direction, NodeId, Packet
 from repro.routing.base import RoutingAlgorithm
 
 
@@ -13,7 +13,7 @@ class XYRouting(RoutingAlgorithm):
     the Y-to-X turns that close cyclic channel dependencies.
     """
 
-    mode = RoutingMode.XY
+    mode = XY
 
     def candidates(self, node: NodeId, packet: Packet) -> tuple[Direction, ...]:
         return (self.dor_direction(node, packet.dest),)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
-from repro.core.types import Direction, NodeId, Packet, RoutingMode
+from repro.core.types import XY_YX, Direction, NodeId, Packet
 from repro.routing.base import (
     RoutingAlgorithm,
     path_nodes_xy,
@@ -29,7 +29,7 @@ from repro.routing.base import (
 class XYYXRouting(RoutingAlgorithm):
     """Per-packet oblivious choice between XY and YX dimension order."""
 
-    mode = RoutingMode.XY_YX
+    mode = XY_YX
 
     def candidates(self, node: NodeId, packet: Packet) -> tuple[Direction, ...]:
         if packet.yx_first:

@@ -15,13 +15,14 @@ tie-break reads it), with the same routes.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
 from repro.core.types import Direction, NodeId, Packet, RoutingMode
-from repro.routers.admission import admission_index, admission_table
+from repro.routers.admission import admission_index, admission_table, injection_table
 from repro.routers.base import EJECT
 from repro.routers.quadrants import quadrant_of
 from repro.routers.roco.path_set import classify_vc
@@ -61,6 +62,37 @@ def roco_oracle(router, input_dir: Direction, packet: Packet) -> list:
                 continue
             out.append((vc, route))
     return out
+
+
+def roco_injection_oracle(router, packet: Packet):
+    """RoCo's ``injection_vc_for`` as the router computed it per call:
+    per first direction, the module's Injxy/Injyx VCs, best credit
+    first-wins."""
+    best = None
+    best_credits = -1
+    for route in router.routing.candidates(router.node, packet):
+        module = router.module_for(route)
+        if module.dead:
+            continue
+        cls = "injxy" if route.is_row else "injyx"
+        for vc in module.all_vcs():
+            if vc.vc_class != cls:
+                continue
+            if vc.injectable(router.network.cycle):
+                credit = vc.credits(router.network.cycle)
+                if credit > best_credits:
+                    best, best_credits = (vc, route), credit
+    return best
+
+
+def roco_injection_possible_oracle(router, packet: Packet) -> bool:
+    """RoCo's ``injection_possible`` as the router computed it per call."""
+    if router.dead:
+        return False
+    return any(
+        not router.module_for(route).dead
+        for route in router.routing.candidates(router.node, packet)
+    )
 
 
 def path_sensitive_oracle(router, input_dir: Direction, packet: Packet) -> list:
@@ -169,3 +201,45 @@ def test_arrived_keys_eject_and_positions_index_all_vcs():
                 else:
                     assert 0 <= target < 12
                     assert (route is None) == (architecture == "path_sensitive")
+
+
+def _ids(choice):
+    """An injection choice ``(vc, route)`` compared by VC identity."""
+    return None if choice is None else (id(choice[0]), choice[1])
+
+
+@pytest.mark.parametrize("width,height", MESHES, ids=[f"{w}x{h}" for w, h in MESHES])
+@pytest.mark.parametrize("mode", list(RoutingMode), ids=lambda m: m.value)
+def test_injection_read_equals_the_oracle(mode, width, height):
+    """``injection_vc_for`` / ``injection_possible`` read the injection
+    table; the oracles ask the routing function and scan the module.
+    Every router, destination class, XY-YX order and module health, on
+    drawn injection-VC states (owned or free, any credit count)."""
+    net = Network(SimulationConfig(width=width, height=height, routing=mode))
+    net.wire()
+    rng = random.Random(f"{mode.value}-{width}x{height}")
+    keys = set()
+    for router in net.routers.values():
+        injection_vcs = [vc for vc in router.all_vcs() if vc.vc_class.startswith("inj")]
+        for cls, dest in destinations(net, router.node, every=False):
+            for yx in (False, True):
+                packet = Packet(
+                    pid=0, src=router.node, dest=dest, size=4, created_cycle=0
+                )
+                packet.yx_first = yx
+                keys.add((cls, yx))
+                for state in roco_health(router):
+                    for _ in range(4):
+                        for vc in injection_vcs:
+                            vc.owner_pid = rng.choice((None, None, 7))
+                            vc._available = rng.randrange(vc.depth + 1)
+                        got = router.injection_vc_for(packet)
+                        want = roco_injection_oracle(router, packet)
+                        assert _ids(got) == _ids(want), (router.node, dest, yx, state)
+                    possible = router.injection_possible(packet)
+                    want_possible = roco_injection_possible_oracle(router, packet)
+                    assert possible == want_possible, (router.node, dest, yx, state)
+        for vc in injection_vcs:
+            vc.owner_pid, vc._available = None, vc.depth
+    assert len(keys) == len(injection_table(mode)) == 9 * 2
+    net.teardown()

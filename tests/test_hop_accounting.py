@@ -21,7 +21,11 @@ from repro.routing.xyyx import XYYXRouting
 from repro.traffic.base import TrafficPattern
 
 from .conftest import small_config
-from .test_admission import roco_oracle
+from .test_admission import (
+    roco_injection_oracle,
+    roco_injection_possible_oracle,
+    roco_oracle,
+)
 
 SRC = NodeId(0, 0)
 DEST = NodeId(2, 2)
@@ -80,10 +84,15 @@ def _detour_sim() -> Simulator:
     sim.network.routing = routing
     for router in sim.network.routers.values():
         router.routing = routing
-        # A router reads admission from the table built with its mode's
-        # own routing function; the detour needs the per-call admission
-        # that asks the router's routing, which the admission oracle is.
+        # A router reads admission and injection from the tables built
+        # with its mode's own routing function; the detour needs the
+        # per-call answers that ask the router's routing, which the
+        # admission and injection oracles are.
         router.vc_candidates = functools.partial(roco_oracle, router)
+        router.injection_vc_for = functools.partial(roco_injection_oracle, router)
+        router.injection_possible = functools.partial(
+            roco_injection_possible_oracle, router
+        )
     return sim
 
 

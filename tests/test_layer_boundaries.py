@@ -20,7 +20,12 @@ and ``arbiters.mirror.allocate`` were re-pinned when RoCo admission
 became a read of the shared admission table (no routing call per VA
 request) and a module's sole switch request became a lone grant (no
 allocator run, no arbiter ``grant`` call); every scheduler, delivered
-and dropped count stayed.  Regenerate it
+and dropped count stayed.  They moved once more when the draw loop
+inlined the base Bernoulli ``arrivals`` (``traffic.arrivals`` reads 0
+for the two Bernoulli cases; self-similar traffic keeps its calls) and
+RoCo injection became a read of the shared injection table (the RoCo
+case's ``routing.candidates`` keeps only the fault path's reroutes);
+again no scheduler, delivered or dropped count moved.  Regenerate it
 only when a change is meant to move a boundary:
 
     PYTHONPATH=src python tests/test_layer_boundaries.py

@@ -1,15 +1,19 @@
 """Unit tests for the fundamental data types."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import types
 from repro.core.types import (
     CARDINALS,
     Direction,
     FlitType,
     NodeId,
     Packet,
+    RoutingMode,
     make_packet_flits,
 )
 
@@ -37,6 +41,25 @@ class TestDirection:
     def test_direction_values_are_stable(self):
         assert [int(d) for d in CARDINALS] == [0, 1, 2, 3]
 
+    def test_member_attributes_equal_the_old_properties(self):
+        """``opposite``, ``is_row`` and ``is_column`` are plain member
+        attributes now; each equals the property it replaced."""
+        for d in Direction:
+            old_opposite = (
+                Direction.LOCAL if d is Direction.LOCAL else Direction((d + 2) % 4)
+            )
+            assert d.opposite is old_opposite
+            assert d.is_row is (d in (Direction.EAST, Direction.WEST))
+            assert d.is_column is (d in (Direction.NORTH, Direction.SOUTH))
+            assert {"opposite", "is_row", "is_column"} <= set(vars(d))
+        assert not [n for n, v in vars(Direction).items() if isinstance(v, property)]
+        assert not hasattr(types, "OPPOSITE")
+
+    def test_module_constants_are_the_members(self):
+        for enum in (Direction, FlitType, RoutingMode):
+            for name, member in enum.__members__.items():
+                assert getattr(types, name) is member
+
 
 class TestNodeId:
     def test_neighbors(self):
@@ -59,6 +82,17 @@ class TestNodeId:
 
     def test_str(self):
         assert str(NodeId(2, 5)) == "(2,5)"
+
+    def test_repr_hash_and_pickle(self):
+        """A tuple now, with the dataclass's repr and hash: no dict or set
+        keyed by nodes changes order."""
+        n = NodeId(3, -1)
+        assert repr(n) == "NodeId(x=3, y=-1)"
+        assert hash(n) == hash((3, -1))
+        assert (n.x, n.y) == (3, -1) and NodeId(x=3, y=-1) == n
+        back = pickle.loads(pickle.dumps(n))
+        assert back == n and type(back) is NodeId
+        assert back.neighbor(Direction.SOUTH) == NodeId(3, 0)
 
 
 def _packet(size=4, pid=0):
