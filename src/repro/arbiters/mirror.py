@@ -54,6 +54,12 @@ class MirrorAllocator:
         ``requests[port][direction_slot][vc]`` is True when that VC's front
         flit wants that output.  Returns at most one grant per port and at
         most one per direction (mirrored), maximising the match count.
+
+        The matrix stays bool, unlike the generic and Path-Sensitive
+        routers' request masks (``RoundRobinArbiter.grant_mask``): other
+        readers take it as lines — the audit's matching checker indexes
+        it and perfbench's traced pass tests ``True in port[0]`` — and
+        a module's lone request already skips it (:meth:`grant_lone`).
         """
         if len(requests) != 2 or len(requests[0]) != 2 or len(requests[1]) != 2:
             raise ValueError("mirror allocator expects a 2-port, 2-direction matrix")

@@ -3,19 +3,8 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cache
 
 from repro.arbiters.base import Arbiter
-
-
-@cache
-def one_hot(n: int) -> tuple[tuple[bool, ...], ...]:
-    """``one_hot(n)[i]``: ``n`` request lines with only line ``i`` raised.
-
-    The lines a lone requester presents; shared and immutable, so a
-    caller raising one line builds no list.
-    """
-    return tuple(tuple(j == i for j in range(n)) for i in range(n))
 
 
 class RoundRobinArbiter(Arbiter):
@@ -43,6 +32,22 @@ class RoundRobinArbiter(Arbiter):
                 return idx
             idx += 1
         return None
+
+    def grant_mask(self, mask: int) -> int | None:
+        """:meth:`grant` of the lines whose bits ``mask`` sets (bit ``i``
+        is line ``i``; ``mask < 2 ** num_requesters``).
+
+        The winner is the lowest set bit at or after the pointer, else
+        the lowest set bit: two shifts and an ``x & -x``, so no request
+        list is built and no table grows with the width.
+        """
+        pointer = self._next
+        ahead = mask >> pointer << pointer or mask
+        if not ahead:
+            return None
+        after = (ahead & -ahead).bit_length()  # the winner's line + 1
+        self._next = after if after < self.num_requesters else 0
+        return after - 1
 
     def grant_lone(self, line: int) -> int:
         """:meth:`grant` of ``line`` as the only request: it wins, and

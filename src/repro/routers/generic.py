@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from itertools import groupby
 from operator import attrgetter
 
-from repro.arbiters.round_robin import RoundRobinArbiter, one_hot
+from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.buffer import VirtualChannel
 from repro.core.types import (
     ADAPTIVE,
@@ -37,9 +37,6 @@ GENERIC_PORTS = (NORTH, EAST, SOUTH, WEST, LOCAL)
 
 #: Groups a port-ordered VC list by input port (SA stage 1).
 _INPUT_DIR = attrgetter("input_dir")
-
-#: SA stage-2 lines of a lone nominee, by input port (= line index).
-_PORT_LINES = one_hot(len(GENERIC_PORTS))
 
 
 class GenericRouter(BaseRouter):
@@ -73,8 +70,6 @@ class GenericRouter(BaseRouter):
         self._sa_stage2 = {
             d: RoundRobinArbiter(len(GENERIC_PORTS)) for d in GENERIC_PORTS
         }
-        #: SA stage-1 lines of a lone requester, by VC index.
-        self._vc_lines = one_hot(v)
         #: Mesh admission options per input port (:meth:`vc_candidates`),
         #: built once and shared by every caller.
         self._admission = {
@@ -256,13 +251,14 @@ class GenericRouter(BaseRouter):
             self._resolve_vc_allocations(va_requests, cycle)
 
         # One walk after VA (``_ready_walk``) takes the contention tally
-        # and the VCs ready for the switch; each raises its line in its
-        # input port's SA stage-1 request.  Worms whose VA succeeded only
-        # this cycle are *speculative* SA requesters and, per the
-        # Peh-Dally priority rule the generic router implements, lose to
+        # and the VCs ready for the switch; each sets its bit (its VC
+        # index) in its input port's SA stage-1 request mask.  Worms whose
+        # VA succeeded only this cycle are *speculative* SA requesters
+        # and, per the Peh-Dally priority rule the generic router
+        # implements, lose to
         # any non-speculative request — both within a port and at the
-        # output arbiters — so a port's lines are its non-speculative
-        # requesters' while it has one.  This speculation failure under
+        # output arbiters — so a port's mask holds its non-speculative
+        # requesters while it has one.  This speculation failure under
         # load is the pipeline-stall contention cost the paper charges
         # the generic design with.
         tally = [0] * len(GENERIC_PORTS)
@@ -271,46 +267,39 @@ class GenericRouter(BaseRouter):
         if not ready:
             return
         self._activity.sa_requests += len(ready)
-        vc_lines = self._vc_lines
-        #: input port -> [request lines, whether they are speculative]
+        #: input port -> [request mask, whether it is speculative]
         stage1: dict[Direction, list] = {}
         for vc in ready:
             speculative = vc in newly_allocated
             d = vc.input_dir
             entry = stage1.get(d)
             if entry is None or (entry[1] and not speculative):
-                stage1[d] = [vc_lines[vc.index], speculative]
+                stage1[d] = [1 << vc.index, speculative]
             elif entry[1] is speculative:
-                lines = entry[0]
-                if type(lines) is tuple:
-                    lines = entry[0] = list(lines)
-                lines[vc.index] = True
+                entry[0] |= 1 << vc.index
 
         # SA stage 1 nominates one VC per requesting input port; each
-        # nominee raises its port's line at its output's stage-2 request
-        # by the same speculation rule.  Outputs are served in the order
-        # their first nominee appears (port order): grant order is the
-        # next cycle's launch order.
+        # nominee sets its port's bit (the port is the line) in its
+        # output's stage-2 request mask by the same speculation rule.
+        # Outputs are served in the order their first nominee appears
+        # (port order): grant order is the next cycle's launch order.
         ports = self.ports
         stage1_arbiters = self._sa_stage1
         nominees: dict[Direction, VirtualChannel] = {}
-        #: output -> [request lines, whether they are speculative]
+        #: output -> [request mask, whether it is speculative]
         stage2: dict[Direction, list] = {}
-        for d, (lines, speculative) in stage1.items():
-            vc = ports[d][stage1_arbiters[d].grant(lines)]
+        for d, (mask, speculative) in stage1.items():
+            vc = ports[d][stage1_arbiters[d].grant_mask(mask)]
             nominees[d] = vc
             out_dir = vc.out_dir
-            entry = stage2.get(out_dir)
-            if entry is None or (entry[1] and not speculative):
-                stage2[out_dir] = [_PORT_LINES[d], speculative]
-            elif entry[1] is speculative:
-                lines = entry[0]
-                if type(lines) is tuple:
-                    lines = entry[0] = list(lines)
-                lines[d] = True
+            nominated = stage2.get(out_dir)
+            if nominated is None or (nominated[1] and not speculative):
+                stage2[out_dir] = [1 << d, speculative]
+            elif nominated[1] is speculative:
+                nominated[0] |= 1 << d
         stage2_arbiters = self._sa_stage2
-        for out_dir, (lines, _) in stage2.items():
-            winner = stage2_arbiters[out_dir].grant(lines)
+        for out_dir, (mask, _) in stage2.items():
+            winner = stage2_arbiters[out_dir].grant_mask(mask)
             self._commit_switch_grant(nominees[GENERIC_PORTS[winner]], cycle)
 
     def _allocate_lone(self, vc: VirtualChannel, cycle: int) -> None:
@@ -318,10 +307,10 @@ class GenericRouter(BaseRouter):
 
         The general body with each container cut to its one entry: the
         VC, if ready, is the sole request of both SA stages and wins
-        them, but each stage's arbiter is still called — one raised line
-        — so its rotating priority moves past the winner as in the
-        general walk.  The full sweep never comes here: it is the
-        reference the lone path is checked against.
+        them, and each stage's arbiter still grants it (``grant_lone``),
+        so its rotating priority moves past the winner as in the general
+        walk.  The full sweep never comes here: it is the reference the
+        lone path is checked against.
         """
         self._stage_lone(vc, cycle)
         self._tally_lone(vc)
@@ -329,8 +318,8 @@ class GenericRouter(BaseRouter):
             return
         self._activity.sa_requests += 1
         d = vc.input_dir
-        self._sa_stage1[d].grant(self._vc_lines[vc.index])
-        self._sa_stage2[vc.out_dir].grant(_PORT_LINES[d])
+        self._sa_stage1[d].grant_lone(vc.index)
+        self._sa_stage2[vc.out_dir].grant_lone(d)
         self._commit_switch_grant(vc, cycle)
 
     def _request_va(

@@ -16,7 +16,7 @@ why only 2 of its 24 match cases are non-blocking (Table 2).
 
 from __future__ import annotations
 
-from repro.arbiters.round_robin import RoundRobinArbiter, one_hot
+from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.buffer import VirtualChannel
 from repro.core.types import EAST, NORTH, SOUTH, WEST, Direction, NodeId, Packet
 from repro.routers.admission import admission_table
@@ -32,14 +32,6 @@ from repro.routers.quadrants import (
 OUTPUT_ORDER = (NORTH, EAST, SOUTH, WEST)
 
 
-#: (path-set index, output) -> which of the set's two local arbiters
-#: serves that crosspoint; pairs absent here have no crosspoint.
-_CROSSPOINT_SLOT = {
-    (q_index, out_dir): slot
-    for q_index, quadrant in enumerate(QUADRANTS)
-    for slot, out_dir in enumerate(QUADRANT_OUTPUTS[quadrant])
-}
-
 #: Output -> indices of the two path sets that can feed it, in
 #: QUADRANTS order (the line order of that output's 2:1 arbiter).
 _FEEDERS = {
@@ -51,14 +43,23 @@ _FEEDERS = {
     for out_dir in OUTPUT_ORDER
 }
 
-#: Local-stage lines of a lone requester, by VC index within its set.
-_VC_LINES = one_hot(3)
+#: (path-set index, output) -> which of the set's two local arbiters
+#: serves that crosspoint, and the set's line at that output's 2:1
+#: arbiter; pairs absent here have no crosspoint.
+_CROSSPOINT = {
+    (q_index, out_dir): (slot, _FEEDERS[out_dir].index(q_index))
+    for q_index, quadrant in enumerate(QUADRANTS)
+    for slot, out_dir in enumerate(QUADRANT_OUTPUTS[quadrant])
+}
 
-#: (path-set index, output) -> the lone requester's local arbiter slot
-#: and its one raised line at that output's 2:1 arbiter.
-_LONE_CROSSPOINT = {
-    (q_index, out_dir): (slot, one_hot(2)[_FEEDERS[out_dir].index(q_index)])
-    for (q_index, out_dir), slot in _CROSSPOINT_SLOT.items()
+#: (output, mask of path sets matched earlier in the walk) -> the mask
+#: of that output's 2:1 arbiter lines whose path set is among them.
+_MATCHED_LINES = {
+    (out_dir, matched): sum(
+        1 << line for line, q_index in enumerate(feeders) if matched >> q_index & 1
+    )
+    for out_dir, feeders in _FEEDERS.items()
+    for matched in range(1 << len(QUADRANTS))
 }
 
 
@@ -208,8 +209,8 @@ class PathSensitiveRouter(BaseRouter):
                 contenders.setdefault((vc.port, vc.out_dir), []).append(vc)
             local: dict[tuple[int, Direction], VirtualChannel] = {}
             for key, group in contenders.items():
-                slot = _CROSSPOINT_SLOT.get(key)
-                if slot is None:
+                crosspoint = _CROSSPOINT.get(key)
+                if crosspoint is None:
                     continue  # the decomposed crossbar has no such crosspoint
                 self.network.stats.activity.sa_requests += len(group)
                 # Separable-SA speculation rule (as in the generic router):
@@ -221,7 +222,7 @@ class PathSensitiveRouter(BaseRouter):
                 for vc in pool:
                     lines[vc.index] = True
                 quadrant = QUADRANTS[key[0]]
-                winner = self._set_arbiters[quadrant][slot].grant(lines)
+                winner = self._set_arbiters[quadrant][crosspoint[0]].grant(lines)
                 local[key] = self.path_sets[quadrant][winner]
 
             granted_sets: list[int] = []
@@ -250,32 +251,30 @@ class PathSensitiveRouter(BaseRouter):
 
         # One walk after VA (``_ready_walk``) takes the contention tally
         # and the VCs ready for the switch; each, at a crosspoint of the
-        # decomposed crossbar, raises its line at the local arbiter of
-        # that crosspoint.  As in the generic router's separable SA, worms
-        # allocated only this cycle are speculative and yield to
-        # non-speculative requests: a crosspoint's lines are its
-        # non-speculative requesters' while it has one.  RoCo's mirror
-        # allocator has no such cross-port priority conflict.
+        # decomposed crossbar, sets its bit (its index in the set) in the
+        # request mask of that crosspoint's local arbiter.  As in the
+        # generic router's separable SA, worms allocated only this cycle
+        # are speculative and yield to non-speculative requests: a
+        # crosspoint's mask holds its non-speculative requesters while it
+        # has one.  RoCo's mirror allocator has no such cross-port
+        # priority conflict.
         tally = [0] * 5
         ready = self._ready_walk(occupied, cycle, tally)
         self._add_contention(tally)
         requests = 0
-        #: (path set, output) -> [request lines, whether speculative]
+        #: (path set, output) -> [request mask, whether speculative]
         crosspoints: dict[tuple[int, Direction], list] = {}
         for vc in ready:
             key = (vc.port, vc.out_dir)
-            if key not in _CROSSPOINT_SLOT:
+            if key not in _CROSSPOINT:
                 continue  # the decomposed crossbar has no such crosspoint
             requests += 1
             speculative = vc in newly_allocated
             entry = crosspoints.get(key)
             if entry is None or (entry[1] and not speculative):
-                crosspoints[key] = [_VC_LINES[vc.index], speculative]
+                crosspoints[key] = [1 << vc.index, speculative]
             elif entry[1] is speculative:
-                lines = entry[0]
-                if type(lines) is tuple:
-                    lines = entry[0] = list(lines)
-                lines[vc.index] = True
+                entry[0] |= 1 << vc.index
         if not requests:
             return
         self._activity.sa_requests += requests
@@ -285,36 +284,41 @@ class PathSensitiveRouter(BaseRouter):
         # the outputs in fixed order with chained dependency — a set
         # matched to an earlier output cannot serve a later one, the
         # structural reason only 2 of its 24 match cases are non-blocking
-        # (Table 2).
+        # (Table 2).  Each local winner sets its path set's line in its
+        # output's request mask (``wanted``, indexed by output).
         local: dict[tuple[int, Direction], VirtualChannel] = {}
-        for key, (lines, _) in crosspoints.items():
-            quadrant = QUADRANTS[key[0]]
-            arbiter = self._set_arbiters[quadrant][_CROSSPOINT_SLOT[key]]
-            local[key] = self.path_sets[quadrant][arbiter.grant(lines)]
+        wanted = [0, 0, 0, 0]
+        for key, (mask, _) in crosspoints.items():
+            q_index, out_dir = key
+            slot, line = _CROSSPOINT[key]
+            quadrant = QUADRANTS[q_index]
+            arbiter = self._set_arbiters[quadrant][slot]
+            local[key] = self.path_sets[quadrant][arbiter.grant_mask(mask)]
+            wanted[out_dir] |= 1 << line
 
-        granted_sets: list[int] = []
+        # Chained dependency: a set matched earlier in the walk (a bit
+        # of ``matched``) may only pick up a *second* output
+        # opportunistically, when no unmatched set wants it — the global
+        # arbitration signal has already been consumed by its first
+        # grant.
+        matched = 0
         for out_dir in OUTPUT_ORDER:
-            feeders = _FEEDERS[out_dir]
-            requesting = [q for q in feeders if (q, out_dir) in local]
-            if not requesting:
+            mask = wanted[out_dir]
+            if not mask:
                 continue
-            # Chained dependency: a set matched earlier in the walk may
-            # only pick up a *second* output opportunistically, when no
-            # unmatched set wants it — the global arbitration signal has
-            # already been consumed by its first grant.
-            pool = [q for q in requesting if q not in granted_sets] or requesting
-            lines = [q in pool for q in feeders]
-            quadrant = feeders[self._output_arbiters[out_dir].grant(lines)]
-            self._commit_switch_grant(local[(quadrant, out_dir)], cycle)
-            granted_sets.append(quadrant)
+            mask = mask & ~_MATCHED_LINES[out_dir, matched] or mask
+            line = self._output_arbiters[out_dir].grant_mask(mask)
+            q_index = _FEEDERS[out_dir][line]
+            self._commit_switch_grant(local[(q_index, out_dir)], cycle)
+            matched |= 1 << q_index
 
     def _allocate_lone(self, vc: VirtualChannel, cycle: int) -> None:
         """:meth:`allocate` of a step that finds only ``vc`` occupied.
 
         The general body with each container cut to its one entry: the
         VC, if ready and at a crosspoint, is the sole request of its
-        local arbiter and of its output's 2:1 arbiter, and each is still
-        called — one raised line — so its rotating priority moves past
+        local arbiter and of its output's 2:1 arbiter, and each still
+        grants it (``grant_lone``), so its rotating priority moves past
         the winner as in the general walk.  The full sweep never comes
         here: it is the reference the lone path is checked against.
         """
@@ -323,13 +327,13 @@ class PathSensitiveRouter(BaseRouter):
         if not self._vc_ready_for_switch(vc, cycle):
             return
         out_dir = vc.out_dir
-        crosspoint = _LONE_CROSSPOINT.get((vc.port, out_dir))
+        crosspoint = _CROSSPOINT.get((vc.port, out_dir))
         if crosspoint is None:
             return  # the decomposed crossbar has no such crosspoint
-        slot, feeder_lines = crosspoint
+        slot, line = crosspoint
         self._activity.sa_requests += 1
-        self._set_arbiters[QUADRANTS[vc.port]][slot].grant(_VC_LINES[vc.index])
-        self._output_arbiters[out_dir].grant(feeder_lines)
+        self._set_arbiters[QUADRANTS[vc.port]][slot].grant_lone(vc.index)
+        self._output_arbiters[out_dir].grant_lone(line)
         self._commit_switch_grant(vc, cycle)
 
     def _request_va(

@@ -1,5 +1,7 @@
 """Unit tests for the arbitration primitives."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,40 @@ class TestRoundRobin:
                 assert winner is not None and requests[winner]
             else:
                 assert winner is None
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_grant_mask_equals_grant(self, n):
+        """Every pointer and every non-empty request set: ``grant_mask``
+        of the set's bits grants the line ``grant`` of its lines grants,
+        and leaves the pointer where ``grant`` leaves it."""
+        for pointer in range(n):
+            for mask in range(1, 1 << n):
+                lines = [bool(mask >> line & 1) for line in range(n)]
+                by_lines, by_mask = RoundRobinArbiter(n), RoundRobinArbiter(n)
+                by_lines._next = by_mask._next = pointer
+                assert by_mask.grant_mask(mask) == by_lines.grant(lines)
+                assert by_mask._next == by_lines._next, (n, pointer, mask)
+
+    def test_grant_mask_of_nothing_is_idle(self):
+        arb = RoundRobinArbiter(4)
+        arb._next = 2
+        assert arb.grant_mask(0) is None
+        assert arb._next == 2
+
+    def test_grant_mask_builds_nothing_sized_by_width(self):
+        """A 32-line arbiter grants from its mask by bit arithmetic: no
+        table of 2**32 request sets (nor any that grows with the width)."""
+        arb = RoundRobinArbiter(32)
+        masks = [1 << 31, 1, (1 << 32) - 1, 0b1010 << 20, 1 << 31 | 1]
+        tracemalloc.start()
+        try:
+            winners = [arb.grant_mask(mask) for mask in masks]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert winners == [31, 0, 1, 21, 31]
+        assert peak < 4096, peak
+        assert sorted(vars(arb)) == ["_next", "num_requesters"]
 
 
 class TestMatrixArbiter:

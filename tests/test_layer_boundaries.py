@@ -25,7 +25,15 @@ inlined the base Bernoulli ``arrivals`` (``traffic.arrivals`` reads 0
 for the two Bernoulli cases; self-similar traffic keeps its calls) and
 RoCo injection became a read of the shared injection table (the RoCo
 case's ``routing.candidates`` keeps only the fault path's reroutes);
-again no scheduler, delivered or dropped count moved.  Regenerate it
+again no scheduler, delivered or dropped count moved.  The generic and
+Path-Sensitive cases' ``arbiters.round_robin.grant`` then fell to 0:
+their switch allocation grants from request bitmasks
+(``RoundRobinArbiter.grant_mask``) and a lone request by
+``grant_lone``, so ``grant`` over bool lines is left to the full-sweep
+references and to RoCo's allocators; the rotating priority those calls
+advance is held by ``tests/test_lone_allocate.py`` and
+``tests/test_multi_allocate.py``, and again no scheduler, delivered or
+dropped count moved.  Regenerate it
 only when a change is meant to move a boundary:
 
     PYTHONPATH=src python tests/test_layer_boundaries.py

@@ -343,9 +343,13 @@ def test_lone_path_equals_general_walk(variant):
 #: shared ``BaseRouter._stage_lone`` or the Mirror allocator's
 #: ``grant_lone``) that the variant's battery must catch.
 MUTANTS = {
+    "generic: stage-1 grant left out": (
+        generic.GenericRouter, "_allocate_lone", "generic",
+        [("self._sa_stage1[d].grant_lone(vc.index)", "pass")],
+    ),
     "generic: stage-2 grant left out": (
         generic.GenericRouter, "_allocate_lone", "generic",
-        [("self._sa_stage2[vc.out_dir].grant(_PORT_LINES[d])", "pass")],
+        [("self._sa_stage2[vc.out_dir].grant_lone(d)", "pass")],
     ),
     "generic: tally skipped when not ready": (
         generic.GenericRouter, "_allocate_lone", "generic",
@@ -356,9 +360,14 @@ MUTANTS = {
           "            return\n"
           "        self._tally_lone(vc)\n")],
     ),
+    "path_sensitive: local arbiter left out": (
+        path_sensitive.PathSensitiveRouter, "_allocate_lone", "path_sensitive",
+        [("self._set_arbiters[QUADRANTS[vc.port]][slot].grant_lone(vc.index)",
+          "pass")],
+    ),
     "path_sensitive: output arbiter left out": (
         path_sensitive.PathSensitiveRouter, "_allocate_lone", "path_sensitive",
-        [("self._output_arbiters[out_dir].grant(feeder_lines)", "pass")],
+        [("self._output_arbiters[out_dir].grant_lone(line)", "pass")],
     ),
     "path_sensitive: request counted without a crosspoint": (
         path_sensitive.PathSensitiveRouter, "_allocate_lone", "path_sensitive",

@@ -22,7 +22,9 @@ targets, conditions); a later VC shares the output, the input group
 (port, path set or module port) or both with an earlier one three times
 in four, so the arbitrations this body settles — a port's or a
 crosspoint's speculative and settled requesters, two inputs on one
-output, both RoCo modules at once — are met often.  The arbiters start
+output, both RoCo modules at once — are met often.  A further set of
+cases chains three VCs that all request the switch (:func:`draw`), the
+shape Path-Sensitive's chained dependency settles.  The arbiters start
 each case at pointers that rotate from case to case.
 """
 
@@ -35,10 +37,24 @@ import pytest
 from repro.routers import base, generic, path_sensitive
 from repro.routers.roco import router as roco_router
 
-from .test_lone_allocate import CYCLE, VARIANTS, cases, seeded, twins
+from .test_lone_allocate import (
+    BODY,
+    CREDIT,
+    CYCLE,
+    EJECTS,
+    HEAD,
+    NONE,
+    VARIANTS,
+    cases,
+    seeded,
+    twins,
+)
 
 #: Cases per variant and occupied-VC count.
 CASES = {2: 400, 3: 300}
+#: Cases per variant of three VCs that all request the switch, drawn as
+#: a chain (:func:`draw`).
+CHAIN_CASES = 200
 
 
 def universe(variant: str, twin) -> list[tuple]:
@@ -48,10 +64,27 @@ def universe(variant: str, twin) -> list[tuple]:
     return [case[:5] for case in cases(variant, twin)]
 
 
-def draw(rng: random.Random, states: list[tuple], twin):
+def requesting(states: list[tuple]) -> list[tuple]:
+    """The states whose VC requests the switch: an allocated head or a
+    body flit, with room downstream and no condition."""
+    return [
+        state for state in states
+        if state[2] in (HEAD, BODY) and state[3] in (CREDIT, EJECTS)
+        and state[4] == NONE
+    ]
+
+
+def draw(rng: random.Random, states: list[tuple], twin, chain: bool = False):
     """A sampler of ``count`` states on distinct VCs; each after the first
     shares the output, the input group or both with an earlier one three
-    times in four."""
+    times in four.
+
+    A ``chain`` sampler links each state to the one before it instead:
+    the second shares its input group but not its output, the third its
+    output, and so on.  Its three states are the shape in which an input
+    already matched to one output also wants a later one that a second
+    input wants, which Path-Sensitive's chained dependency settles (a
+    random draw meets it a few times in a thousand cases)."""
     vcs = twin.router.all_vcs()
 
     def group(state):
@@ -81,20 +114,40 @@ def draw(rng: random.Random, states: list[tuple], twin):
                 picked.append(state)
         return picked
 
-    return drawn
+    def chained(count: int) -> list[tuple]:
+        picked = [rng.choice(states)]
+        while len(picked) < count:
+            anchor, share = picked[-1], len(picked) % 2
+            options = [
+                state for state in pools[share][keys[share](anchor)]
+                if all(state[0] != other[0] for other in picked)
+                and (not share or state[1] != anchor[1])
+            ]
+            if not options:  # a dead end: start the chain again
+                picked = [rng.choice(states)]
+                continue
+            picked.append(rng.choice(options))
+        return picked
+
+    return chained if chain else drawn
 
 
 def check(variant: str) -> dict:
     """Run every multi-VC case of ``variant``; count the cases, and those
     that granted twice, ran VA and kept a verdict."""
     active, sweep = twins(variant)
-    drawn = draw(random.Random(f"multi-{variant}"), universe(variant, active),
-                 active)
+    rng = random.Random(f"multi-{variant}")
+    states = universe(variant, active)
+    drawn = draw(rng, states, active)
+    busy = requesting(states)
     tally = dict.fromkeys(("cases", "granted", "va", "kept"), 0)
     activity = active.net.stats.activity
     vcs = active.router.all_vcs()
     number = 0
-    for count, total in CASES.items():
+    runs = [(drawn, count, total) for count, total in CASES.items()]
+    if busy:  # the look-ahead ablations place unallocated heads only
+        runs.append((draw(rng, busy, active, chain=True), 3, CHAIN_CASES))
+    for drawn, count, total in runs:
         done = 0
         while done < total:
             picked = drawn(count)
@@ -156,6 +209,11 @@ MUTANTS = {
         [("speculative = vc in newly_allocated",
           "speculative = vc not in newly_allocated")],
     ),
+    "generic: stage-2 speculative rule inverted": (
+        generic.GenericRouter, "allocate", "generic",
+        [("nominated is None or (nominated[1] and not speculative)",
+          "nominated is None or (not nominated[1] and speculative)")],
+    ),
     "generic: tally taken before VA": (
         generic.GenericRouter, "allocate", "generic",
         [("        if va_requests:\n"
@@ -175,6 +233,10 @@ MUTANTS = {
     "path_sensitive: hold penalty ignored": (
         base.BaseRouter, "_ready_walk", "path_sensitive",
         [("vc.hold_until > cycle", "False")],
+    ),
+    "path_sensitive: chained dependency ignored": (
+        path_sensitive.PathSensitiveRouter, "allocate", "path_sensitive",
+        [("mask = mask & ~_MATCHED_LINES[out_dir, matched] or mask", "pass")],
     ),
     "path_sensitive: newly allocated ignored": (
         path_sensitive.PathSensitiveRouter, "allocate", "path_sensitive",
