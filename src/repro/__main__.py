@@ -256,15 +256,24 @@ def _run_failed(exc: Exception) -> int:
 
 def _load_job(path: str) -> SimJob:
     """The job saved in ``path``: a ``SimJob`` payload, or a
-    ``repro-audit/v1`` file (its scenario, audited)."""
+    ``repro-audit/v1`` file (its scenario, audited).  A tiled job is
+    refused, as ``serve`` refuses one."""
     payload = json.loads(Path(path).read_text())
     try:
         if payload.pop("schema", None) is not None:
             payload.pop("violation", None)
             payload["config"]["audit"] = True
-        return SimJob.from_payload(payload)
+        job = SimJob.from_payload(payload)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"{path} holds no job: {exc!r}") from exc
+    if job.config.shards is not None:
+        from repro.serve.protocol import EXCLUDED_FIELDS
+
+        raise ValueError(
+            f"{path}: config field 'shards' cannot be replayed: "
+            f"{EXCLUDED_FIELDS['shards']}"
+        )
+    return job
 
 
 def _run_single(args) -> int:

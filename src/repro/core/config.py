@@ -115,6 +115,10 @@ def parse_shards(value) -> tuple[int, int]:
     return (tiles_x, tiles_y)
 
 
+#: Each router architecture by name, with its paper-default buffer depth.
+_BUFFER_DEPTHS = {"generic": 4, "path_sensitive": 5, "roco": 5}
+
+
 @dataclass
 class RouterConfig:
     """Static structural parameters of one router instance.
@@ -149,10 +153,9 @@ class RouterConfig:
         ``architecture`` is one of ``"generic"``, ``"path_sensitive"``,
         ``"roco"``.  Keyword overrides win over the defaults.
         """
-        depths = {"generic": 4, "path_sensitive": 5, "roco": 5}
-        if architecture not in depths:
+        if architecture not in _BUFFER_DEPTHS:
             raise ValueError(f"unknown architecture {architecture!r}")
-        params = {"buffer_depth": depths[architecture]}
+        params = {"buffer_depth": _BUFFER_DEPTHS[architecture]}
         params.update(overrides)
         return cls(**params)
 
@@ -234,6 +237,8 @@ class SimulationConfig:
             raise ValueError(f"injection_rate must be a number, not {rate!r}")
         # One run, one job key: the CLI's 1.0 and a payload's 1 alike.
         self.injection_rate = float(rate)
+        if self.router not in _BUFFER_DEPTHS:
+            raise ValueError(f"unknown architecture {self.router!r}")
         if self.router_config is None:
             self.router_config = RouterConfig.for_architecture(self.router)
         if isinstance(self.routing, str):

@@ -48,6 +48,7 @@ from repro.core.soa.errors import BackendUnsupportedError
 from repro.core.types import CARDINALS, EAST, NORTH, Direction, NodeId, Packet
 from repro.routers.admission import admission_index, admission_table, injection_table
 from repro.routers.base import EJECT
+from repro.routers.roco.path_set import TABLE1
 from repro.routing.base import direction_class
 
 #: Integer codes for the slot-state arrays.  ``NONE_CODE`` stands for
@@ -65,7 +66,9 @@ CENTRE = NodeId(1, 1)
 
 
 def layout_key(config) -> tuple:
-    """Every config field the layout is derived from, as a hashable key.
+    """Every config field the layout is derived from, as a hashable key,
+    and RoCo's VC table (its ``TABLE1`` entry, read now; None for
+    generic).
 
     Seed, traffic and rates are deliberately absent — they never reach
     the wiring or routing tables.
@@ -78,6 +81,7 @@ def layout_key(config) -> tuple:
         config.height,
         config.flits_per_packet,
         astuple(config.router_config),
+        TABLE1[config.routing] if config.router == "roco" else None,
     )
 
 
@@ -85,7 +89,7 @@ def _prototype(key: tuple) -> Network:
     """The 3x3 network of ``key``'s routers, built from the key alone: a
     config field the layout never reads (traffic, rates, sizes that only
     suit the real mesh) cannot reject it."""
-    router, topology, routing, _width, _height, flits, router_config = key
+    router, topology, routing, _width, _height, flits, router_config, _specs = key
     if topology != "mesh":
         raise BackendUnsupportedError(f"topology={topology!r}")
     return Network(
@@ -112,7 +116,7 @@ class SoALayout:
 
     def __init__(self, config) -> None:
         key = layout_key(config)
-        self.arch, _topology, self.mode, W, H, self.F, _ = key
+        self.arch, _topology, self.mode, W, H, self.F, _, specs = key
         self.width, self.height = W, H
         N = self.N = W * H
         net = _prototype(key)
@@ -243,7 +247,7 @@ class SoALayout:
             #: look-ahead direction int, in the object model's candidate
             #: order (the VC allocator's first-wins tie-break depends on
             #: it).
-            table = admission_table(self.arch, self.mode)
+            table = admission_table(specs, self.mode)
             self.admission: tuple[tuple[tuple[int, int], ...], ...] = tuple(
                 tuple(
                     (EJECT_CODE if target is EJECT else target, int(route))
@@ -260,7 +264,7 @@ class SoALayout:
             #: ownership are run-time checks.
             self.injection: tuple[tuple[tuple[int, int], ...], ...] = tuple(
                 tuple((p, int(route)) for route, positions in entry for p in positions)
-                for entry in injection_table(self.mode)
+                for entry in injection_table(specs, self.mode)
             )
         net.teardown()
 

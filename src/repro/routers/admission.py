@@ -9,9 +9,11 @@ the head: the direction class of its destination
 (:func:`repro.routing.base.direction_class`), the input it enters on
 and its XY-YX order.  Both routers run on a mesh only, where every
 router gives the same answer for those three facts.  So the whole
-answer is one table of ``9 * 5 * 2`` entries per (architecture, routing
-mode), built here once and shared by every router of every network and
-by the SoA layout.
+answer is one table of ``9 * 5 * 2`` entries, built here once and shared
+by every router of every network and by the SoA layout.  RoCo's table is
+memoised on its VC table's value (a ``TABLE1`` entry) and routing mode;
+Path-Sensitive's quadrant sets do not depend on the routing mode, so it
+has one table per process.
 
 An entry is the ordered tuple of ``(target, route)`` pairs the router
 admits the head to: ``target`` the VC's position in ``all_vcs()`` or
@@ -23,19 +25,16 @@ only drops the entries of a dead module.
 
 RoCo's source side reads a second table of the same kind:
 :func:`injection_table`, the scan order of ``injection_vc_for``.
-
-The RoCo specs are imported inside the builders: importing the ``roco``
-package imports its router, which imports this module, so a top-level
-import would make the order of ``repro.routers``' own imports matter.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from repro.core.types import ADAPTIVE, LOCAL, Direction, NodeId, Packet, RoutingMode
 from repro.routers.base import EJECT
 from repro.routers.quadrants import PATH_SET_VCS, quadrant_of
+from repro.routers.roco.path_set import COLUMN, ROW, VCSpec, classify_vc
 from repro.routing import make_routing
 
 #: The router the builders ask from: at (1, 1), a destination of
@@ -55,12 +54,21 @@ def admission_index(cls: int, input_dir: int, yx_first: int) -> int:
 
 
 @cache
-def admission_table(architecture: str, mode: RoutingMode) -> tuple[Entry, ...]:
-    """The admission entries of ``architecture`` under ``mode``, indexed
-    by :func:`admission_index`."""
-    admit = _ADMIT.get(architecture)
-    if admit is None:
-        raise ValueError(f"{architecture!r} routers have no admission table")
+def admission_table(specs: tuple[VCSpec, ...], mode: RoutingMode) -> tuple[Entry, ...]:
+    """RoCo's admission entries on the VC table ``specs`` under ``mode``,
+    indexed by :func:`admission_index`."""
+    return _table(partial(_roco_admit, specs, mode))
+
+
+@cache
+def path_sensitive_table() -> tuple[Entry, ...]:
+    """Path-Sensitive's admission entries, indexed by
+    :func:`admission_index`: the same under every routing mode."""
+    return _table(_path_sensitive_admit)
+
+
+def _table(admit) -> tuple[Entry, ...]:
+    """The entries ``admit(input_dir, packet)`` yields, by key."""
     table = []
     for cls in range(9):
         for input_dir in Direction:
@@ -68,14 +76,16 @@ def admission_table(architecture: str, mode: RoutingMode) -> tuple[Entry, ...]:
                 if cls == 4:
                     table.append(((EJECT, LOCAL),))
                     continue
-                table.append(tuple(admit(mode, input_dir, _packet(cls, yx))))
+                table.append(tuple(admit(input_dir, _packet(cls, yx))))
     return tuple(table)
 
 
 @cache
-def injection_table(mode: RoutingMode) -> tuple[Injection, ...]:
-    """RoCo's injection scan order under ``mode``, indexed by
-    ``cls * 2 + yx_first``.
+def injection_table(
+    specs: tuple[VCSpec, ...], mode: RoutingMode
+) -> tuple[Injection, ...]:
+    """RoCo's injection scan order on the VC table ``specs`` under
+    ``mode``, indexed by ``cls * 2 + yx_first``.
 
     An entry holds, per first direction of the routing function in its
     candidate order, that direction and the positions (in ``all_vcs()``)
@@ -83,9 +93,6 @@ def injection_table(mode: RoutingMode) -> tuple[Injection, ...]:
     order: the order ``injection_vc_for`` scans, and whose first
     best-credit VC it takes.
     """
-    from repro.routers.roco.path_set import COLUMN, ROW, vc_configuration
-
-    specs = vc_configuration(mode)
     routing = make_routing(mode)
     walk = _module_walk(specs)
     table = []
@@ -119,14 +126,13 @@ def _module_walk(specs) -> list[int]:
     return sorted(range(len(specs)), key=lambda p: specs[p].port)
 
 
-def _roco_admit(mode: RoutingMode, input_dir: Direction, packet: Packet):
+def _roco_admit(
+    specs: tuple[VCSpec, ...], mode: RoutingMode, input_dir: Direction, packet: Packet
+):
     """RoCo's Table-1 admission: per route, the VCs of the class the turn
     needs (each class lives in the route's module), fed by the input,
     final-only VCs for a last-dimension route and escape VCs for the
     dimension-ordered one."""
-    from repro.routers.roco.path_set import classify_vc, vc_configuration
-
-    specs = vc_configuration(mode)
     routing = make_routing(mode)
     escape = None
     if mode is ADAPTIVE:
@@ -147,10 +153,9 @@ def _roco_admit(mode: RoutingMode, input_dir: Direction, packet: Packet):
             yield p, route
 
 
-def _path_sensitive_admit(mode: RoutingMode, input_dir: Direction, packet: Packet):
+def _path_sensitive_admit(input_dir: Direction, packet: Packet):
     """The quadrant set serving the destination from ``input_dir``, its
-    VCs fed by that input; no set at all for a non-minimal arrival.  The
-    routing mode plays no part."""
+    VCs fed by that input; no set at all for a non-minimal arrival."""
     try:
         quadrant = quadrant_of(_CENTRE, packet.dest, input_dir)
     except ValueError:
@@ -158,6 +163,3 @@ def _path_sensitive_admit(mode: RoutingMode, input_dir: Direction, packet: Packe
     for p, (q, _arrival, accepts_from) in enumerate(PATH_SET_VCS):
         if q == quadrant and input_dir in accepts_from:
             yield p, None
-
-
-_ADMIT = {"roco": _roco_admit, "path_sensitive": _path_sensitive_admit}

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.buffer import VirtualChannel
 from repro.core.types import EAST, NORTH, SOUTH, WEST, Direction, NodeId, Packet
-from repro.routers.admission import admission_table
+from repro.routers.admission import path_sensitive_table
 from repro.routers.base import BaseRouter
 from repro.routers.quadrants import (
     PATH_SET_VCS,
@@ -86,8 +86,8 @@ class PathSensitiveRouter(BaseRouter):
             vc.input_dir = arrival
             vcs.append(vc)
             self._vcs.append(vc)
-        #: The shared admission table of this router shape.
-        self._admission = admission_table(self.architecture, self.routing.mode)
+        #: The admission table every Path-Sensitive router shares.
+        self._admission = path_sensitive_table()
         #: Two local arbiters per set (one per reachable output).
         self._set_arbiters = {
             q: [RoundRobinArbiter(3), RoundRobinArbiter(3)] for q in QUADRANTS

@@ -13,7 +13,7 @@ may hold:
 The assignment of classes to ports changes with the routing algorithm so
 the spare VCs absorb that algorithm's Head-of-Line hot spots (e.g. XY gets
 a second injection VC per row port because ``Injxy`` dominates).  The
-tables below also encode the deadlock discipline of Section 3.1: under
+table below also encodes the deadlock discipline of Section 3.1: under
 adaptive routing the second row path set's ``dx`` VCs and the second
 column path set's ``txy`` VCs are *escape* VCs (packets entering them
 commit to the dimension-ordered direction), and under XY-YX the extra
@@ -22,8 +22,7 @@ commit to the dimension-ordered direction), and under XY-YX the extra
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from typing import NamedTuple
 
 from repro.core.types import (
     ADAPTIVE,
@@ -48,16 +47,12 @@ _EASTBOUND = (WEST,)
 _WESTBOUND = (EAST,)
 _SOUTHBOUND = (NORTH,)
 _NORTHBOUND = (SOUTH,)
-_FROM_X = (EAST, WEST)
-_FROM_Y = (NORTH, SOUTH)
 _FROM_PE = (LOCAL,)
-_FROM_EITHER_X = _FROM_X
 _BOTH_X_ARRIVALS = (EAST, WEST)
 _BOTH_Y_ARRIVALS = (NORTH, SOUTH)
 
 
-@dataclass(frozen=True)
-class VCSpec:
+class VCSpec(NamedTuple):
     """Declarative description of one RoCo virtual channel."""
 
     module: str
@@ -68,45 +63,39 @@ class VCSpec:
     final_only: bool = False
 
 
-def _xy_config() -> tuple[VCSpec, ...]:
-    """Table 1, XY row: two Injxy VCs absorb the injection hot spot.
-
-    XY routing needs only 8 VCs; the 4 spares are re-assigned to cut
-    Head-of-Line blocking (Section 3.1).  The spare ``dx``/``dy`` VCs
-    float between the two travel directions of their dimension so a
-    burst in either direction can use them.
-    """
-    return (
-        # Row-Module, path set 1.  The dx VCs stay aligned with their
-        # port's travel direction — mixing directions within a port
-        # fights the mirror allocator's pairing.
+#: The 12-VC configuration per routing mode (paper Table 1), in
+#: ``all_vcs()`` order.  A reader takes its tuple from here and memoises
+#: on the tuple's value, never on the mode, so a candidate table is one
+#: entry swapped here (docs/modeling-notes.md, "Trying a candidate
+#: table"): every router, admission table and SoA layout built after the
+#: swap reads it, and none built before it is served in its place.
+TABLE1: dict[RoutingMode, tuple[VCSpec, ...]] = {
+    # XY needs only 8 VCs; the 4 spares are re-assigned to cut
+    # Head-of-Line blocking (Section 3.1): two Injxy VCs absorb the
+    # injection hot spot, and a spare dy VC floats between the two
+    # travel directions of its dimension so a burst either way can use
+    # it.
+    XY: (
+        # The dx VCs stay aligned with their port's travel direction —
+        # mixing directions within a port fights the mirror allocator's
+        # pairing.
         VCSpec(ROW, 0, "dx", _EASTBOUND),
         VCSpec(ROW, 0, "dx", _EASTBOUND),
         VCSpec(ROW, 0, "injxy", _FROM_PE),
-        # Row-Module, path set 2.
         VCSpec(ROW, 1, "dx", _WESTBOUND),
         VCSpec(ROW, 1, "dx", _WESTBOUND),
         VCSpec(ROW, 1, "injxy", _FROM_PE),
-        # Column-Module, path set 1.
         VCSpec(COLUMN, 0, "dy", _SOUTHBOUND),
         VCSpec(COLUMN, 0, "txy", _BOTH_X_ARRIVALS),
         VCSpec(COLUMN, 0, "injyx", _FROM_PE),
-        # Column-Module, path set 2.  The spare dy VC floats between the
-        # two directions — the paper's HoL-driven re-assignment of the
-        # VCs left over by XY routing (Section 3.1).
         VCSpec(COLUMN, 1, "dy", _NORTHBOUND),
         VCSpec(COLUMN, 1, "dy", _BOTH_Y_ARRIVALS),
         VCSpec(COLUMN, 1, "txy", _BOTH_X_ARRIVALS),
-    )
-
-
-def _xyyx_config() -> tuple[VCSpec, ...]:
-    """Table 1, XY-YX row: two additional dx VCs for deadlock freedom.
-
-    The extra ``dx`` is reserved for final-dimension traffic so packets
-    that may still turn never wait behind it (Section 3.1).
-    """
-    return (
+    ),
+    # XY-YX: two additional dx VCs for deadlock freedom.  The extra dx
+    # is reserved for final-dimension traffic, so packets that may still
+    # turn never wait behind it (Section 3.1).
+    XY_YX: (
         VCSpec(ROW, 0, "dx", _EASTBOUND),
         VCSpec(ROW, 0, "tyx", _BOTH_Y_ARRIVALS),
         VCSpec(ROW, 0, "injxy", _FROM_PE),
@@ -119,16 +108,11 @@ def _xyyx_config() -> tuple[VCSpec, ...]:
         VCSpec(COLUMN, 1, "dy", _NORTHBOUND),
         VCSpec(COLUMN, 1, "dy", _BOTH_Y_ARRIVALS),
         VCSpec(COLUMN, 1, "txy", _BOTH_X_ARRIVALS),
-    )
-
-
-def _adaptive_config() -> tuple[VCSpec, ...]:
-    """Table 1, adaptive row: escape dx and txy VCs in the second path sets.
-
-    Escape VCs only admit packets committing to the XY-ordered direction
-    (Duato's protocol realised structurally).
-    """
-    return (
+    ),
+    # Adaptive: escape dx and txy VCs in the second path sets only admit
+    # packets committing to the XY-ordered direction (Duato's protocol
+    # realised structurally).
+    ADAPTIVE: (
         VCSpec(ROW, 0, "dx", _EASTBOUND),
         VCSpec(ROW, 0, "tyx", _BOTH_Y_ARRIVALS),
         VCSpec(ROW, 0, "injxy", _FROM_PE),
@@ -141,24 +125,8 @@ def _adaptive_config() -> tuple[VCSpec, ...]:
         VCSpec(COLUMN, 1, "dy", _NORTHBOUND),
         VCSpec(COLUMN, 1, "txy", _EASTBOUND, escape=True),
         VCSpec(COLUMN, 1, "txy", _WESTBOUND, escape=True),
-    )
-
-
-_CONFIGS = {
-    XY: _xy_config,
-    XY_YX: _xyyx_config,
-    ADAPTIVE: _adaptive_config,
+    ),
 }
-
-
-@cache
-def vc_configuration(mode: RoutingMode) -> tuple[VCSpec, ...]:
-    """The 12-VC configuration for ``mode`` (paper Table 1).
-
-    Built once per mode: every router of a network reads it, and the
-    specs are frozen.
-    """
-    return _CONFIGS[mode]()
 
 
 def classify_vc(input_dir: Direction, route: Direction) -> str:
@@ -172,7 +140,6 @@ def classify_vc(input_dir: Direction, route: Direction) -> str:
 
 def table1_summary(mode: RoutingMode) -> dict[str, list[str]]:
     """Class labels per path set, in the layout of the paper's Table 1."""
-    config = vc_configuration(mode)
     summary: dict[str, list[str]] = {
         "row_port1": [],
         "row_port2": [],
@@ -180,7 +147,7 @@ def table1_summary(mode: RoutingMode) -> dict[str, list[str]]:
         "column_port2": [],
     }
     names = {"injxy": "Injxy", "injyx": "Injyx"}
-    for spec in config:
+    for spec in TABLE1[mode]:
         key = f"{spec.module}_port{spec.port + 1}"
         summary[key].append(names.get(spec.vc_class, spec.vc_class))
     return summary

@@ -24,7 +24,7 @@ from repro.core.types import LOCAL, Direction, NodeId, Packet
 from repro.routers.admission import admission_table, injection_table
 from repro.routers.base import BaseRouter
 from repro.routers.roco.module import RoCoModule
-from repro.routers.roco.path_set import COLUMN, ROW, vc_configuration
+from repro.routers.roco.path_set import COLUMN, ROW, TABLE1
 from repro.routing.base import direction_class
 
 
@@ -48,32 +48,31 @@ class RoCoRouter(BaseRouter):
             COLUMN: RoCoModule(COLUMN, self.config.vcs_per_port, mirror=mirror),
         }
         self._vcs: list[VirtualChannel] = []
-        for spec in vc_configuration(self.routing.mode):
-            module = self.modules[spec.module]
+        mode = self.routing.mode
+        specs = TABLE1[mode]
+        for name, port, vc_class, accepts_from, escape, final_only in specs:
+            module = self.modules[name]
             vc = VirtualChannel(
-                port=spec.port,
-                index=len(module.ports[spec.port]),
+                port=port,
+                index=len(module.ports[port]),
                 depth=depth,
-                vc_class=spec.vc_class,
+                vc_class=vc_class,
             )
-            vc.accepts_from = spec.accepts_from
-            vc.escape = spec.escape
-            vc.final_only = spec.final_only
-            vc.input_dir = (
-                spec.accepts_from[0] if len(spec.accepts_from) == 1 else None
-            )
+            vc.accepts_from = accepts_from
+            vc.escape = escape
+            vc.final_only = final_only
+            vc.input_dir = accepts_from[0] if len(accepts_from) == 1 else None
             vc.router = self
-            module.add_vc(spec.port, vc)
+            module.add_vc(port, vc)
             self._vcs.append(vc)
         for module in self.modules.values():
             module.seal()
         #: The two modules by name; read every step by the allocate phase.
         self.row: RoCoModule = self.modules[ROW]
         self.column: RoCoModule = self.modules[COLUMN]
-        #: The shared admission table of this router shape.
-        self._admission = admission_table(self.architecture, self.routing.mode)
-        #: The shared injection table of this routing mode.
-        self._injection = injection_table(self.routing.mode)
+        #: The shared admission and injection tables of this VC table.
+        self._admission = admission_table(specs, mode)
+        self._injection = injection_table(specs, mode)
         #: Occupancy snapshot left behind by the last allocate() pass;
         #: lets quiescent() answer in O(1) instead of re-walking VCs.
         self._alloc_occupied = False

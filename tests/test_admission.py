@@ -21,12 +21,19 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
-from repro.core.types import Direction, NodeId, Packet, RoutingMode
-from repro.routers.admission import admission_index, admission_table, injection_table
+from repro.core.types import ADAPTIVE, XY, Direction, NodeId, Packet, RoutingMode
+from repro.routers.admission import (
+    admission_index,
+    admission_table,
+    injection_table,
+    path_sensitive_table,
+)
 from repro.routers.base import EJECT
 from repro.routers.quadrants import quadrant_of
-from repro.routers.roco.path_set import classify_vc
+from repro.routers.roco.path_set import TABLE1, classify_vc
 from repro.routing.base import direction_class
+
+from .test_candidate_table import northbound_pin
 
 MESHES = ((3, 3), (4, 4), (5, 3), (8, 8))
 #: Meshes asked about every destination; the others about one of each
@@ -134,6 +141,13 @@ ARCHITECTURES = {
 }
 
 
+def table_of(architecture: str, mode: RoutingMode):
+    """The admission table a router of ``architecture`` reads under ``mode``."""
+    if architecture == "roco":
+        return admission_table(TABLE1[mode], mode)
+    return path_sensitive_table()
+
+
 def destinations(net: Network, node: NodeId, every: bool):
     """Every node, or the first node of each direction class."""
     seen = set()
@@ -168,28 +182,57 @@ def test_table_read_equals_the_oracle(architecture, mode, width, height):
                         (id(t), r) for t, r in want
                     ], (router.node, dest, input_dir, yx, state)
     # Every key of the table was asked about on this mesh.
-    assert len(keys) == len(admission_table(architecture, mode)) == 9 * 5 * 2
+    assert len(keys) == len(table_of(architecture, mode)) == 9 * 5 * 2
     net.teardown()
 
 
-def test_one_table_per_router_shape():
-    """Every router of every network reads the memoised table."""
+def test_roco_routers_on_one_vc_table_share_its_tables():
+    """Every RoCo router of two networks on the same spec tuple reads one
+    admission table and one injection table."""
     nets = [
         Network(SimulationConfig(width=k, height=k, router="roco", routing="xy"))
         for k in (3, 4)
     ]
-    tables = {id(r._admission) for net in nets for r in net.routers.values()}
-    assert tables == {id(admission_table("roco", RoutingMode.XY))}
-    assert admission_table("roco", RoutingMode.XY) is not admission_table(
-        "roco", RoutingMode.ADAPTIVE
-    )
-    with pytest.raises(ValueError):
-        admission_table("generic", RoutingMode.XY)
+    routers = [r for net in nets for r in net.routers.values()]
+    specs = TABLE1[XY]
+    assert {id(r._admission) for r in routers} == {id(admission_table(specs, XY))}
+    assert {id(r._injection) for r in routers} == {id(injection_table(specs, XY))}
+    assert admission_table(specs, XY) is not admission_table(TABLE1[ADAPTIVE], ADAPTIVE)
+    for net in nets:
+        net.teardown()
+
+
+def test_path_sensitive_has_one_table_under_every_mode():
+    tables = set()
+    for mode in RoutingMode:
+        net = Network(
+            SimulationConfig(width=3, height=3, router="path_sensitive", routing=mode)
+        )
+        tables |= {id(r._admission) for r in net.routers.values()}
+        net.teardown()
+    assert tables == {id(path_sensitive_table())}
+
+
+def test_a_swapped_vc_table_has_its_own_tables(monkeypatch):
+    """A candidate tuple in ``TABLE1`` yields other tables; putting
+    Table 1 back yields the original objects, with no cache cleared."""
+    original = admission_table(TABLE1[XY], XY), injection_table(TABLE1[XY], XY)
+    candidate = northbound_pin()
+    monkeypatch.setitem(TABLE1, XY, candidate)
+    net = Network(SimulationConfig(width=3, height=3, router="roco", routing="xy"))
+    router = net.routers[NodeId(1, 1)]
+    assert router._admission is admission_table(candidate, XY)
+    assert router._admission != original[0]
+    assert router._injection is injection_table(candidate, XY) is not original[1]
+    net.teardown()
+    monkeypatch.undo()
+    assert admission_table(TABLE1[XY], XY) is original[0]
+    assert injection_table(TABLE1[XY], XY) is original[1]
 
 
 def test_arrived_keys_eject_and_positions_index_all_vcs():
     for architecture, mode in itertools.product(ARCHITECTURES, RoutingMode):
-        table = admission_table(architecture, mode)
+        table = table_of(architecture, mode)
         for input_dir, yx in itertools.product(Direction, (0, 1)):
             assert table[admission_index(4, input_dir, yx)] == (
                 (EJECT, Direction.LOCAL),
@@ -241,5 +284,5 @@ def test_injection_read_equals_the_oracle(mode, width, height):
                     assert possible == want_possible, (router.node, dest, yx, state)
         for vc in injection_vcs:
             vc.owner_pid, vc._available = None, vc.depth
-    assert len(keys) == len(injection_table(mode)) == 9 * 2
+    assert len(keys) == len(injection_table(TABLE1[mode], mode)) == 9 * 2
     net.teardown()

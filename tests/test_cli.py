@@ -17,6 +17,7 @@ from repro.core.types import NodeId
 from repro.faults import Component, ComponentFault, FaultEvent, FaultSchedule
 from repro.harness.parallel import SimJob, execute_job
 from repro.serve import JobBroker, ServeClient, ServerThread
+from repro.serve.protocol import EXCLUDED_FIELDS
 
 
 class TestParser:
@@ -134,33 +135,18 @@ class TestBackendFlag:
         assert "compl=1.000" in reference
 
 
-def tiled_job(**fields) -> dict:
-    """A job file's payload: a 4x4 mesh run on 2x2 tiles, plus ``fields``
-    (config keys, or the job's ``faults`` / ``schedule``)."""
-    job = {"config": {"width": 4, "height": 4, "shards": [2, 2]}}
-    for key in ("faults", "schedule"):
-        if key in fields:
-            job[key] = fields.pop(key)
-    job["config"].update(fields)
-    return job
-
-
 #: argv -> what the one line on stderr has to say.  A dict in argv is a
-#: job file's payload: ``--replay`` is the way a job reaches the tiles.
+#: job file's payload.
 OUTSIDE_THE_ENVELOPE = {
-    "shards-router": (
-        ["--replay", tiled_job(router="path_sensitive")],
-        "sharded execution does not support router='path_sensitive'",
-    ),
-    "shards-faults": (
-        ["--replay", tiled_job(faults=[
-            ComponentFault(NodeId(1, 1), Component.SA).to_payload()
-        ])],
-        "sharded execution does not support static fault injection",
-    ),
-    "shards-planner": (
-        ["--replay", tiled_job(shards=[4, 1])],
-        "each tile must be at least 2 columns wide",
+    # No input reaches the tiles: a job file that sets shards is refused
+    # with serve's reason (the tile envelope's own messages are pinned by
+    # tests/test_sharded.py).
+    "replay-shards": (
+        ["--replay", {"config": {
+            "width": 4, "height": 4, "measure_packets": 40, "warmup_packets": 10,
+            "shards": [2, 2],
+        }}],
+        f"'shards' cannot be replayed: {EXCLUDED_FIELDS['shards']}",
     ),
     "soa-faults": (
         [*SMALL, "--backend", "soa", "--faults", "2"],
@@ -171,12 +157,6 @@ OUTSIDE_THE_ENVELOPE = {
     "soa-campaign": (
         [*SMALL, "--backend", "soa", "--faults", "2", "--mtbf", "400"],
         "backend='soa' does not support runtime fault schedules",
-    ),
-    "shards-campaign": (
-        ["--replay", tiled_job(schedule=FaultSchedule([
-            FaultEvent(30, ComponentFault(NodeId(1, 1), Component.SA))
-        ]).to_payload())],
-        "sharded execution does not support runtime fault schedules",
     ),
 }
 
@@ -326,7 +306,6 @@ SHRINK_ANYWHERE = {
     "static-faults": [*SMALL, "--faults", "2"],
     "soa": [*SMALL, "--backend", "soa"],
     "after-replay": ["--replay", "JOB"],
-    "shards": ["--replay", tiled_job(measure_packets=80)],
 }
 
 
@@ -335,8 +314,7 @@ def test_shrink_takes_any_single_run(case, tmp_path, capsys):
     saved = tmp_path / "shrunk.json"
     plain = {"config": {"width": 4, "height": 4, "measure_packets": 80}}
     argv = [
-        job_file(tmp_path, plain if arg == "JOB" else arg)
-        if arg == "JOB" or isinstance(arg, dict) else arg
+        job_file(tmp_path, plain) if arg == "JOB" else arg
         for arg in SHRINK_ANYWHERE[case]
     ]
     assert main([*argv, "--shrink", str(saved)]) == 0

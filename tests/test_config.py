@@ -78,6 +78,8 @@ class TestSimulationConfig:
             {"injection_rate": 0},
             {"injection_rate": 0.0},
             {"traffic": "bogus"},
+            # An unknown architecture with a router_config of its own.
+            {"router": "bogus", "router_config": RouterConfig()},
         ],
     )
     def test_validation(self, bad):

@@ -39,7 +39,7 @@ from repro.harness.sharded import ShardPlan, ensure_sharded_supported
 from repro.routers.base import BaseRouter
 from repro.routers.generic import GenericRouter
 from repro.routers.path_sensitive import PathSensitiveRouter
-from repro.routers.roco import RoCoRouter
+from repro.routers.roco.router import RoCoRouter
 from repro.routers.roco.path_set import COLUMN, ROW
 from repro.traffic import TRAFFIC_CLASSES
 

@@ -1,8 +1,9 @@
 """Every definition in ``src/repro`` has a production reader, and none is
 a test seam.
 
-A top-level ``def`` or ``class`` needs a reader under src/, benchmarks/,
-examples/ or perfbench/, outside its own body.  A test is not a reader:
+A top-level ``def``, ``class`` or assigned name needs a reader under
+src/, benchmarks/, examples/ or perfbench/, outside its own body or
+assignment.  A test is not a reader:
 a helper only its own unit test calls is dead code with a test attached,
 and a reference the tests compare against belongs in tests/.  A read is
 a name or an attribute load, or a ``"module:function"`` string (the lazy
@@ -57,6 +58,10 @@ TEST_ONLY = {
         "README's fault-campaign example builds its schedule with it"
     ),
     "ServeClient.healthy": "the client half of GET /healthz (docs/serving.md)",
+    "IMPORTED_IN_PID": (
+        "the clock-free proof that workers fork from the preloaded server "
+        "(tests/test_worker_context.py) reads it in each worker"
+    ),
 }
 #: Bases from outside repro that call no member of a subclass by name.
 INERT_BASES = {"ABC", "Generic"}
@@ -80,9 +85,23 @@ def reads(node: ast.AST):
                 yield entry[1]
 
 
+def defined_names(node: ast.stmt):
+    """The names a top-level statement defines: a ``def`` or ``class``,
+    or the names an assignment binds."""
+    if isinstance(node, DEFINITIONS):
+        yield node.name
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            for child in ast.walk(target):
+                if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+                    yield child.id
+
+
 def unread_definitions(root: Path = ROOT) -> dict[str, str]:
     """``name -> path:name`` of each top-level ``src/repro`` definition
-    that nothing under ``READERS`` reads outside the definition itself."""
+    or assigned name that nothing under ``READERS`` reads outside the
+    statement itself."""
     production = Counter(
         name
         for tree in READERS
@@ -92,13 +111,12 @@ def unread_definitions(root: Path = ROOT) -> dict[str, str]:
     unread = {}
     for path, module in parsed("src/repro", root):
         for node in module.body:
-            if not isinstance(node, DEFINITIONS) or (
-                node.name.startswith("__") and node.name.endswith("__")
-            ):
-                continue
-            own = sum(1 for name in reads(node) if name == node.name)
-            if production[node.name] == own:
-                unread[node.name] = f"{path.relative_to(root)}:{node.name}"
+            for defined in defined_names(node):
+                if defined.startswith("__") and defined.endswith("__"):
+                    continue
+                own = sum(1 for name in reads(node) if name == defined)
+                if production[defined] == own:
+                    unread[defined] = f"{path.relative_to(root)}:{defined}"
     return unread
 
 
@@ -191,13 +209,30 @@ GUARD_CASES = {
     ),
     "function-as-a-lazy-entry": (
         {"src/repro/lib.py": "def helper():\n    pass\n",
-         "src/repro/app.py": 'ENTRIES = {"help": "repro.lib:helper"}\n'},
+         "src/repro/app.py": 'ENTRIES = {"help": "repro.lib:helper"}\nENTRIES\n'},
         set(),
     ),
     "function-read-only-by-itself": (
         {"src/repro/lib.py": "def helper(n):\n    return helper(n - 1)\n"},
         {"helper"},
     ),
+    "unread-constant": ({"src/repro/lib.py": "LIMIT = 3\n_SPARE: int = 4\n"},
+                        {"LIMIT", "_SPARE"}),
+    "unpacked-constants": (
+        {"src/repro/lib.py": "LOW, HIGH = 1, 2\n",
+         "src/repro/app.py": "from repro.lib import LOW\nLOW\n"},
+        {"HIGH"},
+    ),
+    "constant-read-by-name": (
+        {"src/repro/lib.py": "LIMIT = 3\nTWICE = LIMIT * 2\n",
+         "benchmarks/bench.py": "from repro.lib import TWICE\nTWICE\n"},
+        set(),
+    ),
+    "constant-read-only-by-a-test": (
+        {"src/repro/lib.py": "LIMIT = 3\n", "tests/test_lib.py": "LIMIT\n"},
+        {"LIMIT"},
+    ),
+    "dunder-constant-exempt": ({"src/repro/lib.py": "__all__ = []\n"}, set()),
     "unread-method": ({"src/repro/lib.py": QUEUE, "src/repro/app.py": "Queue\n"},
                       {"Queue.peek"}),
     "method-read-as-an-attribute": (

@@ -5,21 +5,17 @@ from collections import Counter
 import pytest
 
 from repro.core.types import Direction, RoutingMode
-from repro.routers.roco.path_set import (
-    ROW,
-    table1_summary,
-    vc_configuration,
-)
+from repro.routers.roco.path_set import ROW, TABLE1, table1_summary
 
 
 def class_counts(mode):
-    return Counter(spec.vc_class for spec in vc_configuration(mode))
+    return Counter(spec.vc_class for spec in TABLE1[mode])
 
 
 class TestTable1Counts:
     @pytest.mark.parametrize("mode", list(RoutingMode))
     def test_twelve_vcs_in_four_path_sets(self, mode):
-        config = vc_configuration(mode)
+        config = TABLE1[mode]
         assert len(config) == 12
         sets = Counter((spec.module, spec.port) for spec in config)
         assert all(count == 3 for count in sets.values())
@@ -56,7 +52,7 @@ class TestTable1Counts:
 class TestClassPlacement:
     @pytest.mark.parametrize("mode", list(RoutingMode))
     def test_row_module_holds_x_classes(self, mode):
-        for spec in vc_configuration(mode):
+        for spec in TABLE1[mode]:
             if spec.module == ROW:
                 assert spec.vc_class in ("dx", "tyx", "injxy")
             else:
@@ -64,7 +60,7 @@ class TestClassPlacement:
 
     @pytest.mark.parametrize("mode", list(RoutingMode))
     def test_injection_vcs_accept_local_only(self, mode):
-        for spec in vc_configuration(mode):
+        for spec in TABLE1[mode]:
             if spec.vc_class.startswith("inj"):
                 assert spec.accepts_from == (Direction.LOCAL,)
             else:
@@ -73,7 +69,7 @@ class TestClassPlacement:
     @pytest.mark.parametrize("mode", list(RoutingMode))
     def test_arrival_directions_match_class_dimension(self, mode):
         """dx/txy receive X-travelling flits; dy/tyx receive Y-travelling."""
-        for spec in vc_configuration(mode):
+        for spec in TABLE1[mode]:
             if spec.vc_class in ("dx", "txy"):
                 assert set(spec.accepts_from) <= {Direction.EAST, Direction.WEST}
             if spec.vc_class in ("dy", "tyx"):
@@ -82,19 +78,19 @@ class TestClassPlacement:
 
 class TestDeadlockDiscipline:
     def test_adaptive_has_escape_vcs(self):
-        escapes = [s for s in vc_configuration(RoutingMode.ADAPTIVE) if s.escape]
+        escapes = [s for s in TABLE1[RoutingMode.ADAPTIVE] if s.escape]
         assert len(escapes) == 3
         assert {s.vc_class for s in escapes} == {"dx", "txy"}
         # The paper places them in the second path sets (Section 3.1).
         assert all(s.port == 1 for s in escapes)
 
     def test_xyyx_has_final_only_partition(self):
-        finals = [s for s in vc_configuration(RoutingMode.XY_YX) if s.final_only]
+        finals = [s for s in TABLE1[RoutingMode.XY_YX] if s.final_only]
         assert len(finals) == 1
         assert finals[0].vc_class == "dx"
 
     def test_xy_needs_no_discipline(self):
-        for spec in vc_configuration(RoutingMode.XY):
+        for spec in TABLE1[RoutingMode.XY]:
             assert not spec.escape and not spec.final_only
 
 
@@ -103,7 +99,7 @@ class TestCoverage:
     def test_every_flow_has_a_home(self, mode):
         """Every (arrival direction, class) flow the routing mode can
         produce must have at least one admitting VC."""
-        config = vc_configuration(mode)
+        config = TABLE1[mode]
         needed = {("injxy", Direction.LOCAL), ("injyx", Direction.LOCAL)}
         for arrival in (Direction.EAST, Direction.WEST):
             needed.add(("dx", arrival))
@@ -124,7 +120,7 @@ class TestCoverage:
     @pytest.mark.parametrize("mode", list(RoutingMode))
     def test_non_escape_home_exists_for_continuing_flows(self, mode):
         """Escape VCs restrict routes, so plain dx/dy homes must exist."""
-        config = vc_configuration(mode)
+        config = TABLE1[mode]
         for cls, arrivals in (
             ("dx", (Direction.EAST, Direction.WEST)),
             ("dy", (Direction.NORTH, Direction.SOUTH)),

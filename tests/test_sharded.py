@@ -27,7 +27,7 @@ from repro.core.simulator import Simulator, run_simulation
 from repro.core.shard import TileSimulator
 from repro.core.soa.errors import BackendUnsupportedError, ensure_supported
 from repro.core.types import NodeId
-from repro.faults import Component, ComponentFault
+from repro.faults import Component, ComponentFault, FaultEvent, FaultSchedule
 from repro.harness.export import result_record
 from repro.harness.parallel import ParallelExecutor, SimJob, execute_job
 from repro.harness.resilient import JobFailure, ManagedWorkerSet, RetryPolicy
@@ -180,7 +180,7 @@ def test_plan_waves_are_anti_diagonal():
 
 
 def test_plan_rejects_one_wide_tiles():
-    with pytest.raises(ShardUnsupportedError):
+    with pytest.raises(ShardUnsupportedError, match="at least 2 columns wide"):
         ShardPlan.plan(grid_config(width=4, height=4), (4, 1))
     with pytest.raises(ShardUnsupportedError):
         ShardPlan.plan(grid_config(width=4, height=4), (1, 4))
@@ -207,7 +207,9 @@ def test_config_normalises_shards():
 
 def test_envelope_rejections():
     base = grid_config()
-    with pytest.raises(ShardUnsupportedError):
+    with pytest.raises(
+        ShardUnsupportedError, match="does not support router='path_sensitive'"
+    ):
         ensure_sharded_supported(replace(base, router="path_sensitive"))
     with pytest.raises(ShardUnsupportedError):
         ensure_sharded_supported(
@@ -216,8 +218,12 @@ def test_envelope_rejections():
     with pytest.raises(ShardUnsupportedError):
         ensure_sharded_supported(replace(base, backend="soa"))
     fault = ComponentFault(NodeId(0, 0), Component.BUFFER)
-    with pytest.raises(ShardUnsupportedError):
+    with pytest.raises(ShardUnsupportedError, match="static fault injection"):
         ensure_sharded_supported(base, faults=[fault])
+    with pytest.raises(ShardUnsupportedError, match="runtime fault schedules"):
+        ensure_sharded_supported(
+            base, schedule=FaultSchedule([FaultEvent(30, fault)])
+        )
     # The object engine is the audited and the full-sweep reference.
     with pytest.raises(ShardUnsupportedError, match="audit=True"):
         ensure_sharded_supported(replace(base, audit=True))
