@@ -61,8 +61,10 @@ class VirtualChannel:
         "owner_pid",
         "expected",
         "verdict",
+        "owner_wait",
         "router",
         "waiter",
+        "owner_waiters",
         "_available",
         "_releases",
     )
@@ -110,6 +112,13 @@ class VirtualChannel:
         #: network's fault epoch and the front packet are unchanged, that
         #: attempt would end the same way (see BaseRouter._blocked_again).
         self.verdict: tuple[int, int, int] | None = None
+        #: ``(fault_epoch, pid, attempts, targets)`` of the front head's
+        #: last VA attempt that found every admissible downstream VC, on
+        #: every route it may take, owned by another worm: ``targets``
+        #: are those VCs.  While the fault epoch and the front packet are
+        #: unchanged and every target is still owned, that attempt would
+        #: end the same way (see BaseRouter.nap).
+        self.owner_wait: tuple | None = None
         #: The router this VC belongs to, set by it: a :meth:`claim` is
         #: recorded on its network, which purges a dropped packet only
         #: in the routers the packet claimed a VC in.
@@ -118,6 +127,10 @@ class VirtualChannel:
         #: (see BaseRouter.nap); every credit given here is reported to
         #: it, and a stale entry is harmless.
         self.waiter = None
+        #: The upstream routers napping until this VC's owner releases
+        #: it (an owner wait, see BaseRouter.nap), or None: every
+        #: release rouses them, and a stale entry is harmless.
+        self.owner_waiters: list | None = None
         #: Credits as seen by upstream switch allocators.
         self._available = depth
         #: Freed slots waiting out the credit round-trip: release cycles.
@@ -196,6 +209,15 @@ class VirtualChannel:
 
     def release_owner(self) -> None:
         self.owner_pid = None
+        if self.owner_waiters is not None:
+            self.rouse_owner_waiters()
+
+    def rouse_owner_waiters(self) -> None:
+        """This VC lost its owner: end the owner waits napping on it."""
+        waiters = self.owner_waiters
+        self.owner_waiters = None
+        for router in waiters:
+            router.rouse()
 
     def injectable(self, cycle: int) -> bool:
         """Whether the local PE source may start a new worm here now."""

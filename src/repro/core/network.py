@@ -283,8 +283,10 @@ class Network:
                 router.steps_taken += 1
                 if router._deliver_due == cycle:
                     router.deliver_due(cycle)
+        # Only a router holding last cycle's SA winners has a traversal.
         for router in stepped:
-            router.traverse(cycle)
+            if router._sa_winners:
+                router.traverse(cycle)
         self._stepped = stepped
 
     def _without_nappers(self, active: list, cycle: int) -> list:

@@ -275,14 +275,23 @@ class SoALayout:
         return direction_class(xs[dest] - xs[n], ys[dest] - ys[n])
 
 
+#: How many layouts stay built: a search over candidate VC tables (each
+#: its own :func:`layout_key`) keeps only the latest alive.
+LAYOUT_CACHE_SIZE = 16
+
 #: Layouts are read-only once built, so instances are shared across
-#: simulator runs, keyed by :func:`layout_key`.
+#: simulator runs, keyed by :func:`layout_key`: an LRU of
+#: :data:`LAYOUT_CACHE_SIZE` entries, least recently used first.
 _layout_cache: dict[tuple, SoALayout] = {}
 
 
 def build_layout(config) -> SoALayout:
     key = layout_key(config)
-    layout = _layout_cache.get(key)
+    cache = _layout_cache
+    layout = cache.pop(key, None)
     if layout is None:
-        layout = _layout_cache[key] = SoALayout(config)
+        layout = SoALayout(config)
+        if len(cache) >= LAYOUT_CACHE_SIZE:
+            del cache[next(iter(cache))]
+    cache[key] = layout
     return layout

@@ -11,9 +11,10 @@ and its XY-YX order.  Both routers run on a mesh only, where every
 router gives the same answer for those three facts.  So the whole
 answer is one table of ``9 * 5 * 2`` entries, built here once and shared
 by every router of every network and by the SoA layout.  RoCo's table is
-memoised on its VC table's value (a ``TABLE1`` entry) and routing mode;
-Path-Sensitive's quadrant sets do not depend on the routing mode, so it
-has one table per process.
+memoised on its VC table's value (a ``TABLE1`` entry) and routing mode,
+in an LRU of :data:`TABLE_CACHE_SIZE` entries, so a search over candidate VC
+tables keeps only the latest alive; Path-Sensitive's quadrant sets do
+not depend on the routing mode, so it has one table per process.
 
 An entry is the ordered tuple of ``(target, route)`` pairs the router
 admits the head to: ``target`` the VC's position in ``all_vcs()`` or
@@ -29,7 +30,7 @@ RoCo's source side reads a second table of the same kind:
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 from repro.core.types import ADAPTIVE, LOCAL, Direction, NodeId, Packet, RoutingMode
 from repro.routers.base import EJECT
@@ -40,6 +41,10 @@ from repro.routing import make_routing
 #: The router the builders ask from: at (1, 1), a destination of
 #: direction class ``cls`` is ``NodeId(*divmod(cls, 3))``.
 _CENTRE = NodeId(1, 1)
+
+#: How many (VC table, routing mode) pairs keep their admission and
+#: injection tables: every mode of Table 1 and then some.
+TABLE_CACHE_SIZE = 32
 
 Entry = tuple[tuple[object, Direction | None], ...]
 Injection = tuple[tuple[Direction, tuple[int, ...]], ...]
@@ -53,7 +58,7 @@ def admission_index(cls: int, input_dir: int, yx_first: int) -> int:
     return (cls * 5 + input_dir) * 2 + yx_first
 
 
-@cache
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def admission_table(specs: tuple[VCSpec, ...], mode: RoutingMode) -> tuple[Entry, ...]:
     """RoCo's admission entries on the VC table ``specs`` under ``mode``,
     indexed by :func:`admission_index`."""
@@ -80,7 +85,7 @@ def _table(admit) -> tuple[Entry, ...]:
     return tuple(table)
 
 
-@cache
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def injection_table(
     specs: tuple[VCSpec, ...], mode: RoutingMode
 ) -> tuple[Injection, ...]:

@@ -93,6 +93,11 @@ class BaseRouter(abc.ABC):
     routes_ahead = True
 
     def __init__(self, node: NodeId, network: "Network") -> None:
+        # A router instance may carry at most 30 attributes, these and
+        # its subclass's together (RoCo has 29): CPython 3.11's shared
+        # instance keys stop at 30, and past them every attribute load
+        # of the cycle loop is slower (tests/test_routers_structure.py).
+        # New per-VC wait state goes in VirtualChannel's slots instead.
         self.node = node
         self.network = network
         self.config = network.config.router_config
@@ -128,12 +133,14 @@ class BaseRouter(abc.ABC):
         self._index = -1
         #: A *nap* (see :meth:`nap`): None while awake, else the cycle the
         #: router must be stepped again by — its earliest stall deadline,
-        #: hold or credit — or 0 once something roused it.
+        #: hold or credit (an owner wait sets none) — or 0 once something
+        #: roused it.
         self._nap_until: int | None = None
         #: First cycle of the current nap, the VA requests each of its
-        #: cycles makes (the kept verdicts' attempts) and, for an
-        #: ``idle_tally`` router, the contention each books: ``(row
-        #: requests, row contended, column requests, column contended)``.
+        #: cycles makes (the attempts of its kept verdicts and owner
+        #: waits) and, for an ``idle_tally`` router, the contention each
+        #: books: ``(row requests, row contended, column requests, column
+        #: contended)``.
         self._nap_from = 0
         self._nap_va = 0
         self._nap_tally: tuple[int, int, int, int] | None = None
@@ -206,7 +213,7 @@ class BaseRouter(abc.ABC):
         for port in self.outputs.values():
             port.downstream = None
         for vc in self.all_vcs():
-            vc.router = vc.waiter = None
+            vc.router = vc.waiter = vc.owner_waiters = vc.owner_wait = None
             for flit in vc.queue:
                 flit.vc_hint = None
 
@@ -239,6 +246,10 @@ class BaseRouter(abc.ABC):
         * *blocked*: its head holds a current kept verdict, so each step
           would repeat the same :meth:`_blocked_again` call until the
           stall deadline, where :meth:`note_stall` drops the packet;
+        * *owner-waiting*: its head holds a current owner wait
+          (:meth:`_await_owners`) and every VC it names is still owned
+          *now*, after the whole allocate loop, so each step would make
+          the same VA requests and find them all owned again;
         * *starved*: its worm holds an output VC but cannot compete for
           the switch next cycle — its ``hold_until`` lies ahead, or the
           output VC has no credit for it — so each step only tallies it.
@@ -248,8 +259,9 @@ class BaseRouter(abc.ABC):
         in ``router_steps`` and shown to ``on_cycle_stepped``), is not
         stepped, and is stepped again at that deadline or once roused
         (:meth:`rouse`, :meth:`credit_due`: each starved VC's output VC
-        names this router its ``waiter``); :meth:`settle_nap` then books
-        the skipped steps.  Returns whether it napped.
+        names this router its ``waiter``, each awaited VC lists it in
+        its ``owner_waiters``); :meth:`settle_nap` then books the
+        skipped steps.  Returns whether it napped.
         """
         if self.dead:
             return False
@@ -262,22 +274,31 @@ class BaseRouter(abc.ABC):
         tally = [0] * 5 if self.idle_tally else None
         until = None
         va = 0
+        awaited = []
         for vc in self._vc_cache:
             queue = vc.queue
             if not queue:
                 continue
             target = vc.out_vc
             if target is None:
+                pid = queue[0].packet.pid
                 verdict = vc.verdict
-                if (
-                    verdict is None
-                    or verdict[0] != epoch
-                    or verdict[1] != queue[0].packet.pid
-                ):
-                    return False
-                # Replaying a verdict noted the stall.
-                deadline = since[id(vc)] + timeout
-                va += verdict[2]
+                if verdict is not None and verdict[0] == epoch and verdict[1] == pid:
+                    # Replaying a verdict noted the stall.
+                    deadline = since[id(vc)] + timeout
+                    va += verdict[2]
+                else:
+                    # Checked now, not at VA time: an owner may have
+                    # released (and another claimed) the VC since.
+                    wait = vc.owner_wait
+                    if wait is None or wait[0] != epoch or wait[1] != pid:
+                        return False
+                    for owned in wait[3]:
+                        if owned.owner_pid is None:
+                            return False
+                    awaited += wait[3]
+                    deadline = _NEVER
+                    va += wait[2]
             else:
                 deadline = vc.hold_until
                 if deadline <= after:
@@ -302,6 +323,12 @@ class BaseRouter(abc.ABC):
                 until = deadline
         if until is None:
             return False  # a drop this cycle emptied the router
+        for owned in awaited:
+            waiters = owned.owner_waiters
+            if waiters is None:
+                owned.owner_waiters = [self]
+            elif self not in waiters:
+                waiters.append(self)
         self._nap_until = until
         self._nap_from = after
         self._nap_va = va
@@ -321,11 +348,11 @@ class BaseRouter(abc.ABC):
         Between cycles, or mid-cycle once the allocate loop has passed
         this router's row-major place, the router is stepped from the
         next frozen list on (its step this cycle, before the change, is
-        the nap's).  Earlier in the cycle — a purge or a refund in the
-        front half, or a purge by a router before it in the allocate
-        loop — the plain schedule has yet to allocate it in this cycle:
-        it is settled and allocates at its place
-        (``Network._allocate_rousing``).
+        the nap's).  Earlier in the cycle — a purge, a refund or a tail
+        launch releasing an awaited VC in the front half, or a purge by
+        a router before it in the allocate loop — the plain schedule has
+        yet to allocate it in this cycle: it is settled and allocates at
+        its place (``Network._allocate_rousing``).
         """
         if self._nap_until is None:
             return
@@ -558,7 +585,9 @@ class BaseRouter(abc.ABC):
             network.schedule_wake(port.downstream, port.input_dir, arrival)
             stats.link_flits += 1
             if closes and target is not EJECT:
-                target.owner_pid = None
+                target.owner_pid = None  # ``release_owner``, inlined
+                if target.owner_waiters is not None:
+                    target.rouse_owner_waiters()
 
     # ------------------------------------------------------------------
     # Shared allocation helpers
@@ -611,27 +640,6 @@ class BaseRouter(abc.ABC):
                 requested.append(vc)
         return requested
 
-    def _stage_lone(self, vc: VirtualChannel, cycle: int) -> bool:
-        """:meth:`_stage_heads` of a step whose only occupied VC is
-        ``vc``, with the VA resolution; True if its head requested."""
-        queue = vc.queue
-        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
-            self._discard_dropped_front(vc, cycle)
-            if not queue:
-                return False
-        front = queue[0]
-        if not front.is_head:
-            return False
-        if vc.active_pid is None:
-            vc.active_pid = front.packet.pid
-        if vc.out_vc is not None or (self._charges_rc and front.arrival >= cycle):
-            return False
-        va_requests: list = []
-        self._request_va(vc, cycle, va_requests)
-        if va_requests:
-            self._resolve_vc_allocations(va_requests, cycle)
-        return True
-
     def _request_routes(
         self,
         vc: VirtualChannel,
@@ -643,8 +651,9 @@ class BaseRouter(abc.ABC):
         ``routes`` that stages or grants it; True if one did.
 
         Otherwise the head keeps a hard-block verdict when every route
-        hard-blocked (:meth:`_hard_blocked`), and its stall is cleared
-        when one was only congested.
+        hard-blocked (:meth:`_hard_blocked`); when one found every VC
+        owned, its stall is cleared and it keeps an owner wait
+        (:meth:`_await_owners`).
         """
         front = vc.queue[0]
         all_hard = True
@@ -660,6 +669,8 @@ class BaseRouter(abc.ABC):
             self._hard_blocked(vc, cycle, attempts)
         else:
             self.clear_stall(vc)
+            if self.network.has_faults:
+                self._await_owners(vc, routes, attempts)
         return False
 
     def _request_vc_allocation(
@@ -906,18 +917,6 @@ class BaseRouter(abc.ABC):
             ready.append(vc)
         return ready
 
-    def _tally_lone(self, vc: VirtualChannel) -> None:
-        """:meth:`_tally_contention` of a router whose only occupied VC
-        is ``vc``: one request at most, never contended."""
-        out_dir = vc.out_dir
-        if out_dir is None or out_dir is LOCAL or not vc.queue:
-            return
-        contention = self.network.stats.contention
-        if out_dir is EAST or out_dir is WEST:
-            contention.row_requests += 1
-        else:
-            contention.column_requests += 1
-
     # ------------------------------------------------------------------
     # Switch traversal helpers
     # ------------------------------------------------------------------
@@ -989,6 +988,39 @@ class BaseRouter(abc.ABC):
         if network.has_faults and not network.full_sweep:
             vc.verdict = (network.fault_epoch, vc.queue[0].packet.pid, attempts)
         self.note_stall(vc, cycle)
+
+    def _await_owners(
+        self, vc: VirtualChannel, routes: Sequence[Direction], attempts: int
+    ) -> None:
+        """Keep the owner wait of a VA attempt on ``routes`` that found no
+        free VC: every admissible VC of a live route owned by another
+        worm, the other routes hard-blocked.  ``attempts`` is the number
+        of :meth:`_request_vc_allocation` calls it made.
+
+        Only a fault event, or one of those VCs losing its owner, can
+        change how such an attempt ends, and :meth:`nap` checks the
+        owners; outside the full-sweep reference the VC keeps the wait.
+        Its routes, VCs and attempts are fixed by the fault epoch and
+        the packet, so a wait already kept for the two stands.
+        """
+        network = self.network
+        if network.full_sweep:
+            return
+        epoch = network.fault_epoch
+        packet = vc.queue[0].packet
+        wait = vc.owner_wait
+        if wait is not None and wait[0] == epoch and wait[1] == packet.pid:
+            return
+        owned = []
+        outputs = self.outputs
+        for out_dir in routes:
+            port = outputs.get(out_dir)
+            if port is not None and not port.dead:
+                for target, _route in port.downstream.vc_candidates(
+                    port.input_dir, packet
+                ):
+                    owned.append(target)
+        vc.owner_wait = (epoch, packet.pid, attempts, tuple(owned))
 
     def _blocked_again(self, vc: VirtualChannel, cycle: int) -> bool:
         """Replay ``vc``'s kept verdict (not None) if it still holds;

@@ -29,7 +29,7 @@ from repro.core.types import (
     NodeId,
     Packet,
 )
-from repro.routers.base import BaseRouter
+from repro.routers.base import EJECT, BaseRouter
 
 #: Port order of the generic router: the four cardinals plus the PE port.
 GENERIC_PORTS = (NORTH, EAST, SOUTH, WEST, LOCAL)
@@ -305,22 +305,65 @@ class GenericRouter(BaseRouter):
     def _allocate_lone(self, vc: VirtualChannel, cycle: int) -> None:
         """:meth:`allocate` of a step that finds only ``vc`` occupied.
 
-        The general body with each container cut to its one entry: the
-        VC, if ready, is the sole request of both SA stages and wins
-        them, and each stage's arbiter still grants it (``grant_lone``),
-        so its rotating priority moves past the winner as in the general
-        walk.  The full sweep never comes here: it is the reference the
-        lone path is checked against.
+        The general body with each container cut to its one entry, in
+        one body: the VA front end (``_stage_heads``), the tally, the
+        switch readiness test (``_vc_ready_for_switch``) and the grant
+        (``_commit_switch_grant``).  The VC, if ready, is the sole
+        request of both SA stages and wins them, and each stage's
+        arbiter still grants it (``grant_lone``), so its rotating
+        priority moves past the winner as in the general walk.  The full
+        sweep never comes here: it is the reference the lone path is
+        checked against.
         """
-        self._stage_lone(vc, cycle)
-        self._tally_lone(vc)
-        if not self._vc_ready_for_switch(vc, cycle):
+        queue = vc.queue
+        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
+            self._discard_dropped_front(vc, cycle)
+            if not queue:
+                return
+        front = queue[0]
+        if front.is_head:
+            if vc.active_pid is None:
+                vc.active_pid = front.packet.pid
+            # A head spends its arrival cycle in Routing Computation.
+            if vc.out_vc is None and front.arrival < cycle:
+                va_requests: list = []
+                self._request_va(vc, cycle, va_requests)
+                if va_requests:
+                    self._resolve_vc_allocations(va_requests, cycle)
+        out_dir = vc.out_dir
+        if out_dir is None or not queue:
             return
+        # The tally, ready or not: one request, never contended.
+        contention = self.network.stats.contention
+        if out_dir is EAST or out_dir is WEST:
+            contention.row_requests += 1
+        elif out_dir is not LOCAL:
+            contention.column_requests += 1
+        # Ready for the switch: routed, not held, and a live output with
+        # a credit (ejection needs none).
+        target = vc.out_vc
+        if target is None or vc.hold_until > cycle:
+            return
+        if target is not EJECT or out_dir is not LOCAL:
+            port = self.outputs.get(out_dir)
+            if port is None or port.dead:
+                return
+            if target is not EJECT:
+                releases = target._releases
+                if releases and releases[0] <= cycle:
+                    target._refresh(cycle)
+                if target._available <= 0:
+                    return
         self._activity.sa_requests += 1
         d = vc.input_dir
         self._sa_stage1[d].grant_lone(vc.index)
-        self._sa_stage2[vc.out_dir].grant_lone(d)
-        self._commit_switch_grant(vc, cycle)
+        self._sa_stage2[out_dir].grant_lone(d)
+        if target is not EJECT:
+            target._available -= 1
+            target.expected += 1
+        self._sa_winners.append((vc, out_dir, target))
+        if self._stall_since:
+            self._stall_since.pop(id(vc), None)
 
     def _request_va(
         self, vc: VirtualChannel, cycle: int, va_requests: list

@@ -20,9 +20,9 @@ Key behaviours modelled:
 from __future__ import annotations
 
 from repro.core.buffer import VirtualChannel
-from repro.core.types import LOCAL, Direction, NodeId, Packet
+from repro.core.types import EAST, LOCAL, WEST, Direction, NodeId, Packet
 from repro.routers.admission import admission_table, injection_table
-from repro.routers.base import BaseRouter
+from repro.routers.base import EJECT, BaseRouter
 from repro.routers.roco.module import RoCoModule
 from repro.routers.roco.path_set import COLUMN, ROW, TABLE1
 from repro.routing.base import direction_class
@@ -362,24 +362,63 @@ class RoCoRouter(BaseRouter):
         in ``module``.
 
         The occupancy-first body with each container cut to its one
-        entry.  The VC, if ready, is the module's sole SA request, which
-        the allocator grants without running (``grant_lone``), its
-        arbiters moving their rotating priority exactly as ``allocate``
-        would.  The full-sweep reference never comes here.
+        entry, in one body: the VA front end (``_stage_heads``), the
+        switch readiness test (``_vc_ready_for_switch``), the tally and
+        the grant (``_commit_switch_grant``).  The VC, if ready, is the
+        module's sole SA request, which the allocator grants without
+        running (``grant_lone``), its arbiters moving their rotating
+        priority exactly as ``allocate`` would.  The full-sweep
+        reference never comes here.
         """
         if module.dead:
             return
-        requested = self._stage_lone(vc, cycle)
-        if module.sa_degraded and requested and vc.out_vc is not None:
-            return  # the borrowed VA arbiters issued a grant: busy
-        if not self._vc_ready_for_switch(vc, cycle):
+        queue = vc.queue
+        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
+            self._discard_dropped_front(vc, cycle)
+            if not queue:
+                return
+        front = queue[0]
+        target = vc.out_vc
+        if front.is_head:
+            if vc.active_pid is None:
+                vc.active_pid = front.packet.pid
+            if target is None and not (self._charges_rc and front.arrival >= cycle):
+                va_requests: list = []
+                self._request_va(vc, cycle, va_requests)
+                if va_requests:
+                    self._resolve_vc_allocations(va_requests, cycle)
+                target = vc.out_vc
+                if module.sa_degraded and target is not None:
+                    return  # the borrowed VA arbiters issued a grant: busy
+        # Ready for the switch: routed, buffered, not held, and a live
+        # output with a credit (early ejection needs none).
+        if target is None or not queue or vc.hold_until > cycle:
             return
+        out_dir = vc.out_dir
+        if target is not EJECT or out_dir is not LOCAL:
+            port = self.outputs.get(out_dir)
+            if port is None or port.dead:
+                return
+            if target is not EJECT:
+                releases = target._releases
+                if releases and releases[0] <= cycle:
+                    target._refresh(cycle)
+                if target._available <= 0:
+                    return
         self._activity.sa_requests += 1
-        self._tally_lone(vc)
-        grant = module.allocator.grant_lone(
-            vc.port, module.slot_map[vc.out_dir], vc.index
-        )
-        self._commit_switch_grant(module.ports[grant.port][grant.vc_index], cycle)
+        # The tally: one request, never contended.
+        contention = self.network.stats.contention
+        if out_dir is EAST or out_dir is WEST:
+            contention.row_requests += 1
+        elif out_dir is not LOCAL:
+            contention.column_requests += 1
+        module.allocator.grant_lone(vc.port, module.slot_map[out_dir], vc.index)
+        if target is not EJECT:
+            target._available -= 1
+            target.expected += 1
+        self._sa_winners.append((vc, out_dir, target))
+        if self._stall_since:
+            self._stall_since.pop(id(vc), None)
 
     # ------------------------------------------------------------------
     # Runtime fault reaction
@@ -432,8 +471,9 @@ class RoCoRouter(BaseRouter):
 
         The one committed route's outcome is handled inline, cheaper on
         the hot path than :meth:`_request_routes`: a hard block is one
-        attempt, and a request staged or granted in an RC-faulty module
-        pays the double-routing hold.
+        attempt, an owner wait is one attempt on that route, and a
+        request staged or granted in an RC-faulty module pays the
+        double-routing hold.
         """
         if vc.verdict is not None and self._blocked_again(vc, cycle):
             return
@@ -458,3 +498,5 @@ class RoCoRouter(BaseRouter):
             self._hard_blocked(vc, cycle, 1)
         else:
             self.clear_stall(vc)
+            if self.network.has_faults:
+                self._await_owners(vc, (out_dir,), 1)

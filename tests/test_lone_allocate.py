@@ -1,8 +1,9 @@
 """The lone-VC allocate path == the general walk, on every single-VC state.
 
 A router step that finds exactly one occupied VC takes
-``_allocate_lone`` (every architecture; its head staging is the shared
-``BaseRouter._stage_lone``), unless the network runs the full sweep:
+``_allocate_lone`` (every architecture, each one flat body: head
+staging, tally, readiness and grant), unless the network runs the full
+sweep:
 that reference walks the general body with its own staging loop (for
 RoCo, its own full-sweep body).  Each case puts the centre router of a
 5x5 mesh in one single-VC state on twin networks, one active-scheduled
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import textwrap
 
 import pytest
 
@@ -28,7 +30,7 @@ from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.network import Network
 from repro.core.types import CARDINALS, Direction, NodeId, Packet, make_packet_flits
-from repro.routers import base, generic, path_sensitive
+from repro.routers import generic, path_sensitive
 from repro.routers.base import EJECT
 from repro.routers.roco import router as roco_router
 
@@ -338,10 +340,19 @@ def test_lone_path_equals_general_walk(variant):
         assert tally["kept"] > 0, tally
 
 
+#: The contention tally of a flat lone body, as a mutant moves it.
+_TALLY = (
+    "        contention = self.network.stats.contention\n"
+    "        if out_dir is EAST or out_dir is WEST:\n"
+    "            contention.row_requests += 1\n"
+    "        elif out_dir is not LOCAL:\n"
+    "            contention.column_requests += 1\n"
+)
+
 #: name -> (class, method, variant, [(old, new), ...]): one seeded fault,
-#: source edits of the lone path (a router's ``_allocate_lone``, the
-#: shared ``BaseRouter._stage_lone`` or the Mirror allocator's
-#: ``grant_lone``) that the variant's battery must catch.
+#: source edits of the lone path (a router's ``_allocate_lone`` or the
+#: Mirror allocator's ``grant_lone``) that the variant's battery must
+#: catch.
 MUTANTS = {
     "generic: stage-1 grant left out": (
         generic.GenericRouter, "_allocate_lone", "generic",
@@ -349,16 +360,13 @@ MUTANTS = {
     ),
     "generic: stage-2 grant left out": (
         generic.GenericRouter, "_allocate_lone", "generic",
-        [("self._sa_stage2[vc.out_dir].grant_lone(d)", "pass")],
+        [("self._sa_stage2[out_dir].grant_lone(d)", "pass")],
     ),
     "generic: tally skipped when not ready": (
         generic.GenericRouter, "_allocate_lone", "generic",
-        [("self._tally_lone(vc)\n"
-          "        if not self._vc_ready_for_switch(vc, cycle):\n"
-          "            return\n",
-          "if not self._vc_ready_for_switch(vc, cycle):\n"
-          "            return\n"
-          "        self._tally_lone(vc)\n")],
+        [(_TALLY, ""),
+         ("self._activity.sa_requests += 1\n",
+          "self._activity.sa_requests += 1\n" + _TALLY)],
     ),
     "path_sensitive: local arbiter left out": (
         path_sensitive.PathSensitiveRouter, "_allocate_lone", "path_sensitive",
@@ -384,23 +392,31 @@ MUTANTS = {
     ),
     "roco: SA borrow rule ignored": (
         roco_router.RoCoRouter, "_allocate_lone", "roco",
-        [("requested and vc.out_vc", "False and vc.out_vc")],
+        [("module.sa_degraded and target", "False and target")],
     ),
     "roco: tallied when not ready": (
         roco_router.RoCoRouter, "_allocate_lone", "roco",
-        [("if not self._vc_ready_for_switch(vc, cycle):",
-          "self._tally_lone(vc)\n"
-          "        if not self._vc_ready_for_switch(vc, cycle):")],
+        [(_TALLY, ""),
+         ("        # Ready for the switch",
+          "        out_dir = vc.out_dir\n"
+          "        if out_dir is not None and queue:\n"
+          + textwrap.indent(_TALLY, "    ")
+          + "        # Ready for the switch")],
     ),
+}
+_LONE = {
+    "generic": generic.GenericRouter,
+    "path_sensitive": path_sensitive.PathSensitiveRouter,
+    "roco": roco_router.RoCoRouter,
 }
 for _variant in ("path_sensitive", "roco"):
     MUTANTS[f"{_variant}: RC cycle charged under look-ahead"] = (
-        base.BaseRouter, "_stage_lone", _variant,
+        _LONE[_variant], "_allocate_lone", _variant,
         [("self._charges_rc and front.arrival", "front.arrival")],
     )
-for _variant in ("generic", "path_sensitive", "roco"):
+for _variant, _cls in _LONE.items():
     MUTANTS[f"{_variant}: dropped front kept"] = (
-        base.BaseRouter, "_stage_lone", _variant,
+        _cls, "_allocate_lone", _variant,
         [("self._discard_dropped_front(vc, cycle)", "pass")],
     )
 

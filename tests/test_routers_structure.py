@@ -4,11 +4,14 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
+from repro.core.simulator import Simulator
 from repro.core.types import Direction, NodeId, Packet
+from repro.faults import ComponentFault
+from repro.faults.model import Component
 from repro.routers import EJECT, ROUTER_CLASSES
 from repro.routers.generic import GENERIC_PORTS
 from repro.routers.path_sensitive import QUADRANTS, quadrant_of
-from repro.routers.roco.path_set import classify_vc
+from repro.routers.roco.path_set import ROW, classify_vc
 
 
 def network(router="roco", routing="xy", k=4):
@@ -19,6 +22,32 @@ def network(router="roco", routing="xy", k=4):
 
 def packet(src, dest, pid=0):
     return Packet(pid=pid, src=src, dest=dest, size=4, created_cycle=0)
+
+
+#: CPython 3.11 keeps a class's instance attributes in one key table the
+#: instances share, and stops growing it at 30 keys (``SHARED_KEYS_MAX_SIZE``
+#: in Objects/dictobject.c): an instance with a 31st gets a dict of its
+#: own, and every attribute load on it takes the slower path.
+ATTRIBUTE_LIMIT = 30
+
+
+@pytest.mark.parametrize("architecture", sorted(ROUTER_CLASSES))
+def test_no_router_carries_more_than_30_attributes(architecture):
+    """The hot path reads router attributes on every step, so crossing
+    the limit taxes the whole cycle loop.  Two dummy attributes on
+    ``BaseRouter`` (RoCo then had 31) cost +5.8 % CPU on perfbench's
+    ``sweep_smalljobs`` jobs, slower in 8 of 8 alternating pairs.  On
+    CPython 3.11.7 on a 2-core Intel Xeon container, an attribute load
+    costs 6.5 ns on an instance with 29 attributes and 7.7 ns on one with
+    31 (best of nine ``timeit`` repeats, in each of three processes).
+    Counted after a short run, when every lazily set attribute is set."""
+    sim = Simulator(SimulationConfig(
+        width=4, height=4, router=architecture, warmup_packets=10, measure_packets=60,
+    ), faults=[ComponentFault(NodeId(1, 1), Component.CROSSBAR, module=ROW)])
+    sim.run()
+    widest = max(len(vars(router)) for router in sim.network.routers.values())
+    sim.teardown()
+    assert widest <= ATTRIBUTE_LIMIT
 
 
 @pytest.mark.parametrize("architecture", sorted(ROUTER_CLASSES))
