@@ -9,11 +9,13 @@ By default stepping is *activity-driven*: only routers in the active set
 Dormant routers are woken by source injections (immediately, the same
 cycle) and by neighbour link launches (via a timed wake scheduled for
 the flit's arrival cycle, so receivers sleep through the wire delay).
-In a faulty network a router holding only fault-blocked heads and
-worms waiting for a credit *naps*: it stays active but is not stepped
-until something can change its verdicts or give it a credit
-(BaseRouter.nap).  The ``full_sweep=True`` escape hatch restores the
-original step-every-router schedule; both produce bit-identical
+In a faulty network a router holding only fault-blocked heads, heads
+waiting on VCs other worms own and worms waiting for a credit *naps*:
+it keeps its place in the cycle's frozen active list, but is passed by
+until something can change its verdicts, release an awaited VC or give
+it a credit (BaseRouter.nap, Network.step_alloc).  The
+``full_sweep=True`` escape hatch restores the original
+step-every-router schedule; both produce bit-identical
 simulation results (see docs/activity-scheduling.md and the ``object``
 row of tests/test_engines_agree.py).
 """
@@ -61,18 +63,12 @@ class Network:
         self._router_list = list(self.routers.values())
         for index, router in enumerate(self._router_list):
             router._index = index
-        #: Routers frozen by this cycle's front half for its alloc half,
-        #: and the logically active ones: those plus the napping ones.
-        self._stepped: list["BaseRouter"] = []
+        #: The active routers, frozen in row-major order by this cycle's
+        #: front half for the whole cycle; the napping ones among them
+        #: are passed by (see :meth:`step_alloc`).
         self._active: list["BaseRouter"] = []
         #: Routers in a nap not yet settled (see BaseRouter.nap).
         self._napping = 0
-        #: While routers nap, from the freeze to the end of the allocate
-        #: loop: the row-major place allocated last (-1 before the first);
-        #: None otherwise.  A napper roused after that place allocates in
-        #: this cycle (BaseRouter.rouse), from ``_late``.
-        self._alloc_at: int | None = None
-        self._late: list["BaseRouter"] = []
         #: Purge record (:meth:`record_claim`): pid -> the routers the
         #: packet claimed a VC in.  None — every drop purges every router
         #: — until :meth:`keep_purge_record`.
@@ -264,12 +260,9 @@ class Network:
                     router.wake()
             stepped = [r for r in self._router_list if r.active]
         self._active = stepped
-        if self._napping:
-            stepped = self._without_nappers(stepped, cycle)
-            self._alloc_at = -1
         scheduler = self.stats.scheduler
         scheduler.cycles += 1
-        scheduler.router_steps += len(self._active)
+        scheduler.router_steps += len(stepped)
         scheduler.router_slots += len(self._router_list)
         if self.full_sweep:
             for router in stepped:
@@ -279,88 +272,63 @@ class Network:
             # Every in-flight flit scheduled a wake for its landing cycle
             # naming the link it lands on, so only routers in this cycle's
             # wake bucket can have arrivals — and only on their due links.
+            # A napper is logically stepped, so counted too; a landing
+            # rouses it.
             for router in stepped:
                 router.steps_taken += 1
                 if router._deliver_due == cycle:
                     router.deliver_due(cycle)
-        # Only a router holding last cycle's SA winners has a traversal.
+        # Only a router holding last cycle's SA winners has a traversal
+        # (a napper holds none).
         for router in stepped:
             if router._sa_winners:
                 router.traverse(cycle)
-        self._stepped = stepped
-
-    def _without_nappers(self, active: list, cycle: int) -> list:
-        """``active`` less the routers napping through ``cycle``; a nap
-        that ends here (deadline due, or roused) is settled first."""
-        stepped = []
-        for router in active:
-            until = router._nap_until
-            if until is not None:
-                if until > cycle:
-                    continue
-                router.settle_nap(cycle)
-                self._napping -= 1
-            stepped.append(router)
-        return stepped
 
     def step_alloc(self, cycle: int) -> None:
         """Allocation, quiescence sleep, naps and end-of-cycle
-        bookkeeping."""
-        stepped = self._stepped
-        if self._alloc_at is None:
-            for router in stepped:
+        bookkeeping.
+
+        Both loops walk the list the front half froze and pass a napper
+        by.  One whose deadline is due, or that something roused before
+        the allocate loop reached its place, is settled and allocates
+        there, as the plain schedule would have it; one roused after
+        that place is settled in the quiescence loop, its step this
+        cycle the nap's, and sleeps if it is empty.
+        """
+        active = self._active
+        if self._napping:
+            for router in active:
+                until = router._nap_until
+                if until is not None:
+                    if until > cycle:
+                        continue
+                    router.settle_nap(cycle)
+                    self._napping -= 1
                 router.allocate(cycle)
         else:
-            stepped = self._allocate_rousing(stepped, cycle)
+            for router in active:
+                router.allocate(cycle)
         if not self.full_sweep:
             # Ground-truth drain check after all phases: anything a
             # purge or refund changed mid-cycle is re-inspected here.
             # Only a faulty network naps (BaseRouter.nap).
             scheduler = self.stats.scheduler
             naps = self.has_faults
-            for router in stepped:
+            for router in active:
+                until = router._nap_until
+                if until is not None:
+                    if until > cycle:
+                        continue
+                    router.settle_nap(cycle + 1)
+                    self._napping -= 1
                 if router.quiescent():
                     router.active = False
                     scheduler.sleeps += 1
                 elif naps and not router._sa_winners and router.nap(cycle):
                     self._napping += 1
         if self.on_cycle_stepped is not None:
-            self.on_cycle_stepped(cycle, self._active)
+            self.on_cycle_stepped(cycle, active)
         self.stats.tick()
-
-    def _allocate_rousing(self, stepped: list, cycle: int) -> list:
-        """The allocate loop of a cycle some router naps through.
-
-        A purge or a credit may rouse a napper mid-cycle (BaseRouter.rouse
-        puts it in ``_late``).  One roused before the loop reaches its
-        row-major place allocates there, in this cycle, as the plain
-        schedule would have it.  Returns the routers allocated.
-        """
-        late = self._late
-        extra: list["BaseRouter"] = []
-        for router in stepped:
-            index = router._index
-            if late:
-                self._allocate_late(index, extra, cycle)
-            self._alloc_at = index
-            router.allocate(cycle)
-        if late:
-            self._allocate_late(len(self._router_list), extra, cycle)
-        self._alloc_at = None
-        return stepped + extra if extra else stepped
-
-    def _allocate_late(self, before: int, done: list, cycle: int) -> None:
-        """Allocate, in row-major order, the roused nappers placed before
-        ``before``, appending them to ``done``."""
-        late = self._late
-        while late:
-            first = min(late, key=_ROW_MAJOR)
-            if first._index > before:
-                return
-            late.remove(first)
-            self._alloc_at = first._index
-            first.allocate(cycle)
-            done.append(first)
 
     # ------------------------------------------------------------------
     # Delivery and dropping

@@ -126,8 +126,8 @@ class BaseRouter(abc.ABC):
         #: schedules its landing link, so everything else is empty wire).
         self._deliver_due = -1
         self._due_dirs: list[Direction] = []
-        #: Cycles this router was stepped (scheduler telemetry); a nap's
-        #: cycles are added when it ends.
+        #: Cycles this router was logically stepped (scheduler telemetry),
+        #: counted by the network each cycle, a napping one's included.
         self.steps_taken = 0
         #: Place in the network's row-major stepping order (set by it).
         self._index = -1
@@ -255,13 +255,14 @@ class BaseRouter(abc.ABC):
           output VC has no credit for it — so each step only tallies it.
 
         The router then naps until the earliest stall deadline, hold or
-        announced credit release.  It stays logically active (counted
-        in ``router_steps`` and shown to ``on_cycle_stepped``), is not
-        stepped, and is stepped again at that deadline or once roused
+        announced credit release.  It stays in the active list the
+        network freezes each cycle (counted in ``router_steps`` and
+        ``steps_taken``, shown to ``on_cycle_stepped``), but each loop
+        passes it by until that deadline or until it is roused
         (:meth:`rouse`, :meth:`credit_due`: each starved VC's output VC
         names this router its ``waiter``, each awaited VC lists it in
-        its ``owner_waiters``); :meth:`settle_nap` then books the
-        skipped steps.  Returns whether it napped.
+        its ``owner_waiters``); :meth:`settle_nap` then books what the
+        skipped steps would have.  Returns whether it napped.
         """
         if self.dead:
             return False
@@ -345,25 +346,12 @@ class BaseRouter(abc.ABC):
     def rouse(self) -> None:
         """End a nap: something may have changed what a step would do.
 
-        Between cycles, or mid-cycle once the allocate loop has passed
-        this router's row-major place, the router is stepped from the
-        next frozen list on (its step this cycle, before the change, is
-        the nap's).  Earlier in the cycle — a purge, a refund or a tail
-        launch releasing an awaited VC in the front half, or a purge by
-        a router before it in the allocate loop — the plain schedule has
-        yet to allocate it in this cycle: it is settled and allocates at
-        its place (``Network._allocate_rousing``).
+        The network settles the nap at the next of its loops to reach
+        this router's row-major place: the allocate loop's, if it is
+        still ahead (the router allocates there, in this cycle), else
+        the quiescence loop's (its step this cycle was the nap's).
         """
-        if self._nap_until is None:
-            return
-        network = self.network
-        at = network._alloc_at
-        if at is not None and self._index > at:
-            self.settle_nap(network.cycle)
-            self.steps_taken += 1
-            network._napping -= 1
-            network._late.append(self)
-        else:
+        if self._nap_until is not None:
             self._nap_until = 0
 
     def credit_due(self, cycle: int) -> None:
@@ -377,9 +365,9 @@ class BaseRouter(abc.ABC):
                 self._nap_until = cycle
 
     def settle_nap(self, cycle: int) -> None:
-        """Book a nap's skipped steps, ``_nap_from`` up to ``cycle`` (excluded)."""
+        """End a nap, booking the VA requests and contention tally of its
+        skipped steps, ``_nap_from`` up to ``cycle`` (excluded)."""
         slept = cycle - self._nap_from
-        self.steps_taken += slept
         self._activity.va_requests += slept * self._nap_va
         tally = self._nap_tally
         if tally is not None:

@@ -8,8 +8,9 @@ tests/test_engines_agree.py's ``object`` row.  These tests pin what
 makes the scheduler worth having (dormant routers really do sleep), a
 fault path where sleeping would be easiest to get wrong (a bypassed
 router forwarding double-routed traffic), the owner wait (a napper
-waiting on an owned VC, woken by each site that releases one) and the
-progress callback.
+waiting on an owned VC, woken by each site that releases one), the
+progress callback, and that naps change nothing but the steps run (every
+faulty cell gives the numbers of its run with naps off).
 """
 
 from __future__ import annotations
@@ -20,16 +21,19 @@ import pytest
 
 from repro.core import buffer, simulator
 from repro.core.config import RouterConfig
+from repro.core.network import Network
 from repro.core.simulator import Simulator, run_simulation
 from repro.core.types import NodeId
 from repro.faults import ComponentFault
 from repro.faults.model import Component
 from repro.harness.export import result_record
+from repro.harness.parallel import SimJob
 from repro.routers import ROUTER_CLASSES
 from repro.routers.base import BaseRouter
 from repro.routers.roco.path_set import ROW
 
 from .conftest import small_config
+from .test_engines_agree import CELLS
 from .test_lone_allocate import seeded
 
 # ----------------------------------------------------------------------
@@ -112,7 +116,7 @@ def test_progress_reports_post_step_outstanding():
 # ----------------------------------------------------------------------
 
 
-def owner_cell(router: str, seed: int, rate: float, flits: int, node: NodeId) -> tuple:
+def owner_cell(router: str, seed: int, rate: float, flits: int, node: NodeId) -> SimJob:
     """A 4x4 XY mesh whose worms, longer than the two-flit buffers, stall
     behind a crossbar fault at ``node``: heads upstream find every VC
     they may take owned by a stalled worm."""
@@ -122,7 +126,7 @@ def owner_cell(router: str, seed: int, rate: float, flits: int, node: NodeId) ->
         drain_timeout=400,
         router_config=RouterConfig.for_architecture(router, buffer_depth=2),
     )
-    return config, [ComponentFault(node, Component.CROSSBAR, module=ROW)]
+    return SimJob.of(config, [ComponentFault(node, Component.CROSSBAR, module=ROW)])
 
 
 #: name -> (cell, what ends one of its owner waits).  ``tail``: the
@@ -144,7 +148,7 @@ OWNER_CELLS = {
 }
 
 
-def observe(cell, monkeypatch, full_sweep=False) -> tuple[tuple, int]:
+def observe(job: SimJob, monkeypatch, full_sweep=False) -> tuple[tuple, int]:
     """Everything a run shows — record, scheduler and activity counters,
     each router's ``steps_taken`` — and its ``allocate`` calls."""
     calls = [0]
@@ -155,8 +159,8 @@ def observe(cell, monkeypatch, full_sweep=False) -> tuple[tuple, int]:
                 _allocate(self, cycle)
 
             patch.setattr(cls, "allocate", allocate)
-        config, faults = cell
-        sim = Simulator(config, faults=faults, full_sweep=full_sweep)
+        sim = Simulator(job.config, faults=list(job.faults), schedule=job.schedule,
+                        full_sweep=full_sweep)
         result = sim.run()
         stats = sim.network.stats
         seen = (result_record(result), asdict(stats.scheduler), asdict(stats.activity),
@@ -165,12 +169,12 @@ def observe(cell, monkeypatch, full_sweep=False) -> tuple[tuple, int]:
     return seen, calls[0]
 
 
-def without_owner_waits(cell, monkeypatch) -> tuple[tuple, int]:
+def without_owner_waits(job: SimJob, monkeypatch) -> tuple[tuple, int]:
     """:func:`observe` with no owner wait kept: the blocked and starved
     naps only."""
     with monkeypatch.context() as patch:
         patch.setattr(BaseRouter, "_await_owners", lambda self, *args: None)
-        return observe(cell, monkeypatch)
+        return observe(job, monkeypatch)
 
 
 @pytest.mark.parametrize("name", sorted(OWNER_CELLS))
@@ -195,7 +199,8 @@ def test_owner_cells_reach_their_event(monkeypatch):
     owner wait."""
     seen: dict[str, int] = {}
     waiting: set = set()  # routers whose current nap holds an owner wait
-    at: dict = {"site": None, "seq": 0}
+    # ``place``: the row-major place of the router allocating, if any.
+    at: dict = {"site": None, "seq": 0, "place": None}
     allocated: dict = {}  # router -> seq of its last allocate
     released: dict = {}  # id(vc) -> (cycle, seq) of its last release
     nap = BaseRouter.nap
@@ -227,10 +232,10 @@ def test_owner_cells_reach_their_event(monkeypatch):
     def roused(self):
         for router in self.owner_waiters:
             if router in waiting and router._nap_until is not None:
-                place = router.network._alloc_at
-                if at["site"] == "traverse" and place == -1:
+                place = at["place"]
+                if at["site"] == "traverse":
                     count("tail")
-                elif at["site"] == "purge" and place is not None and place >= 0:
+                elif at["site"] == "purge" and place is not None:
                     count("purge-before" if router._index > place else "purge-after")
         rouse(self)
 
@@ -258,12 +263,16 @@ def test_owner_cells_reach_their_event(monkeypatch):
         def allocate(self, cycle, _allocate=cls.__dict__["allocate"]):
             at["seq"] += 1
             allocated[self] = at["seq"]
-            _allocate(self, cycle)
+            at["place"] = self._index
+            try:
+                _allocate(self, cycle)
+            finally:
+                at["place"] = None
 
         monkeypatch.setattr(cls, "allocate", allocate)
-    for name, ((config, faults), event) in OWNER_CELLS.items():
+    for name, (job, event) in OWNER_CELLS.items():
         seen.clear()
-        Simulator(config, faults=faults).run()
+        Simulator(job.config, faults=list(job.faults)).run()
         assert seen.get(event), f"{name}: no {event} event in {seen}"
 
 
@@ -313,3 +322,69 @@ def test_an_owner_cell_catches_a_seeded_fault(name, monkeypatch):
     caught = [cell_name for cell_name, (cell, _event) in OWNER_CELLS.items()
               if observe(cell, monkeypatch)[0] != _REFERENCES[cell_name]]
     assert caught, f"{name}: every owner cell still equals its reference"
+
+
+# ----------------------------------------------------------------------
+# Naps: the plain schedule's numbers, fewer steps run
+# ----------------------------------------------------------------------
+
+#: Every cell a router may nap in: the oracle's faulty cells (static
+#: faults or a schedule) and the owner-wait cells.
+NAP_CELLS = {
+    **{name: job for name, (job, _rows, _ends) in CELLS.items()
+       if job.faults or job.schedule},
+    **{name: job for name, (job, _event) in OWNER_CELLS.items()},
+}
+
+#: Each cell's observations with naps off, run once.
+_NAPLESS: dict = {}
+
+
+def without_naps(name: str, monkeypatch) -> tuple:
+    """:func:`observe` of cell ``name`` with no router ever napping."""
+    if name not in _NAPLESS:
+        with monkeypatch.context() as patch:
+            patch.setattr(BaseRouter, "nap", lambda self, cycle: False)
+            _NAPLESS[name] = observe(NAP_CELLS[name], monkeypatch)[0]
+    return _NAPLESS[name]
+
+
+@pytest.mark.parametrize("cell", list(NAP_CELLS))
+def test_naps_change_nothing_but_the_steps_run(cell, monkeypatch):
+    """Record, scheduler and activity counters and every router's
+    ``steps_taken`` equal those of the same run with naps off: a napper
+    stays in the frozen active list, and a roused one is settled where
+    the plain schedule would step it."""
+    assert observe(NAP_CELLS[cell], monkeypatch)[0] == without_naps(cell, monkeypatch)
+
+
+#: name -> (class, method, [(old, new), ...]): where a roused napper
+#: rejoins the cycle.  Some nap cell must fail each.
+NAP_MUTANTS = {
+    "step_alloc: roused napper waits a cycle": (
+        Network, "step_alloc",
+        [("                    if until > cycle:\n"
+          "                        continue\n"
+          "                    router.settle_nap(cycle)\n",
+          "                    if until > cycle or not until:\n"
+          "                        continue\n"
+          "                    router.settle_nap(cycle)\n")],
+    ),
+    "step_alloc: roused napper not checked for quiescence": (
+        Network, "step_alloc",
+        [("                    router.settle_nap(cycle + 1)\n"
+          "                    self._napping -= 1\n",
+          "                    continue\n")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAP_MUTANTS))
+def test_a_nap_cell_catches_a_seeded_fault(name, monkeypatch):
+    cls, method, edits = NAP_MUTANTS[name]
+    for cell in NAP_CELLS:
+        without_naps(cell, monkeypatch)
+    monkeypatch.setattr(cls, method, seeded(cls, method, edits))
+    caught = [cell for cell, job in NAP_CELLS.items()
+              if observe(job, monkeypatch)[0] != _NAPLESS[cell]]
+    assert caught, f"{name}: every nap cell still equals its naps-off run"

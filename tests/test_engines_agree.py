@@ -367,6 +367,7 @@ def test_backpressure_cells_nap(monkeypatch):
     full-sweep reference never naps."""
     seen: dict[str, int] = {}
     starving: set = set()  # routers whose current nap is a starved one
+    allocating: list = [None]  # the row-major place of the router allocating
     nap, rouse, settle = BaseRouter.nap, BaseRouter.rouse, Network.settle
     clear = RuntimeFaultEngine.clear
 
@@ -389,11 +390,20 @@ def test_backpressure_cells_nap(monkeypatch):
 
     def roused(self):
         # In the allocate loop only a drop rouses (a refund comes in the
-        # front half); ``_alloc_at`` is the dropping router's place.
-        at = self.network._alloc_at
-        if self in starving and self._nap_until and at is not None and at >= 0:
+        # front half), in the ``allocate`` of the dropping router.
+        at = allocating[0]
+        if self in starving and self._nap_until and at is not None:
             count("after" if self._index > at else "before")
         rouse(self)
+
+    def placed(method):
+        def allocate(self, cycle):
+            allocating[0] = self._index
+            try:
+                method(self, cycle)
+            finally:
+                allocating[0] = None
+        return allocate
 
     def starved_napping(method, label):
         def wrapper(self, *args):
@@ -405,6 +415,8 @@ def test_backpressure_cells_nap(monkeypatch):
 
     monkeypatch.setattr(BaseRouter, "nap", napped)
     monkeypatch.setattr(BaseRouter, "rouse", roused)
+    for cls in (GenericRouter, PathSensitiveRouter, RoCoRouter):
+        monkeypatch.setattr(cls, "allocate", placed(cls.__dict__["allocate"]))
     monkeypatch.setattr(Network, "settle", starved_napping(settle, "end"))
     monkeypatch.setattr(RuntimeFaultEngine, "clear", starved_napping(clear, "clear"))
     wanted = {"backpressure-generic": "starved", "backpressure-roco": "starved",
