@@ -55,11 +55,10 @@ class MirrorAllocator:
         flit wants that output.  Returns at most one grant per port and at
         most one per direction (mirrored), maximising the match count.
 
-        The matrix stays bool, unlike the generic and Path-Sensitive
-        routers' request masks (``RoundRobinArbiter.grant_mask``): other
-        readers take it as lines — the audit's matching checker indexes
-        it and perfbench's traced pass tests ``True in port[0]`` — and
-        a module's lone request already skips it (:meth:`grant_lone`).
+        The reference over bool lines, which the full-sweep router body
+        runs; a RoCo step grants from request masks
+        (:meth:`allocate_masks`) or, for a module's sole request,
+        :meth:`grant_lone`.
         """
         if len(requests) != 2 or len(requests[0]) != 2 or len(requests[1]) != 2:
             raise ValueError("mirror allocator expects a 2-port, 2-direction matrix")
@@ -93,18 +92,62 @@ class MirrorAllocator:
             return [MirrorGrant(1, slot2, l10 if slot2 == 0 else l11)]
         return []
 
-    def grant_lone(self, port: int, slot: int, vc: int) -> MirrorGrant:
+    def allocate_masks(
+        self, m00: int, m01: int, m10: int, m11: int
+    ) -> list[tuple[int, int, int]]:
+        """:meth:`allocate` of the matrix whose ``requests[port][slot]``
+        line sets the bits of ``m<port><slot>`` (bit ``i`` is VC ``i``).
+
+        The same grants in the same order, as plain ``(port, slot, vc)``
+        tuples, and every arbiter left where :meth:`allocate` leaves it:
+        each requesting (port, slot) runs its local arbiter on its mask,
+        a score tie runs the global arbiter on both lines and a decided
+        slot is its lone grant.
+        """
+        local = self._local
+        l00 = local[0][0].grant_mask(m00) if m00 else None
+        l01 = local[0][1].grant_mask(m01) if m01 else None
+        l10 = local[1][0].grant_mask(m10) if m10 else None
+        l11 = local[1][1].grant_mask(m11) if m11 else None
+        if m00 or m01:
+            # Port 1's direction scores 2 where port 2 can take the
+            # mirror image, 1 where it cannot (_choose_port1_slot).
+            if m00 and m01 and bool(m11) is bool(m10):
+                slot1 = self._global.grant_mask(0b11)
+            else:
+                slot1 = 0 if m00 and (m11 or not m01) else 1
+                self._global.grant_lone(slot1)
+            if slot1 == 0:
+                if m11:
+                    return [(0, 0, l00), (1, 1, l11)]
+                return [(0, 0, l00)]
+            if m10:
+                return [(0, 1, l01), (1, 0, l10)]
+            return [(0, 1, l01)]
+        if m10 and m11:
+            # Port 1 idle: the global arbiter serves port 2 directly.
+            slot2 = self._global.grant_mask(0b11)
+            return [(1, slot2, l10 if slot2 == 0 else l11)]
+        if m10:
+            self._global.grant_lone(0)
+            return [(1, 0, l10)]
+        if m11:
+            self._global.grant_lone(1)
+            return [(1, 1, l11)]
+        return []
+
+    def grant_lone(self, port: int, slot: int, vc: int) -> tuple[int, int, int]:
         """:meth:`allocate` of a matrix whose only request is ``vc`` of
         ``port`` for ``slot``, without building or scanning it.
 
         The request wins its local arbiter, and the global arbiter grants
         its slot: as port 1's direction, the only one that scores, or
         serving port 2 directly.  Every arbiter ends as ``allocate``
-        would leave it.
+        would leave it; the grant is the plain ``(port, slot, vc)``.
         """
         self._local[port][slot].grant_lone(vc)
         self._global.grant_lone(slot)
-        return MirrorGrant(port, slot, vc)
+        return (port, slot, vc)
 
     def _choose_port1_slot(self, p1_has: list[bool], p2_has: list[bool]) -> int:
         """Pick port 1's direction, maximising the mirrored match count.

@@ -51,10 +51,39 @@ class SequentialAllocator:
             grants.append(MirrorGrant(port, slot, nominees[port][1]))
         return grants
 
-    def grant_lone(self, port: int, slot: int, vc: int) -> MirrorGrant:
+    def allocate_masks(
+        self, m00: int, m01: int, m10: int, m11: int
+    ) -> list[tuple[int, int, int]]:
+        """:meth:`allocate` of the matrix whose ``requests[port][slot]``
+        line sets the bits of ``m<port><slot>`` (bit ``i`` is VC ``i``):
+        the same grants in the same order, as plain ``(port, slot, vc)``
+        tuples, and every arbiter left where :meth:`allocate` leaves it."""
+        # Stage 1: a port nominates from the union of its two lines.
+        nominees: list[tuple[int, int] | None] = [None, None]
+        for port, (slot0, slot1) in enumerate(((m00, m01), (m10, m11))):
+            if slot0 or slot1:
+                vc = self._port_stage[port].grant_mask(slot0 | slot1)
+                nominees[port] = (0 if slot0 >> vc & 1 else 1, vc)
+        # Stage 2: each direction grants one nominating port.
+        grants = []
+        for slot in range(2):
+            lines = [
+                port for port, nominee in enumerate(nominees)
+                if nominee is not None and nominee[0] == slot
+            ]
+            if len(lines) == 2:
+                port = self._direction_stage[slot].grant_mask(0b11)
+            elif lines:
+                port = self._direction_stage[slot].grant_lone(lines[0])
+            else:
+                continue
+            grants.append((port, slot, nominees[port][1]))
+        return grants
+
+    def grant_lone(self, port: int, slot: int, vc: int) -> tuple[int, int, int]:
         """:meth:`allocate` of a matrix whose only request is ``vc`` of
         ``port`` for ``slot``: the port nominates it and its direction
         grants the port, each arbiter left as ``allocate`` would."""
         self._port_stage[port].grant_lone(vc)
         self._direction_stage[slot].grant_lone(port)
-        return MirrorGrant(port, slot, vc)
+        return (port, slot, vc)

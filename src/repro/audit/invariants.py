@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.arbiters.mirror import MirrorAllocator, MirrorGrant, max_possible_matching
+from repro.arbiters.mirror import MirrorAllocator, max_possible_matching
 from repro.core.runloop import AuditViolation
 from repro.core.types import CARDINALS, NodeId
 
@@ -336,11 +336,12 @@ class _AuditedAllocator:
 
     Legality (at most one grant per input port and per output slot, and
     every grant answering a real request) is enforced for any wrapped
-    allocator; maximality only when the inner allocator is (or derives
-    from) the Mirror allocator, whose construction guarantees it — the
-    Sequential ablation intentionally forgoes the guarantee.  A lone
-    grant (``grant_lone``) must be in range and be the request itself,
-    which is then also the maximal matching.
+    allocator, on a bool matrix (``allocate``) and on request masks
+    (``allocate_masks``); maximality only when the inner allocator is
+    (or derives from) the Mirror allocator, whose construction
+    guarantees it — the Sequential ablation intentionally forgoes the
+    guarantee.  A lone grant (``grant_lone``) must be in range and be
+    the request itself, which is then also the maximal matching.
     """
 
     def __init__(self, inner, engine, node: NodeId, module_name: str) -> None:
@@ -351,15 +352,9 @@ class _AuditedAllocator:
 
     def _checked(self, grant, num_vcs: int) -> str:
         """``grant``'s label, once it is known to be in range."""
-        label = (
-            f"{self.module_name} module grant (port {grant.port}, slot "
-            f"{grant.direction_slot}, vc {grant.vc_index})"
-        )
-        if not (
-            0 <= grant.port < 2
-            and 0 <= grant.direction_slot < 2
-            and 0 <= grant.vc_index < num_vcs
-        ):
+        port, slot, vc = grant
+        label = f"{self.module_name} module grant (port {port}, slot {slot}, vc {vc})"
+        if not (0 <= port < 2 and 0 <= slot < 2 and 0 <= vc < num_vcs):
             self._fail(f"{label} is out of range")
         return label
 
@@ -367,28 +362,47 @@ class _AuditedAllocator:
         engine = self.engine
         engine.fail("matching", engine.network.cycle, message, node=self.node)
 
-    def grant_lone(self, port: int, slot: int, vc: int) -> MirrorGrant:
+    def grant_lone(self, port: int, slot: int, vc: int) -> tuple[int, int, int]:
         grant = self.inner.grant_lone(port, slot, vc)
         label = self._checked(grant, self.inner.num_vcs)
         if grant != (port, slot, vc):
             self._fail(f"{label} was never requested (forged grant)")
         return grant
 
-    def allocate(self, requests) -> list[MirrorGrant]:
+    def allocate(self, requests) -> list:
         grants = self.inner.allocate(requests)
+        self._check_matching(grants, requests)
+        return grants
+
+    def allocate_masks(self, m00: int, m01: int, m10: int, m11: int) -> list:
+        grants = self.inner.allocate_masks(m00, m01, m10, m11)
+        # The masks as a bool matrix: line ``vc`` of (port, slot) is bit
+        # ``vc`` of its mask.
+        width = self.inner.num_vcs
+        requests = [
+            [[bool(mask >> vc & 1) for vc in range(width)] for mask in pair]
+            for pair in ((m00, m01), (m10, m11))
+        ]
+        self._check_matching(grants, requests)
+        return grants
+
+    def _check_matching(self, grants, requests) -> None:
+        """Legality of ``grants`` against ``requests[port][slot][vc]``,
+        and (Mirror only) maximality."""
         num_vcs = len(requests[0][0])
         ports: set[int] = set()
         slots: set[int] = set()
         for grant in grants:
             label = self._checked(grant, num_vcs)
-            if not requests[grant.port][grant.direction_slot][grant.vc_index]:
+            port, slot, vc = grant
+            if not requests[port][slot][vc]:
                 self._fail(f"{label} was never requested (forged grant)")
-            if grant.port in ports:
+            if port in ports:
                 self._fail(f"{label}: input port granted twice in one cycle")
-            if grant.direction_slot in slots:
+            if slot in slots:
                 self._fail(f"{label}: output slot granted twice in one cycle")
-            ports.add(grant.port)
-            slots.add(grant.direction_slot)
+            ports.add(port)
+            slots.add(slot)
         if isinstance(self.inner, MirrorAllocator):
             want = max_possible_matching(requests)
             if len(grants) != want:
@@ -396,7 +410,6 @@ class _AuditedAllocator:
                     f"{self.module_name} module matched {len(grants)} "
                     f"passage(s) where a maximal matching serves {want}"
                 )
-        return grants
 
 
 class MatchingChecker(InvariantChecker):

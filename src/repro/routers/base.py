@@ -867,20 +867,16 @@ class BaseRouter(abc.ABC):
         )
 
     def _ready_walk(
-        self,
-        occupied: list[VirtualChannel],
-        cycle: int,
-        tally: list[int],
-        arbitrates: bool = True,
+        self, occupied: list[VirtualChannel], cycle: int, tally: list[int]
     ) -> list[VirtualChannel]:
         """The multi-VC body's one walk over ``occupied`` after VA.
 
         Counts every routed worm in ``tally`` (five slots, indexed by
         output direction; :meth:`_add_contention` books it) and returns,
-        in order, the VCs :meth:`_vc_ready_for_switch` passes — none
-        unless ``arbitrates``.  Credits are refreshed only when a release
-        is due, as ``credits()`` does.  The full sweep keeps the two
-        separate walks: it is the reference this one is checked against.
+        in order, the VCs :meth:`_vc_ready_for_switch` passes.  Credits
+        are refreshed only when a release is due, as ``credits()`` does.
+        The full sweep keeps the two separate walks: it is the reference
+        this one is checked against.
         """
         outputs = self.outputs
         ready = []
@@ -890,7 +886,7 @@ class BaseRouter(abc.ABC):
                 continue
             tally[out_dir] += 1
             target = vc.out_vc
-            if not arbitrates or target is None or vc.hold_until > cycle:
+            if target is None or vc.hold_until > cycle:
                 continue
             if target is not EJECT or out_dir is not LOCAL:
                 port = outputs.get(out_dir)

@@ -19,6 +19,10 @@ MODULE_DIRECTIONS = {
     ROW: (EAST, WEST),
     COLUMN: (NORTH, SOUTH),
 }
+#: Output direction -> its crossbar slot in the module that drives it.
+SLOTS: dict[Direction, int] = {
+    d: s for directions in MODULE_DIRECTIONS.values() for s, d in enumerate(directions)
+}
 
 
 class RoCoModule:
@@ -29,17 +33,9 @@ class RoCoModule:
             raise ValueError(f"unknown module {name!r}")
         self.name = name
         self.directions = MODULE_DIRECTIONS[name]
-        #: direction -> crossbar slot; dict lookup beats tuple.index on
-        #: the per-ready-VC SA request path.
-        self.slot_map = {d: s for s, d in enumerate(self.directions)}
         self.ports: list[list[VirtualChannel]] = [[], []]
         #: Flat VC view in port order, built by :meth:`seal`; read-hot.
         self._flat: list[VirtualChannel] = []
-        #: Switch-allocation request matrix ``[port][slot][vc]``, built by
-        #: :meth:`seal`.  Scratch owned by the router's allocate phase,
-        #: which sets the ready bits, runs the allocator and clears them
-        #: again: all-False between uses.
-        self.sa_requests: list[list[list[bool]]] = []
         #: The Mirroring Effect allocator, or (ablation) a plain
         #: separable allocator without the maximal-matching guarantee.
         if mirror:
@@ -58,10 +54,8 @@ class RoCoModule:
         self.ports[port].append(vc)
 
     def seal(self) -> None:
-        """Build the flat view and the request matrix once every VC is in."""
+        """Build the flat view once every VC is in."""
         self._flat = self.ports[0] + self.ports[1]
-        width = len(self.ports[0])
-        self.sa_requests = [[[False] * width, [False] * width] for _ in range(2)]
 
     def handles(self, direction: Direction) -> bool:
         return direction in self.directions

@@ -23,9 +23,19 @@ from repro.core.buffer import VirtualChannel
 from repro.core.types import EAST, LOCAL, WEST, Direction, NodeId, Packet
 from repro.routers.admission import admission_table, injection_table
 from repro.routers.base import EJECT, BaseRouter
-from repro.routers.roco.module import RoCoModule
+from repro.routers.roco.module import MODULE_DIRECTIONS, SLOTS, RoCoModule
 from repro.routers.roco.path_set import COLUMN, ROW, TABLE1
 from repro.routing.base import direction_class
+
+#: Output direction -> where its module's switch request masks start in
+#: an allocate step's eight (Row-Module 0-3, Column-Module 4-7), plus its
+#: slot: the mask of a VC on port ``p`` is ``2 * p`` further, so each
+#: module's four are ``allocate_masks``'s m00, m01, m10, m11.
+_MASKS_AT = {
+    d: 4 * m + s
+    for m, name in enumerate((ROW, COLUMN))
+    for s, d in enumerate(MODULE_DIRECTIONS[name])
+}
 
 
 class RoCoRouter(BaseRouter):
@@ -70,6 +80,13 @@ class RoCoRouter(BaseRouter):
         #: The two modules by name; read every step by the allocate phase.
         self.row: RoCoModule = self.modules[ROW]
         self.column: RoCoModule = self.modules[COLUMN]
+        # The allocate step scans ``_vcs`` in the order the full sweep
+        # walks the modules (VA staging order is part of the result).
+        if self._vcs != self.row.all_vcs() + self.column.all_vcs():
+            raise ValueError(
+                "a RoCo VC table lists the Row-Module's path sets, then the "
+                "Column-Module's, each port's VCs together"
+            )
         #: The shared admission and injection tables of this VC table.
         self._admission = admission_table(specs, mode)
         self._injection = injection_table(specs, mode)
@@ -252,7 +269,7 @@ class RoCoRouter(BaseRouter):
                 for port in range(2):
                     for vc in module.ports[port]:
                         if self._vc_ready_for_switch(vc, cycle):
-                            slot = module.slot_map[vc.out_dir]
+                            slot = SLOTS[vc.out_dir]
                             requests[port][slot][vc.index] = True
                             ready_vcs.append(vc)
                 if not ready_vcs:
@@ -266,94 +283,105 @@ class RoCoRouter(BaseRouter):
                     vc = module.ports[grant.port][grant.vc_index]
                     self._commit_switch_grant(vc, cycle)
             return
-        # Occupancy first, per module (the router-level activity idea
-        # applied to RoCo's decoupled halves): a step finds one to three
-        # of the 12 VCs holding a flit, usually all in one module, and a
-        # module with no buffered flit stages no VA request, nominates no
-        # SA candidate and touches no stat.  With neither module occupied
-        # the router was woken for an early-ejection or in-flight arrival
-        # and the whole phase is a no-op — including under SA-offload
-        # faults, whose borrow rule only bites when VA issued a grant.
-        # Later sub-phases re-probe ``vc.queue``: a fault drop during VA
-        # may purge a worm mid-walk, but allocation never adds a flit.
+        # Occupancy first (the router-level activity idea applied to
+        # RoCo's decoupled halves): one scan of the 12 VCs, in module
+        # order, finds the one to three that hold a flit, usually all in
+        # one module, and a module with no buffered flit stages no VA
+        # request, nominates no SA candidate and touches no stat.  With
+        # none occupied the router was woken for an early-ejection or
+        # in-flight arrival and the whole phase is a no-op — including
+        # under SA-offload faults, whose borrow rule only bites when VA
+        # issued a grant.  Later sub-phases re-probe ``vc.queue``: a
+        # fault drop during VA may purge a worm mid-walk, but allocation
+        # never adds a flit.
         row, column = self.row, self.column
-        row_occupied = [vc for vc in row.all_vcs() if vc.queue]
-        column_occupied = [vc for vc in column.all_vcs() if vc.queue]
-        if not row_occupied and not column_occupied:
+        occupied = [vc for vc in self._vcs if vc.queue]
+        if not occupied:
             self._alloc_occupied = False
             return
         self._alloc_occupied = True
-        if len(row_occupied) + len(column_occupied) == 1:
-            if row_occupied:
-                self._allocate_lone(row, row_occupied[0], cycle)
-            else:
-                self._allocate_lone(column, column_occupied[0], cycle)
+        if len(occupied) == 1:
+            vc = occupied[0]
+            self._allocate_lone(row if vc in row.all_vcs() else column, vc, cycle)
             return
+        # A dead module stages nothing.
+        staged = occupied
+        if row.dead or column.dead:
+            dead = [vc for m in (row, column) if m.dead for vc in m.all_vcs()]
+            staged = [vc for vc in occupied if vc not in dead]
         va_requests: list = []
-        # (module, its occupied VCs, the VCs that requested VA), Row first.
-        # A dead or empty module stages nothing.
-        work = (
-            (row, row_occupied,
-             self._stage_heads(row_occupied, cycle, va_requests)
-             if row_occupied and not row.dead else ()),
-            (column, column_occupied,
-             self._stage_heads(column_occupied, cycle, va_requests)
-             if column_occupied and not column.dead else ()),
-        )
+        pending = self._stage_heads(staged, cycle, va_requests)
         if va_requests:
             self._resolve_vc_allocations(va_requests, cycle)
 
-        # One walk after VA (``_ready_walk``) over both modules' occupied
-        # VCs takes the contention tally and, in a module that arbitrates
-        # this cycle, the VCs ready for the switch, which (two or more)
-        # set their bits of the module's request matrix (scratch: set
-        # here, cleared after the allocator call).  Mirror switch
-        # allocation runs in a live module, unless its arbitration is
-        # offloaded (SA fault recovery) to VA arbiters that issued a
-        # grant this cycle (mere pending requests do not occupy them).
+        # Mirror switch allocation runs in a live module, unless its
+        # arbitration is offloaded (SA fault recovery) to VA arbiters
+        # that issued a grant this cycle (mere pending requests do not
+        # occupy them): such a module's directions map to no mask.
+        masks_at = _MASKS_AT
+        if row.dead or column.dead or row.sa_degraded or column.sa_degraded:
+            masks_at = dict(_MASKS_AT)
+            for module in (row, column):
+                vcs = module.all_vcs()
+                if module.dead or module.sa_degraded and any(
+                    vc.out_vc is not None for vc in pending if vc in vcs
+                ):
+                    for d in module.directions:
+                        masks_at[d] = None
+        # One walk after VA over the occupied VCs takes the contention
+        # tally (every routed worm) and, in a module that arbitrates,
+        # the VCs ready for the switch (``_vc_ready_for_switch``; a RoCo
+        # worm never routes LOCAL), each setting its bit in its module's
+        # request mask for its port and slot.  Credits are refreshed only
+        # when a release is due, as ``credits()`` does.
+        outputs = self.outputs
         tally = [0] * 5
-        arbitrating = []
-        for module, occupied, pending in work:
-            if not occupied:
+        masks = [0] * 8
+        ready: tuple[list, list] = ([], [])
+        for vc in occupied:
+            out_dir = vc.out_dir
+            if out_dir is None or not vc.queue:
                 continue
-            arbitrates = not module.dead and not (
-                module.sa_degraded and any(vc.out_vc is not None for vc in pending)
-            )
-            ready = self._ready_walk(occupied, cycle, tally, arbitrates)
-            if len(ready) > 1:
-                requests = module.sa_requests
-                slot_map = module.slot_map
-                for vc in ready:
-                    requests[vc.port][slot_map[vc.out_dir]][vc.index] = True
-            if ready:
-                arbitrating.append((module, ready))
+            tally[out_dir] += 1
+            at = masks_at[out_dir]
+            target = vc.out_vc
+            if at is None or target is None or vc.hold_until > cycle:
+                continue
+            output = outputs.get(out_dir)
+            if output is None or output.dead:
+                continue
+            if target is not EJECT:
+                releases = target._releases
+                if releases and releases[0] <= cycle:
+                    target._refresh(cycle)
+                if target._available <= 0:
+                    continue
+            masks[at + 2 * vc.port] |= 1 << vc.index
+            ready[at >> 2].append(vc)
         # The tally sees every occupied VC; it is booked once per module
-        # that arbitrates with a ready VC.  A module's sole ready VC is
-        # granted without running the allocator, as on the lone path.
-        for module, ready in arbitrating:
-            self._activity.sa_requests += len(ready)
-            self._add_contention(tally)
-            if len(ready) == 1:
-                vc = ready[0]
-                grant = module.allocator.grant_lone(
-                    vc.port, module.slot_map[vc.out_dir], vc.index
-                )
-                self._commit_switch_grant(
-                    module.ports[grant.port][grant.vc_index], cycle
-                )
+        # that arbitrates with a ready VC, Row first.  A module's sole
+        # ready VC is granted without running the allocator, as on the
+        # lone path.
+        for module, module_ready, at in ((row, ready[0], 0), (column, ready[1], 4)):
+            if not module_ready:
                 continue
-            requests = module.sa_requests
-            slot_map = module.slot_map
-            grants = module.allocator.allocate(requests)
-            for vc in ready:
-                requests[vc.port][slot_map[vc.out_dir]][vc.index] = False
-            if module.sa_degraded and len(grants) > 1:
-                # The borrowed VA arbiter serves a single port per cycle.
-                grants = grants[:1]
-            for grant in grants:
-                self._commit_switch_grant(
-                    module.ports[grant.port][grant.vc_index], cycle
+            self._activity.sa_requests += len(module_ready)
+            self._add_contention(tally)
+            if len(module_ready) == 1:
+                vc = module_ready[0]
+                grants = (
+                    module.allocator.grant_lone(vc.port, SLOTS[vc.out_dir], vc.index),
                 )
+            else:
+                grants = module.allocator.allocate_masks(
+                    masks[at], masks[at + 1], masks[at + 2], masks[at + 3]
+                )
+                if module.sa_degraded and len(grants) > 1:
+                    # The borrowed VA arbiter serves a single port per cycle.
+                    grants = grants[:1]
+            ports = module.ports
+            for port, _slot, index in grants:
+                self._commit_switch_grant(ports[port][index], cycle)
 
     def _allocate_lone(
         self, module: RoCoModule, vc: VirtualChannel, cycle: int
@@ -412,7 +440,7 @@ class RoCoRouter(BaseRouter):
             contention.row_requests += 1
         elif out_dir is not LOCAL:
             contention.column_requests += 1
-        module.allocator.grant_lone(vc.port, module.slot_map[out_dir], vc.index)
+        module.allocator.grant_lone(vc.port, SLOTS[out_dir], vc.index)
         if target is not EJECT:
             target._available -= 1
             target.expected += 1

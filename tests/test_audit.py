@@ -10,16 +10,16 @@ corruptor first) and asserts the right invariant fires.
 
 import pytest
 
-from repro.arbiters.mirror import MirrorAllocator, MirrorGrant
+from repro.arbiters.mirror import MirrorAllocator
 from repro.audit import AuditEngine, InvariantViolation, default_checkers
 from repro.core.simulator import Simulator
 
 from .conftest import small_config
 
 
-def audited_sim(**overrides) -> Simulator:
+def audited_sim(full_sweep: bool = False, **overrides) -> Simulator:
     overrides.setdefault("audit", True)
-    return Simulator(small_config(**overrides))
+    return Simulator(small_config(**overrides), full_sweep=full_sweep)
 
 
 class _CorruptOnce:
@@ -218,39 +218,52 @@ class TestCorruptionIsCaught:
 
 
 class _ForgingAllocator(MirrorAllocator):
-    """Emits a grant for a (port, slot) nobody requested."""
+    """Emits a grant for a (port, slot) nobody requested: on a bool
+    matrix (the full sweep's ``allocate``) and on request masks."""
 
     def allocate(self, requests):
         grants = super().allocate(requests)
+        return grants + self._forged(grants, lambda port, slot: requests[port][slot][0])
+
+    def allocate_masks(self, m00, m01, m10, m11):
+        grants = super().allocate_masks(m00, m01, m10, m11)
+        masks = ((m00, m01), (m10, m11))
+        return grants + self._forged(grants, lambda port, slot: masks[port][slot] & 1)
+
+    @staticmethod
+    def _forged(grants, requested) -> list:
         if len(grants) == 1:
-            port = 1 - grants[0].port
-            slot = 1 - grants[0].direction_slot
-            if not requests[port][slot][0]:
-                return grants + [MirrorGrant(port, slot, 0)]
-        return grants
+            port, slot = 1 - grants[0][0], 1 - grants[0][1]
+            if not requested(port, slot):
+                return [(port, slot, 0)]
+        return []
 
 
 class _LazyAllocator(MirrorAllocator):
-    """Serves one passage when the maximal matching serves two."""
+    """Serves one passage when the maximal matching serves two, on a
+    bool matrix and on request masks."""
 
     def allocate(self, requests):
         return super().allocate(requests)[:1]
+
+    def allocate_masks(self, m00, m01, m10, m11):
+        return super().allocate_masks(m00, m01, m10, m11)[:1]
 
 
 class _MisdirectedLoneAllocator(MirrorAllocator):
     """Grants a lone request's VC the other output slot."""
 
     def grant_lone(self, port, slot, vc):
-        grant = super().grant_lone(port, slot, vc)
-        return grant._replace(direction_slot=1 - slot)
+        port, slot, vc = super().grant_lone(port, slot, vc)
+        return (port, 1 - slot, vc)
 
 
 class _OverflowingLoneAllocator(MirrorAllocator):
     """Grants a lone request a VC index past the port's last VC."""
 
     def grant_lone(self, port, slot, vc):
-        grant = super().grant_lone(port, slot, vc)
-        return grant._replace(vc_index=self.num_vcs)
+        port, slot, _ = super().grant_lone(port, slot, vc)
+        return (port, slot, self.num_vcs)
 
 
 def _sabotage_allocators(sim: Simulator, allocator_cls) -> None:
@@ -261,7 +274,18 @@ def _sabotage_allocators(sim: Simulator, allocator_cls) -> None:
 
 
 class TestMatchingChecker:
+    """A bool matrix is the full sweep's (``allocate``), request masks
+    the active scheduler's (``allocate_masks``)."""
+
     def test_forged_grant_is_caught(self):
+        sim = audited_sim(full_sweep=True)
+        _sabotage_allocators(sim, _ForgingAllocator)
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.run()
+        assert excinfo.value.invariant == "matching"
+        assert "forged" in excinfo.value.message
+
+    def test_forged_mask_grant_is_caught(self):
         sim = audited_sim()
         _sabotage_allocators(sim, _ForgingAllocator)
         with pytest.raises(InvariantViolation) as excinfo:
@@ -283,6 +307,14 @@ class TestMatchingChecker:
         assert message in excinfo.value.message
 
     def test_dropped_grant_breaks_maximality(self):
+        sim = audited_sim(full_sweep=True, injection_rate=0.3)
+        _sabotage_allocators(sim, _LazyAllocator)
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.run()
+        assert excinfo.value.invariant == "matching"
+        assert "maximal" in excinfo.value.message
+
+    def test_dropped_mask_grant_breaks_maximality(self):
         sim = audited_sim(injection_rate=0.3)
         _sabotage_allocators(sim, _LazyAllocator)
         with pytest.raises(InvariantViolation) as excinfo:

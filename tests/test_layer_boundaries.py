@@ -4,10 +4,12 @@ The object engine's layers meet at a handful of public callables:
 ``TrafficPattern.arrivals`` / ``destination``, ``routing.candidates``,
 ``RoundRobinArbiter.grant``, ``MirrorAllocator.allocate``,
 ``Source.inject`` and the router's per-flit phases ``traverse`` /
-``deliver_due`` / ``quiescent``.  perfbench wraps exactly these to
+``deliver_due`` / ``quiescent``.  perfbench wraps these to
 attribute time to layers and requires their call counts to repeat for a seed
 (``perfbench/manifest.py::EXACT``), but perfbench is outside
-``testpaths``.  This test pins the same counts — plus the scheduler
+``testpaths``.  This test pins the same counts — plus the grants
+perfbench's tracer does not wrap (``RoundRobinArbiter.grant_mask`` /
+``grant_lone``, ``MirrorAllocator.allocate_masks``) and the scheduler
 counters — for one small seeded run per router, so an optimisation that
 inlines across a boundary (or skips an arbiter call that advanced
 rotating priority) fails here in seconds.
@@ -37,8 +39,16 @@ dropped count moved.  ``routers.traverse`` then fell in all three cases
 (RoCo 2,592 → 1,769, generic 2,789 → 2,267, Path-Sensitive 3,111 →
 2,241): ``Network.step_front`` calls ``traverse`` only on a router that
 holds SA winners, so the count is the steps with a crossbar passage,
-not every executed step; no other count moved.  Regenerate it
-only when a change is meant to move a boundary:
+not every executed step; no other count moved.  RoCo's switch
+allocation then moved to request masks: ``MirrorAllocator.allocate_masks``
+and ``RoundRobinArbiter.grant_mask`` / ``grant_lone`` are counted too
+(the generic and Path-Sensitive cases' grants, which their ``grant``
+count had stopped seeing), the RoCo case's ``allocate_masks`` reads the
+206 that its ``arbiters.mirror.allocate`` read before, and
+``arbiters.mirror.allocate`` and ``arbiters.round_robin.grant`` read 0
+in every case (``FULL_SWEEP_ONLY``); no scheduler, delivered or dropped
+count moved.  Regenerate it only when a change is meant to move a
+boundary:
 
     PYTHONPATH=src python tests/test_layer_boundaries.py
 """
@@ -126,7 +136,10 @@ def count_boundaries(case: str, patch) -> dict:
             "traffic.destination",
             "routing.candidates",
             "arbiters.round_robin.grant",
+            "arbiters.round_robin.grant_mask",
+            "arbiters.round_robin.grant_lone",
             "arbiters.mirror.allocate",
+            "arbiters.mirror.allocate_masks",
             "core.source.inject",
             "routers.traverse",
             "routers.deliver_due",
@@ -150,8 +163,10 @@ def count_boundaries(case: str, patch) -> dict:
             counted(owner, attr, f"traffic.{attr}")
     for owner in _defining_classes(type(make_routing(config.routing)), "candidates"):
         counted(owner, "candidates", "routing.candidates")
-    counted(RoundRobinArbiter, "grant", "arbiters.round_robin.grant")
-    counted(MirrorAllocator, "allocate", "arbiters.mirror.allocate")
+    for attr in ("grant", "grant_mask", "grant_lone"):
+        counted(RoundRobinArbiter, attr, f"arbiters.round_robin.{attr}")
+    for attr in ("allocate", "allocate_masks"):
+        counted(MirrorAllocator, attr, f"arbiters.mirror.{attr}")
     counted(Source, "inject", "core.source.inject")
     router_cls = ROUTER_CLASSES[fields["router"]]
     for attr in ("traverse", "deliver_due", "quiescent"):
@@ -180,12 +195,21 @@ def test_boundary_call_counts_match_fixture(case, monkeypatch):
     assert count_boundaries(case, monkeypatch.setattr) == expected
 
 
+#: The bool-line references that only the full sweep calls: pinned at 0
+#: in every case, so an active-scheduler step that calls one fails.
+FULL_SWEEP_ONLY = ("arbiters.round_robin.grant", "arbiters.mirror.allocate")
+
+
 def test_fixture_exercises_every_boundary():
-    """A pinned zero would let a boundary vanish unnoticed."""
+    """A pinned zero would let a boundary vanish unnoticed; the
+    full-sweep references are pinned at zero on purpose."""
     pinned = json.loads(FIXTURE.read_text())
     assert set(pinned) == set(CASES)
     for name in next(iter(pinned.values())):
         if name == "dropped_packets":
+            continue
+        if name in FULL_SWEEP_ONLY:
+            assert all(counts[name] == 0 for counts in pinned.values()), name
             continue
         assert any(counts[name] > 0 for counts in pinned.values()), name
     assert pinned["roco-xy-uniform-transient"]["dropped_packets"] > 0

@@ -390,6 +390,11 @@ MUTANTS = {
         mirror.MirrorAllocator, "grant_lone", "roco",
         [("self._global.grant_lone(slot)", "pass")],
     ),
+    "roco: lone VC handed to the other module": (
+        roco_router.RoCoRouter, "allocate", "roco",
+        [("row if vc in row.all_vcs() else column",
+          "column if vc in row.all_vcs() else row")],
+    ),
     "roco: SA borrow rule ignored": (
         roco_router.RoCoRouter, "_allocate_lone", "roco",
         [("module.sa_degraded and target", "False and target")],

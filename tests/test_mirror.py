@@ -191,7 +191,64 @@ def check_lone_grant_equals_allocate(make, num_vcs: int = 3) -> int:
     return cases
 
 
+def masks_of(matrix) -> tuple[int, int, int, int]:
+    """``allocate_masks``'s arguments for a bool matrix: m00, m01, m10,
+    m11, bit ``i`` set where VC ``i`` requests."""
+    return tuple(
+        sum(1 << vc for vc, requested in enumerate(line) if requested)
+        for port in matrix
+        for line in port
+    )
+
+
+def check_masks_equal_allocate(make, num_vcs: int = 3) -> int:
+    """``allocate_masks`` against ``allocate`` on every non-empty matrix:
+    the same grants in the same order, as plain tuples, and every
+    arbiter's pointer left the same.  The v:1 arbiters start each matrix
+    at pointers that rotate from matrix to matrix; the 2:1 arbiters
+    start at each of their joint states.  Returns the cases checked."""
+    cases = 0
+    probe = arbiters_of(make(num_vcs))
+    wide = [j for j, a in enumerate(probe) if a.num_requesters == num_vcs]
+    narrow = [j for j, a in enumerate(probe) if a.num_requesters != num_vcs]
+    pairs = list(itertools.product(*(range(probe[j].num_requesters) for j in narrow)))
+    for number, matrix in enumerate(all_request_matrices(num_vcs)):
+        masks = masks_of(matrix)
+        if not any(masks):
+            continue
+        state = [0] * len(probe)
+        for k, j in enumerate(wide):
+            state[j] = (number // num_vcs**k + k) % num_vcs
+        for pointers in pairs:
+            for j, pointer in zip(narrow, pointers):
+                state[j] = pointer
+            masked, full = make(num_vcs), make(num_vcs)
+            for allocator in (masked, full):
+                for arbiter, pointer in zip(arbiters_of(allocator), state):
+                    arbiter._next = pointer
+            got = masked.allocate_masks(*masks)
+            want = full.allocate(matrix)
+            assert got == want and all(type(g) is tuple for g in got), (
+                state, matrix,
+            )
+            assert [a._next for a in arbiters_of(masked)] == [
+                a._next for a in arbiters_of(full)
+            ], (state, matrix)
+            cases += 1
+    return cases
+
+
 class TestLoneGrant:
     def test_lone_grant_equals_allocate_of_its_one_bit(self):
         """Every state of the four local and the global arbiter."""
         assert check_lone_grant_equals_allocate(MirrorAllocator) == 3**4 * 2 * 12
+
+    def test_lone_grant_is_the_plain_tuple_of_its_mirror_grant(self):
+        grant = MirrorAllocator(3).grant_lone(1, 0, 2)
+        assert type(grant) is tuple and grant == MirrorGrant(1, 0, 2)
+
+
+class TestMaskAllocate:
+    def test_masks_equal_allocate_on_every_matrix(self):
+        """4,095 non-empty matrices, each from both global pointers."""
+        assert check_masks_equal_allocate(MirrorAllocator) == 4095 * 2

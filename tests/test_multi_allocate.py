@@ -2,10 +2,10 @@
 
 A router step that finds two or more occupied VCs runs the one-walk body
 of ``allocate``: readiness and the contention tally taken in a single
-pass over ``occupied`` (``BaseRouter._ready_walk``), then the SA request
-lines built from the ready VCs.  The full sweep does not: that reference
-keeps the general body as it stood before (for RoCo, its own every-VC
-walk).  Each case puts the centre router of a 5x5 mesh in a state of two
+pass over ``occupied`` (``BaseRouter._ready_walk``, or RoCo's own walk),
+then the SA request masks built from the ready VCs.  The full sweep
+does not: that reference keeps the general body as it stood before (for
+RoCo, its own every-VC walk).  Each case puts the centre router of a 5x5 mesh in a state of two
 or three occupied VCs on twin networks, one active-scheduled and one
 ``full_sweep=True``, runs ``allocate`` on both and compares what
 ``tests/test_lone_allocate.py`` compares: every arbiter's pointer, the
@@ -248,13 +248,18 @@ MUTANTS = {
     "roco: tally booked once, not per ready module": (
         roco_router.RoCoRouter, "allocate", "roco",
         [("            self._add_contention(tally)\n",
-          "            if module is arbitrating[0][0]:\n"
+          "            if module is row or not ready[0]:\n"
           "                self._add_contention(tally)\n")],
     ),
     "roco: grant commit order reversed": (
         roco_router.RoCoRouter, "allocate", "roco",
-        [("for module, ready in arbitrating:",
-          "for module, ready in reversed(arbitrating):")],
+        [("in ((row, ready[0], 0), (column, ready[1], 4)):",
+          "in ((column, ready[1], 4), (row, ready[0], 0)):")],
+    ),
+    "roco: mask bit set by slot, not VC": (
+        roco_router.RoCoRouter, "allocate", "roco",
+        [("masks[at + 2 * vc.port] |= 1 << vc.index",
+          "masks[at + 2 * vc.port] |= 1 << (at & 1)")],
     ),
 }
 

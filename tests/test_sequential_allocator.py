@@ -3,10 +3,14 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.arbiters.mirror import max_possible_matching
+from repro.arbiters.mirror import MirrorGrant, max_possible_matching
 from repro.arbiters.sequential import SequentialAllocator
 
-from .test_mirror import check_lone_grant_equals_allocate, reqs
+from .test_mirror import (
+    check_lone_grant_equals_allocate,
+    check_masks_equal_allocate,
+    reqs,
+)
 
 request_matrix = st.lists(
     st.lists(st.lists(st.booleans(), min_size=3, max_size=3), min_size=2, max_size=2),
@@ -66,3 +70,14 @@ class TestLoneGrant:
     def test_lone_grant_equals_allocate_of_its_one_bit(self):
         """Every state of the two port and the two direction arbiters."""
         assert check_lone_grant_equals_allocate(SequentialAllocator) == 3**2 * 2**2 * 12
+
+    def test_lone_grant_is_the_plain_tuple_of_its_mirror_grant(self):
+        grant = SequentialAllocator(3).grant_lone(0, 1, 1)
+        assert type(grant) is tuple and grant == MirrorGrant(0, 1, 1)
+
+
+class TestMaskAllocate:
+    def test_masks_equal_allocate_on_every_matrix(self):
+        """4,095 non-empty matrices, each from the four joint states of
+        the two direction arbiters."""
+        assert check_masks_equal_allocate(SequentialAllocator) == 4095 * 4
