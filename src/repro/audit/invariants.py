@@ -10,7 +10,8 @@ machine's ground truth:
   in flight, and a live worm's buffered + in-flight + delivered flits
   add up to its size;
 * **credit** — per-VC credit accounting balances against occupancy,
-  in-flight commitments and pending releases;
+  in-flight commitments and pending releases, and a dead VC holds no
+  flit;
 * **handshake** — each cached dead-port flag agrees with what the
   downstream router actually accepts;
 * **wormhole-order** — VC FIFOs hold legal worm sequences (no
@@ -165,7 +166,10 @@ class CreditConservationChecker(InvariantChecker):
     equal the effective depth.  ``_available`` may legitimately go
     negative after a runtime buffer fault rebases credits with occupants
     still buffered, so the *sum* is the invariant, not positivity; the
-    structural bound is that occupancy never exceeds the physical depth.
+    structural bounds are that occupancy never exceeds the physical depth
+    and that a dead VC (its router or RoCo module failed) is empty: the
+    fault drops every worm buffered in it and admission sends none
+    there, and RoCo's allocate paths skip no dead module on that fact.
     """
 
     name = "credit"
@@ -193,6 +197,14 @@ class CreditConservationChecker(InvariantChecker):
                         f"{vc!r}: negative in-flight commitment "
                         f"({vc.expected})",
                         node=node,
+                    )
+                if vc.dead and vc.queue:
+                    engine.fail(
+                        self.name,
+                        cycle,
+                        f"{vc!r}: dead VC holds {len(vc.queue)} flit(s)",
+                        node=node,
+                        pid=vc.queue[0].packet.pid,
                     )
                 if len(vc.queue) > vc.depth:
                     engine.fail(

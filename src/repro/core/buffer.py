@@ -56,7 +56,6 @@ class VirtualChannel:
         "active_pid",
         "accepts_from",
         "escape",
-        "final_only",
         "input_dir",
         "owner_pid",
         "expected",
@@ -95,9 +94,6 @@ class VirtualChannel:
         self.accepts_from: tuple[Direction, ...] = ()
         #: True for deadlock-free escape VCs (adaptive routing discipline).
         self.escape = False
-        #: True when only packets in their final dimension may enter
-        #: (the XY-YX extra-dx partition of Section 3.1).
-        self.final_only = False
         #: Physical input direction feeding this VC; LOCAL for injection
         #: VCs, None for multi-arrival VCs (set per flit on arrival).
         self.input_dir: Direction | None = None

@@ -593,6 +593,82 @@ class BaseRouter(abc.ABC):
         staged request or grant, a kept verdict or a cleared stall.
         """
 
+    @abc.abstractmethod
+    def _grant_lone(self, vc: VirtualChannel, out_dir: Direction, fresh: bool) -> bool:
+        """Grant ``vc``, a step's sole switch request, towards ``out_dir``;
+        False, granting nothing, when the crossbar has no crosspoint for
+        it this step.
+
+        The router's one part of :meth:`_allocate_lone`: the request wins
+        every arbiter it joins, and each still grants it (``grant_lone``),
+        so its rotating priority moves past the winner as in the general
+        walk.  ``fresh`` is whether this step's VA gave the VC its output.
+        """
+
+    def _allocate_lone(self, vc: VirtualChannel, cycle: int) -> None:
+        """``allocate`` of a step that finds only ``vc`` occupied.
+
+        The general body with each container cut to its one entry, in
+        one body for the three routers: the VA front end
+        (:meth:`_stage_heads`), the contention tally, the switch
+        readiness test (:meth:`_vc_ready_for_switch`), the router's
+        grant (:meth:`_grant_lone`) and its commitment
+        (:meth:`_commit_switch_grant`).  The full sweep never comes here:
+        it is the reference the lone path is checked against.
+        """
+        queue = vc.queue
+        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
+            self._discard_dropped_front(vc, cycle)
+            if not queue:
+                return
+        front = queue[0]
+        fresh = False
+        if front.is_head:
+            if vc.active_pid is None:
+                vc.active_pid = front.packet.pid
+            if vc.out_vc is None and not (self._charges_rc and front.arrival >= cycle):
+                va_requests: list = []
+                self._request_va(vc, cycle, va_requests)
+                if va_requests:
+                    self._resolve_vc_allocations(va_requests, cycle)
+                # A VC routed below was routed by this VA: an SA-degraded
+                # RoCo module's borrowed VA arbiters are then busy.
+                fresh = True
+        out_dir = vc.out_dir
+        if out_dir is None or not queue:
+            return
+        # Ready for the switch: routed, not held, and a live output with
+        # a credit (ejection needs none).
+        target = vc.out_vc
+        ready = target is not None and vc.hold_until <= cycle
+        if ready and (target is not EJECT or out_dir is not LOCAL):
+            port = self.outputs.get(out_dir)
+            if port is None or port.dead:
+                ready = False
+            elif target is not EJECT:
+                releases = target._releases
+                if releases and releases[0] <= cycle:
+                    target._refresh(cycle)
+                ready = target._available > 0
+        granted = ready and self._grant_lone(vc, out_dir, fresh)
+        # The tally, one request and never contended: every step books it
+        # where ``idle_tally`` says, else only a step that grants.
+        if granted or self.idle_tally:
+            contention = self.network.stats.contention
+            if out_dir is EAST or out_dir is WEST:
+                contention.row_requests += 1
+            elif out_dir is not LOCAL:
+                contention.column_requests += 1
+        if not granted:
+            return
+        self._activity.sa_requests += 1
+        if target is not EJECT:
+            target._available -= 1
+            target.expected += 1
+        self._sa_winners.append((vc, out_dir, target))
+        if self._stall_since:
+            self._stall_since.pop(id(vc), None)
+
     def _stage_heads(
         self, occupied: list[VirtualChannel], cycle: int, va_requests: list
     ) -> list[VirtualChannel]:
@@ -822,6 +898,52 @@ class BaseRouter(abc.ABC):
         self._sa_winners.append((vc, vc.out_dir, target))
         if self._stall_since:
             self._stall_since.pop(id(vc), None)
+
+    def _stage_reference(
+        self, occupied: list[VirtualChannel], cycle: int
+    ) -> tuple[list[VirtualChannel], list[VirtualChannel]]:
+        """The generic and Path-Sensitive full-sweep references' VA and
+        switch readiness, with their own staging loop, ``ready`` list
+        and :meth:`_tally_contention` walk: independent of
+        :meth:`_stage_heads` and :meth:`_ready_walk`, which the reference
+        checks.  Returns the VCs that requested VA (this cycle's
+        speculative SA requesters) and the VCs ready for the switch.
+
+        RC + VA run in parallel with SA in stage 1; speculation is
+        modelled by letting a worm that allocates this cycle also compete
+        for the switch this cycle.  Requests for the same downstream VC
+        are resolved by the output-side arbiters, one winner per cycle.
+        """
+        has_faults = self.network.has_faults
+        va_requests: list = []
+        newly_allocated: list[VirtualChannel] = []
+        for vc in occupied:
+            if has_faults:
+                self._discard_dropped_front(vc, cycle)
+            queue = vc.queue
+            if not queue:
+                continue
+            front = queue[0]
+            if not front.is_head:
+                continue
+            if vc.active_pid is None:
+                vc.active_pid = front.packet.pid
+            if vc.out_vc is None:
+                if self._charges_rc and front.arrival >= cycle:
+                    # Without look-ahead routing the head spends this
+                    # cycle in Routing Computation (Section 3.1: RoCo and
+                    # Path-Sensitive pre-compute the route one step ahead
+                    # and skip this stage).
+                    continue
+                self._request_va(vc, cycle, va_requests)
+                newly_allocated.append(vc)
+        if va_requests:
+            self._resolve_vc_allocations(va_requests, cycle)
+        # Switch readiness is decided once per occupied VC and shared by
+        # the contention tally and the SA stages.
+        ready = [vc for vc in occupied if self._vc_ready_for_switch(vc, cycle)]
+        self._tally_contention(occupied)
+        return newly_allocated, ready
 
     def _tally_contention(self, vcs) -> None:
         """Figure-3 bookkeeping, shared across architectures.

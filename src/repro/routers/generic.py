@@ -29,7 +29,7 @@ from repro.core.types import (
     NodeId,
     Packet,
 )
-from repro.routers.base import EJECT, BaseRouter
+from repro.routers.base import BaseRouter
 
 #: Port order of the generic router: the four cardinals plus the PE port.
 GENERIC_PORTS = (NORTH, EAST, SOUTH, WEST, LOCAL)
@@ -160,41 +160,7 @@ class GenericRouter(BaseRouter):
             # the one walk below so that the differential oracle
             # compares the one walk and the lone path against an
             # independent body.
-
-            # RC + VA (in parallel with SA in stage 1; speculation is modelled
-            # by letting a worm that allocates this cycle also compete for the
-            # switch this cycle).  Requests for the same downstream VC are
-            # resolved by the output-side arbiters, one winner per cycle.
-            has_faults = self.network.has_faults
-            va_requests: list = []
-            newly_allocated: list[VirtualChannel] = []
-            for vc in occupied:
-                if has_faults:
-                    self._discard_dropped_front(vc, cycle)
-                queue = vc.queue
-                if not queue:
-                    continue
-                front = queue[0]
-                if not front.is_head:
-                    continue
-                if vc.active_pid is None:
-                    vc.active_pid = front.packet.pid
-                if vc.out_vc is None:
-                    if front.arrival >= cycle:
-                        # Without look-ahead routing the head spends this
-                        # cycle in Routing Computation (Section 3.1: RoCo
-                        # and Path-Sensitive pre-compute the route one
-                        # step ahead and skip this stage).
-                        continue
-                    self._request_va(vc, cycle, va_requests)
-                    newly_allocated.append(vc)
-            if va_requests:
-                self._resolve_vc_allocations(va_requests, cycle)
-
-            # Switch readiness is decided once per occupied VC and shared by
-            # the contention tally and both SA stages.
-            ready = [vc for vc in occupied if self._vc_ready_for_switch(vc, cycle)]
-            self._tally_contention(occupied)
+            newly_allocated, ready = self._stage_reference(occupied, cycle)
             if not ready:
                 return
             self.network.stats.activity.sa_requests += len(ready)
@@ -302,68 +268,13 @@ class GenericRouter(BaseRouter):
             winner = stage2_arbiters[out_dir].grant_mask(mask)
             self._commit_switch_grant(nominees[GENERIC_PORTS[winner]], cycle)
 
-    def _allocate_lone(self, vc: VirtualChannel, cycle: int) -> None:
-        """:meth:`allocate` of a step that finds only ``vc`` occupied.
-
-        The general body with each container cut to its one entry, in
-        one body: the VA front end (``_stage_heads``), the tally, the
-        switch readiness test (``_vc_ready_for_switch``) and the grant
-        (``_commit_switch_grant``).  The VC, if ready, is the sole
-        request of both SA stages and wins them, and each stage's
-        arbiter still grants it (``grant_lone``), so its rotating
-        priority moves past the winner as in the general walk.  The full
-        sweep never comes here: it is the reference the lone path is
-        checked against.
-        """
-        queue = vc.queue
-        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
-            self._discard_dropped_front(vc, cycle)
-            if not queue:
-                return
-        front = queue[0]
-        if front.is_head:
-            if vc.active_pid is None:
-                vc.active_pid = front.packet.pid
-            # A head spends its arrival cycle in Routing Computation.
-            if vc.out_vc is None and front.arrival < cycle:
-                va_requests: list = []
-                self._request_va(vc, cycle, va_requests)
-                if va_requests:
-                    self._resolve_vc_allocations(va_requests, cycle)
-        out_dir = vc.out_dir
-        if out_dir is None or not queue:
-            return
-        # The tally, ready or not: one request, never contended.
-        contention = self.network.stats.contention
-        if out_dir is EAST or out_dir is WEST:
-            contention.row_requests += 1
-        elif out_dir is not LOCAL:
-            contention.column_requests += 1
-        # Ready for the switch: routed, not held, and a live output with
-        # a credit (ejection needs none).
-        target = vc.out_vc
-        if target is None or vc.hold_until > cycle:
-            return
-        if target is not EJECT or out_dir is not LOCAL:
-            port = self.outputs.get(out_dir)
-            if port is None or port.dead:
-                return
-            if target is not EJECT:
-                releases = target._releases
-                if releases and releases[0] <= cycle:
-                    target._refresh(cycle)
-                if target._available <= 0:
-                    return
-        self._activity.sa_requests += 1
+    def _grant_lone(self, vc: VirtualChannel, out_dir: Direction, fresh: bool) -> bool:
+        """The lone request wins both SA stages: its input port's stage-1
+        arbiter and its output's stage-2 arbiter."""
         d = vc.input_dir
         self._sa_stage1[d].grant_lone(vc.index)
         self._sa_stage2[out_dir].grant_lone(d)
-        if target is not EJECT:
-            target._available -= 1
-            target.expected += 1
-        self._sa_winners.append((vc, out_dir, target))
-        if self._stall_since:
-            self._stall_since.pop(id(vc), None)
+        return True
 
     def _request_va(
         self, vc: VirtualChannel, cycle: int, va_requests: list

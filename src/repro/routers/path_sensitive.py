@@ -20,7 +20,6 @@ from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.buffer import VirtualChannel
 from repro.core.types import (
     EAST,
-    LOCAL,
     NORTH,
     SOUTH,
     WEST,
@@ -29,7 +28,7 @@ from repro.core.types import (
     Packet,
 )
 from repro.routers.admission import path_sensitive_table
-from repro.routers.base import EJECT, BaseRouter
+from repro.routers.base import BaseRouter
 from repro.routers.quadrants import (
     PATH_SET_VCS,
     QUADRANT_OUTPUTS,
@@ -177,33 +176,7 @@ class PathSensitiveRouter(BaseRouter):
             # from the one walk below so that the differential oracle
             # compares the one walk and the lone path against an
             # independent body.
-            has_faults = self.network.has_faults
-            lookahead = self.config.lookahead_routing
-            va_requests: list = []
-            newly_allocated: list[VirtualChannel] = []
-            for vc in occupied:
-                if has_faults:
-                    self._discard_dropped_front(vc, cycle)
-                queue = vc.queue
-                if not queue:
-                    continue
-                front = queue[0]
-                if not front.is_head:
-                    continue
-                if vc.active_pid is None:
-                    vc.active_pid = front.packet.pid
-                if vc.out_vc is None:
-                    if not lookahead and front.arrival >= cycle:
-                        continue  # ablation: RC charged post-arrival
-                    self._request_va(vc, cycle, va_requests)
-                    newly_allocated.append(vc)
-            if va_requests:
-                self._resolve_vc_allocations(va_requests, cycle)
-
-            # Switch readiness is decided once per occupied VC and shared by
-            # the contention tally and the local SA stage.
-            ready = [vc for vc in occupied if self._vc_ready_for_switch(vc, cycle)]
-            self._tally_contention(occupied)
+            newly_allocated, ready = self._stage_reference(occupied, cycle)
             if not ready:
                 return
 
@@ -321,70 +294,16 @@ class PathSensitiveRouter(BaseRouter):
             self._commit_switch_grant(local[(q_index, out_dir)], cycle)
             matched |= 1 << q_index
 
-    def _allocate_lone(self, vc: VirtualChannel, cycle: int) -> None:
-        """:meth:`allocate` of a step that finds only ``vc`` occupied.
-
-        The general body with each container cut to its one entry, in
-        one body: the VA front end (``_stage_heads``), the tally, the
-        switch readiness test (``_vc_ready_for_switch``) and the grant
-        (``_commit_switch_grant``).  The VC, if ready and at a
-        crosspoint, is the sole request of its local arbiter and of its
-        output's 2:1 arbiter, and each still grants it (``grant_lone``),
-        so its rotating priority moves past the winner as in the general
-        walk.  The full sweep never comes here: it is the reference the
-        lone path is checked against.
-        """
-        queue = vc.queue
-        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
-            self._discard_dropped_front(vc, cycle)
-            if not queue:
-                return
-        front = queue[0]
-        if front.is_head:
-            if vc.active_pid is None:
-                vc.active_pid = front.packet.pid
-            if vc.out_vc is None and not (self._charges_rc and front.arrival >= cycle):
-                va_requests: list = []
-                self._request_va(vc, cycle, va_requests)
-                if va_requests:
-                    self._resolve_vc_allocations(va_requests, cycle)
-        out_dir = vc.out_dir
-        if out_dir is None or not queue:
-            return
-        # The tally, ready or not: one request, never contended.
-        contention = self.network.stats.contention
-        if out_dir is EAST or out_dir is WEST:
-            contention.row_requests += 1
-        elif out_dir is not LOCAL:
-            contention.column_requests += 1
-        # Ready for the switch: routed, not held, and a live output with
-        # a credit (ejection needs none).
-        target = vc.out_vc
-        if target is None or vc.hold_until > cycle:
-            return
-        if target is not EJECT or out_dir is not LOCAL:
-            port = self.outputs.get(out_dir)
-            if port is None or port.dead:
-                return
-            if target is not EJECT:
-                releases = target._releases
-                if releases and releases[0] <= cycle:
-                    target._refresh(cycle)
-                if target._available <= 0:
-                    return
+    def _grant_lone(self, vc: VirtualChannel, out_dir: Direction, fresh: bool) -> bool:
+        """The lone request, at a crosspoint of the decomposed crossbar,
+        wins its local arbiter there and its output's 2:1 arbiter."""
         crosspoint = _CROSSPOINT.get((vc.port, out_dir))
         if crosspoint is None:
-            return  # the decomposed crossbar has no such crosspoint
+            return False  # the decomposed crossbar has no such crosspoint
         slot, line = crosspoint
-        self._activity.sa_requests += 1
         self._set_arbiters[QUADRANTS[vc.port]][slot].grant_lone(vc.index)
         self._output_arbiters[out_dir].grant_lone(line)
-        if target is not EJECT:
-            target._available -= 1
-            target.expected += 1
-        self._sa_winners.append((vc, out_dir, target))
-        if self._stall_since:
-            self._stall_since.pop(id(vc), None)
+        return True
 
     def _request_va(
         self, vc: VirtualChannel, cycle: int, va_requests: list

@@ -60,7 +60,8 @@ class RoCoRouter(BaseRouter):
         self._vcs: list[VirtualChannel] = []
         mode = self.routing.mode
         specs = TABLE1[mode]
-        for name, port, vc_class, accepts_from, escape, final_only in specs:
+        # A spec's ``final_only`` is the admission table's business.
+        for name, port, vc_class, accepts_from, escape, _ in specs:
             module = self.modules[name]
             vc = VirtualChannel(
                 port=port,
@@ -70,7 +71,6 @@ class RoCoRouter(BaseRouter):
             )
             vc.accepts_from = accepts_from
             vc.escape = escape
-            vc.final_only = final_only
             vc.input_dir = accepts_from[0] if len(accepts_from) == 1 else None
             vc.router = self
             module.add_vc(port, vc)
@@ -301,33 +301,30 @@ class RoCoRouter(BaseRouter):
             return
         self._alloc_occupied = True
         if len(occupied) == 1:
-            vc = occupied[0]
-            self._allocate_lone(row if vc in row.all_vcs() else column, vc, cycle)
+            self._allocate_lone(occupied[0], cycle)
             return
-        # A dead module stages nothing.
-        staged = occupied
-        if row.dead or column.dead:
-            dead = [vc for m in (row, column) if m.dead for vc in m.all_vcs()]
-            staged = [vc for vc in occupied if vc not in dead]
+        # A dead module's VCs are empty (its worms were dropped when it
+        # died, and it admits none), so it is never occupied here.
         va_requests: list = []
-        pending = self._stage_heads(staged, cycle, va_requests)
+        pending = self._stage_heads(occupied, cycle, va_requests)
         if va_requests:
             self._resolve_vc_allocations(va_requests, cycle)
 
-        # Mirror switch allocation runs in a live module, unless its
+        # Mirror switch allocation runs in each module, unless its
         # arbitration is offloaded (SA fault recovery) to VA arbiters
         # that issued a grant this cycle (mere pending requests do not
-        # occupy them): such a module's directions map to no mask.
+        # occupy them): such a module's directions map to no mask.  A VC
+        # that VA routed sits in the module that drives its route.
         masks_at = _MASKS_AT
-        if row.dead or column.dead or row.sa_degraded or column.sa_degraded:
+        if row.sa_degraded or column.sa_degraded:
             masks_at = dict(_MASKS_AT)
-            for module in (row, column):
-                vcs = module.all_vcs()
-                if module.dead or module.sa_degraded and any(
-                    vc.out_vc is not None for vc in pending if vc in vcs
-                ):
-                    for d in module.directions:
-                        masks_at[d] = None
+            for vc in pending:
+                out_dir = vc.out_dir
+                if out_dir is not None:
+                    module = row if out_dir is EAST or out_dir is WEST else column
+                    if module.sa_degraded:
+                        for d in module.directions:
+                            masks_at[d] = None
         # One walk after VA over the occupied VCs takes the contention
         # tally (every routed worm) and, in a module that arbitrates,
         # the VCs ready for the switch (``_vc_ready_for_switch``; a RoCo
@@ -383,70 +380,17 @@ class RoCoRouter(BaseRouter):
             for port, _slot, index in grants:
                 self._commit_switch_grant(ports[port][index], cycle)
 
-    def _allocate_lone(
-        self, module: RoCoModule, vc: VirtualChannel, cycle: int
-    ) -> None:
-        """:meth:`allocate` of a step that finds only ``vc`` occupied,
-        in ``module``.
-
-        The occupancy-first body with each container cut to its one
-        entry, in one body: the VA front end (``_stage_heads``), the
-        switch readiness test (``_vc_ready_for_switch``), the tally and
-        the grant (``_commit_switch_grant``).  The VC, if ready, is the
-        module's sole SA request, which the allocator grants without
-        running (``grant_lone``), its arbiters moving their rotating
-        priority exactly as ``allocate`` would.  The full-sweep
-        reference never comes here.
-        """
-        if module.dead:
-            return
-        queue = vc.queue
-        if self.network.has_faults and queue[0].packet.dropped_cycle is not None:
-            self._discard_dropped_front(vc, cycle)
-            if not queue:
-                return
-        front = queue[0]
-        target = vc.out_vc
-        if front.is_head:
-            if vc.active_pid is None:
-                vc.active_pid = front.packet.pid
-            if target is None and not (self._charges_rc and front.arrival >= cycle):
-                va_requests: list = []
-                self._request_va(vc, cycle, va_requests)
-                if va_requests:
-                    self._resolve_vc_allocations(va_requests, cycle)
-                target = vc.out_vc
-                if module.sa_degraded and target is not None:
-                    return  # the borrowed VA arbiters issued a grant: busy
-        # Ready for the switch: routed, buffered, not held, and a live
-        # output with a credit (early ejection needs none).
-        if target is None or not queue or vc.hold_until > cycle:
-            return
-        out_dir = vc.out_dir
-        if target is not EJECT or out_dir is not LOCAL:
-            port = self.outputs.get(out_dir)
-            if port is None or port.dead:
-                return
-            if target is not EJECT:
-                releases = target._releases
-                if releases and releases[0] <= cycle:
-                    target._refresh(cycle)
-                if target._available <= 0:
-                    return
-        self._activity.sa_requests += 1
-        # The tally: one request, never contended.
-        contention = self.network.stats.contention
-        if out_dir is EAST or out_dir is WEST:
-            contention.row_requests += 1
-        elif out_dir is not LOCAL:
-            contention.column_requests += 1
+    def _grant_lone(self, vc: VirtualChannel, out_dir: Direction, fresh: bool) -> bool:
+        """The lone request is its module's sole SA request, which the
+        allocator grants without running (``grant_lone``), unless the
+        module's arbitration is offloaded to VA arbiters that this
+        step's VA kept busy.  A routed VC is in the module that drives
+        its route."""
+        module = self.row if out_dir is EAST or out_dir is WEST else self.column
+        if module.sa_degraded and fresh:
+            return False  # the borrowed VA arbiters issued a grant: busy
         module.allocator.grant_lone(vc.port, SLOTS[out_dir], vc.index)
-        if target is not EJECT:
-            target._available -= 1
-            target.expected += 1
-        self._sa_winners.append((vc, out_dir, target))
-        if self._stall_since:
-            self._stall_since.pop(id(vc), None)
+        return True
 
     # ------------------------------------------------------------------
     # Runtime fault reaction
@@ -482,9 +426,9 @@ class RoCoRouter(BaseRouter):
         packet = front.packet
         if self._route_viable(route, packet):
             return
-        module = self.row if vc in self.row.all_vcs() else self.column
-        if module.dead:
-            return
+        # A live VC (the fault engine skips dead ones) is in the module
+        # that drives its committed route.
+        module = self.module_for(route)
         for candidate in self.routing.candidates(self.node, packet):
             if candidate is route or not module.handles(candidate):
                 continue
@@ -511,10 +455,11 @@ class RoCoRouter(BaseRouter):
             # Defensive: early ejection should have consumed this flit.
             self.network.eject(vc.pop(cycle), self.node, cycle, early=True)
             return
-        module = self.row if vc in self.row.all_vcs() else self.column
-        if not module.handles(out_dir):
+        module = self.row if out_dir is EAST or out_dir is WEST else self.column
+        port_vcs = module.ports[vc.port]
+        if vc.index >= len(port_vcs) or port_vcs[vc.index] is not vc:
             raise RuntimeError(
-                f"flit routed {out_dir.name} buffered in {module.name} module"
+                f"flit routed {out_dir.name} buffered outside the {module.name} module"
             )
         outcome = self._request_vc_allocation(vc, out_dir, front, va_requests)
         if outcome:

@@ -63,7 +63,8 @@ def roco_oracle(router, input_dir: Direction, packet: Packet) -> list:
         for vc in module.all_vcs():
             if vc.vc_class != cls or input_dir not in vc.accepts_from:
                 continue
-            if vc.final_only and not final:
+            position = router.all_vcs().index(vc)
+            if TABLE1[router.routing.mode][position].final_only and not final:
                 continue
             if vc.escape and route is not escape_dir:
                 continue

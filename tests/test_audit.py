@@ -13,6 +13,10 @@ import pytest
 from repro.arbiters.mirror import MirrorAllocator
 from repro.audit import AuditEngine, InvariantViolation, default_checkers
 from repro.core.simulator import Simulator
+from repro.core.types import NodeId
+from repro.faults import ComponentFault
+from repro.faults.model import Component
+from repro.routers.roco.path_set import ROW
 
 from .conftest import small_config
 
@@ -117,6 +121,35 @@ class TestCorruptionIsCaught:
 
         violation = run_corrupted(sim, leak)
         assert violation.invariant == "credit"
+
+    def test_flits_in_a_dead_vc_break_credit(self):
+        """A dead VC holds no flit: a worm moved whole, credits and drain
+        state included, from a live VC into a killed RoCo module's VC
+        breaks only that rule."""
+        node = NodeId(1, 1)
+        sim = Simulator(
+            small_config(audit=True, injection_rate=0.2),
+            faults=[ComponentFault(node, Component.CROSSBAR, module=ROW)],
+        )
+        router = sim.network.routers[node]
+
+        def forge():
+            dead = [vc for vc in router.all_vcs() if vc.dead]
+            live = [vc for vc in router.all_vcs() if vc.queue and not vc.dead]
+            if not dead or not live:
+                return False
+            source, vc = live[0], dead[0]
+            moved = len(source.queue)
+            vc.queue.extend(source.queue)
+            source.queue.clear()
+            source._available += moved
+            vc._available -= moved
+            vc.active_pid, source.active_pid = source.active_pid, None
+            return True
+
+        violation = run_corrupted(sim, forge)
+        assert violation.invariant == "credit"
+        assert "dead VC holds" in violation.message
 
     def test_swapped_flits_break_worm_order(self):
         sim = audited_sim(injection_rate=0.2)

@@ -1,11 +1,11 @@
 """The lone-VC allocate path == the general walk, on every single-VC state.
 
 A router step that finds exactly one occupied VC takes
-``_allocate_lone`` (every architecture, each one flat body: head
-staging, tally, readiness and grant), unless the network runs the full
-sweep:
-that reference walks the general body with its own staging loop (for
-RoCo, its own full-sweep body).  Each case puts the centre router of a
+``BaseRouter._allocate_lone`` (one flat body for every architecture:
+head staging, tally, readiness and commitment, with the router's
+``_grant_lone`` hook for the grant), unless the network runs the full
+sweep: that reference walks the general body with its own staging loop
+(for RoCo, its own full-sweep body).  Each case puts the centre router of a
 5x5 mesh in one single-VC state on twin networks, one active-scheduled
 and one ``full_sweep=True``, runs ``allocate`` on both and compares all
 the phase can touch: every arbiter's pointer, the SA winners, each VC's
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import textwrap
 
 import pytest
 
@@ -30,7 +29,7 @@ from repro.arbiters.round_robin import RoundRobinArbiter
 from repro.core.config import RouterConfig, SimulationConfig
 from repro.core.network import Network
 from repro.core.types import CARDINALS, Direction, NodeId, Packet, make_packet_flits
-from repro.routers import generic, path_sensitive
+from repro.routers import base, generic, path_sensitive
 from repro.routers.base import EJECT
 from repro.routers.roco import router as roco_router
 
@@ -340,47 +339,36 @@ def test_lone_path_equals_general_walk(variant):
         assert tally["kept"] > 0, tally
 
 
-#: The contention tally of a flat lone body, as a mutant moves it.
-_TALLY = (
-    "        contention = self.network.stats.contention\n"
-    "        if out_dir is EAST or out_dir is WEST:\n"
-    "            contention.row_requests += 1\n"
-    "        elif out_dir is not LOCAL:\n"
-    "            contention.column_requests += 1\n"
-)
-
 #: name -> (class, method, variant, [(old, new), ...]): one seeded fault,
-#: source edits of the lone path (a router's ``_allocate_lone`` or the
-#: Mirror allocator's ``grant_lone``) that the variant's battery must
-#: catch.
+#: source edits of the lone path (the shared ``_allocate_lone`` body, a
+#: router's ``_grant_lone`` hook or the Mirror allocator's
+#: ``grant_lone``) that the variant's battery must catch.
 MUTANTS = {
     "generic: stage-1 grant left out": (
-        generic.GenericRouter, "_allocate_lone", "generic",
+        generic.GenericRouter, "_grant_lone", "generic",
         [("self._sa_stage1[d].grant_lone(vc.index)", "pass")],
     ),
     "generic: stage-2 grant left out": (
-        generic.GenericRouter, "_allocate_lone", "generic",
+        generic.GenericRouter, "_grant_lone", "generic",
         [("self._sa_stage2[out_dir].grant_lone(d)", "pass")],
     ),
     "generic: tally skipped when not ready": (
-        generic.GenericRouter, "_allocate_lone", "generic",
-        [(_TALLY, ""),
-         ("self._activity.sa_requests += 1\n",
-          "self._activity.sa_requests += 1\n" + _TALLY)],
+        base.BaseRouter, "_allocate_lone", "generic",
+        [("if granted or self.idle_tally:", "if granted:")],
     ),
     "path_sensitive: local arbiter left out": (
-        path_sensitive.PathSensitiveRouter, "_allocate_lone", "path_sensitive",
+        path_sensitive.PathSensitiveRouter, "_grant_lone", "path_sensitive",
         [("self._set_arbiters[QUADRANTS[vc.port]][slot].grant_lone(vc.index)",
           "pass")],
     ),
     "path_sensitive: output arbiter left out": (
-        path_sensitive.PathSensitiveRouter, "_allocate_lone", "path_sensitive",
+        path_sensitive.PathSensitiveRouter, "_grant_lone", "path_sensitive",
         [("self._output_arbiters[out_dir].grant_lone(line)", "pass")],
     ),
     "path_sensitive: request counted without a crosspoint": (
-        path_sensitive.PathSensitiveRouter, "_allocate_lone", "path_sensitive",
-        [("return  # the decomposed crossbar has no such crosspoint",
-          "self._activity.sa_requests += 1\n            return")],
+        path_sensitive.PathSensitiveRouter, "_grant_lone", "path_sensitive",
+        [("return False  # the decomposed crossbar has no such crosspoint",
+          "self._activity.sa_requests += 1\n            return False")],
     ),
     "roco: lone grant skips the local arbiter": (
         mirror.MirrorAllocator, "grant_lone", "roco",
@@ -391,37 +379,28 @@ MUTANTS = {
         [("self._global.grant_lone(slot)", "pass")],
     ),
     "roco: lone VC handed to the other module": (
-        roco_router.RoCoRouter, "allocate", "roco",
-        [("row if vc in row.all_vcs() else column",
-          "column if vc in row.all_vcs() else row")],
+        roco_router.RoCoRouter, "_grant_lone", "roco",
+        [("self.row if out_dir is EAST or out_dir is WEST else self.column",
+          "self.column if out_dir is EAST or out_dir is WEST else self.row")],
     ),
     "roco: SA borrow rule ignored": (
-        roco_router.RoCoRouter, "_allocate_lone", "roco",
-        [("module.sa_degraded and target", "False and target")],
+        roco_router.RoCoRouter, "_grant_lone", "roco",
+        [("module.sa_degraded and fresh", "False and fresh")],
     ),
     "roco: tallied when not ready": (
-        roco_router.RoCoRouter, "_allocate_lone", "roco",
-        [(_TALLY, ""),
-         ("        # Ready for the switch",
-          "        out_dir = vc.out_dir\n"
-          "        if out_dir is not None and queue:\n"
-          + textwrap.indent(_TALLY, "    ")
-          + "        # Ready for the switch")],
+        base.BaseRouter, "_allocate_lone", "roco",
+        [("if granted or self.idle_tally:",
+          "if granted or self.idle_tally or not ready:")],
     ),
-}
-_LONE = {
-    "generic": generic.GenericRouter,
-    "path_sensitive": path_sensitive.PathSensitiveRouter,
-    "roco": roco_router.RoCoRouter,
 }
 for _variant in ("path_sensitive", "roco"):
     MUTANTS[f"{_variant}: RC cycle charged under look-ahead"] = (
-        _LONE[_variant], "_allocate_lone", _variant,
+        base.BaseRouter, "_allocate_lone", _variant,
         [("self._charges_rc and front.arrival", "front.arrival")],
     )
-for _variant, _cls in _LONE.items():
+for _variant in ("generic", "path_sensitive", "roco"):
     MUTANTS[f"{_variant}: dropped front kept"] = (
-        _cls, "_allocate_lone", _variant,
+        base.BaseRouter, "_allocate_lone", _variant,
         [("self._discard_dropped_front(vc, cycle)", "pass")],
     )
 

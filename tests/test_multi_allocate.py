@@ -13,7 +13,8 @@ SA winners in grant order, each VC's worm, ownership and credit fields
 (the centre's and those of the routers its worms are bound for), the
 stall table and the activity and contention counters.  The one walk
 stages its heads through ``BaseRouter._stage_heads`` and the reference
-through its own loop; both share only each router's route choice
+through its own loop (``BaseRouter._stage_reference`` for generic and
+Path-Sensitive); both share only each router's route choice
 (``_request_va``) and the VA resolution, so the battery checks head
 staging and the SA half against an independent body, not VA itself.
 
@@ -201,8 +202,9 @@ def test_one_walk_equals_reference(variant):
 
 #: name -> (class, method, variant, [(old, new), ...]): one seeded fault,
 #: source edits of the one walk (a router's ``allocate`` outside its
-#: full-sweep branch, or the shared ``_stage_heads`` and ``_ready_walk``),
-#: which the variant's battery must catch.
+#: full-sweep branch, or the shared ``_stage_heads`` and ``_ready_walk``)
+#: or of the reference (``_stage_reference``), which the variant's
+#: battery must catch.
 MUTANTS = {
     "generic: speculative rule inverted": (
         generic.GenericRouter, "allocate", "generic",
@@ -272,6 +274,12 @@ for _variant in ("generic", "path_sensitive", "roco"):
     MUTANTS[f"{_variant}: dropped front kept"] = (
         base.BaseRouter, "_stage_heads", _variant,
         [("self._discard_dropped_front(vc, cycle)", "pass")],
+    )
+# Path-Sensitive holds a head for RC only without look-ahead routing.
+for _variant in ("generic", "path_sensitive-no-lookahead"):
+    MUTANTS[f"{_variant}: reference RC hold dropped"] = (
+        base.BaseRouter, "_stage_reference", _variant,
+        [("if self._charges_rc and front.arrival >= cycle:", "if False:")],
     )
 for _variant in ("generic", "path_sensitive", "roco", "roco-sequential"):
     MUTANTS[f"{_variant}: requester not reported"] = (

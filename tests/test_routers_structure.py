@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import SimulationConfig
 from repro.core.network import Network
 from repro.core.simulator import Simulator
-from repro.core.types import Direction, NodeId, Packet
+from repro.core.types import Direction, NodeId, Packet, make_packet_flits
 from repro.faults import ComponentFault
 from repro.faults.model import Component
 from repro.routers import EJECT, ROUTER_CLASSES
@@ -220,6 +220,19 @@ class TestRoCoStructure:
         vc, route = router.injection_vc_for(packet(NodeId(1, 1), NodeId(1, 3)))
         assert vc.vc_class == "injyx"
         assert route is Direction.SOUTH
+
+    def test_va_refuses_a_head_buffered_in_the_wrong_module(self):
+        """A head sits in the module that drives its committed route."""
+        net = network("roco")
+        router = net.routers[NodeId(1, 1)]
+        head = make_packet_flits(packet(NodeId(0, 1), NodeId(1, 3)))[0]
+        head.route = Direction.SOUTH
+        vc = router.row.all_vcs()[0]
+        vc.push(head)
+        with pytest.raises(
+            RuntimeError, match="routed SOUTH buffered outside the column module"
+        ):
+            router._request_va(vc, 0, [])
 
     def test_dead_module_removes_candidates(self):
         net = network("roco")
